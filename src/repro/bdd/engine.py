@@ -54,7 +54,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -368,18 +367,6 @@ class BDD:
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: (f AND g) OR (NOT f AND h)."""
         return self._ite(f, g, h)
-
-    def bulk_ite(
-        self, triples: Sequence[Tuple[int, int, int]], *, force_scalar: bool = False
-    ) -> List[int]:
-        """Batch ITE with one shared levelized traversal (see bdd.bulk).
-
-        Equivalent to ``[self.ite(*t) for t in triples]``; the down-sweep
-        vectorizes over the node arrays when numpy is available.
-        """
-        from .bulk import bulk_ite
-
-        return bulk_ite(self, triples, force_scalar=force_scalar)
 
     def _ite(self, f: int, g: int, h: int) -> int:
         """The one operation primitive: normalise, then dispatch.

@@ -289,58 +289,15 @@ class PredicateEngine:
 
         Counted as one conjunction and one negation — the pair costs
         one engine walk, versus two conjunctions and a negation for
-        ``(a & b, a - b)`` computed separately.  Falls back to the two
-        separate applies on injected node stores without the primitive.
+        ``(a & b, a - b)`` computed separately.
         """
         self._check(a, b)
         if self._gc_threshold is not None:
             self._maybe_collect()
         self._c_conj.value += 1
         self._c_neg.value += 1
-        bdd = self.bdd
-        apply_split = getattr(bdd, "apply_split", None)
-        if apply_split is not None:
-            inter, rest = apply_split(a.node, b.node)
-        else:
-            inter = bdd.apply_and(a.node, b.node)
-            rest = bdd.apply_diff(a.node, b.node)
+        inter, rest = self.bdd.apply_split(a.node, b.node)
         return self.pred(inter), self.pred(rest)
-
-    def split_many(
-        self, pairs: List[Tuple[Predicate, Predicate]]
-    ) -> List[Tuple[Predicate, Predicate]]:
-        """Batched :meth:`split` through the bulk-ITE path.
-
-        Both halves of every pair become ITE triples — ``a ∧ b =
-        ite(a, b, ⊥)`` and ``a ∧ ¬b = ite(b, ⊥, a)`` — and the whole
-        batch runs one levelized traversal with a shared memo (see
-        :mod:`repro.bdd.bulk`), vectorized over the node arrays when
-        numpy is importable and falling back to scalar ITE otherwise.
-        Counted exactly like ``len(pairs)`` separate splits; batch shape
-        lands in the ``predicates.bulk.*`` counters.
-        """
-        if not pairs:
-            return []
-        bulk_ite = getattr(self.bdd, "bulk_ite", None)
-        if bulk_ite is None or len(pairs) == 1:
-            return [self.split(a, b) for a, b in pairs]
-        for a, b in pairs:
-            self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
-        self._c_conj.value += len(pairs)
-        self._c_neg.value += len(pairs)
-        triples: List[Tuple[int, int, int]] = []
-        for a, b in pairs:
-            triples.append((a.node, b.node, FALSE))  # a ∧ b
-            triples.append((b.node, FALSE, a.node))  # a ∧ ¬b
-        self.registry.counter("predicates.bulk.batches").inc()
-        self.registry.counter("predicates.bulk.triples").inc(len(triples))
-        edges = bulk_ite(triples)
-        return [
-            (self.pred(edges[i]), self.pred(edges[i + 1]))
-            for i in range(0, len(edges), 2)
-        ]
 
     def disj_many(self, preds: Iterable[Predicate]) -> Predicate:
         result = self._false

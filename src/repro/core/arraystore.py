@@ -26,11 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterator, List, Sequence, Tuple
 
-try:  # optional acceleration for bulk rehash; the pure path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
 EMPTY = 0
 
 #: Multipliers mixing a ``(var, low, high)`` triple into a probe hash.
@@ -116,30 +111,15 @@ class OpenAddressedNodeTable:
             cap <<= 1
         slots = [0] * cap
         mask = cap - 1
-        if _np is not None and len(live) > 2048:
-            # Bulk path: hashing every key in the interpreter dominates
-            # rehash cost, so compute all probe homes vectorised and
-            # keep only the linear-probe placement as a Python loop.
-            ids = _np.asarray(live, dtype=_np.int64)
-            homes = (
-                (_np.asarray(vars_, dtype=_np.int64)[ids] * HASH_VAR)
-                ^ (_np.asarray(lows, dtype=_np.int64)[ids] * HASH_LOW)
-                ^ (_np.asarray(highs, dtype=_np.int64)[ids] * HASH_HIGH)
+        for node in live:
+            h = (
+                vars_[node] * HASH_VAR
+                ^ lows[node] * HASH_LOW
+                ^ highs[node] * HASH_HIGH
             ) & mask
-            for node, h in zip(live, homes.tolist()):
-                while slots[h]:
-                    h = (h + 1) & mask
-                slots[h] = node
-        else:
-            for node in live:
-                h = (
-                    vars_[node] * HASH_VAR
-                    ^ lows[node] * HASH_LOW
-                    ^ highs[node] * HASH_HIGH
-                ) & mask
-                while slots[h]:
-                    h = (h + 1) & mask
-                slots[h] = node
+            while slots[h]:
+                h = (h + 1) & mask
+            slots[h] = node
         self.slots = slots
         self.mask = mask
         self.used = len(live)

@@ -112,11 +112,12 @@ class InverseModel:
           overwrite predicates — pass it in when Reduce I already has
           it) let ECs disjoint from the whole block bypass the
           per-overwrite loop entirely (``mr2.apply.ecs_skipped``);
-        * per (EC, overwrite) pair — non-intersecting signatures prove
-          disjointness without any BDD operation
-          (``mr2.apply.pairs_pruned``), and surviving pairs compute
-          their intersect/remainder halves in one
-          :meth:`Predicate.split` traversal instead of two applies.
+        * per (EC, overwrite) pair, one pass per overwrite —
+          non-intersecting signatures prove disjointness without any
+          BDD operation (``mr2.apply.pairs_pruned``); each surviving
+          pair computes its intersect/remainder halves in one
+          :meth:`Predicate.split` traversal instead of two applies and
+          is merged into the next bucket at once.
 
         Set ``fast_apply=False`` to run the historical cross product;
         both produce the same model (the property tests hold them
@@ -161,34 +162,16 @@ class InverseModel:
                 len(untouched)
             )
         pruned = 0
-        split_many = getattr(engine, "split_many", None)
         for ow, ow_sig in zip(ows, ow_sigs):
             delta = ow.delta_dict()
             ow_pred = ow.predicate
             next_work: Dict[VecId, Tuple[Predicate, int, int]] = {}
-            # Split every surviving EC against this overwrite in one
-            # batched traversal (shared memo across the pairs; numpy-
-            # vectorized down-sweep on the array engine), then merge in
-            # the original iteration order so bucket contents — and the
-            # kept origins — are identical to the per-pair loop.
-            items = list(work.items())
-            surviving = [
-                (pred, ow_pred)
-                for _, (pred, _, psig) in items
-                if psig & ow_sig != 0
-            ]
-            if split_many is not None and len(surviving) > 1:
-                splits = iter(split_many(surviving))
-            else:
-                splits = iter(
-                    [pred.split(ow_pred) for pred, _ in surviving]
-                )
-            for vec, (pred, origin, psig) in items:
+            for vec, (pred, origin, psig) in work.items():
                 if psig & ow_sig == 0:
                     pruned += 1
                     self._merge(next_work, vec, pred, origin, psig)
                     continue
-                inter, rest = next(splits)
+                inter, rest = pred.split(ow_pred)
                 if inter.is_false:
                     self._merge(next_work, vec, pred, origin, psig)
                     continue

@@ -32,18 +32,12 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Union,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-only; keep 3.9 compatibility explicit.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - 3.9+ always has it
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.fib import FibSnapshot

@@ -353,12 +353,6 @@ class IntervalBackend:
             self.from_intervals(a.iset.difference(b.iset)),
         )
 
-    def split_many(
-        self, pairs: List[Tuple[IntervalPredicate, IntervalPredicate]]
-    ) -> List[Tuple[IntervalPredicate, IntervalPredicate]]:
-        """Batched :meth:`split` (no cross-pair sharing to exploit here)."""
-        return [self.split(a, b) for a, b in pairs]
-
     def disj_many(
         self, preds: Iterable[IntervalPredicate]
     ) -> IntervalPredicate:

@@ -51,17 +51,11 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-native from 3.8; runtime_checkable too.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - not reachable on supported pythons
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 @runtime_checkable
@@ -153,9 +147,6 @@ class PredicateBackend(Protocol):
     def split(
         self, a: PredicateHandle, b: PredicateHandle
     ) -> Tuple[PredicateHandle, PredicateHandle]: ...
-    def split_many(
-        self, pairs: List[Tuple[PredicateHandle, PredicateHandle]]
-    ) -> List[Tuple[PredicateHandle, PredicateHandle]]: ...
     def disj_many(
         self, preds: Iterable[PredicateHandle]
     ) -> PredicateHandle: ...

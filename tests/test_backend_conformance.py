@@ -6,7 +6,7 @@ One parametrized battery run against **every** backend in
 * algebraic laws (boolean-algebra identities on randomized predicates),
 * query coherence (``sat_count`` / ``evaluate`` / ``any_assignment`` /
   ``intersects`` / ``covers`` against brute-force header enumeration),
-* ``split`` / ``split_many`` ≡ ``(a & b, a - b)``,
+* ``split`` ≡ ``(a & b, a - b)``,
 * cofactor signatures agreeing bit-for-bit across backends,
 * FBW1 wire round-trips, both within a backend and across every pairing,
 * :class:`~repro.core.inverse_model.InverseModel` apply-overwrites
@@ -182,9 +182,8 @@ def test_equality_is_semantic_and_hash_consistent(engine):
             assert a.node == b.node  # canonical representatives
 
 
-def test_split_and_split_many(engine):
+def test_split(engine):
     rng = random.Random(13)
-    pairs = []
     for _ in range(12):
         a = _random_pred(engine, rng)
         b = _random_pred(engine, rng)
@@ -193,11 +192,6 @@ def test_split_and_split_many(engine):
         assert rest == (a - b)
         assert (inter & rest).is_false
         assert (inter | rest) == a
-        pairs.append((a, b))
-    bulk = engine.split_many(pairs)
-    assert len(bulk) == len(pairs)
-    for (a, b), (inter, rest) in zip(pairs, bulk):
-        assert inter == (a & b) and rest == (a - b)
 
 
 def test_varargs_folds(engine):

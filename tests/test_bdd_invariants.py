@@ -261,105 +261,6 @@ class TestSatCount:
         assert eng.sat_count(p) == first
 
 
-class TestBulkIte:
-    """The batched (numpy-vectorized) ITE path is bit-identical to the
-    scalar recursion — same edges, same canonical store afterwards."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_batches_match_scalar(self, seed):
-        rng = case_rng(900 + seed)
-        eng = BDD(10)
-        pool = [random_predicate(eng, rng, 10, 25) for _ in range(12)]
-        triples = [
-            (rng.choice(pool), rng.choice(pool), rng.choice(pool))
-            for _ in range(40)
-        ]
-        expected = [eng.ite(f, g, h) for f, g, h in triples]
-        assert eng.bulk_ite(triples) == expected
-        assert eng.bulk_ite(triples, force_scalar=True) == expected
-        assert_canonical(eng)
-
-    def test_vectorized_and_scalar_expansion_agree(self):
-        """Same batch through both down-sweeps on fresh engines — the
-        numpy gather must produce the same store as the pure-Python one."""
-        results = []
-        for force in (False, True):
-            rng = case_rng(950)
-            eng = BDD(10)
-            pool = [random_predicate(eng, rng, 10, 25) for _ in range(10)]
-            triples = [
-                (rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                for _ in range(30)
-            ]
-            results.append(
-                [eng.sat_count(r) for r in eng.bulk_ite(triples, force_scalar=force)]
-            )
-        assert results[0] == results[1]
-
-    def test_empty_batch(self):
-        eng = BDD(8)
-        assert eng.bulk_ite([]) == []
-        assert eng.bulk_ite([], force_scalar=True) == []
-
-    def test_single_triple_and_terminals(self):
-        eng = BDD(8)
-        rng = case_rng(960)
-        f = random_predicate(eng, rng, 8, 20)
-        g = random_predicate(eng, rng, 8, 20)
-        h = random_predicate(eng, rng, 8, 20)
-        assert eng.bulk_ite([(f, g, h)]) == [eng.ite(f, g, h)]
-        # terminal selectors and collapsed branches resolve without any
-        # frontier expansion
-        batch = [
-            (TRUE, g, h),
-            (FALSE, g, h),
-            (f, g, g),
-            (f, TRUE, FALSE),
-            (f, FALSE, TRUE),
-            (f, f, h),
-            (f, g, f),
-        ]
-        expected = [eng.ite(a, b, c) for a, b, c in batch]
-        assert eng.bulk_ite(batch) == expected
-
-    def test_duplicate_triples_share_work(self):
-        eng = BDD(8)
-        rng = case_rng(970)
-        f = random_predicate(eng, rng, 8, 20)
-        g = random_predicate(eng, rng, 8, 20)
-        h = random_predicate(eng, rng, 8, 20)
-        out = eng.bulk_ite([(f, g, h)] * 5)
-        assert out == [eng.ite(f, g, h)] * 5
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gc_interleaved_stress(self, seed):
-        """Alternating bulk batches with collections: results pinned as
-        roots must survive, later batches must not resurrect freed ids,
-        and the store stays canonical throughout."""
-        rng = case_rng(980 + seed)
-        eng = BDD(10)
-        kept = []  # (edge, sat_count) pairs pinned across collections
-        for round_no in range(6):
-            pool = [random_predicate(eng, rng, 10, 15) for _ in range(6)]
-            pool.extend(edge for edge, _ in kept)
-            triples = [
-                (rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                for _ in range(20)
-            ]
-            results = eng.bulk_ite(triples, force_scalar=bool(round_no % 2))
-            expected = [eng.ite(f, g, h) for f, g, h in triples]
-            assert results == expected
-            keep = results[rng.randrange(len(results))]
-            eng.pin(keep)
-            kept.append((keep, eng.sat_count(keep)))
-            eng.collect()
-            assert_canonical(eng)
-            for edge, count in kept:
-                assert eng.sat_count(edge) == count
-        for edge, _ in kept:
-            eng.unpin(edge)
-
-
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_stream_same_functions(self, seed):

@@ -1,9 +1,13 @@
 """Unit tests for smaller components and error paths."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
@@ -166,3 +170,21 @@ class TestVerificationGraphGuards:
         assert graph.num_edges >= 2
         clone = graph.clone()
         assert clone.num_edges == graph.num_edges
+
+
+def test_package_imports_without_numpy():
+    """``src/`` is stdlib-only: no entry point may pull numpy in
+    (≈10 MB RSS and ≈0.1 s set-up per process where it is installed)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import repro.flash, repro.serve, repro.fleet, repro.cli, sys; "
+        "assert 'numpy' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
