@@ -39,6 +39,9 @@ class _EcEntry:
     graph: VerificationGraph
     maintainer: object  # DgqReachability or ModelTraversal
     verdict: Verdict
+    # The handle behind this entry's key: while it is held, the engine
+    # cannot recycle the node id for another predicate.
+    predicate: Predicate
 
 
 class RegexVerifier:
@@ -72,14 +75,21 @@ class RegexVerifier:
         # universe (the whole space, or the subspace being verified).
         initial = compiler.engine.true if universe is None else universe
         self._table: Dict[int, _EcEntry] = {
-            initial.node: self._entry(base_graph.clone())
+            initial.node: self._entry(base_graph.clone(), initial)
         }
+        # Predicate nodes known to miss the packet space (node → pinning
+        # handle).  With _table's keys — all inside it — this is what one
+        # update learns about the space and the next need not re-derive;
+        # both are rebuilt from each update's deltas.
+        self._outside: Dict[int, Predicate] = (
+            {} if initial.intersects(self.space) else {initial.node: initial}
+        )
 
-    def _entry(self, graph: VerificationGraph) -> _EcEntry:
+    def _entry(self, graph: VerificationGraph, predicate: Predicate) -> _EcEntry:
         maintainer = (
             DgqReachability(graph) if self.use_dgq else ModelTraversal(graph)
         )
-        return _EcEntry(graph, maintainer, Verdict.UNKNOWN)
+        return _EcEntry(graph, maintainer, Verdict.UNKNOWN, predicate)
 
     # ------------------------------------------------------------------
     def on_model_update(
@@ -92,23 +102,28 @@ class RegexVerifier:
         fresh = [d for d in new_synced if d not in self.synced]
         self.synced.update(fresh)
         next_table: Dict[int, _EcEntry] = {}
+        next_outside: Dict[int, Predicate] = {}
         for delta in deltas:
-            if not delta.predicate.intersects(self.space):
+            node = delta.predicate.node
+            entry = self._table.get(node)
+            if node in self._outside or (
+                entry is None and not delta.predicate.intersects(self.space)
+            ):
+                next_outside[node] = delta.predicate
                 continue
-            entry = self._table.get(delta.predicate.node)
             if entry is None:
                 parent = self._table.get(delta.origin)
                 if parent is None:
                     # EC born outside our table (e.g. after merges): start
                     # from the template pruned by all synced devices so far.
-                    entry = self._entry(self._template.clone())
+                    entry = self._entry(self._template.clone(), delta.predicate)
                     for device in self.synced:
                         removed = entry.graph.prune_device(
                             device, model.action_of(delta.vector, device)
                         )
                         entry.maintainer.delete_edges(removed)
                 else:
-                    entry = self._entry(parent.graph.clone())
+                    entry = self._entry(parent.graph.clone(), delta.predicate)
             if entry.verdict is Verdict.UNKNOWN:
                 for device in fresh:
                     removed = entry.graph.prune_device(
@@ -116,8 +131,9 @@ class RegexVerifier:
                     )
                     entry.maintainer.delete_edges(removed)
                 entry.verdict = self._judge(entry)
-            next_table[delta.predicate.node] = entry
+            next_table[node] = entry
         self._table = next_table
+        self._outside = next_outside
         return self.report()
 
     def _judge(self, entry: _EcEntry) -> Verdict:

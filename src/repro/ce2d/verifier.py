@@ -81,7 +81,11 @@ class SubspaceVerifier:
             telemetry if telemetry is not None else manager.telemetry
         )
         self.synced: Set[int] = set()
-        self.loop_detector = LoopDetector(topology) if check_loops else None
+        self.loop_detector = (
+            LoopDetector(topology, telemetry=self.telemetry)
+            if check_loops
+            else None
+        )
         self.regex_verifiers: List[Union[RegexVerifier, CoverVerifier]] = []
         for req in requirements:
             cls = CoverVerifier if req.is_cover else RegexVerifier

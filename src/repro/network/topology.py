@@ -49,6 +49,9 @@ class Topology:
         self._devices: Dict[int, Device] = {}
         self._by_name: Dict[str, int] = {}
         self._adj: Dict[int, Set[int]] = {}
+        # neighbors() hands out immutable copies of _adj's sets; checkers
+        # ask inside per-update loops, so a copy lives until a link changes.
+        self._neighbors: Dict[int, FrozenSet[int]] = {}
 
     # -- construction ----------------------------------------------------
     def add_device(
@@ -77,6 +80,8 @@ class Topology:
             raise TopologyError(f"duplicate link {u}-{v}")
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._neighbors.pop(u, None)
+        self._neighbors.pop(v, None)
 
     def add_link_by_name(self, u: str, v: str) -> None:
         self.add_link(self.id_of(u), self.id_of(v))
@@ -106,8 +111,11 @@ class Topology:
         return u in self._adj and v in self._adj[u]
 
     def neighbors(self, device_id: int) -> FrozenSet[int]:
-        self._require(device_id)
-        return frozenset(self._adj[device_id])
+        cached = self._neighbors.get(device_id)
+        if cached is None:
+            self._require(device_id)
+            cached = self._neighbors[device_id] = frozenset(self._adj[device_id])
+        return cached
 
     # -- iteration -----------------------------------------------------------
     def devices(self) -> Iterator[Device]:

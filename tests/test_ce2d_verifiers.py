@@ -1,23 +1,31 @@
 """Tests for epoch tracking, the dispatcher, Algorithm 2 and Algorithm 3."""
 
+import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.bdd.predicate import Predicate
 from repro.ce2d.dispatcher import CE2DDispatcher
 from repro.ce2d.epoch import EpochTracker
 from repro.ce2d.loop_detector import LoopDetector
 from repro.results import Verdict
 from repro.ce2d.verifier import SubspaceVerifier
 from repro.dataplane.rule import DROP, Rule
-from repro.dataplane.update import insert
+from repro.dataplane.update import delete, insert
+from repro.difftest.scenario import Scenario
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
 from repro.network.generators import figure3_example, line, ring
 from repro.network.topology import Topology
 from repro.spec.requirement import Multiplicity, requirement
 
+from .ce2d_oracles import MemoFreeRegexVerifier
+
 LAYOUT = dst_only_layout(4)
+CORPUS_DIR = Path(__file__).parent / "corpus"
 
 
 def fwd(topo, device_name, next_name, pri=1):
@@ -266,6 +274,131 @@ class TestRegexVerifierEndToEnd:
         assert r[0].verdict is Verdict.UNKNOWN
         r = verifier.receive(topo.id_of("C"), [fwd(topo, "C", "D")])
         assert r[0].verdict is Verdict.SATISFIED
+
+
+def _with_memo_free_twins(topo, layout, requirements, subspace_match=None):
+    """A verifier whose every regex checker has a memo-free twin attached
+    as a custom checker, so both see the same deltas and model."""
+    verifier = SubspaceVerifier(
+        topo, layout, requirements=requirements, subspace_match=subspace_match
+    )
+    for req in requirements:
+        verifier.add_checker(
+            MemoFreeRegexVerifier(
+                req,
+                topo,
+                layout,
+                verifier.manager.compiler,
+                universe=verifier.manager.model.universe,
+            )
+        )
+    return verifier
+
+
+def _assert_twins_agree(reports, count, context):
+    for ours, twin in zip(reports[:count], reports[count:]):
+        assert (ours.requirement, ours.verdict, ours.detail) == (
+            twin.requirement,
+            twin.verdict,
+            twin.detail,
+        ), context
+
+
+def _corpus_scenarios():
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        yield pytest.param(
+            Scenario.from_dict(data.get("scenario", data)), id=path.stem
+        )
+
+
+class TestRegexSpaceCarryOver:
+    """The inside/outside carry-over against a verifier without it."""
+
+    @pytest.mark.parametrize("scenario", _corpus_scenarios())
+    def test_corpus_reports_equal_memo_free_oracle(self, scenario):
+        topo, layout = scenario.build_topology(), scenario.build_layout()
+        specs = [s for s in scenario.requirements if "cover" not in s.expression]
+        # Each requirement again on the low half of dst, so the space has an
+        # outside for ECs to be in.
+        half = Match.dst_prefix(0, 1, layout)
+        specs += [
+            dataclasses.replace(s, name=f"{s.name}/low", packet_space=half)
+            for s in specs
+        ]
+        reqs = [s.build(topo, layout) for s in specs]
+        verifier = _with_memo_free_twins(topo, layout, reqs)
+        per_device = {d: [] for d in topo.switches()}
+        for update in scenario.updates:
+            per_device[update.device].append(update)
+        # The scenario's own sync order, then every device confirming an
+        # unchanged FIB (every EC keeps its node: all probes, no conjunction).
+        for device in (*scenario.order, *scenario.order):
+            reports = verifier.receive(device, per_device.pop(device, []))
+            _assert_twins_agree(reports, len(reqs), (scenario.name, device))
+
+    def test_universe_disjoint_from_space_reports_as_before(self):
+        """A subspace verifier whose universe misses the requirement's
+        packet space: the initial ecTable entry is never "known inside"."""
+        topo = figure3_example()
+        req = requirement(
+            "reach-high",
+            topo,
+            LAYOUT,
+            Match.dst_prefix(0b1000, 1, LAYOUT),
+            ["S"],
+            "S .* D",
+        )
+        low = Match.dst_prefix(0b0000, 1, LAYOUT)
+        verifier = _with_memo_free_twins(topo, LAYOUT, [req], subspace_match=low)
+        ours, twin = verifier.regex_verifiers[0], verifier.custom_checkers[0]
+        assert ours.report().detail == twin.report().detail == "1 ECs in space"
+        steps = [("S", [fwd(topo, "S", "A")]), ("A", []), ("S", [])]
+        for name, batch in steps:
+            reports = verifier.receive(topo.id_of(name), batch)
+            _assert_twins_agree(reports, 1, name)
+            assert reports[0].verdict is Verdict.UNKNOWN
+            assert reports[0].detail == "0 ECs in space"
+
+    def test_ec_leaving_and_reentering_the_space_is_retested(self, monkeypatch):
+        """Nothing outlives one update: a predicate that drops out of the
+        EC list and comes back is tested against the space again, while an
+        EC that merely stays costs no conjunction."""
+        topo = figure3_example()
+        high = Match.dst_prefix(0b1000, 1, LAYOUT)
+        req = requirement("reach-high", topo, LAYOUT, high, ["S"], "S .* D")
+        verifier = _with_memo_free_twins(topo, LAYOUT, [req])
+        ours = verifier.regex_verifiers[0]
+        tested = []
+        intersects = Predicate.intersects
+
+        def spy(pred, other):
+            if other is ours.space:
+                tested.append(pred.node)
+            return intersects(pred, other)
+
+        monkeypatch.setattr(Predicate, "intersects", spy)
+        s, a = topo.id_of("S"), topo.id_of("A")
+        split = Rule(2, high, a)
+
+        def step(device, batch):
+            tested.clear()
+            reports = verifier.receive(device, batch)
+            _assert_twins_agree(reports, 1, (device, batch))
+            nodes = {p.node for p, _ in verifier.manager.model.entries()}
+            # The twin tests every EC; we test the rest.
+            return nodes, len(tested) - len(nodes)
+
+        whole, _ = step(s, [fwd(topo, "S", "W")])
+        assert len(whole) == 1
+        halves, ours_tested = step(a, [insert(a, split)])
+        assert len(halves) == 2 and not (halves & whole)
+        assert ours_tested == 2  # both halves are new nodes
+        _, ours_tested = step(a, [])
+        assert ours_tested == 0  # unchanged ECs: probes only
+        merged, ours_tested = step(a, [delete(a, split)])
+        assert merged == whole  # the same predicate node is back ...
+        assert ours_tested == 1  # ... and is tested again
 
 
 class TestDispatcher:
