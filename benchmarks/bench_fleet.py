@@ -14,24 +14,22 @@ the crash-free run.
 
 **Skewed storm** (``run_skewed_storm``, ``__main__`` with
 ``--quick --check --output``): prices the FBW2 delta-shipping tentpole
-under update skew — ~90% of the stream lands in one hot shard.  Three
+under update skew — ~90% of the stream lands in one hot shard.  Two
 fleet configurations verify the identical stream:
 
 * ``full_frame``   — ``compact_every=1``: every checkpoint ships a full
   FBW1 table (the historical wire cost);
 * ``delta``        — ``compact_every=8``: checkpoints between
-  compactions ship FBW2 deltas + journal diffs;
-* ``delta_rebalance`` — deltas plus the skew-aware
-  :class:`~repro.fleet.RebalancePolicy`: the hot shard splits at a
-  block boundary and half of it migrates — as the delta chain — to the
-  least-loaded worker.
+  compactions ship FBW2 deltas + journal diffs.
 
-All three must match the sequential baseline model-for-model.  The
+Both must match the sequential baseline model-for-model.  The
 gated quantity is hardware-transferable: bytes shipped over the
 supervisor queues (``fleet.checkpoint.bytes`` + ``fleet.ship.bytes``)
 must drop >= ``BYTES_REDUCTION_FLOOR``x from ``full_frame`` to
-``delta``.  Wall-clock ratios are reported (and asserted only in full
-mode, where the workload is big enough to be stable).
+``delta``.  Wall-clock ratios are reported — ``delta`` against
+``full_frame`` (asserted only in full mode, where the workload is big
+enough to be stable) and ``delta`` against the one-process sequential
+run, the distributed-vs-central number ROADMAP item 2 is about.
 
 Usage
 -----
@@ -51,7 +49,6 @@ from typing import Dict, List
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.parallel import run_partitioned
-from repro.fleet import RebalancePolicy
 from repro.resilience import RetryPolicy
 
 try:
@@ -177,7 +174,7 @@ def bench_fleet_crash_recovery(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Skewed storm: delta shipping + rebalancing vs full-frame checkpoints
+# Skewed storm: delta shipping vs full-frame checkpoints
 # ----------------------------------------------------------------------
 
 #: ``full_frame`` bytes must exceed ``delta`` bytes by at least this.
@@ -228,19 +225,18 @@ def build_skewed_storm(setting, hot_index: int = 0, hot_share: float = 0.9):
 
 
 def _canonical(models) -> Dict[str, Dict[tuple, int]]:
-    """Split-granularity-proof comparison key: per base shard, the map
-    ``sorted action dict -> covered headers`` (a rebalanced run reports
-    ``pod1`` + ``pod1.1`` where a static run reports ``pod1``)."""
+    """Comparison key: per shard, the map ``sorted action dict ->
+    covered headers`` (EC granularity may differ, coverage may not)."""
     out: Dict[str, Dict[tuple, int]] = {}
     for name, pairs in models.items():
-        base = out.setdefault(name.split(".")[0], {})
+        base = out.setdefault(name, {})
         for pred, actions in pairs:
             key = tuple(sorted(actions.items()))
             base[key] = base.get(key, 0) + pred.sat_count()
     return out
 
 
-def _skew_run(setting, updates, compact_every, rebalance=None):
+def _skew_run(setting, updates, compact_every):
     result = run_partitioned(
         setting.topology.switches(),
         setting.layout,
@@ -251,7 +247,6 @@ def _skew_run(setting, updates, compact_every, rebalance=None):
         block_size=8,
         checkpoint_every=2,
         compact_every=compact_every,
-        rebalance=rebalance,
         heartbeat_interval=0.05,
         collect_models=True,
     )
@@ -266,8 +261,6 @@ def _skew_run(setting, updates, compact_every, rebalance=None):
         "ship_bytes": reg.value("fleet.ship.bytes"),
         "checkpoints": reg.value("fleet.checkpoints"),
         "checkpoints_rejected": reg.value("fleet.checkpoints.rejected"),
-        "splits": reg.value("fleet.rebalance.splits"),
-        "migrated_bytes": reg.value("fleet.rebalance.migrated_bytes"),
         "degraded": reg.value("fleet.degraded"),
     }
 
@@ -287,14 +280,6 @@ def run_skewed_storm(quick: bool) -> Dict[str, object]:
         collect_models=True,
     )
     oracle = _canonical(sequential.models)
-    rebalance = RebalancePolicy(
-        ewma_alpha=0.3,
-        min_samples=2,
-        min_backlog=2,
-        skew_ratio=2.0,
-        cooldown_seconds=0.05,
-        max_splits=2,
-    )
     report: Dict[str, object] = {
         "setting": setting.name,
         "mode": "quick" if quick else "full",
@@ -306,13 +291,8 @@ def run_skewed_storm(quick: bool) -> Dict[str, object]:
         "sequential_wall": sequential.wall_seconds,
         "runs": {},
     }
-    configs = [
-        ("full_frame", 1, None),
-        ("delta", 8, None),
-        ("delta_rebalance", 8, rebalance),
-    ]
-    for name, compact_every, policy in configs:
-        result, row = _skew_run(setting, updates, compact_every, policy)
+    for name, compact_every in (("full_frame", 1), ("delta", 8)):
+        result, row = _skew_run(setting, updates, compact_every)
         row["compact_every"] = compact_every
         row["ok"] = bool(result.ok)
         row["agree"] = _canonical(result.models) == oracle
@@ -321,21 +301,22 @@ def run_skewed_storm(quick: bool) -> Dict[str, object]:
             f"{name:<16} wall={row['wall']:7.3f}s "
             f"bytes={row['bytes']:>12,} "
             f"(ckpt {row['checkpoint_bytes']:,} + ship {row['ship_bytes']:,}) "
-            f"checkpoints={row['checkpoints']:.0f} "
-            f"splits={row['splits']:.0f} agree={row['agree']}"
+            f"checkpoints={row['checkpoints']:.0f} agree={row['agree']}"
         )
     full = report["runs"]["full_frame"]
     delta = report["runs"]["delta"]
-    rebal = report["runs"]["delta_rebalance"]
     report["bytes_reduction"] = (
         full["bytes"] / delta["bytes"] if delta["bytes"] else float("inf")
     )
     report["delta_wall_ratio"] = delta["wall"] / full["wall"]
-    report["rebalance_wall_ratio"] = rebal["wall"] / full["wall"]
+    report["delta_vs_sequential_wall"] = (
+        delta["wall"] / sequential.wall_seconds
+    )
     print(
         f"bytes reduction {report['bytes_reduction']:.2f}x | "
         f"delta wall {report['delta_wall_ratio']:.2f}x of full | "
-        f"rebalance wall {report['rebalance_wall_ratio']:.2f}x of full"
+        f"delta wall {report['delta_vs_sequential_wall']:.1f}x of "
+        f"sequential ({sequential.wall_seconds:.4f}s)"
     )
     return report
 
@@ -358,19 +339,12 @@ def check_skewed_storm(report: Dict[str, object]) -> List[str]:
             f"{report['bytes_reduction']:.2f}x fewer bytes than full "
             f"frames (floor {BYTES_REDUCTION_FLOOR}x)"
         )
-    if report["runs"]["delta_rebalance"]["splits"] < 1:
-        failures.append("rebalance policy never split the hot shard")
     if report["mode"] == "full":
         # Wall ratios are only stable enough to gate at full size.
         if report["delta_wall_ratio"] > DELTA_WALL_BOUND:
             failures.append(
                 f"delta shipping cost {report['delta_wall_ratio']:.2f}x "
                 f"wall vs full frames (bound {DELTA_WALL_BOUND}x)"
-            )
-        if report["rebalance_wall_ratio"] >= 1.0:
-            failures.append(
-                f"rebalanced run ({report['rebalance_wall_ratio']:.2f}x) "
-                "did not beat static sharding on the skewed storm"
             )
     return failures
 

@@ -225,13 +225,16 @@ def _fuzz_runners(args, telemetry) -> List:
         kinds = tuple(
             k.strip() for k in args.fleet_faults.split(",") if k.strip()
         ) or FLEET_FAULT_KINDS
-        runner = FleetChaosRunner(
-            seed=args.seed,
-            kinds=kinds,
-            shards=args.fleet_shards,
-            block_size=args.fleet_block_size,
-            telemetry=telemetry,
-        )
+        try:
+            runner = FleetChaosRunner(
+                seed=args.seed,
+                kinds=kinds,
+                shards=args.fleet_shards,
+                block_size=args.fleet_block_size,
+                telemetry=telemetry,
+            )
+        except ValueError as exc:
+            args.usage_error(f"argument --fleet-faults: {exc}")
 
         def save_fleet(shrunk, directory, result=None):
             # The fault recipe is a pure function of (seed, name), so a
@@ -554,8 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fleet-faults", default="kill,hang,slow,drop-ack",
         dest="fleet_faults",
         help="fleet mode: comma-separated process-fault kinds to draw "
-        "each scenario's storm recipe from; 'migration-kill' adds "
-        "rebalance chaos (kill the source or target worker mid-migration)",
+        "each scenario's storm recipe from",
     )
     fuzz.add_argument(
         "--fleet-block-size", type=int, default=4, dest="fleet_block_size",
@@ -588,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="OUT.JSONL",
         help="append metric/span/report records to a JSON-lines file",
     )
-    fuzz.set_defaults(func=cmd_fuzz)
+    fuzz.set_defaults(func=cmd_fuzz, usage_error=fuzz.error)
 
     simp = sub.add_parser("simulate", help="run the OpenR simulation + CE2D")
     simp.add_argument("--topology", default="internet2")

@@ -255,24 +255,6 @@ class InverseModel:
         else:
             bucket[vec] = (existing[0] | pred, existing[1])
 
-    def restrict_universe(self, half: Predicate) -> None:
-        """Shrink the model to the part of its universe inside ``half``.
-
-        Used by fleet shard splitting: the hot shard keeps one half of
-        its subspace and the other half migrates away.  Every EC is
-        intersected with ``half``; ECs that fall entirely outside
-        disappear.  Distinct vectors stay distinct (subsets of disjoint
-        sets are disjoint), so the Definition-6 invariants hold over the
-        new, smaller universe by construction.
-        """
-        self.universe = self.universe & half
-        out: Dict[VecId, Predicate] = {}
-        for vec, pred in self._entries.items():
-            inter = pred & half
-            if not inter.is_false:
-                out[vec] = inter
-        self._entries = out
-
     # -- verification of Definition 6 ------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`ModelInvariantError` on any Definition-6 violation.

@@ -353,21 +353,6 @@ class ModelWriter:
         self._epoch += 1
         return deltas
 
-    def restrict_subspace(self, subspace_match) -> None:
-        """Restrict this writer's model to a smaller subspace, in place.
-
-        The model keeps only the part of its universe inside
-        ``subspace_match``; subsequent flushes and rollbacks operate
-        against the restricted universe (``_rebuild_from_checkpoint``
-        preserves ``model.universe``, so a post-split crash recovery
-        replays the same journal into the same half).  Advances the
-        epoch: read views pinned before the split keep the old universe.
-        """
-        half = self.compiler.compile(subspace_match)
-        self.model.restrict_universe(half)
-        self._epoch += 1
-        self.telemetry.count("model.subspace.restricted")
-
     # -- checkpoint / rollback (repro.resilience) --------------------------
     def checkpoint(self) -> ModelCheckpoint:
         """Capture the installed-rule journal (cheap: no BDD state)."""

@@ -37,18 +37,7 @@ import dataclasses
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # fleet machinery stays a lazy import at runtime
-    from ..fleet.rebalance import RebalancePolicy
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.update import RuleUpdate
@@ -191,7 +180,6 @@ def run_partitioned(
     checkpoint_every: int = 4,
     compact_every: int = 4,
     fleet_seed: int = 0,
-    rebalance: Optional["RebalancePolicy"] = None,
 ) -> PartitionedRunResult:
     """Run every subspace verifier, optionally across worker processes.
 
@@ -215,8 +203,6 @@ def run_partitioned(
     ``checkpoint_every`` controls worker snapshot cadence, and
     ``compact_every`` the full-frame compaction cadence of the delta
     checkpoint chain (``1`` ships a full frame every checkpoint).
-    ``rebalance`` (a :class:`repro.fleet.RebalancePolicy`) enables
-    skew-aware shard splitting on the fleet path.
 
     ``collect_models=True`` additionally ships every worker's post-run
     EC table back as one FBW1 wire blob each and imports them all into
@@ -269,7 +255,6 @@ def run_partitioned(
                 compact_every=compact_every,
                 block_size=block_size,
                 seed=fleet_seed,
-                rebalance=rebalance,
             )
             try:
                 fleet.submit(updates)
@@ -284,8 +269,6 @@ def run_partitioned(
         PredicateEngine(layout.total_bits) if collect_models else None
     )
     if fleet_outcome is not None:
-        # Iterate the outcome's own shard set, not the static
-        # partition: rebalancing may have split shards mid-run.
         for shard in fleet_outcome.shards.values():
             results.append(
                 SubspaceRunStats(

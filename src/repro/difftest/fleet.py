@@ -14,9 +14,7 @@ Every fault kind is recoverable by construction: kills and hangs are
 healed by checkpoint-chain + journal-tail replay on respawn (or by
 graceful degradation into the supervisor's in-process fallback once
 respawns exhaust), slow workers by watchdog redelivery, dropped acks by
-idempotent redelivery against the worker-side watermark, and a worker
-killed mid-migration (``migration-kill``) by respawning it with the
-migrated shard's recovery chain in its spawn spec.  Any
+idempotent redelivery against the worker-side watermark.  Any
 divergence is therefore a genuine recovery bug — lost blocks, double
 applies, stale-generation confusion — exactly the code paths a clean
 run never exercises.
@@ -36,7 +34,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..bdd.predicate import PredicateEngine
 from ..core.subspace import SubspacePartition
-from ..fleet import FleetSupervisor, RebalancePolicy
+from ..fleet import FleetSupervisor
 from ..headerspace.match import MatchCompiler
 from ..resilience import RetryPolicy
 from ..telemetry import Telemetry
@@ -49,15 +47,11 @@ from .scenario import Scenario
 #: Process-fault kinds a fleet storm cycles through by default.  ``raise``
 #: is covered by the ordinary supervised-pool tests; the fleet gate
 #: focuses on the kinds that need liveness detection and replay.
-#: ``migration-kill`` is supervisor-level chaos, not a worker fault: the
-#: scenario runs with an aggressive rebalance policy and the source or
-#: target worker is killed right after the migration messages go out.
 FLEET_FAULT_KINDS: Tuple[str, ...] = (
     "kill",
     "hang",
     "slow",
     "drop-ack",
-    "migration-kill",
 )
 
 #: Roughly one scenario in this many runs an unkillable ``kill@99`` shard
@@ -87,6 +81,14 @@ class FleetChaosRunner:
     ) -> None:
         self.seed = seed
         self.kinds = tuple(kinds) or FLEET_FAULT_KINDS
+        unknown = [k for k in self.kinds if k not in FLEET_FAULT_KINDS]
+        if unknown:
+            # An unknown kind would kill every worker at spawn and the
+            # storm would pass on the degraded fallback, testing nothing.
+            raise ValueError(
+                f"unknown fleet fault kind(s) {', '.join(unknown)}; "
+                f"valid kinds: {', '.join(FLEET_FAULT_KINDS)}"
+            )
         self.processes = processes
         self.shards = max(1, shards)
         self.block_size = block_size
@@ -100,10 +102,7 @@ class FleetChaosRunner:
         mix = zlib.crc32(scenario.name.encode("utf-8"))
         rng = random.Random((self.seed << 8) ^ mix)
         names = [f"sub{i}" for i in range(self.shards)]
-        worker_kinds = [k for k in self.kinds if k != "migration-kill"]
         faults: Dict[str, str] = {}
-        if not worker_kinds:
-            return faults  # migration chaos only; no worker-level faults
         victim = rng.choice(names)
         if rng.randrange(DEGRADE_EVERY) == 0:
             # Unkillable worker: exhausts the respawn budget and lands in
@@ -113,35 +112,11 @@ class FleetChaosRunner:
         for name in names:
             if name != victim and rng.random() >= 0.25:
                 continue  # one guaranteed victim; others fault 1-in-4
-            kind = rng.choice(worker_kinds)
+            kind = rng.choice(self.kinds)
             attempts = 1 if kind in ("hang", "kill") else rng.choice((1, 2))
             after = rng.randrange(0, 4)
             faults[name] = f"{kind}@{attempts}#{after}"
         return faults
-
-    def rebalance_for(
-        self, scenario: Scenario
-    ) -> Tuple[Optional[RebalancePolicy], Optional[str]]:
-        """The deterministic (policy, migration-kill side) for one scenario.
-
-        Only active when ``migration-kill`` is among the fault kinds:
-        half the scenarios then run with a hair-trigger rebalance policy,
-        and half of *those* kill the migration's source or target worker
-        the instant the split messages are sent — the surviving side must
-        still converge via chain restore and tail replay.
-        """
-        if "migration-kill" not in self.kinds:
-            return None, None
-        mix = zlib.crc32(scenario.name.encode("utf-8"))
-        rng = random.Random((self.seed << 8) ^ mix ^ 0x5EBA1A)
-        roll = rng.random()
-        if roll < 0.25:
-            return RebalancePolicy.aggressive(max_splits=1), "source"
-        if roll < 0.5:
-            return RebalancePolicy.aggressive(max_splits=1), "target"
-        if roll < 0.75:
-            return RebalancePolicy.aggressive(max_splits=1), None
-        return None, None
 
     def _partition(self, layout) -> SubspacePartition:
         dst_bits = layout.field("dst").width
@@ -183,15 +158,10 @@ class FleetChaosRunner:
         )
 
         faults = self.faults_for(scenario)
-        rebalance, migration_kill = self.rebalance_for(scenario)
         result.stats["fleet_faults"] = dict(faults)
-        if rebalance is not None:
-            result.stats["fleet_rebalance"] = migration_kill or "clean-split"
         run = _EngineRun("fleet")
         try:
-            outcome, counters = self._storm(
-                scenario, switches, layout, faults, rebalance, migration_kill
-            )
+            outcome, counters = self._storm(scenario, switches, layout, faults)
             entries = []
             for shard in outcome.shards.values():
                 if shard.model is None:
@@ -210,7 +180,6 @@ class FleetChaosRunner:
                 "replayed": counters.get("fleet.blocks.replayed", 0),
                 "resent": counters.get("fleet.blocks.resent", 0),
                 "acked": counters.get("fleet.blocks.acked", 0),
-                "splits": counters.get("fleet.rebalance.splits", 0),
                 "rejected": counters.get("fleet.checkpoints.rejected", 0),
                 "failures": len(outcome.failures),
             }
@@ -236,8 +205,6 @@ class FleetChaosRunner:
         switches,
         layout,
         faults: Dict[str, str],
-        rebalance: Optional[RebalancePolicy] = None,
-        migration_kill: Optional[str] = None,
     ):
         """One faulty block storm; returns (FleetOutcome, counters)."""
         partition = self._partition(layout)
@@ -262,8 +229,6 @@ class FleetChaosRunner:
             compact_every=3,
             block_size=self.block_size,
             seed=(self.seed << 8) ^ zlib.crc32(scenario.name.encode()),
-            rebalance=rebalance,
-            chaos_migration_kill=migration_kill,
         )
         try:
             fleet.submit(scenario.updates, epoch=scenario.epoch)

@@ -3,33 +3,28 @@
 Long-lived worker processes each own subspace shards with incremental
 models; :class:`FleetSupervisor` routes epoch-tagged update blocks over
 per-worker queues with heartbeat liveness, delta-chain (FBW1 + FBW2)
-checkpoint + journal crash recovery, idempotent redelivery, skew-aware
-shard rebalancing (:class:`RebalancePolicy`), and graceful degradation
-into an in-process fallback verifier.
+checkpoint + journal crash recovery, idempotent redelivery, and graceful
+degradation into an in-process fallback verifier.
 ``repro.core.parallel.run_partitioned`` runs on top of this package for
 its pooled path; chaos validation lives in ``repro.difftest.fleet``.
 See ``docs/fleet.md``.
 """
 
 from .messages import (
-    AddShard,
     Block,
     BlockAck,
     BlockError,
     Hello,
     Heartbeat,
     JournalDelta,
-    ShardAdopted,
     ShardCheckpoint,
     ShardDone,
     ShardRestore,
     ShardSpec,
-    ShardSplit,
     Stop,
     WorkerBye,
     WorkerSpec,
 )
-from .rebalance import RebalancePolicy, split_match
 from .supervisor import (
     DEFAULT_ACK_TIMEOUT,
     FleetOutcome,
@@ -39,7 +34,6 @@ from .supervisor import (
 from .worker import worker_main
 
 __all__ = [
-    "AddShard",
     "Block",
     "BlockAck",
     "BlockError",
@@ -49,17 +43,13 @@ __all__ = [
     "Heartbeat",
     "Hello",
     "JournalDelta",
-    "RebalancePolicy",
-    "ShardAdopted",
     "ShardCheckpoint",
     "ShardDone",
     "ShardOutcome",
     "ShardRestore",
     "ShardSpec",
-    "ShardSplit",
     "Stop",
     "WorkerBye",
     "WorkerSpec",
-    "split_match",
     "worker_main",
 ]

@@ -66,9 +66,7 @@ class ShardRestore:
     replays; ``frames`` is the full-frame + delta chain of the shard's
     EC table as last checkpointed (inner FBW1/FBW2 blobs, FSJ1 framing
     stripped) the rebuilt model is validated against; ``applied_ids``
-    is the applied-block journal at that checkpoint.  For a migrated
-    shard the frames describe the *parent* shard's table — validation
-    intersects with the restored model's (smaller) universe.
+    is the applied-block journal at that checkpoint.
     """
 
     block_id: int
@@ -128,46 +126,6 @@ class Stop:
     """Drain request: report every shard, then say goodbye and exit."""
 
     collect_models: bool = False
-
-
-@dataclass(frozen=True)
-class ShardSplit:
-    """Rebalance, source side: restrict a live shard to ``match``.
-
-    Sent at a block boundary (no inflight block for the shard); FIFO
-    ordering guarantees the worker restricts before any post-split
-    block arrives.  Idempotent on redelivery — restricting to the same
-    half twice is a no-op — and safe to lose: a worker that dies first
-    is respawned with the already-updated subspace match.
-    """
-
-    shard: str
-    match: Match
-
-
-@dataclass(frozen=True)
-class AddShard:
-    """Rebalance, target side: adopt a migrated shard mid-flight.
-
-    ``spec.restore`` carries the parent shard's checkpoint chain; the
-    adopting worker rebuilds the model restricted to the new shard's
-    half-subspace and answers with :class:`ShardAdopted`.  Until that
-    (or a respawn ``Hello`` restoring the shard), the supervisor holds
-    the shard's blocks back.
-    """
-
-    spec: ShardSpec
-
-
-@dataclass(frozen=True)
-class ShardAdopted:
-    """Worker → supervisor: outcome of an :class:`AddShard` adoption."""
-
-    worker_id: int
-    generation: int
-    shard: str
-    ok: bool
-    error: str = ""
 
 
 # -- worker → supervisor ----------------------------------------------------

@@ -39,26 +39,14 @@ the death handler drains any checkpoint the dying worker managed to
 flush before bumping the generation, shrinking the tail it is about to
 replay.
 
-Two perf subsystems ride on the same machinery:
-
-* **Delta checkpoint chains** — workers ship a full FBW1 frame only on
-  compaction checkpoints; in between, FBW2 deltas + journal diffs.  The
-  supervisor validates each delta's base-epoch fingerprint against the
-  chain it holds (:class:`_ShardRecovery`) before accepting it —
-  ``fleet.checkpoints.rejected`` counts deltas that failed validation
-  and were dropped (the chain self-heals at the next compaction).
-  Respawn restores ship the whole chain back as
-  :class:`~repro.fleet.messages.ShardRestore.frames`.
-* **Skew-aware rebalancing** — with a
-  :class:`~repro.fleet.rebalance.RebalancePolicy`, the supervisor
-  tracks a per-shard EWMA of block service time from acks; a shard
-  running hot against the fleet median is split at a block boundary:
-  its subspace match divides one prefix bit deeper, the source worker
-  restricts in place (:class:`~repro.fleet.messages.ShardSplit`), and
-  the other half migrates to the least-loaded worker as the shard's
-  existing checkpoint chain (:class:`~repro.fleet.messages.AddShard`),
-  gated on :class:`~repro.fleet.messages.ShardAdopted` before any block
-  is dispatched to it.
+**Delta checkpoint chains** ride on the same machinery: workers ship a
+full FBW1 frame only on compaction checkpoints; in between, FBW2 deltas
+and journal diffs.  The supervisor validates each delta's base-epoch
+fingerprint against the chain it holds (:class:`_ShardRecovery`) before
+accepting it — ``fleet.checkpoints.rejected`` counts deltas that failed
+validation and were dropped (the chain self-heals at the next
+compaction).  Respawn restores ship the whole chain back as
+:class:`~repro.fleet.messages.ShardRestore.frames`.
 """
 
 from __future__ import annotations
@@ -82,7 +70,6 @@ from ..bdd.wire import (
     unframe_shard_snapshot,
 )
 from ..core.model_manager import ModelWriter
-from ..core.rule_index import matches_intersect
 from ..core.subspace import Subspace, SubspacePartition
 from ..dataplane.rule import Rule
 from ..dataplane.update import RuleUpdate
@@ -91,7 +78,6 @@ from ..resilience.checkpoint import ModelCheckpoint
 from ..resilience.supervisor import FailedSubspace, RetryPolicy
 from ..telemetry import Telemetry, TelemetryConfig
 from .messages import (
-    AddShard,
     Block,
     BlockAck,
     BlockError,
@@ -99,17 +85,14 @@ from .messages import (
     Heartbeat,
     JournalDelta,
     ModelPayload,
-    ShardAdopted,
     ShardCheckpoint,
     ShardDone,
     ShardRestore,
     ShardSpec,
-    ShardSplit,
     Stop,
     WorkerBye,
     WorkerSpec,
 )
-from .rebalance import RebalancePolicy, split_match
 from .worker import worker_main
 
 #: Fallback ack timeout when the policy does not set ``task_timeout``.
@@ -159,7 +142,7 @@ class _ShardRecovery:
     reference; ``journal`` is the per-device installed-rule journal at
     the chain head, kept current by applying each checkpoint's
     :class:`JournalDelta`.  ``to_restore`` packages all of it for a
-    respawned (or adopting) worker.
+    respawned worker.
     """
 
     block_id: int
@@ -174,15 +157,6 @@ class _ShardRecovery:
             checkpoint=ModelCheckpoint.from_journal(self.journal),
             frames=tuple(self.frames),
             applied_ids=tuple(self.applied_ids),
-        )
-
-    def clone(self) -> "_ShardRecovery":
-        return _ShardRecovery(
-            block_id=self.block_id,
-            frames=list(self.frames),
-            applied_ids=list(self.applied_ids),
-            journal=dict(self.journal),
-            fingerprint=self.fingerprint,
         )
 
 
@@ -216,11 +190,6 @@ class _ShardSlot:
         self.fault_attempts = 0  # fault manifestations seen by this shard
         self.tail: Dict[int, Block] = {}  # acked since last checkpoint
         self.recovery: Optional[_ShardRecovery] = None
-        # Rebalance state: service-time EWMA fed by applied acks, and
-        # the adoption gate a freshly migrated shard sits behind.
-        self.ewma: Optional[float] = None
-        self.ack_samples = 0
-        self.awaiting_adopt = False
         self.history: List[str] = []
         self.last_traceback = ""
         self.timed_out = False
@@ -282,8 +251,6 @@ class FleetSupervisor:
         block_size: Optional[int] = None,
         backend: str = "bdd",
         seed: int = 0,
-        rebalance: Optional[RebalancePolicy] = None,
-        chaos_migration_kill: Optional[str] = None,
     ) -> None:
         self.devices = tuple(devices)
         self.layout = layout
@@ -306,13 +273,6 @@ class FleetSupervisor:
         self.compact_every = compact_every
         self.block_size = block_size
         self.backend = backend
-        self.rebalance = rebalance
-        #: Chaos knob: "source"/"target" kills that side's worker right
-        #: after the first migration's messages are sent (fires once).
-        self.chaos_migration_kill = chaos_migration_kill
-        self._chaos_migration_fired = False
-        self._splits_done = 0
-        self._last_split_at = 0.0
         self._rng = random.Random(seed)
         self._context = self._make_context(mp_context)
         self._next_block_id = 1
@@ -334,9 +294,6 @@ class FleetSupervisor:
             )
             self.shards[subspace.name] = slot
             self.workers[wid].shard_names.append(subspace.name)
-        self._next_shard_index = (
-            max((s.index for s in subspaces), default=-1) + 1
-        )
 
     # -- lifecycle ----------------------------------------------------------
     @staticmethod
@@ -426,19 +383,9 @@ class FleetSupervisor:
             self.start()
         self._epoch_seq += 1
         tag = epoch if epoch is not None else f"fleet-{self._epoch_seq}"
-        # Route against the *live* shard set, not the static partition:
-        # after a rebalance split, shards the partition never heard of
-        # own half-subspaces.  An update whose rule spans both halves
-        # goes to both — same semantics route_updates always had for
-        # overlapping subspaces.
-        slots = list(self.shards.values())
-        routed: Dict[str, List[RuleUpdate]] = {s.name: [] for s in slots}
-        for update in updates:
-            for slot in slots:
-                if matches_intersect(slot.subspace.match, update.rule.match):
-                    routed[slot.name].append(update)
-        for slot in slots:
-            shard_updates = routed[slot.name]
+        routed = self.partition.route_updates(updates)
+        for slot in self.shards.values():
+            shard_updates = routed[slot.subspace.index]
             if not shard_updates:
                 continue
             slot.total_updates += len(shard_updates)
@@ -459,15 +406,9 @@ class FleetSupervisor:
 
     # -- the supervision loop ----------------------------------------------
     def pump(self) -> None:
-        """One supervision round: drain, watchdog, rebalance, dispatch.
-
-        Rebalance runs *before* dispatch: a just-acked hot shard sits at
-        a block boundary (inflight cleared by the drain, next block not
-        yet sent), which is the only moment a split is allowed.
-        """
+        """One supervision round: drain, watchdog, dispatch."""
         self._drain()
         self._watchdog()
-        self._maybe_rebalance()
         self._dispatch()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -488,8 +429,6 @@ class FleetSupervisor:
         for slot in list(self.shards.values()):
             if slot.degraded or slot.inflight or not slot.pending:
                 continue
-            if slot.awaiting_adopt:
-                continue  # migrated shard not confirmed on its worker yet
             if now < slot.not_before:
                 continue
             worker = self.workers[slot.worker_id]
@@ -534,12 +473,6 @@ class FleetSupervisor:
             return
         if isinstance(message, Hello):
             worker.hello = True
-            for name in message.restored:
-                slot = self.shards.get(name)
-                if slot is not None:
-                    # A respawn restoring a migrated shard from its
-                    # chain supersedes the lost/unanswered AddShard.
-                    slot.awaiting_adopt = False
             for name in message.failed:
                 slot = self.shards[name]
                 if not slot.degraded:
@@ -561,14 +494,6 @@ class FleetSupervisor:
             self.parent.count("fleet.blocks.acked")
             if message.skipped:
                 self.parent.count("fleet.blocks.deduped")
-            elif self.rebalance is not None:
-                alpha = self.rebalance.ewma_alpha
-                slot.ewma = (
-                    message.seconds
-                    if slot.ewma is None
-                    else alpha * message.seconds + (1 - alpha) * slot.ewma
-                )
-                slot.ack_samples += 1
             return
         if isinstance(message, BlockError):
             slot = self.shards[message.shard]
@@ -597,37 +522,7 @@ class FleetSupervisor:
             slot.inflight = None
             return
         if isinstance(message, ShardCheckpoint):
-            slot = self.shards[message.shard]
-            if slot.degraded:
-                return
-            if not self._accept_checkpoint(slot, message):
-                # Rejected delta: keep the old chain AND the old tail —
-                # recovery must still replay everything past the last
-                # checkpoint this supervisor actually holds.
-                self.parent.count("fleet.checkpoints.rejected")
-                return
-            for block_id in [b for b in slot.tail if b <= message.block_id]:
-                del slot.tail[block_id]
-            self.parent.count("fleet.checkpoints")
-            payload = (
-                message.checkpoint
-                if message.checkpoint is not None
-                else message.journal_delta
-            )
-            self.parent.registry.counter("fleet.checkpoint.bytes").inc(
-                len(message.frame) + len(pickle.dumps(payload, -1))
-            )
-            return
-        if isinstance(message, ShardAdopted):
-            slot = self.shards.get(message.shard)
-            if slot is None or slot.degraded:
-                return
-            slot.awaiting_adopt = False
-            if not message.ok:
-                slot.history.append(
-                    f"migrated shard adoption failed: {message.error}"
-                )
-                self._degrade(slot)
+            self._fold_checkpoint(self.shards[message.shard], message)
             return
         if isinstance(message, ShardDone):
             slot = self.shards[message.shard]
@@ -668,6 +563,30 @@ class FleetSupervisor:
             worker.bye = True
             self.parent.registry.merge_snapshot(message.registry_snapshot)
             return
+
+    def _fold_checkpoint(
+        self, slot: _ShardSlot, message: ShardCheckpoint
+    ) -> None:
+        """Accept one checkpoint: extend the chain, trim the tail, count."""
+        if slot.degraded:
+            return
+        if not self._accept_checkpoint(slot, message):
+            # Rejected delta: keep the old chain AND the old tail —
+            # recovery must still replay everything past the last
+            # checkpoint this supervisor actually holds.
+            self.parent.count("fleet.checkpoints.rejected")
+            return
+        for block_id in [b for b in slot.tail if b <= message.block_id]:
+            del slot.tail[block_id]
+        self.parent.count("fleet.checkpoints")
+        payload = (
+            message.checkpoint
+            if message.checkpoint is not None
+            else message.journal_delta
+        )
+        self.parent.registry.counter("fleet.checkpoint.bytes").inc(
+            len(message.frame) + len(pickle.dumps(payload, -1))
+        )
 
     def _accept_checkpoint(
         self, slot: _ShardSlot, message: ShardCheckpoint
@@ -834,15 +753,7 @@ class FleetSupervisor:
                 continue
             if message.generation != worker.generation:
                 continue
-            slot = self.shards[message.shard]
-            if slot.degraded:
-                continue
-            if not self._accept_checkpoint(slot, message):
-                self.parent.count("fleet.checkpoints.rejected")
-                continue
-            for block_id in [b for b in slot.tail if b <= message.block_id]:
-                del slot.tail[block_id]
-            self.parent.count("fleet.checkpoints")
+            self._fold_checkpoint(self.shards[message.shard], message)
 
     def _on_worker_death(
         self, worker: _WorkerSlot, reason: str, timed_out: bool
@@ -893,175 +804,6 @@ class FleetSupervisor:
         worker.respawn_at = time.monotonic() + self.policy.jittered_backoff(
             worker.respawns, self._rng
         )
-
-    # -- skew-aware rebalancing --------------------------------------------
-    def _maybe_rebalance(self) -> None:
-        """Split the hottest shard when the policy says the skew is real."""
-        policy = self.rebalance
-        if policy is None or self._splits_done >= policy.max_splits:
-            return
-        now = time.monotonic()
-        if (
-            self._last_split_at
-            and now - self._last_split_at < policy.cooldown_seconds
-        ):
-            return
-        scores: Dict[str, float] = {}
-        for name, slot in self.shards.items():
-            if slot.degraded:
-                continue
-            backlog = len(slot.pending) + (1 if slot.inflight else 0)
-            scores[name] = (slot.ewma or 0.0) * backlog
-        if not scores:
-            return
-        ordered = sorted(scores.values())
-        mid = len(ordered) // 2
-        median = (
-            ordered[mid]
-            if len(ordered) % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2
-        )
-        best: Optional[_ShardSlot] = None
-        best_halves = None
-        best_score = 0.0
-        for name, slot in self.shards.items():
-            if (
-                slot.degraded
-                or slot.awaiting_adopt
-                or slot.inflight is not None  # only at a block boundary
-                or slot.ack_samples < policy.min_samples
-                or len(slot.pending) < policy.min_backlog
-            ):
-                continue
-            score = scores.get(name, 0.0)
-            if score <= 0.0 or score < policy.skew_ratio * median:
-                continue
-            worker = self.workers[slot.worker_id]
-            if (
-                worker.retired
-                or worker.process is None
-                or not worker.hello
-                or worker.stop_sent
-                or worker.bye
-            ):
-                continue
-            if score <= best_score:
-                continue
-            halves = split_match(slot.subspace.match, self.layout)
-            if halves is None:
-                continue
-            best, best_halves, best_score = slot, halves, score
-        if best is None:
-            return
-        target: Optional[_WorkerSlot] = None
-        target_load = 0.0
-        for worker in self.workers.values():
-            if (
-                worker.retired
-                or worker.process is None
-                or not worker.hello
-                # A stopping worker drains its inbox and exits: an
-                # AddShard queued behind the Stop is never adopted and
-                # the migrated shard would wait on adoption forever.
-                or worker.stop_sent
-                or worker.bye
-                or worker.worker_id == best.worker_id
-            ):
-                continue
-            load = sum(scores.get(n, 0.0) for n in worker.shard_names)
-            if target is None or load < target_load:
-                target, target_load = worker, load
-        if target is None:
-            return  # nowhere to move the half; try again later
-        self._split_shard(best, best_halves, target)
-        self._splits_done += 1
-        self._last_split_at = now
-
-    def _split_shard(
-        self,
-        slot: _ShardSlot,
-        halves: Tuple,
-        target: _WorkerSlot,
-    ) -> None:
-        """Restrict ``slot`` to one half; migrate the other to ``target``.
-
-        The source worker gets :class:`ShardSplit` (idempotent, safe to
-        lose — the supervisor's slot is updated first, so a respawn
-        restores the restricted subspace regardless).  The target gets
-        :class:`AddShard` carrying the parent's recovery chain; until
-        :class:`ShardAdopted` (or a respawn Hello) confirms it, the new
-        shard's blocks are held back.  The parent's unreplayed tail and
-        pending blocks are cloned to the new shard — each half's model
-        no-ops the updates that fall outside it, so double-delivery of
-        a spanning block is harmless (same contract as overlapping
-        subspaces in routing).
-        """
-        keep, move = halves
-        source = self.workers[slot.worker_id]
-        new_name = f"{slot.name}.1"
-        while new_name in self.shards:
-            new_name += ".1"
-        new_subspace = Subspace(
-            index=self._next_shard_index, name=new_name, match=move
-        )
-        self._next_shard_index += 1
-        slot.subspace = dataclasses.replace(slot.subspace, match=keep)
-        try:
-            source.inbox.put(ShardSplit(shard=slot.name, match=keep))
-        except Exception:  # pragma: no cover - queue torn down mid-kill
-            pass
-        new_slot = _ShardSlot(new_subspace, target.worker_id, None)
-        new_slot.recovery = (
-            slot.recovery.clone() if slot.recovery is not None else None
-        )
-        new_slot.awaiting_adopt = True
-        replay = sorted(slot.tail.values(), key=lambda b: b.block_id)
-        replay.extend(slot.pending)
-        for block in replay:
-            new_slot.pending.append(
-                dataclasses.replace(block, shard=new_name, attempt=0)
-            )
-        new_slot.total_updates = sum(
-            len(b.updates) for b in new_slot.pending
-        )
-        self.shards[new_name] = new_slot
-        target.shard_names.append(new_name)
-        spec = ShardSpec(
-            index=new_subspace.index,
-            name=new_name,
-            subspace_match=move,
-            restore=(
-                new_slot.recovery.to_restore()
-                if new_slot.recovery is not None
-                else None
-            ),
-        )
-        migrated_bytes = len(pickle.dumps(spec, -1))
-        try:
-            target.inbox.put(AddShard(spec=spec))
-        except Exception:  # pragma: no cover - queue torn down mid-kill
-            pass  # target's death will respawn it with the shard spec
-        self.parent.count("fleet.rebalance.splits")
-        self.parent.registry.counter("fleet.rebalance.migrated_blocks").inc(
-            len(new_slot.pending)
-        )
-        self.parent.registry.counter("fleet.rebalance.migrated_bytes").inc(
-            migrated_bytes
-        )
-        if (
-            self.chaos_migration_kill is not None
-            and not self._chaos_migration_fired
-        ):
-            self._chaos_migration_fired = True
-            victim = (
-                target if self.chaos_migration_kill == "target" else source
-            )
-            self._on_worker_death(
-                victim,
-                f"chaos: killed {self.chaos_migration_kill} worker "
-                "during migration",
-                timed_out=True,
-            )
 
     # -- graceful degradation ----------------------------------------------
     def _degrade(self, slot: _ShardSlot) -> None:

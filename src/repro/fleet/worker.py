@@ -24,17 +24,10 @@ Robustness properties this file is responsible for:
   :class:`~repro.fleet.messages.ShardRestore` payload rebuilds its
   model from the :class:`~repro.resilience.ModelCheckpoint` rule
   journal and validates the result against the restore's frame chain:
-  the chain's EC union, intersected with the restored model's universe,
-  must equal the union of the rebuilt ECs.  (The intersection is what
-  lets a *migrated* shard validate against its parent's chain.)  A
+  the chain's EC union must equal the union of the rebuilt ECs.  A
   shard that fails validation is reported in
   :class:`~repro.fleet.messages.Hello` so the supervisor degrades it
   instead of serving answers from an unverified model.
-* **Rebalancing** — :class:`~repro.fleet.messages.ShardSplit` restricts
-  a live shard's model to half its subspace in place;
-  :class:`~repro.fleet.messages.AddShard` adopts the other half
-  mid-flight from the parent's checkpoint chain, answered with
-  :class:`~repro.fleet.messages.ShardAdopted`.
 * **Liveness** — heartbeats come from a daemon thread, so they keep
   flowing while the main thread is busy applying a large block; only a
   dead process goes silent.  (A *wedged* main thread — the ``hang``
@@ -66,18 +59,15 @@ from ..resilience.checkpoint import ModelCheckpoint
 from ..resilience.supervisor import WorkerFaultSpec
 from ..telemetry import Telemetry
 from .messages import (
-    AddShard,
     Block,
     BlockAck,
     BlockError,
     Hello,
     Heartbeat,
     JournalDelta,
-    ShardAdopted,
     ShardCheckpoint,
     ShardDone,
     ShardSpec,
-    ShardSplit,
     Stop,
     WorkerBye,
     WorkerSpec,
@@ -191,12 +181,10 @@ def _restore_shard(state: _ShardState) -> bool:
         engine = manager.engine
         manager.rollback(restore.checkpoint)
         # Validate the rebuild against the checkpointed EC table: the
-        # union of the frame chain's ECs, cut down to this model's
-        # universe, must be exactly the union of the rebuilt ones.
-        # (Per-EC granularity can differ legitimately — EC identity
-        # depends on apply history — but covered headerspace cannot.
-        # The universe intersection makes the same check work for a
-        # migrated shard, whose chain describes the parent's table.)
+        # union of the frame chain's ECs must be exactly the union of
+        # the rebuilt ones.  (Per-EC granularity can differ
+        # legitimately — EC identity depends on apply history — but
+        # covered headerspace cannot.)
         preds = engine.import_frames(list(restore.frames))
         snapshot_union = (
             engine.disj_many(preds) if preds else engine.false
@@ -204,7 +192,7 @@ def _restore_shard(state: _ShardState) -> bool:
         rebuilt_union = engine.disj_many(
             pred for pred, _ in manager.model.entries()
         )
-        if (snapshot_union & manager.model.universe) != rebuilt_union:
+        if snapshot_union != rebuilt_union:
             raise WireFormatError("restored EC union diverges from snapshot")
     except Exception:  # noqa: BLE001 - any restore fault means degrade
         return False
@@ -247,17 +235,6 @@ def _apply_block(
         seconds=elapsed,
         ecs=state.manager.num_ecs(),
     )
-
-
-def _make_shard(spec: WorkerSpec, shard_spec: ShardSpec) -> _ShardState:
-    manager = ModelWriter(
-        list(spec.devices),
-        spec.layout,
-        subspace_match=shard_spec.subspace_match,
-        telemetry=Telemetry.from_config(spec.telemetry),
-        backend=spec.backend,
-    )
-    return _ShardState(shard_spec, manager)
 
 
 def worker_main(spec: WorkerSpec, inbox, outbox) -> None:
@@ -309,43 +286,6 @@ def worker_main(spec: WorkerSpec, inbox, outbox) -> None:
             if isinstance(message, Stop):
                 _drain(spec, shards, telemetry, outbox, message)
                 return
-            if isinstance(message, ShardSplit):
-                state = shards.get(message.shard)
-                if state is not None:
-                    # Idempotent: restricting to the same half twice is
-                    # a no-op, so a redelivered split is harmless.
-                    state.manager.restrict_subspace(message.match)
-                    state.spec = dataclasses.replace(
-                        state.spec, subspace_match=message.match
-                    )
-                continue
-            if isinstance(message, AddShard):
-                shard_spec = message.spec
-                ok, error = True, ""
-                if shard_spec.name not in shards:
-                    manager = ModelWriter(
-                        list(spec.devices),
-                        spec.layout,
-                        subspace_match=shard_spec.subspace_match,
-                        telemetry=telemetry,
-                        backend=spec.backend,
-                    )
-                    state = _ShardState(shard_spec, manager)
-                    if _restore_shard(state):
-                        shards[shard_spec.name] = state
-                    else:
-                        ok = False
-                        error = "migrated-shard restore failed validation"
-                outbox.put(
-                    ShardAdopted(
-                        worker_id=spec.worker_id,
-                        generation=spec.generation,
-                        shard=shard_spec.name,
-                        ok=ok,
-                        error=error,
-                    )
-                )
-                continue
             if not isinstance(message, Block):  # pragma: no cover
                 continue
             state = shards.get(message.shard)

@@ -236,37 +236,6 @@ class TestGracefulDegradation:
         assert failure.recovered
 
 
-def skewed_workload(hot: int = 16, cold: int = 3):
-    """A storm where ~85% of the updates land in sub0 (the hot half)."""
-    topo = ring(4)
-    partition = SubspacePartition.dst_prefix_partition(
-        LAYOUT, [(0x00, 1), (0x20, 1)]
-    )
-    updates = []
-    for i in range(hot):
-        match = Match.dst_prefix((i % 16) << 1, 5, LAYOUT)  # top bit 0
-        updates.append(insert(i % 4, Rule(1 + i, match, 1)))
-    for i in range(cold):
-        match = Match.dst_prefix(0x20 | ((i % 16) << 1), 5, LAYOUT)
-        updates.append(insert(i % 4, Rule(1 + i, match, 2)))
-    return topo, partition, updates
-
-
-def canonical_models(models):
-    """Per base-shard {sorted action map -> headers} — split-proof.
-
-    A rebalanced run reports ``sub0`` and ``sub0.1`` where the static
-    run reports ``sub0``; aggregating EC header counts by action map
-    under the base name compares the two shapes exactly."""
-    out = {}
-    for name, pairs in models.items():
-        base = out.setdefault(name.split(".")[0], {})
-        for pred, actions in pairs:
-            key = tuple(sorted(actions.items()))
-            base[key] = base.get(key, 0) + pred.sat_count()
-    return out
-
-
 class TestDeltaCheckpoints:
     def test_fault_free_delta_run_ships_bytes_and_matches(self):
         """compact_every=3: most checkpoints ship as FBW2 deltas; the
@@ -383,63 +352,155 @@ class TestDeltaCheckpoints:
         assert [c.block_id for c in checkpoints] == [2, 4]
 
 
-class TestRebalancing:
-    def _storm(self, migration_kill=None, max_splits=1):
-        from repro.fleet import FleetSupervisor, RebalancePolicy
+def shard_state(topo, subspace_match, restore=None):
+    """A worker-side shard built in-process (no worker loop, no queues)."""
+    from repro.core.model_manager import ModelWriter
+    from repro.fleet.messages import ShardSpec
+    from repro.fleet.worker import _ShardState
 
-        topo, partition, updates = skewed_workload()
-        seq = run_partitioned(
-            topo.switches(), LAYOUT, partition, updates,
-            processes=None, collect_models=True,
-        )
+    manager = ModelWriter(
+        list(topo.switches()), LAYOUT, subspace_match=subspace_match
+    )
+    spec = ShardSpec(0, "sub0", subspace_match, restore=restore)
+    return _ShardState(spec, manager)
+
+
+def sub0_checkpoints(topo, partition, updates, subspace_match):
+    """Apply sub0's updates one block each to a shard over
+    ``subspace_match``; checkpoint after blocks 2 (full) and 4 (delta)."""
+    from repro.fleet.messages import Block, WorkerSpec
+    from repro.fleet.worker import _apply_block, _build_checkpoint
+    from repro.telemetry import Telemetry
+
+    spec = WorkerSpec(
+        worker_id=0, generation=0,
+        devices=tuple(topo.switches()), layout=LAYOUT, shards=(),
+        checkpoint_every=2, compact_every=3,
+    )
+    state = shard_state(topo, subspace_match)
+    blocks = [
+        Block("sub0", i + 1, "test", (update,))
+        for i, update in enumerate(partition.route_updates(updates)[0][:4])
+    ]
+    checkpoints = []
+    for block in blocks:
+        _apply_block(state, block, Telemetry())
+        if block.block_id % 2 == 0:
+            checkpoints.append(_build_checkpoint(spec, state))
+    return blocks, checkpoints
+
+
+class TestStaticShards:
+    """Supervisor/worker units that need no worker process."""
+
+    def _fleet(self, monkeypatch, **kwargs):
+        from repro.fleet import FleetSupervisor
+
+        topo, partition, updates = setup_workload(per_shard=4)
         fleet = FleetSupervisor(
-            topo.switches(), LAYOUT, partition,
-            processes=2, block_size=1, checkpoint_every=2, compact_every=3,
-            rebalance=RebalancePolicy.aggressive(max_splits=max_splits),
-            chaos_migration_kill=migration_kill,
-            retry=FAST,
+            topo.switches(), LAYOUT, partition, processes=2, **kwargs
         )
-        try:
-            fleet.submit(updates)
-            outcome = fleet.finish(collect_models=True, timeout=120.0)
-        finally:
-            fleet.close()
-        return seq, outcome, fleet.parent.registry
+        monkeypatch.setattr(fleet, "_spawn", lambda worker: None)
+        return topo, partition, updates, fleet
 
-    def _models_of(self, outcome):
-        from repro.bdd.predicate import PredicateEngine
-
-        engine = PredicateEngine(LAYOUT.total_bits)
-        models = {}
-        for name, shard in outcome.shards.items():
-            frames, actions = shard.model
-            models[name] = list(zip(engine.import_frames(frames), actions))
-        return models
-
-    def test_hot_shard_splits_and_matches_sequential(self):
-        seq, outcome, reg = self._storm()
-        assert outcome.ok, outcome.failures
-        assert reg.value("fleet.rebalance.splits") == 1
-        assert reg.value("fleet.rebalance.migrated_bytes") > 0
-        assert "sub0.1" in outcome.shards  # the hot half was divided
-        assert canonical_models(self._models_of(outcome)) == canonical_models(
-            seq.models
+    def test_submit_routes_through_the_partition(self, monkeypatch):
+        """Each shard is handed exactly its ``route_updates`` share, in
+        order — a rule spanning both subspaces goes to both."""
+        topo, partition, updates, fleet = self._fleet(
+            monkeypatch, block_size=3
         )
+        spanning = insert(0, Rule(9, Match.dst_prefix(0, 0, LAYOUT), 3))
+        updates.insert(3, spanning)
+        fleet.submit(updates)
+        routed = partition.route_updates(updates)
+        assert spanning in routed[0] and spanning in routed[1]
+        for subspace in partition:
+            slot = fleet.shards[subspace.name]
+            queued = [u for block in slot.pending for u in block.updates]
+            assert queued == routed[subspace.index]
+            assert all(b.shard == subspace.name for b in slot.pending)
+            assert slot.total_updates == len(routed[subspace.index])
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("side", ["source", "target"])
-    def test_kill_mid_migration_converges(self, side):
-        """The migration's source (restricted in place) or target
-        (adopting the moved half) dies right as the split messages go
-        out; respawn restores from the generation-tagged chain and the
-        merged result still equals the sequential run."""
-        seq, outcome, reg = self._storm(migration_kill=side)
-        assert outcome.ok, (side, outcome.failures)
-        assert reg.value("fleet.rebalance.splits") == 1
-        assert reg.value("fleet.workers.lost") >= 1
-        assert canonical_models(self._models_of(outcome)) == canonical_models(
-            seq.models
-        ), f"{side}-kill diverged"
+    def test_harvested_checkpoints_are_folded_like_drained_ones(
+        self, monkeypatch
+    ):
+        """A checkpoint salvaged from a dying worker's outbox extends
+        the chain, trims the tail and counts its bytes; a delta that
+        does not link is rejected and changes nothing."""
+        import pickle
+        import queue
+
+        topo, partition, updates, fleet = self._fleet(monkeypatch)
+        blocks, (full, delta) = sub0_checkpoints(
+            topo, partition, updates, partition.subspaces[0].match
+        )
+        reg = fleet.parent.registry
+        slot = fleet.shards["sub0"]
+        worker = fleet.workers[slot.worker_id]
+        worker.outbox = queue.Queue()
+
+        slot.tail = {b.block_id: b for b in blocks[:3]}
+        worker.outbox.put(full)
+        fleet._harvest_checkpoints(worker)
+        assert reg.value("fleet.checkpoints") == 1
+        assert reg.value("fleet.checkpoint.bytes") == len(full.frame) + len(
+            pickle.dumps(full.checkpoint, -1)
+        )
+        assert list(slot.tail) == [3]
+        assert slot.recovery.block_id == 2
+
+        worker.outbox.put(delta)
+        worker.outbox.put(delta)  # second copy no longer links
+        slot.tail[4] = blocks[3]
+        slot.tail[5] = blocks[3]
+        fleet._harvest_checkpoints(worker)
+        assert reg.value("fleet.checkpoints") == 2
+        assert reg.value("fleet.checkpoints.rejected") == 1
+        assert reg.value("fleet.checkpoint.bytes") == (
+            len(full.frame)
+            + len(pickle.dumps(full.checkpoint, -1))
+            + len(delta.frame)
+            + len(pickle.dumps(delta.journal_delta, -1))
+        )
+        assert list(slot.tail) == [5]
+        assert slot.recovery.block_id == 4
+
+        # Rejection with nothing held: chain and tail stay as they were.
+        other = fleet.shards["sub1"]
+        other.tail = {4: blocks[3]}
+        fleet._fold_checkpoint(other, delta)
+        assert reg.value("fleet.checkpoints.rejected") == 2
+        assert other.recovery is None and list(other.tail) == [4]
+
+    def test_restore_rejects_a_chain_wider_than_the_shard(self):
+        """The frame chain must describe exactly the shard's subspace:
+        the same journal with a table covering headers outside it is a
+        chain this shard never produced."""
+        from repro.bdd.wire import unframe_shard_snapshot
+        from repro.fleet.messages import ShardRestore
+        from repro.fleet.worker import _restore_shard
+
+        topo, partition, updates = setup_workload(per_shard=4)
+        sub0 = partition.subspaces[0].match
+
+        def restore_from(chain_match):
+            _, (full, _) = sub0_checkpoints(
+                topo, partition, updates, chain_match
+            )
+            blob, applied_ids = unframe_shard_snapshot(full.frame)
+            restore = ShardRestore(
+                block_id=full.block_id,
+                checkpoint=full.checkpoint,
+                frames=(blob,),
+                applied_ids=tuple(applied_ids),
+            )
+            state = shard_state(topo, sub0, restore)
+            return _restore_shard(state), state
+
+        ok, state = restore_from(sub0)
+        assert ok and state.last_applied == 2
+        wide, _ = restore_from(Match.dst_prefix(0, 0, LAYOUT))
+        assert not wide
 
 
 class TestChaosFleetDifftest:
@@ -461,3 +522,20 @@ class TestChaosFleetDifftest:
         assert runner.telemetry.registry.value(
             "difftest.fleet.scenarios"
         ) == 6
+
+    @pytest.mark.parametrize("kinds", ["bogus", "kill,raise"])
+    def test_unknown_fault_kind_is_refused_up_front(self, kinds, capsys):
+        """An unknown kind would kill every worker at spawn and pass on
+        the degraded fallback — refuse it before anything runs."""
+        from repro.cli import main
+        from repro.difftest import FleetChaosRunner
+
+        with pytest.raises(ValueError, match="kill, hang, slow, drop-ack"):
+            FleetChaosRunner(kinds=kinds.split(","))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--fleet", "--fleet-faults", kinds,
+                  "--iterations", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fleet-faults" in err
+        assert "kill, hang, slow, drop-ack" in err
