@@ -449,28 +449,6 @@ class PredicateEngine:
         )
         return [self.pred(r) for r in roots], sources
 
-    def import_frames(self, frames: Sequence[bytes]) -> List[Predicate]:
-        """Fold a full-frame + delta chain into this engine's table.
-
-        ``frames[0]`` must be a full FBW1 frame; each later frame is
-        applied on top of the previous result with the fingerprint of
-        the previous frame's bytes as its expected base.
-        """
-        from . import wire
-
-        if not frames:
-            return []
-        if frames[0][:4] != wire.MAGIC:
-            raise wire.WireFormatError(
-                "frame chain must start with a full FBW1 frame"
-            )
-        preds = self.import_bytes(frames[0])
-        fp = wire.fingerprint_blob(frames[0])
-        for frame in frames[1:]:
-            preds, _ = self.apply_delta_bytes(frame, preds, fp)
-            fp = wire.fingerprint_blob(frame)
-        return preds
-
     def import_predicates(
         self, preds: Iterable[Predicate]
     ) -> List[Predicate]:

@@ -35,9 +35,9 @@ importer validates (a forward reference is a corrupt blob, not a crash).
 FBW2 delta frames
 -----------------
 
-A predicate *table* shipped repeatedly (fleet checkpoints, collected
-models, published snapshots) mostly repeats itself: under incremental
-churn only a handful of ECs change between ships.  An FBW2 frame
+A predicate *table* shipped repeatedly (serve's published snapshots)
+mostly repeats itself: under incremental churn only a handful of ECs
+change between ships.  An FBW2 frame
 encodes a table as a diff against a **base table** both sides already
 hold, identified by the blake2b fingerprint of the base's frame bytes
 (never by engine contents: FBW1 bytes are canonical for a function,
@@ -418,60 +418,3 @@ def import_delta_blob(
             roots.append(base_refs[idx])
             sources.append(idx)
     return roots, sources
-
-
-# ---------------------------------------------------------------------------
-# FSJ1: shard snapshot + journal framing (fleet crash recovery)
-# ---------------------------------------------------------------------------
-#
-# A fleet worker checkpoints its shard as the FBW1 blob of its EC table
-# plus the journal of update-block ids already applied.  The supervisor
-# keeps the latest frame per shard; on respawn it ships the frame back
-# and resends only the journaled tail.  Layout:
-#
-#   magic   4s   b"FSJ1"
-#   version u16  1
-#   count   u16  journal length
-#   blobLen u32  FBW1 blob byte length
-#   journal count * u32, strictly increasing block ids
-#   blob    blobLen bytes of FBW1
-SNAPSHOT_MAGIC = b"FSJ1"
-SNAPSHOT_VERSION = 1
-
-_SNAPSHOT_HEADER = struct.Struct("<HHI")
-
-
-def frame_shard_snapshot(blob: bytes, applied_ids: Iterable[int]) -> bytes:
-    """Frame an FBW1 blob and its applied-block journal as FSJ1 bytes."""
-    journal = array(_U32, applied_ids)
-    for prev, cur in zip(journal, journal[1:]):
-        if cur <= prev:
-            raise WireFormatError("journal block ids must be increasing")
-    return b"".join(
-        (
-            SNAPSHOT_MAGIC,
-            _SNAPSHOT_HEADER.pack(SNAPSHOT_VERSION, len(journal), len(blob)),
-            _u32_bytes(journal),
-            blob,
-        )
-    )
-
-
-def unframe_shard_snapshot(data: bytes) -> "tuple[bytes, List[int]]":
-    """Split FSJ1 bytes back into ``(fbw1_blob, applied_block_ids)``."""
-    head = len(SNAPSHOT_MAGIC) + _SNAPSHOT_HEADER.size
-    if len(data) < head:
-        raise WireFormatError("truncated snapshot frame")
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise WireFormatError("bad snapshot magic")
-    version, count, blob_len = _SNAPSHOT_HEADER.unpack(data[4:head])
-    if version != SNAPSHOT_VERSION:
-        raise WireFormatError(f"unsupported snapshot version {version}")
-    journal = _u32_read(data, head, count)
-    for prev, cur in zip(journal, journal[1:]):
-        if cur <= prev:
-            raise WireFormatError("journal block ids must be increasing")
-    start = head + 4 * count
-    if len(data) != start + blob_len:
-        raise WireFormatError("snapshot frame length mismatch")
-    return data[start:], list(journal)

@@ -219,29 +219,6 @@ def _fuzz_runners(args, telemetry) -> List:
             )
 
         return [("interleave", runner, save_interleave)]
-    if args.fleet:
-        from .difftest.fleet import FLEET_FAULT_KINDS, FleetChaosRunner
-
-        kinds = tuple(
-            k.strip() for k in args.fleet_faults.split(",") if k.strip()
-        ) or FLEET_FAULT_KINDS
-        try:
-            runner = FleetChaosRunner(
-                seed=args.seed,
-                kinds=kinds,
-                shards=args.fleet_shards,
-                block_size=args.fleet_block_size,
-                telemetry=telemetry,
-            )
-        except ValueError as exc:
-            args.usage_error(f"argument --fleet-faults: {exc}")
-
-        def save_fleet(shrunk, directory, result=None):
-            # The fault recipe is a pure function of (seed, name), so a
-            # plain scenario file is a complete reproducer.
-            return save_scenario(shrunk, directory)
-
-        return [("fleet", runner, save_fleet)]
     if not args.chaos:
         backends = ("bdd",)
         if args.backend != "bdd":
@@ -286,25 +263,14 @@ def cmd_fuzz(args) -> int:
     """
     from .difftest import InterleaveShrinker, ScenarioGenerator, Shrinker
 
-    modes = [
-        flag
-        for flag, on in (
-            ("--chaos", args.chaos),
-            ("--interleave", args.interleave),
-            ("--fleet", args.fleet),
-        )
-        if on
-    ]
-    if len(modes) > 1:
-        print(f"{' and '.join(modes)} are mutually exclusive")
+    if args.chaos and args.interleave:
+        print("--chaos and --interleave are mutually exclusive")
         return 2
     telemetry = Telemetry.from_config(TelemetryConfig())
     generator = ScenarioGenerator(seed=args.seed, profile=args.profile)
     runners = _fuzz_runners(args, telemetry)
     if args.interleave:
         mode = "interleave"
-    elif args.fleet:
-        mode = f"fleet chaos (faults: {args.fleet_faults})"
     elif args.chaos:
         mode = f"chaos (fault profile: {args.fault_profile})"
     else:
@@ -366,24 +332,9 @@ def cmd_fuzz(args) -> int:
             f"states checked; POR self-checks: {selfchecks} run, "
             f"{failures} failed"
         )
-    if args.fleet:
-        counters = telemetry.registry.snapshot()["counters"]
-        scenarios = counters.get("difftest.fleet.scenarios", 0)
-        respawns = counters.get("fleet.respawns", 0)
-        replayed_blocks = counters.get("fleet.blocks.replayed", 0)
-        resent = counters.get("fleet.blocks.resent", 0)
-        fallback = counters.get("fleet.blocks.fallback", 0)
-        print(
-            f"fleet storms: {scenarios} scenarios; {respawns} worker "
-            f"respawns, {replayed_blocks} blocks replayed from journal "
-            f"tails, {resent} resent, {fallback} applied by degraded "
-            f"fallback"
-        )
     if args.telemetry:
         if args.interleave:
             label = f"fuzz:interleave:{args.profile}"
-        elif args.fleet:
-            label = f"fuzz:fleet:{args.profile}"
         else:
             label = f"fuzz:{'chaos:' if args.chaos else ''}{args.profile}"
         _export_telemetry(args.telemetry, telemetry, label)
@@ -544,26 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reduction) and assert invariants in every intermediate state",
     )
     fuzz.add_argument(
-        "--fleet", action="store_true",
-        help="storm each scenario through a multi-process worker fleet "
-        "with seeded process faults (kill/hang/slow/drop-ack) and assert "
-        "recovery converges to the clean single-process oracle",
-    )
-    fuzz.add_argument(
-        "--fleet-shards", type=int, default=2, dest="fleet_shards",
-        help="fleet mode: number of dst-prefix subspace shards",
-    )
-    fuzz.add_argument(
-        "--fleet-faults", default="kill,hang,slow,drop-ack",
-        dest="fleet_faults",
-        help="fleet mode: comma-separated process-fault kinds to draw "
-        "each scenario's storm recipe from",
-    )
-    fuzz.add_argument(
-        "--fleet-block-size", type=int, default=4, dest="fleet_block_size",
-        help="fleet mode: updates per dispatched block",
-    )
-    fuzz.add_argument(
         "--max-orders", type=int, default=8, dest="max_orders",
         help="interleave mode: replay at most this many inequivalent "
         "orders per scenario",
@@ -590,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="OUT.JSONL",
         help="append metric/span/report records to a JSON-lines file",
     )
-    fuzz.set_defaults(func=cmd_fuzz, usage_error=fuzz.error)
+    fuzz.set_defaults(func=cmd_fuzz)
 
     simp = sub.add_parser("simulate", help="run the OpenR simulation + CE2D")
     simp.add_argument("--topology", default="internet2")

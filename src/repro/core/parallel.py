@@ -1,42 +1,32 @@
 """Parallel subspace verification (§7's "leverage parallelism" extension).
 
 Subspace verifiers share nothing (each has its own engine, model and FIB
-snapshot), so §3.4's input-space partition parallelises embarrassingly:
-one worker process per subspace.  This module provides the §5.5 deployment
-model in miniature — N subspaces over K workers — and is exercised by
-``benchmarks/bench_parallel.py``.
+snapshot), so §3.4's input-space partition parallelises embarrassingly.
+This module is the §5.5 deployment model in miniature — N subspaces over
+at most K concurrent processes (``benchmarks/bench_parallel.py``).
 
-Each worker runs with its own :class:`~repro.telemetry.Telemetry`
-(reconstructed from the picklable :class:`~repro.telemetry.
-TelemetryConfig`), snapshots its registry, and ships the plain dict back;
-:func:`run_partitioned` merges the per-worker registries into one parent
-registry so a single snapshot accounts for the whole partitioned run.
-
-The pooled path runs on the persistent worker fleet (:mod:`repro.fleet`):
-long-lived worker processes each own subspace shards with incremental
-models, the supervisor routes epoch-tagged update blocks over per-worker
-queues with heartbeat liveness and per-block acks, a crashed or wedged
-worker is respawned from its last FSJ1 checkpoint and replays only the
-journaled tail, and a shard that exhausts its respawn budget degrades
-into an in-process fallback verifier.  Failures come back as
-:class:`~repro.resilience.FailedSubspace` records on the result, never
-as a pool-wide exception.
-
-Updates, matches and layouts are plain picklable data; BDD predicates
-cross process boundaries only as wire frames (:mod:`repro.bdd.wire`):
-with ``collect_models=True`` each worker serialises its post-run EC table
-as a frame chain — one full FBW1 blob, or an FBW2 delta against its last
-checkpoint that the supervisor splices onto the chain it already holds —
-and the parent folds every subspace's chain into a single merge engine;
-no per-node Python objects ever pickle.
+The pooled path is a supervised map: every subspace task runs to
+completion in its own short-lived process, which takes the task from a
+pipe and answers with one outcome — stats, the worker's telemetry registry
+(merged into one parent registry, so a single snapshot accounts for the
+whole run) and, with ``collect_models=True``, its EC table as one FBW1
+blob (:mod:`repro.bdd.wire`) that the parent imports into a single merge
+engine; no per-node Python objects ever pickle.  A task that raises is
+retried in a fresh process; one whose process dies or outlives the
+watchdog is re-executed in the parent.  Failures come back as
+:class:`~repro.resilience.FailedSubspace` records, never as a pool-wide
+exception, and no worker process outlives the call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, PredicateEngine
@@ -62,11 +52,7 @@ class SubspaceRunStats:
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """One subspace worker's self-contained payload.
-
-    Replaces the historical positional 5-tuple — new knobs become fields
-    here instead of tuple surgery at every call site.
-    """
+    """One subspace worker's self-contained, picklable payload."""
 
     devices: Tuple[int, ...]
     layout: HeaderLayout
@@ -74,16 +60,14 @@ class WorkerTask:
     subspace_match: Match
     updates: Tuple[RuleUpdate, ...]
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    fault: Optional[str] = None  # WorkerFaultSpec string, chaos drills only
+    fault: Optional[WorkerFaultSpec] = None  # chaos drills only
     attempt: int = 0
     collect_model: bool = False
 
 
-#: One subspace's shipped model: a chain of wire frames — one full FBW1
-#: blob optionally followed by FBW2 deltas (``import_frames`` folds the
-#: chain) — plus the matching per-EC ``{device: action}`` dicts, in the
-#: final table's order.
-ModelPayload = Tuple[Tuple[bytes, ...], Tuple[Dict[int, object], ...]]
+#: One subspace's shipped model: the EC predicates as one FBW1 blob plus
+#: the matching per-EC ``{device: action}`` dicts, in the table's order.
+ModelPayload = Tuple[bytes, Tuple[Dict[int, object], ...]]
 
 WorkerOutcome = Tuple[SubspaceRunStats, dict, Optional[ModelPayload]]
 
@@ -92,7 +76,7 @@ def _run_one(task: WorkerTask) -> WorkerOutcome:
     """Verify one subspace; returns stats, a telemetry snapshot and —
     when requested — the EC table as one wire blob."""
     if task.fault:
-        WorkerFaultSpec.parse(task.fault).trigger(task.attempt)
+        task.fault.trigger(task.attempt)
     telemetry = Telemetry.from_config(task.telemetry)
     manager = ModelWriter(
         list(task.devices),
@@ -116,7 +100,7 @@ def _run_one(task: WorkerTask) -> WorkerOutcome:
         entries = manager.model.entries()
         blob = manager.engine.export_bytes([pred for pred, _ in entries])
         actions = tuple(manager.store.to_dict(vec) for _, vec in entries)
-        model = ((blob,), actions)
+        model = (blob, actions)
     return stats, registry.snapshot(), model
 
 
@@ -135,13 +119,10 @@ class PartitionedRunResult:
     Access results by attribute — :attr:`stats`, :attr:`wall_seconds`,
     :attr:`registry`; :attr:`failures` carries the
     :class:`~repro.resilience.FailedSubspace` supervision records.
-    (The historical triple-unpacking shim is gone: this object no longer
-    iterates as ``(stats, wall_seconds, registry)``.)
 
     With ``collect_models=True``, :attr:`models` maps each subspace name
     to its post-run EC table — ``(Predicate, {device: action})`` pairs —
-    with every predicate imported into the shared :attr:`model_engine`,
-    so cross-subspace predicates compare and combine directly.
+    all in one shared :attr:`model_engine`, so they combine directly.
     """
 
     stats: List[SubspaceRunStats]
@@ -164,6 +145,21 @@ class PartitionedRunResult:
         )
 
 
+def _mp_context(name: Optional[str]):
+    """An explicit forkserver/spawn context — never the bare fork default,
+    which duplicates arbitrary parent state (locks, open BDD engines) into
+    workers.  The fork server imports this module once, so each worker it
+    forks starts in milliseconds."""
+    if name is not None:
+        return multiprocessing.get_context(name)
+    try:
+        context = multiprocessing.get_context("forkserver")
+    except ValueError:  # pragma: no cover - platform without forkserver
+        return multiprocessing.get_context("spawn")
+    context.set_forkserver_preload([__name__])
+    return context
+
+
 def run_partitioned(
     devices: Sequence[int],
     layout: HeaderLayout,
@@ -175,194 +171,197 @@ def run_partitioned(
     faults: Optional[Mapping[str, str]] = None,
     mp_context: Optional[str] = None,
     collect_models: bool = False,
-    block_size: Optional[int] = None,
-    heartbeat_interval: float = 0.1,
-    checkpoint_every: int = 4,
-    compact_every: int = 4,
-    fleet_seed: int = 0,
 ) -> PartitionedRunResult:
     """Run every subspace verifier, optionally across worker processes.
 
-    Returns a :class:`PartitionedRunResult` with per-subspace stats, the
-    fan-out wall-clock, and a merged registry.  ``processes=None`` or
-    ``0`` runs sequentially in-process (the baseline); any other value
-    fans subspaces out over the persistent worker fleet
-    (:class:`repro.fleet.FleetSupervisor`).  The merged registry sums
-    every worker's counters/gauges and adds a ``parallel.workers`` gauge
-    plus a ``span.parallel.run`` aggregate for the whole fan-out.
+    ``processes=None`` or ``0`` runs sequentially in-process (the
+    baseline); any other value runs each subspace in its own worker
+    process, at most that many at once.  The merged registry sums every
+    worker's counters/gauges and adds a ``parallel.workers`` gauge plus a
+    ``span.parallel.run`` aggregate for the whole fan-out.
 
-    ``retry`` bounds per-block retries/backoff, ack resends, respawn
-    attempts and the per-block ack watchdog; a subspace whose worker
-    exhausts every recovery escalation degrades into the supervisor's
-    in-process fallback verifier, and its history is recorded as a
-    :class:`~repro.resilience.FailedSubspace` instead of aborting the
-    run.  ``faults`` maps subspace names to
-    :class:`~repro.resilience.WorkerFaultSpec` strings (chaos drills).
-    ``block_size`` splits each shard's updates into blocks of that many
-    updates (default: one block per shard per call),
-    ``checkpoint_every`` controls worker snapshot cadence, and
-    ``compact_every`` the full-frame compaction cadence of the delta
-    checkpoint chain (``1`` ships a full frame every checkpoint).
-
-    ``collect_models=True`` additionally ships every worker's post-run
-    EC table back as one FBW1 wire blob each and imports them all into
-    one fresh parent-side engine (:attr:`PartitionedRunResult.models` /
-    :attr:`~PartitionedRunResult.model_engine`).
+    ``retry`` bounds per-task retries/backoff and the per-attempt
+    watchdog; a subspace whose worker dies, hangs past the watchdog or
+    exhausts its retries is re-executed sequentially in the parent, and
+    its history becomes a :class:`~repro.resilience.FailedSubspace`
+    record instead of aborting the run.  ``faults`` maps subspace names
+    to :class:`~repro.resilience.WorkerFaultSpec` strings (chaos
+    drills); an unknown kind or subspace name is a ``ValueError`` before
+    any task runs.  ``collect_models=True`` imports every subspace's
+    post-run EC table into one fresh parent-side engine
+    (:attr:`PartitionedRunResult.models` / ``.model_engine``).
     """
     config = telemetry if telemetry is not None else TelemetryConfig()
     policy = retry if retry is not None else RetryPolicy()
+    # A drill is validated where it enters: a typo is the caller's error,
+    # not the subspace's, and a fault nobody would trigger is not a pass.
+    drill = {name: WorkerFaultSpec.parse(f) for name, f in (faults or {}).items()}
+    names = [s.name for s in partition]
+    if not set(drill) <= set(names):
+        raise ValueError(
+            f"faults for {sorted(set(drill) - set(names))}, but the "
+            f"partition's subspaces are {names}"
+        )
     # The parent side always times the fan-out, even when worker-side
     # spans are disabled by the config.
     parent = Telemetry()
     outcomes: Dict[str, WorkerOutcome] = {}
     failures: List[FailedSubspace] = []
-    tasks: List[WorkerTask] = []
-    fleet_outcome = None
     with parent.span("parallel.run", workers=processes or 0):
-        if not processes:
-            routed = partition.route_updates(updates)
-            tasks = [
-                WorkerTask(
-                    devices=tuple(devices),
-                    layout=layout,
-                    name=s.name,
-                    subspace_match=s.match,
-                    updates=tuple(routed[s.index]),
-                    telemetry=config,
-                    fault=(faults or {}).get(s.name),
-                    collect_model=collect_models,
-                )
-                for s in partition
-            ]
-            _run_sequential(tasks, policy, parent, outcomes, failures)
-        else:
-            # Imported lazily: the fleet builds on this module's types
-            # conceptually, and sequential users shouldn't pay for it.
-            from ..fleet import FleetSupervisor
-
-            fleet = FleetSupervisor(
-                devices,
-                layout,
-                partition,
-                processes=processes,
+        routed = partition.route_updates(updates)
+        tasks = [
+            WorkerTask(
+                devices=tuple(devices),
+                layout=layout,
+                name=s.name,
+                subspace_match=s.match,
+                updates=tuple(routed[s.index]),
                 telemetry=config,
-                retry=policy,
-                faults=faults,
-                mp_context=mp_context,
-                parent=parent,
-                heartbeat_interval=heartbeat_interval,
-                checkpoint_every=checkpoint_every,
-                compact_every=compact_every,
-                block_size=block_size,
-                seed=fleet_seed,
+                fault=drill.get(s.name),
+                collect_model=collect_models,
             )
-            try:
-                fleet.submit(updates)
-                fleet_outcome = fleet.finish(collect_models=collect_models)
-            finally:
-                fleet.close()
-            failures.extend(fleet_outcome.failures)
+            for s in partition
+        ]
+        if not processes:
+            for task in tasks:
+                _attempt_sequential(task, policy, parent, outcomes, failures)
+        else:
+            _run_pool(
+                tasks, processes, policy, parent, outcomes, failures,
+                _mp_context(mp_context),
+            )
     wall = parent.registry.value("span.parallel.run.seconds")
     results: List[SubspaceRunStats] = []
     models: Dict[str, List[Tuple[Predicate, Dict[int, object]]]] = {}
     model_engine = (
         PredicateEngine(layout.total_bits) if collect_models else None
     )
-    if fleet_outcome is not None:
-        for shard in fleet_outcome.shards.values():
-            results.append(
-                SubspaceRunStats(
-                    subspace=shard.name,
-                    seconds=shard.seconds,
-                    predicate_ops=shard.predicate_ops,
-                    ecs=shard.ecs,
-                    updates=shard.updates,
-                )
-            )
-            if shard.model is not None and model_engine is not None:
-                frames, actions = shard.model
-                preds = model_engine.import_frames(frames)
-                models[shard.name] = list(zip(preds, actions))
     for task in tasks:
-        outcome = outcomes.get(task.name)
-        if outcome is None:
+        if task.name not in outcomes:
             continue
-        stats, snapshot, model = outcome
+        stats, snapshot, model = outcomes[task.name]
         results.append(stats)
         parent.registry.merge_snapshot(snapshot)
-        if model is not None and model_engine is not None:
-            frames, actions = model
-            preds = model_engine.import_frames(frames)
+        if model is not None:
+            blob, actions = model
+            preds = model_engine.import_bytes(blob)
             models[task.name] = list(zip(preds, actions))
     parent.registry.gauge("parallel.workers").set(processes or 0)
     if failures:
-        parent.registry.counter("resilience.subspace.failures").inc(
-            sum(1 for f in failures if not f.recovered)
-        )
-        parent.registry.counter("resilience.subspace.recovered").inc(
-            sum(1 for f in failures if f.recovered)
-        )
+        recovered = sum(f.recovered for f in failures)
+        parent.count("resilience.subspace.recovered", recovered)
+        parent.count("resilience.subspace.failures", len(failures) - recovered)
     return PartitionedRunResult(
-        results,
-        wall,
-        parent.registry,
-        failures,
-        models=models,
-        model_engine=model_engine,
+        results, wall, parent.registry, failures, models, model_engine
     )
 
 
 def _attempt_sequential(
-    task: WorkerTask,
-    policy: RetryPolicy,
-    parent: Telemetry,
-    outcomes: Dict[str, WorkerOutcome],
-    failures: List[FailedSubspace],
-    history: Optional[List[str]] = None,
-    base_attempt: int = 0,
-) -> bool:
+    task, policy, parent, outcomes, failures,
+    history=(), base_attempt=0, timed_out=False,
+):
     """In-process attempts with bounded retry; records outcome/failure."""
-    history = history if history is not None else []
-    attempt = base_attempt
-    for round_ in range(policy.max_retries + 1):
-        if round_ > 0:
+    history = list(history)
+    for attempt in range(base_attempt, base_attempt + policy.max_retries + 1):
+        if attempt > base_attempt:
             parent.count("resilience.subspace.retries")
             time.sleep(policy.backoff_for(attempt))
         outcome = _run_one_safe(dataclasses.replace(task, attempt=attempt))
-        attempt += 1
         if outcome[0] == "ok":
-            outcomes[task.name] = outcome[1]
-            if history:
-                failures.append(
-                    FailedSubspace(
-                        subspace=task.name,
-                        attempts=attempt,
-                        error=history[-1],
-                        recovered=True,
-                        history=list(history),
-                    )
-                )
-            return True
+            break
         history.append(outcome[1])
-    failures.append(
-        FailedSubspace(
-            subspace=task.name,
-            attempts=attempt,
-            error=history[-1],
-            traceback=outcome[2],
-            recovered=False,
-            history=list(history),
+    _settle(task, outcome, attempt + 1, history, outcomes, failures, timed_out)
+
+
+def _settle(task, outcome, attempts, history, outcomes, failures, timed_out=False):
+    """Close a task on its last outcome, leaving a record of any trouble."""
+    recovered = outcome[0] == "ok"
+    if recovered:
+        outcomes[task.name] = outcome[1]
+    if history:
+        failures.append(
+            FailedSubspace(
+                task.name, attempts, error=history[-1],
+                traceback="" if recovered else outcome[2],
+                timed_out=timed_out, recovered=recovered, history=history,
+            )
         )
-    )
-    return False
 
 
-def _run_sequential(
-    tasks: Sequence[WorkerTask],
-    policy: RetryPolicy,
-    parent: Telemetry,
-    outcomes: Dict[str, WorkerOutcome],
-    failures: List[FailedSubspace],
-) -> None:
-    for task in tasks:
-        _attempt_sequential(task, policy, parent, outcomes, failures)
+def _pool_worker(pipe) -> None:
+    """Worker-process entry point: one task in, one outcome out."""
+    with pipe:
+        pipe.send(_run_one_safe(pipe.recv()))
+
+
+def _collect(pipe, process, reported: bool, timeout: float) -> tuple:
+    """One finished attempt's outcome; its process is reaped either way."""
+    if not reported:
+        process.kill()  # still silent at its deadline
+        outcome = ("lost", f"TimeoutError: no result within {timeout}s (hung worker)")
+    else:
+        try:
+            outcome = pipe.recv()
+        except (EOFError, OSError):  # died: its pipe closed with nothing in it
+            outcome = None
+    pipe.close()
+    process.join()
+    died = ("lost", f"WorkerDied: exit code {process.exitcode}, no result")
+    return outcome or died
+
+
+def _run_pool(tasks, processes, policy, parent, outcomes, failures, context):
+    """Supervised fan-out: one process per task attempt, ``processes`` at
+    a time, each reporting over its own pipe.  A task whose worker raises
+    is retried in a fresh process with backoff; one whose worker is lost
+    (dead or hung) or that runs out of retries is re-executed once in the
+    parent.  Whatever still runs when this returns or raises is killed."""
+    timeout = math.inf if policy.task_timeout is None else policy.task_timeout
+    waiting = [(task, 0, []) for task in tasks]  # task, attempt, history
+    live: Dict[object, tuple] = {}  # pipe -> process, deadline, *waiting entry
+    try:
+        while waiting or live:
+            while waiting and len(live) < processes:
+                task, attempt, history = waiting.pop(0)
+                pipe, worker_end = context.Pipe()
+                process = context.Process(
+                    target=_pool_worker, args=(worker_end,), daemon=True
+                )
+                process.start()
+                worker_end.close()  # only the worker can answer (or EOF) now
+                deadline = time.monotonic() + timeout
+                live[pipe] = (process, deadline, task, attempt, history)
+                try:
+                    pipe.send(dataclasses.replace(task, attempt=attempt))
+                except OSError:  # it died in bootstrap: the pipe reads EOF
+                    pass
+            patience = min(d for _, d, *_ in live.values()) - time.monotonic()
+            patience = None if patience == math.inf else max(0.0, patience)
+            ready = connection.wait(list(live), patience)
+            for pipe, entry in list(live.items()):
+                process, deadline, task, attempt, history = entry
+                if pipe not in ready and time.monotonic() < deadline:
+                    continue
+                del live[pipe]
+                outcome = _collect(pipe, process, pipe in ready, timeout)
+                if outcome[0] == "ok":
+                    _settle(
+                        task, outcome, attempt + 1, history, outcomes, failures
+                    )
+                    continue
+                history.append(outcome[1])
+                if outcome[0] == "error" and attempt < policy.max_retries:
+                    parent.count("resilience.subspace.retries")
+                    time.sleep(policy.backoff_for(attempt + 1))
+                    waiting.append((task, attempt + 1, history))
+                    continue
+                parent.count("resilience.subspace.sequential_reruns")
+                _attempt_sequential(
+                    task, dataclasses.replace(policy, max_retries=0), parent,
+                    outcomes, failures, history, attempt + 1,
+                    timed_out=outcome[0] == "lost",
+                )
+    finally:
+        for process, *_ in live.values():
+            process.kill()
+            process.join()

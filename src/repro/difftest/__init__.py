@@ -20,7 +20,6 @@ in the suite.  See ``docs/difftest.md``.
 """
 
 from .chaos import CHAOS_POLICIES, ChaosCase, ChaosRunner
-from .fleet import FLEET_FAULT_KINDS, FleetChaosRunner
 from .corpus import (
     iter_chaos_corpus,
     iter_corpus,
@@ -49,8 +48,6 @@ __all__ = [
     "DifferentialRunner",
     "DiffResult",
     "Divergence",
-    "FLEET_FAULT_KINDS",
-    "FleetChaosRunner",
     "InterleaveCase",
     "InterleaveRunner",
     "InterleaveShrinker",

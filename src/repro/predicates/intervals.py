@@ -582,23 +582,6 @@ class IntervalBackend:
                 out.append(self._ref_to_intervals(scratch, ref))
         return out, sources
 
-    def import_frames(self, frames: Sequence[bytes]) -> List[IntervalPredicate]:
-        """Fold a full-frame + delta chain into interval predicates."""
-        from ..bdd import wire
-
-        if not frames:
-            return []
-        if frames[0][:4] != wire.MAGIC:
-            raise wire.WireFormatError(
-                "frame chain must start with a full FBW1 frame"
-            )
-        preds = self.import_bytes(frames[0])
-        fp = wire.fingerprint_blob(frames[0])
-        for frame in frames[1:]:
-            preds, _ = self.apply_delta_bytes(frame, preds, fp)
-            fp = wire.fingerprint_blob(frame)
-        return preds
-
     # -- lifecycle -----------------------------------------------------
     def collect(self, extra_roots: Iterable[int] = ()) -> int:
         """Interval sets are interned forever; nothing to reclaim."""

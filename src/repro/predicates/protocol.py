@@ -168,10 +168,9 @@ class PredicateBackend(Protocol):
     # -- delta frames (FBW2) -------------------------------------------
     # A table shipped repeatedly is encoded against the last shipped
     # frame: export returns FBW2 (or a smaller full FBW1 frame), apply
-    # accepts either and hard-fails on a stale base fingerprint, and
-    # import_frames folds a full+delta chain.  Fingerprints are of the
-    # base frame's *bytes* (wire.fingerprint_blob), never recomputed
-    # from engine contents.
+    # accepts either and hard-fails on a stale base fingerprint.
+    # Fingerprints are of the base frame's *bytes*
+    # (wire.fingerprint_blob), never recomputed from engine contents.
     def export_delta_bytes(
         self,
         preds: Iterable[PredicateHandle],
@@ -184,9 +183,6 @@ class PredicateBackend(Protocol):
         base_preds: Sequence[PredicateHandle],
         base_fingerprint: int,
     ) -> Tuple[List[PredicateHandle], List[Optional[int]]]: ...
-    def import_frames(
-        self, frames: Sequence[bytes]
-    ) -> List[PredicateHandle]: ...
 
     # -- lifecycle -----------------------------------------------------
     def collect(self, extra_roots: Iterable[int] = ()) -> int: ...

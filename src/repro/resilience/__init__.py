@@ -16,8 +16,9 @@ self-checking in ``repro.difftest``:
   behind :meth:`ModelWriter.checkpoint` / ``rollback`` and the
   incremental→batch fallback (``resilience.fallback.*``);
 * :class:`FailedSubspace` / :class:`RetryPolicy` /
-  :class:`WorkerFaultSpec` — per-task supervision records for the
-  hardened ``run_partitioned`` pool.
+  :class:`WorkerFaultSpec` — per-task supervision records for
+  ``run_partitioned``'s process-per-subspace map (retry a worker that
+  raised, re-execute in the parent one that died or hung).
 
 The chaos difftest (``repro fuzz --chaos``) closes the loop: faulty
 streams through ``repair``/``quarantine`` ingestion must still converge

@@ -1,19 +1,18 @@
 """Worker supervision records for the hardened parallel runner.
 
-:func:`repro.core.parallel.run_partitioned` and the persistent
-:class:`repro.fleet.FleetSupervisor` capture per-task failures instead
-of aborting the whole run: a failing subspace is retried with backoff,
-a dead or wedged worker process is respawned from its last checkpoint,
-and the whole history lands in a :class:`FailedSubspace` record instead
-of a raw traceback.  :class:`WorkerFaultSpec` is the chaos hook — a
-declarative "misbehave on the first N attempts" marker tests and chaos
-drills attach to a worker task or a fleet shard.
+:func:`repro.core.parallel.run_partitioned` captures per-task failures
+instead of aborting the whole run: a subspace whose worker raises is
+retried with backoff, one whose worker process dies or hangs is
+re-executed in the parent, and the whole history lands in a
+:class:`FailedSubspace` record instead of a raw traceback.
+:class:`WorkerFaultSpec` is the chaos hook — a declarative "misbehave
+on the first N attempts" marker tests and chaos drills attach to a
+worker task.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -23,61 +22,35 @@ class InjectedWorkerFault(RuntimeError):
     """Raised by a worker honouring a ``raise``-kind fault spec."""
 
 
-#: How long a ``slow``-kind fault stalls each faulty block delivery.
-#: Long enough to be visible in ack latencies, short enough that any
-#: sane liveness timeout does not misread slowness as death.
-SLOW_FAULT_SECONDS = 0.15
-
-
 @dataclass(frozen=True)
 class WorkerFaultSpec:
     """A declarative worker fault: ``kind`` for the first ``attempts`` tries.
 
     Kinds: ``raise`` (worker raises mid-task), ``exit`` (hard process
-    death via ``os._exit``; ``kill`` is an accepted alias), ``hang``
-    (worker sleeps past any watchdog), ``slow`` (worker stalls
-    :data:`SLOW_FAULT_SECONDS` before applying), ``drop-ack`` (fleet
-    workers apply the block but swallow the acknowledgement, forcing an
-    idempotent redelivery).
+    death via ``os._exit``), ``hang`` (worker sleeps past any watchdog).
 
-    Parsed from compact ``kind[@attempts][#after]`` strings — ``"raise"``,
-    ``"exit@2"``, ``"kill@1#3"`` — so specs survive pickling into worker
-    processes trivially.  ``after`` delays the fault until the worker has
-    already delivered that many blocks for the shard (mid-storm crashes).
+    Parsed from compact ``kind[@attempts]`` strings — ``"raise"``,
+    ``"exit@2"``.
     """
 
     kind: str
     attempts: int = 1
-    after: int = 0  # only misbehave from this per-shard delivery index on
 
-    _KINDS = ("raise", "exit", "hang", "slow", "drop-ack")
+    _KINDS = ("raise", "exit", "hang")
 
     @classmethod
     def parse(cls, spec: str) -> "WorkerFaultSpec":
-        head, _, after = spec.partition("#")
-        kind, _, count = head.partition("@")
-        if kind == "kill":  # process-level alias (fleet chaos vocabulary)
-            kind = "exit"
+        kind, _, count = spec.partition("@")
         if kind not in cls._KINDS:
-            raise ValueError(f"unknown worker fault kind {kind!r}")
-        return cls(
-            kind,
-            int(count) if count else 1,
-            int(after) if after else 0,
-        )
+            raise ValueError(
+                f"unknown worker fault kind {kind!r} "
+                f"(valid kinds: {', '.join(cls._KINDS)})"
+            )
+        return cls(kind, int(count) if count else 1)
 
-    def active(self, attempt: int, delivered: int = 0) -> bool:
-        """Whether this (attempt, delivery-index) pair is in the window."""
-        return attempt < self.attempts and delivered >= self.after
-
-    def trigger(self, attempt: int, delivered: int = 0) -> None:
-        """Misbehave if this attempt is still within the faulty window.
-
-        ``drop-ack`` never misbehaves here — it corrupts the ack path,
-        not the apply path; fleet workers consult :meth:`drops_ack`
-        after a successful apply instead.
-        """
-        if not self.active(attempt, delivered):
+    def trigger(self, attempt: int) -> None:
+        """Misbehave if this attempt is still within the faulty window."""
+        if attempt >= self.attempts:
             return
         if self.kind == "raise":
             raise InjectedWorkerFault(
@@ -87,12 +60,6 @@ class WorkerFaultSpec:
             os._exit(3)
         if self.kind == "hang":  # pragma: no cover - reaped by watchdog
             time.sleep(3600)
-        if self.kind == "slow":
-            time.sleep(SLOW_FAULT_SECONDS)
-
-    def drops_ack(self, attempt: int, delivered: int = 0) -> bool:
-        """Whether a fleet worker should swallow this block's ack."""
-        return self.kind == "drop-ack" and self.active(attempt, delivered)
 
 
 @dataclass
@@ -120,30 +87,14 @@ class FailedSubspace:
 class RetryPolicy:
     """Bounded retry with exponential backoff for supervised workers.
 
-    ``max_retries`` bounds per-block (or per-task) retries after a
-    worker-reported error; ``max_respawns`` bounds how many times the
-    fleet supervisor revives one worker process before folding its
-    shards into the in-process fallback; ``ack_resends`` bounds silent
-    redeliveries of an unacked block before the worker is declared
-    wedged.  ``jitter`` spreads respawn backoff by up to that fraction
-    (seeded by the supervisor, so runs stay reproducible).
+    ``max_retries`` bounds how often a task whose worker raised is tried
+    again; ``task_timeout`` is how long one attempt's worker process may
+    run before it is killed as hung.
     """
 
     max_retries: int = 1
     backoff_seconds: float = 0.05
     task_timeout: Optional[float] = None  # per-attempt watchdog, None = off
-    jitter: float = 0.0
-    max_respawns: int = 2
-    ack_resends: int = 1
 
     def backoff_for(self, attempt: int) -> float:
         return self.backoff_seconds * (2 ** max(0, attempt - 1))
-
-    def jittered_backoff(
-        self, attempt: int, rng: Optional[random.Random] = None
-    ) -> float:
-        """Exponential backoff plus the seeded jitter fraction."""
-        base = self.backoff_for(attempt)
-        if not self.jitter or rng is None:
-            return base
-        return base * (1.0 + self.jitter * rng.random())

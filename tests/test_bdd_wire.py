@@ -171,6 +171,18 @@ def _chain_start(kind="fast", seed=0xF2B0, n=16):
     return src, dst, preds, imported, frame, fingerprint_blob(frame), rng
 
 
+def _fold_chain(engine, frames):
+    """Fold a full frame plus later frames the way serve's DeltaIsolator
+    does: each frame applies to the previous result, keyed by the
+    fingerprint of the previous frame's bytes."""
+    preds = engine.import_bytes(frames[0])
+    fp = fingerprint_blob(frames[0])
+    for frame in frames[1:]:
+        preds, _ = engine.apply_delta_bytes(frame, preds, fp)
+        fp = fingerprint_blob(frame)
+    return preds
+
+
 class TestDeltaFrames:
     def test_small_change_ships_as_fbw2_and_roundtrips(self):
         src, dst, preds, base, frame, fp, rng = _chain_start()
@@ -260,7 +272,7 @@ class TestDeltaFrames:
         with pytest.raises(WireFormatError):
             delta_base_fingerprint(frame)  # FBW1 is not a delta
 
-    def test_import_frames_folds_a_mixed_chain(self):
+    def test_mixed_chain_folds_frame_by_frame(self):
         src, _, preds, _, frame, fp, rng = _chain_start()
         frames = [frame]
         current = list(preds)
@@ -278,18 +290,10 @@ class TestDeltaFrames:
         current[-1] = ~current[-1]
         frames.append(src.export_delta_bytes(current, preds, fp))
         fresh = fresh_engine("fast")
-        folded = fresh.import_frames(frames)
+        folded = _fold_chain(fresh, frames)
         probe = fresh_engine("fast")
         for a, b in zip(current, folded):
             assert probe.import_predicate(a) == probe.import_predicate(b)
-
-    def test_import_frames_requires_full_first_frame(self):
-        src, _, preds, _, frame, fp, rng = _chain_start()
-        delta = src.export_delta_bytes(preds, preds, fp)
-        fresh = fresh_engine("fast")
-        with pytest.raises(WireFormatError, match="must start with"):
-            fresh.import_frames([delta, frame])
-        assert fresh.import_frames([]) == []
 
     def test_broken_chain_link_rejected(self):
         src, _, preds, _, frame, fp, rng = _chain_start()
@@ -304,5 +308,5 @@ class TestDeltaFrames:
         fresh = fresh_engine("fast")
         # Dropping d1 breaks d2's base fingerprint: must fail loudly.
         with pytest.raises(WireFormatError):
-            fresh.import_frames([frame, d2])
-        assert len(fresh.import_frames([frame, d1, d2])) == len(preds)
+            _fold_chain(fresh, [frame, d2])
+        assert len(_fold_chain(fresh, [frame, d1, d2])) == len(preds)

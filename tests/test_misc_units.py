@@ -177,7 +177,7 @@ def test_package_imports_without_numpy():
     (≈10 MB RSS and ≈0.1 s set-up per process where it is installed)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     code = (
-        "import repro.flash, repro.serve, repro.fleet, repro.cli, sys; "
+        "import repro.flash, repro.serve, repro.cli, sys; "
         "assert 'numpy' not in sys.modules"
     )
     proc = subprocess.run(

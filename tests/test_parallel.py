@@ -1,13 +1,21 @@
 """Tests for parallel subspace verification (repro.core.parallel)."""
 
+import multiprocessing
+import random
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.parallel import PartitionedRunResult, run_partitioned
 from repro.core.subspace import SubspacePartition
 from repro.dataplane.rule import Rule
 from repro.dataplane.update import insert
+from repro.difftest import DiffResult, ReferenceOracle, ScenarioGenerator
+from repro.difftest.compare import ModelView, view_from_oracle
+from repro.difftest.runner import derive_verdicts, diff_views
 from repro.headerspace.fields import dst_only_layout
-from repro.headerspace.match import Match
+from repro.headerspace.match import Match, MatchCompiler
 from repro.network.generators import ring
 from repro.resilience import RetryPolicy
 
@@ -193,6 +201,185 @@ class TestSupervision:
         failure = result.failures[0]
         assert failure.subspace == "sub0"
         assert failure.timed_out and failure.recovered
+
+
+class TestFaultDrillValidation:
+    """A fault drill is checked where it enters, before any task runs."""
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_unknown_fault_kind_is_the_callers_error(self, processes):
+        """Regression: the spec used to be parsed inside the worker, so a
+        typo came back as a FailedSubspace blaming sub0, result dropped."""
+        topo, partition, updates = setup_workload()
+        with pytest.raises(ValueError, match="explode.*raise, exit, hang"):
+            run_partitioned(
+                topo.switches(), LAYOUT, partition, updates,
+                processes=processes, faults={"sub0": "explode"},
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_fault_on_a_subspace_the_partition_lacks_is_refused(self):
+        """Regression: a drill naming no subspace of the partition used
+        to be ignored — ok == True having tested nothing."""
+        topo, partition, updates = setup_workload()
+        with pytest.raises(ValueError, match="pod0.*sub0.*sub1"):
+            run_partitioned(
+                topo.switches(), LAYOUT, partition, updates,
+                processes=None, faults={"pod0": "raise@99"},
+            )
+
+
+class TestPoolLiveness:
+    """Dead and hung workers are bounded; none outlives the call."""
+
+    def test_dead_worker_is_noticed_without_a_task_timeout(self):
+        """An earlier pool blocked forever here: it only noticed a
+        dead worker through task_timeout, which defaults to None."""
+        topo, partition, updates = setup_workload()
+        result = run_partitioned(
+            topo.switches(), LAYOUT, partition, updates,
+            processes=2, faults={"sub0": "exit"},
+        )
+        assert result.ok
+        assert {s.subspace for s in result.stats} == {"sub0", "sub1"}
+        (failure,) = result.failures
+        assert failure.subspace == "sub0"
+        assert failure.timed_out and failure.recovered
+        assert "exit code 3" in failure.error
+        assert result.registry.value("resilience.subspace.sequential_reruns") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_hung_worker_is_killed_at_task_timeout(self):
+        topo, partition, updates = setup_workload()
+        start = time.monotonic()
+        result = run_partitioned(
+            topo.switches(), LAYOUT, partition, updates,
+            processes=2,
+            retry=RetryPolicy(task_timeout=1.0),
+            faults={"sub0": "hang"},  # sleeps an hour if left alone
+        )
+        assert time.monotonic() - start < 5.0
+        assert result.ok
+        assert {s.subspace for s in result.stats} == {"sub0", "sub1"}
+        (failure,) = result.failures
+        assert failure.subspace == "sub0"
+        assert failure.timed_out and failure.recovered
+        assert "hung worker" in failure.error
+        assert multiprocessing.active_children() == []
+
+    def test_worker_lost_before_it_read_its_task_is_not_a_pool_error(
+        self, monkeypatch
+    ):
+        """A worker that dies in bootstrap (here: its main module cannot
+        be re-imported) never reads its task; with a task larger than the
+        pipe buffer the parent's send breaks.  Neither may escape."""
+        from multiprocessing import spawn
+
+        real = spawn.get_preparation_data
+
+        def unimportable_main(name):
+            data = real(name)
+            data.pop("init_main_from_name", None)
+            data["init_main_from_path"] = "/nonexistent/main.py"
+            return data
+
+        monkeypatch.setattr(spawn, "get_preparation_data", unimportable_main)
+        topo, partition, _ = setup_workload()
+        updates = [  # ~1 MB pickled per subspace
+            insert(0, Rule(p, Match.dst_prefix(0x20 * (p % 2), 1, LAYOUT), 1))
+            for p in range(1, 6001)
+        ]
+        result = run_partitioned(
+            topo.switches(), LAYOUT, partition, updates, processes=2
+        )
+        assert result.ok
+        assert {s.subspace for s in result.stats} == {"sub0", "sub1"}
+        assert [f.subspace for f in result.failures] == ["sub0", "sub1"]
+        for failure in result.failures:
+            assert failure.timed_out and failure.recovered
+            assert "WorkerDied: exit code 1" in failure.error
+        assert multiprocessing.active_children() == []
+
+    def test_unrecoverable_pool_task_keeps_every_other_subspace(self):
+        topo, partition, updates = setup_workload()
+        result = run_partitioned(
+            topo.switches(), LAYOUT, partition, updates,
+            processes=2,
+            retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
+            faults={"sub0": "raise@99"},
+            collect_models=True,
+        )
+        assert not result.ok
+        assert {s.subspace for s in result.stats} == {"sub1"}
+        assert set(result.models) == {"sub1"}
+        (failure,) = result.failures
+        assert failure.subspace == "sub0" and not failure.recovered
+        # two pool attempts, then the one sequential re-execution
+        assert failure.attempts == 3 and len(failure.history) == 3
+        assert "InjectedWorkerFault" in failure.traceback
+
+
+def _partition_vs_oracle(scenario, processes=None, faults=None):
+    """Verify ``scenario`` as two dst-prefix subspaces, merge the shipped
+    shard models into one view and diff it against the brute-force
+    oracle on the unpartitioned stream."""
+    layout = scenario.build_layout()
+    topology = scenario.build_topology()
+    switches = sorted(topology.switches())
+    top_bit = 1 << (layout.field("dst").width - 1)
+    partition = SubspacePartition.dst_prefix_partition(
+        layout, [(0, 1), (top_bit, 1)]
+    )
+    run = run_partitioned(
+        switches, layout, partition, scenario.updates,
+        processes=processes,
+        retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
+        faults=faults,
+        collect_models=True,
+    )
+    assert run.ok and set(run.models) == {"sub0", "sub1"}
+    assert [f.subspace for f in run.failures] == sorted(faults or ())
+
+    comparison = run.model_engine  # every shard's predicates already share it
+    entries = [entry for table in run.models.values() for entry in table]
+    merged = SimpleNamespace(
+        name="partitioned",
+        view=ModelView("partitioned", comparison, switches, entries),
+    )
+    oracle = ReferenceOracle(topology, layout)
+    oracle.process_updates(scenario.updates)
+    reference = SimpleNamespace(
+        name="oracle", view=view_from_oracle("oracle", comparison, oracle)
+    )
+    result = DiffResult(scenario)
+    diff_views(topology, layout, switches, merged, reference, result)
+    compiler = MatchCompiler(comparison, layout)
+    requirements = scenario.build_requirements(topology, layout)
+    assert derive_verdicts(
+        merged.view, topology, compiler, requirements
+    ) == derive_verdicts(reference.view, topology, compiler, requirements)
+    return result
+
+
+class TestPartitionedModelsMatchOracle:
+    """Shard models merged across subspaces — and across processes, with
+    a worker failing on the way — equal the brute-force oracle."""
+
+    def test_sequential_shards_merge_to_the_oracle(self):
+        generator = ScenarioGenerator(seed=1717, profile="smoke")
+        for scenario in generator.stream(40):
+            result = _partition_vs_oracle(scenario)
+            assert result.ok, (scenario.name, result.divergences)
+
+    def test_pool_shards_merge_to_the_oracle_despite_a_victim(self):
+        generator = ScenarioGenerator(seed=2929, profile="smoke")
+        for index, scenario in enumerate(generator.stream(8)):
+            rng = random.Random(2929 + index)
+            faults = {
+                rng.choice(["sub0", "sub1"]): rng.choice(["raise", "exit"])
+            }
+            result = _partition_vs_oracle(scenario, 2, faults)
+            assert result.ok, (scenario.name, faults, result.divergences)
 
 
 class TestModelCollection:

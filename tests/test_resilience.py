@@ -357,9 +357,8 @@ class TestSupervisedModelWriter:
 
     def test_rollback_after_rollback_double_fault(self):
         """Crash-during-recovery: a second rollback to the same
-        checkpoint (as the fleet supervisor issues when a respawned
-        worker dies again mid-restore) is idempotent and leaves the
-        manager fully usable."""
+        checkpoint (recovery itself faulting before any new checkpoint
+        is taken) is idempotent and leaves the manager fully usable."""
         manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
         r0, r1, r2 = rule(1, 0, 1, 1), rule(1, 8, 1, 2), rule(2, 4, 2, 2)
         manager.submit([insert(0, r0)])
