@@ -1,8 +1,7 @@
 """End-to-end model-update benchmark and regression gate (``BENCH_flash.json``).
 
-Where ``bench_micro.py`` gates raw BDD operation throughput, this harness
-gates what the paper actually reports: *model update* time through the
-whole Fast IMT stack — map → reduce → apply on a real
+This harness gates what the paper actually reports: *model update* time
+through the whole Fast IMT stack — map → reduce → apply on a real
 :class:`~repro.core.model_manager.ModelWriter` — comparing the
 support-pruned single-traversal apply path against the retained reference
 cross product (``InverseModel.fast_apply = False``).

@@ -1,16 +1,14 @@
 """Binary decision diagram substrate (the paper's JDD equivalent)."""
 
-from .engine import BDD, DEFAULT_CACHE_LIMIT, FALSE, TRUE, BddStats
+from .engine import BDD, CACHE_LIMIT, FALSE, TRUE, BddStats
 from .predicate import Predicate, PredicateEngine
-from .reference import ReferenceBDD
 
 __all__ = [
     "BDD",
-    "DEFAULT_CACHE_LIMIT",
+    "CACHE_LIMIT",
     "FALSE",
     "TRUE",
     "BddStats",
     "Predicate",
     "PredicateEngine",
-    "ReferenceBDD",
 ]

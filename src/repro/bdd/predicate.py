@@ -139,9 +139,9 @@ class PredicateEngine:
         a private one is created when omitted.
     bdd:
         Pre-built node store to wrap instead of a fresh :class:`BDD`.
-        Used by the micro-benchmark and equivalence tests to drive the
-        same predicate workload through
-        :class:`~repro.bdd.reference.ReferenceBDD`.
+        The seam through which the equivalence tests drive the same
+        predicate workload over the reference oracle
+        (``tests/bdd_reference.py``).
     gc_threshold:
         When set, counted operations trigger :meth:`collect` whenever
         the live node count exceeds this value.  Only enable it for
@@ -201,7 +201,6 @@ class PredicateEngine:
             registry.gauge("bdd.cache.size").set(bdd.cache_size)
             registry.gauge("bdd.cache.limit").set(bdd.cache_limit)
             registry.gauge("bdd.unique.size").set(bdd.unique_used)
-            registry.gauge("bdd.unique.capacity").set(bdd.unique_capacity)
 
     # -- constants -----------------------------------------------------
     @property
@@ -324,8 +323,7 @@ class PredicateEngine:
 
         Self-imports (same engine, or another engine sharing this node
         store) return a handle to the existing node without walking it;
-        the traversal is iterative, so predicates deeper than the Python
-        recursion limit import fine.
+        the traversal is iterative.
         """
         if pred.engine is self:
             return self.pred(pred.node)
@@ -500,7 +498,7 @@ class PredicateEngine:
         Roots are every live :class:`Predicate` handle (tracked weakly),
         every pinned node and ``extra_roots``.  Safe whenever no
         operation is mid-flight.  No-op (returns 0) when the underlying
-        store has no collector (e.g. the reference engine).
+        store has no collector (e.g. the tests' reference oracle).
         """
         bdd_collect = getattr(self.bdd, "collect", None)
         if bdd_collect is None:

@@ -13,8 +13,8 @@ predicates from one node store into a single flat byte blob:
   (completion order of the walk), so the importer is a single linear
   pass of hash-consing ``_mk`` calls with no recursion, no dict memo
   and no per-node Python object;
-* **encoding-agnostic** — both the complement-edge array engine and the
-  plain-node reference engine export and import the same format; the
+* **encoding-agnostic** — both the complement-edge engine and the
+  plain-node reference oracle export and import the same format; the
   wire encoding uses explicit complement bits (``wire_edge =
   (wire_id << 1) | c``) which the importer lowers to whatever negation
   the target store uses.

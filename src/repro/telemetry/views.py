@@ -12,8 +12,8 @@ consume:
   hand for tests and merging);
 * :class:`BddEngineStats` — the BDD engine health view over the
   ``bdd.*`` gauges a :class:`~repro.bdd.predicate.PredicateEngine`
-  publishes (op-cache effectiveness, unique-table occupancy, GC
-  activity), consumed by the micro-benchmark harness and the CLI.
+  publishes (op-cache effectiveness, node and unique-table sizes, GC
+  activity).
 """
 
 from __future__ import annotations
@@ -219,15 +219,14 @@ class BddEngineStats:
     PredicateEngine` publishes into (the publish happens in a snapshot
     collector, so call :meth:`from_registry` *after*
     ``registry.snapshot()`` or pass a registry and let this view trigger
-    the collectors itself).  All fields are engine-agnostic: with the
-    reference engine the cache/GC fields stay zero.
+    the collectors itself).  An engine wrapping a node store without an
+    op cache or collector (the tests' reference oracle) leaves those
+    fields zero.
     """
 
     ite_calls: int = 0
     apply_calls: int = 0
     split_calls: int = 0
-    split_expansions: int = 0
-    split_cache_hits: int = 0
     cache_hits: int = 0
     cache_lookups: int = 0
     cache_evictions: int = 0
@@ -236,7 +235,6 @@ class BddEngineStats:
     live_nodes: int = 0
     allocated_nodes: int = 0
     unique_used: int = 0
-    unique_capacity: int = 0
     gc_runs: int = 0
     gc_freed: int = 0
     gc_seconds: float = 0.0
@@ -248,8 +246,6 @@ class BddEngineStats:
             ite_calls=int(registry.value("bdd.ite.calls")),
             apply_calls=int(registry.value("bdd.apply.calls")),
             split_calls=int(registry.value("bdd.split.calls")),
-            split_expansions=int(registry.value("bdd.split.expansions")),
-            split_cache_hits=int(registry.value("bdd.split.cache_hits")),
             cache_hits=int(registry.value("bdd.cache.hits")),
             cache_lookups=int(registry.value("bdd.cache.lookups")),
             cache_evictions=int(registry.value("bdd.cache.evictions")),
@@ -258,7 +254,6 @@ class BddEngineStats:
             live_nodes=int(registry.value("bdd.nodes")),
             allocated_nodes=int(registry.value("bdd.nodes.allocated")),
             unique_used=int(registry.value("bdd.unique.size")),
-            unique_capacity=int(registry.value("bdd.unique.capacity")),
             gc_runs=int(registry.value("bdd.gc.runs")),
             gc_freed=int(registry.value("bdd.gc.freed")),
             gc_seconds=registry.value("bdd.gc.seconds"),
@@ -268,21 +263,11 @@ class BddEngineStats:
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
 
-    @property
-    def table_occupancy(self) -> float:
-        return (
-            self.unique_used / self.unique_capacity
-            if self.unique_capacity
-            else 0.0
-        )
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "ite_calls": self.ite_calls,
             "apply_calls": self.apply_calls,
             "split_calls": self.split_calls,
-            "split_expansions": self.split_expansions,
-            "split_cache_hits": self.split_cache_hits,
             "cache_hits": self.cache_hits,
             "cache_lookups": self.cache_lookups,
             "cache_evictions": self.cache_evictions,
@@ -292,8 +277,6 @@ class BddEngineStats:
             "live_nodes": self.live_nodes,
             "allocated_nodes": self.allocated_nodes,
             "unique_used": self.unique_used,
-            "unique_capacity": self.unique_capacity,
-            "table_occupancy": self.table_occupancy,
             "gc_runs": self.gc_runs,
             "gc_freed": self.gc_freed,
             "gc_seconds": self.gc_seconds,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .engine import FALSE, TRUE, BddStats
+from repro.bdd.engine import FALSE, TRUE, BddStats
 
 # Sentinel level for terminals: larger than any real variable index.
 _TERMINAL_LEVEL = 1 << 30

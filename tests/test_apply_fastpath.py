@@ -11,11 +11,11 @@ the resulting vec→predicate maps after every block.
 import pytest
 
 from repro.bdd.predicate import PredicateEngine
-from repro.bdd.reference import ReferenceBDD
 from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
 from repro.core.overwrite import Overwrite, atomic, make_delta
 
+from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
 from .test_bdd_split import NUM_VARS, random_pred
 

@@ -7,7 +7,7 @@ reference engine everywhere above the node encoding.  Two checks:
   oracle, produces BDD-equal behavior / reachability / loop predicates
   whether the comparison engine runs on the new
   :class:`~repro.bdd.engine.BDD` or on
-  :class:`~repro.bdd.reference.ReferenceBDD` (cross-engine equality via
+  :class:`tests.bdd_reference.ReferenceBDD` (cross-engine equality via
   structural import into one probe engine);
 * the full differential runner — whose shared comparison engine is the
   new BDD — still reports zero divergences on the corpus, i.e. verdicts
@@ -15,21 +15,22 @@ reference engine everywhere above the node encoding.  Two checks:
 
 The remaining tests pin down the ``import_predicate`` contract: interned
 self-import (no walk, no allocation), unique-table dedup on re-import,
-and iterative traversal for predicates deeper than the recursion limit.
+and chains as deep as the engine's recursion bound admits.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from repro.bdd.engine import max_num_vars
 from repro.bdd.predicate import PredicateEngine
-from repro.bdd.reference import ReferenceBDD
 from repro.difftest import DifferentialRunner
 from repro.difftest.compare import view_from_oracle
 from repro.difftest.corpus import load_scenario
 from repro.difftest.oracle import ReferenceOracle
+
+from .bdd_reference import ReferenceBDD
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 # Plain scenarios only — kind-tagged payloads (chaos, interleave) wrap a
@@ -121,8 +122,15 @@ class TestImportPredicate:
         )
 
     @pytest.mark.parametrize("direction", ["ref_to_new", "new_to_ref"])
-    def test_deep_import_beyond_recursion_limit(self, direction):
-        depth = sys.getrecursionlimit() + 200
+    def test_deep_import_at_recursion_bound(self, direction):
+        """A chain as deep as the engine admits imports both ways.
+
+        The engine's apply recurses one frame per variable, so ``BDD``
+        refuses a ``num_vars`` beyond :func:`max_num_vars` at
+        construction (``test_bdd_invariants.py::TestBounds``); import,
+        node counting and model counting must work right up to it.
+        """
+        depth = max_num_vars()
         if direction == "ref_to_new":
             src = PredicateEngine(depth, bdd=ReferenceBDD(depth))
             dst = PredicateEngine(depth)
@@ -132,13 +140,9 @@ class TestImportPredicate:
         chain = src.cube([(i, bool(i % 2)) for i in range(depth)])
         imported = dst.import_predicate(chain)
         assert imported.node_count() == chain.node_count()
-        if direction == "ref_to_new":  # new engine counts iteratively
-            assert imported.sat_count() == 1
-        # Round-trip back into the source engine: the import walk is
-        # iterative in both directions, and the source can count models
-        # no matter which engine it is backed by only when it is the new
-        # one — the frozen reference counts recursively — so equality of
-        # interned handles is the depth-safe correctness check.
+        assert imported.sat_count() == 1
+        # Round-trip back into the source engine: equality of interned
+        # handles is the correctness check.
         assert src.import_predicate(imported) is chain
 
     def test_import_preserves_function(self):

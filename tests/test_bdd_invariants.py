@@ -1,6 +1,6 @@
-"""Structural and algebraic invariants of the rebuilt BDD engine.
+"""Structural and algebraic invariants of the BDD engine.
 
-Three layers of assurance for :class:`repro.bdd.engine.BDD`:
+Four layers of assurance for :class:`repro.bdd.engine.BDD`:
 
 * **Hash-consing canonicity** — after arbitrary operation streams the
   live node store contains no duplicate ``(var, low, high)`` triples, no
@@ -8,21 +8,25 @@ Three layers of assurance for :class:`repro.bdd.engine.BDD`:
   high edges, and respects the variable order.  With these invariants,
   pointer equality is function equality, which everything above the
   engine (difftest verdicts, predicate dedup) relies on.
-* **ITE algebra** — the single ``ite`` primitive agrees with every
-  derived form and identity the dispatcher special-cases, so no fast
-  path (cube-selector graft included) can drift from the semantics.
+* **ITE algebra** — ``ite`` agrees with every derived form and
+  terminal/absorption identity.
 * **Counting** — ``sat_count`` matches brute-force truth-table counts
-  on small random predicates, and the engine agrees with
-  :class:`~repro.bdd.reference.ReferenceBDD` on random streams.
+  on small random predicates, and the engine agrees with the frozen
+  oracle (:class:`tests.bdd_reference.ReferenceBDD`) on random streams.
+* **Bounds** — the op-cache wipe, the node-table bound and the
+  ``num_vars`` bound each hold and leave every earlier result intact.
 """
 
 import random
 
 import pytest
 
-from repro.bdd.engine import BDD, FALSE, TRUE, _FREE
-from repro.bdd.reference import ReferenceBDD
+from repro.bdd import engine as engine_module
+from repro.bdd import wire
+from repro.bdd.engine import BDD, FALSE, TRUE, _FREE, max_num_vars
+from repro.bdd.predicate import PredicateEngine
 
+from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
 
 
@@ -47,7 +51,7 @@ def random_predicate(eng, rng: random.Random, num_vars: int, ops: int) -> int:
 
 
 def random_prefix_stream(eng, rng: random.Random, num_vars: int, n: int) -> int:
-    """An announce/withdraw ITE stream (drives the cube-graft fast path)."""
+    """An announce/withdraw ITE stream with cube selectors."""
     p = FALSE
     for _ in range(n):
         plen = rng.randint(2, num_vars)
@@ -95,8 +99,8 @@ class TestCanonicity:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_prefix_stream_stays_canonical(self, seed):
-        """The cube-selector graft allocates via inlined probes; make sure
-        the nodes it creates obey the same canonical form as ``_mk``."""
+        """Cube-selector ITE streams (the data-plane update shape) leave
+        the store canonical."""
         rng = case_rng(100 + seed)
         eng = BDD(16)
         random_prefix_stream(eng, rng, 16, 150)
@@ -110,40 +114,6 @@ class TestCanonicity:
         eng.collect()
         assert_canonical(eng)
         eng.unpin(keep)
-
-    @pytest.mark.parametrize("seed", [2, 6, 13, 48])
-    def test_rehash_inside_ite3_general_stays_canonical(self, seed):
-        """Mid-operation unique-table rehashes must not break canonicity.
-
-        A tiny initial table plus periodic collections (which shrink the
-        table back down) force rehashes *inside* ``_ite3_general``'s
-        nested ``_and`` collapses; with stale ``slots``/``mask`` aliases
-        the later combine frames probed the orphaned table and created
-        duplicate ``(var, low, high)`` nodes.  Seeds are pinned to
-        ``random.Random`` directly (not :func:`case_rng`) because these
-        exact streams reproduced the historical stale-alias bug.
-        """
-        rng = random.Random(seed)
-        eng = BDD(16, table_capacity=8)
-        pool = [eng.literal(i, bool(rng.getrandbits(1))) for i in range(16)]
-        for step in range(150):
-            a = rng.choice(pool)
-            b = rng.choice(pool)
-            c = rng.choice(pool)
-            kind = rng.randrange(3)
-            if kind == 0:
-                pool.append(eng.apply_xor(a, b))
-            elif kind == 1:
-                pool.append(eng.ite(a, b, c))
-            else:
-                pool.append(eng.apply_or(a, b))
-            if step % 25 == 24:
-                for p in pool:
-                    eng.pin(p)
-                eng.collect()
-                for p in pool:
-                    eng.unpin(p)
-        assert_canonical(eng)
 
     def test_rebuilding_existing_function_allocates_nothing(self):
         eng = BDD(8)
@@ -194,24 +164,6 @@ class TestIteIdentities:
     def test_ite_selector_complement_symmetry(self, eng, seed):
         f, g, h = self._operands(eng, seed)
         assert eng.ite(f, g, h) == eng.ite(eng.negate(f), h, g)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cube_selector_graft_equals_general_path(self, eng, seed):
-        """ite with a cube selector (the graft fast path) must equal the
-        expanded form computed without any three-operand call."""
-        rng = case_rng(400 + seed)
-        g = random_predicate(eng, rng, 8, 30)
-        h = random_predicate(eng, rng, 8, 30)
-        for plen in (1, 3, 6, 8):
-            cube = eng.cube(
-                [(i, bool(rng.getrandbits(1))) for i in range(plen)]
-            )
-            expected = eng.apply_or(
-                eng.apply_and(cube, g),
-                eng.apply_and(eng.negate(cube), h),
-            )
-            assert eng.ite(cube, g, h) == expected
-            assert eng.ite(eng.negate(cube), g, h) == eng.ite(cube, h, g)
 
 
 class TestNegation:
@@ -308,3 +260,108 @@ class TestAgainstReference:
             assert new.sat_count(u) == ref.sat_count(v)
             for assignment in probes:
                 assert new.evaluate(u, assignment) == ref.evaluate(v, assignment)
+
+
+class TestBounds:
+    def test_cache_wipes_keep_results_and_bound(self, monkeypatch):
+        """With the op-cache bound forced low the wipe runs constantly
+        (and collections recycle node ids in between); every result must
+        still be the oracle's function, and no top-level operation may
+        leave the cache above the bound."""
+        limit = 48
+        monkeypatch.setattr(engine_module, "CACHE_LIMIT", limit)
+        num_vars = 12
+        new = PredicateEngine(num_vars)
+        ref = PredicateEngine(num_vars, bdd=ReferenceBDD(num_vars))
+        rng = case_rng(900)
+        pools = {
+            eng: [eng.variable(i) for i in range(num_vars)]
+            for eng in (new, ref)
+        }
+        for step in range(400):
+            kind = rng.randrange(7)
+            picks = [rng.randrange(1 << 30) for _ in range(3)]
+            literals = [
+                (i, bool(rng.getrandbits(1)))
+                for i in range(rng.randint(1, num_vars))
+            ]
+            for eng, pool in pools.items():
+                a, b, c = (pool[p % len(pool)] for p in picks)
+                if kind == 0:
+                    out = [a & b]
+                elif kind == 1:
+                    out = [a | b]
+                elif kind == 2:
+                    out = [a ^ b]
+                elif kind == 3:
+                    out = [a - b, ~a]
+                elif kind == 4:
+                    out = [eng.ite(a, b, c)]
+                elif kind == 5:
+                    out = list(a.split(b))
+                else:  # the prefix-update shape: ite(cube, ⊤/⊥, old)
+                    cube = eng.cube(literals)
+                    out = [eng.ite(cube, eng.true if step & 1 else eng.false, a)]
+                pool.extend(out)
+                del pool[:-60]  # let older handles die so collect() frees
+            assert new.bdd.cache_size <= limit
+            for u, v in zip(pools[new][-len(out):], pools[ref][-len(out):]):
+                assert new.import_predicate(v) == u, f"step {step}, kind {kind}"
+            if step % 50 == 49:
+                assert new.collect() > 0
+        assert new.bdd.stats.cache_evictions > 20
+        assert_canonical(new.bdd)
+
+    def test_node_bound_raises_and_keeps_earlier_handles(self, monkeypatch):
+        """Allocation past the node bound is a ``MemoryError`` raised
+        before any packed key could alias; everything built before it
+        still denotes the function it denoted."""
+        monkeypatch.setattr(engine_module, "_MAX_NODES", 300)
+        num_vars = 10
+        eng = BDD(num_vars)
+        rng = case_rng(901)
+        probes = [
+            {i: bool(rng.getrandbits(1)) for i in range(num_vars)}
+            for _ in range(48)
+        ]
+
+        def truth(u):
+            return [eng.evaluate(u, probe) for probe in probes]
+
+        made = []
+        with pytest.raises(MemoryError):
+            while True:
+                u = eng.pin(random_predicate(eng, rng, num_vars, 12))
+                made.append((u, truth(u), eng.sat_count(u)))
+        assert len(made) > 5
+        assert eng.num_nodes <= 300
+        assert_canonical(eng)
+        for u, table, count in made:
+            assert truth(u) == table
+            assert eng.sat_count(u) == count
+        # The table is full, not broken: a sweep makes room again.
+        assert eng.collect() > 0
+        assert eng.apply_or(made[0][0], made[-1][0]) != FALSE
+
+    def test_num_vars_is_bounded_by_the_recursion_limit(self):
+        """A variable count the recursive apply could not descend is
+        refused at construction; at the bound itself full-depth
+        operands combine, count and cross the wire format."""
+        depth = max_num_vars()
+        with pytest.raises(ValueError, match="recursion"):
+            BDD(depth + 1)
+        eng = BDD(depth)
+        ones = eng.cube([(i, True) for i in range(depth)])
+        stripes = eng.cube([(i, bool(i % 2)) for i in range(depth)])
+        either = eng.apply_or(ones, stripes)
+        assert eng.sat_count(either) == 2
+        assert eng.apply_split(either, ones) == (ones, stripes)
+        assert eng.apply_xor(either, stripes) == ones
+        assert eng.exists(either, range(depth - 1)) == eng.ith_var(depth - 1)
+        assert eng.restrict(either, {0: True}) == eng.exists(ones, [0])
+        assert sum(1 for _ in eng.iter_cubes(either)) == 2
+        oracle = ReferenceBDD(depth)
+        (mirrored,) = wire.import_blob(oracle, wire.export_blob(eng, [either]))
+        assert wire.import_blob(eng, wire.export_blob(oracle, [mirrored])) == [
+            either
+        ]

@@ -10,8 +10,8 @@ disjointness pruning relies on.
 import pytest
 
 from repro.bdd.predicate import PredicateEngine
-from repro.bdd.reference import ReferenceBDD
 
+from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
 
 NUM_VARS = 12
@@ -93,7 +93,7 @@ def test_split_publishes_engine_stats():
 
 
 def test_split_survives_gc_and_table_rehash():
-    """Stress the inlined unique-table probes across collections."""
+    """Splits stay exact while collections free ids and rebuild the unique table."""
     engine = PredicateEngine(NUM_VARS, gc_threshold=256)
     rng = case_rng(0x519B)
     for round_no in range(40):

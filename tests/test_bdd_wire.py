@@ -11,7 +11,6 @@ import struct
 import pytest
 
 from repro.bdd.predicate import PredicateEngine
-from repro.bdd.reference import ReferenceBDD
 from repro.bdd.wire import (
     DELTA_MAGIC,
     MAGIC,
@@ -23,6 +22,7 @@ from repro.bdd.wire import (
     import_blob,
 )
 
+from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
 from .test_bdd_split import NUM_VARS, fresh_engine, random_pred
 
