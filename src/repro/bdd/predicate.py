@@ -124,10 +124,12 @@ class Predicate:
 class PredicateEngine:
     """Factory and operation accountant for :class:`Predicate` objects.
 
-    This is the BDD implementation of the
-    :class:`~repro.predicates.protocol.PredicateBackend` protocol (and
-    the reference the protocol was written down from); the interval
-    implementation lives in :mod:`repro.predicates.intervals`.
+    Three facts the layers above rely on (``docs/bdd_engine.md``):
+    ``pred.node`` is a canonical id with ``FALSE == 0`` / ``TRUE == 1``,
+    so semantic equality is id equality and dicts key on it; every live
+    handle is a GC root; variable 0 is the header MSB and
+    :meth:`signature` is the 8-variable cofactor-occupancy mask, which
+    composes over ``|``.
 
     Parameters
     ----------
@@ -148,9 +150,6 @@ class PredicateEngine:
         workloads that follow the pinning protocol (hold handles or
         pins, never bare node ids, across counted operations).
     """
-
-    #: Backend protocol identifier (see :mod:`repro.predicates`).
-    backend_name = "bdd"
 
     def __init__(
         self,
@@ -327,10 +326,6 @@ class PredicateEngine:
         """
         if pred.engine is self:
             return self.pred(pred.node)
-        if getattr(pred.engine, "bdd", None) is None:
-            # Non-BDD backend (e.g. intervals): both families speak the
-            # FBW1 wire format, so round-trip through it.
-            return self.import_bytes(pred.engine.export_bytes([pred]))[0]
         if pred.engine.bdd is self.bdd:
             return self.pred(pred.node)
         if pred.engine.num_vars > self.num_vars:
@@ -463,19 +458,8 @@ class PredicateEngine:
         if not preds:
             return []
         src = preds[0].engine
-        src_bdd = getattr(src, "bdd", None)
-        if src_bdd is None:
-            # Non-BDD backend: one wire blob for the whole set when the
-            # sources agree, per-predicate import otherwise.
-            if all(p.engine is src for p in preds):
-                if src.num_vars > self.num_vars:
-                    raise ValueError(
-                        f"cannot import predicates over {src.num_vars} vars "
-                        f"into an engine with {self.num_vars}"
-                    )
-                return self.import_bytes(src.export_bytes(preds))
-            return [self.import_predicate(p) for p in preds]
-        if all(getattr(p.engine, "bdd", None) is src_bdd for p in preds):
+        src_bdd = src.bdd
+        if all(p.engine.bdd is src_bdd for p in preds):
             if src_bdd is self.bdd:
                 return [self.pred(p.node) for p in preds]
             if src.num_vars > self.num_vars:

@@ -58,7 +58,6 @@ class SubspaceVerifier:
         telemetry: Optional[Telemetry] = None,
         validation: str = "strict",
         recovery: bool = False,
-        backend: str = "bdd",
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -74,7 +73,6 @@ class SubspaceVerifier:
                 telemetry=telemetry,
                 validation=validation,
                 recovery=recovery,
-                backend=backend,
             )
         self.manager = manager
         self.telemetry = (

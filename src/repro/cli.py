@@ -110,17 +110,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     reports = []
     if args.engine == "flash":
-        from .predicates import resolve_backend
-
-        backend = resolve_backend(
-            args.backend, updates, layout, telemetry.registry
-        )
-        if args.backend == "auto":
-            print(f"backend: auto -> {backend}")
-        flash = Flash(
-            topo, layout, check_loops=True, telemetry=telemetry,
-            backend=backend,
-        )
+        flash = Flash(topo, layout, check_loops=True, telemetry=telemetry)
         flash.verify_offline(updates)
         elapsed = time.perf_counter() - start
         reports = flash.deterministic_reports()
@@ -220,10 +210,7 @@ def _fuzz_runners(args, telemetry) -> List:
 
         return [("interleave", runner, save_interleave)]
     if not args.chaos:
-        backends = ("bdd",)
-        if args.backend != "bdd":
-            backends = ("bdd", args.backend)
-        runner = DifferentialRunner(telemetry=telemetry, backends=backends)
+        runner = DifferentialRunner(telemetry=telemetry)
 
         def save_diff(shrunk, directory, result=None):
             return save_scenario(shrunk, directory)
@@ -448,11 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="flash", choices=["flash", "apkeep", "deltanet"]
     )
     ver.add_argument(
-        "--backend", default="bdd", choices=["bdd", "intervals", "auto"],
-        help="predicate representation for the flash engine; 'auto' "
-        "profiles the trace through the cost model (repro.predicates)",
-    )
-    ver.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
         help="append metric/span/report records to a JSON-lines file",
     )
@@ -473,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=1234)
     fuzz.add_argument("--iterations", type=int, default=50)
     fuzz.add_argument("--profile", default="smoke", choices=["smoke", "deep"])
-    fuzz.add_argument(
-        "--backend", default="bdd", choices=["bdd", "intervals", "auto"],
-        help="diff mode: also sweep flash engines on this predicate "
-        "backend (cross-checked against the bdd rows and the oracle)",
-    )
     fuzz.add_argument(
         "--chaos", action="store_true",
         help="inject faults and assert supervised ingestion still "
@@ -576,7 +553,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # OSError: an input or output path that cannot be opened.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

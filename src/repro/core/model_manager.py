@@ -221,24 +221,13 @@ class ModelWriter:
         validation: Union[str, QuarantinePolicy] = QuarantinePolicy.STRICT,
         epoch_gate: Optional[EpochGate] = None,
         recovery: bool = False,
-        backend: str = "bdd",
     ) -> None:
         self.layout = layout
-        self.backend = backend
         if engine is None:
             # Share the system's registry (when given) so every manager's
-            # predicate op counts land in one snapshot.  ``backend``
-            # names a concrete repro.predicates representation; callers
-            # resolve "auto" before construction.
+            # predicate op counts land in one snapshot.
             registry = telemetry.registry if telemetry is not None else None
-            if backend == "bdd":
-                engine = PredicateEngine(layout.total_bits, registry=registry)
-            else:
-                from ..predicates import make_backend
-
-                engine = make_backend(
-                    backend, layout.total_bits, registry=registry
-                )
+            engine = PredicateEngine(layout.total_bits, registry=registry)
         self.engine = engine
         if telemetry is None:
             telemetry = Telemetry(registry=self.engine.registry)

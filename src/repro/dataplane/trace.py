@@ -13,6 +13,7 @@ import json
 import random
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from ..errors import DataPlaneError
 from ..headerspace.match import Match, Pattern
 from .rule import Rule
 from .update import RuleUpdate, UpdateOp, delete, insert
@@ -129,8 +130,26 @@ def write_trace(path: str, updates: Iterable[RuleUpdate]) -> int:
 
 
 def read_trace(path: str) -> Iterator[RuleUpdate]:
+    """Yield the updates of a JSON-lines trace file.
+
+    A line that is not a well-formed update raises
+    :class:`~repro.errors.DataPlaneError` naming ``path:lineno``.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield update_from_json(line)
+        try:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    update = update_from_json(line)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise DataPlaneError(
+                        f"{path}:{lineno}: malformed update "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from exc
+                yield update
+        except UnicodeDecodeError as exc:
+            # Raised by the file iterator, a buffer at a time: the byte
+            # offset in ``exc`` locates it, a line number would not.
+            raise DataPlaneError(f"{path}: not UTF-8 text: {exc}") from exc

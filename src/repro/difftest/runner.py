@@ -44,29 +44,6 @@ FLASH_ENGINES = ("flash-batch", "flash-incr")
 MODEL_ENGINES = FLASH_ENGINES + ("deltanet", "apkeep")
 ALL_ENGINES = MODEL_ENGINES + ("oracle",)
 
-#: Predicate backends the runner can sweep.  An engine row named
-#: ``flash-batch@intervals`` replays the Flash facade with that
-#: repro.predicates backend; ``@auto`` resolves through the cost-model
-#: selector per scenario.  The default sweep stays BDD-only so the CI
-#: fuzz gate's cost is unchanged; ``repro fuzz --backend`` widens it.
-SWEEP_BACKENDS = ("bdd", "intervals", "auto")
-
-
-def engine_rows(backends=("bdd",)):
-    """All engine row names for one differential run.
-
-    Backend rows pair every Flash engine with every non-default backend,
-    mirroring how the engine dimension itself is swept; each row is
-    diffed against the oracle hub, so any backend pairing that disagrees
-    is reported as a divergence naming the odd one out.
-    """
-    rows = list(ALL_ENGINES)
-    for backend in backends:
-        if backend == "bdd":
-            continue
-        rows.extend(f"{engine}@{backend}" for engine in FLASH_ENGINES)
-    return rows
-
 
 @dataclass
 class Divergence:
@@ -127,8 +104,6 @@ class _EngineRun:
     verdicts: Dict[str, Verdict] = field(default_factory=dict)
     loop_verdict: Optional[Verdict] = None
     error: Optional[str] = None
-    #: Concrete backend an ``@auto`` row resolved to (stats only).
-    backend: Optional[str] = None
 
 
 def derive_verdicts(
@@ -159,18 +134,8 @@ def derive_verdicts(
 class DifferentialRunner:
     """Replays scenarios through all engines and diffs the results."""
 
-    def __init__(
-        self,
-        telemetry: Optional[Telemetry] = None,
-        backends: Tuple[str, ...] = ("bdd",),
-    ) -> None:
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        for backend in backends:
-            if backend not in SWEEP_BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; pick from {SWEEP_BACKENDS}"
-                )
-        self.backends = tuple(backends)
 
     # ------------------------------------------------------------------
     def run(self, scenario: Scenario) -> DiffResult:
@@ -192,12 +157,11 @@ class DifferentialRunner:
         requirements = scenario.build_requirements(topology, layout)
 
         runs: Dict[str, _EngineRun] = {}
-        rows = engine_rows(self.backends)
-        for name in rows:
+        for name in ALL_ENGINES:
             run = _EngineRun(name)
             runs[name] = run
             try:
-                if name.partition("@")[0] in FLASH_ENGINES:
+                if name in FLASH_ENGINES:
                     self._run_flash(
                         name, scenario, topology, layout, switches,
                         comparison, requirements, run,
@@ -227,9 +191,6 @@ class DifferentialRunner:
         result.stats["classes"] = {
             n: len(r.view.entries) for n, r in runs.items() if r.view is not None
         }
-        resolved = {n: r.backend for n, r in runs.items() if r.backend}
-        if resolved:
-            result.stats["backends"] = resolved
 
         # Derived verdicts for the engines that have no checker of their own.
         for name in ("deltanet", "apkeep", "oracle"):
@@ -240,14 +201,13 @@ class DifferentialRunner:
                 run.view, topology, compiler, requirements
             )
 
-        model_rows = [n for n in rows if n != "oracle"]
-        for name in model_rows:
+        for name in MODEL_ENGINES:
             run = runs[name]
             if run.view is None:
                 continue
             self._diff_views(topology, layout, switches, run, reference, result)
 
-        self._diff_verdicts(scenario, requirements, runs, model_rows, result)
+        self._diff_verdicts(scenario, requirements, runs, result)
 
         # Sweep the shared comparison engine once the diffing is done:
         # every view/verdict predicate is still held by a handle, so
@@ -273,23 +233,13 @@ class DifferentialRunner:
         requirements,
         run: _EngineRun,
     ) -> None:
-        engine_name, _, backend = name.partition("@")
-        backend = backend or "bdd"
-        if backend == "auto":
-            from ..predicates import resolve_backend
-
-            backend = resolve_backend(
-                "auto", scenario.updates, layout, self.telemetry.registry
-            )
-            run.backend = backend
         flash = Flash(
             topology,
             layout,
             requirements=requirements,
             check_loops=True,
-            block_threshold=1 if engine_name == "flash-incr" else None,
+            block_threshold=1 if name == "flash-incr" else None,
             telemetry=Telemetry(registry=self.telemetry.registry),
-            backend=backend,
         )
         per_device: Dict[int, List] = {d: [] for d in switches}
         for update in scenario.updates:
@@ -324,12 +274,11 @@ class DifferentialRunner:
         scenario: Scenario,
         requirements,
         runs: Dict[str, _EngineRun],
-        model_rows: List[str],
         result: DiffResult,
     ) -> None:
         reference = runs["oracle"]
         if reference.loop_verdict is not None:
-            for name in model_rows:
+            for name in MODEL_ENGINES:
                 run = runs[name]
                 if run.error is not None:
                     continue
@@ -346,7 +295,7 @@ class DifferentialRunner:
             expected = reference.verdicts.get(req.name)
             if expected is None:
                 continue
-            for name in model_rows:
+            for name in MODEL_ENGINES:
                 run = runs[name]
                 if run.error is not None:
                     continue

@@ -99,7 +99,6 @@ class EpochGroupVerifier:
         block_threshold: Optional[int] = None,
         validation: str = "strict",
         recovery: bool = False,
-        backend: str = "bdd",
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -122,7 +121,6 @@ class EpochGroupVerifier:
                     telemetry=telemetry,
                     validation=validation,
                     recovery=recovery,
-                    backend=backend,
                 )
             )
             self._subspaces.append(None)
@@ -147,7 +145,6 @@ class EpochGroupVerifier:
                     telemetry=telemetry,
                     validation=validation,
                     recovery=recovery,
-                    backend=backend,
                 )
                 self.members.append(verifier)
                 self._subspaces.append(subspace)
@@ -219,7 +216,6 @@ class Flash:
         telemetry: Optional[Union[Telemetry, TelemetryConfig]] = None,
         validation: str = "strict",
         recovery: bool = False,
-        backend: str = "bdd",
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -235,11 +231,6 @@ class Flash:
         # verifier's ModelWriter (repro.resilience).
         self.validation = validation
         self.recovery = recovery
-        # Predicate representation for every subspace verifier: a
-        # concrete repro.predicates backend name ("auto" must be
-        # resolved by the caller, e.g. the CLI, which has the update
-        # stream to profile).
-        self.backend = backend
         if telemetry is None:
             telemetry = Telemetry()
         elif isinstance(telemetry, TelemetryConfig):
@@ -264,7 +255,6 @@ class Flash:
             block_threshold=self.block_threshold,
             validation=self.validation,
             recovery=self.recovery,
-            backend=self.backend,
         )
 
     # -- online ingestion (Figure 1 steps 2-8) -----------------------------

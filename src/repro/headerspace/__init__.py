@@ -1,4 +1,4 @@
-"""Header-space substrate: layouts, matches and interval algebra."""
+"""Header-space substrate: layouts, matches and interval sets."""
 
 from .format import cube_to_fields, format_predicate, iter_predicate_cubes
 from .fields import (

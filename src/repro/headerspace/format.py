@@ -33,10 +33,7 @@ def iter_predicate_cubes(
     pred: Predicate, layout: HeaderLayout, limit: int = 64
 ) -> Iterator[Dict[str, str]]:
     """The predicate's DNF cover as per-field ternary strings (capped)."""
-    # The interval backend exposes iter_cubes directly; the BDD backend
-    # through its node store.  Either way the cover is disjoint.
-    store = getattr(pred.engine, "bdd", pred.engine)
-    for count, cube in enumerate(store.iter_cubes(pred.node)):
+    for count, cube in enumerate(pred.engine.bdd.iter_cubes(pred.node)):
         if count >= limit:
             return
         yield cube_to_fields(cube, layout)

@@ -15,10 +15,6 @@ from typing import Iterable, Iterator, List, Tuple
 
 Interval = Tuple[int, int]
 
-#: Sorts after any real interval start — lets ``bisect_right`` locate
-#: positions in a tuple-of-pairs without a ``key=`` (Python 3.9 safe).
-_INF = float("inf")
-
 
 def _normalise(intervals: Iterable[Interval]) -> List[Interval]:
     items = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
@@ -41,18 +37,6 @@ class IntervalSet:
         self.intervals: Tuple[Interval, ...] = tuple(_normalise(intervals))
 
     # -- constructors ----------------------------------------------------
-    @classmethod
-    def _from_normalised(cls, intervals: List[Interval]) -> "IntervalSet":
-        """Wrap a list already sorted, disjoint and maximal — no re-sort.
-
-        The algebra below only ever produces normalised output, so this
-        keeps union/intersection/difference linear instead of paying an
-        O(n log n) re-normalise per operation.
-        """
-        out = cls.__new__(cls)
-        out.intervals = tuple(intervals)
-        return out
-
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
@@ -86,101 +70,10 @@ class IntervalSet:
         idx = bisect_right(los, point) - 1
         return idx >= 0 and self.intervals[idx][1] >= point
 
-    def covers(self, other: "IntervalSet") -> bool:
-        return other.difference(self).is_empty
-
     def sample(self) -> int:
         if self.is_empty:
             raise ValueError("cannot sample an empty interval set")
         return self.intervals[0][0]
-
-    # -- algebra ---------------------------------------------------------
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self.intervals, other.intervals
-        if not a:
-            return other
-        if not b:
-            return self
-        if len(b) > len(a):
-            a, b = b, a
-        # Accumulation fast path (the FIB-insert shape: one cube into a
-        # large covered set): splice each small-side interval into a
-        # list copy of the large side — bisect to find the overlap
-        # window, one C-speed slice assignment to coalesce it.
-        if len(b) * 8 <= len(a):
-            items = list(a)
-            for lo, hi in b:
-                start = bisect_right(items, (lo - 1, _INF))
-                if start and items[start - 1][1] >= lo - 1:
-                    start -= 1
-                end = start
-                n = len(items)
-                while end < n and items[end][0] <= hi + 1:
-                    end += 1
-                if start < end:
-                    lo = min(lo, items[start][0])
-                    hi = max(hi, items[end - 1][1])
-                items[start:end] = [(lo, hi)]
-            return IntervalSet._from_normalised(items)
-        merged: List[Interval] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na or j < nb:
-            if j >= nb or (i < na and a[i][0] <= b[j][0]):
-                lo, hi = a[i]
-                i += 1
-            else:
-                lo, hi = b[j]
-                j += 1
-            if merged and lo <= merged[-1][1] + 1:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return IntervalSet._from_normalised(merged)
-
-    def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        result: List[Interval] = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                result.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        # Pieces inherit sortedness from the operands and stay separated
-        # by at least one uncovered point (both inputs are maximal).
-        return IntervalSet._from_normalised(result)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        result: List[Interval] = []
-        b = other.intervals
-        for lo, hi in self.intervals:
-            cur = lo
-            # First b interval whose end can reach cur: the one holding
-            # cur if any, else the first starting beyond it.
-            j = bisect_right(b, (cur, _INF))
-            if j and b[j - 1][1] >= cur:
-                j -= 1
-            k = j
-            while k < len(b) and b[k][0] <= hi:
-                blo, bhi = b[k]
-                if blo > cur:
-                    result.append((cur, blo - 1))
-                cur = max(cur, bhi + 1)
-                if cur > hi:
-                    break
-                k += 1
-            if cur <= hi:
-                result.append((cur, hi))
-        return IntervalSet._from_normalised(result)
-
-    def complement(self, universe_size: int) -> "IntervalSet":
-        return IntervalSet.universe(universe_size).difference(self)
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:

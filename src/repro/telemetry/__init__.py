@@ -34,7 +34,7 @@ from .registry import (
     MetricsRegistry,
 )
 from .tracer import Span, Stopwatch, Tracer
-from .views import BddEngineStats, OpMetrics, OpSnapshot, PhaseBreakdown
+from .views import OpMetrics, OpSnapshot, PhaseBreakdown
 
 __all__ = [
     "DISABLED",
@@ -52,7 +52,6 @@ __all__ = [
     "Span",
     "Stopwatch",
     "Tracer",
-    "BddEngineStats",
     "OpMetrics",
     "OpSnapshot",
     "PhaseBreakdown",

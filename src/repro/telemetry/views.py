@@ -9,11 +9,7 @@ consume:
 * :class:`PhaseBreakdown` — the Figure 11 MR2 phase decomposition,
   reimplemented as a snapshot over the ``span.mr2.*`` counters recorded
   by :class:`~repro.core.mr2.Mr2Pipeline` (it remains constructible by
-  hand for tests and merging);
-* :class:`BddEngineStats` — the BDD engine health view over the
-  ``bdd.*`` gauges a :class:`~repro.bdd.predicate.PredicateEngine`
-  publishes (op-cache effectiveness, node and unique-table sizes, GC
-  activity).
+  hand for tests and merging).
 """
 
 from __future__ import annotations
@@ -208,76 +204,4 @@ class PhaseBreakdown:
             "updates": self.updates,
             "atomic_overwrites": self.atomic_overwrites,
             "aggregated_overwrites": self.aggregated_overwrites,
-        }
-
-
-@dataclass
-class BddEngineStats:
-    """Engine-health snapshot over the ``bdd.*`` gauges.
-
-    Populated from any registry a :class:`~repro.bdd.predicate.
-    PredicateEngine` publishes into (the publish happens in a snapshot
-    collector, so call :meth:`from_registry` *after*
-    ``registry.snapshot()`` or pass a registry and let this view trigger
-    the collectors itself).  An engine wrapping a node store without an
-    op cache or collector (the tests' reference oracle) leaves those
-    fields zero.
-    """
-
-    ite_calls: int = 0
-    apply_calls: int = 0
-    split_calls: int = 0
-    cache_hits: int = 0
-    cache_lookups: int = 0
-    cache_evictions: int = 0
-    cache_size: int = 0
-    cache_limit: int = 0
-    live_nodes: int = 0
-    allocated_nodes: int = 0
-    unique_used: int = 0
-    gc_runs: int = 0
-    gc_freed: int = 0
-    gc_seconds: float = 0.0
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "BddEngineStats":
-        registry.collect()  # run publishers so the gauges are current
-        return cls(
-            ite_calls=int(registry.value("bdd.ite.calls")),
-            apply_calls=int(registry.value("bdd.apply.calls")),
-            split_calls=int(registry.value("bdd.split.calls")),
-            cache_hits=int(registry.value("bdd.cache.hits")),
-            cache_lookups=int(registry.value("bdd.cache.lookups")),
-            cache_evictions=int(registry.value("bdd.cache.evictions")),
-            cache_size=int(registry.value("bdd.cache.size")),
-            cache_limit=int(registry.value("bdd.cache.limit")),
-            live_nodes=int(registry.value("bdd.nodes")),
-            allocated_nodes=int(registry.value("bdd.nodes.allocated")),
-            unique_used=int(registry.value("bdd.unique.size")),
-            gc_runs=int(registry.value("bdd.gc.runs")),
-            gc_freed=int(registry.value("bdd.gc.freed")),
-            gc_seconds=registry.value("bdd.gc.seconds"),
-        )
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "ite_calls": self.ite_calls,
-            "apply_calls": self.apply_calls,
-            "split_calls": self.split_calls,
-            "cache_hits": self.cache_hits,
-            "cache_lookups": self.cache_lookups,
-            "cache_evictions": self.cache_evictions,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_size": self.cache_size,
-            "cache_limit": self.cache_limit,
-            "live_nodes": self.live_nodes,
-            "allocated_nodes": self.allocated_nodes,
-            "unique_used": self.unique_used,
-            "gc_runs": self.gc_runs,
-            "gc_freed": self.gc_freed,
-            "gc_seconds": self.gc_seconds,
         }

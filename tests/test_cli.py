@@ -125,3 +125,74 @@ class TestAnalyze:
         ) == 0
         out = capsys.readouterr().out
         assert "blackholes" in out
+
+
+GOOD_LINE = (
+    '{"op":"insert","device":0,"priority":1,'
+    '"match":{"dst":[[8,12]]},"action":1,"epoch":null}'
+)
+
+BAD_LINES = {
+    "bad-json": '{"bad json',
+    "missing-match": '{"op":"insert","device":0,"priority":1,"action":1}',
+    "missing-op": '{"device":0,"priority":1,"match":{"dst":[[8,12]]},"action":1}',
+    "unknown-op": GOOD_LINE.replace("insert", "upsert"),
+    "non-object": "[1, 2, 3]",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+class TestBadTraceInput:
+    """A trace is input from outside the program: one ``error:`` line and
+    exit 2, like every other ReproError — never a traceback."""
+
+    def run(self, command, trace, capsys):
+        code = main([command, "--topology", "internet2", "--trace", str(trace)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LINES))
+    def test_malformed_line_names_file_and_line(
+        self, command, bad, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(GOOD_LINE + "\n\n" + BAD_LINES[bad] + "\n")
+        assert f"{trace}:3: " in self.run(command, trace, capsys)
+
+    def test_missing_trace_names_the_file(self, command, tmp_path, capsys):
+        trace = tmp_path / "nonexistent.jsonl"
+        assert str(trace) in self.run(command, trace, capsys)
+
+    def test_binary_trace_names_the_file(self, command, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(GOOD_LINE.encode() + b"\n\xff\xfe\n")
+        assert str(trace) in self.run(command, trace, capsys)
+
+
+class TestBackendFlagIsGone:
+    """``--backend`` selected a predicate representation; there is one.
+    Argparse rejects it before a trace is read or a scenario generated
+    (with ``--chaos`` / ``--interleave`` it used to be accepted and
+    silently ignored)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--trace", "t.jsonl", "--backend", "bdd"],
+            ["fuzz", "--backend", "intervals"],
+            ["fuzz", "--chaos", "--backend", "intervals"],
+            ["fuzz", "--interleave", "--backend", "intervals"],
+        ],
+        ids=["verify", "fuzz", "fuzz-chaos", "fuzz-interleave"],
+    )
+    def test_backend_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --backend" in captured.err
+        assert captured.out == ""

@@ -1,4 +1,4 @@
-"""Tests for header layouts, matches and the interval algebra."""
+"""Tests for header layouts, matches and interval sets."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +14,6 @@ from repro.headerspace.fields import (
 )
 from repro.headerspace.intervals import IntervalSet, ternary_to_intervals
 from repro.headerspace.match import Match, MatchCompiler, Pattern
-
-WIDTH = 8
-UNIVERSE = 1 << WIDTH
-
-interval_sets = st.lists(
-    st.tuples(st.integers(0, UNIVERSE - 1), st.integers(0, UNIVERSE - 1)).map(
-        lambda t: (min(t), max(t))
-    ),
-    max_size=5,
-).map(IntervalSet)
 
 
 def as_set(iset):
@@ -92,27 +82,6 @@ class TestIntervalSet:
         assert s.contains(8)
         assert not s.contains(5)
         assert not s.contains(9)
-
-    @given(interval_sets, interval_sets)
-    @settings(max_examples=60, deadline=None)
-    def test_algebra_matches_sets(self, a, b):
-        sa, sb = as_set(a), as_set(b)
-        assert as_set(a.union(b)) == sa | sb
-        assert as_set(a.intersection(b)) == sa & sb
-        assert as_set(a.difference(b)) == sa - sb
-
-    @given(interval_sets)
-    @settings(max_examples=40, deadline=None)
-    def test_complement(self, a):
-        comp = a.complement(UNIVERSE)
-        assert as_set(comp) == set(range(UNIVERSE)) - as_set(a)
-        assert a.union(comp) == IntervalSet.universe(UNIVERSE)
-
-    def test_covers(self):
-        outer = IntervalSet([(0, 10)])
-        inner = IntervalSet([(2, 5), (7, 9)])
-        assert outer.covers(inner)
-        assert not inner.covers(outer)
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
