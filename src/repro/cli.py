@@ -391,19 +391,49 @@ def cmd_serve(args) -> int:
         f"{result.cache_hit_rate:.2f}; backpressure rejections "
         f"{result.rejected}"
     )
+    for d in result.divergences[:5]:
+        print(f"DIVERGENCE: {d}", file=sys.stderr)
+    # The invariants that transfer across hardware; CI gates on this
+    # exit status once per isolation mode.
+    expected = workload.clients * workload.queries_per_client
+    broken = []
     if result.divergences:
-        for d in result.divergences[:5]:
-            print(f"DIVERGENCE: {d}", file=sys.stderr)
-        print(
+        broken.append(
             f"{len(result.divergences)} answers diverged from the batch "
-            "oracle",
-            file=sys.stderr,
+            "oracle"
         )
+    if result.ingest_failures:
+        broken.append(
+            f"{result.ingest_failures} ingest batches failed to apply"
+        )
+    if result.queries != expected:
+        broken.append(f"served {result.queries} of {expected} queries")
+    if result.final_epoch < 2:
+        broken.append(
+            f"only {result.final_epoch} epochs: the storm never advanced "
+            "the model"
+        )
+    if broken:
+        for line in broken:
+            print(line, file=sys.stderr)
         return 1
     print("every served answer equals the batch oracle at its pinned epoch")
     if args.telemetry:
         _export_telemetry(args.telemetry, telemetry, "serve")
     return 0
+
+
+def _positive(number):
+    """An argparse ``type`` accepting only ``number`` values above zero."""
+
+    def parse(text: str):
+        value = number(text)  # ValueError is argparse's "invalid value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = f"positive {number.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,12 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
         "into one long-lived read engine, or readers sharing the "
         "writer's engine behind one lock",
     )
-    srv.add_argument("--workers", type=int, default=4,
+    srv.add_argument("--workers", type=_positive(int), default=4,
                      help="query thread-pool size")
-    srv.add_argument("--queue-size", type=int, default=8, dest="queue_size",
+    srv.add_argument("--queue-size", type=_positive(int), default=8,
+                     dest="queue_size",
                      help="ingest queue bound (backpressure threshold)")
     srv.add_argument(
-        "--query-deadline", type=float, default=None, dest="query_deadline",
+        "--query-deadline", type=_positive(float), default=None,
+        dest="query_deadline",
         metavar="SECONDS",
         help="per-query evaluation deadline; an overrunning query raises "
         "QueryTimeoutError and frees its worker thread",

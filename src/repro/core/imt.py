@@ -109,7 +109,6 @@ def calculate_atomic_overwrites(
     new_rules: Sequence[Rule],
     rdiff_indices: Sequence[int],
     compiler: MatchCompiler,
-    emit_noop: bool = False,
 ) -> List[Overwrite]:
     """Compute the atomic overwrites for the expanding rules (Alg. 1, L29-44).
 
@@ -117,17 +116,11 @@ def calculate_atomic_overwrites(
     higher-precedence matches, so the whole block costs O(T + K) predicate
     operations.
 
-    Parameters
-    ----------
-    emit_noop:
-        When true, also emit the complementary "no-update" overwrite
-        ``(p_c, ∅)`` of Alg. 1 L41-43, making the returned set a partition
-        of the header space (used by the formal-theory tests).  Application
-        treats the complement implicitly, so the default skips it.
+    The complementary "no-update" overwrite ``(p_c, ∅)`` of Alg. 1 L41-43
+    is not emitted: application treats the complement implicitly.
     """
     engine = compiler.engine
     accumulated = engine.false  # ∨ of matches with higher precedence
-    complement = engine.true if emit_noop else None
     overwrites: List[Overwrite] = []
     j = 0
     for idx in rdiff_indices:
@@ -136,12 +129,8 @@ def calculate_atomic_overwrites(
             j += 1
         rule = new_rules[idx]
         effective = compiler.compile(rule.match) - accumulated
-        if emit_noop:
-            complement = complement & ~effective
         if not effective.is_false:
             overwrites.append(atomic(effective, device, rule.action))
-    if emit_noop and complement is not None and not complement.is_false:
-        overwrites.append(Overwrite(complement, ()))
     return overwrites
 
 

@@ -51,16 +51,11 @@ class InverseModel:
         devices: Sequence[int],
         default_action: Action = DROP,
         universe: Optional[Predicate] = None,
-        fast_apply: bool = True,
     ) -> None:
         self.engine = engine
         self.store = store
         self.devices = list(devices)
         self.universe = engine.true if universe is None else universe
-        #: Route block application through the support-pruned single-
-        #: traversal path; ``False`` selects the retained reference
-        #: cross product (used by the equivalence tests and benchmarks).
-        self.fast_apply = fast_apply
         initial_vector = store.uniform(self.devices, default_action)
         self._entries: Dict[VecId, Predicate] = {}
         if not self.universe.is_false:
@@ -118,13 +113,7 @@ class InverseModel:
           pair computes its intersect/remainder halves in one
           :meth:`Predicate.split` traversal instead of two applies and
           is merged into the next bucket at once.
-
-        Set ``fast_apply=False`` to run the historical cross product;
-        both produce the same model (the property tests hold them
-        equal).
         """
-        if not self.fast_apply:
-            return self.apply_overwrites_reference(overwrites)
         ows = [
             ow
             for ow in overwrites
@@ -190,39 +179,6 @@ class InverseModel:
             for vec, (pred, origin, _) in work.items()
         ]
 
-    def apply_overwrites_reference(
-        self, overwrites: Iterable[Overwrite]
-    ) -> List[EcDelta]:
-        """The historical per-overwrite cross product, kept verbatim.
-
-        Semantic baseline for the fast path: no support pruning, and
-        separate ``&``/``-`` traversals per (EC, overwrite) pair.
-        """
-        work: Dict[VecId, Tuple[Predicate, int]] = {
-            vec: (pred, pred.node) for vec, pred in self._entries.items()
-        }
-        for ow in overwrites:
-            if ow.predicate.is_false or ow.is_noop:
-                continue
-            delta = ow.delta_dict()
-            next_work: Dict[VecId, Tuple[Predicate, int]] = {}
-            for vec, (pred, origin) in work.items():
-                inter = pred & ow.predicate
-                if inter.is_false:
-                    self._merge_reference(next_work, vec, pred, origin)
-                    continue
-                rest = pred - ow.predicate
-                if not rest.is_false:
-                    self._merge_reference(next_work, vec, rest, origin)
-                new_vec = self.store.overwrite(vec, delta)
-                self._merge_reference(next_work, new_vec, inter, origin)
-            work = next_work
-        self._entries = {vec: pred for vec, (pred, _) in work.items()}
-        return [
-            EcDelta(predicate=pred, vector=vec, origin=origin)
-            for vec, (pred, origin) in work.items()
-        ]
-
     @staticmethod
     def _merge(
         bucket: Dict[VecId, Tuple[Predicate, int, int]],
@@ -241,19 +197,6 @@ class InverseModel:
             bucket[vec] = (pred, origin, sig)
         else:
             bucket[vec] = (existing[0] | pred, existing[1], existing[2] | sig)
-
-    @staticmethod
-    def _merge_reference(
-        bucket: Dict[VecId, Tuple[Predicate, int]],
-        vec: VecId,
-        pred: Predicate,
-        origin: int,
-    ) -> None:
-        existing = bucket.get(vec)
-        if existing is None:
-            bucket[vec] = (pred, origin)
-        else:
-            bucket[vec] = (existing[0] | pred, existing[1])
 
     # -- verification of Definition 6 ------------------------------------------
     def check_invariants(self) -> None:

@@ -198,6 +198,7 @@ class ChaosRunner:
                 manager = self._supervised_manager(scenario, switches, layout, policy)
                 manager.submit(faulty)
                 manager.flush()
+                manager.model.check_invariants()
                 run.view = view_from_inverse_model(
                     name, comparison, manager.model, switches
                 )

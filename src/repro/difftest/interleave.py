@@ -717,6 +717,7 @@ class InterleaveRunner:
         )
         manager.submit(prefix)
         manager.flush()
+        manager.model.check_invariants()
         spaces = [
             manager.compiler.compile(req.packet_space)
             for req in requirements
@@ -731,6 +732,7 @@ class InterleaveRunner:
         for si, index in enumerate(order):
             manager.submit([block[index]])
             manager.flush()
+            manager.model.check_invariants()
             got = model_step_verdicts(
                 manager.model, topology, requirements, spaces
             )

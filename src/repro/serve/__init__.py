@@ -20,10 +20,10 @@ Quick tour::
         r = daemon.ask(ReachabilityQuery(source=0))
         print(r.answer.holds, r.epoch, r.cached)
 
-Consistency contract (proved continuously by ``repro.serve.load`` and
-gated in CI by ``bench_serve --check``): an answer pinned at serve
-epoch ``N`` equals the batch oracle's answer after replaying exactly
-the first ``N`` batches.  See ``docs/serve.md``.
+Consistency contract (proved continuously by ``repro.serve.load``,
+which CI runs as ``repro serve --quick`` once per isolation mode): an
+answer pinned at serve epoch ``N`` equals the batch oracle's answer
+after replaying exactly the first ``N`` batches.  See ``docs/serve.md``.
 """
 
 from ..errors import QueryTimeoutError

@@ -21,8 +21,8 @@
 Consistency contract: a query is answered entirely against the snapshot
 it pinned (serve epoch ``N`` = the model after exactly the first ``N``
 ingested batches), so its answer equals the batch oracle's answer at
-``N`` — the invariant ``repro.serve.load`` and ``bench_serve`` assert
-for every mid-storm query.  See ``docs/serve.md``.
+``N`` — the invariant ``repro.serve.load`` asserts for every mid-storm
+query.  See ``docs/serve.md``.
 """
 
 from __future__ import annotations
@@ -116,6 +116,11 @@ class ServeDaemon:
             raise ValueError(f"unknown isolation mode {isolation!r}")
         if query_deadline is not None and query_deadline <= 0:
             raise ValueError("query_deadline must be positive seconds")
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        if queue_size < 1:
+            # queue.Queue(maxsize=0) is unbounded: no backpressure.
+            raise ValueError("queue_size must be at least 1")
         self.query_deadline = query_deadline
         self.topology = topology
         self.layout = layout

@@ -1,7 +1,7 @@
 """Load generation and mid-storm oracle checking for the daemon.
 
-One shared harness behind ``repro serve`` (CLI demo) and
-``benchmarks/bench_serve.py`` (regression gate): N query clients hammer
+The harness behind ``repro serve`` (CLI demo and CI consistency gate)
+and ``tests/test_serve.py::TestMidStormOracle``: N query clients hammer
 a :class:`~repro.serve.daemon.ServeDaemon` while one storm thread feeds
 it churn batches, and afterwards **every** served answer is re-derived
 from a batch oracle — a plain :class:`~repro.core.model_manager.
@@ -18,7 +18,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.model_manager import FrozenReadView, ModelWriter
 from ..dataplane.rule import Rule
@@ -63,7 +63,7 @@ def _churn_blocks(
     inserts_per_block: int,
     overlay_cap: int,
 ) -> List[List[RuleUpdate]]:
-    """Valid install-and-withdraw churn (the bench_e2e shape)."""
+    """Valid install-and-withdraw churn (the ledger's ``churn`` shape)."""
     width = layout.field("dst").width
     installed: List[Tuple[int, Rule]] = []
     blocks: List[List[RuleUpdate]] = []
@@ -193,25 +193,6 @@ class LoadResult:
     @property
     def ok(self) -> bool:
         return not self.divergences and self.ingest_failures == 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "queries": self.queries,
-            "wall_seconds": self.wall_seconds,
-            "qps": self.qps,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "final_epoch": self.final_epoch,
-            "distinct_epochs": self.distinct_epochs,
-            "mid_storm_queries": self.mid_storm_queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "rejected": self.rejected,
-            "ingest_failures": self.ingest_failures,
-            "divergences": len(self.divergences),
-        }
 
 
 def _percentile(values: List[float], q: float) -> float:

@@ -84,10 +84,12 @@ class DeltaIsolator:
     corrupted table.
 
     Isolation is identical to ``copy``: queries never touch the
-    writer's engine.  What changes is the cost of a publish, which now
-    tracks the size of the *update batch* instead of the model.  Not
-    thread-safe on its own — the daemon calls :meth:`isolate` from the
-    single writer thread.
+    writer's engine.  What changes is the bytes shipped and the
+    read-side import, which track the size of the *update batch*
+    instead of the model; the export does not —
+    ``export_delta_bytes`` builds the full FBW1 frame on every publish
+    to compare lengths.  Not thread-safe on its own — the daemon calls
+    :meth:`isolate` from the single writer thread.
     """
 
     def __init__(self) -> None:

@@ -2,15 +2,10 @@
 
 This is the pre-rewrite :class:`~repro.bdd.engine.BDD` implementation,
 byte-for-byte in behaviour: hash-consed nodes in a tuple-keyed dict,
-recursive memoized ``apply``, derived ``ite``.  It exists for two jobs:
-
-* **differential baseline** — ``benchmarks/bench_micro.py`` drives the
-  same workload through :class:`ReferenceBDD` and the rewritten engine
-  on the same machine, so the committed ``BENCH_bdd.json`` records a
-  hardware-independent speedup ratio rather than raw ops/sec;
-* **semantic oracle** — the property suites
-  (``tests/test_bdd_invariants.py``, ``tests/test_bdd_equivalence.py``)
-  cross-check every rewritten operation against this implementation.
+recursive memoized ``apply``, derived ``ite``.  It exists as the
+**semantic oracle**: the property suites
+(``tests/test_bdd_invariants.py``, ``tests/test_bdd_equivalence.py``)
+cross-check every product-engine operation against this implementation.
 
 It intentionally has **no** garbage collector, pinning, or bounded
 caches; callers that need those use the real engine.  Do not optimise

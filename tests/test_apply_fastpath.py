@@ -2,10 +2,11 @@
 
 The support-pruned, signature-filtered, split-based
 :meth:`InverseModel.apply_overwrites` must produce exactly the same
-model as the retained :meth:`apply_overwrites_reference` on arbitrary
-EC tables and overwrite blocks — these property tests drive both paths
-over the same random streams (seeded via ``--repro-seed``) and compare
-the resulting vec→predicate maps after every block.
+model as the historical cross product, kept as the oracle
+:func:`tests.apply_reference.apply_overwrites_reference`, on arbitrary
+EC tables and overwrite blocks — these property tests drive both over
+the same random streams (seeded via ``--repro-seed``) and compare the
+resulting vec→predicate maps after every block.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
 from repro.core.overwrite import Overwrite, atomic, make_delta
 
+from .apply_reference import apply_overwrites_reference
 from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
 from .test_bdd_split import NUM_VARS, random_pred
@@ -62,14 +64,13 @@ def test_fast_apply_equals_reference_on_random_blocks(kind):
     for trial in range(12):
         engine_a, fast = fresh_model(kind)
         engine_b, ref = fresh_model(kind)
-        ref.fast_apply = False
         probe = PredicateEngine(NUM_VARS)
         for _ in range(6):
             seed = rng.getrandbits(32)
             block_a = random_block(engine_a, case_rng(seed))
             block_b = random_block(engine_b, case_rng(seed))
             fast.apply_overwrites(block_a)
-            ref.apply_overwrites(block_b)
+            apply_overwrites_reference(ref, block_b)
             fast.check_invariants()
             ref.check_invariants()
             view_a = {

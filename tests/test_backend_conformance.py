@@ -28,6 +28,7 @@ from repro.dataplane.update import RuleUpdate, UpdateOp
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match, Pattern
 
+from .apply_reference import apply_overwrites_reference
 from .bdd_reference import ReferenceBDD
 
 NUM_VARS = 6  # 64 headers: small enough to brute-force every assignment
@@ -434,7 +435,11 @@ def test_inverse_model_fast_apply_matches_reference(kind):
     slow = ModelWriter(
         [0, 1, 2], layout, engine=make_engine(kind, layout.total_bits)
     )
-    slow.model.fast_apply = False
+    slow.model.apply_overwrites = (
+        lambda overwrites, support=None: apply_overwrites_reference(
+            slow.model, overwrites
+        )
+    )
     slow.submit(_boundary_updates())
     slow.flush()
     assert fast.num_ecs() == slow.num_ecs()

@@ -95,82 +95,3 @@ class TestRunners:
         payload = result.as_dict()
         assert payload["system"] == "Flash"
         assert payload["updates_processed"] == 8
-
-
-class TestBenchE2eGate:
-    """The BENCH_flash regression-gate logic (no timed runs)."""
-
-    def _report(self, mode="full", speedups=(1.9, 1.2, 1.1)):
-        from benchmarks import bench_e2e as be
-
-        names = list(be.SETTINGS)
-        return {
-            "mode": mode,
-            "seed": 23,
-            "settings": {
-                name: {"speedup": ratio}
-                for name, ratio in zip(names, speedups)
-            },
-        }
-
-    def test_merge_preserves_other_mode(self, tmp_path):
-        from benchmarks import bench_e2e as be
-
-        path = str(tmp_path / "BENCH_flash.json")
-        be.merge_into_baseline(self._report("full"), path)
-        be.merge_into_baseline(self._report("quick"), path)
-        import json
-
-        with open(path) as f:
-            payload = json.load(f)
-        assert payload["schema"] == "bench_flash/1"
-        assert set(payload["modes"]) == {"full", "quick"}
-
-    def test_check_passes_against_self(self, tmp_path):
-        from benchmarks import bench_e2e as be
-
-        path = str(tmp_path / "base.json")
-        report = self._report()
-        be.merge_into_baseline(report, path)
-        assert be.check_against_baseline(report, path) == []
-
-    def test_check_flags_ratio_regression(self, tmp_path):
-        from benchmarks import bench_e2e as be
-
-        path = str(tmp_path / "base.json")
-        be.merge_into_baseline(self._report(speedups=(2.0, 1.2, 1.1)), path)
-        failures = be.check_against_baseline(
-            self._report(speedups=(1.2, 1.2, 1.1)), path
-        )
-        assert any("regressed" in f for f in failures)
-
-    def test_full_mode_enforces_floors(self, tmp_path):
-        from benchmarks import bench_e2e as be
-
-        path = str(tmp_path / "base.json")
-        weak = self._report(speedups=(1.2, 0.8, 1.0))
-        be.merge_into_baseline(weak, path)
-        failures = be.check_against_baseline(weak, path)
-        assert any("acceptance floor" in f for f in failures)
-        assert any("end-to-end regression" in f for f in failures)
-        # Quick mode gates drift only, not absolute floors.
-        quick = self._report(mode="quick", speedups=(1.2, 0.8, 1.0))
-        be.merge_into_baseline(quick, path)
-        assert be.check_against_baseline(quick, path) == []
-
-    def test_missing_baseline_is_a_failure(self, tmp_path):
-        from benchmarks import bench_e2e as be
-
-        failures = be.check_against_baseline(
-            self._report(), str(tmp_path / "absent.json")
-        )
-        assert failures and "not found" in failures[0]
-
-    def test_workloads_build_and_replay_deterministically(self):
-        from benchmarks import bench_e2e as be
-
-        for name, build in be.SETTINGS.items():
-            a = build(23, True)
-            b = build(23, True)
-            assert a.num_updates == b.num_updates > 0
-            assert len(a.blocks) == len(b.blocks)

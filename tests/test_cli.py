@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import load
 
 
 class TestParser:
@@ -195,4 +196,66 @@ class TestBackendFlagIsGone:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments: --backend" in captured.err
+        assert captured.out == ""
+
+
+class TestServeExitStatus:
+    """``repro serve`` is CI's serve consistency gate: its exit status
+    carries every hardware-independent invariant, not divergences only."""
+
+    HEALTHY = dict(
+        workload="mixed_storm", queries=60, wall_seconds=0.1, qps=600.0,
+        p50_ms=1.0, p99_ms=2.0, final_epoch=9, distinct_epochs=5,
+        mid_storm_queries=30, cache_hits=10, cache_misses=50,
+        cache_hit_rate=10 / 60, rejected=0, ingest_failures=0,
+    )  # --quick is 3 clients x 20 queries, 1 + 8 batches
+
+    def run(self, monkeypatch, capsys, **overrides):
+        result = load.LoadResult(**{**self.HEALTHY, **overrides})
+        monkeypatch.setattr(load, "run_load", lambda *a, **kw: result)
+        code = main(["serve", "--quick"])
+        return code, capsys.readouterr()
+
+    def test_healthy_run_exits_zero(self, monkeypatch, capsys):
+        code, captured = self.run(monkeypatch, capsys)
+        assert code == 0
+        assert "every served answer equals the batch oracle" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "overrides, complaint",
+        [
+            ({"ingest_failures": 1}, "1 ingest batches failed"),
+            ({"queries": 59}, "served 59 of 60 queries"),
+            ({"final_epoch": 1}, "only 1 epochs"),
+            ({"divergences": ["epoch 3: ..."]}, "1 answers diverged"),
+        ],
+        ids=["ingest-failure", "short-answer-count", "storm-never-advanced",
+             "divergence"],
+    )
+    def test_broken_invariant_exits_one(
+        self, monkeypatch, capsys, overrides, complaint
+    ):
+        code, captured = self.run(monkeypatch, capsys, **overrides)
+        assert code == 1
+        assert "every served answer" not in captured.out
+        assert complaint in captured.err
+
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--queue-size", "--query-deadline"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_sizes_are_argparse_errors(
+        self, monkeypatch, capsys, flag, value
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("a daemon was started")
+
+        monkeypatch.setattr(load, "run_load", started)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--quick", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: must be positive" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""

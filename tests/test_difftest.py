@@ -5,8 +5,11 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.inverse_model import InverseModel
 from repro.difftest import (
+    ChaosRunner,
     DifferentialRunner,
+    InterleaveRunner,
     Scenario,
     ScenarioGenerator,
     Shrinker,
@@ -124,6 +127,44 @@ class TestDifferentialRunner:
         errors = [d for d in result.divergences if d.kind == "error"]
         assert errors and errors[0].engines[0] == "apkeep"
         assert "engine exploded" in errors[0].detail
+
+
+@pytest.mark.fuzz
+class TestModelInvariantsInTheGates:
+    """Every runner calls ``InverseModel.check_invariants`` inside its
+    crash-is-a-divergence ``try``, so a Definition-6 violation the
+    behaviour / reachability / loop diffs cannot see still fails the gate."""
+
+    @pytest.fixture
+    def empty_ec_left_behind(self, monkeypatch):
+        original = InverseModel.apply_overwrites
+
+        def leaky(model, overwrites, support=None):
+            deltas = original(model, overwrites, support)
+            phantom = model.store.uniform(model.devices, 4242)
+            model._entries.setdefault(phantom, model.engine.false)
+            return deltas
+
+        monkeypatch.setattr(InverseModel, "apply_overwrites", leaky)
+
+    @pytest.mark.parametrize(
+        "make_runner, rows",
+        [
+            (DifferentialRunner, {"flash-batch", "flash-incr"}),
+            (ChaosRunner, {"flash-repair", "flash-quarantine"}),
+            (lambda: InterleaveRunner(block_tail=2), {"flash-incr"}),
+        ],
+        ids=["differential", "chaos", "interleave"],
+    )
+    def test_empty_ec_is_an_error_divergence(
+        self, empty_ec_left_behind, make_runner, rows
+    ):
+        result = make_runner().run(ScenarioGenerator(seed=1234).scenario(0))
+        assert {d.engines[0] for d in result.divergences} == rows
+        for divergence in result.divergences:
+            assert divergence.kind == "error"
+            assert "ModelInvariantError" in divergence.detail
+            assert "empty EC" in divergence.detail
 
 
 class TestShrinker:

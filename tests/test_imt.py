@@ -418,9 +418,12 @@ class TestEquivalenceProperties:
         merged, rdiff = merge_block_and_diff(
             table.rules(), [insert(0, r) for r in rules]
         )
-        overwrites = calculate_atomic_overwrites(
-            0, merged, rdiff, compiler, emit_noop=True
-        )
+        overwrites = calculate_atomic_overwrites(0, merged, rdiff, compiler)
+        # The "no-update" overwrite (p_c, ∅) of Alg. 1 L41-43, which
+        # application treats implicitly, completes the partition.
+        noop = ~engine.disj_many(ow.predicate for ow in overwrites)
+        if not noop.is_false:
+            overwrites.append(Overwrite(noop, ()))
         union = engine.false
         total = 0
         for ow in overwrites:

@@ -320,6 +320,15 @@ class TestServeDaemon:
         with pytest.raises(ValueError):
             ServeDaemon(topo, LAYOUT, isolation="mvcc")
 
+    @pytest.mark.parametrize("size", ["workers", "queue_size"])
+    def test_rejects_sizes_below_one(self, size):
+        """Rejected before any thread or snapshot exists: a pool of zero
+        workers cannot start, and ``queue.Queue(maxsize=0)`` is unbounded,
+        which would switch backpressure off."""
+        topo, *_ = diamond()
+        with pytest.raises(ValueError, match=size):
+            ServeDaemon(topo, LAYOUT, **{size: 0})
+
     def test_queries_before_start_raise(self):
         daemon, (topo, s, *_ ) = self._daemon()
         with pytest.raises(ServeClosedError):
