@@ -2,27 +2,35 @@
 
 Responsibilities:
 
-1. manage subspace-verifier life cycles: create a verifier when an epoch
-   becomes a potential converged state, stop (drop) verifiers whose epoch is
-   proven stale;
-2. maintain per-device update logs and the epoch→verifier mapping, and
-   feed each verifier the right updates at the right moment.
+1. apply every tagged batch, once, to the *trunk* — the one model that
+   holds every device's latest FIB;
+2. manage epoch-verifier life cycles: open a verifier (a set of checkers
+   over the trunk) when an epoch becomes a potential converged state, stop
+   (drop) verifiers whose epoch is proven stale;
+3. tell each live verifier what the batch changed, and which device — if
+   any — it synchronised for that verifier's epoch.
 
-Because FIB updates are *diffs* against the device's previous FIB, a
-verifier for epoch ``t`` must replay each device's serialized update stream
-from the beginning up to and including its batch tagged ``t`` — this is how
-"each subspace verifier maintains the complete FIB snapshots but only
-verifies ... a specific epoch" (§2).  A device counts as *synchronised* for
-``t`` only once that tagged batch has been applied.
+One model serves every epoch because of the tracker's invariant
+(:class:`~repro.ce2d.epoch.EpochTracker`): tag ``t`` leaves the active set
+the moment any device that reported ``t`` reports anything else, and never
+returns.  So while ``t`` is active, every device that ever sent a batch
+tagged ``t`` sent it *last*: its trunk column is its FIB at ``t``.  This is
+how "each subspace verifier maintains the complete FIB snapshots but only
+verifies ... a specific epoch" (§2) — an epoch is the set of devices
+synchronised for it (``tracker.devices_at(t)``) plus its checkers' state,
+and the checkers read no column outside that set.  A batch from a device
+outside the epoch still re-partitions the trunk's EC table, so the epoch's
+verifier sees its deltas as lineage only (``new_synced == ()``).
 
 A back-off knob bounds verifier creation rate (the paper's guard against
-control-plane bugs creating epochs faster than they converge).
+control-plane bugs creating epochs faster than they converge); a deferred
+epoch opens, when a slot frees, with one checker pass over the trunk's
+whole table and every device then at it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..dataplane.update import EpochTag, RuleUpdate
 from ..errors import DispatchError
@@ -34,52 +42,30 @@ from .verifier import Report, SubspaceVerifier
 VerifierFactory = Callable[[EpochTag], SubspaceVerifier]
 
 
-@dataclass
-class _DeviceLog:
-    """One device's serialized stream of tagged batches."""
-
-    batches: List[Tuple[EpochTag, List[RuleUpdate]]] = field(default_factory=list)
-
-    def append(self, tag: EpochTag, updates: Sequence[RuleUpdate]) -> None:
-        self.batches.append((tag, list(updates)))
-
-    def prefix_through(self, tag: EpochTag) -> Optional[Tuple[int, List[RuleUpdate]]]:
-        """Updates from the start through the last batch tagged ``tag``.
-
-        Returns (next_index, updates) or None when no batch carries the tag.
-        """
-        last = None
-        for i, (t, _) in enumerate(self.batches):
-            if t == tag:
-                last = i
-        if last is None:
-            return None
-        combined: List[RuleUpdate] = []
-        for _, updates in self.batches[: last + 1]:
-            combined.extend(updates)
-        return last + 1, combined
-
-
 class CE2DDispatcher:
-    """Epoch-aware routing of tagged updates to subspace verifiers."""
+    """Epoch-aware routing of tagged updates to subspace verifiers.
+
+    ``trunk`` writes the shared model (``apply(updates)`` returns the
+    post-batch deltas, ``as_deltas()`` the whole table); ``factory(tag)``
+    builds an epoch's checkers over that model, with
+    ``observe(deltas, new_synced, now)`` as their door.  A
+    :class:`SubspaceVerifier` (or :class:`~repro.flash.EpochGroupVerifier`)
+    serves as either.
+    """
 
     def __init__(
         self,
+        trunk: SubspaceVerifier,
         factory: VerifierFactory,
         max_live_verifiers: int = 8,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
+        self.trunk = trunk
         self.factory = factory
         self.max_live_verifiers = max_live_verifiers
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracker = EpochTracker()
         self.verifiers: Dict[EpochTag, SubspaceVerifier] = {}
-        self._logs: Dict[int, _DeviceLog] = {}
-        # Per epoch: device -> number of log batches already fed to the
-        # verifier.  A device can report the same epoch more than once
-        # (per-update streaming, retried agents); later same-tag batches
-        # are fed as deltas instead of being dropped.
-        self._fed: Dict[EpochTag, Dict[int, int]] = {}
         # Open ``ce2d.epoch`` lifecycle spans, one per live verifier.
         self._epoch_spans: Dict[EpochTag, Span] = {}
         self.reports: List[Report] = []
@@ -92,22 +78,43 @@ class CE2DDispatcher:
         updates: Sequence[RuleUpdate],
         now: Optional[float] = None,
     ) -> List[Report]:
-        """Ingest one tagged batch from a device agent (Figure 1 steps 3-4)."""
+        """Ingest one tagged batch from a device agent (Figure 1 steps 3-4).
+
+        Apply comes first: a batch the model rejects raises here, before
+        the tracker or any verifier has heard of it.
+        """
         if epoch is None:
             raise DispatchError("updates must carry an epoch tag")
         self.telemetry.count("ce2d.batches")
         self.telemetry.count("ce2d.updates", len(updates))
+        deltas = self.trunk.apply(updates)
         self.tracker.observe(device, epoch)
-        self._logs.setdefault(device, _DeviceLog()).append(epoch, updates)
         self._garbage_collect()
-        return self._drain(now)
+        results: List[Report] = []
+        for tag in self.tracker.active_tags():
+            verifier = self.verifiers.get(tag)
+            if verifier is not None:
+                # A same-tag re-report (per-update streaming, retried
+                # agents) synchronises nobody new but is still the epoch's
+                # own batch.
+                synced = [device] if tag == epoch else ()
+                results.extend(verifier.observe(deltas, synced, now))
+            elif len(self.verifiers) < self.max_live_verifiers:
+                # Otherwise back-off: defer until capacity frees up.
+                verifier = self._open(tag)
+                results.extend(
+                    verifier.observe(
+                        self.trunk.as_deltas(), self.tracker.devices_at(tag), now
+                    )
+                )
+        self.reports.extend(results)
+        return results
 
     def _garbage_collect(self) -> None:
         """Stop verifiers whose epoch can no longer be the converged state."""
         for tag in list(self.verifiers):
             if self.tracker.is_inactive(tag):
                 del self.verifiers[tag]
-                self._fed.pop(tag, None)
                 span = self._epoch_spans.pop(tag, None)
                 if span is not None:
                     self.telemetry.end(span)
@@ -116,62 +123,29 @@ class CE2DDispatcher:
             len(self.verifiers)
         )
 
-    def _drain(self, now: Optional[float]) -> List[Report]:
-        """Feed update prefixes of active epochs to their verifiers."""
-        results: List[Report] = []
-        for tag in self.tracker.active_tags():
-            verifier = self.verifiers.get(tag)
-            if verifier is None:
-                if len(self.verifiers) >= self.max_live_verifiers:
-                    continue  # back-off: defer until capacity frees up
-                verifier = self.factory(tag)
-                verifier.epoch = tag
-                self.verifiers[tag] = verifier
-                self._fed[tag] = {}
-                self.telemetry.count("ce2d.epoch.opened")
-                self.telemetry.registry.gauge("ce2d.verifiers.live").set(
-                    len(self.verifiers)
-                )
-                span = self.telemetry.begin("ce2d.epoch", epoch=str(tag))
-                if span is not None:
-                    self._epoch_spans[tag] = span
-            fed = self._fed[tag]
-            for device, log in self._logs.items():
-                prefix = log.prefix_through(tag)
-                if prefix is None:
-                    continue  # device has not reported this epoch yet
-                next_index, combined = prefix
-                done = fed.get(device)
-                if done is None:
-                    # First sight of this device for the epoch: replay its
-                    # serialized stream from the beginning (FIB diffs).
-                    fed[device] = next_index
-                    results.extend(verifier.receive(device, combined, now=now))
-                elif next_index > done:
-                    # The device reported the same epoch again: feed only
-                    # the batches logged since the last drain.
-                    delta: List[RuleUpdate] = []
-                    for _, updates in log.batches[done:next_index]:
-                        delta.extend(updates)
-                    fed[device] = next_index
-                    results.extend(verifier.receive(device, delta, now=now))
-        self.reports.extend(results)
-        return results
+    def _open(self, tag: EpochTag) -> SubspaceVerifier:
+        verifier = self.factory(tag)
+        verifier.epoch = tag
+        self.verifiers[tag] = verifier
+        self.telemetry.count("ce2d.epoch.opened")
+        self.telemetry.registry.gauge("ce2d.verifiers.live").set(
+            len(self.verifiers)
+        )
+        span = self.telemetry.begin("ce2d.epoch", epoch=str(tag))
+        if span is not None:
+            self._epoch_spans[tag] = span
+        return verifier
 
     # ------------------------------------------------------------------
     def verifier_for(self, epoch: EpochTag) -> Optional[SubspaceVerifier]:
         return self.verifiers.get(epoch)
 
-    def latest_verifier(
-        self, epoch: Optional[EpochTag] = None
-    ) -> Optional[SubspaceVerifier]:
-        """The verifier for ``epoch``, or the most recently opened one.
+    def latest_verifier(self) -> Optional[SubspaceVerifier]:
+        """The most recently opened live verifier.
 
         ``dict`` preserves insertion order, so the last live entry is the
         newest epoch group — the one current ingest lands in.
         """
-        if epoch is not None:
-            return self.verifiers.get(epoch)
         newest = None
         for verifier in self.verifiers.values():
             newest = verifier

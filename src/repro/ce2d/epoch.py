@@ -10,7 +10,7 @@ with no known successor: the potential converged states.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, KeysView, List, Optional, Set
 
 from ..dataplane.update import EpochTag
 
@@ -20,7 +20,9 @@ class EpochTracker:
 
     def __init__(self) -> None:
         self._latest: Dict[int, EpochTag] = {}
-        self._active: Set[EpochTag] = set()
+        # In first-observation order (a dict, not a set): what iterates
+        # the active epochs must not depend on the hash seed.
+        self._active: Dict[EpochTag, None] = {}
         self._inactive: Set[EpochTag] = set()
 
     # -- events ---------------------------------------------------------
@@ -37,12 +39,12 @@ class EpochTracker:
         if old is not None:
             # old ≺ tag on this device: old can never converge.
             if old in self._active:
-                self._active.discard(old)
+                del self._active[old]
                 changed = True
             self._inactive.add(old)
         self._latest[device] = tag
         if tag not in self._inactive and tag not in self._active:
-            self._active.add(tag)
+            self._active[tag] = None
             changed = True
         return changed
 
@@ -53,8 +55,9 @@ class EpochTracker:
     def is_inactive(self, tag: EpochTag) -> bool:
         return tag in self._inactive
 
-    def active_tags(self) -> Set[EpochTag]:
-        return set(self._active)
+    def active_tags(self) -> KeysView[EpochTag]:
+        """A snapshot of the active set, oldest (first observed) first."""
+        return dict(self._active).keys()
 
     def latest_of(self, device: int) -> Optional[EpochTag]:
         return self._latest.get(device)

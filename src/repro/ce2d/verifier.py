@@ -1,10 +1,15 @@
-"""Subspace verifiers (Figure 1): model manager + CE2D checkers.
+"""Subspace verifiers (Figure 1): a model plus the CE2D checkers reading it.
 
-A :class:`SubspaceVerifier` owns one :class:`~repro.core.model_manager.
-ModelWriter` for a (epoch, subspace) pair plus the CE2D checkers attached
-to it (loop detector, regex/cover verifiers).  Feeding it a device's update
-batch marks that device synchronised and runs early detection on the new
-consistent model.
+A :class:`SubspaceVerifier` owns its checkers (loop detector, regex/cover
+verifiers, custom ones), their per-EC state and the set of devices that
+have synchronised — and *reads* a :class:`~repro.core.model_manager.
+ModelWriter`.  Built on its own it creates that model and writes it too
+(``receive`` = ``apply`` then ``observe``): the pinned verifier that
+``repro.serve``, the differential runners and offline callers drive.
+Built with ``manager=`` it shares a model someone else writes — under
+:class:`~repro.flash.Flash` the *trunk*, one model per subspace holding
+every device's latest FIB — and is only ever told what changed
+(``observe``).  Either way there is one checker path.
 """
 
 from __future__ import annotations
@@ -30,10 +35,18 @@ class Checker:
     """The §5.1 extension point: a custom CE2D verification function.
 
     Subclass (or duck-type) and attach via ``SubspaceVerifier.add_checker``.
-    ``on_model_update`` is called once per consistent model update with the
+    ``on_model_update`` is called once per model update with the
     post-flush equivalence classes, the devices that just synchronised, and
     the inverse model; it must return a report object carrying a
     ``verdict`` attribute (e.g. :class:`VerificationReport`).
+
+    ``model`` may be a trunk shared by every live epoch: read only the
+    columns (``model.action_of(vector, device)``) of devices passed in
+    some ``new_synced`` so far — any other column is that device's latest
+    FIB, which belongs to a different epoch.  ``new_synced == ()`` means
+    *lineage only*: a device outside this epoch changed the partition, so
+    re-key per-EC state along ``delta.origin``; the returned report is
+    dropped, nobody having synchronised.
     """
 
     def on_model_update(self, deltas, new_synced, model) -> Report:
@@ -41,7 +54,7 @@ class Checker:
 
 
 class SubspaceVerifier:
-    """One (epoch, subspace) verifier with attached CE2D checkers."""
+    """One (epoch, subspace) verifier: CE2D checkers over a model."""
 
     def __init__(
         self,
@@ -86,7 +99,6 @@ class SubspaceVerifier:
         )
         self.regex_verifiers: List[Union[RegexVerifier, CoverVerifier]] = []
         for req in requirements:
-            cls = CoverVerifier if req.is_cover else RegexVerifier
             if req.is_cover:
                 verifier = CoverVerifier(req, topology, layout, self.manager.compiler)
             else:
@@ -108,6 +120,16 @@ class SubspaceVerifier:
         self.custom_checkers.append(checker)
 
     # ------------------------------------------------------------------
+    def apply(self, updates: Iterable[RuleUpdate]) -> List[EcDelta]:
+        """Write one batch into the model; the post-batch ECs with lineage."""
+        self.manager.submit(updates)
+        # An empty batch confirms an unchanged FIB: the table, unchanged.
+        return self.manager.flush() or self.as_deltas()
+
+    def as_deltas(self) -> List[EcDelta]:
+        """The model's whole table as deltas (what an epoch opens on)."""
+        return self.manager.model.as_deltas()
+
     def receive(
         self, device: int, updates: Iterable[RuleUpdate], now: Optional[float] = None
     ) -> List[Report]:
@@ -117,14 +139,7 @@ class SubspaceVerifier:
         epoch is complete), and every attached checker runs early detection
         on the updated, consistent model.
         """
-        self.manager.submit(updates)
-        deltas = self.manager.flush()
-        if not deltas:  # empty batch: device confirmed an unchanged FIB
-            deltas = [
-                EcDelta(pred, vec, pred.node)
-                for pred, vec in self.manager.model.entries()
-            ]
-        return self._run_checkers(deltas, [device], now)
+        return self.observe(self.apply(updates), [device], now)
 
     # -- QueryableVerifier --------------------------------------------------
     def ingest(
@@ -142,40 +157,32 @@ class SubspaceVerifier:
         """Snapshot-pinned :class:`~repro.core.model_manager.ModelReadView`."""
         return self.manager.read_view()
 
-    def _run_checkers(
+    def observe(
         self,
         deltas: List[EcDelta],
         new_synced: Sequence[int],
-        now: Optional[float],
+        now: Optional[float] = None,
     ) -> List[Report]:
+        """Run every checker on one model update.
+
+        ``new_synced`` are the devices whose FIB for this epoch the update
+        completed.  With none the call is lineage only (see
+        :class:`Checker`): no verdict can have moved, nothing is reported.
+        """
         stamp = time.perf_counter() - self._started if now is None else now
         self.synced.update(new_synced)
-        results: List[Report] = []
+        model = self.manager.model
+        checkers = [self.loop_detector] if self.loop_detector is not None else []
+        checkers += self.regex_verifiers + self.custom_checkers
         with self.telemetry.span("ce2d.check", epoch=str(self.epoch)):
-            if self.loop_detector is not None:
-                report = self.loop_detector.on_model_update(
-                    deltas, new_synced, self.manager.model
-                )
-                report.epoch = self.epoch
-                report.time = stamp
-                results.append(report)
-            for verifier in self.regex_verifiers:
-                report = verifier.on_model_update(
-                    deltas, new_synced, self.manager.model
-                )
-                report.epoch = self.epoch
-                report.time = stamp
-                results.append(report)
-            for checker in self.custom_checkers:
-                report = checker.on_model_update(
-                    deltas, new_synced, self.manager.model
-                )
-                if hasattr(report, "epoch"):
-                    report.epoch = self.epoch
-                if hasattr(report, "time"):
-                    report.time = stamp
-                results.append(report)
+            results = [c.on_model_update(deltas, new_synced, model) for c in checkers]
+        if not new_synced:
+            return []
         for report in results:
+            if hasattr(report, "epoch"):
+                report.epoch = self.epoch
+            if hasattr(report, "time"):
+                report.time = stamp
             self.telemetry.count(f"ce2d.verdicts.{report.verdict.value}")
         self.reports.extend(results)
         return results

@@ -5,9 +5,9 @@ when swapping adjacent occurrences of them changes no observation the
 verifier makes.  For data plane updates the criterion is:
 
 * **Same device ⇒ dependent.**  A device's update stream is serialized
-  (the dispatcher replays it as a diff sequence), and even footprint-
-  disjoint same-device updates can interact through priority tie-breaks,
-  so their relative order is always preserved.
+  (the dispatcher applies it in order, as a diff sequence), and even
+  footprint-disjoint same-device updates can interact through priority
+  tie-breaks, so their relative order is always preserved.
 * **Different devices ⇒ commute iff footprints are disjoint.**  The
   *footprint* of an update is the compiled match predicate of its rule —
   the set of headers whose lookup the update can possibly change.  Two

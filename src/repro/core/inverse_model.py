@@ -69,6 +69,17 @@ class InverseModel:
     def predicates(self) -> List[Predicate]:
         return list(self._entries.values())
 
+    def as_deltas(self) -> List[EcDelta]:
+        """The whole table as deltas, every EC descending from itself.
+
+        What a block that changed nothing returns, and what a checker
+        joining late (a CE2D epoch opening on the trunk) starts from.
+        """
+        return [
+            EcDelta(predicate=pred, vector=vec, origin=pred.node)
+            for vec, pred in self._entries.items()
+        ]
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -120,10 +131,7 @@ class InverseModel:
             if not (ow.predicate.is_false or ow.is_noop)
         ]
         if not ows:
-            return [
-                EcDelta(predicate=pred, vector=vec, origin=pred.node)
-                for vec, pred in self._entries.items()
-            ]
+            return self.as_deltas()
         engine = self.engine
         sig_of = engine.signature
         ow_sigs = [sig_of(ow.predicate) for ow in ows]

@@ -427,12 +427,7 @@ class ModelWriter:
         self._epoch += 1
         self.telemetry.registry.gauge("resilience.fallback.active").set(0)
         self.telemetry.count("resilience.fallback.recovered")
-        if not deltas:
-            deltas = [
-                EcDelta(pred, vec, pred.node)
-                for pred, vec in self.model.entries()
-            ]
-        return deltas
+        return deltas or self.model.as_deltas()
 
     @property
     def pending_count(self) -> int:

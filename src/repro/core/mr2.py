@@ -140,9 +140,7 @@ class Mr2Pipeline:
         """Run Map → Reduce I/II → apply for one block of native updates."""
         block = block.remove_cancelling()
         if block.is_empty():
-            return [
-                EcDelta(pred, vec, pred.node) for pred, vec in self.model.entries()
-            ]
+            return self.model.as_deltas()
         telemetry = self.telemetry
         with telemetry.span("mr2.map"):
             atomics = map_phase(

@@ -108,7 +108,7 @@ class InterleavingExplorer:
     """Enumerate interleavings of a block, one per Mazurkiewicz trace.
 
     Valid interleavings preserve each device's serialized update order
-    (the device streams the dispatcher actually replays), so the search
+    (the device streams the dispatcher actually applies), so the search
     space is the set of linear extensions of the per-device chains —
     ``multinomial(n; n_d1, n_d2, ...)`` orders in total.  ``reduced()``
     walks it with sleep sets: after exploring a move from a state, that
@@ -765,9 +765,9 @@ class InterleaveRunner:
         each block step gets its own epoch tag that every device reports
         — the updating device with its batch, the rest with empty sync
         batches.  The dispatcher then does exactly what CE2D prescribes:
-        opens a verifier for the new epoch, replays each device's
-        serialized log prefix into it, retires the superseded epoch, and
-        the checkers' deterministic verdicts describe precisely the
+        applies each batch to the trunk model, opens a verifier for the
+        new epoch over it, retires the superseded epoch, and the
+        checkers' deterministic verdicts describe precisely the
         intermediate state the oracle evaluated.  The per-epoch verdict
         latch (early detection binds verdicts to one converged state)
         is thereby respected rather than worked around.
@@ -813,7 +813,7 @@ class InterleaveRunner:
                 "dispatcher", oi, si + 1, update, got,
                 oracle_steps[si + 1][0], requirements, result,
             )
-        view = flash.read_view(tag)
+        view = flash.read_view()
         self._diff_final_behavior(
             "dispatcher", oi, view, walk, topology, layout, result
         )

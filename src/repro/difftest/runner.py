@@ -253,10 +253,10 @@ class DifferentialRunner:
                 run.loop_verdict = report.verdict
             elif isinstance(report, VerificationReport):
                 run.verdicts[report.requirement] = report.verdict
-        view = flash.read_view(scenario.epoch)
+        view = flash.read_view()
         # Definition 6 on every member model: a broken EC table is a
         # divergence even where the behaviour diff cannot see it.
-        for member in flash.dispatcher.latest_verifier(scenario.epoch).members:
+        for member in flash.trunk.members:
             member.manager.model.check_invariants()
         run.view = view_from_inverse_model(name, comparison, view, switches)
 

@@ -5,9 +5,10 @@
 * operators specify requirements in the Appendix-B language (step 1);
 * epoch-tagged rule updates arrive from devices/agents/simulators (2);
 * the CE2D dispatcher tracks epochs and manages verifier lifecycles (3-4);
-* each subspace verifier runs Fast IMT to maintain its inverse model (5-6);
-* CE2D checkers update verification graphs and report consistent results
-  early (7-8).
+* Fast IMT maintains one inverse model per subspace — the trunk, written
+  once per batch and read by every live epoch (5-6);
+* each epoch's CE2D checkers update verification graphs and report
+  consistent results early (7-8).
 
 For offline/one-shot use (validating simulated FIBs, Figure 6 style) use
 :meth:`Flash.verify_offline`, which skips epochs entirely.
@@ -29,9 +30,10 @@ from typing import (
 
 from .ce2d.dispatcher import CE2DDispatcher
 from .ce2d.verifier import SubspaceVerifier
+from .core.inverse_model import EcDelta
 from .core.model_manager import ModelReadView
 from .core.rule_index import matches_intersect
-from .core.subspace import Subspace, SubspacePartition
+from .core.subspace import SubspacePartition
 from .dataplane.update import EpochTag, RuleUpdate
 from .headerspace.fields import HeaderLayout
 from .network.topology import Topology
@@ -79,95 +81,64 @@ class QueryableVerifier(Protocol):
 
 
 class EpochGroupVerifier:
-    """All subspace verifiers of one epoch, behind one receive() door.
+    """One subspace verifier per subspace, behind one door.
 
-    Implements the same duck-typed interface the dispatcher expects from a
-    single :class:`SubspaceVerifier`, fanning updates out per subspace
-    (§3.4's input-space partition) and merging reports.
+    The same ``apply`` / ``observe`` / ``receive`` shape as a single
+    :class:`SubspaceVerifier`: ``apply`` fans a batch out by subspace
+    (§3.4's input-space partition) and returns one delta list per member,
+    ``observe`` hands each member its list and merges the reports.
+    :class:`Flash` builds two kinds: its trunk (no epoch, no checkers —
+    the models every epoch reads) and, per live epoch, the checkers over
+    those models.
     """
 
     def __init__(
         self,
-        topology: Topology,
-        layout: HeaderLayout,
-        partition: Optional[SubspacePartition],
-        requirements: Sequence[Requirement],
-        check_loops: bool,
-        use_dgq: bool,
+        members: Sequence[SubspaceVerifier],
         epoch: Optional[EpochTag] = None,
-        telemetry: Optional[Telemetry] = None,
-        block_threshold: Optional[int] = None,
-        validation: str = "strict",
-        recovery: bool = False,
     ) -> None:
-        self.topology = topology
-        self.layout = layout
-        self.partition = partition
+        self.members = list(members)
         self.epoch = epoch
-        self.telemetry = telemetry
         self.reports: List[Report] = []
-        self.members: List[SubspaceVerifier] = []
-        self._subspaces: List[Optional[Subspace]] = []
-        if partition is None:
-            self.members.append(
-                SubspaceVerifier(
-                    topology,
-                    layout,
-                    epoch=epoch,
-                    check_loops=check_loops,
-                    requirements=requirements,
-                    use_dgq=use_dgq,
-                    block_threshold=block_threshold,
-                    telemetry=telemetry,
-                    validation=validation,
-                    recovery=recovery,
-                )
-            )
-            self._subspaces.append(None)
-        else:
-            # One verifier per subspace; each gets the requirements whose
-            # packet space overlaps it.
-            for subspace in partition:
-                relevant = [
-                    r
-                    for r in requirements
-                    if matches_intersect(r.packet_space, subspace.match)
+
+    def apply(self, updates: Iterable[RuleUpdate]) -> List[List[EcDelta]]:
+        """Write one batch into every member's model it intersects."""
+        updates = list(updates)
+        return [
+            member.apply(
+                updates
+                if member.subspace_match is None
+                else [
+                    u
+                    for u in updates
+                    if matches_intersect(member.subspace_match, u.rule.match)
                 ]
-                verifier = SubspaceVerifier(
-                    topology,
-                    layout,
-                    epoch=epoch,
-                    subspace_match=subspace.match,
-                    check_loops=check_loops,
-                    requirements=relevant,
-                    use_dgq=use_dgq,
-                    block_threshold=block_threshold,
-                    telemetry=telemetry,
-                    validation=validation,
-                    recovery=recovery,
-                )
-                self.members.append(verifier)
-                self._subspaces.append(subspace)
+            )
+            for member in self.members
+        ]
+
+    def as_deltas(self) -> List[List[EcDelta]]:
+        """Every member's whole table as deltas (an epoch opening late)."""
+        return [member.as_deltas() for member in self.members]
+
+    def observe(
+        self,
+        deltas: Sequence[List[EcDelta]],
+        new_synced: Sequence[int],
+        now: Optional[float] = None,
+    ) -> List[Report]:
+        # A device synchronises in every subspace, even one none of its
+        # rules intersect.
+        results: List[Report] = []
+        for member, member_deltas in zip(self.members, deltas):
+            results.extend(member.observe(member_deltas, new_synced, now))
+        self.reports.extend(results)
+        return results
 
     def receive(
         self, device: int, updates: Iterable[RuleUpdate], now: Optional[float] = None
     ) -> List[Report]:
-        updates = list(updates)
-        results: List[Report] = []
-        for subspace, verifier in zip(self._subspaces, self.members):
-            if subspace is None:
-                subset = updates
-            else:
-                subset = [
-                    u
-                    for u in updates
-                    if matches_intersect(subspace.match, u.rule.match)
-                ]
-            # The device synchronises in every subspace, even with no
-            # intersecting rules.
-            results.extend(verifier.receive(device, subset, now=now))
-        self.reports.extend(results)
-        return results
+        return self.observe(self.apply(updates), [device], now)
 
     # -- QueryableVerifier --------------------------------------------------
     def ingest(
@@ -186,7 +157,10 @@ class EpochGroupVerifier:
 
         Multi-subspace groups expose the first subspace's model here;
         per-subspace consumers should walk :attr:`members` and call each
-        verifier's own :meth:`~SubspaceVerifier.read_view`.
+        verifier's own :meth:`~SubspaceVerifier.read_view`.  An epoch's
+        group reads :class:`Flash`'s trunk, so the view holds every
+        device's latest FIB: the epoch's own state in the columns of its
+        synchronised devices, other epochs' in the rest.
         """
         if not self.members:
             raise ValueError("epoch group has no subspace verifiers")
@@ -223,38 +197,63 @@ class Flash:
         self.check_loops = check_loops
         self.partition = partition
         self.use_dgq = use_dgq
-        # None = aggregate each device batch as one MR2 block (the fast
-        # path); 1 = the paper's per-update mode, exposed here so the
-        # differential tester can cross-check both facade paths.
-        self.block_threshold = block_threshold
-        # Supervised-ingestion knobs threaded down to every subspace
-        # verifier's ModelWriter (repro.resilience).
-        self.validation = validation
-        self.recovery = recovery
         if telemetry is None:
             telemetry = Telemetry()
         elif isinstance(telemetry, TelemetryConfig):
             telemetry = Telemetry.from_config(telemetry)
         self.telemetry = telemetry
+        # The trunk: one model per subspace for this system's lifetime,
+        # every batch applied to it once.  ``block_threshold=None``
+        # aggregates each device batch as one MR2 block (the fast path);
+        # 1 is the paper's per-update mode, exposed so the differential
+        # tester can cross-check both.  ``validation`` / ``recovery`` are
+        # the supervised-ingestion knobs of repro.resilience.
+        matches = [None] if partition is None else [s.match for s in partition]
+        self.trunk = EpochGroupVerifier(
+            [
+                SubspaceVerifier(
+                    topology,
+                    layout,
+                    subspace_match=match,
+                    block_threshold=block_threshold,
+                    telemetry=telemetry,
+                    validation=validation,
+                    recovery=recovery,
+                )
+                for match in matches
+            ]
+        )
         self.dispatcher = CE2DDispatcher(
+            self.trunk,
             self._make_verifier,
             max_live_verifiers=max_live_verifiers,
-            telemetry=self.telemetry,
+            telemetry=telemetry,
         )
 
     def _make_verifier(self, epoch: EpochTag) -> EpochGroupVerifier:
+        """One epoch's checkers over the trunk's models; each subspace
+        gets the requirements whose packet space overlaps it."""
         return EpochGroupVerifier(
-            self.topology,
-            self.layout,
-            self.partition,
-            self.requirements,
-            self.check_loops,
-            self.use_dgq,
+            [
+                SubspaceVerifier(
+                    self.topology,
+                    self.layout,
+                    epoch=epoch,
+                    subspace_match=member.subspace_match,
+                    check_loops=self.check_loops,
+                    requirements=[
+                        r
+                        for r in self.requirements
+                        if member.subspace_match is None
+                        or matches_intersect(r.packet_space, member.subspace_match)
+                    ],
+                    use_dgq=self.use_dgq,
+                    manager=member.manager,
+                    telemetry=self.telemetry,
+                )
+                for member in self.trunk.members
+            ],
             epoch=epoch,
-            telemetry=self.telemetry,
-            block_threshold=self.block_threshold,
-            validation=self.validation,
-            recovery=self.recovery,
         )
 
     # -- online ingestion (Figure 1 steps 2-8) -----------------------------
@@ -286,20 +285,14 @@ class Flash:
         tag: EpochTag = epoch if epoch is not None else "offline"
         return self.dispatcher.receive(device, tag, updates, now=now)
 
-    def read_view(self, epoch: Optional[EpochTag] = None) -> ModelReadView:
-        """A snapshot-pinned view of the model at ``epoch``.
+    def read_view(self) -> ModelReadView:
+        """A snapshot-pinned view of the trunk: every device's latest FIB.
 
-        With ``epoch=None`` the most recently created live epoch group is
-        used (the group receiving ingest right now).
+        There is no per-epoch model to select.  For an epoch every device
+        has reached, this is that epoch's model; a partly synchronised
+        epoch owns only the columns of its synchronised devices.
         """
-        group = self.dispatcher.latest_verifier(epoch)
-        if group is None:
-            raise ValueError(
-                "no live epoch group to read from"
-                if epoch is None
-                else f"no live epoch group for epoch {epoch!r}"
-            )
-        return group.read_view()
+        return self.trunk.read_view()
 
     def attach_to(self, simulation) -> None:
         """Subscribe to an :class:`~repro.routing.openr.OpenRSimulation`."""

@@ -76,6 +76,19 @@ class TestEpochTracker:
         assert sorted(t.devices_at("e")) == [0, 1]
         assert t.latest_of(2) == "f"
 
+    def test_active_tags_in_first_observation_order(self):
+        # Not hash order: the dispatcher schedules epochs by iterating this.
+        import random
+
+        tags = [f"epoch-{i}" for i in range(50)]
+        random.Random(7).shuffle(tags)
+        t = EpochTracker()
+        for device, tag in enumerate(tags):
+            t.observe(device, tag)
+        assert list(t.active_tags()) == tags
+        t.observe(0, tags[10])  # retires tags[0]; tags[10] keeps its place
+        assert list(t.active_tags()) == tags[1:]
+
 
 class TestLoopDetector:
     """Algorithm 3 on small crafted topologies."""
@@ -401,22 +414,29 @@ class TestRegexSpaceCarryOver:
         assert ours_tested == 1  # ... and is tested again
 
 
-class TestDispatcher:
-    def _factory(self, topo):
-        def make(tag):
-            return SubspaceVerifier(topo, LAYOUT, epoch=tag, check_loops=True)
+def loop_dispatcher(topo, **kwargs):
+    """A bare dispatcher: one trunk model, loop checkers per epoch over it."""
+    trunk = SubspaceVerifier(topo, LAYOUT)
+    return CE2DDispatcher(
+        trunk,
+        lambda tag: SubspaceVerifier(
+            topo, LAYOUT, epoch=tag, check_loops=True, manager=trunk.manager
+        ),
+        **kwargs,
+    )
 
-        return make
+
+class TestDispatcher:
 
     def test_creates_verifier_for_active_epoch(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         dispatcher.receive(0, "e1", [insert(0, Rule(1, Match.wildcard(), 1))])
         assert dispatcher.verifier_for("e1") is not None
 
     def test_stale_epoch_dropped(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         dispatcher.receive(0, "e1", [])
         dispatcher.receive(0, "e2", [])
         assert dispatcher.verifier_for("e1") is None
@@ -424,7 +444,7 @@ class TestDispatcher:
 
     def test_updates_for_inactive_epoch_queued_not_dispatched(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         dispatcher.receive(0, "e2", [])            # device 0 already at e2
         dispatcher.receive(0, "e3", [])            # e2 now inactive
         dispatcher.receive(1, "e2", [])            # stale: queued, dropped
@@ -434,7 +454,7 @@ class TestDispatcher:
 
     def test_loop_detected_within_epoch(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         dispatcher.receive(0, "e1", [insert(0, Rule(1, Match.wildcard(), 1))])
         reports = dispatcher.receive(
             1, "e1", [insert(1, Rule(1, Match.wildcard(), 0))]
@@ -444,7 +464,7 @@ class TestDispatcher:
 
     def test_two_parallel_epochs(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         dispatcher.receive(0, "eA", [insert(0, Rule(1, Match.wildcard(), 1))])
         dispatcher.receive(1, "eB", [insert(1, Rule(1, Match.wildcard(), 2))])
         assert dispatcher.tracker.active_tags() == {"eA", "eB"}
@@ -452,15 +472,66 @@ class TestDispatcher:
 
     def test_max_live_verifiers_backoff(self):
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo), max_live_verifiers=1)
+        dispatcher = loop_dispatcher(topo, max_live_verifiers=1)
         dispatcher.receive(0, "eA", [])
         dispatcher.receive(1, "eB", [])
         assert len(dispatcher.verifiers) == 1
+
+    def test_freed_slot_goes_to_the_oldest_deferred_epoch(self):
+        topo = ring(8)
+        dispatcher = loop_dispatcher(topo, max_live_verifiers=1)
+        for device in range(7):
+            dispatcher.receive(device, f"e{device}", [])
+        assert list(dispatcher.verifiers) == ["e0"]
+        for device in range(6):
+            # The device moves on, its epoch retires, and the slot goes to
+            # the next-oldest of the epochs still waiting — with one
+            # checker pass over the device already there.
+            dispatcher.receive(device, "e7", [])
+            assert list(dispatcher.verifiers) == [f"e{device + 1}"]
+            assert dispatcher.latest_verifier().synced == {device + 1}
 
     def test_requires_epoch_tag(self):
         from repro.errors import DispatchError
 
         topo = ring(4)
-        dispatcher = CE2DDispatcher(self._factory(topo))
+        dispatcher = loop_dispatcher(topo)
         with pytest.raises(DispatchError):
             dispatcher.receive(0, None, [])
+
+
+class TestRejectedBatch:
+    """Strict validation: a batch the model rejects is rejected once."""
+
+    @staticmethod
+    def _host(topo, device, value):
+        rule = Rule(1, Match.dst_prefix(value, 4, LAYOUT), (device + 1) % 4)
+        return rule, insert(device, rule)
+
+    def test_rejection_poisons_no_later_epoch(self):
+        from repro.errors import RuleNotFoundError
+        from repro.flash import Flash
+
+        topo = ring(4)
+        flash = Flash(topo, LAYOUT, check_loops=True)
+        accepted = [self._host(topo, 0, 0x1)]
+        flash.receive(0, "e1", [accepted[0][1]])
+        missing, _ = self._host(topo, 0, 0x7)
+        tracker = flash.dispatcher.tracker
+        with pytest.raises(RuleNotFoundError):
+            flash.receive(0, "e2", [delete(0, missing)])
+        # The rejected batch left tracker, trunk and verifiers as they were.
+        assert tracker.latest_of(0) == "e1"
+        assert list(flash.dispatcher.verifiers) == ["e1"]
+        # The same device, then another one, in a new epoch: no stale error.
+        for device, value in ((0, 0x3), (0, 0x4), (1, 0x5)):
+            accepted.append(self._host(topo, device, value))
+            assert flash.receive(device, "e3", [accepted[-1][1]])
+        view = flash.read_view()
+        for value in range(LAYOUT.universe_size):
+            behavior = view.behavior(dict(LAYOUT.bits_of("dst", value)))
+            expected = {d: DROP for d in topo.switches()}
+            for rule, update in accepted:
+                if rule.match == Match.dst_prefix(value, 4, LAYOUT):
+                    expected[update.device] = rule.action
+            assert behavior == expected, value

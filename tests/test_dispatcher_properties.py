@@ -155,6 +155,16 @@ class TestDispatcherEndToEnd:
         assert flash.dispatcher.verifier_for("e2") is not None
 
 
+class _StubTrunk:
+    """The dispatcher's duck type for the shared model: no model at all."""
+
+    def apply(self, updates):
+        return list(updates)
+
+    def as_deltas(self):
+        return []
+
+
 class _StubVerifier:
     """Factory-call accounting double with the dispatcher's duck type."""
 
@@ -162,8 +172,8 @@ class _StubVerifier:
         self.epoch = epoch
         self.batches = []
 
-    def receive(self, device, updates, now=None):
-        self.batches.append((device, list(updates)))
+    def observe(self, deltas, new_synced, now=None):
+        self.batches.extend((device, list(deltas)) for device in new_synced)
         return []
 
 
@@ -197,7 +207,9 @@ class TestEpochStormBackoff:
             created.append(tag)
             return verifier
 
-        dispatcher = CE2DDispatcher(factory, max_live_verifiers=self.CAP)
+        dispatcher = CE2DDispatcher(
+            _StubTrunk(), factory, max_live_verifiers=self.CAP
+        )
         devices = [0, 1, 2]
         high_water = self.drive_storm(dispatcher, devices)
         # Back-off: live verifiers never exceed the cap, even though the
@@ -217,7 +229,9 @@ class TestEpochStormBackoff:
             created.append(tag)
             return _StubVerifier(tag)
 
-        dispatcher = CE2DDispatcher(factory, max_live_verifiers=self.CAP)
+        dispatcher = CE2DDispatcher(
+            _StubTrunk(), factory, max_live_verifiers=self.CAP
+        )
         devices = [0, 1, 2]
         self.drive_storm(dispatcher, devices)
         # The stragglers catch up directly to the storm's final epoch:
@@ -235,3 +249,242 @@ class TestEpochStormBackoff:
         # The surviving verifier saw every device's (empty) batch.
         survivor = dispatcher.verifiers[final]
         assert {d for d, _ in survivor.batches} == set(devices)
+
+
+# ----------------------------------------------------------------------
+# The trunk: one model for every epoch, held to the replaying reference
+# ----------------------------------------------------------------------
+
+def random_tagged_stream(topo, rng, steps=40):
+    """``(device, tag, updates)`` batches valid under strict validation.
+
+    3-6 devices hop between 2-5 tags with no order imposed on them, so the
+    stream holds same-tag re-reports, tags already stale when a device
+    first reports them, parallel live epochs and empty batches.
+    """
+    tags = [f"t{i}" for i in range(rng.randint(2, 5))]
+    installed = {d: {} for d in topo.switches()}  # device → {pri: rule}
+    current = {}
+    stream = []
+    for _ in range(steps):
+        device = rng.choice(topo.switches())
+        if device not in current or rng.random() < 0.4:
+            current[device] = rng.choice(tags)
+        tag = current[device]
+        updates = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            # One rule per priority slot, as in build_epoch_chain: no ties.
+            pri = rng.randint(1, 3)
+            old = installed[device].pop(pri, None)
+            if old is not None:
+                updates.append(delete(device, old, epoch=tag))
+                continue
+            rule = random_rule(topo, device, pri, rng)
+            if rule is not None:
+                installed[device][pri] = rule
+                updates.append(insert(device, rule, epoch=tag))
+        stream.append((device, tag, updates))
+    return stream
+
+
+class TestTrackerInvariant:
+    """What the trunk stands on, stated on :class:`EpochTracker` alone:
+    while ``t`` is active, every device that ever reported ``t`` reported
+    it last — its newest FIB is its FIB at ``t``."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_active_epoch_holds_every_device_that_ever_reported_it(self, seed):
+        from repro.ce2d.epoch import EpochTracker
+
+        rng = random.Random(seed)
+        tracker = EpochTracker()
+        ever = {}
+        for device, tag, _ in random_tagged_stream(random_topology(rng), rng):
+            tracker.observe(device, tag)
+            ever.setdefault(tag, set()).add(device)
+            for active in tracker.active_tags():
+                assert set(tracker.devices_at(active)) == ever[active], seed
+
+
+class TestTrunkMatchesReplay:
+    def _requirements(self, topo):
+        from repro.spec.requirement import requirement
+
+        last = f"s{len(topo.switches()) - 1}"
+        return [
+            requirement("everywhere", topo, LAYOUT, Match.wildcard(), ["s0"], f"s0 .* {last}"),
+            requirement("low-half", topo, LAYOUT, Match.dst_prefix(0, 1, LAYOUT), [last], f"{last} .* s0"),
+        ]
+
+    @staticmethod
+    def _verdicts(member):
+        loop = member.loop_detector
+        return [loop.verdict, loop.loop_path is None] + [
+            v.report().verdict for v in member.regex_verifiers
+        ]
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize("cap", [1, 2, 8])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_live_epoch_after_every_batch(self, seed, cap, partitioned):
+        from repro.ce2d.verifier import SubspaceVerifier
+        from repro.core.rule_index import matches_intersect
+        from repro.core.subspace import SubspacePartition
+        from repro.flash import EpochGroupVerifier
+
+        from .replay_dispatcher_reference import ReplayDispatcher
+
+        rng = random.Random(1000 * seed + 10 * cap + partitioned)
+        topo = random_topology(rng)
+        requirements = self._requirements(topo)
+        partition = (
+            SubspacePartition.dst_prefix_partition(LAYOUT, [(0, 1), (4, 1)])
+            if partitioned
+            else None
+        )
+        matches = [None] if partition is None else [s.match for s in partition]
+        flash = Flash(
+            topo, LAYOUT, requirements=requirements, check_loops=True,
+            partition=partition, max_live_verifiers=cap,
+        )
+
+        def pinned(tag):  # one verifier per epoch, each with its own model
+            return EpochGroupVerifier(
+                [
+                    SubspaceVerifier(
+                        topo, LAYOUT, epoch=tag, subspace_match=m, check_loops=True,
+                        requirements=[
+                            r for r in requirements
+                            if m is None or matches_intersect(r.packet_space, m)
+                        ],
+                    )
+                    for m in matches
+                ],
+                epoch=tag,
+            )
+
+        replay = ReplayDispatcher(pinned, max_live_verifiers=cap)
+        headers = [
+            dict(LAYOUT.bits_of("dst", value))
+            for value in range(LAYOUT.universe_size)
+        ]
+        # A same-tag re-report that changes a synchronised column is never
+        # re-checked (ROADMAP item 1): from then on the epoch's per-EC state
+        # is what lineage hands down, which depends on how finely the model
+        # is partitioned — and the trunk's table is legitimately finer than
+        # a per-epoch model's.  Such an epoch's verdicts are unspecified on
+        # both sides and compared only up to that batch.
+        revised = set()
+        for step, (device, tag, updates) in enumerate(random_tagged_stream(topo, rng)):
+            where = (seed, cap, partitioned, step)
+            group = flash.dispatcher.verifier_for(tag)
+            if updates and group is not None and device in group.members[0].synced:
+                revised.add(tag)
+            ours = flash.receive(device, tag, updates)
+            theirs = replay.receive(device, tag, updates)
+            # (A deferred epoch opens with one report set here, one per
+            # device there.)
+            assert {r.epoch for r in ours} == {r.epoch for r in theirs}, where
+            assert list(flash.dispatcher.verifiers) == list(replay.verifiers), where
+            for live, group in flash.dispatcher.verifiers.items():
+                for member, pin in zip(group.members, replay.verifiers[live].members):
+                    assert member.synced == pin.synced, (*where, live)
+                    assert member.synced == set(
+                        flash.dispatcher.tracker.devices_at(live)
+                    ), (*where, live)
+                    if live not in revised:
+                        assert self._verdicts(member) == self._verdicts(pin), (*where, live)
+                    trunk, own = member.manager.model, pin.manager.model
+                    for header in headers:
+                        if not own.universe.evaluate(header):
+                            continue
+                        for synced in member.synced:
+                            assert trunk.action_of(
+                                trunk.vector_for(header), synced
+                            ) == own.action_of(own.vector_for(header), synced), (*where, live)
+
+
+class _RecordingChecker:
+    """A custom §5.1 checker that remembers how it was called."""
+
+    def __init__(self):
+        self.calls = []  # (new_synced, the report returned)
+
+    def on_model_update(self, deltas, new_synced, model):
+        from repro.results import VerificationReport
+
+        report = VerificationReport(requirement="recorded", verdict=Verdict.UNKNOWN)
+        self.calls.append((tuple(new_synced), report))
+        return report
+
+
+class TestLineageOnlyCalls:
+    def test_foreign_batches_reach_a_checker_as_lineage_and_report_nothing(self):
+        from repro.ce2d.dispatcher import CE2DDispatcher
+        from repro.ce2d.verifier import SubspaceVerifier
+
+        topo = random_topology(random.Random(3))
+        trunk = SubspaceVerifier(topo, LAYOUT)
+        checkers = {}
+
+        def factory(tag):
+            verifier = SubspaceVerifier(topo, LAYOUT, epoch=tag, manager=trunk.manager)
+            checkers[tag] = _RecordingChecker()
+            verifier.add_checker(checkers[tag])
+            return verifier
+
+        dispatcher = CE2DDispatcher(trunk, factory)
+        rule = Rule(1, Match.dst_prefix(4, 1, LAYOUT), 0)
+        returned = [
+            dispatcher.receive(1, "a", [insert(1, rule)]),
+            dispatcher.receive(2, "b", []),            # opens b beside a
+            dispatcher.receive(1, "a", [delete(1, rule)]),  # a's own re-report
+            dispatcher.receive(3, "a", []),
+        ]
+        assert [c[0] for c in checkers["a"].calls] == [(1,), (), (1,), (3,)]
+        assert [c[0] for c in checkers["b"].calls] == [(2,), (), ()]
+        lineage = {
+            id(report)
+            for checker in checkers.values()
+            for synced, report in checker.calls
+            if synced == ()
+        }
+        assert len(lineage) == 3
+        handed_back = [id(r) for reports in returned for r in reports]
+        assert len(handed_back) == 4 and not lineage & set(handed_back)
+        assert [id(r) for r in dispatcher.reports] == handed_back
+        for tag, checker in checkers.items():
+            kept = [id(r) for s, r in checker.calls if s != ()]
+            assert [id(r) for r in dispatcher.verifier_for(tag).reports] == kept
+
+
+class TestOneModelPerSubspace:
+    @pytest.mark.parametrize("subspaces", [1, 2])
+    def test_epochs_construct_no_model(self, subspaces, monkeypatch):
+        from repro.core.model_manager import ModelWriter
+        from repro.core.subspace import SubspacePartition
+
+        built = []
+        init = ModelWriter.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelWriter, "__init__", counting)
+        rng = random.Random(11)
+        topo = random_topology(rng)
+        batches, _ = build_epoch_chain(topo, rng, epochs=5)
+        partition = (
+            SubspacePartition.dst_prefix_partition(LAYOUT, [(0, 1), (4, 1)])
+            if subspaces == 2
+            else None
+        )
+        flash = Flash(topo, LAYOUT, check_loops=True, partition=partition)
+        for e in range(5):
+            for device, chain in batches.items():
+                flash.receive(device, *chain[e])
+        opened = flash.telemetry.registry.value("ce2d.epoch.opened")
+        assert opened == 5 and len(built) == subspaces
+        assert [m.manager for m in flash.trunk.members] == built

@@ -201,8 +201,12 @@ class TestOpenRWithDispatcher:
     """End-to-end: simulation feeding CE2D through epoch dispatch."""
 
     def _run(self, sim, topo):
+        trunk = SubspaceVerifier(topo, LAYOUT)
         dispatcher = CE2DDispatcher(
-            lambda tag: SubspaceVerifier(topo, LAYOUT, epoch=tag, check_loops=True)
+            trunk,
+            lambda tag: SubspaceVerifier(
+                topo, LAYOUT, epoch=tag, check_loops=True, manager=trunk.manager
+            ),
         )
         sim.add_collector(
             lambda when, device, tag, updates: dispatcher.receive(

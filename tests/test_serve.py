@@ -93,9 +93,7 @@ class TestQueryableVerifier:
 
     def test_epoch_group_verifier_conforms(self):
         topo, *_ = diamond()
-        group = EpochGroupVerifier(
-            topo, LAYOUT, None, (), check_loops=False, use_dgq=True
-        )
+        group = EpochGroupVerifier([SubspaceVerifier(topo, LAYOUT)])
         assert isinstance(group, QueryableVerifier)
 
     def test_arbitrary_object_does_not_conform(self):
