@@ -41,7 +41,7 @@ def make_loop_check(topology):
     def check(manager: ModelWriter) -> Optional[str]:
         detector = LoopDetector(topology)
         deltas = [
-            EcDelta(pred, vec, pred.node) for pred, vec in manager.model.entries()
+            EcDelta(pred, vec, pred) for pred, vec in manager.model.entries()
         ]
         report = detector.on_model_update(
             deltas, topology.switches(), manager.model

@@ -74,6 +74,14 @@ _SPLIT = 1 << (2 * _EDGE_BITS)
 #: top-level operations, so one operation may overshoot transiently.
 CACHE_LIMIT = 1 << 16
 
+#: Live-node count below which the sweep rule
+#: (:meth:`~repro.bdd.predicate.PredicateEngine.collect_if_grown`) never
+#: fires.  A sweep at this size costs about 2 ms plus a cold op cache to
+#: give back at most ~160 KB of node lists, so below it a store that
+#: doubles is not worth a sweep — and the small, short-lived engines
+#: (one per ``copy`` snapshot, per fuzz scenario, per test) never pay one.
+SWEEP_FLOOR = 1 << 12
+
 RootProvider = Callable[[], Iterable[int]]
 
 
@@ -138,6 +146,11 @@ class BddStats:
     def cache_hit_rate(self) -> float:
         """Fraction of op-cache lookups served from the cache."""
         return self.apply_cache_hits / self.apply_calls if self.apply_calls else 0.0
+
+    def add(self, other: "BddStats") -> None:
+        """Fold another engine's tallies into this one, field by field."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def publish(self, registry, prefix: str = "bdd") -> None:
         """Mirror the tallies into registry gauges."""

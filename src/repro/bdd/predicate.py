@@ -24,7 +24,7 @@ import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..telemetry import MetricsRegistry, OpMetrics
-from .engine import BDD, FALSE, TRUE
+from .engine import BDD, FALSE, SWEEP_FLOOR, TRUE, BddStats
 
 
 class Predicate:
@@ -121,6 +121,48 @@ class Predicate:
         return f"Predicate(node={self.node})"
 
 
+class _BddGauges:
+    """A registry's one ``bdd.*`` collector: totals over its engines.
+
+    Engines that share a registry (a partitioned ``Flash`` has one per
+    subspace) share the gauge names, so a collector per engine would
+    leave the last engine's numbers standing as the system's.  Counts
+    and sizes are summed; ``bdd.cache.limit`` is a per-engine bound and
+    stays one bound.
+    """
+
+    def __init__(self) -> None:
+        self.engines: List["PredicateEngine"] = []
+
+    @classmethod
+    def of(cls, registry: MetricsRegistry) -> "_BddGauges":
+        for collector in registry.collectors:
+            if isinstance(collector, cls):
+                return collector
+        gauges = cls()
+        registry.add_collector(gauges)
+        return gauges
+
+    def __call__(self, registry: MetricsRegistry) -> None:
+        """Mirror the engines' hot-path BDD tallies into ``bdd.*`` gauges."""
+        total = BddStats()
+        live = allocated = cache_size = unique_size = 0
+        for engine in self.engines:
+            bdd = engine.bdd
+            total.add(bdd.stats)
+            live += engine.live_nodes
+            allocated += bdd.num_nodes
+            if hasattr(bdd, "cache_size"):  # not the tests' reference oracle
+                cache_size += bdd.cache_size
+                unique_size += bdd.unique_used
+                registry.gauge("bdd.cache.limit").set(bdd.cache_limit)
+        total.publish(registry)
+        registry.gauge("bdd.nodes").set(live)
+        registry.gauge("bdd.nodes.allocated").set(allocated)
+        registry.gauge("bdd.cache.size").set(cache_size)
+        registry.gauge("bdd.unique.size").set(unique_size)
+
+
 class PredicateEngine:
     """Factory and operation accountant for :class:`Predicate` objects.
 
@@ -130,6 +172,14 @@ class PredicateEngine:
     handle is a GC root; variable 0 is the header MSB and
     :meth:`signature` is the 8-variable cofactor-occupancy mask, which
     composes over ``|``.
+
+    The engine collects itself: whoever owns a long-lived engine calls
+    :meth:`collect_if_grown` where no operation is mid-flight (a
+    ``ModelWriter`` at the end of every block), and the engine decides
+    from its own growth whether to sweep.  Freed ids are reused, so the
+    hard rule for everything above is: what outlives a block holds
+    :class:`Predicate` handles (or pins), never a bare ``pred.node`` —
+    a dict keyed by node id keeps the handle in the value.
 
     Parameters
     ----------
@@ -144,11 +194,6 @@ class PredicateEngine:
         The seam through which the equivalence tests drive the same
         predicate workload over the reference oracle
         (``tests/bdd_reference.py``).
-    gc_threshold:
-        When set, counted operations trigger :meth:`collect` whenever
-        the live node count exceeds this value.  Only enable it for
-        workloads that follow the pinning protocol (hold handles or
-        pins, never bare node ids, across counted operations).
     """
 
     def __init__(
@@ -157,7 +202,6 @@ class PredicateEngine:
         registry: Optional[MetricsRegistry] = None,
         *,
         bdd=None,
-        gc_threshold: Optional[int] = None,
     ) -> None:
         if bdd is not None and bdd.num_vars != num_vars:
             raise ValueError(
@@ -170,7 +214,7 @@ class PredicateEngine:
         self._c_conj = self.metrics._conj
         self._c_disj = self.metrics._disj
         self._c_neg = self.metrics._neg
-        self.registry.add_collector(self._publish_bdd_stats)
+        _BddGauges.of(self.registry).engines.append(self)
         # Live handles double as GC roots, interned per node id: one
         # weakly-referenced handle per node, so equal predicates share a
         # handle and a node stays rooted exactly while *some* handle for
@@ -179,7 +223,6 @@ class PredicateEngine:
         self._handles: "weakref.WeakValueDictionary[int, Predicate]" = (
             weakref.WeakValueDictionary()
         )
-        self._gc_threshold = gc_threshold
         if hasattr(self.bdd, "add_root_provider"):
             self.bdd.add_root_provider(self._live_roots)
         self._false = Predicate(self, FALSE)
@@ -187,19 +230,6 @@ class PredicateEngine:
 
     def _live_roots(self) -> List[int]:
         return list(self._handles.keys())
-
-    def _publish_bdd_stats(self, registry: MetricsRegistry) -> None:
-        """Collector: mirror hot-path BDD tallies into ``bdd.*`` gauges."""
-        bdd = self.bdd
-        bdd.stats.publish(registry)
-        registry.gauge("bdd.nodes").set(
-            getattr(bdd, "live_node_count", bdd.num_nodes)
-        )
-        registry.gauge("bdd.nodes.allocated").set(bdd.num_nodes)
-        if hasattr(bdd, "cache_size"):
-            registry.gauge("bdd.cache.size").set(bdd.cache_size)
-            registry.gauge("bdd.cache.limit").set(bdd.cache_limit)
-            registry.gauge("bdd.unique.size").set(bdd.unique_used)
 
     # -- constants -----------------------------------------------------
     @property
@@ -247,38 +277,28 @@ class PredicateEngine:
     # -- counted operations --------------------------------------------
     def conj(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_conj.value += 1
         return self.pred(self.bdd.apply_and(a.node, b.node))
 
     def disj(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_disj.value += 1
         return self.pred(self.bdd.apply_or(a.node, b.node))
 
     def neg(self, a: Predicate) -> Predicate:
         self._check(a, a)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_neg.value += 1
         return self.pred(self.bdd.negate(a.node))
 
     def diff(self, a: Predicate, b: Predicate) -> Predicate:
         """a ∧ ¬b, counted as one conjunction and one negation."""
         self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_conj.value += 1
         self._c_neg.value += 1
         return self.pred(self.bdd.apply_diff(a.node, b.node))
 
     def xor(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_conj.value += 1
         return self.pred(self.bdd.apply_xor(a.node, b.node))
 
@@ -290,8 +310,6 @@ class PredicateEngine:
         ``(a & b, a - b)`` computed separately.
         """
         self._check(a, b)
-        if self._gc_threshold is not None:
-            self._maybe_collect()
         self._c_conj.value += 1
         self._c_neg.value += 1
         inter, rest = self.bdd.apply_split(a.node, b.node)
@@ -489,6 +507,31 @@ class PredicateEngine:
             return 0
         return bdd_collect(extra_roots)
 
+    def collect_if_grown(self) -> int:
+        """The sweep rule: :meth:`collect` once the store has doubled.
+
+        Sweeps when the live nodes number at least twice those that
+        survived the last sweep — the usual heap-growth factor: a sweep
+        costs time linear in the store and runs only after as many
+        allocations again, so sweeping is amortised constant work per
+        node allocated and the store stays within about twice what is
+        reachable — and at least
+        :data:`~repro.bdd.engine.SWEEP_FLOOR`.  Returns the node count
+        freed, 0 when the rule did not fire.
+
+        The owner of a long-lived engine calls this where it knows no
+        operation is mid-flight — between blocks
+        (:meth:`~repro.core.model_manager.ModelWriter.flush`) or between
+        publishes (:meth:`~repro.serve.snapshots.DeltaIsolator.isolate`).
+        There is no threshold to set and no switch: an engine nobody
+        sweeps dies of its garbage.
+        """
+        bdd = self.bdd
+        survived = bdd.stats.gc_last_live
+        if getattr(bdd, "live_node_count", 0) < max(SWEEP_FLOOR, 2 * survived):
+            return 0
+        return self.collect()
+
     def pin(self, pred: Predicate) -> Predicate:
         """Pin a predicate's nodes across collections (nests; see unpin)."""
         self._check(pred, pred)
@@ -498,14 +541,6 @@ class PredicateEngine:
     def unpin(self, pred: Predicate) -> None:
         self._check(pred, pred)
         self.bdd.unpin(pred.node)
-
-    def _maybe_collect(self) -> None:
-        threshold = self._gc_threshold
-        if (
-            threshold is not None
-            and getattr(self.bdd, "live_node_count", 0) > threshold
-        ):
-            self.collect()
 
     # -- bookkeeping -----------------------------------------------------
     def _check(self, a: Predicate, b: Predicate) -> None:

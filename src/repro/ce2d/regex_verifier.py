@@ -112,7 +112,7 @@ class RegexVerifier:
                 next_outside[node] = delta.predicate
                 continue
             if entry is None:
-                parent = self._table.get(delta.origin)
+                parent = self._table.get(delta.origin.node)
                 if parent is None:
                     # EC born outside our table (e.g. after merges): start
                     # from the template pruned by all synced devices so far.

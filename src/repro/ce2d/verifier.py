@@ -47,6 +47,15 @@ class Checker:
     *lineage only*: a device outside this epoch changed the partition, so
     re-key per-EC state along ``delta.origin``; the returned report is
     dropped, nobody having synchronised.
+
+    The model's engine sweeps itself between blocks and reuses the node
+    ids it frees, so ``pred.node`` identifies a predicate only while some
+    handle to it is alive.  A checker that keys per-EC state by node id
+    keeps the :class:`~repro.bdd.predicate.Predicate` in the value (as
+    ``RegexVerifier`` does), or keys by the handle itself — equal
+    predicates hash equal.  ``delta.predicate`` and ``delta.origin`` are
+    handles; a key built from either stays good exactly as long as the
+    checker holds on to one of them.
     """
 
     def on_model_update(self, deltas, new_synced, model) -> Report:

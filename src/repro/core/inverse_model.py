@@ -29,16 +29,18 @@ VecId = int
 class EcDelta:
     """One post-block equivalence class with its lineage.
 
-    ``origin`` is the node id of the predicate of the pre-block EC this one
-    descends from.  When several pre-block ECs merged into this one, any
-    parent is equivalent for graph duplication (they agreed on every
-    previously-synchronised device — see DESIGN.md §4) and the first is
-    kept.
+    ``origin`` is the predicate of the pre-block EC this one descends
+    from — the handle, not its node id: the parent may be in nobody's
+    table once the block is applied, and the delta is what keeps the id
+    a consumer keys on from being recycled under it.  When several
+    pre-block ECs merged into this one, any parent is equivalent for
+    graph duplication (they agreed on every previously-synchronised
+    device — see DESIGN.md §4) and the first is kept.
     """
 
     predicate: Predicate
     vector: VecId
-    origin: int
+    origin: Predicate
 
 
 class InverseModel:
@@ -76,7 +78,7 @@ class InverseModel:
         joining late (a CE2D epoch opening on the trunk) starts from.
         """
         return [
-            EcDelta(predicate=pred, vector=vec, origin=pred.node)
+            EcDelta(predicate=pred, vector=vec, origin=pred)
             for vec, pred in self._entries.items()
         ]
 
@@ -144,16 +146,16 @@ class InverseModel:
             len(ows) > 1 and support is not None and not support.is_true
         )
         # Buckets carry (predicate, origin, signature).
-        work: Dict[VecId, Tuple[Predicate, int, int]] = {}
-        untouched: Dict[VecId, Tuple[Predicate, int, int]] = {}
+        work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
+        untouched: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
         for vec, pred in self._entries.items():
             psig = sig_of(pred)
             if psig & support_sig == 0 or (
                 exact and (pred & support).is_false
             ):
-                untouched[vec] = (pred, pred.node, psig)
+                untouched[vec] = (pred, pred, psig)
             else:
-                work[vec] = (pred, pred.node, psig)
+                work[vec] = (pred, pred, psig)
         if untouched:
             engine.registry.counter("mr2.apply.ecs_skipped").inc(
                 len(untouched)
@@ -162,7 +164,7 @@ class InverseModel:
         for ow, ow_sig in zip(ows, ow_sigs):
             delta = ow.delta_dict()
             ow_pred = ow.predicate
-            next_work: Dict[VecId, Tuple[Predicate, int, int]] = {}
+            next_work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
             for vec, (pred, origin, psig) in work.items():
                 if psig & ow_sig == 0:
                     pruned += 1
@@ -189,10 +191,10 @@ class InverseModel:
 
     @staticmethod
     def _merge(
-        bucket: Dict[VecId, Tuple[Predicate, int, int]],
+        bucket: Dict[VecId, Tuple[Predicate, Predicate, int]],
         vec: VecId,
         pred: Predicate,
-        origin: int,
+        origin: Predicate,
         sig: int,
     ) -> None:
         """Merge a (predicate, signature) piece into a fast-path bucket.

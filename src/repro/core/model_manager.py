@@ -333,13 +333,25 @@ class ModelWriter:
         if not self.recovery:
             deltas = self.pipeline.process_block(block)
             self._epoch += 1
-            return deltas
-        checkpoint = self.checkpoint()
-        try:
-            deltas = self.pipeline.process_block(block)
-        except ReproError as exc:
-            return self._fallback_recompute(checkpoint, block, exc)
-        self._epoch += 1
+        else:
+            checkpoint = self.checkpoint()
+            try:
+                deltas = self.pipeline.process_block(block)
+            except ReproError as exc:
+                deltas = self._fallback_recompute(checkpoint, block, exc)
+            else:
+                self._epoch += 1
+        # The block is applied and nothing is mid-flight: the one point
+        # where the engine may recycle node ids.  Everything that outlives
+        # a block holds Predicate handles (the EC table, ``deltas`` and
+        # their origins, the match cache, checker tables, read views) and
+        # handles are the sweep's roots; a bare ``pred.node`` kept past
+        # here may name another predicate afterwards.  Threads: the sweep
+        # runs on the writer's thread.  ``ServeDaemon._apply`` calls this
+        # under its model lock, which ``shared`` readers evaluate under;
+        # ``copy`` / ``copy-delta`` readers never touch this engine and
+        # their export runs after the flush, on this same thread.
+        self.engine.collect_if_grown()
         return deltas
 
     # -- checkpoint / rollback (repro.resilience) --------------------------

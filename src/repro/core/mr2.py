@@ -68,6 +68,8 @@ def reduce_by_predicate(overwrites: Iterable[Overwrite]) -> List[Overwrite]:
     Raises :class:`OverwriteConflictError` if two merged overwrites write
     different actions to the same device — they were not conflict-free.
     """
+    # Keyed by node id with the handle in the value: the id cannot be
+    # recycled while the entry is alive.
     grouped: Dict[int, Tuple[Predicate, Dict[int, Action]]] = {}
     for ow in overwrites:
         key = ow.predicate.node

@@ -59,6 +59,8 @@ class RewriteAwareChecker:
         self.topology = topology
         self.layout = manager.layout
         self.engine = manager.engine
+        # Node id → (handle, vector): the handle in the value keeps the
+        # id this checker's states name from being recycled.
         self._entries = {
             pred.node: (pred, vec) for pred, vec in manager.model.entries()
         }

@@ -345,9 +345,8 @@ class ServeDaemon:
         )
         snapshot = self._snapshots.pin(epoch)
         try:
-            # cache_key compiles the scope → BDD ops → same lock as eval.
             with snapshot.lock:
-                key = (snapshot.epoch,) + query.cache_key(snapshot.view)
+                key = (snapshot.epoch,) + query.cache_key()
                 answer = self._cache.get(key)
                 cached = answer is not None
                 if answer is None:

@@ -21,13 +21,13 @@ Answers are :class:`QueryAnswer` values — a verdict plus the exact
 header count of the interesting set — and compare by equality, which is
 what grounds the mid-storm oracle check in ``repro.serve.load``.
 
-Cache keys (:meth:`Query.cache_key`) follow the ISSUE-specified
-``(snapshot_epoch, predicate_signature)`` scheme with an exactness
-refinement: the signature (:meth:`~repro.bdd.predicate.PredicateEngine.
-signature` of the compiled scope) is the cheap discriminator, and the
-scope's canonical BDD node id makes the key exact — two scopes with
-colliding signatures still get distinct entries.  The snapshot epoch is
-prepended by the cache layer.
+Cache keys (:meth:`Query.cache_key`) are ``(kind, params, scope)`` —
+the query as the caller wrote it, the scope as its hashable
+:class:`~repro.headerspace.match.Match`.  Nothing in a key belongs to an
+engine: a BDD node id names a predicate only while a handle to it is
+alive, and a cache entry outlives the query that compiled the scope.
+The snapshot epoch is prepended by the cache layer; all snapshots of one
+daemon share one universe, so (epoch, key) determines the answer.
 """
 
 from __future__ import annotations
@@ -119,19 +119,9 @@ class Query:
         """Hashable, engine-independent parameters of this query."""
         return ()
 
-    def cache_key(self, view: ModelReadView) -> Tuple:
-        """(kind, params, scope signature, scope node id).
-
-        Must be computed under the same lock as evaluation (compiling
-        the scope performs BDD operations on the view's engine).
-        """
-        scope = self.scope_predicate(view)
-        return (
-            self.kind,
-            self.params(),
-            view.engine.signature(scope),
-            scope.node,
-        )
+    def cache_key(self) -> Tuple:
+        """``(kind, params, scope)``: engine-independent, no BDD work."""
+        return (self.kind, self.params(), self.scope)
 
     def _witness(
         self,

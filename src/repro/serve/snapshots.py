@@ -134,9 +134,11 @@ class DeltaIsolator:
         self._base_fp = wire.fingerprint_blob(blob)
         self.last_blob_size = len(blob)
         # Nodes referenced only by retired snapshots accumulate in the
-        # shared read engine; reap them while no query is mid-flight on
-        # a live snapshot's still-rooted table.
-        self._engine.collect()
+        # shared read engine; it sweeps on the same rule as the writer's,
+        # here because the daemon holds the read-side lock around this
+        # call: no query is mid-flight, and every live snapshot's table
+        # is handles.
+        self._engine.collect_if_grown()
         return FrozenReadView(
             engine=self._engine,
             layout=view.layout,

@@ -163,6 +163,12 @@ class MetricsRegistry:
         """Register a callback run before every :meth:`snapshot`."""
         self._collectors.append(fn)
 
+    @property
+    def collectors(self) -> Tuple[Collector, ...]:
+        """The registered collectors — how components that share this
+        registry find the one collector that totals over all of them."""
+        return tuple(self._collectors)
+
     def collect(self) -> None:
         for fn in self._collectors:
             fn(self)

@@ -23,14 +23,14 @@ def apply_overwrites_reference(
     model: InverseModel, overwrites: Iterable[Overwrite]
 ) -> List[EcDelta]:
     """Apply a block to ``model`` in place; the full post-block EC list."""
-    work: Dict[VecId, Tuple[Predicate, int]] = {
-        vec: (pred, pred.node) for vec, pred in model._entries.items()
+    work: Dict[VecId, Tuple[Predicate, Predicate]] = {
+        vec: (pred, pred) for vec, pred in model._entries.items()
     }
     for ow in overwrites:
         if ow.predicate.is_false or ow.is_noop:
             continue
         delta = ow.delta_dict()
-        next_work: Dict[VecId, Tuple[Predicate, int]] = {}
+        next_work: Dict[VecId, Tuple[Predicate, Predicate]] = {}
         for vec, (pred, origin) in work.items():
             inter = pred & ow.predicate
             if inter.is_false:
@@ -50,10 +50,10 @@ def apply_overwrites_reference(
 
 
 def _merge_reference(
-    bucket: Dict[VecId, Tuple[Predicate, int]],
+    bucket: Dict[VecId, Tuple[Predicate, Predicate]],
     vec: VecId,
     pred: Predicate,
-    origin: int,
+    origin: Predicate,
 ) -> None:
     existing = bucket.get(vec)
     if existing is None:

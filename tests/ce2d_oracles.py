@@ -155,7 +155,7 @@ class MemoFreeRegexVerifier(RegexVerifier):
                 continue
             entry = self._table.get(delta.predicate.node)
             if entry is None:
-                parent = self._table.get(delta.origin)
+                parent = self._table.get(delta.origin.node)
                 if parent is None:
                     entry = self._entry(self._template.clone(), delta.predicate)
                     for device in self.synced:

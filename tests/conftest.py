@@ -69,6 +69,28 @@ def _reseed_global_random(request):
     random.setstate(state)
 
 
+@pytest.fixture
+def always_sweep(monkeypatch):
+    """Patch the engine's sweep rule to "always": every block boundary
+    (``ModelWriter.flush``) and every ``copy-delta`` publish collects.
+
+    The product has no such switch — the rule is
+    ``PredicateEngine.collect_if_grown`` and nothing selects another —
+    so the tests that audit id reuse force it from here.  The fixture's
+    value is a callable returning the number of sweeps forced so far.
+    """
+    from repro.bdd.predicate import PredicateEngine
+
+    sweeps = [0]
+
+    def sweep(engine):
+        sweeps[0] += 1
+        return engine.collect()
+
+    monkeypatch.setattr(PredicateEngine, "collect_if_grown", sweep)
+    return lambda: sweeps[0]
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -62,7 +62,7 @@ def fresh_verdict(req, topo, manager, synced):
     """Ground truth: a fresh verifier judging the current model in one shot."""
     reference = RegexVerifier(req, topo, LAYOUT, manager.compiler)
     deltas = [
-        EcDelta(pred, vec, pred.node) for pred, vec in manager.model.entries()
+        EcDelta(pred, vec, pred) for pred, vec in manager.model.entries()
     ]
     return reference.on_model_update(deltas, sorted(synced), manager.model).verdict
 
@@ -86,7 +86,7 @@ class TestIncrementalMatchesReference:
             deltas = manager.flush()
             if not deltas:
                 deltas = [
-                    EcDelta(pred, vec, pred.node)
+                    EcDelta(pred, vec, pred)
                     for pred, vec in manager.model.entries()
                 ]
             synced.add(device)
@@ -114,7 +114,7 @@ class TestIncrementalMatchesReference:
             deltas = manager.flush()
             if not deltas:
                 deltas = [
-                    EcDelta(pred, vec, pred.node)
+                    EcDelta(pred, vec, pred)
                     for pred, vec in manager.model.entries()
                 ]
             synced.add(device)
@@ -138,7 +138,7 @@ class TestIncrementalMatchesReference:
             deltas = manager.flush()
             if not deltas:
                 deltas = [
-                    EcDelta(pred, vec, pred.node)
+                    EcDelta(pred, vec, pred)
                     for pred, vec in manager.model.entries()
                 ]
             incremental.on_model_update(deltas, [device], manager.model)

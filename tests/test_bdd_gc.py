@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.bdd.engine import BDD
+from repro.bdd.engine import BDD, SWEEP_FLOOR
 from repro.bdd.predicate import PredicateEngine
 
 from .bdd_reference import ReferenceBDD
@@ -172,13 +172,35 @@ class TestPinning:
 
 class TestAutoCollect:
     def test_gc_threshold_triggers_collection(self):
-        eng = PredicateEngine(NUM_VARS, gc_threshold=2000)
+        """The sweep rule: nothing below the floor, one sweep once the
+        store has doubled, none again until it doubles again."""
+        eng = PredicateEngine(NUM_VARS)
+        stats = eng.bdd.stats
         rng = case_rng(5)
-        for _ in range(6):
-            build_wave(eng, rng, 150)  # handles dropped each iteration
-        assert eng.bdd.stats.gc_runs > 0
-        assert eng.bdd.stats.gc_freed > 0
-        assert eng.live_nodes <= 2000 + 1500  # bounded shortly after sweeps
+        held = []
+        while eng.live_nodes < SWEEP_FLOOR:
+            assert eng.collect_if_grown() == 0  # below the floor
+            held.extend(build_wave(eng, rng, 50))
+        assert stats.gc_runs == 0
+        while eng.live_nodes < 3 * SWEEP_FLOOR:
+            held.extend(build_wave(eng, rng, 50))
+        counts = [p.sat_count() for p in held]
+
+        eng.collect_if_grown()  # doubled since "nothing survived"
+        assert stats.gc_runs == 1
+        survivors = stats.gc_last_live
+        assert survivors == eng.live_nodes
+        assert 2 * survivors > SWEEP_FLOOR  # doubling, not the floor, binds
+
+        while eng.live_nodes < 2 * survivors:
+            assert eng.collect_if_grown() == 0  # grown, not yet doubled
+            build_wave(eng, rng, 50)  # handles dropped: garbage
+        assert stats.gc_runs == 1
+        assert eng.collect_if_grown() > 0
+        assert stats.gc_runs == 2
+        assert eng.live_nodes < 2 * survivors
+        assert eng.collect_if_grown() == 0
+        assert [p.sat_count() for p in held] == counts
 
     def test_gc_telemetry_published(self):
         from repro.telemetry import MetricsRegistry

@@ -94,14 +94,15 @@ def test_split_publishes_engine_stats():
 
 def test_split_survives_gc_and_table_rehash():
     """Splits stay exact while collections free ids and rebuild the unique table."""
-    engine = PredicateEngine(NUM_VARS, gc_threshold=256)
+    engine = PredicateEngine(NUM_VARS)
     rng = case_rng(0x519B)
     for round_no in range(40):
         f, g = random_pred(engine, rng, 6), random_pred(engine, rng, 6)
         inter, rest = f.split(g)
         assert (inter | rest) == f
-        if round_no % 10 == 9:
+        if round_no % 3 == 2:
             engine.collect()
+    assert engine.bdd.stats.gc_freed > 0
 
 
 class TestSignature:

@@ -247,7 +247,7 @@ class TestInverseModelApplication:
         original = model.entries()[0][0]
         p = compiler.compile(Match.dst_prefix(0b1000, 1, LAYOUT))
         deltas = model.apply_overwrites([atomic(p, 0, 5)])
-        assert {d.origin for d in deltas} == {original.node}
+        assert {d.origin for d in deltas} == {original}
 
     def test_empty_overwrite_ignored(self):
         engine = PredicateEngine(LAYOUT.total_bits)

@@ -252,7 +252,7 @@ class TestDemandDrivenSearch:
         for device, nxt in [(0, 1), (1, 2)]:
             verifier.receive(device, [insert(device, Rule(1, Match.wildcard(), nxt))])
         deltas = [
-            EcDelta(pred, vec, pred.node)
+            EcDelta(pred, vec, pred)
             for pred, vec in verifier.manager.model.entries()
         ]
         searches = telemetry.registry.counter("ce2d.loop.searches").value

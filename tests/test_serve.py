@@ -168,12 +168,11 @@ class TestQueries:
 
     def test_cache_key_is_stable_and_scope_sensitive(self):
         topo, s, w, b, x = diamond()
-        view = view_of(topo, [exit_rules(topo, s, w, b, x)])
         q1 = ReachabilityQuery(s, Match.dst_prefix(0, 2, LAYOUT))
         q2 = ReachabilityQuery(s, Match.dst_prefix(1 << 6, 2, LAYOUT))
-        assert q1.cache_key(view) == q1.cache_key(view)
-        assert q1.cache_key(view) != q2.cache_key(view)
-        assert q1.cache_key(view) != LoopQuery(q1.scope).cache_key(view)
+        assert q1.cache_key() == ReachabilityQuery(s, q1.scope).cache_key()
+        assert q1.cache_key() != q2.cache_key()
+        assert q1.cache_key() != LoopQuery(q1.scope).cache_key()
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +417,44 @@ class TestServeDaemon:
             fresh = daemon.ask(query)
             # New epoch, new key: the cache cannot serve a stale answer.
             assert fresh.epoch == 2 and not fresh.cached
+
+    def test_cache_keys_survive_a_writer_sweep_in_shared_mode(self, always_sweep):
+        """Two scopes against one pinned epoch, with a writer flush and a
+        sweep of the shared engine between them.  Under a subspace
+        universe the compiled scope (``scope & universe``) is a predicate
+        nobody holds once a query returns; a key carrying its node id
+        could name the second scope's predicate after the sweep."""
+        topo, s, w, b, x = diamond()
+        verifier = SubspaceVerifier(
+            topo, LAYOUT, epoch="serve", validation="repair",
+            subspace_match=Match.dst_prefix(0, 1, LAYOUT),
+        )
+        daemon = ServeDaemon(
+            topo, LAYOUT, verifier=verifier, isolation="shared", keep_snapshots=8
+        )
+        first = exit_rules(topo, s, w, b, x) + [
+            insert(s, Rule(10, Match.dst_prefix(0, 2, LAYOUT), b))
+        ]
+        second = [insert(s, Rule(11, Match.dst_prefix(64, 3, LAYOUT), b))]
+        low = WaypointQuery(s, w, Match.dst_prefix(0, 2, LAYOUT))
+        high = WaypointQuery(s, w, Match.dst_prefix(64, 2, LAYOUT))
+        with daemon:
+            daemon.submit_updates(first, timeout=10.0)
+            daemon.drain()
+            served_low = daemon.ask(low, epoch=1)
+            swept = always_sweep()
+            daemon._draining = False
+            daemon.submit_updates(second, timeout=10.0)
+            daemon.drain()
+            assert always_sweep() > swept
+            served_high = daemon.ask(high, epoch=1)
+            again_low = daemon.ask(low, epoch=1)
+        oracle = BatchOracle(topo, LAYOUT, [first, second]).view_at(1)
+        assert not served_low.cached and not served_high.cached
+        assert served_low.answer == low.evaluate(oracle, topo)
+        assert served_high.answer == high.evaluate(oracle, topo)
+        assert served_low.answer != served_high.answer
+        assert again_low.cached and again_low.answer == served_low.answer
 
     def test_cache_entries_follow_retired_snapshots_out(self):
         daemon, (topo, s, w, b, x) = self._daemon(keep_snapshots=1)

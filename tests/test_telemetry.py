@@ -298,6 +298,47 @@ class TestEndToEnd:
         assert gauges["bdd.nodes"] > 0
         assert gauges["bdd.apply.calls"] > 0
 
+    def test_bdd_gauges_sum_over_the_engines_sharing_a_registry(self):
+        """A partitioned Flash has one engine per subspace and one
+        registry: ``bdd.*`` reports the system, not the last engine."""
+        from repro.core.subspace import SubspacePartition
+        from repro.dataplane.trace import inserts_only
+        from repro.fibgen.shortest_path import std_fib
+        from repro.flash import Flash
+        from repro.headerspace.fields import dst_only_layout
+        from repro.network.generators import fabric
+
+        topo = fabric(2, 2, 2, 2)
+        layout = dst_only_layout(6)
+        half = 1 << 5
+        partition = SubspacePartition.dst_prefix_partition(
+            layout, [(0, 1), (half, 1)]
+        )
+        flash = Flash(topo, layout, check_loops=True, partition=partition)
+        flash.verify_offline(inserts_only(std_fib(topo, layout)))
+        bdds = [m.manager.engine.bdd for m in flash.trunk.members]
+        assert len(bdds) == 2 and bdds[0] is not bdds[1]
+        bdds[0].collect()  # the gc tallies move on one engine only
+        gauges = flash.telemetry_snapshot()["metrics"]["gauges"]
+        for gauge, field in [
+            ("bdd.apply.calls", "apply_calls"),
+            ("bdd.apply.cache_hits", "apply_cache_hits"),
+            ("bdd.split.calls", "split_calls"),
+            ("bdd.gc.runs", "gc_runs"),
+            ("bdd.gc.freed", "gc_freed"),
+            ("bdd.gc.live", "gc_last_live"),
+            ("bdd.gc.seconds", "gc_seconds"),
+        ]:
+            assert gauges[gauge] == sum(
+                getattr(bdd.stats, field) for bdd in bdds
+            ), gauge
+        assert gauges["bdd.apply.calls"] > bdds[-1].stats.apply_calls > 0
+        assert gauges["bdd.gc.runs"] == 1 and bdds[-1].stats.gc_runs == 0
+        assert gauges["bdd.nodes"] == sum(b.live_node_count for b in bdds)
+        assert gauges["bdd.nodes.allocated"] == sum(b.num_nodes for b in bdds)
+        assert gauges["bdd.cache.size"] == sum(b.cache_size for b in bdds)
+        assert gauges["bdd.cache.limit"] == bdds[0].cache_limit  # one bound
+
     def test_cli_verify_telemetry_writes_valid_jsonl(self, tmp_path, capsys):
         from repro.cli import main
 
