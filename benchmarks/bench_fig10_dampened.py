@@ -49,6 +49,7 @@ def run_trial(seed: int, num_dampened: int) -> Optional[float]:
         rng.sample([s for s in switches if s != victim], num_dampened)
     )
     flash = Flash(topo, LAYOUT, check_loops=True)
+    reports = []
     for i, b in enumerate(sim.batches):
         updates = list(b.updates)
         if b.device == victim:
@@ -57,10 +58,8 @@ def run_trial(seed: int, num_dampened: int) -> Optional[float]:
                     bad = type(u.rule)(u.rule.priority, u.rule.match, neighbor)
                     updates[j] = type(u)(u.op, u.device, bad, u.epoch)
         when = i * 0.01 + (DAMPEN_SECONDS if b.device in dampened else 0.0)
-        flash.receive(b.device, b.tag, updates, now=when)
-    loops = [
-        r for r in flash.dispatcher.reports if r.verdict is Verdict.VIOLATED
-    ]
+        reports += flash.receive(b.device, b.tag, updates, now=when)
+    loops = [r for r in reports if r.verdict is Verdict.VIOLATED]
     return min(r.time for r in loops) if loops else None
 
 

@@ -76,11 +76,11 @@ def run_timeline():
     buv.feed_blocks((b.time, b.updates) for b in batches)
 
     flash = Flash(topo, LAYOUT, check_loops=True)
-    for b in batches:
-        flash.receive(b.device, b.tag, b.updates, now=b.time)
-
     flash_violations = [
-        r for r in flash.dispatcher.reports if r.verdict is Verdict.VIOLATED
+        r
+        for b in batches
+        for r in flash.receive(b.device, b.tag, b.updates, now=b.time)
+        if r.verdict is Verdict.VIOLATED
     ]
     return topo, shown, puv, buv, flash, flash_violations
 

@@ -47,12 +47,15 @@ def run_openr_buggy_trial(seed: int) -> Optional[float]:
         seed=seed,
     )
     flash = Flash(topo, LAYOUT, check_loops=True)
-    flash.attach_to(sim)
+    reports = []
+    sim.add_collector(
+        lambda when, device, tag, updates: reports.extend(
+            flash.receive(device, tag, updates, now=when)
+        )
+    )
     sim.bootstrap()
     sim.run()
-    loops = [
-        r for r in flash.dispatcher.reports if r.verdict is Verdict.VIOLATED
-    ]
+    loops = [r for r in reports if r.verdict is Verdict.VIOLATED]
     return min(r.time for r in loops) if loops else None
 
 
@@ -93,12 +96,11 @@ def run_trace_trial(seed: int) -> Optional[float]:
                     updates[i] = type(u)(u.op, u.device, bad, u.epoch)
         corrupted.append((b.device, b.tag, updates))
     flash = Flash(topo, LAYOUT, check_loops=True)
+    reports = []
     for i, (device, tag, updates) in enumerate(corrupted):
         when = i * 0.01 + (DAMPEN_SECONDS if device == dampened else 0.0)
-        flash.receive(device, tag, updates, now=when)
-    loops = [
-        r for r in flash.dispatcher.reports if r.verdict is Verdict.VIOLATED
-    ]
+        reports += flash.receive(device, tag, updates, now=when)
+    loops = [r for r in reports if r.verdict is Verdict.VIOLATED]
     return min(r.time for r in loops) if loops else None
 
 

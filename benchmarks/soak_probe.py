@@ -7,6 +7,7 @@ inserts + 2 withdrawals) driven through ``Flash.ingest`` for 3,000 blocks
 instead of 30.  The EC table stays flat, so everything that grows with the
 block number is a leak.  Prints, at every 100th block, the writer engine's
 node slots (allocated / live / live after the last sweep), sweeps so far,
+the action-tree store's nodes, the reports ``deterministic_reports()`` holds,
 ``ru_maxrss`` and wall; then the share of wall spent sweeping and a digest
 of the per-block verdict lines + final model, which must not differ
 between two commits.
@@ -74,7 +75,8 @@ def main(argv=None) -> int:
 
     print(f"# seed {args.seed}, {args.blocks} blocks of "
           f"{2 * size['per_block']} updates, {size['overlay']} overlay rules")
-    print("block  ecs  slots  live  live_after_sweep  sweeps  rss_mb  wall_s")
+    print("block  ecs  slots  live  live_after_sweep  sweeps  pat_nodes  "
+          "reports_held  rss_mb  wall_s")
     verdicts = []
     worst_ratio = 0.0
     started = time.perf_counter()
@@ -82,12 +84,14 @@ def main(argv=None) -> int:
         verdicts.append(verdict_line(reports))
         if i % args.every == 0 or i == args.blocks:
             stats = bdd.stats
+            store = flash.trunk.members[0].manager.store
             if stats.gc_runs:
                 worst_ratio = max(worst_ratio, bdd.num_nodes / stats.gc_last_live)
             rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             print(f"{i:5d}  {flash.read_view().num_ecs():3d}  {bdd.num_nodes:6d}  "
                   f"{bdd.live_node_count:6d}  {stats.gc_last_live:6d}  "
-                  f"{stats.gc_runs:4d}  {rss:6.1f}  "
+                  f"{stats.gc_runs:4d}  {store.num_nodes:7d}  "
+                  f"{len(flash.deterministic_reports()):6d}  {rss:6.1f}  "
                   f"{time.perf_counter() - started:6.1f}")
     wall = time.perf_counter() - started
     stats = bdd.stats

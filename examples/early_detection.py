@@ -13,7 +13,7 @@ the dampened switch's FIB.
 Run:  python examples/early_detection.py
 """
 
-from repro import Flash, Verdict, dst_only_layout
+from repro import Flash, dst_only_layout
 from repro.network.generators import internet2
 from repro.routing.openr import OpenRSimulation
 
@@ -46,9 +46,10 @@ def main():
         print(f"  t={batch.time:>7.3f}  {topo.name_of(batch.device):<5} "
               f"epoch {batch.tag[:8]}  {len(batch.updates)} rule updates")
 
-    loops = [r for r in flash.dispatcher.reports if r.verdict is Verdict.VIOLATED]
-    assert loops, "the buggy switch should create a forwarding loop"
-    first = min(loops, key=lambda r: r.time)
+    # Flash keeps no transcript; the first violation it ever reported is
+    # the one fact it latches.
+    first = flash.first_violation()
+    assert first is not None, "the buggy switch should create a forwarding loop"
     print(f"\nCE2D reported a consistent LOOP at t={first.time:.3f}s "
           f"(path {[topo.name_of(d) for d in first.loop_path]})")
     print(f"waiting for the dampened switch would have taken "

@@ -68,7 +68,9 @@ class CE2DDispatcher:
         self.verifiers: Dict[EpochTag, SubspaceVerifier] = {}
         # Open ``ce2d.epoch`` lifecycle spans, one per live verifier.
         self._epoch_spans: Dict[EpochTag, Span] = {}
-        self.reports: List[Report] = []
+        # Latched: the first VIOLATED report ``receive`` ever returned.  It
+        # outlives its epoch's verifier; every other verdict leaves with it.
+        self.first_violation: Optional[Report] = None
 
     # ------------------------------------------------------------------
     def receive(
@@ -107,7 +109,10 @@ class CE2DDispatcher:
                         self.trunk.as_deltas(), self.tracker.devices_at(tag), now
                     )
                 )
-        self.reports.extend(results)
+        if self.first_violation is None:
+            self.first_violation = next(
+                (r for r in results if r.verdict is Verdict.VIOLATED), None
+            )
         return results
 
     def _garbage_collect(self) -> None:
@@ -157,7 +162,11 @@ class CE2DDispatcher:
         ]
 
     def deterministic_reports(self) -> List[Report]:
-        return [r for r in self.reports if r.verdict is not Verdict.UNKNOWN]
+        """Every live verifier's current non-UNKNOWN verdicts, oldest epoch
+        first.  A closed epoch's verdicts left with its verifier."""
+        return [
+            r for v in self.verifiers.values() for r in v.deterministic_reports()
+        ]
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,12 @@
 """Subspace verifiers (Figure 1): a model plus the CE2D checkers reading it.
 
 A :class:`SubspaceVerifier` owns its checkers (loop detector, regex/cover
-verifiers, custom ones), their per-EC state and the set of devices that
-have synchronised — and *reads* a :class:`~repro.core.model_manager.
-ModelWriter`.  Built on its own it creates that model and writes it too
-(``receive`` = ``apply`` then ``observe``): the pinned verifier that
-``repro.serve``, the differential runners and offline callers drive.
+verifiers, custom ones), their per-EC state, each checker's current
+verdict and the set of devices that have synchronised — and *reads* a
+:class:`~repro.core.model_manager.ModelWriter`.  Built on its own it
+creates that model and writes it too (``receive`` = ``apply`` then
+``observe``): the pinned verifier that ``repro.serve``, the differential
+runners and offline callers drive.
 Built with ``manager=`` it shares a model someone else writes — under
 :class:`~repro.flash.Flash` the *trunk*, one model per subspace holding
 every device's latest FIB — and is only ever told what changed
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
-from ..core.inverse_model import EcDelta
+from ..core.inverse_model import EcDelta, compose_lineage
 from ..core.model_manager import ModelWriter
 from ..dataplane.rule import DROP, Action
 from ..dataplane.update import EpochTag, RuleUpdate
@@ -121,7 +122,9 @@ class SubspaceVerifier:
                 )
             self.regex_verifiers.append(verifier)
         self.custom_checkers: List[Checker] = []
-        self.reports: List[Report] = []
+        # One slot per checker, in ``observe``'s order: the report at which
+        # that checker's verdict last changed.
+        self._verdicts: List[Report] = []
         self._started = time.perf_counter()
 
     def add_checker(self, checker: Checker) -> None:
@@ -130,10 +133,13 @@ class SubspaceVerifier:
 
     # ------------------------------------------------------------------
     def apply(self, updates: Iterable[RuleUpdate]) -> List[EcDelta]:
-        """Write one batch into the model; the post-batch ECs with lineage."""
-        self.manager.submit(updates)
+        """Write one batch into the model; the post-batch ECs with lineage
+        to the pre-batch table, however many blocks ``block_threshold``
+        cut the batch into."""
+        flushed = self.manager.submit(updates)
+        deltas = compose_lineage(flushed, self.manager.flush())
         # An empty batch confirms an unchanged FIB: the table, unchanged.
-        return self.manager.flush() or self.as_deltas()
+        return deltas or self.as_deltas()
 
     def as_deltas(self) -> List[EcDelta]:
         """The model's whole table as deltas (what an epoch opens on)."""
@@ -193,18 +199,27 @@ class SubspaceVerifier:
             if hasattr(report, "time"):
                 report.time = stamp
             self.telemetry.count(f"ce2d.verdicts.{report.verdict.value}")
-        self.reports.extend(results)
+        held = self._verdicts
+        held.extend(results[len(held):])  # a checker's first report
+        for slot, report in enumerate(results):
+            if held[slot].verdict is not report.verdict:
+                held[slot] = report
         return results
 
     # ------------------------------------------------------------------
     def deterministic_reports(self) -> List[Report]:
-        return [r for r in self.reports if r.verdict is not Verdict.UNKNOWN]
+        """The current non-UNKNOWN verdicts, one per checker at most.
+
+        Each is the report at which its checker's verdict last changed, so
+        ``time`` says when the verdict was established.  The reports of
+        every call are what that call returned; a caller that wants the
+        transcript keeps it.
+        """
+        return [r for r in self._verdicts if r.verdict is not Verdict.UNKNOWN]
 
     def first_deterministic(self) -> Optional[Report]:
-        for report in self.reports:
-            if report.verdict is not Verdict.UNKNOWN:
-                return report
-        return None
+        """The first checker's verdict, in slot order, that is not UNKNOWN."""
+        return next(iter(self.deterministic_reports()), None)
 
     @property
     def num_synced(self) -> int:

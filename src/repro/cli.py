@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from .baselines.apkeep import APKeepVerifier
 from .baselines.deltanet import DeltaNetVerifier
-from .results import Verdict
 from .telemetry import JsonLinesExporter, Telemetry, TelemetryConfig
 from .core.model_manager import ModelWriter
 from .dataplane.trace import inserts_only, insert_then_delete, read_trace, write_trace
@@ -348,15 +347,16 @@ def cmd_simulate(args) -> int:
     deterministic = flash.deterministic_reports()
     if not deterministic:
         print("no deterministic verdicts yet (network still converging)")
-    for report in deterministic[-5:]:
+    for report in deterministic:  # one line per live epoch and checker
         stamp = f"t={report.time:.3f}s" if report.time is not None else ""
         print(f"{stamp}  epoch {str(report.epoch)[:8]}  {report.verdict.value}")
-    violations = [r for r in deterministic if r.verdict is Verdict.VIOLATED]
     if args.telemetry:
         _export_telemetry(
             args.telemetry, flash.telemetry, "simulate", deterministic
         )
-    return 1 if violations else 0
+    # The latch, not the state: a violation in an epoch that has since
+    # closed still fails the run.
+    return 1 if flash.first_violation() is not None else 0
 
 
 def cmd_serve(args) -> int:

@@ -43,6 +43,27 @@ class EcDelta:
     origin: Predicate
 
 
+def compose_lineage(first: List[EcDelta], then: List[EcDelta]) -> List[EcDelta]:
+    """Two consecutive blocks' deltas as one step: ``then``, re-pointed in
+    place at origins in the table before ``first``.
+
+    An empty list means "no block", not "empty table".  Where ``first``
+    merged several parents into the EC ``then`` descends from, the one it
+    kept stands for all of them (see :class:`EcDelta`), so a composed
+    origin need not overlap its predicate.  An origin ``first`` does not
+    list — a recovery rebuild started a fresh table — is kept as it is.
+    """
+    if not first or not then:
+        return first or then
+    # Only what ``first`` changed needs re-pointing: an EC it left alone
+    # is its own origin, the very handle.
+    moved = {d.predicate: d.origin for d in first if d.origin is not d.predicate}
+    if moved:
+        for delta in then:
+            delta.origin = moved.get(delta.origin, delta.origin)
+    return then
+
+
 class InverseModel:
     """The equivalence-class model of one (subspace) verifier."""
 

@@ -54,7 +54,7 @@ from ..resilience.validator import (
 )
 from ..telemetry import PhaseBreakdown, Telemetry
 from .actiontree import ActionTreeStore
-from .inverse_model import EcDelta, InverseModel, VecId
+from .inverse_model import EcDelta, InverseModel, VecId, compose_lineage
 from .mr2 import Mr2Pipeline
 
 
@@ -302,8 +302,11 @@ class ModelWriter:
 
         Under ``quarantine``/``repair`` each update passes through the
         supervising validator first; only the surviving stream is
-        buffered.  Returns the EC deltas of the *last* flush triggered
-        (empty list if nothing flushed).
+        buffered.  Returns the table after the last flush triggered, with
+        lineage composed across all of them back to the table before the
+        call (empty list if nothing flushed) — so that a caller can hand
+        its checkers one batch as one lineage step whatever the threshold
+        (:meth:`~repro.ce2d.verifier.SubspaceVerifier.apply`).
         """
         deltas: List[EcDelta] = []
         for u in updates:
@@ -316,7 +319,7 @@ class ModelWriter:
                 self.block_threshold is not None
                 and len(self._pending) >= self.block_threshold
             ):
-                deltas = self.flush()
+                deltas = compose_lineage(deltas, self.flush())
         return deltas
 
     def flush(self) -> List[EcDelta]:

@@ -246,9 +246,12 @@ class DifferentialRunner:
             per_device[update.device].append(update)
         # Consume Flash strictly through the QueryableVerifier protocol so
         # the difftest exercises the exact facade repro.serve is built on.
+        # One epoch, every checker reporting on every batch: the last
+        # batch's reports are the final verdicts.
+        reports = []
         for device in scenario.order:
-            flash.ingest(device, per_device[device], epoch=scenario.epoch)
-        for report in flash.dispatcher.reports:
+            reports = flash.ingest(device, per_device[device], epoch=scenario.epoch)
+        for report in reports:
             if isinstance(report, LoopReport):
                 run.loop_verdict = report.verdict
             elif isinstance(report, VerificationReport):

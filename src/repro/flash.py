@@ -37,7 +37,7 @@ from .core.subspace import SubspacePartition
 from .dataplane.update import EpochTag, RuleUpdate
 from .headerspace.fields import HeaderLayout
 from .network.topology import Topology
-from .results import Report, Verdict
+from .results import Report
 from .spec.requirement import Requirement
 from .telemetry import Telemetry, TelemetryConfig
 
@@ -59,7 +59,10 @@ class QueryableVerifier(Protocol):
       facade uses it to dispatch.
     * :meth:`read_view` — the current consistent model as a
       snapshot-pinned :class:`~repro.core.model_manager.ModelReadView`.
-    * :meth:`deterministic_reports` — the non-UNKNOWN verdicts so far.
+    * :meth:`deterministic_reports` — the verdicts that hold now: per
+      live epoch and checker, the report at which its verdict last
+      changed, UNKNOWN ones left out.  State, not a transcript — every
+      ``ingest`` returns its call's reports, and those are the caller's.
 
     ``repro.serve`` daemons, :meth:`Flash.verify_offline` and the
     differential runner all consume exactly this protocol, so the
@@ -99,7 +102,6 @@ class EpochGroupVerifier:
     ) -> None:
         self.members = list(members)
         self.epoch = epoch
-        self.reports: List[Report] = []
 
     def apply(self, updates: Iterable[RuleUpdate]) -> List[List[EcDelta]]:
         """Write one batch into every member's model it intersects."""
@@ -132,7 +134,6 @@ class EpochGroupVerifier:
         results: List[Report] = []
         for member, member_deltas in zip(self.members, deltas):
             results.extend(member.observe(member_deltas, new_synced, now))
-        self.reports.extend(results)
         return results
 
     def receive(
@@ -171,7 +172,8 @@ class EpochGroupVerifier:
         return self.members[0].num_synced if self.members else 0
 
     def deterministic_reports(self) -> List[Report]:
-        return [r for r in self.reports if r.verdict is not Verdict.UNKNOWN]
+        """Every member's current non-UNKNOWN verdicts, in member order."""
+        return [r for m in self.members for r in m.deterministic_reports()]
 
 
 class Flash:
@@ -328,13 +330,12 @@ class Flash:
         return self.telemetry.snapshot()
 
     def deterministic_reports(self) -> List[Report]:
+        """The current non-UNKNOWN verdicts of every live epoch."""
         return self.dispatcher.deterministic_reports()
 
     def first_violation(self) -> Optional[Report]:
-        for report in self.dispatcher.reports:
-            if report.verdict is Verdict.VIOLATED:
-                return report
-        return None
+        """The first VIOLATED report any call ever returned."""
+        return self.dispatcher.first_violation
 
     def __repr__(self) -> str:
         return (

@@ -77,7 +77,12 @@ class QuarantinedUpdate:
 
 
 class DeadLetterLog:
-    """Bounded, inspectable log of quarantined updates."""
+    """Bounded, inspectable log: exact counts per ``entry.kind`` for the
+    life of the log, the most recent ``max_entries`` entries held.
+
+    Holds quarantined updates here and, for ``repro.serve``, the batches
+    its writer could not apply.
+    """
 
     def __init__(self, max_entries: int = 1024) -> None:
         self.max_entries = max_entries
@@ -95,11 +100,19 @@ class DeadLetterLog:
     def by_kind(self, kind: str) -> List[QuarantinedUpdate]:
         return [e for e in self.entries if e.kind == kind]
 
+    @property
+    def total(self) -> int:
+        """Entries ever recorded, evicted ones included."""
+        return len(self.entries) + self.dropped
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+    def __getitem__(self, index):
+        return self.entries[index]
 
     def __repr__(self) -> str:
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))

@@ -41,6 +41,7 @@ from ..errors import QueryTimeoutError, ServeClosedError, ServeSaturatedError
 from ..flash import QueryableVerifier
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
+from ..resilience.validator import DeadLetterLog
 from ..telemetry import Telemetry
 from .cache import ResultCache
 from .queries import Query, QueryAnswer
@@ -64,8 +65,13 @@ class QueryResult:
 class IngestFailure:
     """One batch the writer could not apply (kept for inspection)."""
 
-    error: str
+    error: str  # "<exception class>: <message>"
     updates: int
+
+    @property
+    def kind(self) -> str:
+        """The exception's class name — what the failure log counts by."""
+        return self.error.partition(":")[0]
 
 
 class ServeDaemon:
@@ -160,7 +166,8 @@ class ServeDaemon:
         self._closed = False
         self._ingest_thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self.failures: List[IngestFailure] = []
+        # ``failures.total`` is exact; the log holds the most recent ones.
+        self.failures = DeadLetterLog()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ServeDaemon":
@@ -260,7 +267,7 @@ class ServeDaemon:
                 # not kill the writer thread; the daemon keeps serving
                 # the last good snapshot (strict-mode validation errors
                 # and invariant trips land here).
-                self.failures.append(
+                self.failures.record(
                     IngestFailure(f"{type(exc).__name__}: {exc}", len(batch))
                 )
                 self.telemetry.count("serve.ingest.failed")
@@ -396,7 +403,7 @@ class ServeDaemon:
             "snapshots_live": len(self._snapshots),
             "cache_entries": len(self._cache),
             "cache_hit_rate": self._cache.hit_rate,
-            "ingest_failures": len(self.failures),
+            "ingest_failures": self.failures.total,
             "isolation": self.isolation,
         }
 

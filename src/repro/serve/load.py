@@ -334,7 +334,7 @@ def run_load(
             cache_misses=daemon.cache.misses,
             cache_hit_rate=daemon.cache.hit_rate,
             rejected=rejected,
-            ingest_failures=len(daemon.failures),
+            ingest_failures=daemon.failures.total,
             divergences=divergences,
         )
     finally:

@@ -26,8 +26,6 @@ class TelemetryConfig:
     """
 
     enabled: bool = True
-    trace_malloc: bool = False
-    span_histograms: bool = False
     max_spans: int = 2048
 
 
@@ -45,12 +43,7 @@ class Telemetry:
     ) -> None:
         self.config = config if config is not None else TelemetryConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = Tracer(
-            self.registry,
-            trace_malloc=self.config.trace_malloc,
-            span_histograms=self.config.span_histograms,
-            max_spans=self.config.max_spans,
-        )
+        self.tracer = Tracer(self.registry, max_spans=self.config.max_spans)
 
     @classmethod
     def from_config(cls, config: Optional[TelemetryConfig]) -> "Telemetry":

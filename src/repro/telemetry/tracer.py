@@ -1,14 +1,12 @@
 """Span-based tracing and wall-clock accumulation.
 
 A :class:`Tracer` produces context-manager *spans*: named wall-clock
-intervals with parent/child nesting and, when enabled, ``tracemalloc``
-memory deltas.  Every finished span is
+intervals with parent/child nesting.  Every finished span is
 
 * appended to a bounded in-memory ring (for exporters), and
 * folded into the tracer's :class:`~repro.telemetry.registry.
   MetricsRegistry` as two counters — ``span.<name>.count`` and
-  ``span.<name>.seconds`` — plus an optional duration histogram
-  ``span.<name>.hist``.
+  ``span.<name>.seconds``.
 
 That second path is what makes spans *queryable*: MR2's per-phase
 timings, epoch lifecycle latency and benchmark drive loops all read back
@@ -24,11 +22,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .registry import MetricsRegistry
 
-try:  # tracemalloc is stdlib but can be absent on exotic builds
-    import tracemalloc
-except ImportError:  # pragma: no cover
-    tracemalloc = None  # type: ignore[assignment]
-
 
 @dataclass
 class Span:
@@ -40,9 +33,6 @@ class Span:
     parent: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
     duration: Optional[float] = None
-    mem_delta_bytes: Optional[int] = None
-    mem_peak_bytes: Optional[int] = None
-    _mem_start: Optional[int] = None
 
     @property
     def finished(self) -> bool:
@@ -65,9 +55,6 @@ class Span:
         }
         if self.attrs:
             payload["attrs"] = dict(self.attrs)
-        if self.mem_delta_bytes is not None:
-            payload["mem_delta_bytes"] = self.mem_delta_bytes
-            payload["mem_peak_bytes"] = self.mem_peak_bytes
         return payload
 
 
@@ -79,12 +66,6 @@ class Tracer:
     registry:
         Sink for the ``span.*`` counters; a private registry is created
         when omitted.
-    trace_malloc:
-        Record ``tracemalloc`` current/peak deltas per span.  Requires
-        ``tracemalloc`` tracing to be active (the tracer starts it if
-        needed and available).
-    span_histograms:
-        Additionally observe each duration into ``span.<name>.hist``.
     max_spans:
         Bound on the retained finished-span ring (oldest dropped; the
         drop count is kept in the ``tracer.spans_dropped`` counter).
@@ -93,16 +74,10 @@ class Tracer:
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        trace_malloc: bool = False,
-        span_histograms: bool = False,
         max_spans: int = 2048,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.span_histograms = span_histograms
         self.max_spans = max_spans
-        self.trace_malloc = bool(trace_malloc and tracemalloc is not None)
-        if self.trace_malloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
         self.finished: List[Span] = []
         self._stack: List[Span] = []
 
@@ -111,20 +86,13 @@ class Tracer:
         """Open a span manually (for open/close pairs that outlive a scope,
         e.g. epoch lifecycles).  Manual spans do not join the nesting stack;
         finish them with :meth:`end`."""
-        span = Span(name=name, start=time.perf_counter(), attrs=attrs)
-        if self.trace_malloc and tracemalloc.is_tracing():
-            span._mem_start = tracemalloc.get_traced_memory()[0]
-        return span
+        return Span(name=name, start=time.perf_counter(), attrs=attrs)
 
     def end(self, span: Span) -> Span:
         """Close a manual span and record it."""
         if span.finished:
             return span
         span.duration = time.perf_counter() - span.start
-        if span._mem_start is not None and tracemalloc.is_tracing():
-            current, peak = tracemalloc.get_traced_memory()
-            span.mem_delta_bytes = current - span._mem_start
-            span.mem_peak_bytes = peak
         self._record(span)
         return span
 
@@ -139,8 +107,6 @@ class Tracer:
             parent=parent.name if parent is not None else None,
             attrs=attrs,
         )
-        if self.trace_malloc and tracemalloc.is_tracing():
-            span._mem_start = tracemalloc.get_traced_memory()[0]
         self._stack.append(span)
         try:
             yield span
@@ -155,10 +121,6 @@ class Tracer:
     def _record(self, span: Span) -> None:
         self.registry.counter(f"span.{span.name}.count").inc()
         self.registry.counter(f"span.{span.name}.seconds").inc(span.duration)
-        if self.span_histograms:
-            self.registry.histogram(f"span.{span.name}.hist").observe(
-                span.duration
-            )
         if len(self.finished) >= self.max_spans:
             del self.finished[0 : len(self.finished) - self.max_spans + 1]
             self.registry.counter("tracer.spans_dropped").inc()

@@ -166,7 +166,7 @@ class TestBgpWithFlash:
         owner = topo.id_of("seat")
         sim.announce_prefix(owner, PREFIX)
         sim.run()
-        verdicts = [r.verdict for r in flash.dispatcher.reports]
+        verdicts = [r.verdict for r in flash.deterministic_reports()]
         assert verdicts[-1] is Verdict.SATISFIED  # loop-free converged state
 
 

@@ -94,6 +94,36 @@ def brute_force_loop(topo, final_state):
     return False
 
 
+def random_interleaving(batches, rng):
+    """``(device, tag, updates)`` in a random order across devices that
+    keeps each device's epoch order."""
+    pending = {d: list(b) for d, b in batches.items()}
+    while any(pending.values()):
+        device = rng.choice([d for d, b in pending.items() if b])
+        yield (device, *pending[device].pop(0))
+
+
+def held_verdicts(flash, transcript):
+    """What ``flash.deterministic_reports()`` must be, from the transcript
+    alone: per live epoch, per checker in slot order (loops, then the
+    requirements), the first report of the last run of equal verdicts."""
+    expected = []
+    for tag in flash.dispatcher.verifiers:
+        slots = {}  # checker → the report opening its current run
+        for report in transcript:
+            if report.epoch != tag:
+                continue
+            checker = getattr(report, "requirement", None)
+            if checker not in slots or slots[checker].verdict is not report.verdict:
+                slots[checker] = report
+        order = [None] + [r.name for r in flash.requirements]
+        expected += [
+            slots[c] for c in order
+            if c in slots and slots[c].verdict is not Verdict.UNKNOWN
+        ]
+    return expected
+
+
 class TestDispatcherEndToEnd:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -102,16 +132,13 @@ class TestDispatcherEndToEnd:
         topo = random_topology(rng)
         batches, final_state = build_epoch_chain(topo, rng)
         flash = Flash(topo, LAYOUT, check_loops=True)
-        # Random interleaving preserving per-device epoch order.
-        pending = {d: list(b) for d, b in batches.items()}
-        while any(pending.values()):
-            device = rng.choice([d for d, b in pending.items() if b])
-            tag, updates = pending[device].pop(0)
-            flash.receive(device, tag, updates)
+        transcript = []
+        for device, tag, updates in random_interleaving(batches, rng):
+            transcript += flash.receive(device, tag, updates)
         expected = brute_force_loop(topo, final_state)
         final_reports = [
             r
-            for r in flash.dispatcher.reports
+            for r in transcript
             if isinstance(r, LoopReport) and r.epoch == "e2"
         ]
         assert final_reports
@@ -125,19 +152,51 @@ class TestDispatcherEndToEnd:
         topo = random_topology(rng)
         batches, _ = build_epoch_chain(topo, rng)
         flash = Flash(topo, LAYOUT, check_loops=True)
-        pending = {d: list(b) for d, b in batches.items()}
-        while any(pending.values()):
-            device = rng.choice([d for d, b in pending.items() if b])
-            tag, updates = pending[device].pop(0)
-            flash.receive(device, tag, updates)
+        transcript = []
+        for device, tag, updates in random_interleaving(batches, rng):
+            transcript += flash.receive(device, tag, updates)
         per_epoch = {}
-        for r in flash.dispatcher.reports:
+        for r in transcript:
             if not isinstance(r, LoopReport):
                 continue
             per_epoch.setdefault(r.epoch, []).append(r.verdict)
         for epoch, verdicts in per_epoch.items():
             deterministic = {v for v in verdicts if v is not Verdict.UNKNOWN}
             assert len(deterministic) <= 1, (seed, epoch, verdicts)
+
+    @pytest.mark.parametrize("stream", ["epoch-chain", "tagged"])
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_state_is_the_transcripts_last_runs(self, stream, seed):
+        """Flash keeps verdicts; the transcript is the caller's.  After
+        every batch the state is derivable from what ``receive`` returned
+        — the very objects — and the latch is its first violation."""
+        from repro.spec.requirement import requirement
+
+        rng = random.Random(seed)
+        topo = random_topology(rng)
+        last = f"s{len(topo.switches()) - 1}"
+        flash = Flash(
+            topo, LAYOUT, check_loops=True,
+            requirements=[
+                requirement("reach", topo, LAYOUT, Match.wildcard(), ["s0"], f"s0 .* {last}")
+            ],
+        )
+        batches = (
+            random_interleaving(build_epoch_chain(topo, rng)[0], rng)
+            if stream == "epoch-chain"
+            else random_tagged_stream(topo, rng)
+        )
+        transcript = []
+        for step, (device, tag, updates) in enumerate(batches):
+            transcript += flash.receive(device, tag, updates)
+            held = flash.deterministic_reports()
+            expected = held_verdicts(flash, transcript)
+            assert [id(r) for r in held] == [id(r) for r in expected], (seed, step)
+            violations = [r for r in transcript if r.verdict is Verdict.VIOLATED]
+            assert flash.first_violation() is (
+                violations[0] if violations else None
+            ), (seed, step)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -255,12 +314,13 @@ class TestEpochStormBackoff:
 # The trunk: one model for every epoch, held to the replaying reference
 # ----------------------------------------------------------------------
 
-def random_tagged_stream(topo, rng, steps=40):
+def random_tagged_stream(topo, rng, steps=40, sizes=(0, 1, 1, 2)):
     """``(device, tag, updates)`` batches valid under strict validation.
 
     3-6 devices hop between 2-5 tags with no order imposed on them, so the
     stream holds same-tag re-reports, tags already stale when a device
-    first reports them, parallel live epochs and empty batches.
+    first reports them, parallel live epochs and empty batches.  A batch
+    draws its number of updates from ``sizes``.
     """
     tags = [f"t{i}" for i in range(rng.randint(2, 5))]
     installed = {d: {} for d in topo.switches()}  # device → {pri: rule}
@@ -272,7 +332,7 @@ def random_tagged_stream(topo, rng, steps=40):
             current[device] = rng.choice(tags)
         tag = current[device]
         updates = []
-        for _ in range(rng.choice((0, 1, 1, 2))):
+        for _ in range(rng.choice(sizes)):
             # One rule per priority slot, as in build_epoch_chain: no ties.
             pri = rng.randint(1, 3)
             old = installed[device].pop(pri, None)
@@ -406,15 +466,17 @@ class TestTrunkMatchesReplay:
 
 
 class _RecordingChecker:
-    """A custom §5.1 checker that remembers how it was called."""
+    """A custom §5.1 checker that remembers how it was called and answers
+    from a script, one verdict per call."""
 
-    def __init__(self):
+    def __init__(self, verdicts):
+        self.verdicts = iter(verdicts)
         self.calls = []  # (new_synced, the report returned)
 
     def on_model_update(self, deltas, new_synced, model):
         from repro.results import VerificationReport
 
-        report = VerificationReport(requirement="recorded", verdict=Verdict.UNKNOWN)
+        report = VerificationReport(requirement="recorded", verdict=next(self.verdicts))
         self.calls.append((tuple(new_synced), report))
         return report
 
@@ -426,21 +488,32 @@ class TestLineageOnlyCalls:
 
         topo = random_topology(random.Random(3))
         trunk = SubspaceVerifier(topo, LAYOUT)
+        S, V, U = Verdict.SATISFIED, Verdict.VIOLATED, Verdict.UNKNOWN
+        # One verdict per call below; a lineage-only call answers VIOLATED,
+        # which nobody may ever see.
+        scripts = {"a": [S, V, S, V], "b": [U, V, V]}
         checkers = {}
 
         def factory(tag):
             verifier = SubspaceVerifier(topo, LAYOUT, epoch=tag, manager=trunk.manager)
-            checkers[tag] = _RecordingChecker()
+            checkers[tag] = _RecordingChecker(scripts[tag])
             verifier.add_checker(checkers[tag])
             return verifier
 
         dispatcher = CE2DDispatcher(trunk, factory)
         rule = Rule(1, Match.dst_prefix(4, 1, LAYOUT), 0)
+        held = []  # the state after every batch
+
+        def receive(*batch):
+            reports = dispatcher.receive(*batch)
+            held.append(dispatcher.deterministic_reports())
+            return reports
+
         returned = [
-            dispatcher.receive(1, "a", [insert(1, rule)]),
-            dispatcher.receive(2, "b", []),            # opens b beside a
-            dispatcher.receive(1, "a", [delete(1, rule)]),  # a's own re-report
-            dispatcher.receive(3, "a", []),
+            receive(1, "a", [insert(1, rule)]),
+            receive(2, "b", []),            # opens b beside a
+            receive(1, "a", [delete(1, rule)]),  # a's own re-report
+            receive(3, "a", []),
         ]
         assert [c[0] for c in checkers["a"].calls] == [(1,), (), (1,), (3,)]
         assert [c[0] for c in checkers["b"].calls] == [(2,), (), ()]
@@ -453,10 +526,118 @@ class TestLineageOnlyCalls:
         assert len(lineage) == 3
         handed_back = [id(r) for reports in returned for r in reports]
         assert len(handed_back) == 4 and not lineage & set(handed_back)
-        assert [id(r) for r in dispatcher.reports] == handed_back
-        for tag, checker in checkers.items():
-            kept = [id(r) for s, r in checker.calls if s != ()]
-            assert [id(r) for r in dispatcher.verifier_for(tag).reports] == kept
+        # The state holds, per checker, the handed-back report at which
+        # its verdict last moved: a's re-report said SATISFIED again and
+        # left the slot alone, device 3's batch moved it; b is UNKNOWN
+        # throughout and the three lineage-only VIOLATEDs went nowhere.
+        first, _, again, moved = [reports[0] for reports in returned]
+        assert again.verdict is first.verdict and again is not first
+        assert [[id(r) for r in reports] for reports in held] == [
+            [id(first)], [id(first)], [id(first)], [id(moved)]
+        ]
+        assert dispatcher.verifier_for("b").deterministic_reports() == []
+        assert dispatcher.first_violation is moved
+
+
+class _LineageChecker:
+    """A custom §5.1 checker written the way :class:`Checker` says to: per
+    EC, what each device did with it when it synchronised — state that
+    outlives a batch only by being re-keyed along ``delta.origin``."""
+
+    HEADERS = [
+        dict(LAYOUT.bits_of("dst", value)) for value in range(LAYOUT.universe_size)
+    ]
+
+    def __init__(self):
+        self.table = None  # EC predicate → ((device, its action then), ...)
+
+    def on_model_update(self, deltas, new_synced, model):
+        from repro.results import VerificationReport
+
+        if self.table is None:  # the epoch opens on the table as it stands
+            self.table = {d.origin: () for d in deltas}
+        lost = [d for d in deltas if d.origin not in self.table]
+        self.table = {
+            d.predicate: self.table.get(d.origin, ())
+            + tuple((dev, model.action_of(d.vector, dev)) for dev in new_synced)
+            for d in deltas
+        }
+        per_header = [
+            next(seen for ec, seen in self.table.items() if ec.evaluate(header))
+            for header in self.HEADERS
+        ]
+        return VerificationReport(
+            requirement="lineage",
+            verdict=Verdict.VIOLATED if lost else Verdict.UNKNOWN,
+            detail=repr(per_header),
+        )
+
+
+class TestBatchIsOneLineageStep:
+    """``block_threshold`` cuts a batch into blocks for the model; what the
+    checkers are handed is still one step from the pre-batch table."""
+
+    THRESHOLDS = (None, 1, 2, 3)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_origins_are_pre_batch_ecs_at_every_threshold(self, seed):
+        from repro.ce2d.verifier import SubspaceVerifier
+
+        finals = []
+        for threshold in self.THRESHOLDS:
+            rng = random.Random(seed)
+            topo = random_topology(rng)
+            verifier = SubspaceVerifier(topo, LAYOUT, block_threshold=threshold)
+            model = verifier.manager.model
+            stream = random_tagged_stream(topo, rng, steps=30, sizes=(0, 2, 3, 4, 5))
+            for step, (device, _, updates) in enumerate(stream):
+                where = (seed, threshold, step)
+                before = dict(model.entries())
+                others = [d for d in topo.switches() if d != device]
+                deltas = verifier.apply(updates)
+                assert {d.predicate: d.vector for d in deltas} == dict(model.entries()), where
+                for delta in deltas:
+                    # A pre-batch EC, and one the new EC descends from: on
+                    # every device the batch did not touch they act alike.
+                    # (Overlap is not promised — where parents merged and
+                    # the merge was split again, the first parent stands
+                    # for them all, inside one block as across several.)
+                    assert delta.origin in before, where
+                    parent = before[delta.origin]
+                    assert [model.action_of(delta.vector, d) for d in others] == [
+                        model.action_of(parent, d) for d in others
+                    ], where
+            finals.append(
+                [model.behavior(header) for header in _LineageChecker.HEADERS]
+            )
+        assert all(final == finals[0] for final in finals), seed
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_lineage_keyed_checker_keeps_its_state_per_update(self, seed):
+        histories = []
+        for threshold in (None, 1):
+            rng = random.Random(seed)
+            topo = random_topology(rng)
+            batches, _ = build_epoch_chain(topo, rng)
+            flash = Flash(topo, LAYOUT, check_loops=False, block_threshold=threshold)
+            make = flash.dispatcher.factory
+
+            def with_checker(tag):
+                group = make(tag)
+                group.members[0].add_checker(_LineageChecker())
+                return group
+
+            flash.dispatcher.factory = with_checker
+            histories.append(
+                [
+                    (r.epoch, r.verdict, r.detail)
+                    for batch in random_interleaving(batches, rng)
+                    for r in flash.receive(*batch)
+                ]
+            )
+        batch_mode, per_update = histories
+        assert batch_mode and per_update == batch_mode, seed
+        assert all(verdict is Verdict.UNKNOWN for _, verdict, _ in batch_mode), seed
 
 
 class TestOneModelPerSubspace:

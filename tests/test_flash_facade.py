@@ -115,6 +115,49 @@ class TestFlashWithSubspaces:
         attached = [len(v.regex_verifiers) for v in group.members]
         assert attached == [1, 0]
 
+    def test_state_is_one_slot_per_subspace_and_checker(self):
+        topo = figure3_example()
+        low = Match.dst_prefix(0x00, 1, LAYOUT)
+        high = Match.dst_prefix(0x80, 1, LAYOUT)
+        flash = Flash(
+            topo,
+            LAYOUT,
+            requirements=[
+                # Listed high first: the state follows member order, not this.
+                requirement("high-reach", topo, LAYOUT, high, ["S"], "S .* D"),
+                requirement("low-reach", topo, LAYOUT, low, ["S"], "S .* D"),
+            ],
+            partition=SubspacePartition.dst_prefix_partition(
+                LAYOUT, [(0x00, 1), (0x80, 1)]
+            ),
+        )
+        # S → W → C → D → NET for the low half; the high half dies at S.
+        hops = {"S": "W", "W": "C", "C": "D", "D": "NET"}
+        transcript = []
+        for device in topo.switches():  # S A B E C D W Y
+            hop = hops.get(topo.name_of(device))
+            updates = (
+                [] if hop is None
+                else [insert(device, Rule(1, low, topo.id_of(hop)))]
+            )
+            transcript += flash.receive(device, "e", updates)
+        assert len(transcript) == 8 * 4  # (loops + one regex) × 2 a batch
+        held = flash.deterministic_reports()
+        assert [
+            (getattr(r, "requirement", "loops"), r.verdict) for r in held
+        ] == [
+            ("loops", Verdict.SATISFIED),
+            ("low-reach", Verdict.SATISFIED),
+            ("loops", Verdict.SATISFIED),
+            ("high-reach", Verdict.VIOLATED),
+        ]
+        # Each is the handed-back report at which its verdict was settled:
+        # loops with the last device (Y), low-reach with the path's last
+        # (W), high-reach with S's own batch.
+        settled = [7 * 4, 6 * 4 + 1, 7 * 4 + 2, 3]
+        assert all(r is transcript[at] for r, at in zip(held, settled))
+        assert flash.first_violation() is transcript[3]
+
 
 class TestFlashWithSimulation:
     def test_attach_to_simulation(self):

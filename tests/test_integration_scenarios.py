@@ -107,7 +107,7 @@ class TestFaultInjection:
         flash = Flash(topo, LAYOUT, requirements=reqs, check_loops=False)
         feed_all(flash, topo, fibs, mutate)
         verdicts = {}
-        for report in flash.dispatcher.reports:
+        for report in flash.deterministic_reports():
             verdicts[report.requirement] = report.verdict
         victim_req = f"reach-{topo.name_of(victim_rack)}"
         assert verdicts[victim_req] is Verdict.VIOLATED

@@ -208,28 +208,25 @@ class TestOpenRWithDispatcher:
                 topo, LAYOUT, epoch=tag, check_loops=True, manager=trunk.manager
             ),
         )
+        transcript = []  # every report the dispatcher handed back
         sim.add_collector(
-            lambda when, device, tag, updates: dispatcher.receive(
-                device, tag, updates, now=when
+            lambda when, device, tag, updates: transcript.extend(
+                dispatcher.receive(device, tag, updates, now=when)
             )
         )
-        return dispatcher
+        return transcript
 
     def test_ce2d_no_false_loop_on_two_failures(self):
         """Figure 8's headline: CE2D reports no transient loops."""
         topo = internet2()
         sim = OpenRSimulation(topo, LAYOUT, seed=3)
-        dispatcher = self._run(sim, topo)
+        transcript = self._run(sim, topo)
         sim.bootstrap()
         sim.run()
         sim.fail_link_by_name("chic", "atla", at=sim.loop.now + 0.5)
         sim.fail_link_by_name("chic", "kans", at=sim.loop.now + 0.55)
         sim.run()
-        violations = [
-            r
-            for r in dispatcher.deterministic_reports()
-            if r.verdict is Verdict.VIOLATED
-        ]
+        violations = [r for r in transcript if r.verdict is Verdict.VIOLATED]
         assert violations == []
 
     def test_ce2d_detects_buggy_loop_before_dampened_node(self):
@@ -244,14 +241,10 @@ class TestOpenRWithDispatcher:
             dampening={dampened: 60.0},
             seed=5,
         )
-        dispatcher = self._run(sim, topo)
+        transcript = self._run(sim, topo)
         sim.bootstrap()
         sim.run()
-        loops = [
-            r
-            for r in dispatcher.deterministic_reports()
-            if r.verdict is Verdict.VIOLATED
-        ]
+        loops = [r for r in transcript if r.verdict is Verdict.VIOLATED]
         assert loops, "expected an early consistent loop report"
         assert min(r.time for r in loops) < 1.0  # far earlier than 60 s
 

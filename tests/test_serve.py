@@ -504,6 +504,19 @@ class TestServeDaemon:
             assert daemon.epoch == 0
             assert daemon.stats()["ingest_failures"] == 1
 
+    def test_failures_are_counted_exactly_and_held_boundedly(self):
+        daemon, (topo, s, w, b, x) = self._daemon(validation="strict")
+        with daemon:
+            for priority in range(1, 2001):
+                phantom = Rule(priority, Match.wildcard(), w)
+                daemon.submit_updates([delete(s, phantom)], timeout=10.0)
+            daemon.drain()
+            failures = daemon.failures
+            assert daemon.stats()["ingest_failures"] == failures.total == 2000
+            assert len(failures) <= failures.max_entries < 2000
+            assert "2000" in failures[-1].error  # the newest is there
+            assert daemon.epoch == 0
+
     def test_close_is_idempotent_and_final(self):
         daemon, (topo, s, *_rest) = self._daemon()
         daemon.start()

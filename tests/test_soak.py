@@ -6,19 +6,29 @@ table is flat, so the live nodes are too — what the engine allocates
 beyond them is garbage, and the sweep rule bounds it by a factor of what
 survived the last sweep.  Sweeping must change nothing anyone can read:
 the run is compared, verdict by verdict and EC by EC, with one whose rule
-is patched to "never".
+is patched to "never".  Neither do the verdicts accumulate: one live epoch
+with one checker holds one report, whatever the block number.
 """
+
+import gc
 
 from benchmarks.ledger.workloads import canonical_model, verdict_line
 from benchmarks.soak_probe import soak
 from repro.bdd.engine import SWEEP_FLOOR
 from repro.bdd.predicate import PredicateEngine
+from repro.results import LoopReport
 
 SIZE = dict(fabric=(2, 2, 2, 2), dst=20, overlay=48, blocks=300, per_block=2)
 
 
+def _loop_reports_alive():
+    return sum(isinstance(o, LoopReport) for o in gc.get_objects())
+
+
 def _run(check_bounds: bool):
     verdicts = []
+    gc.collect()
+    before = _loop_reports_alive()  # other tests' leftovers, if any
     for i, flash, bdd, reports in soak(7, **SIZE):
         verdicts.append(verdict_line(reports))
         if not check_bounds:
@@ -28,6 +38,12 @@ def _run(check_bounds: bool):
         assert bdd.live_node_count < max(SWEEP_FLOOR, 2 * survived), i
         if i % 25 == 0 and survived:  # before the first sweep: under the floor
             assert bdd.num_nodes <= 3 * survived, (i, bdd.num_nodes, survived)
+        if i % 25 == 0:
+            assert len(flash.deterministic_reports()) == 1, i
+            # The held one and this block's, with slack for a batch split
+            # over several devices; a transcript would be ≈ 4 a block.
+            alive = _loop_reports_alive() - before
+            assert alive <= 8, (i, alive)
     return verdicts, canonical_model(flash.read_view()), bdd
 
 
