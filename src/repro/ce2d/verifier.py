@@ -21,7 +21,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from ..core.inverse_model import EcDelta, compose_lineage
 from ..core.model_manager import ModelWriter
-from ..dataplane.rule import DROP, Action
 from ..dataplane.update import EpochTag, RuleUpdate
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
@@ -74,13 +73,11 @@ class SubspaceVerifier:
         subspace_match=None,
         check_loops: bool = False,
         requirements: Sequence[Requirement] = (),
-        default_action: Action = DROP,
         block_threshold: Optional[int] = None,
         use_dgq: bool = True,
         manager: Optional[ModelWriter] = None,
         telemetry: Optional[Telemetry] = None,
         validation: str = "strict",
-        recovery: bool = False,
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -90,12 +87,10 @@ class SubspaceVerifier:
             manager = ModelWriter(
                 topology.switches(),
                 layout,
-                default_action=default_action,
                 block_threshold=block_threshold,
                 subspace_match=subspace_match,
                 telemetry=telemetry,
                 validation=validation,
-                recovery=recovery,
             )
         self.manager = manager
         self.telemetry = (

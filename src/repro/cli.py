@@ -304,6 +304,9 @@ def cmd_fuzz(args) -> int:
             break
     elapsed = time.perf_counter() - start
     print(f"{replayed} replays in {elapsed:.1f}s: {divergent} divergent")
+    if args.chaos:
+        fallbacks = telemetry.registry.value("resilience.fallback.count")
+        print(f"recovery fallbacks: {fallbacks}")
     if args.interleave:
         counters = telemetry.registry.snapshot()["counters"]
         explored = counters.get("difftest.interleave.orders_explored", 0)

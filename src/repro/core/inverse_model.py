@@ -51,7 +51,8 @@ def compose_lineage(first: List[EcDelta], then: List[EcDelta]) -> List[EcDelta]:
     merged several parents into the EC ``then`` descends from, the one it
     kept stands for all of them (see :class:`EcDelta`), so a composed
     origin need not overlap its predicate.  An origin ``first`` does not
-    list — a recovery rebuild started a fresh table — is kept as it is.
+    list — a recovery fallback restarted from the initial table — is kept
+    as it is.
     """
     if not first or not then:
         return first or then
@@ -79,10 +80,24 @@ class InverseModel:
         self.store = store
         self.devices = list(devices)
         self.universe = engine.true if universe is None else universe
-        initial_vector = store.uniform(self.devices, default_action)
-        self._entries: Dict[VecId, Predicate] = {}
-        if not self.universe.is_false:
-            self._entries[initial_vector] = self.universe
+        self._initial_vector = store.uniform(self.devices, default_action)
+        self.restore()
+
+    def restore(
+        self, entries: Optional[Iterable[Tuple[Predicate, VecId]]] = None
+    ) -> None:
+        """Set the table to ``entries`` — the (p_j, y_j) pairs of a version
+        this model held, e.g. a read view's — or, with ``None``, back to
+        the initial one-EC table.  No predicate work: a version is
+        canonical (Definition 6), so its pairs *are* the table."""
+        if entries is None:
+            entries = (
+                [] if self.universe.is_false
+                else [(self.universe, self._initial_vector)]
+            )
+        self._entries: Dict[VecId, Predicate] = {
+            vec: pred for pred, vec in entries
+        }
 
     # -- queries -------------------------------------------------------------
     def entries(self) -> List[Tuple[Predicate, VecId]]:

@@ -8,8 +8,8 @@ overwrites and the updated equivalence classes.
 The API is split along CE2D's read/write seam:
 
 * :class:`ModelWriter` — the single-writer surface (``submit`` /
-  ``flush`` / ``checkpoint`` / ``rollback``).  Every flush that changes
-  the model advances a monotonically increasing **model epoch**.
+  ``flush`` / ``rollback``).  Every flush that changes the model
+  advances a monotonically increasing **model epoch**.
 * :class:`ModelReadView` — the protocol readers consume: a
   snapshot-pinned EC table (``entries`` / ``num_ecs`` / ``action_of`` /
   ``vector_for``) plus the engine/layout needed to evaluate queries.
@@ -17,6 +17,10 @@ The API is split along CE2D's read/write seam:
   :class:`FrozenReadView`; because predicates are immutable BDD handles
   and the PAT store is append-only hash-consed, the captured view stays
   valid (and answers identically) no matter how far the writer advances.
+
+A model version is one object: a :class:`FrozenReadView` holds both
+halves of it, the installed rules and the EC table they determine, and
+:meth:`ModelWriter.rollback` puts a view back in place.
 
 The historical monolithic ``ModelManager`` facade (a deprecated alias
 of :class:`ModelWriter`) was removed after its two-cycle grace period.
@@ -41,12 +45,11 @@ from typing import (
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.fib import FibSnapshot
-from ..dataplane.rule import DROP, Action
-from ..dataplane.update import RuleUpdate, UpdateBlock
+from ..dataplane.rule import Action, Rule, default_rule
+from ..dataplane.update import RuleUpdate, UpdateBlock, insert
 from ..errors import ReproError
 from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import MatchCompiler
-from ..resilience.checkpoint import ModelCheckpoint
 from ..resilience.validator import (
     EpochGate,
     QuarantinePolicy,
@@ -54,8 +57,10 @@ from ..resilience.validator import (
 )
 from ..telemetry import PhaseBreakdown, Telemetry
 from .actiontree import ActionTreeStore
+from .imt import replace_table_rules
 from .inverse_model import EcDelta, InverseModel, VecId, compose_lineage
 from .mr2 import Mr2Pipeline
+from .rule_index import RuleIndex
 
 
 @runtime_checkable
@@ -85,15 +90,19 @@ class ModelReadView(Protocol):
 
 
 class FrozenReadView:
-    """An immutable, consistent EC-table snapshot of one model epoch.
+    """One model epoch, immutable: its installed rules and its EC table.
 
     Cheap to capture: predicates are shared immutable handles (holding
-    them also roots them against engine GC) and action vectors are ids
-    into the append-only PAT store, so the capture is one list copy —
-    no BDD state is duplicated.  The view keeps answering for the epoch
-    it was pinned at even while the owning :class:`ModelWriter` keeps
-    flushing; use :func:`repro.serve.isolate_view` when readers must
-    additionally never touch the writer's engine.
+    them also roots them against engine GC), action vectors are ids
+    into the append-only PAT store and rules are immutable values, so
+    the capture is a copy of the table and of each device's rule list —
+    no BDD state is duplicated.  ``rules`` holds ``(device, rules)``
+    pairs, each device's installed rules in table order without the
+    default rule.  The view keeps answering for the epoch it was pinned
+    at even while the owning :class:`ModelWriter` keeps flushing, and
+    :meth:`ModelWriter.rollback` restores it; use
+    :func:`repro.serve.isolate_view` when readers must additionally
+    never touch the writer's engine.
     """
 
     __slots__ = (
@@ -103,6 +112,7 @@ class FrozenReadView:
         "devices",
         "epoch",
         "universe",
+        "rules",
         "_entries",
         "_compiler",
     )
@@ -116,6 +126,7 @@ class FrozenReadView:
         entries: Sequence[Tuple[Predicate, VecId]],
         epoch: int,
         universe: Predicate,
+        rules: Tuple[Tuple[int, Tuple[Rule, ...]], ...],
     ) -> None:
         self.engine = engine
         self.layout = layout
@@ -123,6 +134,7 @@ class FrozenReadView:
         self.devices = list(devices)
         self.epoch = epoch
         self.universe = universe
+        self.rules = rules
         self._entries: Tuple[Tuple[Predicate, VecId], ...] = tuple(entries)
         self._compiler: Optional[MatchCompiler] = None
 
@@ -177,7 +189,7 @@ class ModelWriter:
         are pending (``1`` reproduces per-update verification; ``None``
         means "only flush explicitly" — the throughput-optimal whole-storm
         block of Figure 6).
-    universe:
+    subspace_match:
         Restrict this manager to a header subspace (§3.4 input-space
         partition); defaults to the full space.
     aggregate:
@@ -193,16 +205,16 @@ class ModelWriter:
         Optional :class:`~repro.resilience.EpochGate` for stale-epoch
         detection under ``quarantine``/``repair``.
     recovery:
-        Guard every flush with a checkpoint: if the incremental pipeline
-        raises (invariant violation, corrupt state), roll back to the
-        pre-block journal and fall back to a batch recompute of the
-        block's valid net effect (``resilience.fallback.*`` telemetry).
+        Guard every flush with a pre-block read view: if the incremental
+        pipeline raises (invariant violation, corrupt state), fall back
+        to a batch recompute of the view's rules plus the block's valid
+        net effect (``resilience.fallback.*`` telemetry).
 
     Readers never touch this class: they pin a :class:`FrozenReadView`
     via :meth:`read_view` and evaluate against it.  Each flush that
     changes the model (and each rollback/fallback) advances
     :attr:`epoch`, so a view's ``epoch`` names exactly one model
-    version.
+    version.  Every device's table defaults to ``DROP``.
     """
 
     def __init__(
@@ -211,9 +223,7 @@ class ModelWriter:
         layout: HeaderLayout,
         engine: Optional[PredicateEngine] = None,
         store: Optional[ActionTreeStore] = None,
-        default_action: Action = DROP,
         block_threshold: Optional[int] = None,
-        universe: Optional[Predicate] = None,
         subspace_match=None,
         aggregate: bool = True,
         use_trie: bool = False,
@@ -234,43 +244,36 @@ class ModelWriter:
         self.telemetry = telemetry
         self.store = store if store is not None else ActionTreeStore()
         self.compiler = MatchCompiler(self.engine, layout)
-        self.snapshot = FibSnapshot(devices, default_action)
-        if universe is None and subspace_match is not None:
-            universe = self.compiler.compile(subspace_match)
+        self.snapshot = FibSnapshot(devices)
+        universe = (
+            self.compiler.compile(subspace_match)
+            if subspace_match is not None
+            else None
+        )
         self.model = InverseModel(
-            self.engine, self.store, list(devices), default_action, universe
+            self.engine, self.store, list(devices), universe=universe
         )
         self.block_threshold = block_threshold
         self._pending: List[RuleUpdate] = []
-        # Remember the construction knobs so rollback can rebuild the
-        # model cheaply from an installed-rule journal.
-        self._devices = list(devices)
-        self._default_action = default_action
-        self._aggregate = aggregate
-        self._use_trie = use_trie
-        self.pipeline = self._make_pipeline()
+        self.pipeline = Mr2Pipeline(
+            self.snapshot,
+            self.model,
+            self.compiler,
+            aggregate_overwrites=aggregate,
+            use_trie=use_trie,
+            telemetry=self.telemetry,
+        )
         self.validation = QuarantinePolicy.of(validation)
         self.recovery = recovery
         self.validator: Optional[UpdateValidator] = None
         if self.validation is not QuarantinePolicy.STRICT:
             self.validator = UpdateValidator(
                 self.validation,
-                devices=self._devices,
+                devices=devices,
                 epoch_gate=epoch_gate,
                 telemetry=self.telemetry,
             )
-        self._last_checkpoint: Optional[ModelCheckpoint] = None
         self._epoch = 0
-
-    def _make_pipeline(self) -> Mr2Pipeline:
-        return Mr2Pipeline(
-            self.snapshot,
-            self.model,
-            self.compiler,
-            aggregate_overwrites=self._aggregate,
-            use_trie=self._use_trie,
-            telemetry=self.telemetry,
-        )
 
     # -- read/write split ---------------------------------------------------
     @property
@@ -284,16 +287,21 @@ class ModelWriter:
 
         The returned view satisfies :class:`ModelReadView` and keeps
         answering for this epoch even as the writer advances — the
-        CE2D snapshot-isolation guarantee applied to query serving.
+        CE2D snapshot-isolation guarantee applied to query serving —
+        and :meth:`rollback` can put it back.
         """
         return FrozenReadView(
             engine=self.engine,
             layout=self.layout,
             store=self.store,
-            devices=self._devices,
+            devices=self.model.devices,
             entries=self.model.entries(),
             epoch=self._epoch,
             universe=self.model.universe,
+            rules=tuple(
+                (device, tuple(table.rules(include_default=False)))
+                for device, table in self.snapshot.tables.items()
+            ),
         )
 
     # -- ingestion ---------------------------------------------------------
@@ -326,8 +334,8 @@ class ModelWriter:
         """Process all buffered updates as one block.
 
         With ``recovery`` enabled, a pipeline failure mid-block triggers
-        rollback to the pre-block checkpoint plus a batch recompute of
-        the block's valid net effect instead of propagating.
+        a batch recompute of the pre-block rules plus the block's valid
+        net effect instead of propagating.
         """
         if not self._pending:
             return []
@@ -335,15 +343,13 @@ class ModelWriter:
         self._pending = []
         if not self.recovery:
             deltas = self.pipeline.process_block(block)
-            self._epoch += 1
         else:
-            checkpoint = self.checkpoint()
+            before = self.read_view()
             try:
                 deltas = self.pipeline.process_block(block)
             except ReproError as exc:
-                deltas = self._fallback_recompute(checkpoint, block, exc)
-            else:
-                self._epoch += 1
+                deltas = self._fallback_recompute(before, block, exc)
+        self._epoch += 1
         # The block is applied and nothing is mid-flight: the one point
         # where the engine may recycle node ids.  Everything that outlives
         # a block holds Predicate handles (the EC table, ``deltas`` and
@@ -357,74 +363,66 @@ class ModelWriter:
         self.engine.collect_if_grown()
         return deltas
 
-    # -- checkpoint / rollback (repro.resilience) --------------------------
-    def checkpoint(self) -> ModelCheckpoint:
-        """Capture the installed-rule journal (cheap: no BDD state)."""
-        self._last_checkpoint = ModelCheckpoint.capture(self.snapshot)
-        self.telemetry.count("resilience.checkpoint.captured")
-        return self._last_checkpoint
+    # -- rollback (repro.resilience) ---------------------------------------
+    def rollback(self, view: Optional[FrozenReadView] = None) -> None:
+        """Put the model back to a version :meth:`read_view` captured, in
+        place; pending updates are dropped.
 
-    @property
-    def last_checkpoint(self) -> Optional[ModelCheckpoint]:
-        return self._last_checkpoint
-
-    def rollback(self, checkpoint: Optional[ModelCheckpoint] = None) -> None:
-        """Restore a checkpoint via batch recompute; pending is dropped.
-
-        Defaults to the most recent checkpoint; with none ever captured
-        the manager resets to the empty model.
+        No MR2 work: the view's rules go back into the tables and its EC
+        table into the model — the same handles and vector ids a
+        recompute would build, the model being a function of the FIB.
+        ``None`` resets to the empty model.  A view of another engine or
+        store (e.g. a serve snapshot re-hosted by ``isolate_view``), or
+        of another subspace or device set, is a :class:`ValueError`.
         """
-        if checkpoint is None:
-            checkpoint = self._last_checkpoint
+        if view is not None and (
+            view.engine is not self.engine
+            or view.store is not self.store
+            or view.universe != self.model.universe
+            or view.devices != self.model.devices
+        ):
+            raise ValueError(f"{view!r} is not a version of this model")
         self._pending = []
-        self._rebuild_from_checkpoint(checkpoint)
+        self._restore(view)
         self._epoch += 1
         self.telemetry.count("resilience.rollback.count")
 
-    def _rebuild_from_checkpoint(
-        self, checkpoint: Optional[ModelCheckpoint]
-    ) -> List[EcDelta]:
-        """Fresh snapshot/model/pipeline, journal replayed as one block."""
-        self.snapshot = FibSnapshot(self._devices, self._default_action)
-        universe = self.model.universe
-        self.model = InverseModel(
-            self.engine,
-            self.store,
-            list(self._devices),
-            self._default_action,
-            universe,
-        )
-        self.pipeline = self._make_pipeline()
-        if self.validator is not None:
-            for device in self._devices:
-                self.validator.seed_installed(device, ())
-        if checkpoint is None:
-            return []
-        if self.validator is not None:
-            for device, rules in checkpoint.rules:
+    def _restore(self, view: Optional[FrozenReadView]) -> None:
+        """FIB, EC table, validator journal and trie indexes set to
+        ``view`` (empty when None)."""
+        installed = dict(view.rules) if view is not None else {}
+        indexes = self.pipeline.indexes
+        for device, table in self.snapshot.tables.items():
+            rules = installed.get(device, ())
+            replace_table_rules(
+                table, [*rules, default_rule(table.default_action)]
+            )
+            if self.validator is not None:
                 self.validator.seed_installed(device, rules)
-        block = UpdateBlock(checkpoint.insert_updates())
-        if block.is_empty():
-            return []
-        return self.pipeline.process_block(block)
+            if indexes is not None:
+                index = indexes[device] = RuleIndex(self.layout)
+                for rule in rules:
+                    index.add(rule)
+        self.model.restore(view.entries() if view is not None else None)
 
     def _fallback_recompute(
         self,
-        checkpoint: ModelCheckpoint,
+        before: FrozenReadView,
         block: UpdateBlock,
         exc: ReproError,
     ) -> List[EcDelta]:
         """Graceful degradation: incremental failed, recompute in batch.
 
-        The pre-block journal plus the block's *valid* net effect is
-        rebuilt as one insert block; invalid updates inside the failing
-        block are repaired away so one poisoned update cannot wedge the
-        manager forever.
+        The model is reset in place to the empty version and the
+        pre-block rules plus the block's *valid* net effect go in as one
+        insert block; invalid updates inside the failing block are
+        repaired away so one poisoned update cannot wedge the manager
+        forever.
         """
         self.telemetry.count("resilience.fallback.count")
         self.telemetry.count(f"resilience.fallback.{type(exc).__name__}")
         self.telemetry.registry.gauge("resilience.fallback.active").set(1)
-        journal = checkpoint.journal()
+        journal = {device: list(rules) for device, rules in before.rules}
         repairer = UpdateValidator(QuarantinePolicy.REPAIR, telemetry=self.telemetry)
         for device, rules in journal.items():
             repairer.seed_installed(device, rules)
@@ -436,13 +434,20 @@ class ModelWriter:
                 rules.append(update.rule)
             else:
                 rules.remove(update.rule)
-        deltas = self._rebuild_from_checkpoint(
-            ModelCheckpoint.from_journal(journal)
+        self._restore(None)
+        if self.validator is not None:
+            for device, rules in journal.items():
+                self.validator.seed_installed(device, rules)
+        deltas = self.pipeline.process_block(
+            UpdateBlock(
+                insert(device, rule)
+                for device, rules in journal.items()
+                for rule in rules
+            )
         )
-        self._epoch += 1
         self.telemetry.registry.gauge("resilience.fallback.active").set(0)
         self.telemetry.count("resilience.fallback.recovered")
-        return deltas or self.model.as_deltas()
+        return deltas
 
     @property
     def pending_count(self) -> int:

@@ -13,9 +13,13 @@ the *clean* stream.
 
 Every fault the injector emits is recoverable by validation (see the
 construction argument in :mod:`repro.resilience.faults`), so any
-divergence here is a genuine bug in the validator, the checkpoint
-machinery or the incremental pipeline — exactly the code paths a clean
-fuzzer never exercises.  Divergent cases shrink with the ordinary
+divergence here is a genuine bug in the validator or the incremental
+pipeline — exactly the code paths a clean fuzzer never exercises.  The
+writers run with ``recovery=True``, so a pipeline that raised is
+rescued by a batch recompute that agrees with the oracle; each such
+fallback is reported as a divergence of kind ``fallback`` naming the
+exception, and the recovered model is still diffed like any other.
+Divergent cases shrink with the ordinary
 :class:`~repro.difftest.shrink.Shrinker` (fault injection is a pure
 function of the scenario) and persist as ``chaos_*.json`` corpus files.
 
@@ -194,6 +198,7 @@ class ChaosRunner:
         for policy in self.policies:
             name = f"flash-{policy}"
             run = _EngineRun(name)
+            before = self._fallback_causes()
             try:
                 manager = self._supervised_manager(scenario, switches, layout, policy)
                 manager.submit(faulty)
@@ -218,12 +223,39 @@ class ChaosRunner:
                     Divergence("error", (name, "oracle"), detail=run.error)
                 )
                 continue
+            # Every injected fault is recoverable by validation, so the
+            # pipeline itself must never have raised: a fallback hides a
+            # crash behind a recompute that agrees with the oracle.
+            causes = sorted(
+                cause
+                for cause, count in self._fallback_causes().items()
+                if count > before.get(cause, 0)
+            )
+            if causes:
+                result.divergences.append(
+                    Divergence(
+                        "fallback",
+                        (name, "oracle"),
+                        detail="incremental pipeline raised "
+                        f"{', '.join(causes)}; recovered by batch recompute",
+                    )
+                )
             diff_views(topology, layout, switches, run, reference, result)
             self._diff_verdicts(requirements, run, reference, result)
 
         result.stats["comparison_nodes_freed"] = comparison.collect()
 
     # ------------------------------------------------------------------
+    def _fallback_causes(self) -> Dict[str, float]:
+        """Recovery fallbacks so far per exception class, read from the
+        shared registry every policy run's writer counts into."""
+        prefix = "resilience.fallback."
+        return {
+            name[len(prefix):]: count
+            for name, count in self.telemetry.registry.counters_with_prefix(prefix)
+            if name not in (prefix + "count", prefix + "recovered")
+        }
+
     def _supervised_manager(
         self, scenario: Scenario, switches: List[int], layout, policy: str
     ) -> ModelWriter:

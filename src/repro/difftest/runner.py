@@ -49,7 +49,7 @@ ALL_ENGINES = MODEL_ENGINES + ("oracle",)
 class Divergence:
     """One observed disagreement between two engines."""
 
-    kind: str  # behavior | reachability | loop | verdict | loop-verdict | error
+    kind: str  # behavior | reachability | loop | verdict | loop-verdict | error | fallback
     engines: Tuple[str, str]
     subject: str = ""  # device name, source name or requirement name
     detail: str = ""

@@ -191,7 +191,6 @@ class Flash:
         block_threshold: Optional[int] = None,
         telemetry: Optional[Union[Telemetry, TelemetryConfig]] = None,
         validation: str = "strict",
-        recovery: bool = False,
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -208,8 +207,8 @@ class Flash:
         # every batch applied to it once.  ``block_threshold=None``
         # aggregates each device batch as one MR2 block (the fast path);
         # 1 is the paper's per-update mode, exposed so the differential
-        # tester can cross-check both.  ``validation`` / ``recovery`` are
-        # the supervised-ingestion knobs of repro.resilience.
+        # tester can cross-check both.  ``validation`` is the
+        # supervised-ingestion knob of repro.resilience.
         matches = [None] if partition is None else [s.match for s in partition]
         self.trunk = EpochGroupVerifier(
             [
@@ -220,7 +219,6 @@ class Flash:
                     block_threshold=block_threshold,
                     telemetry=telemetry,
                     validation=validation,
-                    recovery=recovery,
                 )
                 for match in matches
             ]

@@ -12,9 +12,10 @@ self-checking in ``repro.difftest``:
   :class:`DeadLetterLog` — supervised ingestion with strict, quarantine
   and repair policies (``resilience.quarantined.*`` /
   ``resilience.repaired.*`` telemetry);
-* :class:`ModelCheckpoint` — cheap installed-rule-journal snapshots
-  behind :meth:`ModelWriter.checkpoint` / ``rollback`` and the
-  incremental→batch fallback (``resilience.fallback.*``);
+* ``ModelWriter.rollback`` / ``ModelWriter(recovery=True)`` — a model
+  version is one read view (installed rules plus EC table): rollback
+  restores one in place, and the recovery guard takes one before every
+  flush for the incremental→batch fallback (``resilience.fallback.*``);
 * :class:`FailedSubspace` / :class:`RetryPolicy` /
   :class:`WorkerFaultSpec` — per-task supervision records for
   ``run_partitioned``'s process-per-subspace map (retry a worker that
@@ -25,7 +26,6 @@ streams through ``repair``/``quarantine`` ingestion must still converge
 to the brute-force oracle's verdicts.  See ``docs/resilience.md``.
 """
 
-from .checkpoint import ModelCheckpoint
 from .faults import (
     FAULT_KINDS,
     FAULT_PROFILES,
@@ -59,7 +59,6 @@ __all__ = [
     "FaultProfile",
     "InjectedFault",
     "InjectedWorkerFault",
-    "ModelCheckpoint",
     "QuarantinePolicy",
     "QuarantinedUpdate",
     "RetryPolicy",

@@ -189,7 +189,7 @@ class UpdateValidator:
 
     # ------------------------------------------------------------------
     def seed_installed(self, device: int, rules: Iterable[Rule]) -> None:
-        """Prime the journal view (e.g. after a checkpoint rollback)."""
+        """Prime the journal view (e.g. after a rollback)."""
         self._installed[device] = set(rules)
 
     def installed(self, device: int) -> Set[Rule]:

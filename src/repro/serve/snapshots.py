@@ -49,7 +49,8 @@ def isolate_view(view: ModelReadView) -> FrozenReadView:
     The EC predicates (plus the universe) travel as one bulk FBW1
     import, so the shared BDD DAG is walked once for the whole table.
     Action vectors are ids into the append-only PAT store, which is
-    safely shared: the writer only ever appends new nodes.
+    safely shared: the writer only ever appends new nodes; the
+    installed rules are immutable values and pass through as they are.
     """
     entries = list(view.entries())
     engine = PredicateEngine(view.layout.total_bits)
@@ -65,6 +66,7 @@ def isolate_view(view: ModelReadView) -> FrozenReadView:
         entries=list(zip(imported[:-1], (vec for _, vec in entries))),
         epoch=view.epoch,
         universe=universe,
+        rules=view.rules,
     )
 
 
@@ -110,8 +112,8 @@ class DeltaIsolator:
         entries = list(view.entries())
         preds = [pred for pred, _ in entries] + [view.universe]
         if self._engine is None or view.engine is not self._writer_engine:
-            # First publish, or the writer swapped engines (e.g. a
-            # rollback rebuilt the model): start a fresh chain.
+            # First publish, or a view of another writer's engine:
+            # start a fresh chain.
             self._engine = PredicateEngine(view.layout.total_bits)
             self._writer_engine = view.engine
             self._writer_base = None
@@ -149,6 +151,7 @@ class DeltaIsolator:
             ),
             epoch=view.epoch,
             universe=imported[-1],
+            rules=view.rules,
         )
 
     def __repr__(self) -> str:

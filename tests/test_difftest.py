@@ -18,6 +18,7 @@ from repro.difftest.compare import ModelView
 from repro.difftest.shrink import repair_updates
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import delete, insert
+from repro.errors import ModelInvariantError
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
 from repro.telemetry import Telemetry
@@ -165,6 +166,29 @@ class TestModelInvariantsInTheGates:
             assert divergence.kind == "error"
             assert "ModelInvariantError" in divergence.detail
             assert "empty EC" in divergence.detail
+
+    @pytest.mark.chaos
+    def test_recovered_pipeline_crash_is_a_fallback_divergence(self, monkeypatch):
+        """The chaos writers run with ``recovery=True``: a pipeline that
+        raises once is rescued by a batch recompute the oracle agrees
+        with, and the gate must still report it."""
+        original = InverseModel.apply_overwrites
+
+        def raises_once(model, overwrites, support=None):
+            if not getattr(model, "raised", False):
+                model.raised = True
+                raise ModelInvariantError("injected")
+            return original(model, overwrites, support)
+
+        monkeypatch.setattr(InverseModel, "apply_overwrites", raises_once)
+        result = ChaosRunner().run(ScenarioGenerator(seed=1234).scenario(0))
+        assert {d.engines[0] for d in result.divergences} == {
+            "flash-repair",
+            "flash-quarantine",
+        }
+        for divergence in result.divergences:
+            assert divergence.kind == "fallback"
+            assert "ModelInvariantError" in divergence.detail
 
 
 class TestShrinker:

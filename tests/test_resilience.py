@@ -2,7 +2,7 @@
 
 Covers the fault injector (determinism + the per-key order invariant the
 self-healing argument rests on), supervised ingestion under all three
-quarantine policies, the epoch gate, checkpoint/rollback, the
+quarantine policies, the epoch gate, read-view rollback, the
 incremental-to-batch fallback, and the chaos difftest convergence
 property on a sample of seeded scenarios.
 """
@@ -32,7 +32,6 @@ from repro.resilience import (
     EpochGate,
     FaultInjector,
     FaultProfile,
-    ModelCheckpoint,
     QuarantinedUpdate,
     QuarantinePolicy,
     UpdateValidator,
@@ -309,7 +308,7 @@ class TestEpochGate:
 
 
 # ---------------------------------------------------------------------------
-# supervised ModelWriter: convergence, checkpoint, rollback, fallback
+# supervised ModelWriter: convergence, rollback, fallback
 # ---------------------------------------------------------------------------
 class TestSupervisedModelWriter:
     @pytest.mark.parametrize("policy", ["repair", "quarantine"])
@@ -344,39 +343,38 @@ class TestSupervisedModelWriter:
         r0, r1 = rule(1, 0, 1, 1), rule(1, 8, 1, 2)
         manager.submit([insert(0, r0)])
         manager.flush()
-        checkpoint = manager.checkpoint()
+        view = manager.read_view()
         before_rules = installed_rules(manager)
-        before_ecs = manager.num_ecs()
         manager.submit([insert(1, r1), delete(0, r0)])
         manager.flush()
         assert installed_rules(manager) != before_rules
-        manager.rollback(checkpoint)
+        manager.rollback(view)
         assert installed_rules(manager) == before_rules
-        assert manager.num_ecs() == before_ecs
+        assert manager.model.entries() == list(view.entries())
         assert manager.telemetry.registry.value("resilience.rollback.count") == 1
 
     def test_rollback_after_rollback_double_fault(self):
-        """Crash-during-recovery: a second rollback to the same
-        checkpoint (recovery itself faulting before any new checkpoint
-        is taken) is idempotent and leaves the manager fully usable."""
+        """Crash-during-recovery: a second rollback to the same view
+        (recovery itself faulting before any new view is taken) is
+        idempotent and leaves the manager fully usable."""
         manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
         r0, r1, r2 = rule(1, 0, 1, 1), rule(1, 8, 1, 2), rule(2, 4, 2, 2)
         manager.submit([insert(0, r0)])
         manager.flush()
-        checkpoint = manager.checkpoint()
+        view = manager.read_view()
         golden_rules = installed_rules(manager)
         golden_ecs = manager.num_ecs()
         # First fault: diverge, roll back.
         manager.submit([insert(1, r1)])
         manager.flush()
-        manager.rollback(checkpoint)
+        manager.rollback(view)
         assert installed_rules(manager) == golden_rules
-        # Second fault before any new checkpoint: diverge again, roll
-        # back to the *same* checkpoint again.
+        # Second fault before any new view: diverge again, roll back to
+        # the *same* view again.
         manager.submit([insert(2, r2), delete(0, r0)])
         manager.flush()
         assert installed_rules(manager) != golden_rules
-        manager.rollback(checkpoint)
+        manager.rollback(view)
         assert installed_rules(manager) == golden_rules
         assert manager.num_ecs() == golden_ecs
         reg = manager.telemetry.registry
@@ -395,7 +393,7 @@ class TestSupervisedModelWriter:
         manager = ModelWriter(DEVICES, LAYOUT)
         manager.submit([insert(0, rule(1, 0, 1, 1))])
         manager.flush()
-        manager.rollback()  # no checkpoint ever captured
+        manager.rollback()  # no view: the empty model
         assert all(not rules for rules in installed_rules(manager).values())
 
     def test_fallback_recompute_on_poisoned_block(self):
@@ -425,14 +423,88 @@ class TestSupervisedModelWriter:
         assert installed_rules(manager)[1] == set()
 
     def test_checkpoint_capture_and_journal(self):
+        """A read view names its FIB: per device, the installed rules in
+        table order, default rule excluded, frozen at capture."""
+        manager = ModelWriter(DEVICES, LAYOUT)
+        r, low = rule(1, 0, 1, 1), rule(0, 0, 0, 2)
+        manager.submit([insert(0, low), insert(0, r)])
+        manager.flush()
+        view = manager.read_view()
+        assert view.rules == ((0, (r, low)), (1, ()), (2, ()))
+        manager.submit([delete(0, r)])
+        manager.flush()
+        assert view.rules[0] == (0, (r, low))
+        assert manager.read_view().rules[0] == (0, (low,))
+
+    def test_rollback_rejects_a_foreign_view(self):
+        from repro.serve import isolate_view
+
         manager = ModelWriter(DEVICES, LAYOUT)
         r = rule(1, 0, 1, 1)
         manager.submit([insert(0, r)])
         manager.flush()
-        cp = ModelCheckpoint.capture(manager.snapshot)
-        assert cp.rule_count() == 1
-        assert cp.journal()[0] == [r]
-        assert list(cp.insert_updates()) == [insert(0, r)]
+        rehosted = isolate_view(manager.read_view())
+        assert rehosted.rules == manager.read_view().rules
+        for view in (rehosted, ModelWriter(DEVICES, LAYOUT).read_view()):
+            with pytest.raises(ValueError):
+                manager.rollback(view)
+        assert installed_rules(manager)[0] == {r}
+        assert manager.epoch == 1
+
+
+# ---------------------------------------------------------------------------
+# rollback restores a read view in place
+# ---------------------------------------------------------------------------
+def fib_and_table(manager):
+    """A version as comparable values: its rules, and its EC table as
+    (predicate node, vector id) pairs."""
+    view = manager.read_view()
+    return view.rules, {(pred.node, vec) for pred, vec in view.entries()}
+
+
+@pytest.mark.parametrize(
+    "block_threshold, use_trie",
+    [(None, False), (1, False), (None, True), (1, True)],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_rollback_restores_every_version_in_place(seed, block_threshold, use_trie):
+    """Rolling back to the view taken after batch k is the model a fresh
+    writer builds from the first k batches, costs no predicate operation
+    and no MR2 block, and replaying the rest lands on the straight run."""
+    rng = random.Random(seed)
+    stream = random_stream(rng, ops=40)
+    cuts = sorted(rng.sample(range(1, len(stream)), rng.randint(3, 7)))
+    batches = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+
+    def writer(**shared):
+        return ModelWriter(
+            DEVICES, LAYOUT, block_threshold=block_threshold,
+            use_trie=use_trie, **shared,
+        )
+
+    def replay(manager, some):
+        for batch in some:
+            manager.submit(batch)
+            manager.flush()
+
+    manager = writer()
+    views = []
+    for batch in batches:
+        replay(manager, [batch])
+        views.append(manager.read_view())
+    straight = fib_and_table(manager)
+    registry = manager.telemetry.registry
+    for k in rng.sample(range(len(batches)), len(batches)):
+        ops, blocks = manager.metrics.total, registry.value("mr2.blocks")
+        manager.rollback(views[k])
+        assert manager.metrics.total == ops
+        assert registry.value("mr2.blocks") == blocks
+        fresh = writer(engine=manager.engine, store=manager.store)
+        replay(fresh, batches[: k + 1])
+        assert fib_and_table(manager) == fib_and_table(fresh)
+        manager.model.check_invariants()
+        replay(manager, batches[k + 1 :])
+        assert fib_and_table(manager) == straight
 
 
 # ---------------------------------------------------------------------------
