@@ -11,97 +11,77 @@ Public API tour:
   topologies, FIB patterns and the OpenR-like routing simulator.
 """
 
-from .analysis import (
-    find_blackholes,
-    reachability_matrix,
-    trace_header,
-)
-from .bdd import Predicate, PredicateEngine
-from .datasets import DatasetBundle, load_bundle, save_bundle
-from .ce2d import CE2DDispatcher, SubspaceVerifier
-from .core import (
-    FrozenReadView,
-    ModelReadView,
-    ModelWriter,
-    SubspacePartition,
-)
-from .results import (
-    LoopReport,
-    Report,
-    RunSummary,
-    Verdict,
-    VerificationReport,
-)
-from .telemetry import MetricsRegistry, Telemetry, TelemetryConfig
-from .dataplane import (
-    DROP,
-    FibSnapshot,
-    FibTable,
-    Rule,
-    RuleUpdate,
-    UpdateBlock,
-    delete,
-    insert,
-)
-from .flash import EpochGroupVerifier, Flash, QueryableVerifier
-from .headerspace import HeaderLayout, Match, Pattern, dst_only_layout, dst_src_layout
-from .network import Topology, fabric, fat_tree, internet2
-from .difftest import DifferentialRunner, ReferenceOracle, ScenarioGenerator, Shrinker
-from .routing import OpenRSimulation
-from .spec import Multiplicity, Requirement, requirement
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "find_blackholes",
-    "reachability_matrix",
-    "trace_header",
-    "DatasetBundle",
-    "load_bundle",
-    "save_bundle",
-    "Predicate",
-    "PredicateEngine",
-    "CE2DDispatcher",
-    "SubspaceVerifier",
-    "Verdict",
-    "VerificationReport",
-    "LoopReport",
-    "Report",
-    "RunSummary",
-    "FrozenReadView",
-    "ModelReadView",
-    "ModelWriter",
-    "SubspacePartition",
-    "MetricsRegistry",
-    "Telemetry",
-    "TelemetryConfig",
-    "DROP",
-    "FibSnapshot",
-    "FibTable",
-    "Rule",
-    "RuleUpdate",
-    "UpdateBlock",
-    "delete",
-    "insert",
-    "EpochGroupVerifier",
-    "Flash",
-    "QueryableVerifier",
-    "HeaderLayout",
-    "Match",
-    "Pattern",
-    "dst_only_layout",
-    "dst_src_layout",
-    "Topology",
-    "fabric",
-    "fat_tree",
-    "internet2",
-    "DifferentialRunner",
-    "ReferenceOracle",
-    "ScenarioGenerator",
-    "Shrinker",
-    "OpenRSimulation",
-    "Multiplicity",
-    "Requirement",
-    "requirement",
-    "__version__",
-]
+# Public name -> defining module.  Resolved on first access (PEP 562), so
+# importing one subsystem (e.g. ``repro.difftest.explore``) does not load
+# every other one.
+_EXPORTS = {
+    "find_blackholes": ".analysis",
+    "reachability_matrix": ".analysis",
+    "trace_header": ".analysis",
+    "DatasetBundle": ".datasets",
+    "load_bundle": ".datasets",
+    "save_bundle": ".datasets",
+    "Predicate": ".bdd",
+    "PredicateEngine": ".bdd",
+    "CE2DDispatcher": ".ce2d",
+    "SubspaceVerifier": ".ce2d",
+    "Verdict": ".results",
+    "VerificationReport": ".results",
+    "LoopReport": ".results",
+    "Report": ".results",
+    "RunSummary": ".results",
+    "FrozenReadView": ".core",
+    "ModelReadView": ".core",
+    "ModelWriter": ".core",
+    "SubspacePartition": ".core",
+    "MetricsRegistry": ".telemetry",
+    "Telemetry": ".telemetry",
+    "TelemetryConfig": ".telemetry",
+    "DROP": ".dataplane",
+    "FibSnapshot": ".dataplane",
+    "FibTable": ".dataplane",
+    "Rule": ".dataplane",
+    "RuleUpdate": ".dataplane",
+    "UpdateBlock": ".dataplane",
+    "delete": ".dataplane",
+    "insert": ".dataplane",
+    "EpochGroupVerifier": ".flash",
+    "Flash": ".flash",
+    "QueryableVerifier": ".flash",
+    "HeaderLayout": ".headerspace",
+    "Match": ".headerspace",
+    "Pattern": ".headerspace",
+    "dst_only_layout": ".headerspace",
+    "dst_src_layout": ".headerspace",
+    "Topology": ".network",
+    "fabric": ".network",
+    "fat_tree": ".network",
+    "internet2": ".network",
+    "DifferentialRunner": ".difftest",
+    "ReferenceOracle": ".difftest",
+    "ScenarioGenerator": ".difftest",
+    "Shrinker": ".difftest",
+    "OpenRSimulation": ".routing",
+    "Multiplicity": ".spec",
+    "Requirement": ".spec",
+    "requirement": ".spec",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

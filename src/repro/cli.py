@@ -181,18 +181,8 @@ def cmd_analyze(args) -> int:
 
 
 def _fuzz_runners(args, telemetry) -> List:
-    """The (label, runner, save) triples one fuzz invocation cycles through.
-
-    ``save(shrunk, directory, result)`` persists a shrunk reproducer;
-    ``result`` is the shrunk scenario's DiffResult (the interleave saver
-    reads the minimised order out of its stats, the others ignore it).
-    """
+    """The (label, runner) pairs one fuzz invocation cycles through."""
     from .difftest import ChaosRunner, DifferentialRunner, InterleaveRunner
-    from .difftest.corpus import (
-        save_chaos_case,
-        save_interleave_case,
-        save_scenario,
-    )
     from .resilience import FAULT_PROFILES
 
     if args.interleave:
@@ -201,33 +191,17 @@ def _fuzz_runners(args, telemetry) -> List:
             max_orders=args.max_orders,
             block_tail=args.block_tail,
         )
-
-        def save_interleave(shrunk, directory, result=None, runner=runner):
-            return save_interleave_case(
-                runner.case_for(shrunk, result), directory
-            )
-
-        return [("interleave", runner, save_interleave)]
+        return [("interleave", runner)]
     if not args.chaos:
-        runner = DifferentialRunner(telemetry=telemetry)
-
-        def save_diff(shrunk, directory, result=None):
-            return save_scenario(shrunk, directory)
-
-        return [("diff", runner, save_diff)]
+        return [("diff", DifferentialRunner(telemetry=telemetry))]
     if args.fault_profile == "all":
         names = sorted(FAULT_PROFILES)
     else:
         names = [args.fault_profile]
-    runners = []
-    for name in names:
-        runner = ChaosRunner(profile=name, seed=args.seed, telemetry=telemetry)
-
-        def save(shrunk, directory, result=None, runner=runner):
-            return save_chaos_case(runner.case_for(shrunk), directory)
-
-        runners.append((f"chaos:{name}", runner, save))
-    return runners
+    return [
+        (f"chaos:{name}", ChaosRunner(profile=name, seed=args.seed, telemetry=telemetry))
+        for name in names
+    ]
 
 
 def cmd_fuzz(args) -> int:
@@ -247,7 +221,7 @@ def cmd_fuzz(args) -> int:
     brute-force oracle — plus an exhaustive-vs-reduced POR soundness
     self-check on small blocks.
     """
-    from .difftest import InterleaveShrinker, ScenarioGenerator, Shrinker
+    from .difftest import InterleaveShrinker, ScenarioGenerator, Shrinker, save_case
 
     if args.chaos and args.interleave:
         print("--chaos and --interleave are mutually exclusive")
@@ -271,7 +245,7 @@ def cmd_fuzz(args) -> int:
     replayed = 0
     budget_hit = False
     for index, scenario in enumerate(generator.stream(args.iterations)):
-        for label, runner, save in runners:
+        for label, runner in runners:
             if (
                 args.time_budget
                 and time.perf_counter() - start > args.time_budget
@@ -296,7 +270,9 @@ def cmd_fuzz(args) -> int:
             print(f"  shrunk to {len(shrunk.updates)} updates / "
                   f"{len(shrunk.requirements)} requirements")
             if args.corpus:
-                path = save(shrunk, args.corpus, shrunk_result)
+                path = save_case(
+                    runner.case_for(shrunk, shrunk_result), args.corpus
+                )
                 print(f"  saved reproducer to {path}")
         if budget_hit or divergent >= args.max_divergences:
             if divergent >= args.max_divergences:

@@ -27,7 +27,6 @@ from .mr2 import (
     reduce_by_predicate,
 )
 from .overwrite import Overwrite, atomic, check_conflict_free, make_delta
-from .rewrite import RewriteAction, RewriteAwareChecker, action_next_hops
 from .rule_index import RuleIndex, matches_intersect, patterns_intersect
 from .subspace import Subspace, SubspacePartition
 
@@ -61,9 +60,6 @@ __all__ = [
     "atomic",
     "check_conflict_free",
     "make_delta",
-    "RewriteAction",
-    "RewriteAwareChecker",
-    "action_next_hops",
     "RuleIndex",
     "matches_intersect",
     "patterns_intersect",

@@ -24,7 +24,7 @@ the O(1) cofactor-signature filter
 ``sig(a) & sig(b) == 0  ⇒  a ∧ b = ⊥``) first, and an exact BDD
 conjunction only on signature collision — so most pairs are classified
 without any BDD operation.  The analyzer is the commutation oracle of
-the interleaving explorer (:mod:`repro.difftest.interleave`) and is
+the interleaving explorer (:mod:`repro.difftest.explore`) and is
 reusable by dispatcher-side update scheduling.
 
 ``force_commute`` is a **test-only** hook: a predicate that forces a

@@ -12,58 +12,49 @@ hunts for counterexamples systematically instead of hand-writing them:
   brute-force :class:`ReferenceOracle`, then diffs forwarding behaviour,
   reachability predicates (by BDD equality), loop predicates and verdicts;
 * :class:`Shrinker` minimises any divergent scenario by greedy delta
-  debugging and the corpus helpers serialise it into ``tests/corpus/`` as
+  debugging and :func:`save_case` serialises it into ``tests/corpus/`` as
   a deterministic regression test.
 
 Entry points: ``repro fuzz`` on the CLI, ``tests/test_corpus_replay.py``
 in the suite.  See ``docs/difftest.md``.
 """
 
-from .chaos import CHAOS_POLICIES, ChaosCase, ChaosRunner
-from .corpus import (
-    iter_chaos_corpus,
-    iter_corpus,
-    iter_interleave_corpus,
-    load_chaos_case,
-    load_interleave_case,
-    load_scenario,
-    save_chaos_case,
-    save_interleave_case,
-    save_scenario,
-)
-from .interleave import (
-    InterleaveCase,
-    InterleaveRunner,
-    InterleavingExplorer,
-)
-from .oracle import ReferenceOracle
-from .runner import DifferentialRunner, DiffResult, Divergence
-from .scenario import RequirementSpec, Scenario, ScenarioGenerator
-from .shrink import InterleaveShrinker, Shrinker
+from importlib import import_module
 
-__all__ = [
-    "CHAOS_POLICIES",
-    "ChaosCase",
-    "ChaosRunner",
-    "DifferentialRunner",
-    "DiffResult",
-    "Divergence",
-    "InterleaveCase",
-    "InterleaveRunner",
-    "InterleaveShrinker",
-    "InterleavingExplorer",
-    "ReferenceOracle",
-    "RequirementSpec",
-    "Scenario",
-    "ScenarioGenerator",
-    "Shrinker",
-    "iter_chaos_corpus",
-    "iter_corpus",
-    "iter_interleave_corpus",
-    "load_chaos_case",
-    "load_interleave_case",
-    "load_scenario",
-    "save_chaos_case",
-    "save_interleave_case",
-    "save_scenario",
-]
+# Public name -> defining module, resolved on first access (PEP 562), so
+# ``repro.difftest.explore`` imports without the verifier stack.
+_EXPORTS = {
+    "CHAOS_POLICIES": ".corpus",
+    "ChaosCase": ".corpus",
+    "ChaosRunner": ".chaos",
+    "DifferentialRunner": ".runner",
+    "DiffResult": ".runner",
+    "Divergence": ".runner",
+    "InterleaveCase": ".corpus",
+    "InterleaveRunner": ".interleave",
+    "InterleaveShrinker": ".shrink",
+    "InterleavingExplorer": ".explore",
+    "ReferenceOracle": ".oracle",
+    "RequirementSpec": ".scenario",
+    "Scenario": ".scenario",
+    "ScenarioGenerator": ".scenario",
+    "Shrinker": ".shrink",
+    "iter_cases": ".corpus",
+    "load_case": ".corpus",
+    "save_case": ".corpus",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -29,12 +29,10 @@ Entry point: ``repro fuzz --chaos``.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..bdd.predicate import PredicateEngine
 from ..core.model_manager import ModelWriter
-from ..errors import ReproError
 from ..headerspace.match import MatchCompiler
 from ..resilience import (
     EpochGate,
@@ -44,73 +42,14 @@ from ..resilience import (
     stale_epoch_tag,
 )
 from ..telemetry import Telemetry
-from .compare import view_from_inverse_model, view_from_oracle
+from .compare import derive_verdicts, view_from_inverse_model, view_from_oracle
+from .corpus import CHAOS_POLICIES, ChaosCase
 from .oracle import ReferenceOracle
-from .runner import DiffResult, Divergence, _EngineRun, _verdict, derive_verdicts, diff_views
+from .runner import DiffResult, Divergence, FuzzRunner, diff_verdicts, diff_views
 from .scenario import Scenario
 
-#: Policies a chaos run exercises by default.  ``strict`` is excluded by
-#: construction: the injected faults are *meant* to raise under strict.
-CHAOS_POLICIES: Tuple[str, ...] = ("repair", "quarantine")
 
-CHAOS_FORMAT_VERSION = 1
-
-
-@dataclass
-class ChaosCase:
-    """One chaos regression: a scenario plus its exact fault recipe.
-
-    Serialisable like a :class:`Scenario`, with enough extra state
-    (profile name, injector seed, policies) to replay the identical
-    faulty stream deterministically.
-    """
-
-    scenario: Scenario
-    profile: str
-    seed: int = 0
-    policies: Tuple[str, ...] = CHAOS_POLICIES
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"chaos_{self.profile}_{self.scenario.name}"
-        self.policies = tuple(self.policies)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "chaos",
-            "chaos_format": CHAOS_FORMAT_VERSION,
-            "name": self.name,
-            "profile": self.profile,
-            "seed": self.seed,
-            "policies": list(self.policies),
-            "scenario": self.scenario.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosCase":
-        if data.get("kind") != "chaos":
-            raise ReproError("not a chaos case (missing kind='chaos')")
-        if data.get("chaos_format") != CHAOS_FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported chaos format {data.get('chaos_format')!r}"
-            )
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            profile=data["profile"],
-            seed=int(data.get("seed", 0)),
-            policies=tuple(data.get("policies", CHAOS_POLICIES)),
-            name=data.get("name", ""),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosCase({self.name!r}, profile={self.profile!r}, "
-            f"seed={self.seed}, policies={self.policies})"
-        )
-
-
-class ChaosRunner:
+class ChaosRunner(FuzzRunner):
     """Replay scenarios through fault injection + supervised ingestion.
 
     ``run(scenario)`` is deterministic in ``(profile, seed, scenario)``
@@ -119,6 +58,8 @@ class ChaosRunner:
     and the corpus machinery work on chaos divergences unchanged.
     """
 
+    prefix = "difftest.chaos"
+
     def __init__(
         self,
         profile: Union[str, FaultProfile] = "mixed",
@@ -126,12 +67,12 @@ class ChaosRunner:
         policies: Sequence[str] = CHAOS_POLICIES,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
+        super().__init__(telemetry)
         self.profile = (
             profile if isinstance(profile, FaultProfile) else fault_profile(profile)
         )
         self.seed = seed
         self.policies = tuple(policies)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     @classmethod
     def for_case(
@@ -145,21 +86,20 @@ class ChaosRunner:
             telemetry=telemetry,
         )
 
-    # ------------------------------------------------------------------
-    def run(self, scenario: Scenario) -> DiffResult:
-        result = DiffResult(scenario)
-        with self.telemetry.span("difftest.chaos.run", scenario=scenario.name):
-            self._run_inner(scenario, result)
-        self.telemetry.count("difftest.chaos.scenarios")
-        if result.divergences:
-            self.telemetry.count(
-                "difftest.chaos.divergences", len(result.divergences)
-            )
-        return result
-
     def run_case(self, case: ChaosCase) -> DiffResult:
         return ChaosRunner.for_case(case, telemetry=self.telemetry).run(
             case.scenario
+        )
+
+    def case_for(
+        self, scenario: Scenario, result: Optional[DiffResult] = None
+    ) -> ChaosCase:
+        """Package a (typically shrunk) scenario as a corpus chaos case."""
+        return ChaosCase(
+            scenario=scenario,
+            profile=self.profile.name,
+            seed=self.seed,
+            policies=self.policies,
         )
 
     # ------------------------------------------------------------------
@@ -175,14 +115,14 @@ class ChaosRunner:
         comparison = PredicateEngine(layout.total_bits)
         compiler = MatchCompiler(comparison, layout)
         requirements = scenario.build_requirements(topology, layout)
+        spaces = [compiler.compile(req.packet_space) for req in requirements]
 
         # Reference: the brute-force oracle on the *clean* stream.
         oracle = ReferenceOracle(topology, layout)
         oracle.process_updates(scenario.updates)
-        reference = _EngineRun("oracle")
-        reference.view = view_from_oracle("oracle", comparison, oracle)
-        reference.loop_verdict, reference.verdicts = derive_verdicts(
-            reference.view, topology, compiler, requirements
+        reference = view_from_oracle("oracle", comparison, oracle)
+        expected = derive_verdicts(
+            reference.action_entries(), topology, requirements, spaces
         )
 
         # One deterministic faulty stream, shared by every policy run.
@@ -197,18 +137,17 @@ class ChaosRunner:
 
         for policy in self.policies:
             name = f"flash-{policy}"
-            run = _EngineRun(name)
             before = self._fallback_causes()
             try:
                 manager = self._supervised_manager(scenario, switches, layout, policy)
                 manager.submit(faulty)
                 manager.flush()
                 manager.model.check_invariants()
-                run.view = view_from_inverse_model(
+                view = view_from_inverse_model(
                     name, comparison, manager.model, switches
                 )
-                run.loop_verdict, run.verdicts = derive_verdicts(
-                    run.view, topology, compiler, requirements
+                got = derive_verdicts(
+                    view.action_entries(), topology, requirements, spaces
                 )
                 validator = manager.validator
                 result.stats[name] = {
@@ -217,11 +156,7 @@ class ChaosRunner:
                     "quarantined": len(validator.dead_letters),
                 }
             except Exception as exc:  # noqa: BLE001 - crash = divergence
-                run.error = f"{type(exc).__name__}: {exc}"
-                self.telemetry.count("difftest.chaos.engine_errors")
-                result.divergences.append(
-                    Divergence("error", (name, "oracle"), detail=run.error)
-                )
+                result.divergences.append(self._crashed(name, exc))
                 continue
             # Every injected fault is recoverable by validation, so the
             # pipeline itself must never have raised: a fallback hides a
@@ -240,8 +175,10 @@ class ChaosRunner:
                         f"{', '.join(causes)}; recovered by batch recompute",
                     )
                 )
-            diff_views(topology, layout, switches, run, reference, result)
-            self._diff_verdicts(requirements, run, reference, result)
+            result.divergences += diff_views(
+                topology, layout, switches, view, reference
+            )
+            result.divergences += diff_verdicts(name, got, expected, requirements)
 
         result.stats["comparison_nodes_freed"] = comparison.collect()
 
@@ -272,42 +209,6 @@ class ChaosRunner:
             epoch_gate=gate,
             recovery=True,
             telemetry=Telemetry(registry=self.telemetry.registry),
-        )
-
-    @staticmethod
-    def _diff_verdicts(
-        requirements, run: _EngineRun, reference: _EngineRun, result: DiffResult
-    ) -> None:
-        if run.loop_verdict is not reference.loop_verdict:
-            result.divergences.append(
-                Divergence(
-                    "loop-verdict",
-                    (run.name, reference.name),
-                    detail=f"{_verdict(run.loop_verdict)} vs "
-                    f"{_verdict(reference.loop_verdict)}",
-                )
-            )
-        for req in requirements:
-            expected = reference.verdicts.get(req.name)
-            got = run.verdicts.get(req.name)
-            if got is not expected:
-                result.divergences.append(
-                    Divergence(
-                        "verdict",
-                        (run.name, reference.name),
-                        subject=req.name,
-                        detail=f"{_verdict(got)} vs {_verdict(expected)}",
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    def case_for(self, scenario: Scenario) -> ChaosCase:
-        """Package a (typically shrunk) scenario as a corpus chaos case."""
-        return ChaosCase(
-            scenario=scenario,
-            profile=self.profile.name,
-            seed=self.seed,
-            policies=self.policies,
         )
 
     def __repr__(self) -> str:

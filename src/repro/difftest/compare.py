@@ -17,13 +17,24 @@ sampling.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.rule import Action
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
-from .oracle import ReferenceOracle, forwarding_cycle, reaches_external
+from .oracle import (
+    ReferenceOracle,
+    StepVerdicts,
+    forwarding_cycle,
+    reaches_external,
+    verdicts_of,
+)
+
+#: A model as ``(predicate, action_of)`` pairs, ``action_of(device)``
+#: being the action that device applies to the predicate's headers.
+ActionEntries = List[Tuple[Predicate, Callable[[int], Action]]]
 
 
 def header_cube(engine: PredicateEngine, header: int, total_bits: int) -> Predicate:
@@ -109,13 +120,12 @@ class ModelView:
                 )
         return out
 
+    def action_entries(self) -> ActionEntries:
+        return [(pred, actions.__getitem__) for pred, actions in self.entries]
+
     def reach_predicate(self, topology: Topology, source: int) -> Predicate:
         """Headers delivered externally from ``source`` (existential)."""
-        result = self.engine.false
-        for pred, actions in self.entries:
-            if reaches_external(topology, actions.__getitem__, source):
-                result = result | pred
-        return result
+        return reach_predicate(self.engine, self.action_entries(), topology, source)
 
     def loop_predicate(self, topology: Topology) -> Predicate:
         """Headers whose forwarding graph contains a cycle."""
@@ -130,6 +140,54 @@ class ModelView:
 
     def __repr__(self) -> str:
         return f"ModelView({self.name!r}, {len(self.entries)} classes)"
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+def reach_predicate(
+    engine: PredicateEngine, entries: ActionEntries, topology: Topology, source: int
+) -> Predicate:
+    """The union of the entries some walk from ``source`` delivers."""
+    result = engine.false
+    for pred, action_of in entries:
+        if reaches_external(topology, action_of, source):
+            result = result | pred
+    return result
+
+
+def model_entries(model) -> ActionEntries:
+    """The :data:`ActionEntries` of an ``InverseModel`` or ``FrozenReadView``."""
+    return [(pred, partial(model.action_of, vec)) for pred, vec in model.entries()]
+
+
+def derive_verdicts(
+    entries: ActionEntries, topology: Topology, requirements, spaces
+) -> StepVerdicts:
+    """The loop verdict and one verdict per requirement, off a model.
+
+    The verdicts every engine without a checker of its own is held to —
+    the baselines' and the oracle's final models, the chaos runner's
+    supervised writers and every intermediate state the interleave
+    runner steps through.  ``spaces`` are the requirements' packet
+    spaces compiled in the entries' engine.  The model loops when some
+    header's forwarding graph has a cycle; a requirement is VIOLATED
+    when some source fails to deliver part of its packet space.
+    """
+    entries = [(pred, action_of) for pred, action_of in entries if not pred.is_false]
+    looped = any(forwarding_cycle(topology, action_of) for _, action_of in entries)
+    reach: Dict[int, Predicate] = {}
+    violated = []
+    for req, space in zip(requirements, spaces):
+        missed = False
+        for source in req.sources:
+            if source not in reach:
+                reach[source] = reach_predicate(space.engine, entries, topology, source)
+            if not (space - reach[source]).is_false:
+                missed = True
+                break
+        violated.append(missed)
+    return verdicts_of(looped, violated)
 
 
 # ---------------------------------------------------------------------------

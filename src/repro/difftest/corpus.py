@@ -1,4 +1,4 @@
-"""Persistence of shrunk scenarios — the regression corpus.
+"""The regression corpus: one case format for all three runners.
 
 Divergent scenarios found by fuzzing are shrunk and serialised to JSON
 under ``tests/corpus/``; a deterministic pytest entry point
@@ -6,125 +6,198 @@ under ``tests/corpus/``; a deterministic pytest entry point
 fixed divergence can never silently regress.  Files are stable
 (``sort_keys`` + indent) to keep diffs reviewable.
 
-Three file kinds share the directory: plain scenarios (replayed through
-the :class:`~repro.difftest.runner.DifferentialRunner`), chaos cases
-(``"kind": "chaos"`` payloads carrying a scenario *plus* its fault
-recipe, replayed through the
-:class:`~repro.difftest.chaos.ChaosRunner`) and interleave cases
-(``"kind": "interleave"`` payloads carrying a scenario plus its
-exploration recipe, replayed through the
-:class:`~repro.difftest.interleave.InterleaveRunner`).  ``iter_corpus``
-/ ``iter_chaos_corpus`` / ``iter_interleave_corpus`` each yield only
-their own kind.
+A file holds one case, and its payload's ``kind`` says which runner
+replays it:
+
+* no ``kind`` — a plain :class:`Scenario`, replayed through the
+  :class:`~repro.difftest.runner.DifferentialRunner`;
+* ``"chaos"`` — a :class:`ChaosCase`, a scenario plus its fault recipe,
+  replayed through the :class:`~repro.difftest.chaos.ChaosRunner`;
+* ``"interleave"`` — an :class:`InterleaveCase`, a scenario plus its
+  exploration recipe, replayed through the
+  :class:`~repro.difftest.interleave.InterleaveRunner`.
+
+:func:`save_case`, :func:`load_case` and :func:`iter_cases` handle all
+three; any other ``kind`` is an error, never a silently skipped file.
+Each runner's ``case_for(scenario, result)`` builds the case to save.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
-from .chaos import ChaosCase
-from .interleave import InterleaveCase
+from ..errors import ReproError
+from .explore import Order
 from .scenario import Scenario
 
 PathLike = Union[str, Path]
 
+#: Policies a chaos run exercises by default.  ``strict`` is excluded by
+#: construction: the injected faults are *meant* to raise under strict.
+CHAOS_POLICIES: Tuple[str, ...] = ("repair", "quarantine")
 
-def _read_json(path: PathLike) -> Dict[str, Any]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+CHAOS_FORMAT_VERSION = 1
+INTERLEAVE_FORMAT_VERSION = 1
 
 
-def _write_json(path: Path, payload: Dict[str, Any]) -> None:
+@dataclass
+class ChaosCase:
+    """One chaos regression: a scenario plus its exact fault recipe.
+
+    Serialisable like a :class:`Scenario`, with enough extra state
+    (profile name, injector seed, policies) to replay the identical
+    faulty stream deterministically.
+    """
+
+    scenario: Scenario
+    profile: str
+    seed: int = 0
+    policies: Tuple[str, ...] = CHAOS_POLICIES
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            self.name = f"chaos_{self.profile}_{self.scenario.name}"
+        self.policies = tuple(self.policies)
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "kind": "chaos",
+            "chaos_format": CHAOS_FORMAT_VERSION,
+            "name": self.name,
+            "profile": self.profile,
+            "seed": self.seed,
+            "policies": list(self.policies),
+            "scenario": self.scenario.as_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "ChaosCase":
+        if data.get("kind") != "chaos":
+            raise ReproError("not a chaos case (missing kind='chaos')")
+        if data.get("chaos_format") != CHAOS_FORMAT_VERSION:
+            raise ReproError(
+                f"unsupported chaos format {data.get('chaos_format')!r}"
+            )
+        return cls(
+            scenario=Scenario.from_dict(data["scenario"]),
+            profile=data["profile"],
+            seed=int(data.get("seed", 0)),
+            policies=tuple(data.get("policies", CHAOS_POLICIES)),
+            name=data.get("name", ""),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ChaosCase({self.name!r}, profile={self.profile!r}, "
+            f"seed={self.seed}, policies={self.policies})"
+        )
+
+
+@dataclass
+class InterleaveCase:
+    """One interleave regression: a scenario plus its exploration recipe.
+
+    ``block_start`` splits the update sequence into a sequentially
+    applied prefix and the concurrent block; ``orders`` optionally pins
+    the exact interleavings to replay (the shrinker's minimized order)
+    instead of exploring.
+    """
+
+    scenario: Scenario
+    block_start: int = 0
+    max_orders: int = 16
+    self_check: bool = True
+    orders: Optional[Tuple[Order, ...]] = None
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            self.name = f"interleave_{self.scenario.name}"
+        if self.orders is not None:
+            self.orders = tuple(tuple(o) for o in self.orders)
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {
+            "kind": "interleave",
+            "interleave_format": INTERLEAVE_FORMAT_VERSION,
+            "name": self.name,
+            "block_start": self.block_start,
+            "max_orders": self.max_orders,
+            "self_check": self.self_check,
+            "orders": (
+                None
+                if self.orders is None
+                else [list(o) for o in self.orders]
+            ),
+            "scenario": self.scenario.as_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "InterleaveCase":
+        if data.get("kind") != "interleave":
+            raise ReproError("not an interleave case (missing kind)")
+        if data.get("interleave_format") != INTERLEAVE_FORMAT_VERSION:
+            raise ReproError(
+                f"unsupported interleave format "
+                f"{data.get('interleave_format')!r}"
+            )
+        orders = data.get("orders")
+        return cls(
+            scenario=Scenario.from_dict(data["scenario"]),
+            block_start=int(data.get("block_start", 0)),
+            max_orders=int(data.get("max_orders", 16)),
+            self_check=bool(data.get("self_check", True)),
+            orders=(
+                None
+                if orders is None
+                else tuple(tuple(int(i) for i in o) for o in orders)
+            ),
+            name=data.get("name", ""),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"InterleaveCase({self.name!r}, block_start={self.block_start}, "
+            f"max_orders={self.max_orders}, "
+            f"pinned={len(self.orders) if self.orders else 0})"
+        )
+
+
+#: A corpus case of any kind.
+Case = Union[Scenario, ChaosCase, InterleaveCase]
+
+_KINDS = {None: Scenario, "chaos": ChaosCase, "interleave": InterleaveCase}
+
+
+def save_case(case: Case, directory: PathLike) -> Path:
+    """Write ``<directory>/<case.name>.json``; returns the path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{case.name}.json"
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        json.dumps(case.as_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def is_chaos_payload(data: Dict[str, Any]) -> bool:
-    return data.get("kind") == "chaos"
-
-
-def is_interleave_payload(data: Dict[str, Any]) -> bool:
-    return data.get("kind") == "interleave"
-
-
-# -- plain scenarios --------------------------------------------------------
-def save_scenario(scenario: Scenario, directory: PathLike) -> Path:
-    """Write ``<directory>/<scenario.name>.json``; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{scenario.name}.json"
-    _write_json(path, scenario.as_dict())
     return path
 
 
-def load_scenario(path: PathLike) -> Scenario:
-    return Scenario.from_dict(_read_json(path))
+def load_case(path: PathLike) -> Case:
+    """Read one case, of whichever kind its payload names."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    kind = data.get("kind")
+    if kind not in _KINDS:
+        raise ReproError(f"{path}: unknown corpus case kind {kind!r}")
+    return _KINDS[kind].from_dict(data)
 
 
-def iter_corpus(directory: PathLike) -> Iterator[Tuple[Path, Scenario]]:
-    """Yield ``(path, scenario)`` for every plain corpus file, in name order."""
+def iter_cases(directory: PathLike) -> Iterator[Tuple[Path, Case]]:
+    """Yield ``(path, case)`` for every corpus file, in name order."""
     directory = Path(directory)
     if not directory.is_dir():
         return
     for path in sorted(directory.glob("*.json")):
-        data = _read_json(path)
-        if data.get("kind") is not None:
-            continue  # kind-tagged payloads have their own iterators
-        yield path, Scenario.from_dict(data)
-
-
-# -- chaos cases ------------------------------------------------------------
-def save_chaos_case(case: ChaosCase, directory: PathLike) -> Path:
-    """Write ``<directory>/<case.name>.json``; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{case.name}.json"
-    _write_json(path, case.as_dict())
-    return path
-
-
-def load_chaos_case(path: PathLike) -> ChaosCase:
-    return ChaosCase.from_dict(_read_json(path))
-
-
-def iter_chaos_corpus(directory: PathLike) -> Iterator[Tuple[Path, ChaosCase]]:
-    """Yield ``(path, case)`` for every chaos corpus file, in name order."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return
-    for path in sorted(directory.glob("*.json")):
-        data = _read_json(path)
-        if not is_chaos_payload(data):
-            continue
-        yield path, ChaosCase.from_dict(data)
-
-
-# -- interleave cases -------------------------------------------------------
-def save_interleave_case(case: InterleaveCase, directory: PathLike) -> Path:
-    """Write ``<directory>/<case.name>.json``; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{case.name}.json"
-    _write_json(path, case.as_dict())
-    return path
-
-
-def load_interleave_case(path: PathLike) -> InterleaveCase:
-    return InterleaveCase.from_dict(_read_json(path))
-
-
-def iter_interleave_corpus(
-    directory: PathLike,
-) -> Iterator[Tuple[Path, InterleaveCase]]:
-    """Yield ``(path, case)`` for every interleave corpus file, in name order."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return
-    for path in sorted(directory.glob("*.json")):
-        data = _read_json(path)
-        if not is_interleave_payload(data):
-            continue
-        yield path, InterleaveCase.from_dict(data)
+        yield path, load_case(path)

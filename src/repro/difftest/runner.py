@@ -20,11 +20,12 @@ equality inside one shared comparison engine (see ``compare.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.apkeep import APKeepVerifier
 from ..baselines.deltanet import DeltaNetVerifier
 from ..bdd.predicate import PredicateEngine
+from ..dataplane.update import RuleUpdate
 from ..flash import Flash
 from ..headerspace.match import MatchCompiler
 from ..results import LoopReport, Verdict, VerificationReport
@@ -32,12 +33,13 @@ from ..telemetry import Telemetry
 from .compare import (
     ModelView,
     assignment_to_values,
+    derive_verdicts,
     view_from_apkeep,
     view_from_deltanet,
     view_from_inverse_model,
     view_from_oracle,
 )
-from .oracle import ReferenceOracle
+from .oracle import ReferenceOracle, StepVerdicts
 from .scenario import Scenario
 
 FLASH_ENGINES = ("flash-batch", "flash-incr")
@@ -49,7 +51,7 @@ ALL_ENGINES = MODEL_ENGINES + ("oracle",)
 class Divergence:
     """One observed disagreement between two engines."""
 
-    kind: str  # behavior | reachability | loop | verdict | loop-verdict | error | fallback
+    kind: str  # see the divergence-kind table in docs/difftest.md
     engines: Tuple[str, str]
     subject: str = ""  # device name, source name or requirement name
     detail: str = ""
@@ -97,57 +99,50 @@ class DiffResult:
         }
 
 
-@dataclass
-class _EngineRun:
-    name: str
-    view: Optional[ModelView] = None
-    verdicts: Dict[str, Verdict] = field(default_factory=dict)
-    loop_verdict: Optional[Verdict] = None
-    error: Optional[str] = None
+class FuzzRunner:
+    """What the three runners share: ``run() -> DiffResult`` under a
+    span, the counters, and crash-is-a-divergence bookkeeping.
 
-
-def derive_verdicts(
-    view: ModelView, topology, compiler: MatchCompiler, requirements
-) -> Tuple[Verdict, Dict[str, Verdict]]:
-    """Loop + requirement verdicts for an engine with no checker of its own.
-
-    Shared by the differential runner (deltanet/apkeep/oracle rows) and
-    the chaos runner (supervised ModelWriter rows): a requirement is
-    VIOLATED when any source fails to deliver part of its packet space.
+    ``prefix`` names the span (``<prefix>.run``) and the counters
+    (``<prefix>.scenarios`` / ``.divergences`` / ``.engine_errors``).
     """
-    loop_verdict = (
-        Verdict.VIOLATED
-        if not view.loop_predicate(topology).is_false
-        else Verdict.SATISFIED
-    )
-    verdicts: Dict[str, Verdict] = {}
-    for req in requirements:
-        space = compiler.compile(req.packet_space)
-        violated = any(
-            not (space - view.reach_predicate(topology, s)).is_false
-            for s in req.sources
-        )
-        verdicts[req.name] = Verdict.VIOLATED if violated else Verdict.SATISFIED
-    return loop_verdict, verdicts
 
-
-class DifferentialRunner:
-    """Replays scenarios through all engines and diffs the results."""
+    prefix = "difftest"
 
     def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
-    # ------------------------------------------------------------------
-    def run(self, scenario: Scenario) -> DiffResult:
+    def run(self, scenario: Scenario, **options: Any) -> DiffResult:
         result = DiffResult(scenario)
-        with self.telemetry.span("difftest.run", scenario=scenario.name):
-            self._run_inner(scenario, result)
-        self.telemetry.count("difftest.scenarios")
+        with self.telemetry.span(f"{self.prefix}.run", scenario=scenario.name):
+            self._run_inner(scenario, result, **options)
+        self.telemetry.count(f"{self.prefix}.scenarios")
         if result.divergences:
-            self.telemetry.count("difftest.divergences", len(result.divergences))
+            self.telemetry.count(
+                f"{self.prefix}.divergences", len(result.divergences)
+            )
         return result
 
-    # ------------------------------------------------------------------
+    def _run_inner(self, scenario: Scenario, result: DiffResult) -> None:
+        raise NotImplementedError
+
+    def case_for(self, scenario: Scenario, result: Optional[DiffResult] = None):
+        """The corpus case that replays ``scenario`` through this runner."""
+        return scenario
+
+    def _crashed(self, engine: str, exc: Exception, subject: str = "") -> Divergence:
+        self.telemetry.count(f"{self.prefix}.engine_errors")
+        return Divergence(
+            "error",
+            (engine, "oracle"),
+            subject=subject,
+            detail=f"{type(exc).__name__}: {exc}",
+        )
+
+
+class DifferentialRunner(FuzzRunner):
+    """Replays scenarios through all engines and diffs the results."""
+
     def _run_inner(self, scenario: Scenario, result: DiffResult) -> None:
         layout = scenario.build_layout()
         topology = scenario.build_topology()
@@ -156,58 +151,69 @@ class DifferentialRunner:
         compiler = MatchCompiler(comparison, layout)
         requirements = scenario.build_requirements(topology, layout)
 
-        runs: Dict[str, _EngineRun] = {}
+        views: Dict[str, ModelView] = {}
+        verdicts: Dict[str, StepVerdicts] = {}
         for name in ALL_ENGINES:
-            run = _EngineRun(name)
-            runs[name] = run
             try:
                 if name in FLASH_ENGINES:
-                    self._run_flash(
-                        name, scenario, topology, layout, switches,
-                        comparison, requirements, run,
+                    flash = Flash(
+                        topology,
+                        layout,
+                        requirements=requirements,
+                        check_loops=True,
+                        block_threshold=1 if name == "flash-incr" else None,
+                        telemetry=Telemetry(registry=self.telemetry.registry),
+                    )
+                    # Consume Flash strictly through the QueryableVerifier
+                    # protocol, so the difftest exercises the exact facade
+                    # repro.serve is built on; one epoch.
+                    verdicts[name] = replay_flash(
+                        flash,
+                        device_batches(scenario.updates, scenario.order),
+                        scenario.epoch,
+                        requirements,
+                    )
+                    views[name] = view_from_inverse_model(
+                        name, comparison, flash.read_view(), switches
                     )
                 elif name == "deltanet":
                     verifier = DeltaNetVerifier(switches, layout)
                     verifier.process_updates(scenario.updates)
-                    run.view = view_from_deltanet(name, comparison, verifier, layout)
+                    views[name] = view_from_deltanet(name, comparison, verifier, layout)
                 elif name == "apkeep":
                     verifier = APKeepVerifier(switches, layout)
                     verifier.process_updates(scenario.updates)
-                    run.view = view_from_apkeep(name, comparison, verifier)
+                    views[name] = view_from_apkeep(name, comparison, verifier)
                 else:
                     oracle = ReferenceOracle(topology, layout)
                     oracle.process_updates(scenario.updates)
-                    run.view = view_from_oracle(name, comparison, oracle)
+                    views[name] = view_from_oracle(name, comparison, oracle)
             except Exception as exc:  # noqa: BLE001 - crash = divergence
-                run.error = f"{type(exc).__name__}: {exc}"
-                self.telemetry.count("difftest.engine_errors")
-                result.divergences.append(
-                    Divergence("error", (name, "oracle"), detail=run.error)
-                )
+                result.divergences.append(self._crashed(name, exc))
 
-        reference = runs["oracle"]
-        if reference.view is None:
+        reference = views.get("oracle")
+        if reference is None:
             return  # oracle crashed: nothing to compare against
-        result.stats["classes"] = {
-            n: len(r.view.entries) for n, r in runs.items() if r.view is not None
-        }
+        result.stats["classes"] = {n: len(v.entries) for n, v in views.items()}
 
         # Derived verdicts for the engines that have no checker of their own.
+        spaces = [compiler.compile(req.packet_space) for req in requirements]
         for name in ("deltanet", "apkeep", "oracle"):
-            run = runs[name]
-            if run.view is None:
-                continue
-            run.loop_verdict, run.verdicts = derive_verdicts(
-                run.view, topology, compiler, requirements
-            )
+            if name in views:
+                verdicts[name] = derive_verdicts(
+                    views[name].action_entries(), topology, requirements, spaces
+                )
 
         for name in MODEL_ENGINES:
-            run = runs[name]
-            if run.view is None:
-                continue
-            self._diff_views(topology, layout, switches, run, reference, result)
-
-        self._diff_verdicts(scenario, requirements, runs, result)
+            if name in views:
+                result.divergences += diff_views(
+                    topology, layout, switches, views[name], reference
+                )
+        for name in MODEL_ENGINES:
+            if name in views:
+                result.divergences += diff_verdicts(
+                    name, verdicts[name], verdicts["oracle"], requirements
+                )
 
         # Sweep the shared comparison engine once the diffing is done:
         # every view/verdict predicate is still held by a handle, so
@@ -221,123 +227,102 @@ class DifferentialRunner:
             result.stats["comparison_nodes_freed"],
         )
 
-    # ------------------------------------------------------------------
-    def _run_flash(
-        self,
-        name: str,
-        scenario: Scenario,
-        topology,
-        layout,
-        switches: List[int],
-        comparison: PredicateEngine,
-        requirements,
-        run: _EngineRun,
-    ) -> None:
-        flash = Flash(
-            topology,
-            layout,
-            requirements=requirements,
-            check_loops=True,
-            block_threshold=1 if name == "flash-incr" else None,
-            telemetry=Telemetry(registry=self.telemetry.registry),
-        )
-        per_device: Dict[int, List] = {d: [] for d in switches}
-        for update in scenario.updates:
-            per_device[update.device].append(update)
-        # Consume Flash strictly through the QueryableVerifier protocol so
-        # the difftest exercises the exact facade repro.serve is built on.
-        # One epoch, every checker reporting on every batch: the last
-        # batch's reports are the final verdicts.
-        reports = []
-        for device in scenario.order:
-            reports = flash.ingest(device, per_device[device], epoch=scenario.epoch)
-        for report in reports:
+
+# ---------------------------------------------------------------------------
+# the pieces every runner shares
+# ---------------------------------------------------------------------------
+def device_batches(
+    updates: Sequence[RuleUpdate], order: Sequence[int]
+) -> List[Tuple[int, List[RuleUpdate]]]:
+    """One batch per device of ``order``: its updates, in stream order."""
+    per_device: Dict[int, List[RuleUpdate]] = {d: [] for d in order}
+    for update in updates:
+        per_device[update.device].append(update)
+    return [(d, per_device[d]) for d in order]
+
+
+def replay_flash(
+    flash: Flash,
+    batches: Sequence[Tuple[int, Sequence[RuleUpdate]]],
+    tag,
+    requirements,
+) -> StepVerdicts:
+    """Ingest ``(device, updates)`` batches under epoch ``tag`` and read
+    the verdicts back off the reports (the last report of each checker
+    wins; a checker that never reported reads UNKNOWN).
+
+    Then Definition 6 on every trunk member: a broken EC table is a
+    divergence even where the behaviour and verdict diffs cannot see it.
+    """
+    loop_verdict = Verdict.UNKNOWN
+    by_req: Dict[str, Verdict] = {}
+    for device, updates in batches:
+        for report in flash.ingest(device, updates, epoch=tag):
             if isinstance(report, LoopReport):
-                run.loop_verdict = report.verdict
+                loop_verdict = report.verdict
             elif isinstance(report, VerificationReport):
-                run.verdicts[report.requirement] = report.verdict
-        view = flash.read_view()
-        # Definition 6 on every member model: a broken EC table is a
-        # divergence even where the behaviour diff cannot see it.
-        for member in flash.trunk.members:
-            member.manager.model.check_invariants()
-        run.view = view_from_inverse_model(name, comparison, view, switches)
+                by_req[report.requirement] = report.verdict
+    for member in flash.trunk.members:
+        member.manager.model.check_invariants()
+    return loop_verdict, tuple(
+        by_req.get(req.name, Verdict.UNKNOWN) for req in requirements
+    )
 
-    # ------------------------------------------------------------------
-    def _diff_views(
-        self,
-        topology,
-        layout,
-        switches: List[int],
-        run: _EngineRun,
-        reference: _EngineRun,
-        result: DiffResult,
-    ) -> None:
-        diff_views(topology, layout, switches, run, reference, result)
 
-    # ------------------------------------------------------------------
-    def _diff_verdicts(
-        self,
-        scenario: Scenario,
-        requirements,
-        runs: Dict[str, _EngineRun],
-        result: DiffResult,
-    ) -> None:
-        reference = runs["oracle"]
-        if reference.loop_verdict is not None:
-            for name in MODEL_ENGINES:
-                run = runs[name]
-                if run.error is not None:
-                    continue
-                if run.loop_verdict is not reference.loop_verdict:
-                    result.divergences.append(
-                        Divergence(
-                            "loop-verdict",
-                            (name, "oracle"),
-                            detail=f"{_verdict(run.loop_verdict)} vs "
-                            f"{_verdict(reference.loop_verdict)}",
-                        )
-                    )
-        for req in requirements:
-            expected = reference.verdicts.get(req.name)
-            if expected is None:
-                continue
-            for name in MODEL_ENGINES:
-                run = runs[name]
-                if run.error is not None:
-                    continue
-                got = run.verdicts.get(req.name)
-                if got is not expected:
-                    result.divergences.append(
-                        Divergence(
-                            "verdict",
-                            (name, "oracle"),
-                            subject=req.name,
-                            detail=f"{_verdict(got)} vs {_verdict(expected)}",
-                        )
-                    )
+def diff_verdicts(
+    engine: str,
+    got: StepVerdicts,
+    expected: StepVerdicts,
+    requirements,
+    where: Optional[str] = None,
+    after: str = "",
+) -> List[Divergence]:
+    """``verdict`` / ``loop-verdict`` divergences of one engine from the
+    oracle — ``step-verdict`` / ``step-loop-verdict`` when ``where``
+    names an intermediate state (``after`` then says how it was reached).
+    """
+    kind = "verdict" if where is None else "step-verdict"
+    suffix = f" {after}" if after else ""
+    out: List[Divergence] = []
+    if got[0] is not expected[0]:
+        out.append(
+            Divergence(
+                f"loop-{kind}",
+                (engine, "oracle"),
+                subject=where or "",
+                detail=f"{got[0].value} vs {expected[0].value}{suffix}",
+            )
+        )
+    for req, got_v, exp_v in zip(requirements, got[1], expected[1]):
+        if got_v is not exp_v:
+            out.append(
+                Divergence(
+                    kind,
+                    (engine, "oracle"),
+                    subject=req.name if where is None else f"{req.name} @ {where}",
+                    detail=f"{got_v.value} vs {exp_v.value}{suffix}",
+                )
+            )
+    return out
 
 
 def diff_views(
     topology,
     layout,
     switches: List[int],
-    run: _EngineRun,
-    reference: _EngineRun,
-    result: DiffResult,
-) -> None:
-    """Diff one engine's view against the reference, BDD-exactly.
-
-    Appends behavior / reachability / loop divergences to ``result``;
-    shared by :class:`DifferentialRunner` and the chaos runner.
-    """
-    pair = (run.name, reference.name)
-    mine = run.view.behavior_map()
-    theirs = reference.view.behavior_map()
+    view: ModelView,
+    reference: ModelView,
+) -> List[Divergence]:
+    """Behavior / reachability / loop divergences of ``view`` from
+    ``reference``, BDD-exactly (both live in one comparison engine)."""
+    out: List[Divergence] = []
+    pair = (view.name, reference.name)
+    mine = view.behavior_map()
+    theirs = reference.behavior_map()
+    engine = view.engine
     for device in switches:
         device_name = topology.name_of(device)
         actions = set(mine[device]) | set(theirs[device])
-        engine = run.view.engine
         for action in sorted(actions, key=repr):
             a = mine[device].get(action, engine.false)
             b = theirs[device].get(action, engine.false)
@@ -346,7 +331,7 @@ def diff_views(
             witness = assignment_to_values(
                 layout, (a ^ b).any_assignment()
             )
-            result.divergences.append(
+            out.append(
                 Divergence(
                     "behavior",
                     pair,
@@ -357,10 +342,10 @@ def diff_views(
                 )
             )
     for source in switches:
-        a = run.view.reach_predicate(topology, source)
-        b = reference.view.reach_predicate(topology, source)
+        a = view.reach_predicate(topology, source)
+        b = reference.reach_predicate(topology, source)
         if a != b:
-            result.divergences.append(
+            out.append(
                 Divergence(
                     "reachability",
                     pair,
@@ -372,10 +357,10 @@ def diff_views(
                     ),
                 )
             )
-    a = run.view.loop_predicate(topology)
-    b = reference.view.loop_predicate(topology)
+    a = view.loop_predicate(topology)
+    b = reference.loop_predicate(topology)
     if a != b:
-        result.divergences.append(
+        out.append(
             Divergence(
                 "loop",
                 pair,
@@ -384,7 +369,4 @@ def diff_views(
                 witness=assignment_to_values(layout, (a ^ b).any_assignment()),
             )
         )
-
-
-def _verdict(value: Optional[Verdict]) -> str:
-    return "missing" if value is None else value.value
+    return out

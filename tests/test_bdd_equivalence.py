@@ -18,16 +18,15 @@ self-import (no walk, no allocation), unique-table dedup on re-import,
 and chains as deep as the engine's recursion bound admits.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.bdd.engine import max_num_vars
 from repro.bdd.predicate import PredicateEngine
-from repro.difftest import DifferentialRunner
+from repro.difftest import DifferentialRunner, Scenario
 from repro.difftest.compare import view_from_oracle
-from repro.difftest.corpus import load_scenario
+from repro.difftest.corpus import iter_cases
 from repro.difftest.oracle import ReferenceOracle
 
 from .bdd_reference import ReferenceBDD
@@ -35,11 +34,11 @@ from .bdd_reference import ReferenceBDD
 CORPUS_DIR = Path(__file__).parent / "corpus"
 # Plain scenarios only — kind-tagged payloads (chaos, interleave) wrap a
 # scenario in a recipe and are replayed by tests/test_corpus_replay.py.
-CORPUS = sorted(
-    path
-    for path in CORPUS_DIR.glob("*.json")
-    if json.loads(path.read_text(encoding="utf-8")).get("kind") is None
-)
+CORPUS = [
+    scenario
+    for _, scenario in iter_cases(CORPUS_DIR)
+    if isinstance(scenario, Scenario)
+]
 
 
 def oracle_view(scenario, engine: PredicateEngine):
@@ -50,9 +49,8 @@ def oracle_view(scenario, engine: PredicateEngine):
     return topology, view_from_oracle("oracle", engine, oracle)
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_oracle_model_identical_on_both_engines(path):
-    scenario = load_scenario(path)
+@pytest.mark.parametrize("scenario", CORPUS, ids=lambda s: s.name)
+def test_oracle_model_identical_on_both_engines(scenario):
     layout = scenario.build_layout()
     new_eng = PredicateEngine(layout.total_bits)
     ref_eng = PredicateEngine(layout.total_bits, bdd=ReferenceBDD(layout.total_bits))
@@ -85,10 +83,10 @@ def test_oracle_model_identical_on_both_engines(path):
     ) == probe.import_predicate(ref_view.loop_predicate(topology))
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_runner_verdicts_clean_through_new_engine(path):
+@pytest.mark.parametrize("scenario", CORPUS, ids=lambda s: s.name)
+def test_runner_verdicts_clean_through_new_engine(scenario):
     """All five engines, diffed inside a new-BDD comparison engine."""
-    result = DifferentialRunner().run(load_scenario(path))
+    result = DifferentialRunner().run(scenario)
     assert result.ok, f"divergences: {result.divergences}"
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import json
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from repro.results import Verdict
 from repro.ce2d.verifier import SubspaceVerifier
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import delete, insert
-from repro.difftest.scenario import Scenario
+from repro.difftest.corpus import iter_cases
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
 from repro.network.generators import figure3_example, line, ring
@@ -318,11 +317,8 @@ def _assert_twins_agree(reports, count, context):
 
 
 def _corpus_scenarios():
-    for path in sorted(CORPUS_DIR.glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        yield pytest.param(
-            Scenario.from_dict(data.get("scenario", data)), id=path.stem
-        )
+    for path, case in iter_cases(CORPUS_DIR):
+        yield pytest.param(getattr(case, "scenario", case), id=path.stem)
 
 
 class TestRegexSpaceCarryOver:

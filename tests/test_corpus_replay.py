@@ -16,20 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.difftest import ChaosRunner, DifferentialRunner, InterleaveRunner
-from repro.difftest.corpus import (
-    is_chaos_payload,
-    is_interleave_payload,
-    iter_chaos_corpus,
-    iter_corpus,
-    iter_interleave_corpus,
-    load_chaos_case,
-    load_interleave_case,
-    load_scenario,
-    save_chaos_case,
-    save_interleave_case,
-    save_scenario,
+from repro.difftest import (
+    ChaosCase,
+    ChaosRunner,
+    DifferentialRunner,
+    InterleaveCase,
+    InterleaveRunner,
+    Scenario,
 )
+from repro.difftest.corpus import iter_cases, load_case, save_case
+from repro.errors import ReproError
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -37,10 +33,10 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 def _split_corpus():
     plain, chaos, interleave = [], [], []
     for path in sorted(CORPUS_DIR.glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if is_chaos_payload(data):
+        case = load_case(path)
+        if isinstance(case, ChaosCase):
             chaos.append(path)
-        elif is_interleave_payload(data):
+        elif isinstance(case, InterleaveCase):
             interleave.append(path)
         else:
             plain.append(path)
@@ -58,7 +54,7 @@ def test_corpus_is_populated():
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_scenario_replays_clean(path):
-    scenario = load_scenario(path)
+    scenario = load_case(path)
     start = time.perf_counter()
     result = DifferentialRunner().run(scenario)
     elapsed = time.perf_counter() - start
@@ -71,7 +67,7 @@ def test_corpus_scenario_replays_clean(path):
 def test_chaos_case_converges(path):
     """The self-healing property, pinned: the recorded faulty stream
     through supervised ingestion still matches the clean-stream oracle."""
-    case = load_chaos_case(path)
+    case = load_case(path)
     start = time.perf_counter()
     result = ChaosRunner.for_case(case).run(case.scenario)
     elapsed = time.perf_counter() - start
@@ -85,7 +81,7 @@ def test_chaos_case_converges(path):
 def test_interleave_case_replays_clean(path):
     """Every explored order agrees with the oracle in every intermediate
     state, and the POR soundness self-check (when it runs) passes."""
-    case = load_interleave_case(path)
+    case = load_case(path)
     runner = InterleaveRunner()
     start = time.perf_counter()
     result = runner.run_case(case)
@@ -100,7 +96,7 @@ def test_interleave_corpus_pins_measured_pruning():
     one explored — if reduction stops pruning, this fails loudly."""
     path = CORPUS_DIR / "interleave_disjoint_prefixes.json"
     runner = InterleaveRunner()
-    result = runner.run_case(load_interleave_case(path))
+    result = runner.run_case(load_case(path))
     assert result.ok
     report = runner.last_report
     assert report.orders_possible == 6
@@ -112,7 +108,7 @@ def test_interleave_corpus_pins_order_dependence():
     produce different intermediate verdict sequences."""
     path = CORPUS_DIR / "interleave_transient_loop_min.json"
     runner = InterleaveRunner()
-    result = runner.run_case(load_interleave_case(path))
+    result = runner.run_case(load_case(path))
     assert result.ok
     report = runner.last_report
     assert report.order_dependent is True
@@ -122,34 +118,39 @@ def test_interleave_corpus_pins_order_dependence():
 def test_corpus_files_are_canonical(tmp_path):
     """Checked-in files match their canonical serialised form exactly."""
     seen = set()
-    for path, scenario in iter_corpus(CORPUS_DIR):
-        resaved = save_scenario(scenario, tmp_path)
-        assert path.read_text() == resaved.read_text(), path.name
-        seen.add(path)
-    for path, case in iter_chaos_corpus(CORPUS_DIR):
-        resaved = save_chaos_case(case, tmp_path)
-        assert path.read_text() == resaved.read_text(), path.name
-        seen.add(path)
-    for path, case in iter_interleave_corpus(CORPUS_DIR):
-        resaved = save_interleave_case(case, tmp_path)
+    for path, case in iter_cases(CORPUS_DIR):
+        resaved = save_case(case, tmp_path)
         assert path.read_text() == resaved.read_text(), path.name
         seen.add(path)
     assert seen == set(CORPUS) | set(CHAOS_CORPUS) | set(INTERLEAVE_CORPUS)
 
 
+def _round_trips(path, kind, tmp_path):
+    case = load_case(path)
+    assert isinstance(case, kind)
+    saved = save_case(case, tmp_path)
+    assert load_case(saved).as_dict() == case.as_dict()
+
+
 def test_save_round_trips(tmp_path):
-    _, scenario = next(iter_corpus(CORPUS_DIR))
-    saved = save_scenario(scenario, tmp_path)
-    assert load_scenario(saved).as_dict() == scenario.as_dict()
+    _round_trips(CORPUS[0], Scenario, tmp_path)
 
 
 def test_chaos_save_round_trips(tmp_path):
-    _, case = next(iter_chaos_corpus(CORPUS_DIR))
-    saved = save_chaos_case(case, tmp_path)
-    assert load_chaos_case(saved).as_dict() == case.as_dict()
+    _round_trips(CHAOS_CORPUS[0], ChaosCase, tmp_path)
 
 
 def test_interleave_save_round_trips(tmp_path):
-    _, case = next(iter_interleave_corpus(CORPUS_DIR))
-    saved = save_interleave_case(case, tmp_path)
-    assert load_interleave_case(saved).as_dict() == case.as_dict()
+    _round_trips(INTERLEAVE_CORPUS[0], InterleaveCase, tmp_path)
+
+
+def test_unknown_case_kind_is_an_error(tmp_path):
+    """A payload of a kind no runner replays is never silently skipped."""
+    data = json.loads(CHAOS_CORPUS[0].read_text(encoding="utf-8"))
+    data["kind"] = "chaoss"
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ReproError, match="typo.json.*'chaoss'"):
+        load_case(path)
+    with pytest.raises(ReproError, match="'chaoss'"):
+        list(iter_cases(tmp_path))

@@ -153,7 +153,7 @@ class TestModelInvariantsInTheGates:
         [
             (DifferentialRunner, {"flash-batch", "flash-incr"}),
             (ChaosRunner, {"flash-repair", "flash-quarantine"}),
-            (lambda: InterleaveRunner(block_tail=2), {"flash-incr"}),
+            (lambda: InterleaveRunner(block_tail=2), {"flash-incr", "dispatcher"}),
         ],
         ids=["differential", "chaos", "interleave"],
     )

@@ -9,6 +9,11 @@ checker that asserts invariants in **every intermediate state** can tell
 the orders apart.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import find_blackholes
@@ -25,14 +30,16 @@ from repro.difftest import (
     Scenario,
     ScenarioGenerator,
 )
-from repro.difftest.interleave import model_step_verdicts
+from repro.difftest.compare import derive_verdicts, model_entries
 from repro.difftest.runner import DiffResult, Divergence
-from repro.errors import ReproError
+from repro.core.inverse_model import InverseModel
+from repro.errors import ModelInvariantError, ReproError
 from repro.flash import Flash
 from repro.headerspace import HeaderLayout, Match, Pattern
 from repro.resilience import EpochGate
 from repro.results import LoopReport, Verdict, report_from_dict
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 LAYOUT_FIELDS = (("dst", 2),)
 
 # The three rules of the transient-loop story (devices: s0=0, s1=1, x=2).
@@ -101,7 +108,7 @@ class TestInterleavingExplorer:
             _exact_insert(1, 1, DROP),
             _exact_insert(2, 2, DROP),
         ]
-        explorer = InterleavingExplorer(block, _analyzer(layout))
+        explorer = InterleavingExplorer(block, _analyzer(layout).commutes)
         assert explorer.possible_orders() == 6
         reduced = list(explorer.reduced())
         assert len(reduced) == 1
@@ -112,7 +119,7 @@ class TestInterleavingExplorer:
         layout = HeaderLayout(list(LAYOUT_FIELDS))
         scenario = transient_loop_scenario()
         block = list(scenario.updates[2:])
-        explorer = InterleavingExplorer(block, _analyzer(layout))
+        explorer = InterleavingExplorer(block, _analyzer(layout).commutes)
         assert explorer.possible_orders() == 2
         assert sorted(explorer.reduced()) == [(0, 1), (1, 0)]
 
@@ -125,7 +132,7 @@ class TestInterleavingExplorer:
             _exact_insert(0, 1, DROP),
             _exact_insert(1, 2, DROP),
         ]
-        explorer = InterleavingExplorer(block, _analyzer(layout))
+        explorer = InterleavingExplorer(block, _analyzer(layout).commutes)
         assert explorer.possible_orders() == 3
         orders = list(explorer.exhaustive())
         assert len(orders) == 3
@@ -140,11 +147,28 @@ class TestInterleavingExplorer:
             _exact_insert(1, 0, DROP),  # overlaps block[0]
             _exact_insert(2, 2, DROP),
         ]
-        explorer = InterleavingExplorer(block, _analyzer(layout))
+        explorer = InterleavingExplorer(block, _analyzer(layout).commutes)
         exhaustive = set(explorer.exhaustive())
         reduced = set(explorer.reduced())
         assert reduced <= exhaustive
         assert 0 < len(reduced) < len(exhaustive)
+
+    def test_explorer_imports_without_the_verifier(self):
+        """The explorer stands alone: importing it loads neither the
+        Flash facade nor the model manager."""
+        code = (
+            "import sys, repro.difftest.explore; "
+            "print(sorted(m for m in ('repro.flash', "
+            "'repro.core.model_manager') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +249,9 @@ class TestInterleaveRunner:
         writer = ModelWriter(sorted(topology.switches()), layout)
         writer.submit(scenario.updates[:2])
         writer.flush()
-        loop_verdict, _ = model_step_verdicts(writer.model, topology, (), ())
+        loop_verdict, _ = derive_verdicts(
+            model_entries(writer.model), topology, (), ()
+        )
         assert loop_verdict is Verdict.VIOLATED
         runner = InterleaveRunner(block_tail=2)
         result = runner.run(scenario)
@@ -251,6 +277,18 @@ class TestInterleaveRunner:
         assert report.commute["forced"] > 0
         registry = runner.telemetry.registry
         assert registry.value("difftest.interleave.selfcheck.failures") == 1
+
+    def test_dispatcher_replay_checks_model_invariants(self, monkeypatch):
+        """The dispatcher replay runs Definition 6 on every trunk member,
+        like the other Flash replays: a broken EC table is an error."""
+
+        def broken(self):
+            raise ModelInvariantError("EC table broken")
+
+        monkeypatch.setattr(InverseModel, "check_invariants", broken)
+        result = InterleaveRunner(block_tail=2).run(transient_loop_scenario())
+        errors = {d.engines for d in result.divergences if d.kind == "error"}
+        assert ("dispatcher", "oracle") in errors
 
     def test_pinned_order_replay(self):
         runner = InterleaveRunner(block_tail=2)
@@ -319,8 +357,8 @@ class TestIntermediateStateInvariants:
         # still no blackhole.
         manager.submit([block[1]])
         manager.flush()
-        loop_verdict, _ = model_step_verdicts(
-            manager.model, topology, requirements, spaces
+        loop_verdict, _ = derive_verdicts(
+            model_entries(manager.model), topology, requirements, spaces
         )
         assert loop_verdict is Verdict.VIOLATED
         assert find_blackholes(manager, topology) == []
@@ -329,8 +367,8 @@ class TestIntermediateStateInvariants:
         # traffic (empty table).
         manager.submit([block[0]])
         manager.flush()
-        loop_verdict, req_verdicts = model_step_verdicts(
-            manager.model, topology, requirements, spaces
+        loop_verdict, req_verdicts = derive_verdicts(
+            model_entries(manager.model), topology, requirements, spaces
         )
         assert loop_verdict is Verdict.SATISFIED
         assert req_verdicts == (Verdict.VIOLATED,)

@@ -3,7 +3,6 @@
 import multiprocessing
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +11,8 @@ from repro.core.subspace import SubspacePartition
 from repro.dataplane.rule import Rule
 from repro.dataplane.update import insert
 from repro.difftest import DiffResult, ReferenceOracle, ScenarioGenerator
-from repro.difftest.compare import ModelView, view_from_oracle
-from repro.difftest.runner import derive_verdicts, diff_views
+from repro.difftest.compare import ModelView, derive_verdicts, view_from_oracle
+from repro.difftest.runner import diff_views
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match, MatchCompiler
 from repro.network.generators import ring
@@ -342,22 +341,18 @@ def _partition_vs_oracle(scenario, processes=None, faults=None):
 
     comparison = run.model_engine  # every shard's predicates already share it
     entries = [entry for table in run.models.values() for entry in table]
-    merged = SimpleNamespace(
-        name="partitioned",
-        view=ModelView("partitioned", comparison, switches, entries),
-    )
+    merged = ModelView("partitioned", comparison, switches, entries)
     oracle = ReferenceOracle(topology, layout)
     oracle.process_updates(scenario.updates)
-    reference = SimpleNamespace(
-        name="oracle", view=view_from_oracle("oracle", comparison, oracle)
-    )
+    reference = view_from_oracle("oracle", comparison, oracle)
     result = DiffResult(scenario)
-    diff_views(topology, layout, switches, merged, reference, result)
+    result.divergences += diff_views(topology, layout, switches, merged, reference)
     compiler = MatchCompiler(comparison, layout)
     requirements = scenario.build_requirements(topology, layout)
+    spaces = [compiler.compile(req.packet_space) for req in requirements]
     assert derive_verdicts(
-        merged.view, topology, compiler, requirements
-    ) == derive_verdicts(reference.view, topology, compiler, requirements)
+        merged.action_entries(), topology, requirements, spaces
+    ) == derive_verdicts(reference.action_entries(), topology, requirements, spaces)
     return result
 
 
