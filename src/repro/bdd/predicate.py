@@ -21,7 +21,7 @@ comparable.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry import MetricsRegistry, OpMetrics
 from .engine import BDD, FALSE, SWEEP_FLOOR, TRUE, BddStats
@@ -402,64 +402,6 @@ class PredicateEngine:
 
         return [self.pred(r) for r in wire.import_blob(self.bdd, data)]
 
-    def export_delta_bytes(
-        self,
-        preds: Iterable[Predicate],
-        base_preds: Iterable[Predicate],
-        base_fingerprint: int,
-    ) -> bytes:
-        """Serialise ``preds`` as a frame against an already-shipped base.
-
-        Returns an FBW2 delta keeping unchanged roots of ``base_preds``
-        (the table imported from the base frame, fingerprinted by its
-        bytes) — or a plain FBW1 full frame when that is no larger, so
-        a receiver must accept either (see :meth:`apply_delta_bytes`).
-        """
-        from . import wire
-
-        refs: List[int] = []
-        for p in preds:
-            self._check(p, p)
-            refs.append(p.node)
-        base_refs: List[int] = []
-        for p in base_preds:
-            self._check(p, p)
-            base_refs.append(p.node)
-        full = wire.export_blob(self.bdd, refs)
-        delta = wire.export_delta_blob(
-            self.bdd, refs, base_refs, base_fingerprint
-        )
-        return delta if len(delta) < len(full) else full
-
-    def apply_delta_bytes(
-        self,
-        data: bytes,
-        base_preds: Sequence[Predicate],
-        base_fingerprint: int,
-    ) -> "Tuple[List[Predicate], List[Optional[int]]]":
-        """Rebuild a chained frame: FBW2 applied to the base, or FBW1.
-
-        A full FBW1 frame is self-contained and resets the chain
-        (``sources`` all ``None``); an FBW2 frame is validated against
-        ``base_fingerprint`` — a stale or mismatched base raises
-        :class:`~repro.bdd.wire.WireFormatError` rather than ever
-        producing a silently wrong table.  ``sources[i]`` names the base
-        index predicate ``i`` was kept from, or ``None`` if rebuilt.
-        """
-        from . import wire
-
-        if data[:4] == wire.MAGIC:
-            preds = self.import_bytes(data)
-            return preds, [None] * len(preds)
-        base_refs: List[int] = []
-        for p in base_preds:
-            self._check(p, p)
-            base_refs.append(p.node)
-        roots, sources = wire.import_delta_blob(
-            self.bdd, data, base_refs, base_fingerprint
-        )
-        return [self.pred(r) for r in roots], sources
-
     def import_predicates(
         self, preds: Iterable[Predicate]
     ) -> List[Predicate]:
@@ -520,11 +462,12 @@ class PredicateEngine:
         freed, 0 when the rule did not fire.
 
         The owner of a long-lived engine calls this where it knows no
-        operation is mid-flight — between blocks
-        (:meth:`~repro.core.model_manager.ModelWriter.flush`) or between
-        publishes (:meth:`~repro.serve.snapshots.DeltaIsolator.isolate`).
-        There is no threshold to set and no switch: an engine nobody
-        sweeps dies of its garbage.
+        operation is mid-flight.  In the product that is a model writer's
+        engine, swept between blocks by
+        :meth:`~repro.core.model_manager.ModelWriter.flush` on the
+        writer's own thread; a serve snapshot's engine is never swept and
+        goes with its snapshot.  There is no threshold to set and no
+        switch: an engine nobody sweeps dies of its garbage.
         """
         bdd = self.bdd
         survived = bdd.stats.gc_last_live

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Optional, Sequence, Set
 
 from ..bdd.predicate import Predicate
 from ..core.inverse_model import EcDelta, InverseModel
-from ..telemetry import Stopwatch
 from ..dataplane.rule import next_hops_of
 from ..errors import SpecError
 from ..headerspace.fields import HeaderLayout
@@ -65,7 +64,6 @@ class RegexVerifier:
         self.use_dgq = use_dgq
         self.space = compiler.compile(requirement.packet_space)
         self.synced: Set[int] = set()
-        self.query_time = Stopwatch()
         context = requirement.selector_context(topology, layout)
         base_graph = VerificationGraph(
             topology, requirement.automaton(), requirement.sources, context
@@ -137,10 +135,8 @@ class RegexVerifier:
         return self.report()
 
     def _judge(self, entry: _EcEntry) -> Verdict:
-        with self.query_time.measure():
-            reachable = entry.maintainer.reachable_accepting()
-            verdict = self._verdict_from_reachability(entry, reachable)
-        return verdict
+        reachable = entry.maintainer.reachable_accepting()
+        return self._verdict_from_reachability(entry, reachable)
 
     def _verdict_from_reachability(
         self, entry: _EcEntry, reachable

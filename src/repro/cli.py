@@ -350,7 +350,6 @@ def cmd_serve(args) -> int:
     result = run_load(
         workload,
         seed=args.seed,
-        isolation=args.isolation,
         workers=args.workers,
         queue_size=args.queue_size,
         query_deadline=args.query_deadline,
@@ -373,7 +372,7 @@ def cmd_serve(args) -> int:
     for d in result.divergences[:5]:
         print(f"DIVERGENCE: {d}", file=sys.stderr)
     # The invariants that transfer across hardware; CI gates on this
-    # exit status once per isolation mode.
+    # exit status.
     expected = workload.clients * workload.queries_per_client
     broken = []
     if result.divergences:
@@ -392,13 +391,15 @@ def cmd_serve(args) -> int:
             f"only {result.final_epoch} epochs: the storm never advanced "
             "the model"
         )
+    # Export before deciding the exit status: a failed run's telemetry is
+    # what an operator debugs it with.
+    if args.telemetry:
+        _export_telemetry(args.telemetry, telemetry, "serve")
     if broken:
         for line in broken:
             print(line, file=sys.stderr)
         return 1
     print("every served answer equals the batch oracle at its pinned epoch")
-    if args.telemetry:
-        _export_telemetry(args.telemetry, telemetry, "serve")
     return 0
 
 
@@ -532,13 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument("--quick", action="store_true", help="small demo sizes")
     srv.add_argument("--seed", type=int, default=29)
-    srv.add_argument(
-        "--isolation", default="copy",
-        choices=["copy", "copy-delta", "shared"],
-        help="snapshot isolation: per-snapshot engine copy, delta frames "
-        "into one long-lived read engine, or readers sharing the "
-        "writer's engine behind one lock",
-    )
     srv.add_argument("--workers", type=_positive(int), default=4,
                      help="query thread-pool size")
     srv.add_argument("--queue-size", type=_positive(int), default=8,

@@ -1,6 +1,6 @@
 """Fast IMT: the paper's first core contribution (§3) and its data structures."""
 
-from ..telemetry import PhaseBreakdown, Stopwatch
+from ..telemetry import PhaseBreakdown
 from .actiontree import EMPTY, ActionTreeStore
 from .arraystore import ArrayActionStore
 from .parallel import SubspaceRunStats, WorkerTask, run_partitioned
@@ -64,7 +64,6 @@ __all__ = [
     "matches_intersect",
     "patterns_intersect",
     "PhaseBreakdown",
-    "Stopwatch",
     "Subspace",
     "SubspacePartition",
 ]

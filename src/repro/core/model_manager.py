@@ -356,10 +356,9 @@ class ModelWriter:
         # their origins, the match cache, checker tables, read views) and
         # handles are the sweep's roots; a bare ``pred.node`` kept past
         # here may name another predicate afterwards.  Threads: the sweep
-        # runs on the writer's thread.  ``ServeDaemon._apply`` calls this
-        # under its model lock, which ``shared`` readers evaluate under;
-        # ``copy`` / ``copy-delta`` readers never touch this engine and
-        # their export runs after the flush, on this same thread.
+        # runs on the writer's thread, and no other thread touches this
+        # engine: serve readers evaluate on copies that ``isolate_view``
+        # exports after the flush, on this same thread.
         self.engine.collect_if_grown()
         return deltas
 

@@ -21,7 +21,7 @@ Quick tour::
         print(r.answer.holds, r.epoch, r.cached)
 
 Consistency contract (proved continuously by ``repro.serve.load``,
-which CI runs as ``repro serve --quick`` once per isolation mode): an
+which CI runs as ``repro serve --quick``): an
 answer pinned at serve epoch ``N`` equals the batch oracle's answer
 after replaying exactly the first ``N`` batches.  See ``docs/serve.md``.
 """

@@ -1,9 +1,9 @@
 """The per-epoch result cache behind the query daemon.
 
-Keys are ``(snapshot_epoch, kind, params, scope_signature, scope_node)``
-— the epoch pins the model version, the signature is the ISSUE-specified
-cheap discriminator, and the canonical scope node id makes the key exact
-(signatures may collide; node ids inside one snapshot engine cannot).
+Keys are ``(snapshot_epoch, kind, params, scope)`` — the epoch pins the
+model version, and the rest is the query as the caller wrote it (the
+scope as its hashable ``Match``), so nothing in a key belongs to an
+engine and building one does no BDD work.
 Because the epoch is part of the key a stale entry can never be *wrong*,
 only useless — so "invalidation on epoch advance" is garbage collection:
 the daemon calls :meth:`ResultCache.evict_below` with the oldest still-
@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from ..telemetry import Telemetry
 from .queries import QueryAnswer
 
-CacheKey = Tuple  # (epoch, kind, params, signature, node)
+CacheKey = Tuple  # (epoch, kind, params, scope)
 
 
 class ResultCache:

@@ -45,7 +45,7 @@ from ..resilience.validator import DeadLetterLog
 from ..telemetry import Telemetry
 from .cache import ResultCache
 from .queries import Query, QueryAnswer
-from .snapshots import DeltaIsolator, SnapshotStore, isolate_view
+from .snapshots import SnapshotStore, isolate_view
 
 _STOP = object()
 
@@ -86,15 +86,10 @@ class ServeDaemon:
         long-lived daemons: poisoned updates are canonicalised or
         quarantined instead of wedging the writer).
     isolation:
-        ``"copy"`` (default) re-hosts every published snapshot in its
-        own BDD engine via the FBW1 wire path — readers never touch the
-        writer's engine.  ``"copy-delta"`` keeps the same isolation but
-        ships each publish as an FBW2 delta frame against the previous
-        epoch into one long-lived read engine (cost tracks the update
-        batch, not the model — see
-        :class:`~repro.serve.snapshots.DeltaIsolator`).  ``"shared"``
-        publishes views on the writer's engine and serialises queries
-        with flushes on one lock.
+        Only ``"copy"`` is accepted (anything else is a ``ValueError``):
+        every published snapshot is re-hosted in its own BDD engine by
+        :func:`~repro.serve.snapshots.isolate_view`, so readers never
+        touch the writer's engine.
     queue_size:
         Ingest backpressure bound: producers hitting a full queue get
         :class:`~repro.errors.ServeSaturatedError`.
@@ -118,7 +113,7 @@ class ServeDaemon:
         query_deadline: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if isolation not in ("copy", "copy-delta", "shared"):
+        if isolation != "copy":
             raise ValueError(f"unknown isolation mode {isolation!r}")
         if query_deadline is not None and query_deadline <= 0:
             raise ValueError("query_deadline must be positive seconds")
@@ -130,7 +125,6 @@ class ServeDaemon:
         self.query_deadline = query_deadline
         self.topology = topology
         self.layout = layout
-        self.isolation = isolation
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         if verifier is None:
             verifier = SubspaceVerifier(
@@ -153,12 +147,6 @@ class ServeDaemon:
         self._cache = ResultCache(cache_size, telemetry=self.telemetry)
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._workers = workers
-        self._model_lock = threading.RLock()  # writer vs shared-mode readers
-        # copy-delta: all snapshots live in the isolator's one read
-        # engine, so they share one eval lock (BDD apply mutates
-        # engine-internal tables) — but never the writer's lock.
-        self._isolator = DeltaIsolator() if isolation == "copy-delta" else None
-        self._delta_lock = threading.RLock()
         self._state_lock = threading.Lock()
         self._applied = 0  # serve epoch = number of applied batches
         self._started = False
@@ -279,32 +267,16 @@ class ServeDaemon:
 
     def _apply(self, batch: List[RuleUpdate], tag: Optional[EpochTag]) -> None:
         with self.telemetry.span("serve.ingest.apply"):
-            with self._model_lock:
-                for device, updates in self._group_by_device(batch):
-                    self.verifier.ingest(device, updates, epoch=tag)
-                view = self.verifier.read_view()
+            for device, updates in self._group_by_device(batch):
+                self.verifier.ingest(device, updates, epoch=tag)
+            view = self.verifier.read_view()
         self.telemetry.count("serve.ingest.batches")
         self.telemetry.count("serve.ingest.updates", len(batch))
         self._publish(view)
 
     def _publish(self, view) -> None:
         with self.telemetry.span("serve.snapshot.capture"):
-            if self.isolation == "copy":
-                self._snapshots.publish(self._applied, isolate_view(view))
-            elif self.isolation == "copy-delta":
-                with self._delta_lock:  # import/collect vs live queries
-                    isolated = self._isolator.isolate(view)
-                self.telemetry.count(
-                    "serve.snapshot.delta.bytes", self._isolator.last_blob_size
-                )
-                self._snapshots.publish(
-                    self._applied, isolated, lock=self._delta_lock
-                )
-            else:
-                # Shared engine: every reader serialises with the writer.
-                self._snapshots.publish(
-                    self._applied, view, lock=self._model_lock
-                )
+            self._snapshots.publish(self._applied, isolate_view(view))
         self.telemetry.registry.gauge("serve.epoch").set(self._applied)
         self._applied += 1
         self._cache.evict_below(self._snapshots.oldest_epoch())
@@ -404,13 +376,12 @@ class ServeDaemon:
             "cache_entries": len(self._cache),
             "cache_hit_rate": self._cache.hit_rate,
             "ingest_failures": self.failures.total,
-            "isolation": self.isolation,
         }
 
     def __repr__(self) -> str:
         return (
-            f"ServeDaemon(epoch={self.epoch}, isolation={self.isolation!r}, "
-            f"queue={self.queue_depth}, cache={len(self._cache)})"
+            f"ServeDaemon(epoch={self.epoch}, queue={self.queue_depth}, "
+            f"cache={len(self._cache)})"
         )
 
 

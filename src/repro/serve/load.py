@@ -207,7 +207,6 @@ def run_load(
     workload: ServeWorkload,
     *,
     seed: int = 7,
-    isolation: str = "copy",
     workers: int = 4,
     queue_size: int = 8,
     query_deadline: Optional[float] = None,
@@ -215,11 +214,6 @@ def run_load(
     on_start=None,
 ) -> LoadResult:
     """Run the storm-vs-clients race, then prove every answer correct.
-
-    ``isolation`` is passed straight to :class:`ServeDaemon` — any of
-    ``"copy"``, ``"copy-delta"`` or ``"shared"``; the oracle check is
-    identical in all three, which is what makes this harness the
-    correctness gate for the delta-publish path.
 
     ``on_start`` is called with the started daemon before any load is
     generated — the CLI uses it to install SIGTERM/SIGINT handlers so
@@ -233,7 +227,6 @@ def run_load(
         workload.topology,
         workload.layout,
         validation="repair",
-        isolation=isolation,
         queue_size=queue_size,
         workers=workers,
         query_deadline=query_deadline,

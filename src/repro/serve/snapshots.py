@@ -8,27 +8,12 @@ latest, or an explicit epoch), evaluate against it, and unpin; a pinned
 snapshot is never retired, so a reader observes one consistent model
 version end to end no matter how far the writer gets in the meantime.
 
-Three isolation levels:
-
-``copy`` (:func:`isolate_view`)
-    the published view is re-hosted in a fresh
-    :class:`~repro.bdd.predicate.PredicateEngine` via the FBW1 wire
-    path, so query evaluation never touches the writer's engine — the
-    writer is never blocked by readers and vice versa.  Each snapshot
-    carries its own lock (BDD apply mutates engine-internal tables, so
-    two queries on the *same* snapshot still serialise).
-``copy-delta`` (:class:`DeltaIsolator`)
-    same isolation guarantee, cheaper per epoch: one long-lived read
-    engine hosts every snapshot, and each publish ships only an FBW2
-    delta frame against the previously published EC table (falling back
-    to a full FBW1 frame whenever that is smaller).  Consecutive model
-    versions share almost their whole table after a small update batch,
-    so the per-epoch serialisation cost tracks the *change*, not the
-    table size.
-``shared``
-    the published view keeps the writer's engine; the daemon hands
-    every snapshot the single model lock, serialising queries with
-    flushes.  Cheaper per epoch, slower under concurrency.
+Isolation is by copy (:func:`isolate_view`): the published view is
+re-hosted in a fresh :class:`~repro.bdd.predicate.PredicateEngine` via
+the FBW1 wire path, so query evaluation never touches the writer's
+engine — the writer is never blocked by readers and vice versa.  Each
+snapshot carries its own lock (BDD apply mutates engine-internal
+tables, so two queries on the *same* snapshot still serialise).
 """
 
 from __future__ import annotations
@@ -36,7 +21,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from ..bdd import wire
 from ..bdd.predicate import PredicateEngine
 from ..core.model_manager import FrozenReadView, ModelReadView
 from ..errors import SnapshotUnavailableError
@@ -44,7 +28,7 @@ from ..telemetry import Telemetry
 
 
 def isolate_view(view: ModelReadView) -> FrozenReadView:
-    """Re-host a read view in a fresh engine (the ``copy`` isolation).
+    """Re-host a read view in a fresh engine.
 
     The EC predicates (plus the universe) travel as one bulk FBW1
     import, so the shared BDD DAG is walked once for the whole table.
@@ -70,110 +54,17 @@ def isolate_view(view: ModelReadView) -> FrozenReadView:
     )
 
 
-class DeltaIsolator:
-    """Re-host successive read views via FBW2 delta frames (``copy-delta``).
-
-    :func:`isolate_view` walks and serialises the *entire* EC table on
-    every publish.  A ``DeltaIsolator`` keeps one long-lived read engine
-    plus the predicate roots of the last published table on both sides
-    of the wire, so each subsequent publish exports only the levelized
-    diff against the previous epoch (see
-    :meth:`~repro.bdd.predicate.PredicateEngine.export_delta_bytes`) —
-    a full FBW1 frame is shipped instead whenever it would be smaller,
-    which transparently resets the chain.  The delta's base fingerprint
-    is validated on apply, so a writer/reader mismatch fails hard as a
-    :class:`~repro.bdd.wire.WireFormatError` rather than serving a
-    corrupted table.
-
-    Isolation is identical to ``copy``: queries never touch the
-    writer's engine.  What changes is the bytes shipped and the
-    read-side import, which track the size of the *update batch*
-    instead of the model; the export does not —
-    ``export_delta_bytes`` builds the full FBW1 frame on every publish
-    to compare lengths.  Not thread-safe on its own — the daemon calls
-    :meth:`isolate` from the single writer thread.
-    """
-
-    def __init__(self) -> None:
-        self._engine: Optional[PredicateEngine] = None
-        self._writer_engine = None  # identity guard for chain validity
-        self._writer_base: Optional[List] = None  # writer-side roots
-        self._read_base: Optional[List] = None  # same roots, read engine
-        self._base_fp: Optional[int] = None
-        #: Size of the last frame shipped (full or delta), for telemetry.
-        self.last_blob_size = 0
-
-    def isolate(self, view: ModelReadView) -> FrozenReadView:
-        """Publish ``view`` into the long-lived read engine.
-
-        The universe predicate rides along as the last root of the
-        frame, so it is delta-encoded with the table.
-        """
-        entries = list(view.entries())
-        preds = [pred for pred, _ in entries] + [view.universe]
-        if self._engine is None or view.engine is not self._writer_engine:
-            # First publish, or a view of another writer's engine:
-            # start a fresh chain.
-            self._engine = PredicateEngine(view.layout.total_bits)
-            self._writer_engine = view.engine
-            self._writer_base = None
-            self._read_base = None
-            self._base_fp = None
-        if self._base_fp is None:
-            blob = view.engine.export_bytes(preds)
-        else:
-            blob = view.engine.export_delta_bytes(
-                preds, self._writer_base, self._base_fp
-            )
-        if blob[:4] == wire.MAGIC:
-            imported = self._engine.import_bytes(blob)
-        else:
-            imported, _ = self._engine.apply_delta_bytes(
-                blob, self._read_base, self._base_fp
-            )
-        self._writer_base = preds
-        self._read_base = imported
-        self._base_fp = wire.fingerprint_blob(blob)
-        self.last_blob_size = len(blob)
-        # Nodes referenced only by retired snapshots accumulate in the
-        # shared read engine; it sweeps on the same rule as the writer's,
-        # here because the daemon holds the read-side lock around this
-        # call: no query is mid-flight, and every live snapshot's table
-        # is handles.
-        self._engine.collect_if_grown()
-        return FrozenReadView(
-            engine=self._engine,
-            layout=view.layout,
-            store=view.store,
-            devices=view.devices,
-            entries=list(
-                zip(imported[:-1], (vec for _, vec in entries))
-            ),
-            epoch=view.epoch,
-            universe=imported[-1],
-            rules=view.rules,
-        )
-
-    def __repr__(self) -> str:
-        state = "cold" if self._base_fp is None else f"fp={self._base_fp:#x}"
-        return f"DeltaIsolator({state})"
-
-
 class Snapshot:
     """One published model version: (serve epoch, read view, eval lock)."""
 
     __slots__ = ("epoch", "view", "lock", "pins", "_store")
 
     def __init__(
-        self,
-        epoch: int,
-        view: ModelReadView,
-        lock: threading.RLock,
-        store: "SnapshotStore",
+        self, epoch: int, view: ModelReadView, store: "SnapshotStore"
     ) -> None:
         self.epoch = epoch
         self.view = view
-        self.lock = lock
+        self.lock = threading.RLock()
         self.pins = 0
         self._store = store
 
@@ -213,16 +104,9 @@ class SnapshotStore:
         self._latest: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        epoch: int,
-        view: ModelReadView,
-        lock: Optional[threading.RLock] = None,
-    ) -> Snapshot:
+    def publish(self, epoch: int, view: ModelReadView) -> Snapshot:
         """Install ``view`` as the snapshot for ``epoch`` (must be new)."""
-        snapshot = Snapshot(
-            epoch, view, lock if lock is not None else threading.RLock(), self
-        )
+        snapshot = Snapshot(epoch, view, self)
         with self._lock:
             if epoch in self._by_epoch or (
                 self._latest is not None and epoch <= self._latest
@@ -306,4 +190,4 @@ class SnapshotStore:
             )
 
 
-__all__ = ["DeltaIsolator", "Snapshot", "SnapshotStore", "isolate_view"]
+__all__ = ["Snapshot", "SnapshotStore", "isolate_view"]

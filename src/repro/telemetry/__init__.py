@@ -33,7 +33,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracer import Span, Stopwatch, Tracer
+from .tracer import Span, Tracer
 from .views import OpMetrics, OpSnapshot, PhaseBreakdown
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "Stopwatch",
     "Tracer",
     "OpMetrics",
     "OpSnapshot",

@@ -1,4 +1,4 @@
-"""Span-based tracing and wall-clock accumulation.
+"""Span-based tracing.
 
 A :class:`Tracer` produces context-manager *spans*: named wall-clock
 intervals with parent/child nesting.  Every finished span is
@@ -135,57 +135,3 @@ class Tracer:
         return (
             f"Tracer({len(self.finished)} finished, depth={len(self._stack)})"
         )
-
-
-class Stopwatch:
-    """Accumulating wall-clock timer with a context-manager interface.
-
-    Re-entrant: nested ``measure()`` scopes on the same stopwatch count
-    the outermost window exactly once instead of double-counting the
-    overlap (the historical behaviour silently inflated ``elapsed``).
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started: Optional[float] = None
-        self._depth = 0
-
-    def start(self) -> None:
-        """Begin timing; nested starts only deepen the nesting count."""
-        if self._depth == 0:
-            self._started = time.perf_counter()
-        self._depth += 1
-
-    def stop(self) -> float:
-        """End the innermost scope; accumulates when the outermost closes."""
-        if self._depth == 0:
-            raise RuntimeError("Stopwatch.stop() without a matching start()")
-        self._depth -= 1
-        if self._depth == 0:
-            self.elapsed += time.perf_counter() - self._started
-            self._started = None
-        return self.elapsed
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        self.start()
-        try:
-            yield
-        finally:
-            self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._depth > 0
-
-    def peek(self) -> float:
-        """Accumulated time including the currently-open window, if any."""
-        if self._started is not None:
-            return self.elapsed + (time.perf_counter() - self._started)
-        return self.elapsed
-
-    def reset(self) -> float:
-        if self.running:
-            raise RuntimeError("cannot reset a running Stopwatch")
-        elapsed, self.elapsed = self.elapsed, 0.0
-        return elapsed

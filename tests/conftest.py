@@ -72,7 +72,7 @@ def _reseed_global_random(request):
 @pytest.fixture
 def always_sweep(monkeypatch):
     """Patch the engine's sweep rule to "always": every block boundary
-    (``ModelWriter.flush``) and every ``copy-delta`` publish collects.
+    (``ModelWriter.flush``) collects.
 
     The product has no such switch — the rule is
     ``PredicateEngine.collect_if_grown`` and nothing selects another —

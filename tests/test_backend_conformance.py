@@ -10,7 +10,7 @@ ids) — and every ordered pairing of the two:
   ``intersects`` / ``covers`` against brute-force header enumeration),
 * ``split`` ≡ ``(a & b, a - b)``,
 * cofactor signatures agreeing bit-for-bit across node encodings,
-* FBW1 / FBW2 wire round-trips, within a store and across every pairing,
+* FBW1 wire round-trips, within a store and across every pairing,
 * :class:`~repro.core.inverse_model.InverseModel` apply-overwrites
   equivalence: the same update stream produces semantically identical EC
   tables over either store.
@@ -281,57 +281,6 @@ def test_import_across_backends(pairing):
     returned = src.import_predicates(moved)
     for orig, got in zip(preds, returned):
         assert got == orig and got.node == orig.node
-
-
-def test_delta_round_trip_within_backend(engine):
-    from repro.bdd.wire import DELTA_MAGIC, fingerprint_blob
-
-    rng = random.Random(41)
-    preds = [_random_pred(engine, rng) for _ in range(8)]
-    frame = engine.export_bytes(preds)
-    base = engine.import_bytes(frame)
-    fp = fingerprint_blob(frame)
-    changed = list(preds)
-    changed[2] = ~changed[2]
-    delta = engine.export_delta_bytes(changed, preds, fp)
-    assert delta[:4] == DELTA_MAGIC
-    applied, sources = engine.apply_delta_bytes(delta, base, fp)
-    assert len(applied) == len(changed)
-    assert any(s is None for s in sources)  # something was rebuilt
-    for orig, got in zip(changed, applied):
-        assert _headers_of(got) == _headers_of(orig)
-
-
-def test_delta_chain_across_backends(pairing):
-    """A full-frame + delta chain exported over one node store folds
-    into any other with identical semantics: exporter and importer need
-    not share a node encoding."""
-    from repro.bdd.wire import fingerprint_blob
-
-    src, dst = pairing
-    rng = random.Random(43)
-    preds = [_random_pred(src, rng) for _ in range(8)]
-    frames = [src.export_bytes(preds)]
-    fp = fingerprint_blob(frames[0])
-    for i in range(3):  # three delta epochs, one mutation each
-        nxt = list(preds)
-        nxt[i] = nxt[i] | _random_pred(src, rng)
-        frame = src.export_delta_bytes(nxt, preds, fp)
-        frames.append(frame)
-        preds, fp = nxt, fingerprint_blob(frame)
-    folded = dst.import_bytes(frames[0])
-    fp = fingerprint_blob(frames[0])
-    for frame in frames[1:]:
-        folded, _ = dst.apply_delta_bytes(frame, folded, fp)
-        fp = fingerprint_blob(frame)
-    assert len(folded) == len(preds)
-    for orig, got in zip(preds, folded):
-        assert got.engine is dst
-        assert _headers_of(got) == _headers_of(orig)
-    # and the fold equals a one-shot full import of the final table
-    direct = dst.import_predicates(preds)
-    for a, b in zip(folded, direct):
-        assert a == b
 
 
 def test_import_widens_narrower_sources(pairing):

@@ -11,16 +11,7 @@ import struct
 import pytest
 
 from repro.bdd.predicate import PredicateEngine
-from repro.bdd.wire import (
-    DELTA_MAGIC,
-    MAGIC,
-    WireFormatError,
-    _DELTA_HEADER,
-    delta_base_fingerprint,
-    export_blob,
-    fingerprint_blob,
-    import_blob,
-)
+from repro.bdd.wire import MAGIC, WireFormatError
 
 from .bdd_reference import ReferenceBDD
 from .conftest import case_rng
@@ -153,160 +144,3 @@ class TestRejection:
         root = struct.pack("<I", 2 << 1)
         with pytest.raises(WireFormatError):
             engine.import_bytes(MAGIC + payload + vars_ + lows + highs + root)
-
-
-# ---------------------------------------------------------------------------
-# FBW2 delta frames
-# ---------------------------------------------------------------------------
-
-
-def _chain_start(kind="fast", seed=0xF2B0, n=16):
-    """A (src, dst, src_preds, dst_preds, frame0, fp0) chained pair."""
-    src = fresh_engine(kind)
-    dst = fresh_engine(kind)
-    rng = case_rng(seed)
-    preds = _random_batch(src, rng, n)
-    frame = src.export_bytes(preds)
-    imported = dst.import_bytes(frame)
-    return src, dst, preds, imported, frame, fingerprint_blob(frame), rng
-
-
-def _fold_chain(engine, frames):
-    """Fold a full frame plus later frames the way serve's DeltaIsolator
-    does: each frame applies to the previous result, keyed by the
-    fingerprint of the previous frame's bytes."""
-    preds = engine.import_bytes(frames[0])
-    fp = fingerprint_blob(frames[0])
-    for frame in frames[1:]:
-        preds, _ = engine.apply_delta_bytes(frame, preds, fp)
-        fp = fingerprint_blob(frame)
-    return preds
-
-
-class TestDeltaFrames:
-    def test_small_change_ships_as_fbw2_and_roundtrips(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        changed = list(preds)
-        changed[3] = ~changed[3]
-        changed[9] = changed[9] | random_pred(src, rng, 4)
-        delta = src.export_delta_bytes(changed, preds, fp)
-        assert delta[:4] == DELTA_MAGIC
-        assert len(delta) < len(src.export_bytes(changed))
-        applied, sources = dst.apply_delta_bytes(delta, base, fp)
-        # Unchanged slots ride as KEEPs of the base table.
-        keeps = [s for s in sources if s is not None]
-        assert len(keeps) >= len(preds) - 2
-        for i, s in enumerate(sources):
-            if s is not None:
-                assert applied[i] == base[s]
-        probe = fresh_engine("fast")
-        for a, b in zip(changed, applied):
-            assert probe.import_predicate(a) == probe.import_predicate(b)
-
-    def test_total_rewrite_falls_back_to_full_fbw1(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        rewritten = [random_pred(src, rng, 5) for _ in preds]
-        blob = src.export_delta_bytes(rewritten, preds, fp)
-        assert blob[:4] == MAGIC  # full frame was no larger: chain reset
-        applied, sources = dst.apply_delta_bytes(blob, base, fp)
-        assert sources == [None] * len(rewritten)
-        probe = fresh_engine("fast")
-        for a, b in zip(rewritten, applied):
-            assert probe.import_predicate(a) == probe.import_predicate(b)
-
-    def test_identity_delta_is_all_keeps(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        delta = src.export_delta_bytes(preds, preds, fp)
-        assert delta[:4] == DELTA_MAGIC
-        applied, sources = dst.apply_delta_bytes(delta, base, fp)
-        assert sources == list(range(len(preds)))
-        assert applied == base
-
-    def test_wrong_base_fingerprint_rejected(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        changed = list(preds)
-        changed[0] = ~changed[0]
-        delta = src.export_delta_bytes(changed, preds, fp)
-        with pytest.raises(WireFormatError, match="fingerprint"):
-            dst.apply_delta_bytes(delta, base, fp ^ 1)
-
-    def test_wrong_base_count_rejected(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        delta = src.export_delta_bytes(preds, preds, fp)
-        with pytest.raises(WireFormatError, match="base roots"):
-            dst.apply_delta_bytes(delta, base[:-1], fp)
-
-    def test_truncated_delta_rejected(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        changed = list(preds)
-        changed[0] = changed[0] | random_pred(src, rng, 4)
-        delta = src.export_delta_bytes(changed, preds, fp)
-        for cut in (3, 4 + _DELTA_HEADER.size - 1, len(delta) - 2):
-            with pytest.raises(WireFormatError):
-                dst.apply_delta_bytes(delta[:cut], base, fp)
-
-    def test_trailing_garbage_rejected(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        changed = list(preds)
-        changed[0] = changed[0] | random_pred(src, rng, 4)
-        delta = src.export_delta_bytes(changed, preds, fp)
-        with pytest.raises(WireFormatError, match="length mismatch"):
-            dst.apply_delta_bytes(delta + b"\x00\x00\x00\x00", base, fp)
-
-    def test_keep_slot_out_of_range_rejected(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        delta = bytearray(src.export_delta_bytes(preds, preds, fp))
-        # Last u32 is the final KEEP slot; point it past the base table.
-        struct.pack_into("<I", delta, len(delta) - 4, len(preds) << 1)
-        with pytest.raises(WireFormatError, match="keeps base root"):
-            dst.apply_delta_bytes(bytes(delta), base, fp)
-
-    def test_fingerprint_is_of_bytes_and_deterministic(self):
-        src, dst, preds, base, frame, fp, rng = _chain_start()
-        assert fingerprint_blob(frame) == fp
-        assert fingerprint_blob(frame + b"x") != fp
-        count, peeked = delta_base_fingerprint(
-            src.export_delta_bytes(preds, preds, fp)
-        )
-        assert (count, peeked) == (len(preds), fp)
-        with pytest.raises(WireFormatError):
-            delta_base_fingerprint(frame)  # FBW1 is not a delta
-
-    def test_mixed_chain_folds_frame_by_frame(self):
-        src, _, preds, _, frame, fp, rng = _chain_start()
-        frames = [frame]
-        current = list(preds)
-        for i in range(3):
-            current = list(current)
-            current[i] = current[i] | random_pred(src, rng, 4)
-            nxt = src.export_delta_bytes(current, preds, fp)
-            frames.append(nxt)
-            preds, fp = current, fingerprint_blob(nxt)
-        # Splice a full-frame reset mid-chain, then one more delta.
-        reset = src.export_bytes(current)
-        frames.append(reset)
-        fp = fingerprint_blob(reset)
-        current = list(current)
-        current[-1] = ~current[-1]
-        frames.append(src.export_delta_bytes(current, preds, fp))
-        fresh = fresh_engine("fast")
-        folded = _fold_chain(fresh, frames)
-        probe = fresh_engine("fast")
-        for a, b in zip(current, folded):
-            assert probe.import_predicate(a) == probe.import_predicate(b)
-
-    def test_broken_chain_link_rejected(self):
-        src, _, preds, _, frame, fp, rng = _chain_start()
-        changed = list(preds)
-        changed[0] = changed[0] | random_pred(src, rng, 4)
-        d1 = src.export_delta_bytes(changed, preds, fp)
-        changed2 = list(changed)
-        changed2[1] = ~changed2[1]
-        d2 = src.export_delta_bytes(
-            changed2, changed, fingerprint_blob(d1)
-        )
-        fresh = fresh_engine("fast")
-        # Dropping d1 breaks d2's base fingerprint: must fail loudly.
-        with pytest.raises(WireFormatError):
-            _fold_chain(fresh, [frame, d2])
-        assert len(_fold_chain(fresh, [frame, d1, d2])) == len(preds)

@@ -95,3 +95,25 @@ class TestRunners:
         payload = result.as_dict()
         assert payload["system"] == "Flash"
         assert payload["updates_processed"] == 8
+
+
+class TestLedgerPatchPoints:
+    def test_install_then_unpatch_restores_the_serve_patch_points(self):
+        """The ledger's traced mode wraps product functions by name; a
+        change that renames or drops one fails here, not only in a traced
+        ledger round."""
+        from benchmarks.ledger import layers, spans
+        from repro.serve import daemon
+        from repro.serve.snapshots import SnapshotStore
+
+        isolate_view = daemon.isolate_view
+        publish = SnapshotStore.__dict__["publish"]
+        recorder = spans.Recorder()
+        layers.install(recorder)
+        try:
+            assert daemon.isolate_view is not isolate_view
+            assert SnapshotStore.__dict__["publish"] is not publish
+        finally:
+            recorder.unpatch()
+        assert daemon.isolate_view is isolate_view
+        assert SnapshotStore.__dict__["publish"] is publish

@@ -178,7 +178,8 @@ class TestBackendFlagIsGone:
     """``--backend`` selected a predicate representation; there is one.
     Argparse rejects it before a trace is read or a scenario generated
     (with ``--chaos`` / ``--interleave`` it used to be accepted and
-    silently ignored)."""
+    silently ignored).  ``serve --isolation`` selected a snapshot
+    isolation mode; there is one, and it goes the same way."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -187,15 +188,17 @@ class TestBackendFlagIsGone:
             ["fuzz", "--backend", "intervals"],
             ["fuzz", "--chaos", "--backend", "intervals"],
             ["fuzz", "--interleave", "--backend", "intervals"],
+            ["serve", "--quick", "--isolation", "copy"],
         ],
-        ids=["verify", "fuzz", "fuzz-chaos", "fuzz-interleave"],
+        ids=["verify", "fuzz", "fuzz-chaos", "fuzz-interleave",
+             "serve-isolation"],
     )
     def test_backend_flag_is_an_argparse_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "unrecognized arguments: --backend" in captured.err
+        assert f"unrecognized arguments: {argv[-2]}" in captured.err
         assert captured.out == ""
 
 
@@ -210,10 +213,10 @@ class TestServeExitStatus:
         cache_hit_rate=10 / 60, rejected=0, ingest_failures=0,
     )  # --quick is 3 clients x 20 queries, 1 + 8 batches
 
-    def run(self, monkeypatch, capsys, **overrides):
+    def run(self, monkeypatch, capsys, *flags, **overrides):
         result = load.LoadResult(**{**self.HEALTHY, **overrides})
         monkeypatch.setattr(load, "run_load", lambda *a, **kw: result)
-        code = main(["serve", "--quick"])
+        code = main(["serve", "--quick", *flags])
         return code, capsys.readouterr()
 
     def test_healthy_run_exits_zero(self, monkeypatch, capsys):
@@ -234,12 +237,17 @@ class TestServeExitStatus:
              "divergence"],
     )
     def test_broken_invariant_exits_one(
-        self, monkeypatch, capsys, overrides, complaint
+        self, monkeypatch, capsys, tmp_path, overrides, complaint
     ):
-        code, captured = self.run(monkeypatch, capsys, **overrides)
+        telemetry = tmp_path / "serve.jsonl"
+        code, captured = self.run(
+            monkeypatch, capsys, "--telemetry", str(telemetry), **overrides
+        )
         assert code == 1
         assert "every served answer" not in captured.out
         assert complaint in captured.err
+        # A failed run still leaves the telemetry to debug it with.
+        assert telemetry.exists()
 
     @pytest.mark.parametrize(
         "flag", ["--workers", "--queue-size", "--query-deadline"]

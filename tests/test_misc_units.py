@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -11,7 +10,7 @@ import repro
 from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
-from repro.telemetry import PhaseBreakdown, Stopwatch
+from repro.telemetry import PhaseBreakdown
 from repro.dataplane.fib import FibSnapshot, enumerate_headers
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import insert
@@ -26,31 +25,6 @@ from repro.spec.parser import parse_path_set
 from repro.ce2d.verification_graph import VerificationGraph
 
 LAYOUT = dst_only_layout(4)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure():
-            time.sleep(0.01)
-        with watch.measure():
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.02
-
-    def test_reset_returns_and_clears(self):
-        watch = Stopwatch()
-        with watch.measure():
-            pass
-        elapsed = watch.reset()
-        assert elapsed >= 0
-        assert watch.elapsed == 0.0
-
-    def test_exception_still_recorded(self):
-        watch = Stopwatch()
-        with pytest.raises(ValueError):
-            with watch.measure():
-                raise ValueError
-        assert watch.elapsed > 0
 
 
 class TestPhaseBreakdown:

@@ -68,6 +68,27 @@ def view_of(topo, batches, validation="repair"):
     return writer.read_view()
 
 
+class GatedVerifier:
+    """A :class:`QueryableVerifier` whose ``ingest`` waits for ``gate``:
+    it stalls the daemon's writer mid-apply without touching the daemon."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gate = threading.Event()
+        self.entered = threading.Event()  # the writer is inside ingest
+
+    def ingest(self, device, updates, *, epoch=None, now=None):
+        self.entered.set()
+        self.gate.wait(10.0)
+        return self.inner.ingest(device, updates, epoch=epoch, now=now)
+
+    def read_view(self):
+        return self.inner.read_view()
+
+    def deterministic_reports(self):
+        return self.inner.deterministic_reports()
+
+
 def exit_rules(topo, s, w, b, x):
     """Full delivery through the waypoint: S→W→X, B→X."""
     return [
@@ -314,8 +335,9 @@ class TestServeDaemon:
 
     def test_rejects_unknown_isolation(self):
         topo, *_ = diamond()
-        with pytest.raises(ValueError):
-            ServeDaemon(topo, LAYOUT, isolation="mvcc")
+        for mode in ("mvcc", "shared"):  # "shared" was a mode once
+            with pytest.raises(ValueError):
+                ServeDaemon(topo, LAYOUT, isolation=mode)
 
     @pytest.mark.parametrize("size", ["workers", "queue_size"])
     def test_rejects_sizes_below_one(self, size):
@@ -341,9 +363,8 @@ class TestServeDaemon:
             assert result.epoch == 0
             assert result.answer == QueryAnswer(holds=False, headers=0)
 
-    @pytest.mark.parametrize("isolation", ["copy", "copy-delta", "shared"])
-    def test_epoch_advances_per_batch(self, isolation):
-        daemon, (topo, s, w, b, x) = self._daemon(isolation=isolation)
+    def test_epoch_advances_per_batch(self):
+        daemon, (topo, s, w, b, x) = self._daemon()
         with daemon:
             daemon.submit_updates(exit_rules(topo, s, w, b, x), timeout=10.0)
             daemon.drain()
@@ -352,11 +373,8 @@ class TestServeDaemon:
             assert result.epoch == 1
             assert result.answer == QueryAnswer(holds=True, headers=SPACE)
 
-    @pytest.mark.parametrize("isolation", ["copy", "copy-delta", "shared"])
-    def test_pinned_reader_is_stable_while_writer_advances(self, isolation):
-        daemon, (topo, s, w, b, x) = self._daemon(
-            isolation=isolation, keep_snapshots=8
-        )
+    def test_pinned_reader_is_stable_while_writer_advances(self):
+        daemon, (topo, s, w, b, x) = self._daemon(keep_snapshots=8)
         base = exit_rules(topo, s, w, b, x)
         churn = [insert(s, Rule(10, Match.dst_prefix(0, 1, LAYOUT), b))]
         with daemon:
@@ -418,20 +436,20 @@ class TestServeDaemon:
             # New epoch, new key: the cache cannot serve a stale answer.
             assert fresh.epoch == 2 and not fresh.cached
 
-    def test_cache_keys_survive_a_writer_sweep_in_shared_mode(self, always_sweep):
+    def test_cache_keys_survive_a_writer_sweep(self, always_sweep):
         """Two scopes against one pinned epoch, with a writer flush and a
-        sweep of the shared engine between them.  Under a subspace
+        sweep of the writer's engine between them.  Under a subspace
         universe the compiled scope (``scope & universe``) is a predicate
-        nobody holds once a query returns; a key carrying its node id
-        could name the second scope's predicate after the sweep."""
+        nobody holds once a query returns, so a key must not carry its
+        node id.  The scope compiles in the snapshot's own engine, which
+        is never swept; the pinned answers must still equal the oracle's
+        and the cache must still tell the two scopes apart."""
         topo, s, w, b, x = diamond()
         verifier = SubspaceVerifier(
             topo, LAYOUT, epoch="serve", validation="repair",
             subspace_match=Match.dst_prefix(0, 1, LAYOUT),
         )
-        daemon = ServeDaemon(
-            topo, LAYOUT, verifier=verifier, isolation="shared", keep_snapshots=8
-        )
+        daemon = ServeDaemon(topo, LAYOUT, verifier=verifier, keep_snapshots=8)
         first = exit_rules(topo, s, w, b, x) + [
             insert(s, Rule(10, Match.dst_prefix(0, 2, LAYOUT), b))
         ]
@@ -470,20 +488,21 @@ class TestServeDaemon:
                 daemon.ask(ReachabilityQuery(s), epoch=0)
 
     def test_backpressure_saturates_then_drains(self):
-        daemon, (topo, s, w, b, x) = self._daemon(queue_size=1)
+        topo, s, w, b, x = diamond()
+        verifier = GatedVerifier(
+            SubspaceVerifier(topo, LAYOUT, epoch="serve", validation="repair")
+        )
+        daemon = ServeDaemon(topo, LAYOUT, verifier=verifier, queue_size=1)
         batch = exit_rules(topo, s, w, b, x)
         with daemon:
-            # Hold the model lock so the writer blocks mid-apply; the
-            # queue then fills deterministically.
-            with daemon._model_lock:
-                daemon.submit_updates(batch)  # writer grabs it, blocks
-                deadline = 50
-                while daemon.queue_depth > 0 and deadline:
-                    threading.Event().wait(0.01)
-                    deadline -= 1
-                daemon.submit_updates(batch)  # sits in the queue
-                with pytest.raises(ServeSaturatedError):
-                    daemon.submit_updates(batch)
+            # The verifier's gate is shut, so the writer blocks mid-apply
+            # on the first batch; the queue then fills deterministically.
+            daemon.submit_updates(batch)  # writer takes it, blocks
+            assert verifier.entered.wait(10.0)
+            daemon.submit_updates(batch)  # sits in the queue
+            with pytest.raises(ServeSaturatedError):
+                daemon.submit_updates(batch)
+            verifier.gate.set()
             daemon.drain()
             assert daemon.epoch == 2
             assert daemon.queue_depth == 0
@@ -533,15 +552,12 @@ class TestServeDaemon:
 # ----------------------------------------------------------------------
 
 class TestMidStormOracle:
-    @pytest.mark.parametrize("isolation", ["copy", "copy-delta", "shared"])
-    def test_concurrent_answers_equal_the_batch_oracle(self, isolation):
+    def test_concurrent_answers_equal_the_batch_oracle(self):
         workload = build_workload(seed=11, quick=True)
         workload.blocks = workload.blocks[:4]
         workload.clients = 2
         workload.queries_per_client = 8
-        result = run_load(
-            workload, seed=11, isolation=isolation, workers=2, queue_size=2
-        )
+        result = run_load(workload, seed=11, workers=2, queue_size=2)
         assert result.divergences == []
         assert result.ingest_failures == 0
         assert result.queries == 16

@@ -1,7 +1,7 @@
 """Tests for the unified telemetry subsystem (repro.telemetry).
 
 Covers the registry (get-or-create, snapshot/merge), the tracer (span
-nesting, manual epoch-style spans, the re-entrant Stopwatch), exporters
+nesting, manual epoch-style spans), exporters
 (JSONL round-trip, table rendering), the deprecation shims over the old
 stats/result API, and an end-to-end CLI smoke test of ``--telemetry``.
 """
@@ -19,7 +19,6 @@ from repro.telemetry import (
     MetricsRegistry,
     OpMetrics,
     PhaseBreakdown,
-    Stopwatch,
     TableExporter,
     Telemetry,
     TelemetryConfig,
@@ -129,45 +128,6 @@ class TestTracer:
         # Counters stay live even when spans are off.
         tel.count("still.counted")
         assert tel.registry.value("still.counted") == 1
-
-
-class TestStopwatch:
-    def test_accumulates_across_windows(self):
-        sw = Stopwatch()
-        with sw.measure():
-            pass
-        first = sw.elapsed
-        with sw.measure():
-            pass
-        assert sw.elapsed >= first
-
-    def test_reentrant_measure_counts_outer_window_once(self):
-        sw = Stopwatch()
-        with sw.measure():
-            with sw.measure():  # the historical bug double-counted this
-                pass
-        with sw.measure():
-            pass
-        # Nested scopes accumulate exactly one outer window, so two
-        # top-level windows mean elapsed < 2x the longest one plus slack;
-        # the precise regression check: depth returns to zero and a fresh
-        # start() is accepted.
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset_while_running_raises(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.reset()
-        sw.stop()
-        assert sw.reset() >= 0
 
 
 class TestViews:
