@@ -14,7 +14,8 @@ between two commits.
 
     python benchmarks/soak_probe.py [--blocks 3000] [--seed 7] [--every 100]
 
-Not a test (≈ 70 s) and not a ledger row: it is the recipe ROADMAP item
+Not a test (≈ 12 s for 3,000 blocks, ≈ 3.5 s for 1,000, on a 2-core
+Xeon) and not a ledger row: it is the recipe ROADMAP item
 7(b)'s ``soak`` row can adopt.  ``tests/test_soak.py`` holds a tier-1-sized
 version of the same run.  Runs unchanged on any commit that has the ledger.
 """

@@ -9,6 +9,18 @@ Two entry points:
 * :func:`natural_transformation` — the direct (Appendix C.2) transformation
   used as ground truth in tests and as the bootstrap path.
 
+One departure from the paper's second phase: a rule that expands only
+because a higher-priority rule was deleted overwrites its effective
+predicate *intersected with the freed region* (the disjunction of the
+block's deleted matches on that device), not the whole effective
+predicate.  Outside the freed region and the inserted matches no header
+changes owner, so the model is the same; the block's support shrinks
+from most of the header space to what the withdrawals actually freed.
+Inserted rules overwrite their whole effective predicate, as in the
+paper, and an inserts-only block runs the paper's loop unchanged.  The
+unrestricted version is kept as a test oracle
+(``tests/apply_reference.py``).
+
 Priority ties follow the library-wide convention (FibTable): the
 earlier-installed rule wins; inserted rules go after existing equal-priority
 rules.  Well-behaved data planes (Definition 4) make the tiebreak
@@ -18,7 +30,7 @@ semantically irrelevant.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate
 from ..dataplane.fib import FibSnapshot, FibTable
@@ -34,7 +46,7 @@ from .overwrite import Overwrite, atomic
 def merge_block_and_diff(
     rules: Sequence[Rule],
     updates: Sequence[RuleUpdate],
-) -> Tuple[List[Rule], List[int]]:
+) -> Tuple[List[Rule], List[int], List[int]]:
     """Merge a block of native updates into a sorted rule list (Alg. 1, L7-28).
 
     Parameters
@@ -48,10 +60,13 @@ def merge_block_and_diff(
 
     Returns
     -------
-    (new_rules, rdiff_indices):
-        The post-update sorted rule list and the indices (into it) of the
-        *expanding* rules (Definition 13): inserted rules, plus every rule
-        below a deleted rule.
+    (new_rules, inserted, uncovered):
+        The post-update sorted rule list and the ascending indices (into
+        it) of its *expanding* rules (Definition 13), split in two: the
+        inserted rules, and the surviving rules below a deleted rule.
+        Algorithm 1 treats both alike; the split lets the second phase
+        restrict the uncovered ones to the header space the deletions
+        freed.
     """
     # Group updates by priority so equal-priority deletes are located with a
     # single scan of that priority run regardless of their order in the block.
@@ -64,20 +79,21 @@ def merge_block_and_diff(
             inserts.append(u.rule)
 
     result: List[Rule] = []
-    rdiff: List[int] = []
+    inserted: List[int] = []
+    uncovered: List[int] = []
     higher_priority_rule_deleted = False
     i = 0
 
-    def emit(rule: Rule, expanding: bool) -> None:
-        if expanding:
-            rdiff.append(len(result))
+    def keep(rule: Rule) -> None:
+        if higher_priority_rule_deleted:
+            uncovered.append(len(result))
         result.append(rule)
 
     for priority in sorted(by_priority, reverse=True):
         deletes, inserts = by_priority[priority]
         # Advance over strictly higher-priority survivors.
         while i < len(rules) and rules[i].priority > priority:
-            emit(rules[i], higher_priority_rule_deleted)
+            keep(rules[i])
             i += 1
         # Scan the equal-priority run, consuming deletions.
         while i < len(rules) and rules[i].priority == priority:
@@ -86,7 +102,7 @@ def merge_block_and_diff(
                 deletes[rule] -= 1
                 higher_priority_rule_deleted = True
             else:
-                emit(rule, higher_priority_rule_deleted)
+                keep(rule)
             i += 1
         leftovers = [r for r, c in deletes.items() if c > 0]
         if leftovers:
@@ -96,25 +112,32 @@ def merge_block_and_diff(
         # Inserted rules go after existing equal-priority rules; new rules
         # always expand (Alg. 1, L20).
         for rule in inserts:
-            emit(rule, True)
+            inserted.append(len(result))
+            result.append(rule)
     # Remaining lower-priority rules (Alg. 1, L26-27).
     while i < len(rules):
-        emit(rules[i], higher_priority_rule_deleted)
+        keep(rules[i])
         i += 1
-    return result, rdiff
+    return result, inserted, uncovered
 
 
 def calculate_atomic_overwrites(
     device: int,
     new_rules: Sequence[Rule],
-    rdiff_indices: Sequence[int],
+    inserted: Sequence[int],
     compiler: MatchCompiler,
+    uncovered: Sequence[int] = (),
+    deleted: Sequence[Rule] = (),
 ) -> List[Overwrite]:
     """Compute the atomic overwrites for the expanding rules (Alg. 1, L29-44).
 
-    Scans the sorted rule list once, accumulating the disjunction of all
-    higher-precedence matches, so the whole block costs O(T + K) predicate
-    operations.
+    An inserted rule overwrites its whole effective predicate: one scan
+    of the sorted rule list accumulates the disjunction of all
+    higher-precedence matches, so the inserts cost O(T + K) predicate
+    operations.  A rule in ``uncovered`` (below one of the ``deleted``
+    rules) overwrites only its effective predicate inside the freed
+    region — see :func:`_freed_overwrites` — which is the same model
+    for fewer predicate operations.
 
     The complementary "no-update" overwrite ``(p_c, ∅)`` of Alg. 1 L41-43
     is not emitted: application treats the complement implicitly.
@@ -123,7 +146,7 @@ def calculate_atomic_overwrites(
     accumulated = engine.false  # ∨ of matches with higher precedence
     overwrites: List[Overwrite] = []
     j = 0
-    for idx in rdiff_indices:
+    for idx in inserted:
         while j < idx:
             accumulated = accumulated | compiler.compile(new_rules[j].match)
             j += 1
@@ -131,25 +154,82 @@ def calculate_atomic_overwrites(
         effective = compiler.compile(rule.match) - accumulated
         if not effective.is_false:
             overwrites.append(atomic(effective, device, rule.action))
+    if uncovered:
+        overwrites += _freed_overwrites(
+            device, new_rules, range(len(new_rules)), uncovered, deleted,
+            compiler,
+        )
+    return overwrites
+
+
+def _freed_overwrites(
+    device: int,
+    new_rules: Sequence[Rule],
+    positions: Iterable[int],
+    uncovered: Sequence[int],
+    deleted: Sequence[Rule],
+    compiler: MatchCompiler,
+) -> List[Overwrite]:
+    """``(e'_r ∧ F, a_r)`` for every uncovered rule ``r``.
+
+    ``F`` is the disjunction of the deleted matches and ``e'_r`` the
+    rule's effective predicate in ``new_rules``.  This is exact.  A
+    header outside ``F`` and outside every inserted match keeps its
+    highest-priority matching rule; inside an inserted match the
+    insert's own overwrite decides; a freed header owned by a rule above
+    every deletion had that owner before.  Every other freed header
+    gets its new owner, an uncovered rule.  Taking all of ``F``, not
+    only the deletions above ``r``, adds no error: inside ``r``'s old
+    effective predicate the model already holds ``a_r``.
+
+    ``positions`` visits, in ascending order, at least every rule whose
+    match meets ``F``.  The scan keeps ``F`` minus the matches passed so
+    far, so each visited rule claims what is left of the freed region;
+    signatures skip the disjoint ones without a BDD operation, and the
+    scan stops once ``F`` is used up (at the default rule at the latest).
+    """
+    engine = compiler.engine
+    sig_of = engine.signature
+    rest = engine.disj_many(compiler.compile(rule.match) for rule in deleted)
+    rest_sig = sig_of(rest)
+    emits = set(uncovered)
+    overwrites: List[Overwrite] = []
+    for pos in positions:
+        rule = new_rules[pos]
+        match = compiler.compile(rule.match)
+        if not sig_of(match) & rest_sig:
+            continue
+        claimed, rest = rest.split(match)
+        if claimed.is_false:
+            continue
+        if pos in emits:
+            overwrites.append(atomic(claimed, device, rule.action))
+        if rest.is_false:
+            break
+        rest_sig = sig_of(rest)
     return overwrites
 
 
 def calculate_atomic_overwrites_indexed(
     device: int,
     new_rules: Sequence[Rule],
-    rdiff_indices: Sequence[int],
+    inserted: Sequence[int],
     compiler: MatchCompiler,
     index,
+    uncovered: Sequence[int] = (),
+    deleted: Sequence[Rule] = (),
 ) -> List[Overwrite]:
     """Trie-accelerated variant of Algorithm 1's second phase (§3.4).
 
     Instead of accumulating the disjunction of *all* higher-precedence
-    matches, each expanding rule's effective predicate subtracts only the
+    matches, each inserted rule's effective predicate subtracts only the
     matches of higher-precedence rules that actually *overlap* it, found
     through the multi-dimension prefix trie.  For LPM-heavy tables the
     overlap sets are tiny, making this the better choice in per-update
     mode (small K); the sorted scan amortises better for whole-table
-    blocks.
+    blocks.  Uncovered rules get the same freed-region overwrites as in
+    :func:`calculate_atomic_overwrites`, with the scan visiting only the
+    rules the trie finds overlapping a deleted match, plus the default.
 
     ``index`` must contain exactly the rules of ``new_rules`` (minus the
     default), as maintained by the model manager.
@@ -159,21 +239,36 @@ def calculate_atomic_overwrites_indexed(
     position_by_eq: Dict[Rule, int] = {}
     for pos, rule in enumerate(new_rules):
         position_by_eq.setdefault(rule, pos)
+
+    def position_of(rule: Rule) -> Optional[int]:
+        pos = position_by_id.get(id(rule))
+        if pos is None:
+            # The index may hold an equal-but-distinct object when a
+            # deletion removed its twin; fall back to equality.
+            pos = position_by_eq.get(rule)
+        return pos
+
     overwrites: List[Overwrite] = []
-    for idx in rdiff_indices:
+    for idx in inserted:
         rule = new_rules[idx]
         shadow = engine.false
         for other in index.overlapping(rule.match):
-            pos = position_by_id.get(id(other))
-            if pos is None:
-                # The index may hold an equal-but-distinct object when a
-                # deletion removed its twin; fall back to equality.
-                pos = position_by_eq.get(other)
+            pos = position_of(other)
             if pos is not None and pos < idx:
                 shadow = shadow | compiler.compile(other.match)
         effective = compiler.compile(rule.match) - shadow
         if not effective.is_false:
             overwrites.append(atomic(effective, device, rule.action))
+    if uncovered:
+        near = {len(new_rules) - 1}  # the default rule meets everything
+        for gone in deleted:
+            for other in index.overlapping(gone.match):
+                pos = position_of(other)
+                if pos is not None:
+                    near.add(pos)
+        overwrites += _freed_overwrites(
+            device, new_rules, sorted(near), uncovered, deleted, compiler
+        )
     return overwrites
 
 
@@ -192,10 +287,13 @@ def decompose_block(
     by the caller), effective predicates use the §3.4 trie look-up; the
     index is updated with the block's inserts/deletes here.
     """
-    new_rules, rdiff = merge_block_and_diff(table.rules(), updates)
+    new_rules, inserted, uncovered = merge_block_and_diff(
+        table.rules(), updates
+    )
+    deleted = [u.rule for u in updates if u.is_delete]
     if index is None:
         overwrites = calculate_atomic_overwrites(
-            device, new_rules, rdiff, compiler
+            device, new_rules, inserted, compiler, uncovered, deleted
         )
     else:
         for u in updates:
@@ -207,7 +305,7 @@ def decompose_block(
         # equality may have removed a different-but-equal object, which is
         # fine because overlap queries only use match/priority.
         overwrites = calculate_atomic_overwrites_indexed(
-            device, new_rules, rdiff, compiler, index
+            device, new_rules, inserted, compiler, index, uncovered, deleted
         )
     return new_rules, overwrites
 

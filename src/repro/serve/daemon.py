@@ -10,7 +10,9 @@
   applied batch advances the **serve epoch** and publishes a snapshot.
 * **serve** — a thread pool answers :mod:`~repro.serve.queries` against
   pinned snapshots, consulting the epoch-keyed
-  :class:`~repro.serve.cache.ResultCache` first.
+  :class:`~repro.serve.cache.ResultCache` first and, on a miss, the
+  per-vector :class:`~repro.serve.queries.VerdictMemo`, which the
+  writer prunes to the live snapshots' vectors at every publish.
 * **backpressure** — a full ingest queue rejects producers with
   :class:`~repro.errors.ServeSaturatedError` instead of buffering
   unboundedly; queries keep being answered from published snapshots.
@@ -44,7 +46,7 @@ from ..network.topology import Topology
 from ..resilience.validator import DeadLetterLog
 from ..telemetry import Telemetry
 from .cache import ResultCache
-from .queries import Query, QueryAnswer
+from .queries import Query, QueryAnswer, VerdictMemo
 from .snapshots import SnapshotStore, isolate_view
 
 _STOP = object()
@@ -145,6 +147,9 @@ class ServeDaemon:
             keep=keep_snapshots, telemetry=self.telemetry
         )
         self._cache = ResultCache(cache_size, telemetry=self.telemetry)
+        # Replaced, never mutated, by the writer at each publish; readers
+        # read the reference once per query.
+        self._memo = VerdictMemo()
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._workers = workers
         self._state_lock = threading.Lock()
@@ -280,6 +285,17 @@ class ServeDaemon:
         self.telemetry.registry.gauge("serve.epoch").set(self._applied)
         self._applied += 1
         self._cache.evict_below(self._snapshots.oldest_epoch())
+        # Keep the verdicts of vectors some live snapshot holds; vector
+        # ids of another PAT store mean nothing here, so start over.
+        if self._memo.store is not view.store:
+            self._memo = VerdictMemo(view.store)
+        else:
+            live = {
+                vector
+                for live_view in self._snapshots.live_views()
+                for _, vector in live_view.entries()
+            }
+            self._memo = self._memo.pruned(live)
 
     @staticmethod
     def _group_by_device(
@@ -332,7 +348,8 @@ class ServeDaemon:
                     with self.telemetry.span("serve.query.eval", kind=query.kind):
                         try:
                             answer = query.evaluate(
-                                snapshot.view, self.topology, deadline
+                                snapshot.view, self.topology, deadline,
+                                self._memo,
                             )
                         except QueryTimeoutError:
                             # The worker thread is released; the Future

@@ -195,6 +195,32 @@ class LoadResult:
         return not self.divergences and self.ingest_failures == 0
 
 
+def oracle_divergences(
+    results: Sequence[QueryResult],
+    topology,
+    layout,
+    batches: Sequence[Sequence[RuleUpdate]],
+) -> List[str]:
+    """The proof: every served answer re-derived by a :class:`BatchOracle`
+    at its pinned epoch, one line per answer that differs.
+
+    The oracle evaluates in its own writer's engine and PAT store and
+    without the daemon's verdict memo, so neither a snapshot-isolation
+    bug nor a wrong memo entry can vouch for itself.
+    """
+    oracle = BatchOracle(topology, layout, batches)
+    divergences: List[str] = []
+    for result in sorted(results, key=lambda r: r.epoch):
+        expected = result.query.evaluate(oracle.view_at(result.epoch), topology)
+        if expected != result.answer:
+            divergences.append(
+                f"epoch {result.epoch}: {result.query!r} served "
+                f"{result.answer} but the batch oracle says {expected}"
+                + (" (cached)" if result.cached else "")
+            )
+    return divergences
+
+
 def _percentile(values: List[float], q: float) -> float:
     if not values:
         return 0.0
@@ -296,23 +322,12 @@ def run_load(
         epochs = sorted({r.epoch for r in results})
         mid_storm = sum(1 for r in results if r.epoch < final_epoch)
 
-        # -- the proof: batch-oracle equality at every pinned epoch ----
-        oracle = BatchOracle(
+        divergences = oracle_divergences(
+            results,
             workload.topology,
             workload.layout,
             [workload.base] + workload.blocks,
         )
-        divergences: List[str] = []
-        for result in sorted(results, key=lambda r: r.epoch):
-            view = oracle.view_at(result.epoch)
-            expected = result.query.evaluate(view, workload.topology)
-            if expected != result.answer:
-                divergences.append(
-                    f"epoch {result.epoch}: {result.query!r} served "
-                    f"{result.answer} but the batch oracle says {expected}"
-                    + (" (cached)" if result.cached else "")
-                )
-
         return LoadResult(
             workload=workload.name,
             queries=len(results),
@@ -339,6 +354,7 @@ __all__ = [
     "LoadResult",
     "ServeWorkload",
     "build_workload",
+    "oracle_divergences",
     "random_query",
     "run_load",
 ]

@@ -28,15 +28,28 @@ engine: a BDD node id names a predicate only while a handle to it is
 alive, and a cache entry outlives the query that compiled the scope.
 The snapshot epoch is prepended by the cache layer; all snapshots of one
 daemon share one universe, so (epoch, key) determines the answer.
+
+Below the answer cache sits the daemon's :class:`VerdictMemo`, keyed
+``(kind, params, vector)``: an EC's classification depends only on the
+query's kind and parameters, its action vector and the topology, and
+PAT vectors are hash-consed and immutable, so a verdict found at one
+epoch answers every later epoch that still holds the vector.  A query
+then costs a dict lookup per EC, a search per vector it has not seen,
+and the ``|`` / ``sat_count`` over the witness ECs.  ``evaluate`` uses
+the memo only when it is passed one: the batch oracle, ``repro serve``'s
+divergence check and difftest evaluate without it, so they stay an
+independent check on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..bdd.predicate import Predicate
+from ..core.actiontree import ActionTreeStore
+from ..core.inverse_model import VecId
 from ..core.model_manager import ModelReadView
 from ..dataplane.rule import Action, next_hops_of
 from ..difftest.oracle import forwarding_cycle, reaches_external
@@ -100,6 +113,50 @@ def reaches_external_avoiding(
     return False
 
 
+class VerdictMemo:
+    """One daemon's per-vector verdicts: ``(kind, params, vector) → bool``.
+
+    Held as one ``{vector: verdict}`` dict per ``(kind, params)``.
+    Tied to one PAT ``store`` (vector ids name vectors only inside it)
+    and, through its daemon, to one topology, an entry can become
+    useless but never wrong.  Reader threads only get and set single
+    keys; the writer never mutates a memo in place but builds a pruned
+    copy (:meth:`pruned`) and swaps the daemon's reference.
+    """
+
+    __slots__ = ("store", "_verdicts")
+
+    def __init__(self, store: Optional[ActionTreeStore] = None) -> None:
+        self.store = store
+        self._verdicts: Dict[Tuple, Dict[VecId, bool]] = {}
+
+    def verdicts_for(self, kind: str, params: Tuple) -> Dict[VecId, bool]:
+        """The ``{vector: verdict}`` dict of one query shape."""
+        return self._verdicts.setdefault((kind, params), {})
+
+    def pruned(self, live: Set[VecId]) -> "VerdictMemo":
+        """A new memo of the same store keeping only ``live`` vectors.
+
+        Readers may add entries meanwhile; ``dict.copy`` runs in one
+        step under the GIL, so the walk never sees a dict change size.
+        An entry a reader adds to this memo after its copy is dropped,
+        which costs a search later, never a wrong verdict.
+        """
+        kept = VerdictMemo(self.store)
+        for shape, verdicts in self._verdicts.copy().items():
+            alive = {v: hit for v, hit in verdicts.copy().items() if v in live}
+            if alive:
+                kept._verdicts[shape] = alive
+        return kept
+
+    def vectors(self) -> Set[VecId]:
+        """Every vector holding at least one verdict."""
+        return {
+            v for verdicts in self._verdicts.copy().values()
+            for v in verdicts.copy()
+        }
+
+
 class Query:
     """Base: a scoped question answerable from any read view."""
 
@@ -128,21 +185,35 @@ class Query:
         view: ModelReadView,
         classify: Callable[[Callable[[int], Action]], bool],
         deadline: Optional[float] = None,
+        memo: Optional[VerdictMemo] = None,
     ) -> Predicate:
         """OR of the ECs whose forwarding graph satisfies ``classify``.
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp;
         the EC walk — where all the graph classification and BDD work
         happens — checks it between entries and raises
-        :class:`~repro.errors.QueryTimeoutError` once passed.
+        :class:`~repro.errors.QueryTimeoutError` once passed.  With a
+        ``memo`` of the view's PAT store, a vector classified before
+        (by any query of this kind and parameters, at any epoch) is
+        looked up instead of searched again.
         """
+        verdicts: Dict[VecId, bool] = (
+            memo.verdicts_for(self.kind, self.params())
+            if memo is not None and memo.store is view.store
+            else {}
+        )
         out = view.engine.false
         for pred, vector in view.entries():
             if deadline is not None and time.monotonic() > deadline:
                 raise QueryTimeoutError(
                     f"{self.kind} query exceeded its deadline mid-walk"
                 )
-            if classify(lambda d, v=vector: view.action_of(v, d)):
+            hit = verdicts.get(vector)
+            if hit is None:
+                hit = verdicts[vector] = classify(
+                    lambda d, v=vector: view.action_of(v, d)
+                )
+            if hit:
                 out = out | pred
         return out
 
@@ -151,6 +222,7 @@ class Query:
         view: ModelReadView,
         topology: Topology,
         deadline: Optional[float] = None,
+        memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
         raise NotImplementedError
 
@@ -180,12 +252,14 @@ class ReachabilityQuery(Query):
         view: ModelReadView,
         topology: Topology,
         deadline: Optional[float] = None,
+        memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
         scope = self.scope_predicate(view)
         delivered = self._witness(
             view,
             lambda action_of: reaches_external(topology, action_of, self.source),
             deadline,
+            memo,
         )
         return QueryAnswer(
             holds=(scope - delivered).is_false,
@@ -206,12 +280,14 @@ class LoopQuery(Query):
         view: ModelReadView,
         topology: Topology,
         deadline: Optional[float] = None,
+        memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
         scope = self.scope_predicate(view)
         looping = self._witness(
             view,
             lambda action_of: forwarding_cycle(topology, action_of),
             deadline,
+            memo,
         )
         trapped = scope & looping
         return QueryAnswer(holds=trapped.is_false, headers=trapped.sat_count())
@@ -241,6 +317,7 @@ class WaypointQuery(Query):
         view: ModelReadView,
         topology: Topology,
         deadline: Optional[float] = None,
+        memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
         scope = self.scope_predicate(view)
         bypass = self._witness(
@@ -249,6 +326,7 @@ class WaypointQuery(Query):
                 topology, action_of, self.source, self.waypoint
             ),
             deadline,
+            memo,
         )
         escaped = scope & bypass
         return QueryAnswer(holds=escaped.is_false, headers=escaped.sat_count())
@@ -259,6 +337,7 @@ __all__ = [
     "Query",
     "QueryAnswer",
     "ReachabilityQuery",
+    "VerdictMemo",
     "WaypointQuery",
     "reaches_external_avoiding",
 ]

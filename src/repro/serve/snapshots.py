@@ -178,6 +178,11 @@ class SnapshotStore:
         with self._lock:
             return list(self._order)
 
+    def live_views(self) -> List[ModelReadView]:
+        """The views of every snapshot not yet retired, oldest first."""
+        with self._lock:
+            return [self._by_epoch[epoch].view for epoch in self._order]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._by_epoch)

@@ -1,22 +1,52 @@
-"""The historical per-overwrite cross product, kept verbatim as an oracle.
+"""Historical algorithms kept verbatim as oracles.
 
-This is the apply loop :class:`~repro.core.inverse_model.InverseModel`
-shipped before support pruning, signatures and ``split``: no pre-pass,
-and separate ``&``/``-`` traversals per (EC, overwrite) pair.  It is the
-semantic baseline ``tests/test_apply_fastpath.py`` and
-``tests/test_backend_conformance.py`` hold
-:meth:`InverseModel.apply_overwrites` equal to.  Do not optimise this
-module — its value is that it stays the known-good Definition-9
+:func:`apply_overwrites_reference` is the apply loop
+:class:`~repro.core.inverse_model.InverseModel` shipped before support
+pruning, signatures and ``split``: no pre-pass, and separate ``&``/``-``
+traversals per (EC, overwrite) pair.  It is the semantic baseline
+``tests/test_apply_fastpath.py`` and ``tests/test_backend_conformance.py``
+hold :meth:`InverseModel.apply_overwrites` equal to.
+
+:func:`unrestricted_overwrites` is Algorithm 1's second phase as the
+paper states it: every expanding rule — inserted, or below a deleted
+rule — overwrites its whole effective predicate.
+``tests/test_imt.py`` holds the freed-region restriction of
+:mod:`repro.core.imt` to the same model.
+
+Do not optimise this module — its value is that it stays the known-good
 semantics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.bdd.predicate import Predicate
 from repro.core.inverse_model import EcDelta, InverseModel, VecId
-from repro.core.overwrite import Overwrite
+from repro.core.overwrite import Overwrite, atomic
+from repro.dataplane.rule import Rule
+from repro.headerspace.match import MatchCompiler
+
+
+def unrestricted_overwrites(
+    device: int,
+    new_rules: Sequence[Rule],
+    expanding: Sequence[int],
+    compiler: MatchCompiler,
+) -> List[Overwrite]:
+    """Alg. 1 L29-44: ``(e'_r, a_r)`` for every expanding index, ascending."""
+    accumulated = compiler.engine.false
+    overwrites: List[Overwrite] = []
+    j = 0
+    for idx in expanding:
+        while j < idx:
+            accumulated = accumulated | compiler.compile(new_rules[j].match)
+            j += 1
+        rule = new_rules[idx]
+        effective = compiler.compile(rule.match) - accumulated
+        if not effective.is_false:
+            overwrites.append(atomic(effective, device, rule.action))
+    return overwrites
 
 
 def apply_overwrites_reference(

@@ -28,6 +28,7 @@ from repro.core.mr2 import (
     reduce_by_predicate,
 )
 from repro.core.overwrite import Overwrite, atomic, check_conflict_free
+from repro.core.rule_index import RuleIndex
 from repro.dataplane.fib import FibSnapshot, FibTable
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import UpdateBlock, delete, insert
@@ -35,7 +36,8 @@ from repro.errors import OverwriteConflictError, RuleNotFoundError
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match, MatchCompiler, Pattern
 
-from .conftest import assert_model_matches_snapshot, random_rule_strategy
+from .apply_reference import unrestricted_overwrites
+from .conftest import assert_model_matches_snapshot, case_rng, random_rule_strategy
 
 LAYOUT = dst_only_layout(4)
 ACTIONS = [1, 2, 3]
@@ -49,21 +51,32 @@ def fresh_compiler():
     return MatchCompiler(PredicateEngine(LAYOUT.total_bits), LAYOUT)
 
 
+def model_rows(model):
+    """Engine-independent EC table: the set of (sat_count, actions) rows."""
+    return {
+        (pred.sat_count(), tuple(sorted(model.store.to_dict(vec).items())))
+        for pred, vec in model.entries()
+    }
+
+
 class TestMergeBlockAndDiff:
     def test_pure_insert(self):
         table = FibTable()
         table.insert(rule(1, 0, 0, 1))
         new_rule = rule(3, 0b1000, 1, 2)
-        merged, rdiff = merge_block_and_diff(table.rules(), [insert(0, new_rule)])
+        merged, inserted, uncovered = merge_block_and_diff(
+            table.rules(), [insert(0, new_rule)]
+        )
         assert merged[0] == new_rule
-        assert [merged[i] for i in rdiff] == [new_rule]
+        assert [merged[i] for i in inserted] == [new_rule]
+        assert uncovered == []
 
     def test_insert_goes_after_equal_priority(self):
         table = FibTable()
         existing = rule(2, 0, 0, 1)
         table.insert(existing)
         new = rule(2, 0b1000, 1, 2)
-        merged, _ = merge_block_and_diff(table.rules(), [insert(0, new)])
+        merged, _, _ = merge_block_and_diff(table.rules(), [insert(0, new)])
         assert merged.index(existing) < merged.index(new)
 
     def test_delete_marks_lower_rules_expanding(self):
@@ -72,9 +85,12 @@ class TestMergeBlockAndDiff:
         low = rule(1, 0, 0, 2)
         table.insert(high)
         table.insert(low)
-        merged, rdiff = merge_block_and_diff(table.rules(), [delete(0, high)])
+        merged, inserted, uncovered = merge_block_and_diff(
+            table.rules(), [delete(0, high)]
+        )
         assert high not in merged
-        expanding = [merged[i] for i in rdiff]
+        assert inserted == []
+        expanding = [merged[i] for i in uncovered]
         assert low in expanding
         assert merged[-1] in expanding  # default rule expands too
 
@@ -84,8 +100,10 @@ class TestMergeBlockAndDiff:
         mid = rule(3, 0, 0, 2)
         table.insert(top)
         table.insert(mid)
-        merged, rdiff = merge_block_and_diff(table.rules(), [delete(0, mid)])
-        expanding = [merged[i] for i in rdiff]
+        merged, _, uncovered = merge_block_and_diff(
+            table.rules(), [delete(0, mid)]
+        )
+        expanding = [merged[i] for i in uncovered]
         assert top not in expanding
 
     def test_delete_missing_raises(self):
@@ -98,7 +116,7 @@ class TestMergeBlockAndDiff:
         a, b = rule(2, 0b0000, 2, 1), rule(2, 0b0100, 2, 2)
         table.insert(a)
         table.insert(b)
-        merged, _ = merge_block_and_diff(
+        merged, _, _ = merge_block_and_diff(
             table.rules(), [delete(0, b), delete(0, a)]
         )
         assert a not in merged and b not in merged
@@ -113,7 +131,7 @@ class TestMergeBlockAndDiff:
             insert(0, rule(2, 12, 2, 9)),
             insert(0, rule(5, 0, 1, 7)),
         ]
-        merged, _ = merge_block_and_diff(table.rules(), block)
+        merged, _, _ = merge_block_and_diff(table.rules(), block)
         expected = table.copy()
         expected.delete(rules[1])
         expected.insert(rule(2, 12, 2, 9))
@@ -124,7 +142,7 @@ class TestMergeBlockAndDiff:
         table = FibTable()
         for p in [4, 2]:
             table.insert(rule(p, 0, 0, p))
-        merged, _ = merge_block_and_diff(
+        merged, _, _ = merge_block_and_diff(
             table.rules(), [insert(0, rule(3, 0, 0, 3)), insert(0, rule(5, 0, 0, 5))]
         )
         priorities = [r.priority for r in merged]
@@ -304,12 +322,10 @@ class TestModelWriter:
         block_mgr.flush()
         puv_mgr = build_manager(threshold=1)
         puv_mgr.submit(updates)
+        assert_model_matches_snapshot(block_mgr.model, block_mgr.snapshot, LAYOUT)
         assert_model_matches_snapshot(puv_mgr.model, puv_mgr.snapshot, LAYOUT)
-        # Same ECs: compare predicate/vector sets.
-        lhs = {(p.node, v) for p, v in block_mgr.model.entries()}
-        rhs = {(p.node, v) for p, v in puv_mgr.model.entries()}
-        # Engines differ, so compare via behavior instead of node ids.
-        assert block_mgr.num_ecs() == puv_mgr.num_ecs()
+        # Engines differ, so compare behaviour rows, not node ids.
+        assert model_rows(block_mgr.model) == model_rows(puv_mgr.model)
 
     def test_matches_natural_transformation(self):
         manager = build_manager()
@@ -403,10 +419,10 @@ class TestEquivalenceProperties:
     def test_atomic_overwrites_conflict_free(self, rules):
         compiler = fresh_compiler()
         table = FibTable()
-        merged, rdiff = merge_block_and_diff(
+        merged, inserted, _ = merge_block_and_diff(
             table.rules(), [insert(0, r) for r in rules]
         )
-        overwrites = calculate_atomic_overwrites(0, merged, rdiff, compiler)
+        overwrites = calculate_atomic_overwrites(0, merged, inserted, compiler)
         check_conflict_free(overwrites)
 
     @given(st.lists(random_rule_strategy(LAYOUT, ACTIONS), max_size=8))
@@ -415,10 +431,10 @@ class TestEquivalenceProperties:
         compiler = fresh_compiler()
         engine = compiler.engine
         table = FibTable()
-        merged, rdiff = merge_block_and_diff(
+        merged, inserted, _ = merge_block_and_diff(
             table.rules(), [insert(0, r) for r in rules]
         )
-        overwrites = calculate_atomic_overwrites(0, merged, rdiff, compiler)
+        overwrites = calculate_atomic_overwrites(0, merged, inserted, compiler)
         # The "no-update" overwrite (p_c, ∅) of Alg. 1 L41-43, which
         # application treats implicitly, completes the partition.
         noop = ~engine.disj_many(ow.predicate for ow in overwrites)
@@ -487,3 +503,76 @@ class TestTrieAcceleratedMap:
             ]
         )
         assert_model_matches_snapshot(manager.model, manager.snapshot, LAYOUT)
+
+
+class TestFreedRegionOverwrites:
+    """A withdrawal overwrites only the header space it freed.
+
+    Random tables and mixed insert/withdraw blocks, on the scan and the
+    trie path: the restricted decomposition yields the same model as the
+    unrestricted Algorithm 1 (``tests/apply_reference.py``), and a block
+    of withdrawals only writes nothing outside the deleted matches.
+    """
+
+    CASES = 40
+
+    @staticmethod
+    def _random_rule(rng):
+        value, length = rng.getrandbits(4), rng.randint(0, 4)
+        if rng.random() < 0.7:
+            match = Match.dst_prefix(value, length, LAYOUT)
+        else:
+            match = Match({"dst": Pattern.suffix(value, length, 4)})
+        return Rule(rng.randint(1, 6), match, rng.choice(ACTIONS))
+
+    def _check(self, installed, block, use_trie):
+        compiler = fresh_compiler()
+        engine = compiler.engine
+        store = ActionTreeStore()
+        snapshot = FibSnapshot([0])
+        index = RuleIndex(LAYOUT) if use_trie else None
+        for r in installed:
+            snapshot.table(0).insert(r)
+            if index is not None:
+                index.add(r)
+        before = natural_transformation(snapshot, compiler, store)
+        table = snapshot.table(0)
+        merged, inserted, uncovered = merge_block_and_diff(table.rules(), block)
+        unrestricted = unrestricted_overwrites(
+            0, merged, sorted(inserted + uncovered), compiler
+        )
+        _, restricted = decompose_block(0, table.copy(), block, compiler, index)
+        models = []
+        for overwrites in (restricted, unrestricted):
+            model = InverseModel(engine, store, [0])
+            model.restore(before.entries())
+            model.apply_overwrites(overwrites)
+            model.check_invariants()
+            models.append(model)
+        assert model_rows(models[0]) == model_rows(models[1])
+        if not inserted:
+            freed = engine.disj_many(compiler.compile(u.rule.match) for u in block)
+            written = engine.disj_many(ow.predicate for ow in restricted)
+            assert (written - freed).is_false
+        return len(restricted), len(unrestricted)
+
+    @pytest.mark.parametrize("use_trie", [False, True], ids=["scan", "trie"])
+    def test_restricted_equals_unrestricted(self, use_trie):
+        emitted = {"restricted": 0, "unrestricted": 0}
+        for case in range(self.CASES):
+            rng = case_rng(case)
+            installed = list(
+                dict.fromkeys(self._random_rule(rng) for _ in range(rng.randint(1, 10)))
+            )
+            doomed = rng.sample(installed, rng.randint(1, min(3, len(installed))))
+            block = [delete(0, r) for r in doomed]
+            if case % 2:  # odd cases mix inserts in; even ones only withdraw
+                fresh = (self._random_rule(rng) for _ in range(rng.randint(1, 3)))
+                block += [
+                    insert(0, r) for r in dict.fromkeys(fresh) if r not in installed
+                ]
+            restricted, unrestricted = self._check(installed, block, use_trie)
+            emitted["restricted"] += restricted
+            emitted["unrestricted"] += unrestricted
+        # Not vacuous: the restriction drops some overwrites outright.
+        assert emitted["restricted"] < emitted["unrestricted"]

@@ -14,7 +14,7 @@ import pytest
 
 from repro.ce2d.verifier import SubspaceVerifier
 from repro.core.model_manager import ModelWriter
-from repro.dataplane.rule import Rule
+from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import delete, insert
 from repro.errors import (
     ServeClosedError,
@@ -563,6 +563,135 @@ class TestMidStormOracle:
         assert result.queries == 16
         assert result.final_epoch == len(workload.blocks) + 1
         assert result.ok
+
+
+# ----------------------------------------------------------------------
+# The verdict memo: per-vector verdicts reused across epochs
+# ----------------------------------------------------------------------
+
+def vectors_at(daemon, epoch):
+    with daemon.snapshots.pin(epoch) as snapshot:
+        return {vector for _, vector in snapshot.view.entries()}
+
+
+def live_vectors(daemon):
+    return {
+        vector
+        for view in daemon.snapshots.live_views()
+        for _, vector in view.entries()
+    }
+
+
+class TestVerdictMemo:
+    def test_vector_back_after_withdrawal_is_answered_from_the_memo(
+        self, monkeypatch
+    ):
+        from repro.serve import queries
+
+        searched = []
+        search = queries.reaches_external_avoiding
+
+        def counting(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(queries, "reaches_external_avoiding", counting)
+        topo, s, w, b, x = diamond()
+        bypass = Rule(10, Match.dst_prefix(0, 1, LAYOUT), b)
+        batches = [
+            exit_rules(topo, s, w, b, x),
+            [insert(s, bypass)],
+            [delete(s, bypass)],
+            [insert(s, bypass)],
+        ]
+        query = WaypointQuery(s, w)
+        searches, answers = [], []
+        with ServeDaemon(topo, LAYOUT, keep_snapshots=8) as daemon:
+            for batch in batches:
+                daemon._draining = False
+                daemon.submit_updates(batch, timeout=10.0)
+                daemon.drain()
+                del searched[:]
+                answers.append(daemon.ask(query).answer)
+                searches.append(len(searched))
+            back = vectors_at(daemon, 2) - vectors_at(daemon, 1)
+            assert len(back) == 1  # the bypass vector
+            assert not back & vectors_at(daemon, 3)  # withdrawn...
+            assert back <= vectors_at(daemon, 4)  # ...and back again
+            assert back <= daemon._memo.vectors()
+        # Epoch 2 searched the new vector once; epoch 4 searched nothing.
+        assert searches == [1, 1, 0, 0]
+        oracle = BatchOracle(topo, LAYOUT, batches)
+        for epoch, answer in enumerate(answers, start=1):
+            assert answer == query.evaluate(oracle.view_at(epoch), topo)
+        assert answers[3] == QueryAnswer(holds=False, headers=SPACE // 2)
+
+    def test_memo_holds_only_live_vectors(self):
+        topo, s, w, b, x = diamond()
+        hops = [(s, b), (w, s), (b, s), (s, DROP)]
+        queries = [ReachabilityQuery(s), LoopQuery(), WaypointQuery(s, w)]
+        with ServeDaemon(topo, LAYOUT, keep_snapshots=2) as daemon:
+            previous = []
+            batches = [exit_rules(topo, s, w, b, x)]
+            for i in range(8):
+                device, action = hops[i % len(hops)]
+                rule = Rule(10, Match.dst_prefix(i << 5, 3, LAYOUT), action)
+                batches.append(previous + [insert(device, rule)])
+                previous = [delete(device, rule)]
+            ever = set()
+            for batch in batches:
+                daemon._draining = False
+                daemon.submit_updates(batch, timeout=10.0)
+                daemon.drain()
+                assert daemon._memo.vectors() <= live_vectors(daemon)
+                for query in queries:
+                    daemon.ask(query)
+                assert daemon._memo.vectors() <= live_vectors(daemon)
+                ever |= daemon._memo.vectors()
+            assert daemon.epoch == len(batches)
+        # Not vacuous: vectors the memo once held died and left it.
+        assert ever - daemon._memo.vectors()
+
+    def test_memo_under_contention(self):
+        """More query workers than cores and a 10 µs switch interval, so
+        the writer's prune-and-swap interleaves with readers filling the
+        memo: every answer must still equal the oracle's."""
+        import sys
+
+        workload = build_workload(seed=3, quick=True)
+        workload.clients = 4
+        workload.queries_per_client = 15
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = run_load(workload, seed=3, workers=4, queue_size=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.divergences == []
+        assert result.ingest_failures == 0
+        assert result.queries == 60
+        assert result.final_epoch == len(workload.blocks) + 1
+
+    def test_poisoned_entry_is_reported_by_the_oracle_check(self):
+        """``repro serve``'s divergence check evaluates without the memo,
+        so a wrong memo entry cannot vouch for itself."""
+        from repro.serve.load import oracle_divergences
+
+        topo, s, w, b, x = diamond()
+        base = exit_rules(topo, s, w, b, x)
+        query = WaypointQuery(s, w)
+        with ServeDaemon(topo, LAYOUT) as daemon:
+            daemon.submit_updates(base, timeout=10.0)
+            daemon.drain()
+            (vector,) = vectors_at(daemon, 1)
+            # Every header goes S→W→X, so no vector bypasses W; claim one does.
+            daemon._memo.verdicts_for(query.kind, query.params())[vector] = True
+            served = daemon.ask(query)
+        assert served.answer == QueryAnswer(holds=False, headers=SPACE)
+        assert oracle_divergences([served], topo, LAYOUT, [base]) == [
+            f"epoch 1: {query!r} served {served.answer} but the batch "
+            f"oracle says {QueryAnswer(holds=True, headers=0)}"
+        ]
 
 
 # ----------------------------------------------------------------------
