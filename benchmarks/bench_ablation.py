@@ -7,8 +7,6 @@
    one by one (the "Flash (per-update mode)" of Figure 11, here on a storm).
 3. **Overlapped-rule trie on/off** — APKeep*'s per-update change
    computation with the §3.4 prefix trie vs a full-table scan.
-4. **Hyper-node compression on/off** — §4.3: potential-loop early
-   information that the naive synced-only approach misses (Figure 5(b)).
 """
 
 from __future__ import annotations
@@ -18,14 +16,8 @@ import time
 import pytest
 
 from repro.baselines.apkeep import APKeepVerifier
-from repro.ce2d.loop_detector import LoopDetector
 from repro.core.arraystore import ArrayActionStore
 from repro.core.model_manager import ModelWriter
-from repro.dataplane.rule import Rule
-from repro.dataplane.update import insert
-from repro.headerspace.fields import dst_only_layout
-from repro.headerspace.match import Match
-from repro.network.generators import fabric
 
 from .harness import save_json
 from .settings import lnet_apsp, lnet_ecmp
@@ -185,59 +177,6 @@ def bench_ablation_rule_trie(benchmark):
     assert results["trie"]["ecs"] == results["scan"]["ecs"]
     # The trie prunes non-overlapping rules, so it can only reduce BDD work.
     assert results["trie"]["ops"] <= results["scan"]["ops"]
-
-
-def bench_ablation_hyper_nodes(benchmark):
-    """Hyper-node compression surfaces potential loops the naive mode misses.
-
-    The Figure-5(b) situation: a synced chain points into an unsynced
-    region that can close the loop.  With hyper nodes the detector reports
-    potential-loop information; without, silence.
-    """
-    layout = dst_only_layout(6)
-    results = {}
-
-    def run():
-        from repro.network.topology import Topology
-
-        topo = Topology()
-        for name in "ABCX":
-            topo.add_device(name)
-        topo.add_link_by_name("A", "B")
-        topo.add_link_by_name("B", "C")
-        topo.add_link_by_name("C", "X")
-        topo.add_link_by_name("X", "A")
-        updates = {
-            "A": Rule(1, Match.wildcard(), topo.id_of("B")),
-            "B": Rule(1, Match.wildcard(), topo.id_of("C")),
-            "C": Rule(1, Match.wildcard(), topo.id_of("X")),
-        }
-        for label, use_hyper in (("hyper", True), ("naive", False)):
-            from repro.core.model_manager import ModelWriter
-
-            manager = ModelWriter(topo.switches(), layout)
-            detector = LoopDetector(topo, use_hyper=use_hyper)
-            for name, rule in updates.items():
-                device = topo.id_of(name)
-                manager.submit([insert(device, rule)])
-                deltas = manager.flush()
-                detector.on_model_update(deltas, [device], manager.model)
-            results[label] = {
-                "potential_loops": detector.potential_loops,
-                "verdict": detector.verdict.value,
-            }
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\n=== Ablation — hyper-node compression (Figure 5(b)) ===")
-    for label, r in results.items():
-        print(
-            f"{label:<6} potential loops {r['potential_loops']}  "
-            f"verdict {r['verdict']}"
-        )
-    save_json("ablation_hyper", results)
-    assert results["hyper"]["potential_loops"] > 0
-    assert results["naive"]["potential_loops"] == 0
 
 
 def bench_ablation_flash_trie(benchmark):

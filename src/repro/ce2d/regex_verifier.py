@@ -33,6 +33,18 @@ from ..results import Verdict, VerificationReport
 from .verification_graph import VerificationGraph
 
 
+def requirement_graph(
+    requirement: Requirement, topology: Topology, layout: HeaderLayout
+) -> VerificationGraph:
+    """The requirement's verification graph before any device prunes it."""
+    return VerificationGraph(
+        topology,
+        requirement.automaton(),
+        requirement.sources,
+        requirement.selector_context(topology, layout),
+    )
+
+
 @dataclass
 class _EcEntry:
     graph: VerificationGraph
@@ -54,6 +66,7 @@ class RegexVerifier:
         compiler: MatchCompiler,
         use_dgq: bool = True,
         universe: Optional[Predicate] = None,
+        graph: Optional[VerificationGraph] = None,
     ) -> None:
         if requirement.is_cover:
             raise SpecError("cover requirements use CoverVerifier")
@@ -64,16 +77,19 @@ class RegexVerifier:
         self.use_dgq = use_dgq
         self.space = compiler.compile(requirement.packet_space)
         self.synced: Set[int] = set()
-        context = requirement.selector_context(topology, layout)
-        base_graph = VerificationGraph(
-            topology, requirement.automaton(), requirement.sources, context
+        # The requirement's unpruned graph: read only, every entry prunes
+        # a clone, so one graph can serve every verifier of the requirement.
+        if graph is None:
+            graph = requirement_graph(requirement, topology, layout)
+        self._template = graph
+        self._graph_switches = frozenset(
+            d for d in graph.nodes_of if not topology.device(d).is_external
         )
-        self._template = base_graph
         # ecTable: predicate node id → entry.  Starts with the verifier's
         # universe (the whole space, or the subspace being verified).
         initial = compiler.engine.true if universe is None else universe
         self._table: Dict[int, _EcEntry] = {
-            initial.node: self._entry(base_graph.clone(), initial)
+            initial.node: self._entry(graph.clone(), initial)
         }
         # Predicate nodes known to miss the packet space (node → pinning
         # handle).  With _table's keys — all inside it — this is what one
@@ -154,14 +170,14 @@ class RegexVerifier:
             # Every destination must stay reachable.
             if reachable_devices != accept_devices:
                 return Verdict.VIOLATED
-            if self._all_synced(entry):
+            if self._graph_switches <= self.synced:
                 return Verdict.SATISFIED
             return Verdict.UNKNOWN
         if mult is Multiplicity.ANYCAST:
             # Exactly one destination may remain reachable in the end.
             if not reachable_devices:
                 return Verdict.VIOLATED
-            if self._all_synced(entry):
+            if self._graph_switches <= self.synced:
                 return (
                     Verdict.SATISFIED
                     if len(reachable_devices) == 1
@@ -172,14 +188,6 @@ class RegexVerifier:
 
     def _synced_path(self, entry: _EcEntry):
         return entry.graph.synced_accept_search(self.synced)
-
-    def _all_synced(self, entry: _EcEntry) -> bool:
-        switch_devices = {
-            d
-            for d, _ in entry.graph.out_edges
-            if not self.topology.device(d).is_external
-        }
-        return switch_devices <= self.synced
 
     # ------------------------------------------------------------------
     def report(self) -> VerificationReport:
@@ -217,6 +225,7 @@ class CoverVerifier:
         topology: Topology,
         layout: HeaderLayout,
         compiler: MatchCompiler,
+        graph: Optional[VerificationGraph] = None,
     ) -> None:
         if not requirement.is_cover:
             raise SpecError("CoverVerifier needs a cover requirement")
@@ -226,9 +235,11 @@ class CoverVerifier:
         self.compiler = compiler
         self.space = compiler.compile(requirement.packet_space)
         self.synced: Set[int] = set()
-        context = requirement.selector_context(topology, layout)
-        self.graph = VerificationGraph(
-            topology, requirement.automaton(), requirement.sources, context
+        # Read only, like RegexVerifier's template.
+        self.graph = (
+            requirement_graph(requirement, topology, layout)
+            if graph is None
+            else graph
         )
         self._violated: Optional[str] = None
 
@@ -245,9 +256,8 @@ class CoverVerifier:
             for device in fresh:
                 required = {
                     succ[0]
-                    for node, succs in self.graph.out_edges.items()
-                    if node[0] == device
-                    for succ in succs
+                    for node in self.graph.nodes_of.get(device, ())
+                    for succ in self.graph.out_edges[node]
                 }
                 if not required:
                     continue
@@ -267,7 +277,7 @@ class CoverVerifier:
         else:
             graph_devices = {
                 d
-                for d, _ in self.graph.out_edges
+                for d in self.graph.nodes_of
                 if not self.topology.device(d).is_external
             }
             verdict = (

@@ -47,6 +47,14 @@ class VerificationGraph:
         self.in_edges: Dict[Node, Set[Node]] = {}
         self.accepting: Set[Node] = set()
         self._build(sources, max_nodes)
+        # device → its product nodes, in ``out_edges`` order.  Pruning only
+        # removes edges, so the node set never changes and clones share it.
+        nodes_of: Dict[int, List[Node]] = {}
+        for node in self.out_edges:
+            nodes_of.setdefault(node[0], []).append(node)
+        self.nodes_of: Dict[int, Tuple[Node, ...]] = {
+            device: tuple(nodes) for device, nodes in nodes_of.items()
+        }
 
     # -- construction -----------------------------------------------------
     def _build(self, sources: Iterable[int], max_nodes: int) -> None:
@@ -100,6 +108,7 @@ class VerificationGraph:
         copy.out_edges = {n: set(e) for n, e in self.out_edges.items()}
         copy.in_edges = {n: set(e) for n, e in self.in_edges.items()}
         copy.accepting = set(self.accepting)
+        copy.nodes_of = self.nodes_of
         return copy
 
     # -- decremental pruning ------------------------------------------------------
@@ -110,9 +119,8 @@ class VerificationGraph:
         """
         allowed = set(next_hops_of(action))
         removed: List[Tuple[Node, Node]] = []
-        for node, succs in self.out_edges.items():
-            if node[0] != device:
-                continue
+        for node in self.nodes_of.get(device, ()):
+            succs = self.out_edges[node]
             doomed = [s for s in succs if s[0] not in allowed]
             for succ in doomed:
                 succs.discard(succ)

@@ -29,6 +29,7 @@ from ..spec.requirement import Requirement
 from ..telemetry import Telemetry
 from .loop_detector import LoopDetector
 from .regex_verifier import CoverVerifier, RegexVerifier
+from .verification_graph import VerificationGraph
 
 
 class Checker:
@@ -73,6 +74,7 @@ class SubspaceVerifier:
         subspace_match=None,
         check_loops: bool = False,
         requirements: Sequence[Requirement] = (),
+        graphs: Optional[Sequence[VerificationGraph]] = None,
         block_threshold: Optional[int] = None,
         use_dgq: bool = True,
         manager: Optional[ModelWriter] = None,
@@ -102,10 +104,17 @@ class SubspaceVerifier:
             if check_loops
             else None
         )
+        # ``graphs``: each requirement's unpruned verification graph, read
+        # only, so one build can serve every epoch; each checker builds its
+        # own when None.
+        if graphs is None:
+            graphs = [None] * len(requirements)
         self.regex_verifiers: List[Union[RegexVerifier, CoverVerifier]] = []
-        for req in requirements:
+        for req, graph in zip(requirements, graphs):
             if req.is_cover:
-                verifier = CoverVerifier(req, topology, layout, self.manager.compiler)
+                verifier = CoverVerifier(
+                    req, topology, layout, self.manager.compiler, graph=graph
+                )
             else:
                 verifier = RegexVerifier(
                     req,
@@ -114,6 +123,7 @@ class SubspaceVerifier:
                     self.manager.compiler,
                     use_dgq=use_dgq,
                     universe=self.manager.model.universe,
+                    graph=graph,
                 )
             self.regex_verifiers.append(verifier)
         self.custom_checkers: List[Checker] = []

@@ -29,6 +29,8 @@ from typing import (
 )
 
 from .ce2d.dispatcher import CE2DDispatcher
+from .ce2d.regex_verifier import requirement_graph
+from .ce2d.verification_graph import VerificationGraph
 from .ce2d.verifier import SubspaceVerifier
 from .core.inverse_model import EcDelta
 from .core.model_manager import ModelReadView
@@ -223,6 +225,9 @@ class Flash:
                 for match in matches
             ]
         )
+        # Each requirement's verification graph, built for the first epoch
+        # and cloned by every epoch's checkers after it.
+        self._graphs: Optional[List[VerificationGraph]] = None
         self.dispatcher = CE2DDispatcher(
             self.trunk,
             self._make_verifier,
@@ -233,28 +238,34 @@ class Flash:
     def _make_verifier(self, epoch: EpochTag) -> EpochGroupVerifier:
         """One epoch's checkers over the trunk's models; each subspace
         gets the requirements whose packet space overlaps it."""
-        return EpochGroupVerifier(
-            [
+        if self._graphs is None:
+            self._graphs = [
+                requirement_graph(r, self.topology, self.layout)
+                for r in self.requirements
+            ]
+        members = []
+        for member in self.trunk.members:
+            chosen = [
+                i
+                for i, r in enumerate(self.requirements)
+                if member.subspace_match is None
+                or matches_intersect(r.packet_space, member.subspace_match)
+            ]
+            members.append(
                 SubspaceVerifier(
                     self.topology,
                     self.layout,
                     epoch=epoch,
                     subspace_match=member.subspace_match,
                     check_loops=self.check_loops,
-                    requirements=[
-                        r
-                        for r in self.requirements
-                        if member.subspace_match is None
-                        or matches_intersect(r.packet_space, member.subspace_match)
-                    ],
+                    requirements=[self.requirements[i] for i in chosen],
+                    graphs=[self._graphs[i] for i in chosen],
                     use_dgq=self.use_dgq,
                     manager=member.manager,
                     telemetry=self.telemetry,
                 )
-                for member in self.trunk.members
-            ],
-            epoch=epoch,
-        )
+            )
+        return EpochGroupVerifier(members, epoch=epoch)
 
     # -- online ingestion (Figure 1 steps 2-8) -----------------------------
     def receive(

@@ -41,9 +41,8 @@ class EagerLoopDetector:
     over an exhaustive search.
     """
 
-    def __init__(self, topology, use_hyper=True):
+    def __init__(self, topology):
         self.topology = topology
-        self.use_hyper = use_hyper
         self.synced = set()
         self.verdict = Verdict.UNKNOWN
         self.loop_path = None
@@ -101,8 +100,6 @@ class EagerLoopDetector:
                 for hop in next_hops_of(model.action_of(vector, device)):
                     if not self.topology.has_link(device, hop):
                         continue  # stale/foreign next hop: not a real edge
-                    if not self.use_hyper and hop in hyper_of:
-                        continue  # naive mode: drop unsynchronised nodes
                     succs.append(hyper_of.get(hop, hop))
                 per_ec.append(tuple(succs))
             out[device] = per_ec

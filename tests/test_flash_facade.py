@@ -9,6 +9,7 @@ from repro import (
     Rule,
     SubspacePartition,
     Verdict,
+    delete,
     dst_only_layout,
     insert,
     internet2,
@@ -51,6 +52,39 @@ class TestFlashOnline:
         flash.receive(0, "e2", [insert(0, Rule(2, Match.wildcard(), 3))])
         assert flash.dispatcher.verifier_for("e1") is None
         assert flash.dispatcher.verifier_for("e2") is not None
+
+    def test_shared_verification_graphs_outlive_an_epochs_pruning(self):
+        """Every epoch clones one graph per requirement: e1 prunes S to
+        its next hop A, and e2, where S forwards to W, still judges on the
+        unpruned graph — its verdicts equal a fresh Flash's."""
+        topo = figure3_example()
+        reqs = [
+            requirement(
+                "waypoint", topo, LAYOUT, Match.wildcard(), ["S"], "S .* [W|Y] .* D"
+            ),
+            requirement("cover", topo, LAYOUT, Match.wildcard(), ["S"], "cover (S W C)"),
+        ]
+        to_a = Rule(1, Match.wildcard(), topo.id_of("A"))
+        used = Flash(topo, LAYOUT, requirements=reqs)
+        used.receive(topo.id_of("S"), "e1", [insert(topo.id_of("S"), to_a)])
+        used.receive(topo.id_of("A"), "e1", [fwd(topo, "A", "S")])
+        assert used.first_violation() is not None
+        fresh = Flash(topo, LAYOUT, requirements=reqs)
+        s_to_w = [fwd(topo, "S", "W")]
+        steps = [
+            ("S", [delete(topo.id_of("S"), to_a)] + s_to_w, s_to_w),
+            ("W", [fwd(topo, "W", "C")], None),
+            ("C", [fwd(topo, "C", "D")], None),
+            ("D", [], None),
+        ]
+        for name, batch, first_time in steps:
+            device = topo.id_of(name)
+            ours = used.receive(device, "e2", batch)
+            theirs = fresh.receive(device, "e2", first_time or batch)
+            assert [(r.verdict, getattr(r, "detail", "")) for r in ours] == [
+                (r.verdict, getattr(r, "detail", "")) for r in theirs
+            ], name
+        assert [r.verdict for r in ours[1:]] == [Verdict.SATISFIED] * 2
 
 
 class TestFlashOffline:

@@ -203,15 +203,15 @@ def assert_forwarding_cycle(topo, loop_path, synced, deltas, model):
 class TestDemandDrivenSearch:
     """The shipped detector against the eager whole-table oracle."""
 
-    @pytest.mark.parametrize("use_hyper", [True, False])
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
-    def test_matches_eager_oracle_after_every_update(self, use_hyper, seed):
+    def test_matches_eager_oracle_after_every_update(self, seed):
+        """Re-reports after every device: the hyper-node DFS from the first."""
         rng = case_rng(seed)
         topo = mixed_topology(rng)
         verifier = SubspaceVerifier(topo, LAYOUT)
-        detector = LoopDetector(topo, use_hyper=use_hyper)
-        oracle = EagerLoopDetector(topo, use_hyper=use_hyper)
+        detector = LoopDetector(topo)
+        oracle = EagerLoopDetector(topo)
         seen = []
 
         class Both(Checker):
@@ -229,14 +229,79 @@ class TestDemandDrivenSearch:
         for device in order:
             was_violated = detector.verdict is Verdict.VIOLATED
             verifier.receive(device, mixed_batch(topo, device, rng, installed[device]))
-            context = (seed, use_hyper, device)
+            context = (seed, device)
             assert detector.verdict is oracle.verdict, context
-            assert detector.potential_loops == oracle.potential_loops, context
             assert detector.synced == oracle.synced
             if detector.verdict is Verdict.VIOLATED and not was_violated:
                 assert_forwarding_cycle(
                     topo, detector.loop_path, detector.synced, *seen[-1]
                 )
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_fast_path_matches_eager_oracle(self, seed):
+        """Every switch synchronises exactly once, sometimes two in one
+        update (an epoch opening late), with lineage-only updates from
+        not yet synchronised switches in between: the synchronised-only
+        search throughout."""
+        rng = case_rng(seed)
+        topo = mixed_topology(rng)
+        verifier = SubspaceVerifier(topo, LAYOUT)
+        detector = LoopDetector(topo)
+        oracle = EagerLoopDetector(topo)
+        model = verifier.manager.model
+        installed = {d: [] for d in topo.switches()}
+        pending = rng.sample(topo.switches(), len(installed))
+        while pending:
+            if rng.random() < 0.3:
+                outsider = rng.choice(pending)
+                deltas = verifier.apply(
+                    mixed_batch(topo, outsider, rng, installed[outsider])
+                )
+                detector.on_model_update(deltas, (), model)
+                oracle.on_model_update(deltas, (), model)
+            cut = rng.randint(1, 2)
+            now, pending = pending[:cut], pending[cut:]
+            batch = [u for d in now for u in mixed_batch(topo, d, rng, installed[d])]
+            deltas = verifier.apply(batch)
+            was_violated = detector.verdict is Verdict.VIOLATED
+            detector.on_model_update(deltas, now, model)
+            oracle.on_model_update(deltas, now, model)
+            assert detector.verdict is oracle.verdict, (seed, now)
+            if detector.verdict is Verdict.VIOLATED and not was_violated:
+                assert_forwarding_cycle(
+                    topo, detector.loop_path, detector.synced, deltas, model
+                )
+        assert detector.verdict is not Verdict.UNKNOWN
+    @pytest.mark.parametrize("rereport", [False, True])
+    def test_only_a_same_tag_rereport_leaves_the_fast_path(self, rereport):
+        """Syncing 0 (→ 1, still dark) walks one device on the fast path;
+        the hyper-node DFS also resolves 2, an exit of hyper node {1}.  A
+        lineage-only update keeps the fast path, a re-report leaves it."""
+        topo = line(3)
+        sink = topo.add_external("sink")
+        topo.add_link(2, sink)
+        telemetry = Telemetry()
+        verifier = SubspaceVerifier(
+            topo, LAYOUT, check_loops=True, telemetry=telemetry
+        )
+        oracle = EagerLoopDetector(topo)
+        verifier.add_checker(oracle)
+        lookups = telemetry.registry.counter("ce2d.loop.lookups")
+        low = Match.dst_prefix(0, 1, LAYOUT)
+        verifier.receive(2, [insert(2, Rule(1, Match.wildcard(), sink))])
+        # Device 1, outside the epoch, splits the table: lineage only.
+        verifier.observe(verifier.apply([insert(1, Rule(1, low, 0))]), ())
+        if rereport:
+            verifier.receive(2, [insert(2, Rule(2, low, sink))])
+        before = lookups.value
+        reports = verifier.receive(0, [insert(0, Rule(1, Match.wildcard(), 1))])
+        assert reports[0].verdict is reports[1].verdict is Verdict.UNKNOWN
+        ecs = len(verifier.manager.model)
+        assert lookups.value - before == (2 if rereport else 1) * ecs
+        # 1 joins with the rule it sent while outside: 0 → 1 → 0 for low.
+        reports = verifier.receive(1, [])
+        assert reports[0].verdict is reports[1].verdict is Verdict.VIOLATED
 
     def test_no_new_device_means_no_lookup(self):
         """An update that synchronises nobody costs no model look-up."""
@@ -261,7 +326,6 @@ class TestDemandDrivenSearch:
         for resend in ([], [0], [1, 0]):
             report = detector.on_model_update(deltas, resend, model)
             assert report.verdict is Verdict.UNKNOWN
-            assert detector.potential_loops == 0
             eager.on_model_update(deltas, resend, model._model)
         assert model.asked == []
         assert eager.lookups == 3 * 2 * len(deltas) > 0  # what it used to cost
