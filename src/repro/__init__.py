@@ -22,9 +22,6 @@ _EXPORTS = {
     "find_blackholes": ".analysis",
     "reachability_matrix": ".analysis",
     "trace_header": ".analysis",
-    "DatasetBundle": ".datasets",
-    "load_bundle": ".datasets",
-    "save_bundle": ".datasets",
     "Predicate": ".bdd",
     "PredicateEngine": ".bdd",
     "CE2DDispatcher": ".ce2d",
@@ -33,7 +30,6 @@ _EXPORTS = {
     "VerificationReport": ".results",
     "LoopReport": ".results",
     "Report": ".results",
-    "RunSummary": ".results",
     "FrozenReadView": ".core",
     "ModelReadView": ".core",
     "ModelWriter": ".core",

@@ -127,8 +127,9 @@ class _BddGauges:
     Engines that share a registry (a partitioned ``Flash`` has one per
     subspace) share the gauge names, so a collector per engine would
     leave the last engine's numbers standing as the system's.  Counts
-    and sizes are summed; ``bdd.cache.limit`` is a per-engine bound and
-    stays one bound.
+    and sizes are summed.  The op-cache bound is the constant
+    ``CACHE_LIMIT`` (``BDD.cache_limit``), not a measurement, so no gauge
+    carries it: a merge that adds gauges would report a multiple of it.
     """
 
     def __init__(self) -> None:
@@ -155,7 +156,6 @@ class _BddGauges:
             if hasattr(bdd, "cache_size"):  # not the tests' reference oracle
                 cache_size += bdd.cache_size
                 unique_size += bdd.unique_used
-                registry.gauge("bdd.cache.limit").set(bdd.cache_limit)
         total.publish(registry)
         registry.gauge("bdd.nodes").set(live)
         registry.gauge("bdd.nodes.allocated").set(allocated)

@@ -4,7 +4,7 @@ from .causal import CausalConvergenceDetector, EventState
 from .dispatcher import CE2DDispatcher, VerifierFactory
 from .epoch import EpochTracker
 from .loop_detector import LoopDetector
-from .reachability import DgqReachability, ModelTraversal
+from .reachability import DgqReachability
 from .regex_verifier import CoverVerifier, RegexVerifier
 from ..results import LoopReport, Verdict, VerificationReport
 from .verification_graph import VerificationGraph
@@ -18,7 +18,6 @@ __all__ = [
     "EpochTracker",
     "LoopDetector",
     "DgqReachability",
-    "ModelTraversal",
     "CoverVerifier",
     "RegexVerifier",
     "LoopReport",

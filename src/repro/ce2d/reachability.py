@@ -2,8 +2,9 @@
 
 §4.2 observes that once a verification graph is built, synchronisation only
 *removes* edges, so accept-reachability can be maintained decrementally
-instead of re-traversed (the MT baseline) after every batch.  This module
-implements the maintainer benchmarked in Figures 12/18:
+instead of re-traversed after every batch.  This module implements that
+maintainer; ``benchmarks/bench_fig12_dgq.py`` times it against the full
+traversal (the MT baseline) for Figures 12/18:
 
 * a spanning forest of the reachable region, rooted at the sources;
 * on deletion of a non-forest edge: O(1);
@@ -113,20 +114,3 @@ class DgqReachability:
 
 
 _MISSING = object()
-
-
-class ModelTraversal:
-    """The MT baseline of §5.4: full traversal on every query."""
-
-    def __init__(self, graph: VerificationGraph) -> None:
-        self.graph = graph
-
-    def delete_edges(self, removed: Iterable[Tuple[Node, Node]]) -> None:
-        """MT keeps no state — deletions are already in the graph."""
-
-    def accept_reachable(self) -> bool:
-        return self.graph.accept_reachable()
-
-    def reachable_accepting(self) -> Set[Node]:
-        reached = self.graph.reachable_from_sources()
-        return {n for n in self.graph.accepting if n in reached}

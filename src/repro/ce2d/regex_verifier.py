@@ -6,7 +6,7 @@ The verifier keeps one verification graph per equivalence class (the
 1. duplicates the parent graph for ECs that split (provenance comes from
    :class:`~repro.core.inverse_model.EcDelta`);
 2. prunes the edges of newly synchronised devices to the EC's actions;
-3. queries reachability — decrementally (DGQ) or by traversal (MT).
+3. queries reachability decrementally (DGQ).
 
 Verdict semantics (§4.2): once no accepting node is reachable the
 requirement is consistently **violated** for that EC; once an accepting node
@@ -28,7 +28,7 @@ from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import MatchCompiler
 from ..network.topology import Topology
 from ..spec.requirement import Multiplicity, Requirement
-from .reachability import DgqReachability, ModelTraversal
+from .reachability import DgqReachability
 from ..results import Verdict, VerificationReport
 from .verification_graph import VerificationGraph
 
@@ -48,7 +48,7 @@ def requirement_graph(
 @dataclass
 class _EcEntry:
     graph: VerificationGraph
-    maintainer: object  # DgqReachability or ModelTraversal
+    reach: DgqReachability
     verdict: Verdict
     # The handle behind this entry's key: while it is held, the engine
     # cannot recycle the node id for another predicate.
@@ -64,7 +64,6 @@ class RegexVerifier:
         topology: Topology,
         layout: HeaderLayout,
         compiler: MatchCompiler,
-        use_dgq: bool = True,
         universe: Optional[Predicate] = None,
         graph: Optional[VerificationGraph] = None,
     ) -> None:
@@ -74,7 +73,6 @@ class RegexVerifier:
         self.topology = topology
         self.layout = layout
         self.compiler = compiler
-        self.use_dgq = use_dgq
         self.space = compiler.compile(requirement.packet_space)
         self.synced: Set[int] = set()
         # The requirement's unpruned graph: read only, every entry prunes
@@ -100,10 +98,9 @@ class RegexVerifier:
         )
 
     def _entry(self, graph: VerificationGraph, predicate: Predicate) -> _EcEntry:
-        maintainer = (
-            DgqReachability(graph) if self.use_dgq else ModelTraversal(graph)
+        return _EcEntry(
+            graph, DgqReachability(graph), Verdict.UNKNOWN, predicate
         )
-        return _EcEntry(graph, maintainer, Verdict.UNKNOWN, predicate)
 
     # ------------------------------------------------------------------
     def on_model_update(
@@ -135,7 +132,7 @@ class RegexVerifier:
                         removed = entry.graph.prune_device(
                             device, model.action_of(delta.vector, device)
                         )
-                        entry.maintainer.delete_edges(removed)
+                        entry.reach.delete_edges(removed)
                 else:
                     entry = self._entry(parent.graph.clone(), delta.predicate)
             if entry.verdict is Verdict.UNKNOWN:
@@ -143,7 +140,7 @@ class RegexVerifier:
                     removed = entry.graph.prune_device(
                         device, model.action_of(delta.vector, device)
                     )
-                    entry.maintainer.delete_edges(removed)
+                    entry.reach.delete_edges(removed)
                 entry.verdict = self._judge(entry)
             next_table[node] = entry
         self._table = next_table
@@ -151,7 +148,7 @@ class RegexVerifier:
         return self.report()
 
     def _judge(self, entry: _EcEntry) -> Verdict:
-        reachable = entry.maintainer.reachable_accepting()
+        reachable = entry.reach.reachable_accepting()
         return self._verdict_from_reachability(entry, reachable)
 
     def _verdict_from_reachability(

@@ -76,7 +76,6 @@ class SubspaceVerifier:
         requirements: Sequence[Requirement] = (),
         graphs: Optional[Sequence[VerificationGraph]] = None,
         block_threshold: Optional[int] = None,
-        use_dgq: bool = True,
         manager: Optional[ModelWriter] = None,
         telemetry: Optional[Telemetry] = None,
         validation: str = "strict",
@@ -121,7 +120,6 @@ class SubspaceVerifier:
                     topology,
                     layout,
                     self.manager.compiler,
-                    use_dgq=use_dgq,
                     universe=self.manager.model.universe,
                     graph=graph,
                 )

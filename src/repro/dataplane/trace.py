@@ -4,19 +4,30 @@ Table 2's "Update Generation" column for the trace settings reads: *"Insert
 each rule in a sequence and then delete it in the same order from the
 sequence"* — doubling the update count relative to the FIB scale.  This
 module builds those sequences, plus interleavings that emulate update storms
-(all devices bursting at once) and long-tail arrivals.
+(all devices bursting at once) and long-tail arrivals.  It also holds the
+one JSON codec for rules and updates, which trace files and fuzz scenarios
+share.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import DataPlaneError
 from ..headerspace.match import Match, Pattern
-from .rule import Rule
-from .update import RuleUpdate, UpdateOp, delete, insert
+from .rule import DROP, Action, Rule, ecmp
+from .update import EpochTag, RuleUpdate, UpdateOp, delete, insert
 
 
 def insert_then_delete(
@@ -81,26 +92,100 @@ def long_tail_split(
 
 
 # ----------------------------------------------------------------------
-# Serialisation — keeps generated data planes reusable across runs.
+# The JSON codec for matches, actions, rules and updates.  Trace lines
+# and fuzz scenarios both go through it; the decoder is the one place a
+# rule from outside the program is checked and brought to canonical form.
 # ----------------------------------------------------------------------
 
-def _pattern_to_json(pattern: Pattern) -> List[List[int]]:
-    return [[v, m] for v, m in pattern.ternaries]
+def match_to_json(match: Match) -> Dict[str, List[List[int]]]:
+    return {
+        f: [[v, m] for v, m in p.ternaries] for f, p in match.patterns.items()
+    }
 
 
-def _pattern_from_json(data: List[List[int]]) -> Pattern:
-    return Pattern(tuple((v, m) for v, m in data))
+def match_from_json(data: Dict[str, Any]) -> Match:
+    return Match({f: Pattern(_ternaries(p)) for f, p in data.items()})
+
+
+def _ternaries(data: List[Any]) -> Tuple[Tuple[int, int], ...]:
+    out = []
+    for value, mask in data:
+        # ``type(...) is int`` also turns away bools, which JSON keeps apart.
+        if type(value) is not int or type(mask) is not int:
+            raise DataPlaneError(
+                f"ternary {json.dumps([value, mask])} is not two integers"
+            )
+        out.append((value, mask))
+    return tuple(out)
+
+
+def _integer(value: Any, what: str) -> int:
+    if type(value) is int:
+        return value
+    raise DataPlaneError(f"{what} {json.dumps(value)} is not an integer")
+
+
+def action_from_json(data: Any) -> Action:
+    """Decode an action: a next hop, ``"DROP"`` or a list of next hops.
+
+    An ECMP list comes back in :func:`~repro.dataplane.rule.ecmp`'s
+    canonical form, so ``[2, 1]`` and ``[1, 2]`` are one action and
+    ``[3]`` is ``3`` (Definition 6: action vectors are unique).
+    """
+    if type(data) is int:
+        return data
+    if data == DROP:
+        return DROP
+    if type(data) is list:
+        last = None
+        canonical = len(data) > 1
+        for hop in data:
+            _integer(hop, "next hop")
+            if last is not None and hop <= last:
+                canonical = False
+            last = hop
+        return tuple(data) if canonical else ecmp(*data)
+    raise DataPlaneError(
+        f"action {json.dumps(data)} is not a next hop, "
+        f"{json.dumps(DROP)} or a list of next hops"
+    )
+
+
+def rule_to_json(rule: Rule) -> Dict[str, Any]:
+    action = rule.action
+    return {
+        "priority": rule.priority,
+        "match": match_to_json(rule.match),
+        "action": list(action) if isinstance(action, tuple) else action,
+    }
+
+
+def rule_from_json(data: Dict[str, Any]) -> Rule:
+    return Rule(
+        _integer(data["priority"], "priority"),
+        match_from_json(data["match"]),
+        action_from_json(data["action"]),
+    )
+
+
+def decode_update(
+    head: Dict[str, Any], rule: Dict[str, Any], epoch: Optional[EpochTag]
+) -> RuleUpdate:
+    """An update from its ``op`` / ``device`` fields and its rule's fields
+    (one object in a trace line, nested objects in a fuzz scenario)."""
+    return RuleUpdate(
+        UpdateOp(head["op"]),
+        _integer(head["device"], "device"),
+        rule_from_json(rule),
+        epoch,
+    )
 
 
 def update_to_json(update: RuleUpdate) -> str:
     payload = {
         "op": update.op.value,
         "device": update.device,
-        "priority": update.rule.priority,
-        "match": {
-            f: _pattern_to_json(p) for f, p in update.rule.match.patterns.items()
-        },
-        "action": update.rule.action,
+        **rule_to_json(update.rule),
         "epoch": update.epoch,
     }
     return json.dumps(payload, separators=(",", ":"))
@@ -108,16 +193,7 @@ def update_to_json(update: RuleUpdate) -> str:
 
 def update_from_json(line: str) -> RuleUpdate:
     payload = json.loads(line)
-    match = Match(
-        {f: _pattern_from_json(p) for f, p in payload["match"].items()}
-    )
-    action = payload["action"]
-    if isinstance(action, list):
-        action = tuple(action)
-    rule = Rule(priority=payload["priority"], match=match, action=action)
-    return RuleUpdate(
-        UpdateOp(payload["op"]), payload["device"], rule, payload.get("epoch")
-    )
+    return decode_update(payload, payload, payload.get("epoch"))
 
 
 def write_trace(path: str, updates: Iterable[RuleUpdate]) -> int:
@@ -143,6 +219,8 @@ def read_trace(path: str) -> Iterator[RuleUpdate]:
                     continue
                 try:
                     update = update_from_json(line)
+                except DataPlaneError as exc:
+                    raise DataPlaneError(f"{path}:{lineno}: {exc}") from exc
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise DataPlaneError(
                         f"{path}:{lineno}: malformed update "

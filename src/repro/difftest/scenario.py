@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dataplane.rule import DROP, Action, Rule, ecmp
-from ..dataplane.update import RuleUpdate, UpdateOp, delete, insert
+from ..dataplane.trace import (
+    decode_update,
+    match_from_json,
+    match_to_json,
+    rule_to_json,
+)
+from ..dataplane.update import RuleUpdate, delete, insert
 from ..errors import ReproError
 from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import Match, Pattern
@@ -33,58 +39,6 @@ from ..core.rule_index import matches_intersect
 from ..spec.requirement import Multiplicity, Requirement, requirement
 
 FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# serialisation helpers
-# ---------------------------------------------------------------------------
-def match_to_dict(match: Match) -> Dict[str, List[List[int]]]:
-    return {
-        name: [[value, mask] for value, mask in pattern.ternaries]
-        for name, pattern in match.patterns.items()
-    }
-
-
-def match_from_dict(data: Dict[str, Sequence[Sequence[int]]]) -> Match:
-    return Match(
-        {
-            name: Pattern(tuple((int(v), int(m)) for v, m in ternaries))
-            for name, ternaries in data.items()
-        }
-    )
-
-
-def action_to_json(action: Action) -> Any:
-    if isinstance(action, tuple):
-        return list(action)
-    return action
-
-
-def action_from_json(data: Any) -> Action:
-    if isinstance(data, list):
-        return ecmp(*data)
-    return data
-
-
-def update_to_dict(update: RuleUpdate) -> Dict[str, Any]:
-    return {
-        "op": update.op.value,
-        "device": update.device,
-        "rule": {
-            "priority": update.rule.priority,
-            "match": match_to_dict(update.rule.match),
-            "action": action_to_json(update.rule.action),
-        },
-    }
-
-
-def update_from_dict(data: Dict[str, Any], epoch: Any) -> RuleUpdate:
-    rule = Rule(
-        priority=int(data["rule"]["priority"]),
-        match=match_from_dict(data["rule"]["match"]),
-        action=action_from_json(data["rule"]["action"]),
-    )
-    return RuleUpdate(UpdateOp(data["op"]), int(data["device"]), rule, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +70,7 @@ class RequirementSpec:
             "name": self.name,
             "sources": list(self.sources),
             "expression": self.expression,
-            "packet_space": match_to_dict(self.packet_space),
+            "packet_space": match_to_json(self.packet_space),
             "multiplicity": self.multiplicity,
         }
 
@@ -126,7 +80,7 @@ class RequirementSpec:
             name=data["name"],
             sources=tuple(data["sources"]),
             expression=data["expression"],
-            packet_space=match_from_dict(data.get("packet_space", {})),
+            packet_space=match_from_json(data.get("packet_space", {})),
             multiplicity=data.get("multiplicity", Multiplicity.UNICAST.value),
         )
 
@@ -179,7 +133,14 @@ class Scenario:
             "links": [[u, v] for u, v in self.links],
             "epoch": self.epoch,
             "order": list(self.order),
-            "updates": [update_to_dict(u) for u in self.updates],
+            "updates": [
+                {
+                    "op": u.op.value,
+                    "device": u.device,
+                    "rule": rule_to_json(u.rule),
+                }
+                for u in self.updates
+            ],
             "requirements": [r.as_dict() for r in self.requirements],
         }
 
@@ -198,7 +159,9 @@ class Scenario:
             links=tuple((int(u), int(v)) for u, v in data["links"]),
             epoch=epoch,
             order=tuple(int(d) for d in data["order"]),
-            updates=tuple(update_from_dict(u, epoch) for u in data["updates"]),
+            updates=tuple(
+                decode_update(u, u["rule"], epoch) for u in data["updates"]
+            ),
             requirements=tuple(
                 RequirementSpec.from_dict(r) for r in data.get("requirements", ())
             ),

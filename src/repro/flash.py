@@ -188,7 +188,6 @@ class Flash:
         requirements: Sequence[Requirement] = (),
         check_loops: bool = True,
         partition: Optional[SubspacePartition] = None,
-        use_dgq: bool = True,
         max_live_verifiers: int = 8,
         block_threshold: Optional[int] = None,
         telemetry: Optional[Union[Telemetry, TelemetryConfig]] = None,
@@ -199,7 +198,6 @@ class Flash:
         self.requirements = list(requirements)
         self.check_loops = check_loops
         self.partition = partition
-        self.use_dgq = use_dgq
         if telemetry is None:
             telemetry = Telemetry()
         elif isinstance(telemetry, TelemetryConfig):
@@ -260,7 +258,6 @@ class Flash:
                     check_loops=self.check_loops,
                     requirements=[self.requirements[i] for i in chosen],
                     graphs=[self._graphs[i] for i in chosen],
-                    use_dgq=self.use_dgq,
                     manager=member.manager,
                     telemetry=self.telemetry,
                 )

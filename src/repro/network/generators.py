@@ -3,9 +3,9 @@
 The paper evaluates on: LNet (a proprietary Meta Fabric network, 6,016
 switches), K-ary fat trees (the planning study of Fig. 15), Internet2
 (9 switches / 28 directed edges), Stanford (16 / 37) and Airtel (68 / 260).
-LNet/Airtel/Stanford datasets are proprietary or external; these generators
-rebuild topologies with the same architecture and the documented sizes so
-the same code paths are exercised (see DESIGN.md §2).
+The LNet, Airtel and Stanford data are proprietary or external; these
+generators rebuild topologies with the same architecture and the documented
+sizes so the same code paths are exercised (see DESIGN.md §2).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Union
+from typing import Any, Dict, Hashable, List, Optional, Union
 
 
 class Verdict(enum.Enum):
@@ -133,102 +133,10 @@ class InterleaveReport:
 Report = Union[LoopReport, VerificationReport]
 
 
-def report_from_dict(data: Dict[str, Any]) -> Report:
-    """Rebuild a report from its ``as_dict()`` form (dispatch on kind)."""
-    kind = data.get("kind")
-    if kind == "verification":
-        return VerificationReport(
-            requirement=data["requirement"],
-            verdict=Verdict(data["verdict"]),
-            epoch=data.get("epoch"),
-            time=data.get("time"),
-            detail=data.get("detail", ""),
-            witness=data.get("witness"),
-        )
-    if kind == "loop":
-        return LoopReport(
-            verdict=Verdict(data["verdict"]),
-            epoch=data.get("epoch"),
-            time=data.get("time"),
-            loop_path=data.get("loop_path"),
-        )
-    if kind == "interleave":
-        return InterleaveReport(
-            scenario=data["scenario"],
-            block_size=data["block_size"],
-            orders_possible=data["orders_possible"],
-            orders_explored=data["orders_explored"],
-            orders_pruned=data["orders_pruned"],
-            states_checked=data["states_checked"],
-            order_dependent=data["order_dependent"],
-            divergences=data["divergences"],
-            self_check=data.get("self_check", "skipped"),
-            commute=data.get("commute"),
-        )
-    raise ValueError(f"unknown report kind: {kind!r}")
-
-
-def as_dicts(reports: Iterable[Report]) -> List[Dict[str, Any]]:
-    """Serialise a report stream through the common contract."""
-    return [r.as_dict() for r in reports]
-
-
-def verdict_tally(reports: Iterable[Report]) -> Dict[str, int]:
-    """Count reports per verdict value (the CLI/harness summary line)."""
-    tally: Dict[str, int] = {v.value: 0 for v in Verdict}
-    for report in reports:
-        tally[report.verdict.value] += 1
-    return tally
-
-
-@dataclass
-class RunSummary:
-    """One verifier run, summarised uniformly across engines.
-
-    ``Flash``, APKeep* and Delta-net* historically printed
-    differently-shaped ad-hoc reports; this is the one shape the CLI and
-    exporters consume.  ``metrics`` carries the registry snapshot of the
-    run when telemetry is enabled.
-    """
-
-    system: str
-    seconds: float
-    verdicts: Dict[str, int]
-    model_stats: Dict[str, Any]
-    reports: List[Report]
-    metrics: Optional[Dict[str, Any]] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "run",
-            "system": self.system,
-            "seconds": self.seconds,
-            "verdicts": dict(self.verdicts),
-            "model_stats": dict(self.model_stats),
-            "reports": as_dicts(self.reports),
-            "metrics": self.metrics,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunSummary":
-        return cls(
-            system=data["system"],
-            seconds=data["seconds"],
-            verdicts=dict(data["verdicts"]),
-            model_stats=dict(data["model_stats"]),
-            reports=[report_from_dict(r) for r in data["reports"]],
-            metrics=data.get("metrics"),
-        )
-
-
 __all__ = [
     "Verdict",
     "VerificationReport",
     "LoopReport",
     "InterleaveReport",
     "Report",
-    "RunSummary",
-    "as_dicts",
-    "report_from_dict",
-    "verdict_tally",
 ]

@@ -15,17 +15,12 @@ Quick tour::
     tel.registry.counter("predicate.ops.conjunction").inc()
     snap = tel.snapshot()         # one dict: counters+gauges+histograms+spans
 
-See ``docs/telemetry.md`` for the metric-name catalogue and exporter
-usage.
+See ``docs/telemetry.md`` for the metric-name catalogue and the JSON-lines
+exporter.
 """
 
 from .config import DISABLED, Telemetry, TelemetryConfig
-from .exporters import (
-    DictExporter,
-    JsonLinesExporter,
-    TableExporter,
-    read_jsonl,
-)
+from .exporters import JsonLinesExporter, read_jsonl
 from .registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -40,9 +35,7 @@ __all__ = [
     "DISABLED",
     "Telemetry",
     "TelemetryConfig",
-    "DictExporter",
     "JsonLinesExporter",
-    "TableExporter",
     "read_jsonl",
     "DEFAULT_BUCKETS",
     "Counter",

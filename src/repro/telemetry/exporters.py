@@ -1,23 +1,17 @@
-"""Pluggable exporters over telemetry snapshots.
+"""The JSON-lines exporter over telemetry snapshots.
 
-Three shapes, matching the three consumers in the repo:
-
-* :class:`JsonLinesExporter` — one self-describing JSON object per line
-  (``record`` key discriminates), the format behind the CLI's
-  ``--telemetry out.jsonl`` flag;
-* :class:`TableExporter` — a human-readable text table for terminals;
-* :class:`DictExporter` — the raw snapshot dict, consumed by the
-  benchmark harness and by tests.
-
-Every exporter accepts either a :class:`~repro.telemetry.config.
-Telemetry` facade or a snapshot dict already produced by one, so workers
-can export what crossed a process boundary.
+:class:`JsonLinesExporter` writes one self-describing JSON object per
+line (``record`` key discriminates), the format behind the CLI's
+``--telemetry out.jsonl`` flag.  It accepts either a
+:class:`~repro.telemetry.config.Telemetry` facade or a snapshot dict
+already produced by one, so workers can export what crossed a process
+boundary.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from .config import Telemetry
 
@@ -74,57 +68,6 @@ class JsonLinesExporter:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
         return len(lines)
-
-
-class TableExporter:
-    """Render a snapshot as an aligned, human-readable table."""
-
-    def __init__(self, stream: Optional[IO[str]] = None) -> None:
-        self.stream = stream
-
-    def render(self, source: Union[Telemetry, Snapshot]) -> str:
-        snap = _coerce(source)
-        metrics = snap.get("metrics", {})
-        rows: List[str] = []
-        width = max(
-            [
-                len(n)
-                for section in ("counters", "gauges")
-                for n in metrics.get(section, {})
-            ]
-            + [len(n) for n in metrics.get("histograms", {})]
-            + [24]
-        )
-        rows.append(f"{'metric':<{width}}  {'kind':<9}  value")
-        rows.append("-" * (width + 20))
-        for name, value in metrics.get("counters", {}).items():
-            shown = f"{value:.6f}" if isinstance(value, float) else str(value)
-            rows.append(f"{name:<{width}}  {'counter':<9}  {shown}")
-        for name, value in metrics.get("gauges", {}).items():
-            shown = f"{value:.6f}" if isinstance(value, float) else str(value)
-            rows.append(f"{name:<{width}}  {'gauge':<9}  {shown}")
-        for name, payload in metrics.get("histograms", {}).items():
-            mean = payload["sum"] / payload["count"] if payload["count"] else 0.0
-            rows.append(
-                f"{name:<{width}}  {'histogram':<9}  "
-                f"n={payload['count']} mean={mean:.6f}s"
-            )
-        return "\n".join(rows)
-
-    def export(self, source: Union[Telemetry, Snapshot]) -> str:
-        text = self.render(source)
-        if self.stream is not None:
-            self.stream.write(text + "\n")
-        else:
-            print(text)
-        return text
-
-
-class DictExporter:
-    """The identity exporter: hand back the snapshot dict."""
-
-    def export(self, source: Union[Telemetry, Snapshot]) -> Snapshot:
-        return _coerce(source)
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

@@ -159,7 +159,7 @@ class MemoFreeRegexVerifier(RegexVerifier):
                         removed = entry.graph.prune_device(
                             device, model.action_of(delta.vector, device)
                         )
-                        entry.maintainer.delete_edges(removed)
+                        entry.reach.delete_edges(removed)
                 else:
                     entry = self._entry(parent.graph.clone(), delta.predicate)
             if entry.verdict is Verdict.UNKNOWN:
@@ -167,7 +167,7 @@ class MemoFreeRegexVerifier(RegexVerifier):
                     removed = entry.graph.prune_device(
                         device, model.action_of(delta.vector, device)
                     )
-                    entry.maintainer.delete_edges(removed)
+                    entry.reach.delete_edges(removed)
                 entry.verdict = self._judge(entry)
             next_table[delta.predicate.node] = entry
         self._table = next_table

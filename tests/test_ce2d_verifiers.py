@@ -249,19 +249,6 @@ class TestRegexVerifierEndToEnd:
         reports = verifier.receive(topo.id_of("S"), [])
         assert reports[0].verdict is Verdict.VIOLATED
 
-    def test_mt_and_dgq_agree(self):
-        topo = figure3_example()
-        req = self._figure3_requirement(topo)
-        results = {}
-        for use_dgq in (True, False):
-            verifier = SubspaceVerifier(
-                topo, LAYOUT, requirements=[req], use_dgq=use_dgq
-            )
-            r = verifier.receive(topo.id_of("S"), [fwd(topo, "S", "A")])
-            r = verifier.receive(topo.id_of("A"), [fwd(topo, "A", "S")])
-            results[use_dgq] = r[0].verdict
-        assert results[True] == results[False] == Verdict.VIOLATED
-
     def test_cover_requirement(self):
         topo = figure3_example()
         req = requirement(

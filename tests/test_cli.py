@@ -139,6 +139,10 @@ BAD_LINES = {
     "missing-op": '{"device":0,"priority":1,"match":{"dst":[[8,12]]},"action":1}',
     "unknown-op": GOOD_LINE.replace("insert", "upsert"),
     "non-object": "[1, 2, 3]",
+    "action-object": GOOD_LINE.replace('"action":1', '"action":{"x":1}'),
+    "action-float": GOOD_LINE.replace('"action":1', '"action":3.5'),
+    "action-bool": GOOD_LINE.replace('"action":1', '"action":true'),
+    "ternary-string": GOOD_LINE.replace("[[8,12]]", '[["8",12]]'),
 }
 
 

@@ -22,7 +22,14 @@ from repro.dataplane.trace import (
     update_from_json,
     write_trace,
 )
-from repro.dataplane.update import RuleUpdate, UpdateBlock, UpdateOp, delete, insert
+from repro.dataplane.update import (
+    RuleUpdate,
+    UpdateBlock,
+    UpdateOp,
+    apply_updates,
+    delete,
+    insert,
+)
 from repro.errors import DataPlaneError, RuleNotFoundError
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
@@ -252,6 +259,24 @@ class TestTraces:
         count = write_trace(path, trace)
         assert count == len(trace)
         assert list(read_trace(path)) == trace
+
+    def test_read_trace_canonicalises_ecmp_actions(self, tmp_path):
+        """One spelling per action: a withdrawal written ``[1,2]`` removes
+        the rule installed as ``[2,1]``, and ``[3]`` is next hop 3."""
+        head = '{"device":0,"priority":1,"match":{"dst":[[8,12]]}'
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            f'{head},"op":"insert","action":[2,1]}}\n'
+            f'{head},"op":"delete","action":[1,2]}}\n'
+            f'{head},"op":"insert","action":[3]}}\n'
+        )
+        installed, withdrawn, single = read_trace(str(path))
+        assert installed.rule == withdrawn.rule
+        assert installed.rule.action == (1, 2)
+        assert single.rule.action == 3
+        snapshot = FibSnapshot([0])
+        apply_updates(snapshot, [installed, withdrawn, single])
+        assert [r.action for r in snapshot.table(0).rules()] == [3, DROP]
 
 
 class TestWellBehavedness:

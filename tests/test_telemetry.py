@@ -1,9 +1,9 @@
 """Tests for the unified telemetry subsystem (repro.telemetry).
 
 Covers the registry (get-or-create, snapshot/merge), the tracer (span
-nesting, manual epoch-style spans), exporters
-(JSONL round-trip, table rendering), the deprecation shims over the old
-stats/result API, and an end-to-end CLI smoke test of ``--telemetry``.
+nesting, manual epoch-style spans), the JSON-lines exporter, the
+deprecation shims over the old stats/result API, and an end-to-end CLI
+smoke test of ``--telemetry``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.telemetry import (
     MetricsRegistry,
     OpMetrics,
     PhaseBreakdown,
-    TableExporter,
     Telemetry,
     TelemetryConfig,
     Tracer,
@@ -184,15 +183,6 @@ class TestExporters:
         assert reps[0]["requirement"] == "r1"
         assert reps[0]["verdict"] == "satisfied"
 
-    def test_table_renders_all_metric_kinds(self):
-        tel = Telemetry()
-        tel.count("c", 2)
-        tel.registry.gauge("g").set(1)
-        tel.registry.histogram("h").observe(0.1)
-        text = TableExporter().render(tel)
-        for name in ("c", "g", "h"):
-            assert name in text
-
 
 class TestShimsRemoved:
     """The PR 1 deprecated paths were deleted after two PR cycles."""
@@ -297,7 +287,9 @@ class TestEndToEnd:
         assert gauges["bdd.nodes"] == sum(b.live_node_count for b in bdds)
         assert gauges["bdd.nodes.allocated"] == sum(b.num_nodes for b in bdds)
         assert gauges["bdd.cache.size"] == sum(b.cache_size for b in bdds)
-        assert gauges["bdd.cache.limit"] == bdds[0].cache_limit  # one bound
+        # The op-cache bound is a constant, not a gauge: merge_snapshot
+        # would add it across processes.
+        assert "bdd.cache.limit" not in gauges
 
     def test_cli_verify_telemetry_writes_valid_jsonl(self, tmp_path, capsys):
         from repro.cli import main
