@@ -46,6 +46,9 @@ class ActionTreeStore:
         self._right: List[int] = [EMPTY]
         self._size: List[int] = [0]
         self._intern: Dict[Tuple[int, Any, int, int], int] = {}
+        # Device id -> its treap rank ``(_priority(key), key)``: one entry
+        # per device, reached only by the writer (set / _merge / delete).
+        self._rank: Dict[int, Tuple[int, int]] = {}
 
     # -- node accessors ----------------------------------------------------
     def _mk(self, key: int, value: Hashable, left: int, right: int) -> int:
@@ -121,7 +124,14 @@ class ActionTreeStore:
 
     def _prio_less(self, a: int, b: int) -> bool:
         """Whether key ``a``'s priority is lower than key ``b``'s."""
-        return (_priority(a), a) < (_priority(b), b)
+        rank = self._rank
+        return (rank.get(a) or self._new_rank(a)) < (
+            rank.get(b) or self._new_rank(b)
+        )
+
+    def _new_rank(self, key: int) -> Tuple[int, int]:
+        rank = self._rank[key] = (_priority(key), key)
+        return rank
 
     def _split(self, node: int, key: int) -> Tuple[int, int]:
         """Split into (< key, > key); ``key`` itself must be absent."""

@@ -3,9 +3,10 @@
 Partitioning the header space (e.g. one subspace per pod's destination
 prefixes in LNet) shrinks both the inverse model each verifier maintains and
 the set of rules it must consider, and is what lets Flash run many verifiers
-in parallel.  A :class:`SubspacePartition` owns the defining matches; the
-:func:`route_updates` helper fans an update stream out to the subspaces a
-rule can affect, using the cheap ternary intersection test (no BDD ops).
+in parallel.  A :class:`SubspacePartition` owns the defining matches; its
+:meth:`~SubspacePartition.route_updates` fans an update stream out to the
+subspaces a rule can affect, using the cheap ternary intersection test (no
+BDD ops) once per distinct match.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class SubspacePartition:
         self.subspaces = list(subspaces)
         if len({s.index for s in self.subspaces}) != len(self.subspaces):
             raise HeaderSpaceError("duplicate subspace indexes")
+        # Rule match -> positions (in ``subspaces``) of the subspaces it
+        # overlaps.  Keyed on the match itself: an ``id()`` is reused
+        # once its object is collected.
+        self._targets: Dict[Match, Tuple[int, ...]] = {}
 
     @classmethod
     def from_matches(
@@ -69,22 +74,31 @@ class SubspacePartition:
     def __iter__(self):
         return iter(self.subspaces)
 
-    def targets_of(self, update: RuleUpdate) -> List[Subspace]:
-        """Subspaces whose defining match overlaps the update's rule match."""
-        return [
-            s
-            for s in self.subspaces
-            if matches_intersect(s.match, update.rule.match)
-        ]
-
     def route_updates(
         self, updates: Iterable[RuleUpdate]
     ) -> Dict[int, List[RuleUpdate]]:
-        """Fan updates out per subspace index."""
+        """Fan updates out per subspace index, keeping their order.
+
+        Each distinct match is tested against the subspaces once; the
+        memo is wiped wholesale when it outgrows the match compiler's
+        default bound, so a stream of ever-new matches cannot grow it.
+        """
         routed: Dict[int, List[RuleUpdate]] = {s.index: [] for s in self.subspaces}
+        batches = list(routed.values())
+        targets = self._targets
         for u in updates:
-            for s in self.targets_of(u):
-                routed[s.index].append(u)
+            match = u.rule.match
+            hit = targets.get(match)
+            if hit is None:
+                if len(targets) >= MatchCompiler.DEFAULT_MAX_ENTRIES:
+                    targets.clear()
+                hit = targets[match] = tuple(
+                    i
+                    for i, s in enumerate(self.subspaces)
+                    if matches_intersect(s.match, match)
+                )
+            for i in hit:
+                batches[i].append(u)
         return routed
 
     def universe_of(

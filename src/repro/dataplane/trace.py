@@ -103,20 +103,49 @@ def match_to_json(match: Match) -> Dict[str, List[List[int]]]:
     }
 
 
-def match_from_json(data: Dict[str, Any]) -> Match:
-    return Match({f: Pattern(_ternaries(p)) for f, p in data.items()})
+#: Canonical ternaries per field, sorted by field name: one key per
+#: distinct match, whatever the JSON's key order or spelling.
+MatchKey = Tuple[Tuple[str, Tuple[Tuple[int, int], ...]], ...]
+
+
+def match_from_json(
+    data: Dict[str, Any], interned: Optional[Dict[MatchKey, Match]] = None
+) -> Match:
+    """Decode a match: per field, a list of ``[value, mask]`` ternaries.
+
+    Each ternary is brought to canonical form ``(value & mask, mask)``
+    and each field's list is sorted and deduplicated, so one set of
+    headers has one spelling.  With ``interned`` (one dict per trace
+    being read), equal matches decode to the same :class:`Match` object;
+    every ternary is checked before the look-up.
+    """
+    fields = [(f, _ternaries(p)) for f, p in data.items()]
+    fields.sort()
+    key = tuple(fields)
+    if interned is None:
+        interned = {}
+    match = interned.get(key)
+    if match is None:
+        match = interned[key] = Match({f: Pattern(t) for f, t in key})
+    return match
 
 
 def _ternaries(data: List[Any]) -> Tuple[Tuple[int, int], ...]:
     out = []
     for value, mask in data:
         # ``type(...) is int`` also turns away bools, which JSON keeps apart.
-        if type(value) is not int or type(mask) is not int:
+        if (
+            type(value) is not int
+            or type(mask) is not int
+            or value < 0
+            or mask < 0
+        ):
             raise DataPlaneError(
-                f"ternary {json.dumps([value, mask])} is not two integers"
+                f"ternary {json.dumps([value, mask])} is not two "
+                f"non-negative integers"
             )
-        out.append((value, mask))
-    return tuple(out)
+        out.append((value & mask, mask))
+    return tuple(out) if len(out) < 2 else tuple(sorted(set(out)))
 
 
 def _integer(value: Any, what: str) -> int:
@@ -160,23 +189,37 @@ def rule_to_json(rule: Rule) -> Dict[str, Any]:
     }
 
 
-def rule_from_json(data: Dict[str, Any]) -> Rule:
+def rule_from_json(
+    data: Dict[str, Any], interned: Optional[Dict[MatchKey, Match]] = None
+) -> Rule:
     return Rule(
         _integer(data["priority"], "priority"),
-        match_from_json(data["match"]),
+        match_from_json(data["match"], interned),
         action_from_json(data["action"]),
     )
 
 
+#: ``op`` field -> :class:`UpdateOp` (a dict probe, not an Enum call a line).
+_OPS = {op.value: op for op in UpdateOp}
+
+
 def decode_update(
-    head: Dict[str, Any], rule: Dict[str, Any], epoch: Optional[EpochTag]
+    head: Dict[str, Any],
+    rule: Dict[str, Any],
+    epoch: Optional[EpochTag],
+    interned: Optional[Dict[MatchKey, Match]] = None,
 ) -> RuleUpdate:
     """An update from its ``op`` / ``device`` fields and its rule's fields
     (one object in a trace line, nested objects in a fuzz scenario)."""
+    op = _OPS.get(head["op"])
+    if op is None:
+        raise DataPlaneError(
+            f"op {json.dumps(head['op'])} is not one of {sorted(_OPS)}"
+        )
     return RuleUpdate(
-        UpdateOp(head["op"]),
+        op,
         _integer(head["device"], "device"),
-        rule_from_json(rule),
+        rule_from_json(rule, interned),
         epoch,
     )
 
@@ -191,9 +234,11 @@ def update_to_json(update: RuleUpdate) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def update_from_json(line: str) -> RuleUpdate:
+def update_from_json(
+    line: str, interned: Optional[Dict[MatchKey, Match]] = None
+) -> RuleUpdate:
     payload = json.loads(line)
-    return decode_update(payload, payload, payload.get("epoch"))
+    return decode_update(payload, payload, payload.get("epoch"), interned)
 
 
 def write_trace(path: str, updates: Iterable[RuleUpdate]) -> int:
@@ -209,8 +254,11 @@ def read_trace(path: str) -> Iterator[RuleUpdate]:
     """Yield the updates of a JSON-lines trace file.
 
     A line that is not a well-formed update raises
-    :class:`~repro.errors.DataPlaneError` naming ``path:lineno``.
+    :class:`~repro.errors.DataPlaneError` naming ``path:lineno``.  Equal
+    matches in one file decode to one :class:`Match` object; the intern
+    table lives as long as this reader.
     """
+    interned: Dict[MatchKey, Match] = {}
     with open(path, "r", encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, 1):
@@ -218,7 +266,7 @@ def read_trace(path: str) -> Iterator[RuleUpdate]:
                 if not line:
                     continue
                 try:
-                    update = update_from_json(line)
+                    update = update_from_json(line, interned)
                 except DataPlaneError as exc:
                     raise DataPlaneError(f"{path}:{lineno}: {exc}") from exc
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -94,31 +94,33 @@ class EpochGroupVerifier:
     ``observe`` hands each member its list and merges the reports.
     :class:`Flash` builds two kinds: its trunk (no epoch, no checkers —
     the models every epoch reads) and, per live epoch, the checkers over
-    those models.
+    those models.  With a ``partition`` there is one member per subspace,
+    in its order; without one, a single member covers the whole space and
+    ``apply`` hands it the caller's batch untouched.
     """
 
     def __init__(
         self,
         members: Sequence[SubspaceVerifier],
         epoch: Optional[EpochTag] = None,
+        partition: Optional[SubspacePartition] = None,
     ) -> None:
         self.members = list(members)
         self.epoch = epoch
+        self.partition = partition
+        matches = [m.subspace_match for m in self.members]
+        expected = [None] if partition is None else [s.match for s in partition]
+        if matches != expected:
+            raise ValueError("members do not follow the partition")
 
     def apply(self, updates: Iterable[RuleUpdate]) -> List[List[EcDelta]]:
         """Write one batch into every member's model it intersects."""
-        updates = list(updates)
+        if self.partition is None:
+            return [self.members[0].apply(updates)]
+        routed = self.partition.route_updates(updates)
         return [
-            member.apply(
-                updates
-                if member.subspace_match is None
-                else [
-                    u
-                    for u in updates
-                    if matches_intersect(member.subspace_match, u.rule.match)
-                ]
-            )
-            for member in self.members
+            member.apply(batch)
+            for member, batch in zip(self.members, routed.values())
         ]
 
     def as_deltas(self) -> List[List[EcDelta]]:
@@ -221,7 +223,8 @@ class Flash:
                     validation=validation,
                 )
                 for match in matches
-            ]
+            ],
+            partition=partition,
         )
         # Each requirement's verification graph, built for the first epoch
         # and cloned by every epoch's checkers after it.
@@ -262,7 +265,7 @@ class Flash:
                     telemetry=self.telemetry,
                 )
             )
-        return EpochGroupVerifier(members, epoch=epoch)
+        return EpochGroupVerifier(members, epoch=epoch, partition=self.partition)
 
     # -- online ingestion (Figure 1 steps 2-8) -----------------------------
     def receive(

@@ -93,14 +93,36 @@ class Pattern:
         return IntervalSet(out)
 
 
-class Match:
-    """A conjunction of per-field patterns; absent fields are wildcards."""
+def _check_width(field: str, pattern: Pattern, width: int) -> None:
+    """Reject a ternary that cares about bits the field does not have.
 
-    __slots__ = ("patterns", "_key")
+    The BDD would drop those bits and :meth:`Pattern.matches` would keep
+    them, so the two would disagree on which headers the rule matches.
+    """
+    for value, mask in pattern.ternaries:
+        if mask >> width:
+            raise HeaderSpaceError(
+                f"field {field!r}: ternary [{value}, {mask}] has mask bits "
+                f"at or above the field's width {width}"
+            )
+
+
+class Match:
+    """A conjunction of per-field patterns; absent fields are wildcards.
+
+    The hash is computed once, at construction: a match is a dict key on
+    every hot path (the compile memo, the subspace router), and trace
+    decoding hands out one object per distinct match, so equality is
+    usually settled by identity.
+    """
+
+    __slots__ = ("patterns", "_key", "_hash")
 
     def __init__(self, patterns: Dict[str, Pattern]) -> None:
         self.patterns: Dict[str, Pattern] = dict(patterns)
-        self._key = tuple(sorted(self.patterns.items(), key=lambda kv: kv[0]))
+        # Field names are unique, so the sort never compares two patterns.
+        self._key = tuple(sorted(self.patterns.items()))
+        self._hash = hash(self._key)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -144,6 +166,7 @@ class Match:
         result = engine.true
         for field, pattern in self.patterns.items():
             f = layout.field(field)
+            _check_width(field, pattern, f.width)
             base = layout.offset(field)
             alt = engine.false
             for value, mask in pattern.ternaries:
@@ -172,6 +195,7 @@ class Match:
             if pattern is None:
                 per_field.append(IntervalSet.universe(1 << f.width))
             else:
+                _check_width(f.name, pattern, f.width)
                 per_field.append(pattern.to_intervals(f.width, max_intervals))
         widths = [f.width for f in layout.fields]
 
@@ -206,10 +230,20 @@ class Match:
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Match) and other._key == self._key
+        if self is other:
+            return True
+        return (
+            isinstance(other, Match)
+            and other._hash == self._hash
+            and other._key == self._key
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never ship _hash.
+        return Match, (self.patterns,)
 
     def __repr__(self) -> str:
         if not self.patterns:

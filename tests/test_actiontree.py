@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actiontree import EMPTY, ActionTreeStore
+from repro.core.actiontree import EMPTY, ActionTreeStore, _priority
 
 
 class TestBasics:
@@ -71,6 +71,14 @@ class TestBasics:
         assert self.store.to_dict(smaller) == {1: "a", 3: "c"}
         assert self.store.delete(smaller, 99) == smaller  # absent: no-op
         assert self.store.to_dict(root) == {1: "a", 2: "b", 3: "c"}
+
+    def test_treap_ranks_are_computed_once_per_key(self):
+        root = EMPTY
+        for step in range(200):
+            root = self.store.set(root, step % 7, step)
+        root = self.store.delete(root, 3)
+        assert sorted(self.store._rank) == list(range(7))
+        assert all(self.store._rank[k] == (_priority(k), k) for k in range(7))
 
     def test_items_in_order(self):
         root = self.store.build({5: "e", 1: "a", 3: "c"})

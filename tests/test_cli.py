@@ -143,7 +143,13 @@ BAD_LINES = {
     "action-float": GOOD_LINE.replace('"action":1', '"action":3.5'),
     "action-bool": GOOD_LINE.replace('"action":1', '"action":true'),
     "ternary-string": GOOD_LINE.replace("[[8,12]]", '[["8",12]]'),
+    "ternary-negative": GOOD_LINE.replace("[[8,12]]", "[[8,-1]]"),
+    "ternary-out-of-width": GOOD_LINE.replace("[[8,12]]", "[[8,4108]]"),
 }
+
+#: Rows the decoder accepts and the match compiler rejects: the error
+#: names the ternary, not the line.
+COMPILE_ERRORS = {"ternary-out-of-width": "[8, 4108]"}
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze"])
@@ -166,7 +172,8 @@ class TestBadTraceInput:
     ):
         trace = tmp_path / "t.jsonl"
         trace.write_text(GOOD_LINE + "\n\n" + BAD_LINES[bad] + "\n")
-        assert f"{trace}:3: " in self.run(command, trace, capsys)
+        expected = COMPILE_ERRORS.get(bad, f"{trace}:3: ")
+        assert expected in self.run(command, trace, capsys)
 
     def test_missing_trace_names_the_file(self, command, tmp_path, capsys):
         trace = tmp_path / "nonexistent.jsonl"

@@ -278,6 +278,67 @@ class TestTraces:
         apply_updates(snapshot, [installed, withdrawn, single])
         assert [r.action for r in snapshot.table(0).rules()] == [3, DROP]
 
+    HEAD = '{"device":0,"priority":1,"action":1,'
+
+    def _trace(self, tmp_path, *lines):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(f"{self.HEAD}{line}}}\n" for line in lines))
+        return str(path)
+
+    def test_read_trace_canonicalises_ternaries(self, tmp_path):
+        """One spelling per header set: value bits outside the mask are
+        dropped and a field's ternaries are sorted and deduplicated, so a
+        rule installed as ``[[9,12]]`` is withdrawn as ``[[8,12]]``."""
+        path = self._trace(
+            tmp_path,
+            '"op":"insert","match":{"dst":[[9,12]]}',
+            '"op":"delete","match":{"dst":[[8,12]]}',
+            '"op":"insert","match":{"dst":[[3,3],[8,12],[11,15],[8,12]]}',
+        )
+        installed, withdrawn, multi = read_trace(path)
+        assert installed.rule == withdrawn.rule
+        assert installed.rule.match.pattern("dst").ternaries == ((8, 12),)
+        assert multi.rule.match.pattern("dst").ternaries == (
+            (3, 3), (8, 12), (11, 15),
+        )
+        snapshot = FibSnapshot([0])
+        apply_updates(snapshot, [installed, withdrawn])
+        assert [r.action for r in snapshot.table(0).rules()] == [DROP]
+        assert installed.rule.match.matches({"dst": 9})
+
+    def test_read_trace_interns_equal_matches(self, tmp_path):
+        path = self._trace(
+            tmp_path,
+            '"op":"insert","match":{"dst":[[8,12]],"src":[[1,1]]}',
+            '"op":"insert","match":{"src":[[1,1]],"dst":[[9,12]]}',
+            '"op":"insert","match":{"dst":[[4,12]]}',
+        )
+        first, second, other = read_trace(path)
+        assert first.rule.match is second.rule.match
+        assert other.rule.match is not first.rule.match
+
+    def test_interned_match_equals_a_constructed_one(self, tmp_path):
+        (update,) = read_trace(
+            self._trace(tmp_path, '"op":"insert","match":{"dst":[[8,12]]}')
+        )
+        built = Match.dst_prefix(0b1000, 2, LAYOUT)
+        assert update.rule.match == built
+        assert hash(update.rule.match) == hash(built)
+
+    @pytest.mark.parametrize("bad", ["[8,true]", "[-8,12]", "[8,-1]"])
+    def test_bad_ternary_fails_at_its_line_before_the_intern_lookup(
+        self, tmp_path, bad
+    ):
+        """A line repeating an earlier match but for one bad ternary is
+        checked, not served from the intern table."""
+        path = self._trace(
+            tmp_path,
+            '"op":"insert","match":{"dst":[[8,12],[0,15]]}',
+            f'"op":"insert","match":{{"dst":[[8,12],{bad}]}}',
+        )
+        with pytest.raises(DataPlaneError, match=f"{path}:2: ternary"):
+            list(read_trace(path))
+
 
 class TestWellBehavedness:
     """Definition 4 / footnote 2: detecting ambiguous same-priority rules."""

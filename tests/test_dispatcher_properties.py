@@ -422,6 +422,7 @@ class TestTrunkMatchesReplay:
                     for m in matches
                 ],
                 epoch=tag,
+                partition=partition,
             )
 
         replay = ReplayDispatcher(pinned, max_live_verifiers=cap)

@@ -301,6 +301,80 @@ class TestSubspacePartition:
         routed = partition.route_updates([u])
         assert all(routed[i] == [u] for i in range(4))
 
+    def _overlapping(self, layout):
+        """Overlapping subspaces over two fields, one of them everything."""
+        return SubspacePartition.from_matches(
+            layout,
+            [
+                ("low", Match.dst_prefix(0, 1, layout)),
+                ("mid", Match({"dst": Pattern.range(20, 47, 6)})),
+                ("src3", Match.exact(layout, src=3)),
+                ("all", Match.wildcard()),
+                ("odd", Match({"dst": Pattern.suffix(1, 1, 6)})),
+            ],
+        )
+
+    @staticmethod
+    def _random_match(rng, layout):
+        """Prefix, ternary, multi-ternary range, two-field or wildcard,
+        built afresh so equal matches are rarely the same object."""
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Match.dst_prefix(rng.randrange(64), rng.randint(0, 6), layout)
+        if kind == 1:
+            value, mask = rng.randrange(64), rng.randrange(64)
+            return Match({"dst": Pattern.ternary(value, mask, 6)})
+        if kind == 2:
+            lo = rng.randrange(64)
+            return Match({"dst": Pattern.range(lo, rng.randint(lo, 63), 6)})
+        if kind == 3:
+            return Match(
+                {
+                    "dst": Pattern.prefix(rng.randrange(64), rng.randint(1, 3), 6),
+                    "src": Pattern.exact(rng.randrange(4), 4),
+                }
+            )
+        return Match.wildcard()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_routing_equals_the_brute_force_filter(self, seed):
+        import random
+
+        layout = dst_src_layout(6, 4)
+        partition = self._overlapping(layout)
+        rng = random.Random(seed)
+        pool = [self._random_match(rng, layout) for _ in range(12)]
+        for _ in range(3):  # later calls answer from the memo
+            updates = [
+                insert(rng.randrange(4), Rule(1, rng.choice(pool), i))
+                for i in range(60)
+            ]
+            routed = partition.route_updates(updates)
+            assert list(routed) == [s.index for s in partition]
+            for s in partition:
+                assert routed[s.index] == [
+                    u for u in updates if matches_intersect(s.match, u.rule.match)
+                ]
+
+    def test_routing_memo_stays_within_its_bound(self, monkeypatch):
+        import random
+
+        monkeypatch.setattr(MatchCompiler, "DEFAULT_MAX_ENTRIES", 16)
+        layout = dst_src_layout(6, 4)
+        partition = self._overlapping(layout)
+        rng = random.Random(7)
+        for _ in range(10):
+            updates = [
+                insert(0, Rule(1, Match.dst_prefix(rng.randrange(64), 6, layout), 1))
+                for _ in range(8)
+            ]  # 80 matches, most of them distinct
+            routed = partition.route_updates(updates)
+            assert len(partition._targets) <= 16
+            for s in partition:
+                assert routed[s.index] == [
+                    u for u in updates if matches_intersect(s.match, u.rule.match)
+                ]
+
     def test_universe_of(self):
         partition = self._partition()
         compiler = MatchCompiler(PredicateEngine(LAYOUT.total_bits), LAYOUT)

@@ -87,6 +87,18 @@ class TestFlashOnline:
         assert [r.verdict for r in ours[1:]] == [Verdict.SATISFIED] * 2
 
 
+class TestUnpartitionedTrunk:
+    def test_member_gets_the_callers_batch_untouched(self):
+        flash = Flash(ring(4), LAYOUT)
+        (member,) = flash.trunk.members
+        seen = []
+        apply = member.apply
+        member.apply = lambda updates: seen.append(updates) or apply(updates)
+        batch = [insert(0, Rule(1, Match.wildcard(), 1))]
+        flash.ingest(0, batch)
+        assert len(seen) == 1 and seen[0] is batch
+
+
 class TestFlashOffline:
     def test_offline_loop_free(self):
         topo = ring(4)
@@ -126,6 +138,34 @@ class TestFlashWithSubspaces:
         flash.receive(0, "e", [insert(0, Rule(2, high, 1))])
         reports = flash.receive(1, "e", [insert(1, Rule(2, high, 0))])
         assert any(r.verdict is Verdict.VIOLATED for r in reports)
+
+    def test_trunk_routes_through_the_partition(self):
+        partition = SubspacePartition.dst_prefix_partition(
+            LAYOUT, [(0x00, 1), (0x80, 1)]
+        )
+        flash = Flash(ring(4), LAYOUT, partition=partition)
+        assert flash.trunk.partition is partition
+        batches = []
+        for member in flash.trunk.members:
+            apply = member.apply
+            member.apply = lambda u, apply=apply: batches.append(u) or apply(u)
+        low = insert(0, Rule(1, Match.dst_prefix(0x00, 1, LAYOUT), 1))
+        anywhere = insert(0, Rule(2, Match.wildcard(), DROP))
+        flash.ingest(0, [low, anywhere])
+        assert batches == [[low, anywhere], [anywhere]]
+
+    def test_group_members_must_follow_the_partition(self):
+        from repro.ce2d.verifier import SubspaceVerifier
+        from repro.flash import EpochGroupVerifier
+
+        partition = SubspacePartition.dst_prefix_partition(
+            LAYOUT, [(0x00, 1), (0x80, 1)]
+        )
+        whole = SubspaceVerifier(ring(4), LAYOUT)
+        with pytest.raises(ValueError):
+            EpochGroupVerifier([whole], partition=partition)
+        with pytest.raises(ValueError):
+            EpochGroupVerifier([whole, whole])
 
     def test_partitioned_requirements_routed(self):
         topo = figure3_example()

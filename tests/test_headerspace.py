@@ -200,9 +200,34 @@ class TestMatch:
     def test_match_equality_and_hash(self):
         a = Match.dst_prefix(4, 2, self.layout)
         b = Match.dst_prefix(4, 2, self.layout)
-        assert a == b
+        assert a == b and a == a
         assert hash(a) == hash(b)
         assert a != Match.dst_prefix(4, 3, self.layout)
+        assert a != Match.dst_prefix(8, 2, self.layout)
+        assert a != "not a match"
+
+    def test_pickle_rebuilds_the_match(self):
+        import pickle
+
+        a = Match({"dst": Pattern.range(3, 11, 4), "src": Pattern.exact(1, 4)})
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a)
+        assert b.patterns == a.patterns
+
+    @pytest.mark.parametrize("ternary", [(8, 24), (24, 31), (0, 16)])
+    def test_mask_bits_above_the_width_are_an_error(self, ternary):
+        """The BDD would drop the bits and ``matches`` would keep them."""
+        m = Match({"dst": Pattern((ternary,))})
+        for compile_ in (
+            lambda: m.to_predicate(self.engine, self.layout),
+            lambda: m.to_interval_set(self.layout),
+        ):
+            with pytest.raises(HeaderSpaceError) as info:
+                compile_()
+            message = str(info.value)
+            assert "'dst'" in message
+            assert f"[{ternary[0]}, {ternary[1]}]" in message
+            assert "width 4" in message
 
     def test_matches_header(self):
         m = Match.exact(self.layout, dst=2)
