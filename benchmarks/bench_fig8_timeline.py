@@ -24,7 +24,6 @@ from repro.baselines.strategies import (
 )
 from repro.ce2d.loop_detector import LoopDetector
 from repro.results import Verdict
-from repro.core.inverse_model import EcDelta
 from repro.core.model_manager import ModelWriter
 from repro.flash import Flash
 from repro.headerspace.fields import dst_only_layout
@@ -40,11 +39,8 @@ def make_loop_check(topology):
     """Epoch-blind loop check over the full current model (what PUV/BUV do)."""
     def check(manager: ModelWriter) -> Optional[str]:
         detector = LoopDetector(topology)
-        deltas = [
-            EcDelta(pred, vec, pred) for pred, vec in manager.model.entries()
-        ]
         report = detector.on_model_update(
-            deltas, topology.switches(), manager.model
+            manager.model.as_deltas(), topology.switches(), manager.model
         )
         if report.verdict is Verdict.VIOLATED:
             return f"loop {report.loop_path}"

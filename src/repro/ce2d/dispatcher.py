@@ -20,7 +20,7 @@ verifies ... a specific epoch" (§2) — an epoch is the set of devices
 synchronised for it (``tracker.devices_at(t)``) plus its checkers' state,
 and the checkers read no column outside that set.  A batch from a device
 outside the epoch still re-partitions the trunk's EC table, so the epoch's
-verifier sees its deltas as lineage only (``new_synced == ()``).
+verifier is handed that lineage with nobody synchronised (``new_synced == ()``).
 
 A back-off knob bounds verifier creation rate (the paper's guard against
 control-plane bugs creating epochs faster than they converge); a deferred
@@ -46,9 +46,9 @@ class CE2DDispatcher:
     """Epoch-aware routing of tagged updates to subspace verifiers.
 
     ``trunk`` writes the shared model (``apply(updates)`` returns the
-    post-batch deltas, ``as_deltas()`` the whole table); ``factory(tag)``
-    builds an epoch's checkers over that model, with
-    ``observe(deltas, new_synced, now)`` as their door.  A
+    batch's lineage, ``as_deltas()`` the whole table as one step from the
+    initial one); ``factory(tag)`` builds an epoch's checkers over that
+    model, with ``observe(lineage, new_synced, now)`` as their door.  A
     :class:`SubspaceVerifier` (or :class:`~repro.flash.EpochGroupVerifier`)
     serves as either.
     """
@@ -89,7 +89,7 @@ class CE2DDispatcher:
             raise DispatchError("updates must carry an epoch tag")
         self.telemetry.count("ce2d.batches")
         self.telemetry.count("ce2d.updates", len(updates))
-        deltas = self.trunk.apply(updates)
+        lineage = self.trunk.apply(updates)
         self.tracker.observe(device, epoch)
         self._garbage_collect()
         results: List[Report] = []
@@ -100,7 +100,7 @@ class CE2DDispatcher:
                 # agents) synchronises nobody new but is still the epoch's
                 # own batch.
                 synced = [device] if tag == epoch else ()
-                results.extend(verifier.observe(deltas, synced, now))
+                results.extend(verifier.observe(lineage, synced, now))
             elif len(self.verifiers) < self.max_live_verifiers:
                 # Otherwise back-off: defer until capacity frees up.
                 verifier = self._open(tag)

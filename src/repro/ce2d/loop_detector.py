@@ -4,8 +4,9 @@ Key ideas reproduced:
 
 * **Incremental detection** — a new deterministic loop must pass through a
   newly synchronised device, so an update starts DFS only there.  The
-  search is demand-driven: an update that synchronises nobody looks
-  nothing up, and otherwise a device's next hops are resolved per
+  search is demand-driven: an update that synchronises nobody reads
+  neither its lineage nor the model, and otherwise the search runs over
+  every EC of ``model.entries()``, a device's next hops resolved per
   ``(device, EC)`` the first time a search stands on it with that EC
   still live (``docs/perf.md``, "CE2D checker cost").
 * **Determinism** — a cycle whose segment contains only synchronised nodes
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.inverse_model import EcDelta, InverseModel
+from ..core.inverse_model import InverseModel, Lineage
 from ..dataplane.rule import next_hops_of
 from ..network.topology import Topology
 from ..results import LoopReport, Verdict
@@ -82,7 +83,7 @@ class LoopDetector:
     # ------------------------------------------------------------------
     def on_model_update(
         self,
-        deltas: Sequence[EcDelta],
+        lineage: Lineage,
         new_synced: Iterable[int],
         model: InverseModel,
     ) -> LoopReport:
@@ -98,7 +99,7 @@ class LoopDetector:
         # device: with none, there is nothing to search and nothing to
         # look up.
         if fresh:
-            vectors = [d.vector for d in deltas]
+            vectors = [vec for _, vec in model.entries()]
             if self._rereported:
                 search: _Search = _HyperSearch(self, vectors, model)
             else:

@@ -1,12 +1,15 @@
 """Algorithm 2: consistent partial verification of regex requirements.
 
 The verifier keeps one verification graph per equivalence class (the
-``ecTable`` of Appendix D.2).  On every model update it:
+``ecTable`` of Appendix D.2) across model updates.  On every update it:
 
-1. duplicates the parent graph for ECs that split (provenance comes from
-   :class:`~repro.core.inverse_model.EcDelta`);
+1. drops the entries of the ECs that left the table and duplicates the
+   parent graph for the ECs the update changed (provenance comes from
+   :class:`~repro.core.inverse_model.Lineage`); every other entry carries
+   over untouched;
 2. prunes the edges of newly synchronised devices to the EC's actions;
-3. queries reachability decrementally (DGQ).
+3. queries reachability decrementally (DGQ) — for every undecided entry
+   when a device synchronised, otherwise only for the entries just born.
 
 Verdict semantics (§4.2): once no accepting node is reachable the
 requirement is consistently **violated** for that EC; once an accepting node
@@ -18,10 +21,10 @@ Appendix D.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Optional, Set
 
 from ..bdd.predicate import Predicate
-from ..core.inverse_model import EcDelta, InverseModel
+from ..core.inverse_model import InverseModel, Lineage
 from ..dataplane.rule import next_hops_of
 from ..errors import SpecError
 from ..headerspace.fields import HeaderLayout
@@ -83,69 +86,102 @@ class RegexVerifier:
         self._graph_switches = frozenset(
             d for d in graph.nodes_of if not topology.device(d).is_external
         )
-        # ecTable: predicate node id → entry.  Starts with the verifier's
-        # universe (the whole space, or the subspace being verified).
+        # ecTable: predicate node id → entry, for the model's ECs inside
+        # the packet space.  Starts with the verifier's universe (the whole
+        # space, or the subspace being verified): the model's initial EC.
         initial = compiler.engine.true if universe is None else universe
-        self._table: Dict[int, _EcEntry] = {
-            initial.node: self._entry(graph.clone(), initial)
-        }
-        # Predicate nodes known to miss the packet space (node → pinning
-        # handle).  With _table's keys — all inside it — this is what one
-        # update learns about the space and the next need not re-derive;
-        # both are rebuilt from each update's deltas.
-        self._outside: Dict[int, Predicate] = (
-            {} if initial.intersects(self.space) else {initial.node: initial}
-        )
+        self._table: Dict[int, _EcEntry] = {}
+        # The model's other ECs, which miss the packet space (node →
+        # pinning handle).  Together with _table's keys: what past updates
+        # learnt about the space, so an EC is tested against it once.
+        self._outside: Dict[int, Predicate] = {}
+        # How many entries of _table hold each verdict: report() in O(1).
+        self._tally: Dict[Verdict, int] = dict.fromkeys(Verdict, 0)
+        if initial.intersects(self.space):
+            self._add(self._entry(graph.clone(), initial))
+        else:
+            self._outside[initial.node] = initial
 
     def _entry(self, graph: VerificationGraph, predicate: Predicate) -> _EcEntry:
         return _EcEntry(
             graph, DgqReachability(graph), Verdict.UNKNOWN, predicate
         )
 
+    def _add(self, entry: _EcEntry) -> None:
+        self._table[entry.predicate.node] = entry
+        self._tally[entry.verdict] += 1
+
     # ------------------------------------------------------------------
     def on_model_update(
         self,
-        deltas: Sequence[EcDelta],
+        lineage: Lineage,
         new_synced: Iterable[int],
         model: InverseModel,
     ) -> VerificationReport:
-        """Consume one flush's EC deltas (Algorithm 2's main loop)."""
+        """Consume one update's lineage (Algorithm 2's main loop)."""
         fresh = [d for d in new_synced if d not in self.synced]
         self.synced.update(fresh)
-        next_table: Dict[int, _EcEntry] = {}
-        next_outside: Dict[int, Predicate] = {}
-        for delta in deltas:
-            node = delta.predicate.node
-            entry = self._table.get(node)
-            if node in self._outside or (
-                entry is None and not delta.predicate.intersects(self.space)
-            ):
-                next_outside[node] = delta.predicate
-                continue
+        table, outside, tally = self._table, self._outside, self._tally
+        gone: Dict[int, _EcEntry] = {}
+        gone_outside: Set[int] = set()
+        for pred in lineage.removed:
+            entry = table.pop(pred.node, None)
+            if entry is not None:
+                gone[pred.node] = entry
+                tally[entry.verdict] -= 1
+            elif outside.pop(pred.node, None) is not None:
+                gone_outside.add(pred.node)
+        born = []
+        for delta in lineage.changed:
+            pred = delta.predicate
+            node = pred.node
+            # A re-vectored EC keeps its predicate, and so its entry.
+            entry = gone.get(node)
             if entry is None:
-                parent = self._table.get(delta.origin.node)
+                if node in gone_outside or not pred.intersects(self.space):
+                    outside[node] = pred
+                    continue
+                parent = gone.get(delta.origin.node)
+                if parent is None:
+                    parent = table.get(delta.origin.node)
                 if parent is None:
                     # EC born outside our table (e.g. after merges): start
                     # from the template pruned by all synced devices so far.
-                    entry = self._entry(self._template.clone(), delta.predicate)
+                    entry = self._entry(self._template.clone(), pred)
                     for device in self.synced:
                         removed = entry.graph.prune_device(
                             device, model.action_of(delta.vector, device)
                         )
                         entry.reach.delete_edges(removed)
                 else:
-                    entry = self._entry(parent.graph.clone(), delta.predicate)
-            if entry.verdict is Verdict.UNKNOWN:
+                    entry = self._entry(parent.graph.clone(), pred)
+                born.append(entry)
+            self._add(entry)
+        if fresh:
+            # A device synchronised: every undecided entry prunes it.
+            for pred, vector in model.entries():
+                entry = table.get(pred.node)
+                if entry is None or entry.verdict is not Verdict.UNKNOWN:
+                    continue
                 for device in fresh:
                     removed = entry.graph.prune_device(
-                        device, model.action_of(delta.vector, device)
+                        device, model.action_of(vector, device)
                     )
                     entry.reach.delete_edges(removed)
-                entry.verdict = self._judge(entry)
-            next_table[node] = entry
-        self._table = next_table
-        self._outside = next_outside
+                self._rejudge(entry)
+        else:
+            # Lineage only: an entry that was there keeps its graph and
+            # the synced set is unchanged, so only the newborn are judged.
+            for entry in born:
+                self._rejudge(entry)
         return self.report()
+
+    def _rejudge(self, entry: _EcEntry) -> None:
+        verdict = self._judge(entry)
+        if verdict is not entry.verdict:
+            self._tally[entry.verdict] -= 1
+            self._tally[verdict] += 1
+            entry.verdict = verdict
 
     def _judge(self, entry: _EcEntry) -> Verdict:
         reachable = entry.reach.reachable_accepting()
@@ -189,10 +225,10 @@ class RegexVerifier:
     # ------------------------------------------------------------------
     def report(self) -> VerificationReport:
         """Aggregate the per-EC verdicts into one requirement verdict."""
-        verdicts = [e.verdict for e in self._table.values()]
-        if any(v is Verdict.VIOLATED for v in verdicts):
+        tally = self._tally
+        if tally[Verdict.VIOLATED]:
             verdict = Verdict.VIOLATED
-        elif verdicts and all(v is Verdict.SATISFIED for v in verdicts):
+        elif self._table and tally[Verdict.SATISFIED] == len(self._table):
             verdict = Verdict.SATISFIED
         else:
             verdict = Verdict.UNKNOWN
@@ -242,13 +278,13 @@ class CoverVerifier:
 
     def on_model_update(
         self,
-        deltas: Sequence[EcDelta],
+        lineage: Lineage,
         new_synced: Iterable[int],
         model: InverseModel,
     ) -> VerificationReport:
         fresh = [d for d in new_synced if d not in self.synced]
-        for delta in deltas:
-            if not delta.predicate.intersects(self.space):
+        for pred, vector in model.entries() if fresh else ():
+            if not pred.intersects(self.space):
                 continue
             for device in fresh:
                 required = {
@@ -258,7 +294,7 @@ class CoverVerifier:
                 }
                 if not required:
                     continue
-                actual = set(next_hops_of(model.action_of(delta.vector, device)))
+                actual = set(next_hops_of(model.action_of(vector, device)))
                 missing = required - actual
                 if missing:
                     self._violated = (

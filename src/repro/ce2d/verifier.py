@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
-from ..core.inverse_model import EcDelta, compose_lineage
+from ..core.inverse_model import Lineage, compose_lineage
 from ..core.model_manager import ModelWriter
 from ..dataplane.update import EpochTag, RuleUpdate
 from ..headerspace.fields import HeaderLayout
@@ -36,10 +36,23 @@ class Checker:
     """The §5.1 extension point: a custom CE2D verification function.
 
     Subclass (or duck-type) and attach via ``SubspaceVerifier.add_checker``.
-    ``on_model_update`` is called once per model update with the
-    post-flush equivalence classes, the devices that just synchronised, and
-    the inverse model; it must return a report object carrying a
-    ``verdict`` attribute (e.g. :class:`VerificationReport`).
+    ``on_model_update(lineage, new_synced, model)`` is called once per
+    model update with the :class:`~repro.core.inverse_model.Lineage` of
+    the update, the devices that just synchronised, and the inverse model;
+    it must return a report object carrying a ``verdict`` attribute (e.g.
+    :class:`VerificationReport`).
+
+    The lineage names only what the update changed: ``lineage.changed``,
+    the ECs it split, merged or re-vectored, each with its ``origin`` in
+    the table the checker last saw, and ``lineage.removed``, the
+    predicates of that table that left it.  Every other EC kept its
+    predicate and its vector, so per-EC state carries over untouched: drop
+    what was removed, and key each changed EC's state off its origin's.
+    The first call starts from the model's initial one-EC table, the
+    universe (an epoch opening on a trunk that has moved on is handed
+    :meth:`~repro.core.inverse_model.InverseModel.as_deltas`, the whole
+    table as one step from it).  A checker that needs every EC reads
+    ``model.entries()``.
 
     ``model`` may be a trunk shared by every live epoch: read only the
     columns (``model.action_of(vector, device)``) of devices passed in
@@ -54,12 +67,12 @@ class Checker:
     handle to it is alive.  A checker that keys per-EC state by node id
     keeps the :class:`~repro.bdd.predicate.Predicate` in the value (as
     ``RegexVerifier`` does), or keys by the handle itself — equal
-    predicates hash equal.  ``delta.predicate`` and ``delta.origin`` are
-    handles; a key built from either stays good exactly as long as the
-    checker holds on to one of them.
+    predicates hash equal.  ``delta.predicate``, ``delta.origin`` and the
+    removed predicates are handles; a key built from any of them stays
+    good exactly as long as the checker holds on to one of them.
     """
 
-    def on_model_update(self, deltas, new_synced, model) -> Report:
+    def on_model_update(self, lineage, new_synced, model) -> Report:
         raise NotImplementedError
 
 
@@ -135,17 +148,16 @@ class SubspaceVerifier:
         self.custom_checkers.append(checker)
 
     # ------------------------------------------------------------------
-    def apply(self, updates: Iterable[RuleUpdate]) -> List[EcDelta]:
-        """Write one batch into the model; the post-batch ECs with lineage
-        to the pre-batch table, however many blocks ``block_threshold``
+    def apply(self, updates: Iterable[RuleUpdate]) -> Lineage:
+        """Write one batch into the model; what it changed, as one step
+        from the pre-batch table however many blocks ``block_threshold``
         cut the batch into."""
         flushed = self.manager.submit(updates)
-        deltas = compose_lineage(flushed, self.manager.flush())
-        # An empty batch confirms an unchanged FIB: the table, unchanged.
-        return deltas or self.as_deltas()
+        return compose_lineage(flushed, self.manager.flush())
 
-    def as_deltas(self) -> List[EcDelta]:
-        """The model's whole table as deltas (what an epoch opens on)."""
+    def as_deltas(self) -> Lineage:
+        """The model's whole table as one step from its initial table
+        (what an epoch opens on)."""
         return self.manager.model.as_deltas()
 
     def receive(
@@ -177,7 +189,7 @@ class SubspaceVerifier:
 
     def observe(
         self,
-        deltas: List[EcDelta],
+        lineage: Lineage,
         new_synced: Sequence[int],
         now: Optional[float] = None,
     ) -> List[Report]:
@@ -193,7 +205,7 @@ class SubspaceVerifier:
         checkers = [self.loop_detector] if self.loop_detector is not None else []
         checkers += self.regex_verifiers + self.custom_checkers
         with self.telemetry.span("ce2d.check", epoch=str(self.epoch)):
-            results = [c.on_model_update(deltas, new_synced, model) for c in checkers]
+            results = [c.on_model_update(lineage, new_synced, model) for c in checkers]
         if not new_synced:
             return []
         for report in results:

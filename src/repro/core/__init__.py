@@ -13,7 +13,7 @@ from .imt import (
     natural_transformation,
 )
 from .commute import CommutativityAnalyzer, CommuteStats
-from .inverse_model import EcDelta, InverseModel, VecId
+from .inverse_model import EcDelta, InverseModel, Lineage, VecId
 from .model_manager import (
     FrozenReadView,
     ModelReadView,
@@ -47,6 +47,7 @@ __all__ = [
     "CommuteStats",
     "EcDelta",
     "InverseModel",
+    "Lineage",
     "VecId",
     "FrozenReadView",
     "ModelReadView",

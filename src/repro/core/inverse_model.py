@@ -7,13 +7,15 @@ exclusive, predicates complementary (covering the verifier's universe).
 Action vectors are PAT node ids (see :mod:`repro.core.actiontree`), so the
 EC table is a plain ``dict`` keyed by vector id, and the model-overwrite
 cross product (Definition 9) is the sequential application in
-:meth:`InverseModel.apply_overwrites` — with provenance tracking so CE2D can
-duplicate verification graphs on EC splits (Algorithm 2, L7-10).
+:meth:`InverseModel.apply_overwrites` — which reports a :class:`Lineage`,
+only the ECs the block changed, each with its provenance, so CE2D can
+duplicate verification graphs on EC splits (Algorithm 2, L7-10) without
+walking the ECs the block left alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, PredicateEngine
@@ -27,13 +29,13 @@ VecId = int
 
 @dataclass
 class EcDelta:
-    """One post-block equivalence class with its lineage.
+    """One EC a step changed, with its lineage.
 
-    ``origin`` is the predicate of the pre-block EC this one descends
+    ``origin`` is the predicate of the pre-step EC this one descends
     from — the handle, not its node id: the parent may be in nobody's
-    table once the block is applied, and the delta is what keeps the id
+    table once the step is applied, and the delta is what keeps the id
     a consumer keys on from being recycled under it.  When several
-    pre-block ECs merged into this one, any parent is equivalent for
+    pre-step ECs merged into this one, any parent is equivalent for
     graph duplication (they agreed on every previously-synchronised
     device — see DESIGN.md §4) and the first is kept.
     """
@@ -43,26 +45,45 @@ class EcDelta:
     origin: Predicate
 
 
-def compose_lineage(first: List[EcDelta], then: List[EcDelta]) -> List[EcDelta]:
-    """Two consecutive blocks' deltas as one step: ``then``, re-pointed in
-    place at origins in the table before ``first``.
+@dataclass
+class Lineage:
+    """One step of an EC table: what it changed, and nothing else.
 
-    An empty list means "no block", not "empty table".  Where ``first``
-    merged several parents into the EC ``then`` descends from, the one it
-    kept stands for all of them (see :class:`EcDelta`), so a composed
-    origin need not overlap its predicate.  An origin ``first`` does not
-    list — a recovery fallback restarted from the initial table — is kept
-    as it is.
+    ``changed`` holds every post-step EC the step split, merged or
+    re-vectored, in table order, each with its ``origin`` in the
+    pre-step table; ``removed`` the pre-step predicates that left the
+    table.  Every other EC keeps its handle and its vector, so the
+    pre-step table minus ``removed`` plus ``changed`` is the post-step
+    table.  An empty lineage is a step that changed nothing.
+    """
+
+    changed: List[EcDelta] = field(default_factory=list)
+    removed: List[Predicate] = field(default_factory=list)
+
+    def __bool__(self) -> bool:
+        return bool(self.changed or self.removed)
+
+
+def compose_lineage(first: Lineage, then: Lineage) -> Lineage:
+    """Two consecutive steps as one: ``then``'s origins re-pointed in
+    place at ECs of the table before ``first``.
+
+    Where ``first`` merged several parents into the EC ``then`` descends
+    from, the one it kept stands for all of them (see :class:`EcDelta`),
+    so a composed origin need not overlap its predicate.
     """
     if not first or not then:
         return first or then
-    # Only what ``first`` changed needs re-pointing: an EC it left alone
-    # is its own origin, the very handle.
-    moved = {d.predicate: d.origin for d in first if d.origin is not d.predicate}
-    if moved:
-        for delta in then:
-            delta.origin = moved.get(delta.origin, delta.origin)
-    return then
+    born = {d.predicate: d for d in first.changed}
+    for delta in then.changed:
+        parent = born.get(delta.origin)
+        if parent is not None:
+            delta.origin = parent.origin
+    removed = list(first.removed)
+    for pred in then.removed:
+        if born.pop(pred, None) is None:
+            removed.append(pred)  # an EC ``first`` left alone
+    return Lineage([*born.values(), *then.changed], removed)
 
 
 class InverseModel:
@@ -98,6 +119,12 @@ class InverseModel:
         self._entries: Dict[VecId, Predicate] = {
             vec: pred for pred, vec in entries
         }
+        # Each EC's cofactor signature, beside the table: one comprehension
+        # over this dict picks the ECs a block may touch.
+        sig_of = self.engine.signature
+        self._sigs: Dict[VecId, int] = {
+            vec: sig_of(pred) for vec, pred in self._entries.items()
+        }
 
     # -- queries -------------------------------------------------------------
     def entries(self) -> List[Tuple[Predicate, VecId]]:
@@ -107,16 +134,22 @@ class InverseModel:
     def predicates(self) -> List[Predicate]:
         return list(self._entries.values())
 
-    def as_deltas(self) -> List[EcDelta]:
-        """The whole table as deltas, every EC descending from itself.
+    def as_deltas(self) -> Lineage:
+        """The whole table as one step from the initial one-EC table.
 
-        What a block that changed nothing returns, and what a checker
-        joining late (a CE2D epoch opening on the trunk) starts from.
+        What a checker joining late (a CE2D epoch opening on the trunk)
+        is handed: its state starts as that of the initial table, one EC,
+        the universe, so the step removes the universe and names every EC
+        of the table as changed, each descending from it.
         """
-        return [
-            EcDelta(predicate=pred, vector=vec, origin=pred)
-            for vec, pred in self._entries.items()
-        ]
+        universe = self.universe
+        return Lineage(
+            [
+                EcDelta(predicate=pred, vector=vec, origin=universe)
+                for vec, pred in self._entries.items()
+            ],
+            [] if universe.is_false else [universe],
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -140,22 +173,24 @@ class InverseModel:
         self,
         overwrites: Iterable[Overwrite],
         support: Optional[Predicate] = None,
-    ) -> List[EcDelta]:
+    ) -> Lineage:
         """Apply a block of conflict-free overwrites (the cross product).
 
-        Returns the full post-block EC list annotated with lineage.  ECs
+        The table is updated in place and the :class:`Lineage` returned
+        names only the ECs the block split, merged or re-vectored.  ECs
         whose predicate becomes empty disappear; ECs mapping to the same
         vector merge by predicate disjunction.
 
-        The default path touches only what the block touches, at two
-        granularities (the Delta-net discipline):
+        The block touches only what it touches, at two granularities (the
+        Delta-net discipline):
 
-        * per EC — cofactor *signatures* (O(1) masks, see
-          :meth:`~repro.bdd.predicate.PredicateEngine.signature`) and one
-          conjunction against the block *support* (the disjunction of
-          overwrite predicates — pass it in when Reduce I already has
+        * per EC — the cofactor *signatures* kept beside the table (O(1)
+          masks, see :meth:`~repro.bdd.predicate.PredicateEngine.signature`)
+          and one conjunction against the block *support* (the disjunction
+          of overwrite predicates — pass it in when Reduce I already has
           it) let ECs disjoint from the whole block bypass the
-          per-overwrite loop entirely (``mr2.apply.ecs_skipped``);
+          per-overwrite loop entirely (``mr2.apply.ecs_skipped``) and
+          stay in the table as they are;
         * per (EC, overwrite) pair, one pass per overwrite —
           non-intersecting signatures prove disjointness without any
           BDD operation (``mr2.apply.pairs_pruned``); each surviving
@@ -169,7 +204,7 @@ class InverseModel:
             if not (ow.predicate.is_false or ow.is_noop)
         ]
         if not ows:
-            return self.as_deltas()
+            return Lineage()
         engine = self.engine
         sig_of = engine.signature
         ow_sigs = [sig_of(ow.predicate) for ow in ows]
@@ -181,21 +216,18 @@ class InverseModel:
         exact = (
             len(ows) > 1 and support is not None and not support.is_true
         )
+        entries, sigs = self._entries, self._sigs
         # Buckets carry (predicate, origin, signature).
         work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
-        untouched: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
-        for vec, pred in self._entries.items():
-            psig = sig_of(pred)
-            if psig & support_sig == 0 or (
-                exact and (pred & support).is_false
-            ):
-                untouched[vec] = (pred, pred, psig)
-            else:
-                work[vec] = (pred, pred, psig)
-        if untouched:
+        for vec in [v for v, psig in sigs.items() if psig & support_sig]:
+            pred = entries[vec]
+            if not (exact and (pred & support).is_false):
+                work[vec] = (pred, pred, sigs[vec])
+        if len(work) < len(entries):
             engine.registry.counter("mr2.apply.ecs_skipped").inc(
-                len(untouched)
+                len(entries) - len(work)
             )
+        touched = {vec: pred for vec, (pred, _, _) in work.items()}
         pruned = 0
         for ow, ow_sig in zip(ows, ow_sigs):
             delta = ow.delta_dict()
@@ -217,13 +249,27 @@ class InverseModel:
             work = next_work
         if pruned:
             engine.registry.counter("mr2.apply.pairs_pruned").inc(pruned)
-        for vec, (pred, origin, psig) in untouched.items():
-            self._merge(work, vec, pred, origin, psig)
-        self._entries = {vec: pred for vec, (pred, _, _) in work.items()}
-        return [
-            EcDelta(predicate=pred, vector=vec, origin=origin)
-            for vec, (pred, origin, _) in work.items()
-        ]
+        # Commit: a touched EC that came back whole stays where it is (an
+        # engine hands out one handle per live node, so "whole" is "is");
+        # every other one leaves, and what the block made goes to the end.
+        removed: List[Predicate] = []
+        for vec, pred in touched.items():
+            after = work.get(vec)
+            if after is not None and after[0] is pred:
+                del work[vec]
+                continue
+            removed.append(pred)
+            del entries[vec], sigs[vec]
+        changed: List[EcDelta] = []
+        for vec, (pred, origin, _) in work.items():
+            skipped = entries.pop(vec, None)
+            if skipped is not None:  # an EC the block skipped takes a piece in
+                removed.append(skipped)
+                pred = pred | skipped
+            entries[vec] = pred
+            sigs[vec] = sig_of(pred)
+            changed.append(EcDelta(predicate=pred, vector=vec, origin=origin))
+        return Lineage(changed, removed)
 
     @staticmethod
     def _merge(
@@ -246,7 +292,8 @@ class InverseModel:
 
     # -- verification of Definition 6 ------------------------------------------
     def check_invariants(self) -> None:
-        """Raise :class:`ModelInvariantError` on any Definition-6 violation.
+        """Raise :class:`ModelInvariantError` on any Definition-6 violation,
+        or on a signature dict out of step with the table.
 
         Uniqueness holds by construction (dict keys); exclusivity and
         complementarity are checked together: the predicates are disjoint
@@ -264,6 +311,12 @@ class InverseModel:
             raise ModelInvariantError("ECs do not cover the universe")
         if total != self.universe.sat_count():
             raise ModelInvariantError("ECs are not mutually exclusive")
+        if self._sigs.keys() != self._entries.keys():
+            raise ModelInvariantError("signature dict and table disagree on keys")
+        sig_of = self.engine.signature
+        for vec, pred in self._entries.items():
+            if self._sigs[vec] != sig_of(pred):
+                raise ModelInvariantError(f"stale signature for vector {vec}")
 
     # -- reporting ---------------------------------------------------------------
     def memory_estimate_bytes(self) -> int:

@@ -58,7 +58,7 @@ from ..resilience.validator import (
 from ..telemetry import PhaseBreakdown, Telemetry
 from .actiontree import ActionTreeStore
 from .imt import replace_table_rules
-from .inverse_model import EcDelta, InverseModel, VecId, compose_lineage
+from .inverse_model import InverseModel, Lineage, VecId, compose_lineage
 from .mr2 import Mr2Pipeline
 from .rule_index import RuleIndex
 
@@ -305,18 +305,18 @@ class ModelWriter:
         )
 
     # -- ingestion ---------------------------------------------------------
-    def submit(self, updates: Iterable[RuleUpdate]) -> List[EcDelta]:
+    def submit(self, updates: Iterable[RuleUpdate]) -> Lineage:
         """Buffer updates; flush every time the threshold is crossed.
 
         Under ``quarantine``/``repair`` each update passes through the
         supervising validator first; only the surviving stream is
-        buffered.  Returns the table after the last flush triggered, with
-        lineage composed across all of them back to the table before the
-        call (empty list if nothing flushed) — so that a caller can hand
-        its checkers one batch as one lineage step whatever the threshold
+        buffered.  Returns what the flushes triggered changed, composed
+        into one step from the table before the call (empty if nothing
+        flushed or nothing changed) — so that a caller can hand its
+        checkers one batch as one lineage step whatever the threshold
         (:meth:`~repro.ce2d.verifier.SubspaceVerifier.apply`).
         """
-        deltas: List[EcDelta] = []
+        lineage = Lineage()
         for u in updates:
             if self.validator is not None:
                 u = self.validator.admit(u)
@@ -327,10 +327,10 @@ class ModelWriter:
                 self.block_threshold is not None
                 and len(self._pending) >= self.block_threshold
             ):
-                deltas = compose_lineage(deltas, self.flush())
-        return deltas
+                lineage = compose_lineage(lineage, self.flush())
+        return lineage
 
-    def flush(self) -> List[EcDelta]:
+    def flush(self) -> Lineage:
         """Process all buffered updates as one block.
 
         With ``recovery`` enabled, a pipeline failure mid-block triggers
@@ -338,29 +338,30 @@ class ModelWriter:
         net effect instead of propagating.
         """
         if not self._pending:
-            return []
+            return Lineage()
         block = UpdateBlock(self._pending)
         self._pending = []
         if not self.recovery:
-            deltas = self.pipeline.process_block(block)
+            lineage = self.pipeline.process_block(block)
         else:
             before = self.read_view()
             try:
-                deltas = self.pipeline.process_block(block)
+                lineage = self.pipeline.process_block(block)
             except ReproError as exc:
-                deltas = self._fallback_recompute(before, block, exc)
+                lineage = self._fallback_recompute(before, block, exc)
         self._epoch += 1
         # The block is applied and nothing is mid-flight: the one point
         # where the engine may recycle node ids.  Everything that outlives
-        # a block holds Predicate handles (the EC table, ``deltas`` and
-        # their origins, the match cache, checker tables, read views) and
-        # handles are the sweep's roots; a bare ``pred.node`` kept past
-        # here may name another predicate afterwards.  Threads: the sweep
-        # runs on the writer's thread, and no other thread touches this
-        # engine: serve readers evaluate on copies that ``isolate_view``
-        # exports after the flush, on this same thread.
+        # a block holds Predicate handles (the EC table, the lineage's
+        # changed ECs, their origins and its removed predicates, the match
+        # cache, checker tables, read views) and handles are the sweep's
+        # roots; a bare ``pred.node`` kept past here may name another
+        # predicate afterwards.  Threads: the sweep runs on the writer's
+        # thread, and no other thread touches this engine: serve readers
+        # evaluate on copies that ``isolate_view`` exports after the
+        # flush, on this same thread.
         self.engine.collect_if_grown()
-        return deltas
+        return lineage
 
     # -- rollback (repro.resilience) ---------------------------------------
     def rollback(self, view: Optional[FrozenReadView] = None) -> None:
@@ -409,14 +410,15 @@ class ModelWriter:
         before: FrozenReadView,
         block: UpdateBlock,
         exc: ReproError,
-    ) -> List[EcDelta]:
+    ) -> Lineage:
         """Graceful degradation: incremental failed, recompute in batch.
 
         The model is reset in place to the empty version and the
         pre-block rules plus the block's *valid* net effect go in as one
         insert block; invalid updates inside the failing block are
         repaired away so one poisoned update cannot wedge the manager
-        forever.
+        forever.  The step returned replaces every pre-block EC with the
+        whole rebuilt table, each EC descending from the initial one.
         """
         self.telemetry.count("resilience.fallback.count")
         self.telemetry.count(f"resilience.fallback.{type(exc).__name__}")
@@ -437,7 +439,7 @@ class ModelWriter:
         if self.validator is not None:
             for device, rules in journal.items():
                 self.validator.seed_installed(device, rules)
-        deltas = self.pipeline.process_block(
+        self.pipeline.process_block(
             UpdateBlock(
                 insert(device, rule)
                 for device, rules in journal.items()
@@ -446,7 +448,9 @@ class ModelWriter:
         )
         self.telemetry.registry.gauge("resilience.fallback.active").set(0)
         self.telemetry.count("resilience.fallback.recovered")
-        return deltas
+        return Lineage(
+            self.model.as_deltas().changed, [pred for pred, _ in before.entries()]
+        )
 
     @property
     def pending_count(self) -> int:

@@ -24,7 +24,7 @@ from ..headerspace.match import MatchCompiler
 from ..telemetry import PhaseBreakdown, Telemetry
 from .imt import decompose_block, replace_table_rules
 from .rule_index import RuleIndex
-from .inverse_model import EcDelta, InverseModel
+from .inverse_model import InverseModel, Lineage
 from .overwrite import ActionDelta, Overwrite
 
 
@@ -138,11 +138,11 @@ class Mr2Pipeline:
         """The Figure 11 phase decomposition, read back from the registry."""
         return PhaseBreakdown.from_registry(self.telemetry.registry)
 
-    def process_block(self, block: UpdateBlock) -> List[EcDelta]:
+    def process_block(self, block: UpdateBlock) -> Lineage:
         """Run Map → Reduce I/II → apply for one block of native updates."""
         block = block.remove_cancelling()
         if block.is_empty():
-            return self.model.as_deltas()
+            return Lineage()
         telemetry = self.telemetry
         with telemetry.span("mr2.map"):
             atomics = map_phase(
@@ -160,13 +160,13 @@ class Mr2Pipeline:
                 [ow.predicate for ow in compact]
             )
         with telemetry.span("mr2.apply"):
-            deltas = self.model.apply_overwrites(compact, support=support)
+            lineage = self.model.apply_overwrites(compact, support=support)
 
         telemetry.count("mr2.blocks")
         telemetry.count("mr2.updates", len(block))
         telemetry.count("mr2.overwrites.atomic", len(atomics))
         telemetry.count("mr2.overwrites.aggregated", len(compact))
-        return deltas
+        return lineage
 
-    def process_updates(self, updates: Iterable[RuleUpdate]) -> List[EcDelta]:
+    def process_updates(self, updates: Iterable[RuleUpdate]) -> Lineage:
         return self.process_block(UpdateBlock(updates))

@@ -251,8 +251,10 @@ def replay_flash(
     the verdicts back off the reports (the last report of each checker
     wins; a checker that never reported reads UNKNOWN).
 
-    Then Definition 6 on every trunk member: a broken EC table is a
-    divergence even where the behaviour and verdict diffs cannot see it.
+    After every batch, Definition 6 (and the signature dict beside the
+    table) on every trunk member: a broken EC table is a divergence even
+    where the behaviour and verdict diffs cannot see it, or where a later
+    batch would hide it.
     """
     loop_verdict = Verdict.UNKNOWN
     by_req: Dict[str, Verdict] = {}
@@ -262,8 +264,8 @@ def replay_flash(
                 loop_verdict = report.verdict
             elif isinstance(report, VerificationReport):
                 by_req[report.requirement] = report.verdict
-    for member in flash.trunk.members:
-        member.manager.model.check_invariants()
+        for member in flash.trunk.members:
+            member.manager.model.check_invariants()
     return loop_verdict, tuple(
         by_req.get(req.name, Verdict.UNKNOWN) for req in requirements
     )

@@ -32,7 +32,7 @@ from .ce2d.dispatcher import CE2DDispatcher
 from .ce2d.regex_verifier import requirement_graph
 from .ce2d.verification_graph import VerificationGraph
 from .ce2d.verifier import SubspaceVerifier
-from .core.inverse_model import EcDelta
+from .core.inverse_model import Lineage
 from .core.model_manager import ModelReadView
 from .core.rule_index import matches_intersect
 from .core.subspace import SubspacePartition
@@ -90,8 +90,8 @@ class EpochGroupVerifier:
 
     The same ``apply`` / ``observe`` / ``receive`` shape as a single
     :class:`SubspaceVerifier`: ``apply`` fans a batch out by subspace
-    (§3.4's input-space partition) and returns one delta list per member,
-    ``observe`` hands each member its list and merges the reports.
+    (§3.4's input-space partition) and returns one lineage per member,
+    ``observe`` hands each member its own and merges the reports.
     :class:`Flash` builds two kinds: its trunk (no epoch, no checkers —
     the models every epoch reads) and, per live epoch, the checkers over
     those models.  With a ``partition`` there is one member per subspace,
@@ -113,7 +113,7 @@ class EpochGroupVerifier:
         if matches != expected:
             raise ValueError("members do not follow the partition")
 
-    def apply(self, updates: Iterable[RuleUpdate]) -> List[List[EcDelta]]:
+    def apply(self, updates: Iterable[RuleUpdate]) -> List[Lineage]:
         """Write one batch into every member's model it intersects."""
         if self.partition is None:
             return [self.members[0].apply(updates)]
@@ -123,21 +123,22 @@ class EpochGroupVerifier:
             for member, batch in zip(self.members, routed.values())
         ]
 
-    def as_deltas(self) -> List[List[EcDelta]]:
-        """Every member's whole table as deltas (an epoch opening late)."""
+    def as_deltas(self) -> List[Lineage]:
+        """Every member's whole table as one step from its initial table
+        (an epoch opening late)."""
         return [member.as_deltas() for member in self.members]
 
     def observe(
         self,
-        deltas: Sequence[List[EcDelta]],
+        lineages: Sequence[Lineage],
         new_synced: Sequence[int],
         now: Optional[float] = None,
     ) -> List[Report]:
         # A device synchronises in every subspace, even one none of its
         # rules intersect.
         results: List[Report] = []
-        for member, member_deltas in zip(self.members, deltas):
-            results.extend(member.observe(member_deltas, new_synced, now))
+        for member, lineage in zip(self.members, lineages):
+            results.extend(member.observe(lineage, new_synced, now))
         return results
 
     def receive(

@@ -15,7 +15,12 @@ forwarding graph, classified with the *same* graph predicates the
 brute-force oracle uses (:func:`~repro.difftest.oracle.reaches_external`
 / :func:`~repro.difftest.oracle.forwarding_cycle`), so a served answer
 and the batch oracle's answer can only differ if snapshot isolation is
-broken — which is exactly what the serve difference test asserts.
+broken — which is exactly what the serve difference test asserts.  The
+witness count is a sum over ECs, each EC's share of the scope counted
+where its graph is a witness: ECs are disjoint (Definition 6), so no
+union is built, and an EC whose cofactor signature misses the scope's is
+skipped before it is classified.  ``tests/serve_reference.py`` keeps the
+union evaluation as the oracle of that sum.
 
 Answers are :class:`QueryAnswer` values — a verdict plus the exact
 header count of the interesting set — and compare by equality, which is
@@ -34,8 +39,9 @@ Below the answer cache sits the daemon's :class:`VerdictMemo`, keyed
 query's kind and parameters, its action vector and the topology, and
 PAT vectors are hash-consed and immutable, so a verdict found at one
 epoch answers every later epoch that still holds the vector.  A query
-then costs a dict lookup per EC, a search per vector it has not seen,
-and the ``|`` / ``sat_count`` over the witness ECs.  ``evaluate`` uses
+then costs a dict lookup per in-scope EC, a search per vector it has not
+seen, and one ``sat_count`` per witness EC (after a ``&`` with the scope
+when the query has one).  ``evaluate`` uses
 the memo only when it is passed one: the batch oracle, ``repro serve``'s
 divergence check and difftest evaluate without it, so they stay an
 independent check on it.
@@ -180,42 +186,53 @@ class Query:
         """``(kind, params, scope)``: engine-independent, no BDD work."""
         return (self.kind, self.params(), self.scope)
 
-    def _witness(
+    def _witness_headers(
         self,
         view: ModelReadView,
+        scope: Predicate,
         classify: Callable[[Callable[[int], Action]], bool],
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
-    ) -> Predicate:
-        """OR of the ECs whose forwarding graph satisfies ``classify``.
+    ) -> int:
+        """How many headers of ``scope`` lie in ECs whose forwarding graph
+        satisfies ``classify``: each such EC's share of the scope, summed.
 
-        ``deadline`` is an absolute :func:`time.monotonic` timestamp;
-        the EC walk — where all the graph classification and BDD work
-        happens — checks it between entries and raises
-        :class:`~repro.errors.QueryTimeoutError` once passed.  With a
-        ``memo`` of the view's PAT store, a vector classified before
-        (by any query of this kind and parameters, at any epoch) is
-        looked up instead of searched again.
+        The ECs are disjoint (Definition 6), so the shares add up to the
+        measure of the witness set within the scope.  An EC whose
+        cofactor signature misses the scope's cannot meet it and is
+        skipped unclassified; an unscoped query (``scope`` is the view's
+        universe) counts whole ECs.  ``deadline`` is an absolute
+        :func:`time.monotonic` timestamp; the EC walk — where all the
+        graph classification and BDD work happens — checks it between
+        entries and raises :class:`~repro.errors.QueryTimeoutError` once
+        passed.  With a ``memo`` of the view's PAT store, a vector
+        classified before (by any query of this kind and parameters, at
+        any epoch) is looked up instead of searched again.
         """
         verdicts: Dict[VecId, bool] = (
             memo.verdicts_for(self.kind, self.params())
             if memo is not None and memo.store is view.store
             else {}
         )
-        out = view.engine.false
+        scoped = scope != view.universe
+        sig_of = view.engine.signature
+        scope_sig = sig_of(scope) if scoped else 0
+        count = 0
         for pred, vector in view.entries():
             if deadline is not None and time.monotonic() > deadline:
                 raise QueryTimeoutError(
                     f"{self.kind} query exceeded its deadline mid-walk"
                 )
+            if scoped and not sig_of(pred) & scope_sig:
+                continue
             hit = verdicts.get(vector)
             if hit is None:
                 hit = verdicts[vector] = classify(
                     lambda d, v=vector: view.action_of(v, d)
                 )
             if hit:
-                out = out | pred
-        return out
+                count += (pred & scope if scoped else pred).sat_count()
+        return count
 
     def evaluate(
         self,
@@ -255,16 +272,14 @@ class ReachabilityQuery(Query):
         memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
         scope = self.scope_predicate(view)
-        delivered = self._witness(
+        delivered = self._witness_headers(
             view,
+            scope,
             lambda action_of: reaches_external(topology, action_of, self.source),
             deadline,
             memo,
         )
-        return QueryAnswer(
-            holds=(scope - delivered).is_false,
-            headers=(scope & delivered).sat_count(),
-        )
+        return QueryAnswer(holds=delivered == scope.sat_count(), headers=delivered)
 
 
 class LoopQuery(Query):
@@ -282,15 +297,14 @@ class LoopQuery(Query):
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
-        scope = self.scope_predicate(view)
-        looping = self._witness(
+        trapped = self._witness_headers(
             view,
+            self.scope_predicate(view),
             lambda action_of: forwarding_cycle(topology, action_of),
             deadline,
             memo,
         )
-        trapped = scope & looping
-        return QueryAnswer(holds=trapped.is_false, headers=trapped.sat_count())
+        return QueryAnswer(holds=trapped == 0, headers=trapped)
 
 
 class WaypointQuery(Query):
@@ -319,17 +333,16 @@ class WaypointQuery(Query):
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
     ) -> QueryAnswer:
-        scope = self.scope_predicate(view)
-        bypass = self._witness(
+        escaped = self._witness_headers(
             view,
+            self.scope_predicate(view),
             lambda action_of: reaches_external_avoiding(
                 topology, action_of, self.source, self.waypoint
             ),
             deadline,
             memo,
         )
-        escaped = scope & bypass
-        return QueryAnswer(holds=escaped.is_false, headers=escaped.sat_count())
+        return QueryAnswer(holds=escaped == 0, headers=escaped)
 
 
 __all__ = [

@@ -52,7 +52,9 @@ def unrestricted_overwrites(
 def apply_overwrites_reference(
     model: InverseModel, overwrites: Iterable[Overwrite]
 ) -> List[EcDelta]:
-    """Apply a block to ``model`` in place; the full post-block EC list."""
+    """Apply a block to ``model`` in place; the full post-block EC list
+    (the table :meth:`InverseModel.apply_overwrites` must leave, whatever
+    lineage it reports)."""
     work: Dict[VecId, Tuple[Predicate, Predicate]] = {
         vec: (pred, pred) for vec, pred in model._entries.items()
     }
@@ -72,7 +74,7 @@ def apply_overwrites_reference(
             new_vec = model.store.overwrite(vec, delta)
             _merge_reference(next_work, new_vec, inter, origin)
         work = next_work
-    model._entries = {vec: pred for vec, (pred, _) in work.items()}
+    model.restore((pred, vec) for vec, (pred, _) in work.items())
     return [
         EcDelta(predicate=pred, vector=vec, origin=origin)
         for vec, (pred, origin) in work.items()

@@ -8,11 +8,12 @@ property-tested against (``test_loop_soundness.py``,
   front for every synchronised device and every EC (``|synced| × |ECs|``
   model look-ups per update, even one that synchronises nobody), with the
   path kept as a plain list.
-* :class:`MemoFreeRegexVerifier` — Algorithm 2 re-testing every EC against
-  the requirement's packet space on every update.
+* :class:`MemoFreeRegexVerifier` — Algorithm 2 re-testing every EC of the
+  model against the requirement's packet space on every update, and
+  re-judging every undecided one, with its table rebuilt each time.
 """
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.ce2d.regex_verifier import RegexVerifier, _EcEntry
 from repro.dataplane.rule import next_hops_of
@@ -49,12 +50,12 @@ class EagerLoopDetector:
         self.potential_loops = 0
         self.lookups = 0
 
-    def on_model_update(self, deltas, new_synced, model):
+    def on_model_update(self, lineage, new_synced, model):
         if self.verdict is Verdict.VIOLATED:
             return self.report()
         fresh = sorted(set(new_synced) - self.synced)
         self.synced.update(fresh)
-        vectors = [d.vector for d in deltas]
+        vectors = [vec for _, vec in model.entries()]
         hyper_of = self._compress()
         edges = self._edges(vectors, model, hyper_of)
         self.potential_loops = 0
@@ -141,34 +142,41 @@ class EagerLoopDetector:
 
 class MemoFreeRegexVerifier(RegexVerifier):
     """``RegexVerifier`` with the pre-PR-14 update loop: one conjunction
-    with the packet space per EC per update, nothing carried over."""
+    with the packet space per EC of the model per update, every undecided
+    EC re-judged, the table rebuilt from the model's; the lineage is read
+    for origins only."""
 
-    def on_model_update(self, deltas: Sequence, new_synced, model):
+    def on_model_update(self, lineage, new_synced, model):
         fresh = [d for d in new_synced if d not in self.synced]
         self.synced.update(fresh)
+        origin_of = {d.predicate.node: d.origin for d in lineage.changed}
         next_table: Dict[int, _EcEntry] = {}
-        for delta in deltas:
-            if not delta.predicate.intersects(self.space):
+        for pred, vector in model.entries():
+            if not pred.intersects(self.space):
                 continue
-            entry = self._table.get(delta.predicate.node)
+            entry = self._table.get(pred.node)
             if entry is None:
-                parent = self._table.get(delta.origin.node)
+                origin = origin_of.get(pred.node)
+                parent = None if origin is None else self._table.get(origin.node)
                 if parent is None:
-                    entry = self._entry(self._template.clone(), delta.predicate)
+                    entry = self._entry(self._template.clone(), pred)
                     for device in self.synced:
                         removed = entry.graph.prune_device(
-                            device, model.action_of(delta.vector, device)
+                            device, model.action_of(vector, device)
                         )
                         entry.reach.delete_edges(removed)
                 else:
-                    entry = self._entry(parent.graph.clone(), delta.predicate)
+                    entry = self._entry(parent.graph.clone(), pred)
             if entry.verdict is Verdict.UNKNOWN:
                 for device in fresh:
                     removed = entry.graph.prune_device(
-                        device, model.action_of(delta.vector, device)
+                        device, model.action_of(vector, device)
                     )
                     entry.reach.delete_edges(removed)
                 entry.verdict = self._judge(entry)
-            next_table[delta.predicate.node] = entry
+            next_table[pred.node] = entry
         self._table = next_table
+        self._tally = dict.fromkeys(Verdict, 0)
+        for entry in next_table.values():
+            self._tally[entry.verdict] += 1
         return self.report()

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.ce2d.regex_verifier import RegexVerifier
 from repro.results import Verdict
-from repro.core.inverse_model import EcDelta
 from repro.core.model_manager import ModelWriter
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import insert
@@ -61,10 +60,9 @@ def random_updates(topo, device, rng):
 def fresh_verdict(req, topo, manager, synced):
     """Ground truth: a fresh verifier judging the current model in one shot."""
     reference = RegexVerifier(req, topo, LAYOUT, manager.compiler)
-    deltas = [
-        EcDelta(pred, vec, pred) for pred, vec in manager.model.entries()
-    ]
-    return reference.on_model_update(deltas, sorted(synced), manager.model).verdict
+    return reference.on_model_update(
+        manager.model.as_deltas(), sorted(synced), manager.model
+    ).verdict
 
 
 class TestIncrementalMatchesReference:
@@ -83,14 +81,9 @@ class TestIncrementalMatchesReference:
         rng.shuffle(order)
         for device in order:
             manager.submit(random_updates(topo, device, rng))
-            deltas = manager.flush()
-            if not deltas:
-                deltas = [
-                    EcDelta(pred, vec, pred)
-                    for pred, vec in manager.model.entries()
-                ]
+            lineage = manager.flush()
             synced.add(device)
-            got = incremental.on_model_update(deltas, [device], manager.model)
+            got = incremental.on_model_update(lineage, [device], manager.model)
             expected = fresh_verdict(req, topo, manager, synced)
             assert got.verdict == expected, (seed, device, synced)
 
@@ -111,14 +104,9 @@ class TestIncrementalMatchesReference:
         rng.shuffle(order)
         for device in order:
             manager.submit(random_updates(topo, device, rng))
-            deltas = manager.flush()
-            if not deltas:
-                deltas = [
-                    EcDelta(pred, vec, pred)
-                    for pred, vec in manager.model.entries()
-                ]
+            lineage = manager.flush()
             synced.add(device)
-            got = incremental.on_model_update(deltas, [device], manager.model)
+            got = incremental.on_model_update(lineage, [device], manager.model)
             expected = fresh_verdict(req, topo, manager, synced)
             assert got.verdict == expected, (seed, device, synced)
 
@@ -135,13 +123,8 @@ class TestIncrementalMatchesReference:
         space_pred = manager.compiler.compile(space)
         for device in topo.switches():
             manager.submit(random_updates(topo, device, rng))
-            deltas = manager.flush()
-            if not deltas:
-                deltas = [
-                    EcDelta(pred, vec, pred)
-                    for pred, vec in manager.model.entries()
-                ]
-            incremental.on_model_update(deltas, [device], manager.model)
+            lineage = manager.flush()
+            incremental.on_model_update(lineage, [device], manager.model)
             relevant = sum(
                 1
                 for pred, _ in manager.model.entries()

@@ -1,4 +1,5 @@
-"""Fast apply path ≡ reference cross product, plus memory accounting.
+"""Fast apply path ≡ reference cross product, its lineage contract, plus
+memory accounting.
 
 The support-pruned, signature-filtered, split-based
 :meth:`InverseModel.apply_overwrites` must produce exactly the same
@@ -6,7 +7,9 @@ model as the historical cross product, kept as the oracle
 :func:`tests.apply_reference.apply_overwrites_reference`, on arbitrary
 EC tables and overwrite blocks — these property tests drive both over
 the same random streams (seeded via ``--repro-seed``) and compare the
-resulting vec→predicate maps after every block.
+resulting vec→predicate maps after every block.  The :class:`Lineage`
+it returns must name exactly what the block changed (:func:`assert_step`),
+block by block and composed across a writer's ``block_threshold``.
 """
 
 import pytest
@@ -14,7 +17,14 @@ import pytest
 from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
+from repro.core.model_manager import ModelWriter
 from repro.core.overwrite import Overwrite, atomic, make_delta
+from repro.dataplane.rule import DROP, Rule
+from repro.dataplane.update import delete, insert
+from repro.headerspace.fields import dst_only_layout
+from repro.headerspace.match import Match
+
+from repro.core.inverse_model import compose_lineage
 
 from .apply_reference import apply_overwrites_reference
 from .bdd_reference import ReferenceBDD
@@ -39,6 +49,31 @@ def canonical(model: InverseModel):
         existing = out.get(actions)
         out[actions] = pred if existing is None else existing | pred
     return {actions: pred.node for actions, pred in out.items()}
+
+
+def assert_step(before, lineage, model, where=None, one_block=True):
+    """``lineage`` is the step from the (predicate, vector) pairs ``before``
+    to ``model``'s table — over ``one_block``, exactly that step.  Composed
+    over several blocks it may also list an EC one block split and a later
+    one merged back."""
+    pre = dict(before)
+    handles = {vec: pred for pred, vec in before}
+    post = dict(model.entries())
+    removed = set(lineage.removed)
+    assert len(removed) == len(lineage.removed) and removed <= pre.keys(), where
+    # pre-table − removed + changed = post-table
+    stepped = {p: v for p, v in pre.items() if p not in removed}
+    stepped.update((d.predicate, d.vector) for d in lineage.changed)
+    assert stepped == post, where
+    if one_block:  # a changed EC is no pre-block pair, a removed one no post
+        assert all(pre.get(d.predicate) != d.vector for d in lineage.changed), where
+        assert all(post.get(p) != pre[p] for p in removed), where
+    assert all(d.origin in pre for d in lineage.changed), where
+    changed = {d.predicate for d in lineage.changed}
+    for pred, vec in post.items():
+        if pred not in changed:  # in neither list: same handle, same vector
+            assert handles[vec] is pred, where
+    model.check_invariants()
 
 
 def random_block(engine, rng, max_ows=6):
@@ -69,9 +104,9 @@ def test_fast_apply_equals_reference_on_random_blocks(kind):
             seed = rng.getrandbits(32)
             block_a = random_block(engine_a, case_rng(seed))
             block_b = random_block(engine_b, case_rng(seed))
-            fast.apply_overwrites(block_a)
+            before = fast.entries()
+            assert_step(before, fast.apply_overwrites(block_a), fast, trial)
             apply_overwrites_reference(ref, block_b)
-            fast.check_invariants()
             ref.check_invariants()
             view_a = {
                 actions: probe.import_predicate(engine_a.pred(node))
@@ -143,12 +178,115 @@ def test_pair_pruning_counter_advances():
 
 def test_noop_and_false_overwrites_leave_model_alone():
     engine, model = fresh_model("fast")
-    entries_before = canonical(model)
-    deltas = model.apply_overwrites(
+    model.apply_overwrites([atomic(engine.cube([(0, True)]), 0, 5)])
+    before = model.entries()
+    lineage = model.apply_overwrites(
         [atomic(engine.false, 0, 5), Overwrite(engine.true, ())]
     )
-    assert canonical(model) == entries_before
-    assert len(deltas) == len(model)
+    assert not lineage and lineage.changed == [] and lineage.removed == []
+    assert model.entries() == before
+    assert all(a is b for (a, _), (b, _) in zip(model.entries(), before))
+
+
+LAYOUT = dst_only_layout(5)
+HEADERS = [dict(LAYOUT.bits_of("dst", v)) for v in range(LAYOUT.universe_size)]
+
+
+def random_batches(rng, withdrawals, steps=12):
+    """Per step, one device's inserts of random prefix rules and, with
+    ``withdrawals``, removals of rules it installed before."""
+    installed = {d: {} for d in DEVICES}  # device → {priority: rule}
+    batches = []
+    for _ in range(steps):
+        device = rng.choice(DEVICES)
+        updates = []
+        for pri in rng.sample(range(1, 6), rng.randint(1, 3)):
+            old = installed[device].get(pri)
+            if old is not None:
+                if withdrawals and rng.random() < 0.6:
+                    updates.append(delete(device, old))
+                    del installed[device][pri]
+                continue
+            action = rng.choice([a for a in DEVICES if a != device] + [DROP])
+            match = Match.dst_prefix(rng.randrange(32), rng.randint(0, 3), LAYOUT)
+            rule = installed[device][pri] = Rule(pri, match, action)
+            updates.append(insert(device, rule))
+        batches.append(updates)
+    return batches
+
+
+@pytest.mark.parametrize("withdrawals", [False, True], ids=["inserts", "withdrawals"])
+@pytest.mark.parametrize("use_trie", [False, True], ids=["scan", "trie"])
+def test_writer_lineage_is_the_step_at_every_threshold(use_trie, withdrawals):
+    """Through ``ModelWriter``: each batch's lineage, composed across the
+    blocks ``block_threshold`` cuts it into, is the step from the
+    pre-batch table, and the table equals the reference cross product's."""
+    rng = case_rng(0xAB05 + 2 * use_trie + withdrawals)
+    for trial in range(3):
+        batches = random_batches(rng, withdrawals)
+        reference = ModelWriter(DEVICES, LAYOUT, use_trie=use_trie)
+        reference.model.apply_overwrites = (
+            lambda ows, support=None: apply_overwrites_reference(
+                reference.model, ows
+            )
+        )
+        for threshold in (None, 1, 2, 3):
+            writer = ModelWriter(
+                DEVICES, LAYOUT, block_threshold=threshold, use_trie=use_trie
+            )
+            for step, batch in enumerate(batches):
+                before = writer.model.entries()
+                lineage = writer.submit(batch)
+                lineage = compose_lineage(lineage, writer.flush())
+                assert_step(
+                    before, lineage, writer.model, (trial, threshold, step),
+                    one_block=threshold is None,
+                )
+                if threshold is None:
+                    reference.submit(batch)
+                    reference.flush()
+                    assert [writer.model.behavior(h) for h in HEADERS] == [
+                        reference.model.behavior(h) for h in HEADERS
+                    ], (trial, step)
+
+
+def test_rollback_then_apply_equals_a_fresh_apply():
+    """``rollback`` rebuilds the signature dict with the table: the next
+    block applies, and reports, exactly as on a model that never left
+    the version."""
+    rng = case_rng(0xAB06)
+    engine = PredicateEngine(LAYOUT.total_bits)
+    store = ActionTreeStore()
+    for trial in range(4):
+        head, detour, tail = (random_batches(rng, True, steps=4) for _ in range(3))
+        rolled = ModelWriter(DEVICES, LAYOUT, engine=engine, store=store)
+        fresh = ModelWriter(DEVICES, LAYOUT, engine=engine, store=store)
+        for writer in (rolled, fresh):
+            for batch in head:
+                writer.submit(batch)
+                writer.flush()
+        view = rolled.read_view()
+        for batch in detour:
+            rolled.submit(batch)
+            rolled.flush()
+        rolled.rollback(view)
+        rolled.model.check_invariants()
+        assert rolled.model._sigs == fresh.model._sigs
+        for batch in tail:
+            got, want = [], []
+            for writer, out in ((rolled, got), (fresh, want)):
+                writer.submit(batch)
+                lineage = writer.flush()
+                out.append(
+                    (
+                        [(d.predicate, d.vector, d.origin) for d in lineage.changed],
+                        lineage.removed,
+                        writer.model.entries(),
+                        dict(writer.model._sigs),
+                    )
+                )
+            assert got == want, trial
+        rolled.model.check_invariants()
 
 
 class TestMemoryEstimate:

@@ -10,6 +10,7 @@ from repro.bdd.predicate import Predicate
 from repro.ce2d.dispatcher import CE2DDispatcher
 from repro.ce2d.epoch import EpochTracker
 from repro.ce2d.loop_detector import LoopDetector
+from repro.ce2d.regex_verifier import RegexVerifier
 from repro.results import Verdict
 from repro.ce2d.verifier import SubspaceVerifier
 from repro.dataplane.rule import DROP, Rule
@@ -339,7 +340,7 @@ class TestRegexSpaceCarryOver:
 
     def test_universe_disjoint_from_space_reports_as_before(self):
         """A subspace verifier whose universe misses the requirement's
-        packet space: the initial ecTable entry is never "known inside"."""
+        packet space: the initial EC is never in the ecTable."""
         topo = figure3_example()
         req = requirement(
             "reach-high",
@@ -352,7 +353,7 @@ class TestRegexSpaceCarryOver:
         low = Match.dst_prefix(0b0000, 1, LAYOUT)
         verifier = _with_memo_free_twins(topo, LAYOUT, [req], subspace_match=low)
         ours, twin = verifier.regex_verifiers[0], verifier.custom_checkers[0]
-        assert ours.report().detail == twin.report().detail == "1 ECs in space"
+        assert ours.report().detail == twin.report().detail == "0 ECs in space"
         steps = [("S", [fwd(topo, "S", "A")]), ("A", []), ("S", [])]
         for name, batch in steps:
             reports = verifier.receive(topo.id_of(name), batch)
@@ -399,6 +400,39 @@ class TestRegexSpaceCarryOver:
         merged, ours_tested = step(a, [delete(a, split)])
         assert merged == whole  # the same predicate node is back ...
         assert ours_tested == 1  # ... and is tested again
+
+
+class TestLineageOnlyJudging:
+    def test_lineage_only_call_judges_only_newborn_entries(self, monkeypatch):
+        """Nobody synchronised, so an entry that was there keeps its graph
+        and its verdict: only the entries the call created are judged."""
+        topo = figure3_example()
+        req = requirement("reach", topo, LAYOUT, Match.wildcard(), ["S"], "S .* D")
+        verifier = SubspaceVerifier(topo, LAYOUT, requirements=[req])
+        ours = verifier.regex_verifiers[0]
+        judged = []
+        judge = RegexVerifier._judge
+
+        def spy(self, entry):
+            if self is ours:
+                judged.append(entry)
+            return judge(self, entry)
+
+        monkeypatch.setattr(RegexVerifier, "_judge", spy)
+        a, b = topo.id_of("A"), topo.id_of("B")
+        high = Match.dst_prefix(0b1000, 1, LAYOUT)
+        quarter = Match.dst_prefix(0b0100, 2, LAYOUT)
+        verifier.receive(topo.id_of("S"), [fwd(topo, "S", "W")])
+        # A, outside the epoch, splits the space in halves; then B splits
+        # the low half, leaving the high one as it was.
+        for device, rule in [(a, Rule(2, high, b)), (b, Rule(2, quarter, a))]:
+            before = {id(e) for e in ours._table.values()}
+            judged.clear()
+            assert verifier.observe(verifier.apply([insert(device, rule)]), ()) == []
+            born = {id(e) for e in ours._table.values()} - before
+            assert born and sorted(map(id, judged)) == sorted(born)
+        assert len(ours._table) == 3
+        assert {e.verdict for e in ours._table.values()} == {Verdict.UNKNOWN}
 
 
 def loop_dispatcher(topo, **kwargs):

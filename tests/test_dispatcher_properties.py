@@ -542,8 +542,9 @@ class TestLineageOnlyCalls:
 
 class _LineageChecker:
     """A custom §5.1 checker written the way :class:`Checker` says to: per
-    EC, what each device did with it when it synchronised — state that
-    outlives a batch only by being re-keyed along ``delta.origin``."""
+    EC, what each device did with it when it synchronised — state that an
+    EC the update left alone keeps, and a changed EC takes over from its
+    ``delta.origin``."""
 
     HEADERS = [
         dict(LAYOUT.bits_of("dst", value)) for value in range(LAYOUT.universe_size)
@@ -552,17 +553,22 @@ class _LineageChecker:
     def __init__(self):
         self.table = None  # EC predicate → ((device, its action then), ...)
 
-    def on_model_update(self, deltas, new_synced, model):
+    def on_model_update(self, lineage, new_synced, model):
         from repro.results import VerificationReport
 
-        if self.table is None:  # the epoch opens on the table as it stands
-            self.table = {d.origin: () for d in deltas}
-        lost = [d for d in deltas if d.origin not in self.table]
-        self.table = {
-            d.predicate: self.table.get(d.origin, ())
-            + tuple((dev, model.action_of(d.vector, dev)) for dev in new_synced)
-            for d in deltas
-        }
+        if self.table is None:  # the initial table: the origin of them all
+            self.table = {d.origin: () for d in lineage.changed}
+        before = self.table
+        lost = [d for d in lineage.changed if d.origin not in before]
+        self.table = dict(before)
+        for pred in lineage.removed:
+            del self.table[pred]
+        for d in lineage.changed:
+            self.table[d.predicate] = before.get(d.origin, ())
+        for pred, vector in model.entries() if new_synced else ():
+            self.table[pred] += tuple(
+                (dev, model.action_of(vector, dev)) for dev in new_synced
+            )
         per_header = [
             next(seen for ec, seen in self.table.items() if ec.evaluate(header))
             for header in self.HEADERS
@@ -576,7 +582,8 @@ class _LineageChecker:
 
 class TestBatchIsOneLineageStep:
     """``block_threshold`` cuts a batch into blocks for the model; what the
-    checkers are handed is still one step from the pre-batch table."""
+    checkers are handed is still one step from the pre-batch table, and
+    names only what the batch changed."""
 
     THRESHOLDS = (None, 1, 2, 3)
 
@@ -594,10 +601,21 @@ class TestBatchIsOneLineageStep:
             for step, (device, _, updates) in enumerate(stream):
                 where = (seed, threshold, step)
                 before = dict(model.entries())
+                handles = {vec: pred for pred, vec in before.items()}
                 others = [d for d in topo.switches() if d != device]
-                deltas = verifier.apply(updates)
-                assert {d.predicate: d.vector for d in deltas} == dict(model.entries()), where
-                for delta in deltas:
+                lineage = verifier.apply(updates)
+                after = dict(model.entries())
+                # pre-batch table − removed + changed = post-batch table
+                assert all(p in before for p in lineage.removed), where
+                stepped = {p: v for p, v in before.items() if p not in lineage.removed}
+                stepped.update((d.predicate, d.vector) for d in lineage.changed)
+                assert stepped == after, where
+                # An EC in neither list kept its handle and its vector.
+                changed = {d.predicate for d in lineage.changed}
+                for pred, vec in after.items():
+                    if pred not in changed:
+                        assert handles[vec] is pred, where
+                for delta in lineage.changed:
                     # A pre-batch EC, and one the new EC descends from: on
                     # every device the batch did not touch they act alike.
                     # (Overlap is not promised — where parents merged and

@@ -65,18 +65,23 @@ def test_live_epochs_keyed_on_lineage(always_sweep, seed):
 
 
 class LineageChecker(Checker):
-    """A §5.1 checker holding nothing but what the deltas hand it: per-EC
+    """A §5.1 checker holding nothing but what the lineage hands it: per-EC
     ancestry (the header counts of every predicate it descends from),
-    keyed by handle and looked up through ``delta.origin``."""
+    keyed by handle, carried over for the ECs an update left alone and
+    looked up through ``delta.origin`` for the ones it changed."""
 
     def __init__(self):
         self.ancestry = {}
 
-    def on_model_update(self, deltas, new_synced, model):
-        self.ancestry = {
-            d.predicate: self.ancestry.get(d.origin, ()) + (d.origin.sat_count(),)
-            for d in deltas
-        }
+    def on_model_update(self, lineage, new_synced, model):
+        before = self.ancestry
+        self.ancestry = dict(before)
+        for pred in lineage.removed:
+            self.ancestry.pop(pred, None)
+        for d in lineage.changed:
+            self.ancestry[d.predicate] = before.get(d.origin, ()) + (
+                d.origin.sat_count(),
+            )
         return VerificationReport("lineage", Verdict.SATISFIED, "")
 
     def lines(self):
@@ -94,6 +99,15 @@ def _splitting_run(seed):
         requirements=dispatcher_props.TestTrunkMatchesReplay()._requirements(topo),
     )
     lineage = LineageChecker()
+    make = flash.dispatcher.factory
+
+    def with_checker(tag):  # attached before the epoch opens on the trunk
+        group = make(tag)
+        for member in group.members:
+            member.add_checker(lineage)
+        return group
+
+    flash.dispatcher.factory = with_checker
     switches = topo.switches()
     installed = {d: {} for d in switches}
     lines = []
@@ -110,9 +124,6 @@ def _splitting_run(seed):
                 installed[device][pri] = rule
                 updates.append(insert(device, rule))
         reports = flash.ingest(device, updates, epoch="one")
-        if step == 0:  # the epoch's verifier exists now
-            for member in flash.dispatcher.verifier_for("one").members:
-                member.add_checker(lineage)
         lines.append(",".join(r.verdict.value for r in reports))
     return lines, lineage.lines()
 

@@ -264,8 +264,9 @@ class TestInverseModelApplication:
         model = InverseModel(engine, store, [0])
         original = model.entries()[0][0]
         p = compiler.compile(Match.dst_prefix(0b1000, 1, LAYOUT))
-        deltas = model.apply_overwrites([atomic(p, 0, 5)])
-        assert {d.origin for d in deltas} == {original}
+        lineage = model.apply_overwrites([atomic(p, 0, 5)])
+        assert {d.origin for d in lineage.changed} == {original}
+        assert lineage.removed == [original]
 
     def test_empty_overwrite_ignored(self):
         engine = PredicateEngine(LAYOUT.total_bits)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.results import Verdict, VerificationReport
 from repro.ce2d.loop_detector import LoopDetector
-from repro.core.inverse_model import EcDelta
+from repro.core.inverse_model import Lineage
 from repro.ce2d.verifier import Checker, SubspaceVerifier
 from repro.dataplane.rule import DROP, Rule, next_hops_of
 from repro.dataplane.update import delete, insert
@@ -142,15 +142,21 @@ class TestPartialSyncSoundness:
 
 
 class CountingModel:
-    """Model stub: forwards ``action_of`` and records every pair asked."""
+    """Model stub: forwards ``action_of`` and ``entries``, recording every
+    pair asked and how often the table was listed."""
 
     def __init__(self, model):
         self._model = model
         self.asked = []
+        self.listed = 0
 
     def action_of(self, vector, device):
         self.asked.append((device, vector))
         return self._model.action_of(vector, device)
+
+    def entries(self):
+        self.listed += 1
+        return self._model.entries()
 
 
 def mixed_topology(rng):
@@ -187,7 +193,7 @@ def mixed_batch(topo, device, rng, installed):
     return batch
 
 
-def assert_forwarding_cycle(topo, loop_path, synced, deltas, model):
+def assert_forwarding_cycle(topo, loop_path, synced, model):
     """``loop_path`` closes, stays on synchronised switches, follows links,
     and some EC takes every one of its hops."""
     assert loop_path[0] == loop_path[-1] and len(loop_path) >= 3
@@ -195,8 +201,8 @@ def assert_forwarding_cycle(topo, loop_path, synced, deltas, model):
     hops = list(zip(loop_path, loop_path[1:]))
     assert all(topo.has_link(u, v) for u, v in hops)
     assert any(
-        all(v in next_hops_of(model.action_of(d.vector, u)) for u, v in hops)
-        for d in deltas
+        all(v in next_hops_of(model.action_of(vector, u)) for u, v in hops)
+        for _, vector in model.entries()
     )
 
 
@@ -212,13 +218,11 @@ class TestDemandDrivenSearch:
         verifier = SubspaceVerifier(topo, LAYOUT)
         detector = LoopDetector(topo)
         oracle = EagerLoopDetector(topo)
-        seen = []
 
         class Both(Checker):
-            def on_model_update(self, deltas, new_synced, model):
-                seen.append((deltas, model))
-                oracle.on_model_update(deltas, new_synced, model)
-                return detector.on_model_update(deltas, new_synced, model)
+            def on_model_update(self, lineage, new_synced, model):
+                oracle.on_model_update(lineage, new_synced, model)
+                return detector.on_model_update(lineage, new_synced, model)
 
         verifier.add_checker(Both())
         switches = topo.switches()
@@ -234,7 +238,8 @@ class TestDemandDrivenSearch:
             assert detector.synced == oracle.synced
             if detector.verdict is Verdict.VIOLATED and not was_violated:
                 assert_forwarding_cycle(
-                    topo, detector.loop_path, detector.synced, *seen[-1]
+                    topo, detector.loop_path, detector.synced,
+                    verifier.manager.model,
                 )
 
     @given(st.integers(0, 10_000))
@@ -255,22 +260,22 @@ class TestDemandDrivenSearch:
         while pending:
             if rng.random() < 0.3:
                 outsider = rng.choice(pending)
-                deltas = verifier.apply(
+                lineage = verifier.apply(
                     mixed_batch(topo, outsider, rng, installed[outsider])
                 )
-                detector.on_model_update(deltas, (), model)
-                oracle.on_model_update(deltas, (), model)
+                detector.on_model_update(lineage, (), model)
+                oracle.on_model_update(lineage, (), model)
             cut = rng.randint(1, 2)
             now, pending = pending[:cut], pending[cut:]
             batch = [u for d in now for u in mixed_batch(topo, d, rng, installed[d])]
-            deltas = verifier.apply(batch)
+            lineage = verifier.apply(batch)
             was_violated = detector.verdict is Verdict.VIOLATED
-            detector.on_model_update(deltas, now, model)
-            oracle.on_model_update(deltas, now, model)
+            detector.on_model_update(lineage, now, model)
+            oracle.on_model_update(lineage, now, model)
             assert detector.verdict is oracle.verdict, (seed, now)
             if detector.verdict is Verdict.VIOLATED and not was_violated:
                 assert_forwarding_cycle(
-                    topo, detector.loop_path, detector.synced, deltas, model
+                    topo, detector.loop_path, detector.synced, model
                 )
         assert detector.verdict is not Verdict.UNKNOWN
     @pytest.mark.parametrize("rereport", [False, True])
@@ -316,19 +321,15 @@ class TestDemandDrivenSearch:
         detector = verifier.loop_detector
         for device, nxt in [(0, 1), (1, 2)]:
             verifier.receive(device, [insert(device, Rule(1, Match.wildcard(), nxt))])
-        deltas = [
-            EcDelta(pred, vec, pred)
-            for pred, vec in verifier.manager.model.entries()
-        ]
         searches = telemetry.registry.counter("ce2d.loop.searches").value
         eager = EagerLoopDetector(topo)
         eager.synced = {0, 1}
         for resend in ([], [0], [1, 0]):
-            report = detector.on_model_update(deltas, resend, model)
+            report = detector.on_model_update(Lineage(), resend, model)
             assert report.verdict is Verdict.UNKNOWN
-            eager.on_model_update(deltas, resend, model._model)
-        assert model.asked == []
-        assert eager.lookups == 3 * 2 * len(deltas) > 0  # what it used to cost
+            eager.on_model_update(Lineage(), resend, model._model)
+        assert model.asked == [] and model.listed == 0
+        assert eager.lookups == 3 * 2 * len(model._model) > 0  # what it used to cost
         assert telemetry.registry.counter("ce2d.loop.searches").value == searches
 
     @given(st.integers(0, 10_000))
@@ -343,17 +344,17 @@ class TestDemandDrivenSearch:
         totals = {"lookups": 0, "searches": 0}
 
         class Counted(Checker):
-            def on_model_update(self, deltas, new_synced, model):
+            def on_model_update(self, lineage, new_synced, model):
                 stub = CountingModel(model)
                 fresh = set(new_synced) - detector.synced
                 was_violated = detector.verdict is Verdict.VIOLATED
-                report = detector.on_model_update(deltas, new_synced, stub)
-                oracle.on_model_update(deltas, new_synced, model)
+                report = detector.on_model_update(lineage, new_synced, stub)
+                oracle.on_model_update(lineage, new_synced, model)
                 # Memoised: no (device, EC) pair is resolved twice.
                 assert len(stub.asked) == len(set(stub.asked)), seed
                 visited = {device for device, _ in stub.asked}
                 assert visited <= detector.synced
-                assert len(stub.asked) <= len(visited) * len(deltas)
+                assert len(stub.asked) <= len(visited) * len(model)
                 if not fresh or was_violated:
                     assert stub.asked == []
                 else:
@@ -432,11 +433,11 @@ class TestCustomChecker:
             self.topology = topology
             self.blackholes = set()
 
-        def on_model_update(self, deltas, new_synced, model):
+        def on_model_update(self, lineage, new_synced, model):
             for device in new_synced:
                 if all(
-                    model.action_of(d.vector, device) in (DROP, None)
-                    for d in deltas
+                    model.action_of(vector, device) in (DROP, None)
+                    for _, vector in model.entries()
                 ):
                     self.blackholes.add(device)
             return VerificationReport(
@@ -462,7 +463,7 @@ class TestCustomChecker:
         seen = []
 
         class Recorder(Checker):
-            def on_model_update(self, deltas, new_synced, model):
+            def on_model_update(self, lineage, new_synced, model):
                 seen.extend(new_synced)
                 return VerificationReport("rec", Verdict.UNKNOWN)
 

@@ -10,6 +10,7 @@ import repro
 from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.inverse_model import InverseModel
+from repro.core.overwrite import atomic
 from repro.telemetry import PhaseBreakdown
 from repro.dataplane.fib import FibSnapshot, enumerate_headers
 from repro.dataplane.rule import DROP, Rule
@@ -92,6 +93,21 @@ class TestInverseModelInvariants:
         other = store.overwrite(vec, {0: 9})
         model._entries[other] = engine.false
         with pytest.raises(ModelInvariantError):
+            model.check_invariants()
+
+    def test_detects_signature_dict_out_of_step(self):
+        engine = PredicateEngine(LAYOUT.total_bits)
+        store = ActionTreeStore()
+        model = InverseModel(engine, store, [0])
+        half = engine.variable(0)
+        model.apply_overwrites([atomic(half, 0, 9)])
+        model.check_invariants()
+        vec = next(v for v, p in model._entries.items() if p == half)
+        model._sigs[vec] = engine.signature(~half)
+        with pytest.raises(ModelInvariantError, match="stale signature"):
+            model.check_invariants()
+        del model._sigs[vec]
+        with pytest.raises(ModelInvariantError, match="keys"):
             model.check_invariants()
 
     def test_uncovered_header_raises(self):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.ce2d.verifier import SubspaceVerifier
 from repro.core.model_manager import ModelWriter
-from repro.dataplane.rule import DROP, Rule
+from repro.dataplane.rule import DROP, Rule, ecmp
 from repro.dataplane.update import delete, insert
 from repro.errors import (
     ServeClosedError,
@@ -40,6 +40,9 @@ from repro.serve import (
     reaches_external_avoiding,
     run_load,
 )
+
+from .conftest import case_rng
+from .serve_reference import evaluate_by_union
 
 LAYOUT = dst_only_layout(8)
 SPACE = 1 << 8
@@ -199,6 +202,70 @@ class TestQueries:
 # ----------------------------------------------------------------------
 # Copy isolation: the re-hosted view answers identically
 # ----------------------------------------------------------------------
+
+def random_serve_view(rng, topo, updates, universe):
+    """A view after ``updates`` random prefix rules (next hops, ECMP pairs
+    and drops, so graphs deliver, drop and loop) on a writer over
+    ``universe``, a Match or None."""
+    writer = ModelWriter(topo.switches(), LAYOUT, subspace_match=universe)
+    switches = topo.switches()
+    for pri in range(1, updates + 1):
+        device = rng.choice(switches)
+        hops = sorted(topo.neighbors(device))
+        roll = rng.random()
+        action = (
+            DROP if roll < 0.15
+            else ecmp(*rng.sample(hops, 2)) if roll < 0.3 and len(hops) > 1
+            else rng.choice(hops)
+        )
+        match = Match.dst_prefix(rng.getrandbits(8), rng.randint(0, 6), LAYOUT)
+        writer.submit([insert(device, Rule(pri, match, action))])
+        writer.flush()
+    return writer.read_view()
+
+
+class TestPerEcCounting:
+    """Served answers sum each witness EC's share of the scope; the union
+    evaluation of ``tests/serve_reference.py`` is the independent check."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sum_equals_the_union_evaluation(self, seed):
+        rng = case_rng(0x5E7E + seed)
+        topo = Topology("mesh")
+        switches = [topo.add_device(f"s{i}") for i in range(5)]
+        for i in range(1, 5):
+            topo.add_link(switches[i], switches[rng.randrange(i)])
+        if not topo.has_link(switches[0], switches[4]):
+            topo.add_link(switches[0], switches[4])  # a cycle to loop on
+        for name, switch in zip("xyz", rng.sample(switches, 3)):
+            topo.add_link(switch, topo.add_external(name))
+        low, high = Match.dst_prefix(0, 1, LAYOUT), Match.dst_prefix(128, 1, LAYOUT)
+        views = [random_serve_view(rng, topo, 0, None)]  # the one-EC table
+        views += [random_serve_view(rng, topo, 0, low)]
+        views += [
+            random_serve_view(rng, topo, rng.randint(10, 30), rng.choice([None, low]))
+            for _ in range(4)
+        ]
+        asked = 0
+        for view in views:
+            for served in (view, isolate_view(view)):
+                scopes = [None, high]  # high misses a ``low`` universe
+                scopes += [
+                    Match.dst_prefix(rng.getrandbits(8), rng.randint(1, 5), LAYOUT)
+                    for _ in range(6)
+                ]
+                for scope in scopes:
+                    source, waypoint = rng.sample(switches, 2)
+                    for query in (
+                        ReachabilityQuery(source, scope),
+                        LoopQuery(scope),
+                        WaypointQuery(source, waypoint, scope),
+                    ):
+                        want = evaluate_by_union(query, served, topo)
+                        assert query.evaluate(served, topo) == want, (seed, query)
+                        asked += 1
+        assert asked == 6 * 2 * 8 * 3
+
 
 class TestIsolateView:
     def test_isolated_view_answers_equal_originals(self):
