@@ -36,7 +36,6 @@ _EXPORTS = {
     "SubspacePartition": ".core",
     "MetricsRegistry": ".telemetry",
     "Telemetry": ".telemetry",
-    "TelemetryConfig": ".telemetry",
     "DROP": ".dataplane",
     "FibSnapshot": ".dataplane",
     "FibTable": ".dataplane",
@@ -47,7 +46,6 @@ _EXPORTS = {
     "insert": ".dataplane",
     "EpochGroupVerifier": ".flash",
     "Flash": ".flash",
-    "QueryableVerifier": ".flash",
     "HeaderLayout": ".headerspace",
     "Match": ".headerspace",
     "Pattern": ".headerspace",

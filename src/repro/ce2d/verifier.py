@@ -171,16 +171,14 @@ class SubspaceVerifier:
         """
         return self.observe(self.apply(updates), [device], now)
 
-    # -- QueryableVerifier --------------------------------------------------
     def ingest(
         self,
         device: int,
         updates: Sequence[RuleUpdate],
         *,
-        epoch: Optional[EpochTag] = None,
         now: Optional[float] = None,
     ) -> List[Report]:
-        """Unified ingestion door; this verifier is pinned, ``epoch`` ignored."""
+        """:meth:`receive`: the door a serve daemon's writer enters by."""
         return self.receive(device, updates, now=now)
 
     def read_view(self):

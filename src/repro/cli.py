@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from .baselines.apkeep import APKeepVerifier
 from .baselines.deltanet import DeltaNetVerifier
-from .telemetry import JsonLinesExporter, Telemetry, TelemetryConfig
+from .telemetry import JsonLinesExporter, Telemetry
 from .core.model_manager import ModelWriter
 from .dataplane.trace import inserts_only, insert_then_delete, read_trace, write_trace
 from .errors import ReproError
@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
     layout = _build_layout(args)
     updates = list(read_trace(args.trace))
     print(f"verifying {len(updates)} updates with {args.engine} ...")
-    telemetry = Telemetry.from_config(TelemetryConfig())
+    telemetry = Telemetry()
     start = time.perf_counter()
     reports = []
     if args.engine == "flash":
@@ -226,7 +226,7 @@ def cmd_fuzz(args) -> int:
     if args.chaos and args.interleave:
         print("--chaos and --interleave are mutually exclusive")
         return 2
-    telemetry = Telemetry.from_config(TelemetryConfig())
+    telemetry = Telemetry()
     generator = ScenarioGenerator(seed=args.seed, profile=args.profile)
     runners = _fuzz_runners(args, telemetry)
     if args.interleave:

@@ -221,6 +221,11 @@ class InverseModel:
         work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
         for vec in [v for v, psig in sigs.items() if psig & support_sig]:
             pred = entries[vec]
+            # The exact check is a per-workload trade, not dead weight:
+            # without it (and the pipeline's support disjunction) churn's
+            # small blocks ran 7 % slower and storm's every-EC blocks
+            # 6.5 % faster (docs/perf.md, "Why the exact support check
+            # stays").
             if not (exact and (pred & support).is_false):
                 work[vec] = (pred, pred, sigs[vec])
         if len(work) < len(entries):

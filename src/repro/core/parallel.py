@@ -34,7 +34,7 @@ from ..dataplane.update import RuleUpdate
 from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import Match
 from ..resilience.supervisor import FailedSubspace, RetryPolicy, WorkerFaultSpec
-from ..telemetry import MetricsRegistry, Telemetry, TelemetryConfig
+from ..telemetry import MetricsRegistry, Telemetry
 from .model_manager import ModelWriter
 from .subspace import SubspacePartition
 
@@ -59,7 +59,6 @@ class WorkerTask:
     name: str
     subspace_match: Match
     updates: Tuple[RuleUpdate, ...]
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     fault: Optional[WorkerFaultSpec] = None  # chaos drills only
     attempt: int = 0
     collect_model: bool = False
@@ -77,7 +76,7 @@ def _run_one(task: WorkerTask) -> WorkerOutcome:
     when requested — the EC table as one wire blob."""
     if task.fault:
         task.fault.trigger(task.attempt)
-    telemetry = Telemetry.from_config(task.telemetry)
+    telemetry = Telemetry()
     manager = ModelWriter(
         list(task.devices),
         task.layout,
@@ -145,13 +144,11 @@ class PartitionedRunResult:
         )
 
 
-def _mp_context(name: Optional[str]):
+def _pool_context():
     """An explicit forkserver/spawn context — never the bare fork default,
     which duplicates arbitrary parent state (locks, open BDD engines) into
     workers.  The fork server imports this module once, so each worker it
     forks starts in milliseconds."""
-    if name is not None:
-        return multiprocessing.get_context(name)
     try:
         context = multiprocessing.get_context("forkserver")
     except ValueError:  # pragma: no cover - platform without forkserver
@@ -166,10 +163,8 @@ def run_partitioned(
     partition: SubspacePartition,
     updates: Sequence[RuleUpdate],
     processes: Optional[int] = None,
-    telemetry: Optional[TelemetryConfig] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[Mapping[str, str]] = None,
-    mp_context: Optional[str] = None,
     collect_models: bool = False,
 ) -> PartitionedRunResult:
     """Run every subspace verifier, optionally across worker processes.
@@ -191,7 +186,6 @@ def run_partitioned(
     post-run EC table into one fresh parent-side engine
     (:attr:`PartitionedRunResult.models` / ``.model_engine``).
     """
-    config = telemetry if telemetry is not None else TelemetryConfig()
     policy = retry if retry is not None else RetryPolicy()
     # A drill is validated where it enters: a typo is the caller's error,
     # not the subspace's, and a fault nobody would trigger is not a pass.
@@ -202,8 +196,6 @@ def run_partitioned(
             f"faults for {sorted(set(drill) - set(names))}, but the "
             f"partition's subspaces are {names}"
         )
-    # The parent side always times the fan-out, even when worker-side
-    # spans are disabled by the config.
     parent = Telemetry()
     outcomes: Dict[str, WorkerOutcome] = {}
     failures: List[FailedSubspace] = []
@@ -216,7 +208,6 @@ def run_partitioned(
                 name=s.name,
                 subspace_match=s.match,
                 updates=tuple(routed[s.index]),
-                telemetry=config,
                 fault=drill.get(s.name),
                 collect_model=collect_models,
             )
@@ -228,7 +219,7 @@ def run_partitioned(
         else:
             _run_pool(
                 tasks, processes, policy, parent, outcomes, failures,
-                _mp_context(mp_context),
+                _pool_context(),
             )
     wall = parent.registry.value("span.parallel.run.seconds")
     results: List[SubspaceRunStats] = []

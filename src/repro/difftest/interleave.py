@@ -62,6 +62,9 @@ class InterleaveRunner(FuzzRunner):
     """
 
     prefix = "difftest.interleave"
+    #: The exhaustive POR self-check runs only on blocks with at most
+    #: this many possible orders (120 = 5!).
+    self_check_limit = 120
 
     def __init__(
         self,
@@ -69,14 +72,12 @@ class InterleaveRunner(FuzzRunner):
         max_orders: int = 8,
         block_tail: int = 8,
         self_check: bool = True,
-        self_check_limit: int = 120,
         force_commute=None,
     ) -> None:
         super().__init__(telemetry)
         self.max_orders = max_orders
         self.block_tail = block_tail
         self.self_check = self_check
-        self.self_check_limit = self_check_limit
         #: Test-only misclassification hook, forwarded to the analyzer.
         self.force_commute = force_commute
         self.last_report: Optional[InterleaveReport] = None

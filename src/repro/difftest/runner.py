@@ -164,9 +164,7 @@ class DifferentialRunner(FuzzRunner):
                         block_threshold=1 if name == "flash-incr" else None,
                         telemetry=Telemetry(registry=self.telemetry.registry),
                     )
-                    # Consume Flash strictly through the QueryableVerifier
-                    # protocol, so the difftest exercises the exact facade
-                    # repro.serve is built on; one epoch.
+                    # One epoch, through the shared Flash replay.
                     verdicts[name] = replay_flash(
                         flash,
                         device_batches(scenario.updates, scenario.order),

@@ -50,11 +50,11 @@ def repair_updates(updates: Sequence[RuleUpdate]) -> List[RuleUpdate]:
 class Shrinker:
     """Minimise a divergent scenario while preserving its divergence kind."""
 
-    def __init__(
-        self, runner: Optional[DifferentialRunner] = None, max_replays: int = 400
-    ) -> None:
+    #: Replay budget of one :meth:`shrink` call.
+    max_replays = 400
+
+    def __init__(self, runner: Optional[DifferentialRunner] = None) -> None:
         self.runner = runner if runner is not None else DifferentialRunner()
-        self.max_replays = max_replays
         self.replays = 0
 
     # ------------------------------------------------------------------
@@ -161,12 +161,12 @@ class InterleaveShrinker(Shrinker):
     the regression replays one order instead of re-exploring.
     """
 
-    def __init__(self, runner=None, max_replays: int = 400) -> None:
+    def __init__(self, runner=None) -> None:
         if runner is None:
             from .interleave import InterleaveRunner
 
             runner = InterleaveRunner()
-        super().__init__(runner, max_replays)
+        super().__init__(runner)
 
     # ------------------------------------------------------------------
     def shrink(

@@ -16,17 +16,7 @@ For offline/one-shot use (validating simulated FIBs, Figure 6 style) use
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .ce2d.dispatcher import CE2DDispatcher
 from .ce2d.regex_verifier import requirement_graph
@@ -41,48 +31,7 @@ from .headerspace.fields import HeaderLayout
 from .network.topology import Topology
 from .results import Report
 from .spec.requirement import Requirement
-from .telemetry import Telemetry, TelemetryConfig
-
-
-@runtime_checkable
-class QueryableVerifier(Protocol):
-    """The one facade every consumer of a verifier speaks.
-
-    Historically this repo grew two divergent ``receive()`` doors —
-    :meth:`Flash.receive` (device, *epoch*, updates, now) and the
-    :meth:`SubspaceVerifier.receive` / :meth:`EpochGroupVerifier.receive`
-    shape (device, updates, now) — which forced every caller (offline
-    verification, difftest, and now ``repro.serve``) to know which layer
-    it was holding.  ``QueryableVerifier`` is the unified contract:
-
-    * :meth:`ingest` — one epoch-aware ingestion door.  Implementations
-      that are pinned to an epoch (subspace/epoch-group verifiers)
-      ignore the ``epoch`` argument; the epoch-routing :class:`Flash`
-      facade uses it to dispatch.
-    * :meth:`read_view` — the current consistent model as a
-      snapshot-pinned :class:`~repro.core.model_manager.ModelReadView`.
-    * :meth:`deterministic_reports` — the verdicts that hold now: per
-      live epoch and checker, the report at which its verdict last
-      changed, UNKNOWN ones left out.  State, not a transcript — every
-      ``ingest`` returns its call's reports, and those are the caller's.
-
-    ``repro.serve`` daemons, :meth:`Flash.verify_offline` and the
-    differential runner all consume exactly this protocol, so the
-    serving and batch paths cannot drift apart.
-    """
-
-    def ingest(
-        self,
-        device: int,
-        updates: Sequence[RuleUpdate],
-        *,
-        epoch: Optional[EpochTag] = None,
-        now: Optional[float] = None,
-    ) -> List[Report]: ...
-
-    def read_view(self) -> ModelReadView: ...
-
-    def deterministic_reports(self) -> List[Report]: ...
+from .telemetry import Telemetry
 
 
 class EpochGroupVerifier:
@@ -146,30 +95,20 @@ class EpochGroupVerifier:
     ) -> List[Report]:
         return self.observe(self.apply(updates), [device], now)
 
-    # -- QueryableVerifier --------------------------------------------------
-    def ingest(
-        self,
-        device: int,
-        updates: Sequence[RuleUpdate],
-        *,
-        epoch: Optional[EpochTag] = None,
-        now: Optional[float] = None,
-    ) -> List[Report]:
-        """Unified ingestion door; this group is pinned, ``epoch`` ignored."""
-        return self.receive(device, updates, now=now)
-
     def read_view(self) -> ModelReadView:
-        """The first member's current model, snapshot-pinned.
+        """The one member's current model, snapshot-pinned.
 
-        Multi-subspace groups expose the first subspace's model here;
-        per-subspace consumers should walk :attr:`members` and call each
-        verifier's own :meth:`~SubspaceVerifier.read_view`.  An epoch's
+        A partitioned group has one model per subspace and no single view
+        of them all: read ``members[i].read_view()`` for each.  An epoch's
         group reads :class:`Flash`'s trunk, so the view holds every
         device's latest FIB: the epoch's own state in the columns of its
         synchronised devices, other epochs' in the rest.
         """
-        if not self.members:
-            raise ValueError("epoch group has no subspace verifiers")
+        if len(self.members) != 1:
+            raise ValueError(
+                f"epoch group has {len(self.members)} subspace models; "
+                f"read members[i].read_view() for each"
+            )
         return self.members[0].read_view()
 
     @property
@@ -193,8 +132,7 @@ class Flash:
         partition: Optional[SubspacePartition] = None,
         max_live_verifiers: int = 8,
         block_threshold: Optional[int] = None,
-        telemetry: Optional[Union[Telemetry, TelemetryConfig]] = None,
-        validation: str = "strict",
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -203,15 +141,12 @@ class Flash:
         self.partition = partition
         if telemetry is None:
             telemetry = Telemetry()
-        elif isinstance(telemetry, TelemetryConfig):
-            telemetry = Telemetry.from_config(telemetry)
         self.telemetry = telemetry
         # The trunk: one model per subspace for this system's lifetime,
         # every batch applied to it once.  ``block_threshold=None``
         # aggregates each device batch as one MR2 block (the fast path);
         # 1 is the paper's per-update mode, exposed so the differential
-        # tester can cross-check both.  ``validation`` is the
-        # supervised-ingestion knob of repro.resilience.
+        # tester can cross-check both.
         matches = [None] if partition is None else [s.match for s in partition]
         self.trunk = EpochGroupVerifier(
             [
@@ -221,7 +156,6 @@ class Flash:
                     subspace_match=match,
                     block_threshold=block_threshold,
                     telemetry=telemetry,
-                    validation=validation,
                 )
                 for match in matches
             ],
@@ -279,7 +213,6 @@ class Flash:
         """Ingest one epoch-tagged update batch from a device agent."""
         return self.dispatcher.receive(device, epoch, updates, now=now)
 
-    # -- QueryableVerifier --------------------------------------------------
     def ingest(
         self,
         device: int,
@@ -288,7 +221,7 @@ class Flash:
         epoch: Optional[EpochTag] = None,
         now: Optional[float] = None,
     ) -> List[Report]:
-        """The unified ingestion door (:class:`QueryableVerifier`).
+        """:meth:`receive` with the epoch optional.
 
         ``epoch=None`` means "the offline epoch" — batch consumers that do
         not care about CE2D epochs get a stable default instead of having
@@ -302,7 +235,9 @@ class Flash:
 
         There is no per-epoch model to select.  For an epoch every device
         has reached, this is that epoch's model; a partly synchronised
-        epoch owns only the columns of its synchronised devices.
+        epoch owns only the columns of its synchronised devices.  With a
+        ``partition`` there is one model per subspace and this raises
+        ``ValueError``: read ``trunk.members[i].read_view()`` instead.
         """
         return self.trunk.read_view()
 

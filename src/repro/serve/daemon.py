@@ -3,11 +3,11 @@
 :class:`ServeDaemon` turns the batch verifier into a service:
 
 * **ingest** — one writer thread consumes a *bounded* queue of update
-  batches and feeds them through a :class:`~repro.flash.
-  QueryableVerifier` (by default a :class:`~repro.ce2d.verifier.
-  SubspaceVerifier` whose :class:`~repro.core.model_manager.ModelWriter`
-  runs the supervised-ingestion path of ``repro.resilience``).  Every
-  applied batch advances the **serve epoch** and publishes a snapshot.
+  batches and feeds them through the daemon's own
+  :class:`~repro.ce2d.verifier.SubspaceVerifier`, whose
+  :class:`~repro.core.model_manager.ModelWriter` runs the ``repair``
+  supervised-ingestion path of ``repro.resilience``.  Every applied
+  batch advances the **serve epoch** and publishes a snapshot.
 * **serve** — a thread pool answers :mod:`~repro.serve.queries` against
   pinned snapshots, consulting the epoch-keyed
   :class:`~repro.serve.cache.ResultCache` first and, on a miss, the
@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..ce2d.verifier import SubspaceVerifier
-from ..dataplane.update import EpochTag, RuleUpdate
+from ..dataplane.update import RuleUpdate
 from ..errors import QueryTimeoutError, ServeClosedError, ServeSaturatedError
-from ..flash import QueryableVerifier
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
 from ..resilience.validator import DeadLetterLog
@@ -79,14 +78,15 @@ class IngestFailure:
 class ServeDaemon:
     """Snapshot-isolated verification-as-a-service.
 
+    The writer is :attr:`verifier`, an unpartitioned
+    :class:`~repro.ce2d.verifier.SubspaceVerifier` with no checkers (the
+    daemon answers queries, not verdicts) under ``repair`` validation:
+    poisoned updates are canonicalised or quarantined instead of wedging
+    the writer.  It keeps the :attr:`KEEP_SNAPSHOTS` newest model
+    versions and up to :attr:`CACHE_SIZE` cached answers.
+
     Parameters
     ----------
-    verifier:
-        Any :class:`~repro.flash.QueryableVerifier`; defaults to a
-        fresh :class:`~repro.ce2d.verifier.SubspaceVerifier` with the
-        given ``validation`` policy (``repair`` recommended for
-        long-lived daemons: poisoned updates are canonicalised or
-        quarantined instead of wedging the writer).
     isolation:
         Only ``"copy"`` is accepted (anything else is a ``ValueError``):
         every published snapshot is re-hosted in its own BDD engine by
@@ -95,23 +95,19 @@ class ServeDaemon:
     queue_size:
         Ingest backpressure bound: producers hitting a full queue get
         :class:`~repro.errors.ServeSaturatedError`.
-    keep_snapshots / cache_size:
-        Retention of published model versions and of cached answers.
     """
+
+    KEEP_SNAPSHOTS = 4
+    CACHE_SIZE = 4096
 
     def __init__(
         self,
         topology: Topology,
         layout: HeaderLayout,
         *,
-        verifier: Optional[QueryableVerifier] = None,
-        validation: str = "repair",
         isolation: str = "copy",
         queue_size: int = 64,
         workers: int = 4,
-        cache_size: int = 4096,
-        keep_snapshots: int = 4,
-        block_threshold: Optional[int] = None,
         query_deadline: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -128,28 +124,20 @@ class ServeDaemon:
         self.topology = topology
         self.layout = layout
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        if verifier is None:
-            verifier = SubspaceVerifier(
-                topology,
-                layout,
-                epoch="serve",
-                check_loops=False,
-                block_threshold=block_threshold,
-                telemetry=self.telemetry,
-                validation=validation,
-            )
-        if not isinstance(verifier, QueryableVerifier):
-            raise TypeError(
-                f"{type(verifier).__name__} does not satisfy QueryableVerifier"
-            )
-        self.verifier = verifier
-        self._snapshots = SnapshotStore(
-            keep=keep_snapshots, telemetry=self.telemetry
+        self.verifier = SubspaceVerifier(
+            topology,
+            layout,
+            epoch="serve",
+            telemetry=self.telemetry,
+            validation="repair",
         )
-        self._cache = ResultCache(cache_size, telemetry=self.telemetry)
+        self._snapshots = SnapshotStore(
+            keep=self.KEEP_SNAPSHOTS, telemetry=self.telemetry
+        )
+        self._cache = ResultCache(self.CACHE_SIZE, telemetry=self.telemetry)
         # Replaced, never mutated, by the writer at each publish; readers
         # read the reference once per query.
-        self._memo = VerdictMemo()
+        self._memo = VerdictMemo(self.verifier.manager.store)
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._workers = workers
         self._state_lock = threading.Lock()
@@ -216,11 +204,7 @@ class ServeDaemon:
 
     # -- ingest (the writer side) --------------------------------------
     def submit_updates(
-        self,
-        updates: Sequence[RuleUpdate],
-        *,
-        epoch: Optional[EpochTag] = None,
-        timeout: float = 0.0,
+        self, updates: Sequence[RuleUpdate], *, timeout: float = 0.0
     ) -> None:
         """Enqueue one batch; applying it will advance the serve epoch.
 
@@ -234,9 +218,9 @@ class ServeDaemon:
         batch = list(updates)
         try:
             if timeout > 0:
-                self._queue.put((batch, epoch), timeout=timeout)
+                self._queue.put(batch, timeout=timeout)
             else:
-                self._queue.put_nowait((batch, epoch))
+                self._queue.put_nowait(batch)
         except queue.Full:
             self.telemetry.count("serve.ingest.rejected")
             raise ServeSaturatedError(
@@ -249,17 +233,16 @@ class ServeDaemon:
 
     def _ingest_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            batch = self._queue.get()
+            if batch is _STOP:
                 self._queue.task_done()
                 return
-            batch, tag = item
             try:
-                self._apply(batch, tag)
+                self._apply(batch)
             except Exception as exc:  # noqa: BLE001 - one bad batch must
                 # not kill the writer thread; the daemon keeps serving
-                # the last good snapshot (strict-mode validation errors
-                # and invariant trips land here).
+                # the last good snapshot (match compile errors and
+                # invariant trips land here).
                 self.failures.record(
                     IngestFailure(f"{type(exc).__name__}: {exc}", len(batch))
                 )
@@ -270,10 +253,10 @@ class ServeDaemon:
                     self._queue.qsize()
                 )
 
-    def _apply(self, batch: List[RuleUpdate], tag: Optional[EpochTag]) -> None:
+    def _apply(self, batch: List[RuleUpdate]) -> None:
         with self.telemetry.span("serve.ingest.apply"):
             for device, updates in self._group_by_device(batch):
-                self.verifier.ingest(device, updates, epoch=tag)
+                self.verifier.ingest(device, updates)
             view = self.verifier.read_view()
         self.telemetry.count("serve.ingest.batches")
         self.telemetry.count("serve.ingest.updates", len(batch))
@@ -285,17 +268,13 @@ class ServeDaemon:
         self.telemetry.registry.gauge("serve.epoch").set(self._applied)
         self._applied += 1
         self._cache.evict_below(self._snapshots.oldest_epoch())
-        # Keep the verdicts of vectors some live snapshot holds; vector
-        # ids of another PAT store mean nothing here, so start over.
-        if self._memo.store is not view.store:
-            self._memo = VerdictMemo(view.store)
-        else:
-            live = {
-                vector
-                for live_view in self._snapshots.live_views()
-                for _, vector in live_view.entries()
-            }
-            self._memo = self._memo.pruned(live)
+        # Keep the verdicts of vectors some live snapshot holds.
+        live = {
+            vector
+            for live_view in self._snapshots.live_views()
+            for _, vector in live_view.entries()
+        }
+        self._memo = self._memo.pruned(live)
 
     @staticmethod
     def _group_by_device(

@@ -132,20 +132,20 @@ class BatchOracle:
     Serve epoch ``N`` is, by the daemon's contract, the model after
     exactly the first ``N`` ingested batches.  The oracle replays the
     same batches through a plain single-threaded
-    :class:`~repro.core.model_manager.ModelWriter` (same validation
-    policy) and pins a :class:`~repro.core.model_manager.FrozenReadView`
-    at each requested epoch.  Requests must be non-decreasing — sort the
-    recorded results by epoch and replay once.
+    :class:`~repro.core.model_manager.ModelWriter` (the daemon's
+    ``repair`` validation) and pins a
+    :class:`~repro.core.model_manager.FrozenReadView` at each requested
+    epoch.  Requests must be non-decreasing — sort the recorded results
+    by epoch and replay once.
     """
 
     def __init__(
-        self, topology, layout, batches: Sequence[Sequence[RuleUpdate]],
-        validation: str = "repair",
+        self, topology, layout, batches: Sequence[Sequence[RuleUpdate]]
     ) -> None:
         self.topology = topology
         self.batches = [list(b) for b in batches]
         self.writer = ModelWriter(
-            topology.switches(), layout, validation=validation
+            topology.switches(), layout, validation="repair"
         )
         self._applied = 0
 
@@ -252,11 +252,10 @@ def run_load(
     daemon = ServeDaemon(
         workload.topology,
         workload.layout,
-        validation="repair",
         queue_size=queue_size,
         workers=workers,
         query_deadline=query_deadline,
-        telemetry=telemetry if telemetry is not None else Telemetry(),
+        telemetry=telemetry,
     ).start()
     if on_start is not None:
         on_start(daemon)

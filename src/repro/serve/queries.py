@@ -132,7 +132,7 @@ class VerdictMemo:
 
     __slots__ = ("store", "_verdicts")
 
-    def __init__(self, store: Optional[ActionTreeStore] = None) -> None:
+    def __init__(self, store: ActionTreeStore) -> None:
         self.store = store
         self._verdicts: Dict[Tuple, Dict[VecId, bool]] = {}
 

@@ -19,7 +19,7 @@ See ``docs/telemetry.md`` for the metric-name catalogue and the JSON-lines
 exporter.
 """
 
-from .config import DISABLED, Telemetry, TelemetryConfig
+from .config import Telemetry
 from .exporters import JsonLinesExporter, read_jsonl
 from .registry import (
     DEFAULT_BUCKETS,
@@ -32,9 +32,7 @@ from .tracer import Span, Tracer
 from .views import OpMetrics, OpSnapshot, PhaseBreakdown
 
 __all__ = [
-    "DISABLED",
     "Telemetry",
-    "TelemetryConfig",
     "JsonLinesExporter",
     "read_jsonl",
     "DEFAULT_BUCKETS",

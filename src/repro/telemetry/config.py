@@ -1,76 +1,36 @@
-"""Telemetry configuration and the per-system facade.
+"""The per-system telemetry facade.
 
 :class:`Telemetry` bundles the one registry + one tracer a system (a
 ``Flash`` instance, a benchmark run, a parallel worker) threads through
-its components.  :class:`TelemetryConfig` is the small, picklable knob
-set that crosses process boundaries — workers reconstruct a live
-:class:`Telemetry` from it on their side of the pool.
+its components.  A parallel worker builds its own and ships back its
+:meth:`~Telemetry.snapshot`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, ContextManager, Dict, Optional
 
 from .registry import MetricsRegistry
 from .tracer import Span, Tracer
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Picklable telemetry knobs.
-
-    ``enabled=False`` turns spans into no-ops (metrics counters stay on —
-    they are too cheap to gate and too load-bearing to lose).
-    """
-
-    enabled: bool = True
-    max_spans: int = 2048
-
-
-#: A disabled configuration, for hot paths that want zero span overhead.
-DISABLED = TelemetryConfig(enabled=False)
-
-
 class Telemetry:
     """One registry + one tracer, behind the API the hot paths use."""
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.config = config if config is not None else TelemetryConfig()
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = Tracer(self.registry, max_spans=self.config.max_spans)
-
-    @classmethod
-    def from_config(cls, config: Optional[TelemetryConfig]) -> "Telemetry":
-        return cls(config=config)
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
+        self.tracer = Tracer(self.registry)
 
     # -- span helpers --------------------------------------------------
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Optional[Span]]:
-        """A tracer span, or a no-op scope when telemetry is disabled."""
-        if not self.config.enabled:
-            yield None
-            return
-        with self.tracer.span(name, **attrs) as span:
-            yield span
+    def span(self, name: str, **attrs: Any) -> ContextManager[Span]:
+        """A nested tracer span."""
+        return self.tracer.span(name, **attrs)
 
-    def begin(self, name: str, **attrs: Any) -> Optional[Span]:
-        if not self.config.enabled:
-            return None
+    def begin(self, name: str, **attrs: Any) -> Span:
         return self.tracer.begin(name, **attrs)
 
-    def end(self, span: Optional[Span]) -> None:
-        if span is not None:
-            self.tracer.end(span)
+    def end(self, span: Span) -> None:
+        self.tracer.end(span)
 
     # -- counters ------------------------------------------------------
     def count(self, name: str, amount: float = 1) -> None:
@@ -96,4 +56,4 @@ class Telemetry:
             self.registry.merge_snapshot(metrics)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
-        return f"Telemetry(enabled={self.config.enabled}, {self.registry!r})"
+        return f"Telemetry({self.registry!r})"

@@ -61,23 +61,16 @@ class Span:
 class Tracer:
     """Factory for nested spans feeding a metrics registry.
 
-    Parameters
-    ----------
-    registry:
-        Sink for the ``span.*`` counters; a private registry is created
-        when omitted.
-    max_spans:
-        Bound on the retained finished-span ring (oldest dropped; the
-        drop count is kept in the ``tracer.spans_dropped`` counter).
+    ``registry`` is the sink for the ``span.*`` counters; a private
+    registry is created when omitted.  At most :attr:`max_spans` finished
+    spans are retained (oldest dropped; the drop count is kept in the
+    ``tracer.spans_dropped`` counter).
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        max_spans: int = 2048,
-    ) -> None:
+    max_spans = 2048
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.max_spans = max_spans
         self.finished: List[Span] = []
         self._stack: List[Span] = []
 

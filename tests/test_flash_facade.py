@@ -88,6 +88,12 @@ class TestFlashOnline:
 
 
 class TestUnpartitionedTrunk:
+    def test_ingest_then_read_view_sees_the_model(self):
+        flash = Flash(ring(4), LAYOUT, check_loops=False)
+        flash.ingest(0, [insert(0, Rule(1, Match.wildcard(), 1))])
+        view = flash.read_view()
+        assert view.num_ecs() >= 1
+
     def test_member_gets_the_callers_batch_untouched(self):
         flash = Flash(ring(4), LAYOUT)
         (member,) = flash.trunk.members
@@ -153,6 +159,25 @@ class TestFlashWithSubspaces:
         anywhere = insert(0, Rule(2, Match.wildcard(), DROP))
         flash.ingest(0, [low, anywhere])
         assert batches == [[low, anywhere], [anywhere]]
+
+    def test_partitioned_read_view_raises(self):
+        """One model per subspace (§3.4) and no single view of them all:
+        the facade refuses instead of serving the first subspace alone."""
+        from repro.dataplane.trace import inserts_only
+        from repro.fibgen.shortest_path import std_fib
+
+        topo = fabric(2, 2, 2, 2)
+        layout = dst_only_layout(6)
+        partition = SubspacePartition.dst_prefix_partition(
+            layout, [(0, 1), (1 << 5, 1)]
+        )
+        flash = Flash(topo, layout, check_loops=False, partition=partition)
+        flash.verify_offline(inserts_only(std_fib(topo, layout)))
+        with pytest.raises(ValueError, match=r"members\[i\]\.read_view\(\)"):
+            flash.read_view()
+        views = [member.read_view() for member in flash.trunk.members]
+        headers = sum(p.sat_count() for v in views for p, _ in v.entries())
+        assert headers == 1 << 6
 
     def test_group_members_must_follow_the_partition(self):
         from repro.ce2d.verifier import SubspaceVerifier

@@ -4,15 +4,13 @@ Covers the concurrency contract end to end — pinned readers stay on
 their model version while the writer advances, the epoch-keyed cache
 can only ever go stale-but-correct, drain under backpressure leaves the
 daemon quiescent but still answering — plus the query semantics, the
-copy-isolation engine re-host, the snapshot store's retire rules, and
-the QueryableVerifier protocol the daemon is generic over.
+copy-isolation engine re-host and the snapshot store's retire rules.
 """
 
 import threading
 
 import pytest
 
-from repro.ce2d.verifier import SubspaceVerifier
 from repro.core.model_manager import ModelWriter
 from repro.dataplane.rule import DROP, Rule, ecmp
 from repro.dataplane.update import delete, insert
@@ -21,9 +19,8 @@ from repro.errors import (
     ServeSaturatedError,
     SnapshotUnavailableError,
 )
-from repro.flash import EpochGroupVerifier, Flash, QueryableVerifier
 from repro.headerspace.fields import dst_only_layout
-from repro.headerspace.match import Match
+from repro.headerspace.match import Match, Pattern
 from repro.network.generators import line
 from repro.network.topology import Topology
 from repro.serve import (
@@ -72,24 +69,27 @@ def view_of(topo, batches, validation="repair"):
 
 
 class GatedVerifier:
-    """A :class:`QueryableVerifier` whose ``ingest`` waits for ``gate``:
-    it stalls the daemon's writer mid-apply without touching the daemon."""
+    """Wraps a daemon's writer so that ``ingest`` waits for ``gate``: it
+    stalls the writer mid-apply without touching the rest of the daemon."""
 
     def __init__(self, inner):
         self.inner = inner
         self.gate = threading.Event()
         self.entered = threading.Event()  # the writer is inside ingest
 
-    def ingest(self, device, updates, *, epoch=None, now=None):
+    def ingest(self, device, updates):
         self.entered.set()
         self.gate.wait(10.0)
-        return self.inner.ingest(device, updates, epoch=epoch, now=now)
+        return self.inner.ingest(device, updates)
 
     def read_view(self):
         return self.inner.read_view()
 
-    def deterministic_reports(self):
-        return self.inner.deterministic_reports()
+
+def out_of_width(priority, action):
+    """A rule whose ``dst`` mask (``priority`` shifted past the 8-bit
+    field) fails to compile: validation admits it, the writer raises."""
+    return Rule(priority, Match({"dst": Pattern(((0, priority << 8),))}), action)
 
 
 def exit_rules(topo, s, w, b, x):
@@ -99,36 +99,6 @@ def exit_rules(topo, s, w, b, x):
         insert(w, Rule(1, Match.wildcard(), x)),
         insert(b, Rule(1, Match.wildcard(), x)),
     ]
-
-
-# ----------------------------------------------------------------------
-# The QueryableVerifier protocol (satellite: one receive facade)
-# ----------------------------------------------------------------------
-
-class TestQueryableVerifier:
-    def test_flash_conforms(self):
-        topo, *_ = diamond()
-        assert isinstance(Flash(topo, LAYOUT), QueryableVerifier)
-
-    def test_subspace_verifier_conforms(self):
-        topo, *_ = diamond()
-        verifier = SubspaceVerifier(topo, LAYOUT, epoch="e")
-        assert isinstance(verifier, QueryableVerifier)
-
-    def test_epoch_group_verifier_conforms(self):
-        topo, *_ = diamond()
-        group = EpochGroupVerifier([SubspaceVerifier(topo, LAYOUT)])
-        assert isinstance(group, QueryableVerifier)
-
-    def test_arbitrary_object_does_not_conform(self):
-        assert not isinstance(object(), QueryableVerifier)
-
-    def test_ingest_then_read_view_sees_the_model(self):
-        topo, s, w, b, x = diamond()
-        flash = Flash(topo, LAYOUT, check_loops=False, validation="repair")
-        flash.ingest(s, [insert(s, Rule(1, Match.wildcard(), w))])
-        view = flash.read_view()
-        assert view.num_ecs() >= 1
 
 
 # ----------------------------------------------------------------------
@@ -392,13 +362,7 @@ class TestResultCache:
 class TestServeDaemon:
     def _daemon(self, **kwargs):
         topo, s, w, b, x = diamond()
-        kwargs.setdefault("validation", "repair")
         return ServeDaemon(topo, LAYOUT, **kwargs), (topo, s, w, b, x)
-
-    def test_rejects_non_queryable_verifier(self):
-        topo, *_ = diamond()
-        with pytest.raises(TypeError):
-            ServeDaemon(topo, LAYOUT, verifier=object())
 
     def test_rejects_unknown_isolation(self):
         topo, *_ = diamond()
@@ -441,7 +405,7 @@ class TestServeDaemon:
             assert result.answer == QueryAnswer(holds=True, headers=SPACE)
 
     def test_pinned_reader_is_stable_while_writer_advances(self):
-        daemon, (topo, s, w, b, x) = self._daemon(keep_snapshots=8)
+        daemon, (topo, s, w, b, x) = self._daemon()
         base = exit_rules(topo, s, w, b, x)
         churn = [insert(s, Rule(10, Match.dst_prefix(0, 1, LAYOUT), b))]
         with daemon:
@@ -467,7 +431,7 @@ class TestServeDaemon:
             )
 
     def test_answers_match_batch_oracle_at_each_epoch(self):
-        daemon, (topo, s, w, b, x) = self._daemon(keep_snapshots=8)
+        daemon, (topo, s, w, b, x) = self._daemon()
         base = exit_rules(topo, s, w, b, x)
         churn = [insert(s, Rule(10, Match.dst_prefix(0, 1, LAYOUT), b))]
         with daemon:
@@ -505,18 +469,12 @@ class TestServeDaemon:
 
     def test_cache_keys_survive_a_writer_sweep(self, always_sweep):
         """Two scopes against one pinned epoch, with a writer flush and a
-        sweep of the writer's engine between them.  Under a subspace
-        universe the compiled scope (``scope & universe``) is a predicate
-        nobody holds once a query returns, so a key must not carry its
-        node id.  The scope compiles in the snapshot's own engine, which
-        is never swept; the pinned answers must still equal the oracle's
-        and the cache must still tell the two scopes apart."""
-        topo, s, w, b, x = diamond()
-        verifier = SubspaceVerifier(
-            topo, LAYOUT, epoch="serve", validation="repair",
-            subspace_match=Match.dst_prefix(0, 1, LAYOUT),
-        )
-        daemon = ServeDaemon(topo, LAYOUT, verifier=verifier, keep_snapshots=8)
+        sweep of the writer's engine between them.  A compiled scope is a
+        predicate nobody holds once a query returns, so a key must not
+        carry its node id.  The scope compiles in the snapshot's own
+        engine, which is never swept; the pinned answers must still equal
+        the oracle's and the cache must still tell the two scopes apart."""
+        daemon, (topo, s, w, b, x) = self._daemon()
         first = exit_rules(topo, s, w, b, x) + [
             insert(s, Rule(10, Match.dst_prefix(0, 2, LAYOUT), b))
         ]
@@ -542,24 +500,28 @@ class TestServeDaemon:
         assert again_low.cached and again_low.answer == served_low.answer
 
     def test_cache_entries_follow_retired_snapshots_out(self):
-        daemon, (topo, s, w, b, x) = self._daemon(keep_snapshots=1)
+        daemon, (topo, s, w, b, x) = self._daemon()
+        keep = ServeDaemon.KEEP_SNAPSHOTS
         with daemon:
             daemon.ask(ReachabilityQuery(s))  # cached at epoch 0
             assert len(daemon.cache) == 1
-            daemon.submit_updates(exit_rules(topo, s, w, b, x), timeout=10.0)
-            daemon.drain()
+            for _ in range(keep):
+                daemon._draining = False
+                daemon.submit_updates(
+                    exit_rules(topo, s, w, b, x), timeout=10.0
+                )
+                daemon.drain()
+            assert daemon.epoch == keep
             daemon.ask(ReachabilityQuery(s))
-            # Epoch 0 was retired (keep=1), so its cache entry is swept.
+            # Epoch 0 was retired (the newest ``keep`` stay), so its
+            # cache entry is swept.
             assert all(key[0] >= 1 for key in daemon.cache._entries)
             with pytest.raises(SnapshotUnavailableError):
                 daemon.ask(ReachabilityQuery(s), epoch=0)
 
     def test_backpressure_saturates_then_drains(self):
-        topo, s, w, b, x = diamond()
-        verifier = GatedVerifier(
-            SubspaceVerifier(topo, LAYOUT, epoch="serve", validation="repair")
-        )
-        daemon = ServeDaemon(topo, LAYOUT, verifier=verifier, queue_size=1)
+        daemon, (topo, s, w, b, x) = self._daemon(queue_size=1)
+        verifier = daemon.verifier = GatedVerifier(daemon.verifier)
         batch = exit_rules(topo, s, w, b, x)
         with daemon:
             # The verifier's gate is shut, so the writer blocks mid-apply
@@ -579,10 +541,9 @@ class TestServeDaemon:
             assert daemon.ask(ReachabilityQuery(s)).answer.holds
 
     def test_poisoned_batch_is_contained(self):
-        daemon, (topo, s, w, b, x) = self._daemon(validation="strict")
-        phantom = Rule(5, Match.wildcard(), w)
+        daemon, (topo, s, w, b, x) = self._daemon()
         with daemon:
-            daemon.submit_updates([delete(s, phantom)], timeout=10.0)
+            daemon.submit_updates([insert(s, out_of_width(5, w))], timeout=10.0)
             daemon.drain()
             assert len(daemon.failures) == 1
             assert daemon.failures[0].updates == 1
@@ -591,16 +552,16 @@ class TestServeDaemon:
             assert daemon.stats()["ingest_failures"] == 1
 
     def test_failures_are_counted_exactly_and_held_boundedly(self):
-        daemon, (topo, s, w, b, x) = self._daemon(validation="strict")
+        daemon, (topo, s, w, b, x) = self._daemon()
         with daemon:
             for priority in range(1, 2001):
-                phantom = Rule(priority, Match.wildcard(), w)
-                daemon.submit_updates([delete(s, phantom)], timeout=10.0)
+                poisoned = insert(s, out_of_width(priority, w))
+                daemon.submit_updates([poisoned], timeout=10.0)
             daemon.drain()
             failures = daemon.failures
             assert daemon.stats()["ingest_failures"] == failures.total == 2000
             assert len(failures) <= failures.max_entries < 2000
-            assert "2000" in failures[-1].error  # the newest is there
+            assert str(2000 << 8) in failures[-1].error  # the newest is there
             assert daemon.epoch == 0
 
     def test_close_is_idempotent_and_final(self):
@@ -673,7 +634,7 @@ class TestVerdictMemo:
         ]
         query = WaypointQuery(s, w)
         searches, answers = [], []
-        with ServeDaemon(topo, LAYOUT, keep_snapshots=8) as daemon:
+        with ServeDaemon(topo, LAYOUT) as daemon:
             for batch in batches:
                 daemon._draining = False
                 daemon.submit_updates(batch, timeout=10.0)
@@ -695,9 +656,11 @@ class TestVerdictMemo:
 
     def test_memo_holds_only_live_vectors(self):
         topo, s, w, b, x = diamond()
-        hops = [(s, b), (w, s), (b, s), (s, DROP)]
+        # Six distinct vectors, more than the daemon's four live
+        # snapshots can hold at once.
+        hops = [(s, b), (w, s), (b, s), (s, DROP), (w, DROP), (b, DROP)]
         queries = [ReachabilityQuery(s), LoopQuery(), WaypointQuery(s, w)]
-        with ServeDaemon(topo, LAYOUT, keep_snapshots=2) as daemon:
+        with ServeDaemon(topo, LAYOUT) as daemon:
             previous = []
             batches = [exit_rules(topo, s, w, b, x)]
             for i in range(8):

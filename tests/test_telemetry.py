@@ -14,13 +14,11 @@ import warnings
 import pytest
 
 from repro.telemetry import (
-    DISABLED,
     JsonLinesExporter,
     MetricsRegistry,
     OpMetrics,
     PhaseBreakdown,
     Telemetry,
-    TelemetryConfig,
     Tracer,
     read_jsonl,
 )
@@ -111,22 +109,14 @@ class TestTracer:
         assert span.attrs == {"epoch": "e1"}
         assert tracer.registry.value("span.epoch.count") == 1
 
-    def test_ring_is_bounded_and_counts_drops(self):
-        tracer = Tracer(max_spans=2)
+    def test_ring_is_bounded_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "max_spans", 2)
+        tracer = Tracer()
         for _ in range(4):
             with tracer.span("s"):
                 pass
         assert len(tracer.finished) <= 2
         assert tracer.registry.value("tracer.spans_dropped") >= 1
-
-    def test_disabled_telemetry_spans_are_noops(self):
-        tel = Telemetry(config=DISABLED)
-        with tel.span("quiet") as span:
-            assert span is None
-        assert tel.registry.value("span.quiet.count") == 0
-        # Counters stay live even when spans are off.
-        tel.count("still.counted")
-        assert tel.registry.value("still.counted") == 1
 
 
 class TestViews:
