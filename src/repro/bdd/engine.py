@@ -220,6 +220,27 @@ class BDD:
         self._root_providers: List[RootProvider] = []
         self.stats = BddStats()
 
+    def copy(self) -> "BDD":
+        """An independent store holding the same nodes under the same ids.
+
+        The node lists, free list, unique table, single-variable
+        functions and satcount memo are copied; the op cache starts
+        empty, and pins and root providers stay with this store.  Every
+        edge of this store names the same function in the copy, and
+        neither store sees what the other allocates or sweeps afterwards
+        (no list or dict is shared).  The cost is a C-level copy per
+        container — no walk of any DAG.
+        """
+        twin = BDD(self.num_vars)
+        twin._var = self._var.copy()
+        twin._low = self._low.copy()
+        twin._high = self._high.copy()
+        twin._free = self._free.copy()
+        twin._unique = self._unique.copy()
+        twin._var_nodes = self._var_nodes.copy()
+        twin._sat_cache = self._sat_cache.copy()
+        return twin
+
     # ------------------------------------------------------------------
     # Node structure
     # ------------------------------------------------------------------

@@ -435,6 +435,32 @@ class PredicateEngine:
             return [self.pred(r) for r in refs]
         return [self.import_predicate(p) for p in preds]
 
+    def fork(
+        self, preds: Iterable[Predicate]
+    ) -> Tuple["PredicateEngine", List[Predicate]]:
+        """A new engine over a copy of this one's node store, and
+        ``preds`` re-handled in it, in order.
+
+        The copy (:meth:`~repro.bdd.engine.BDD.copy`) keeps every node
+        id, so a predicate moves over by its id alone — no walk, no
+        allocation — and its handle carries the source handle's
+        memoised signature; model counts memoised here before the fork
+        come along in the copied satcount memo.  The new engine has a
+        private registry, an empty op cache and only its own handles as
+        sweep roots, and shares no list or dict with this one: what
+        either engine allocates or sweeps afterwards the other never
+        sees.
+        """
+        twin = PredicateEngine(self.num_vars, bdd=self.bdd.copy())
+        out: List[Predicate] = []
+        for pred in preds:
+            self._check(pred, pred)
+            handle = twin.pred(pred.node)
+            if pred._sig is not None:
+                handle._sig = pred._sig
+            out.append(handle)
+        return twin, out
+
     # -- garbage collection ---------------------------------------------
     def collect(self, extra_roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep the node store; returns the node count freed.

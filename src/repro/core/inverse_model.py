@@ -214,18 +214,21 @@ class InverseModel:
         if support is None and len(ows) > 1:
             support = engine.disj_many([ow.predicate for ow in ows])
         exact = (
-            len(ows) > 1 and support is not None and not support.is_true
+            len(ows) > 1
+            and support is not None
+            and not (support.is_true or support == self.universe)
         )
         entries, sigs = self._entries, self._sigs
         # Buckets carry (predicate, origin, signature).
         work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
         for vec in [v for v, psig in sigs.items() if psig & support_sig]:
             pred = entries[vec]
-            # The exact check is a per-workload trade, not dead weight:
-            # without it (and the pipeline's support disjunction) churn's
-            # small blocks ran 7 % slower and storm's every-EC blocks
-            # 6.5 % faster (docs/perf.md, "Why the exact support check
-            # stays").
+            # The exact check earns its conjunction on small blocks
+            # (without it churn ran 7 % slower).  Every EC lies in the
+            # universe, so a support that is the universe (⊤, or a
+            # subspace's universe — every storm block's) prunes nothing
+            # and ``exact`` is off (docs/perf.md, "Why the exact support
+            # check stays").
             if not (exact and (pred & support).is_false):
                 work[vec] = (pred, pred, sigs[vec])
         if len(work) < len(entries):

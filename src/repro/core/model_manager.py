@@ -101,8 +101,9 @@ class FrozenReadView:
     default rule.  The view keeps answering for the epoch it was pinned
     at even while the owning :class:`ModelWriter` keeps flushing, and
     :meth:`ModelWriter.rollback` restores it; use
-    :func:`repro.serve.isolate_view` when readers must additionally
-    never touch the writer's engine.
+    :func:`repro.serve.isolate_view` (a copy of the engine's node store,
+    same ids) when readers must additionally never touch the writer's
+    engine.
     """
 
     __slots__ = (
@@ -358,8 +359,9 @@ class ModelWriter:
         # roots; a bare ``pred.node`` kept past here may name another
         # predicate afterwards.  Threads: the sweep runs on the writer's
         # thread, and no other thread touches this engine: serve readers
-        # evaluate on copies that ``isolate_view`` exports after the
-        # flush, on this same thread.
+        # evaluate on copies of its node store that ``isolate_view``
+        # takes after the flush, on this same thread; a copy keeps the
+        # ids live at that moment, and later sweeps here never reach it.
         self.engine.collect_if_grown()
         return lineage
 
@@ -372,7 +374,8 @@ class ModelWriter:
         table into the model — the same handles and vector ids a
         recompute would build, the model being a function of the FIB.
         ``None`` resets to the empty model.  A view of another engine or
-        store (e.g. a serve snapshot re-hosted by ``isolate_view``), or
+        store (e.g. a serve snapshot, which ``isolate_view`` re-hosts
+        in a copy of the engine), or
         of another subspace or device set, is a :class:`ValueError`.
         """
         if view is not None and (

@@ -11,6 +11,11 @@ trustworthy ground truth for the clever engines.
 :class:`OracleWalk` is the same ground truth along update orders: the
 per-step verdicts and per-header violation facts the interleaving runner
 checks every intermediate state against.
+
+The graph searches here (:func:`reaches_external`,
+:func:`reaches_external_avoiding`, :func:`forwarding_cycle`) are the
+oracle's own, written as plainly as possible; the product classifies
+with :mod:`repro.ce2d.forwarding`, and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -55,6 +60,39 @@ def reaches_external(
             return True
         for hop in next_hops_of(action_of(node)):
             if not topology.has_link(node, hop):
+                continue
+            if topology.device(hop).is_external:
+                return True
+            if hop not in seen:
+                stack.append(hop)
+    return False
+
+
+def reaches_external_avoiding(
+    topology: Topology,
+    action_of: Callable[[int], Action],
+    source: int,
+    waypoint: int,
+) -> bool:
+    """Whether some walk from ``source`` delivers *without* touching
+    ``waypoint`` — the bypass witness of a waypoint requirement.
+
+    :func:`reaches_external`'s walk, except it may never enter the
+    waypoint; a walk starting *at* the waypoint trivially traverses it.
+    """
+    if source == waypoint:
+        return False
+    seen: Set[int] = set()
+    stack = [source]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if topology.device(node).is_external:
+            return True
+        for hop in next_hops_of(action_of(node)):
+            if hop == waypoint or not topology.has_link(node, hop):
                 continue
             if topology.device(hop).is_external:
                 return True

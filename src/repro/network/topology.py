@@ -16,6 +16,9 @@ from ..errors import TopologyError
 SWITCH = "switch"
 EXTERNAL = "external"
 
+#: One switch's ``(switch neighbours, external neighbours)``.
+ForwardingLinks = Tuple[FrozenSet[int], FrozenSet[int]]
+
 
 @dataclass
 class Device:
@@ -52,6 +55,9 @@ class Topology:
         # neighbors() hands out immutable copies of _adj's sets; checkers
         # ask inside per-update loops, so a copy lives until a link changes.
         self._neighbors: Dict[int, FrozenSet[int]] = {}
+        # forwarding_links()' table, built on first use; any new device or
+        # link drops it.
+        self._forwarding_links: Optional[Dict[int, ForwardingLinks]] = None
 
     # -- construction ----------------------------------------------------
     def add_device(
@@ -66,6 +72,7 @@ class Topology:
         self._devices[device_id] = Device(device_id, name, kind, dict(labels))
         self._by_name[name] = device_id
         self._adj[device_id] = set()
+        self._forwarding_links = None
         return device_id
 
     def add_external(self, name: str, prefixes: Iterable[Any] = ()) -> int:
@@ -82,6 +89,7 @@ class Topology:
         self._adj[v].add(u)
         self._neighbors.pop(u, None)
         self._neighbors.pop(v, None)
+        self._forwarding_links = None
 
     def add_link_by_name(self, u: str, v: str) -> None:
         self.add_link(self.id_of(u), self.id_of(v))
@@ -116,6 +124,29 @@ class Topology:
             self._require(device_id)
             cached = self._neighbors[device_id] = frozenset(self._adj[device_id])
         return cached
+
+    def forwarding_links(self) -> Dict[int, ForwardingLinks]:
+        """``switch → (switch neighbours, external neighbours)`` for every
+        switch: the edges a forwarding walk may take, split by whether the
+        hop stays inside the network or delivers.
+
+        Built once and kept until a device or link is added, so graph
+        searches that run per action vector look up a set instead of
+        asking :meth:`has_link` and :meth:`device` on every hop.
+        """
+        table = self._forwarding_links
+        if table is None:
+            # Filled before it is published: query threads read it
+            # concurrently, and one may find it half built otherwise.
+            devices = self._devices
+            table = {}
+            for node, nbrs in self._adj.items():
+                if devices[node].is_external:
+                    continue
+                outward = frozenset(n for n in nbrs if devices[n].is_external)
+                table[node] = (frozenset(nbrs - outward), outward)
+            self._forwarding_links = table
+        return table
 
     # -- iteration -----------------------------------------------------------
     def devices(self) -> Iterator[Device]:

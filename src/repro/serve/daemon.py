@@ -89,7 +89,8 @@ class ServeDaemon:
     ----------
     isolation:
         Only ``"copy"`` is accepted (anything else is a ``ValueError``):
-        every published snapshot is re-hosted in its own BDD engine by
+        every published snapshot is re-hosted in its own BDD engine, a
+        copy of the writer's node store taken by
         :func:`~repro.serve.snapshots.isolate_view`, so readers never
         touch the writer's engine.
     queue_size:

@@ -11,11 +11,13 @@ Three query kinds, each a closed-form function of one
   ``source`` traverse ``waypoint`` on the way out?
 
 Evaluation walks the EC table once: each EC's action vector induces one
-forwarding graph, classified with the *same* graph predicates the
-brute-force oracle uses (:func:`~repro.difftest.oracle.reaches_external`
-/ :func:`~repro.difftest.oracle.forwarding_cycle`), so a served answer
-and the batch oracle's answer can only differ if snapshot isolation is
-broken — which is exactly what the serve difference test asserts.  The
+forwarding graph, classified by the product's per-vector classifiers
+(:mod:`repro.ce2d.forwarding`).  The batch oracle evaluates with the
+same classifiers on its own model, so a served answer and the oracle's
+can only differ if snapshot isolation is broken — which is exactly what
+the serve difference test asserts; the classifiers themselves are
+checked against the brute-force oracle's own graph searches
+(``tests/serve_reference.py``, ``tests/test_serve.py``).  The
 witness count is a sum over ECs, each EC's share of the scope counted
 where its graph is a witness: ECs are disjoint (Definition 6), so no
 union is built, and an EC whose cofactor signature misses the scope's is
@@ -51,14 +53,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..bdd.predicate import Predicate
+from ..ce2d.forwarding import (
+    forwarding_cycle,
+    reaches_external,
+    reaches_external_avoiding,
+)
 from ..core.actiontree import ActionTreeStore
 from ..core.inverse_model import VecId
 from ..core.model_manager import ModelReadView
-from ..dataplane.rule import Action, next_hops_of
-from ..difftest.oracle import forwarding_cycle, reaches_external
+from ..dataplane.rule import Action
 from ..errors import QueryTimeoutError
 from ..headerspace.match import Match
 from ..network.topology import Topology
@@ -82,41 +89,6 @@ class QueryAnswer:
 
     def as_dict(self) -> dict:
         return {"holds": self.holds, "headers": self.headers}
-
-
-def reaches_external_avoiding(
-    topology: Topology,
-    action_of: Callable[[int], Action],
-    source: int,
-    waypoint: int,
-) -> bool:
-    """Whether some walk from ``source`` delivers *without* touching
-    ``waypoint`` — the bypass witness of a waypoint requirement.
-
-    Same edge semantics as :func:`~repro.difftest.oracle.
-    reaches_external` (ECMP fan-out, topology-gated links, delivery =
-    stepping onto an external node), except walks may never enter the
-    waypoint.  A walk starting *at* the waypoint trivially traverses it.
-    """
-    if source == waypoint:
-        return False
-    seen: Set[int] = set()
-    stack = [source]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if topology.device(node).is_external:
-            return True
-        for hop in next_hops_of(action_of(node)):
-            if hop == waypoint or not topology.has_link(node, hop):
-                continue
-            if topology.device(hop).is_external:
-                return True
-            if hop not in seen:
-                stack.append(hop)
-    return False
 
 
 class VerdictMemo:
@@ -227,9 +199,7 @@ class Query:
                 continue
             hit = verdicts.get(vector)
             if hit is None:
-                hit = verdicts[vector] = classify(
-                    lambda d, v=vector: view.action_of(v, d)
-                )
+                hit = verdicts[vector] = classify(partial(view.action_of, vector))
             if hit:
                 count += (pred & scope if scoped else pred).sat_count()
         return count

@@ -8,12 +8,13 @@ latest, or an explicit epoch), evaluate against it, and unpin; a pinned
 snapshot is never retired, so a reader observes one consistent model
 version end to end no matter how far the writer gets in the meantime.
 
-Isolation is by copy (:func:`isolate_view`): the published view is
-re-hosted in a fresh :class:`~repro.bdd.predicate.PredicateEngine` via
-the FBW1 wire path, so query evaluation never touches the writer's
-engine — the writer is never blocked by readers and vice versa.  Each
-snapshot carries its own lock (BDD apply mutates engine-internal
-tables, so two queries on the *same* snapshot still serialise).
+Isolation is by copy (:func:`isolate_view`): each published view lives
+in its own :class:`~repro.bdd.predicate.PredicateEngine`, a copy of the
+writer's node store taken on the writer's thread right after the flush,
+so query evaluation never touches the writer's engine — the writer is
+never blocked by readers and vice versa.  Each snapshot carries its own
+lock (BDD apply mutates engine-internal tables, so two queries on the
+*same* snapshot still serialise).
 """
 
 from __future__ import annotations
@@ -21,35 +22,38 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from ..bdd.predicate import PredicateEngine
 from ..core.model_manager import FrozenReadView, ModelReadView
 from ..errors import SnapshotUnavailableError
 from ..telemetry import Telemetry
 
 
 def isolate_view(view: ModelReadView) -> FrozenReadView:
-    """Re-host a read view in a fresh engine.
+    """Re-host a read view in a copy of its engine.
 
-    The EC predicates (plus the universe) travel as one bulk FBW1
-    import, so the shared BDD DAG is walked once for the whole table.
-    Action vectors are ids into the append-only PAT store, which is
-    safely shared: the writer only ever appends new nodes; the
-    installed rules are immutable values and pass through as they are.
+    The copy (:meth:`~repro.bdd.predicate.PredicateEngine.fork`) keeps
+    the writer's node ids, so the EC predicates and the universe move
+    over by id, with their signatures — a copy of a few flat containers,
+    not a walk of the table's DAG.  Each predicate's model count is
+    taken on the writer's engine first, so the copy's satcount memo
+    answers every whole-EC count without a walk.  Action vectors are ids
+    into the append-only PAT store, which is safely shared: the writer
+    only ever appends new nodes; the installed rules are immutable
+    values and pass through as they are.
     """
-    entries = list(view.entries())
-    engine = PredicateEngine(view.layout.total_bits)
-    imported = engine.import_predicates(
-        [pred for pred, _ in entries] + [view.universe]
-    )
-    universe = imported[-1]
+    entries = view.entries()
+    preds = [pred for pred, _ in entries]
+    preds.append(view.universe)
+    for pred in preds:
+        pred.sat_count()
+    engine, handles = view.engine.fork(preds)
     return FrozenReadView(
         engine=engine,
         layout=view.layout,
         store=view.store,
         devices=view.devices,
-        entries=list(zip(imported[:-1], (vec for _, vec in entries))),
+        entries=list(zip(handles, (vec for _, vec in entries))),
         epoch=view.epoch,
-        universe=universe,
+        universe=handles[-1],
         rules=view.rules,
     )
 

@@ -7,19 +7,25 @@ and ``repro serve --quick`` evaluate through that same code, so they
 cannot catch a wrong sum.  :func:`evaluate_by_union` is the evaluation it
 replaced: OR every witness EC of the view into one predicate, then
 ``&`` / ``-`` it with the scope and take one ``sat_count``, with no
-signature test.  ``tests/test_serve.py`` holds the two equal.
+signature test, and it classifies each EC with the brute-force oracle's
+graph searches (:mod:`repro.difftest.oracle`), not the product's
+(:mod:`repro.ce2d.forwarding`).  ``tests/test_serve.py`` holds the two
+evaluations equal, so a wrong sum and a wrong classifier both show.
 
 Do not optimise this module — its value is that it stays the known-good
 semantics.
 """
 
-from repro.difftest.oracle import forwarding_cycle, reaches_external
+from repro.difftest.oracle import (
+    forwarding_cycle,
+    reaches_external,
+    reaches_external_avoiding,
+)
 from repro.serve.queries import (
     LoopQuery,
     QueryAnswer,
     ReachabilityQuery,
     WaypointQuery,
-    reaches_external_avoiding,
 )
 
 

@@ -158,6 +158,36 @@ def test_disjoint_ecs_are_skipped_and_counted():
     model.check_invariants()
 
 
+def test_a_support_that_is_the_subspace_universe_is_not_tested_per_ec(
+    monkeypatch,
+):
+    """In a partitioned model the subspace universe plays ⊤'s part: every
+    EC lies in it, so ``pred & support`` against it can prune nothing."""
+    engine = PredicateEngine(NUM_VARS)
+    universe = engine.cube([(0, True)])
+    model = InverseModel(engine, ActionTreeStore(), DEVICES, universe=universe)
+    upper = engine.cube([(0, True), (1, True)])
+    lower = engine.cube([(0, True), (1, False)])
+    model.apply_overwrites([atomic(upper, 0, 5)])
+    assert len(model) == 2
+    seconds = []
+    conj = PredicateEngine.conj
+
+    def spy(self, a, b):
+        seconds.append(b)
+        return conj(self, a, b)
+
+    monkeypatch.setattr(PredicateEngine, "conj", spy)
+    support = upper | lower
+    assert support == universe
+    model.apply_overwrites(
+        [atomic(upper, 1, 7), atomic(lower, 1, 8)], support=support
+    )
+    assert universe not in seconds
+    assert len(model) == 2
+    model.check_invariants()
+
+
 def test_pair_pruning_counter_advances():
     engine, model = fresh_model("fast")
     left = engine.cube([(0, False)])

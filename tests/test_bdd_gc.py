@@ -215,3 +215,65 @@ class TestAutoCollect:
         assert snap["bdd.gc.freed"] > 0
         assert snap["bdd.gc.live"] == eng.live_nodes
         assert snap["bdd.gc.seconds"] > 0
+
+
+class TestStoreCopy:
+    """``BDD.copy`` / ``PredicateEngine.fork``: the same nodes under the
+    same ids, in containers neither store shares with the other."""
+
+    STORE = ("_var", "_low", "_high", "_free", "_unique", "_var_nodes", "_sat_cache")
+
+    def test_copy_keeps_every_id_and_shares_no_container(self):
+        eng = PredicateEngine(NUM_VARS)
+        rng = case_rng(0xC0B1)
+        held = build_wave(eng, rng, 60)[::3]
+        eng.collect()  # a free list to copy
+        counts = [p.sat_count() for p in held]  # a warm satcount memo
+        eng.pin(held[0])
+        src = eng.bdd
+        copy = src.copy()
+        for name in self.STORE:
+            assert getattr(copy, name) == getattr(src, name), name
+            assert getattr(copy, name) is not getattr(src, name), name
+        assert src._free and src._sat_cache
+        assert copy._cache == {} and copy._pins == {}
+        assert copy._root_providers == []  # the source's handles root nothing here
+        assert [copy.sat_count(p.node) for p in held] == counts
+
+    def test_neither_store_sees_the_other_allocate_or_sweep(self):
+        eng = PredicateEngine(NUM_VARS)
+        rng = case_rng(0xC0B2)
+        held = build_wave(eng, rng, 60)[::3]
+        twin, handles = eng.fork(held)
+        frozen = {name: getattr(twin.bdd, name).copy() for name in self.STORE}
+        build_wave(eng, rng, 60)  # source allocates ...
+        del held[1:]
+        assert eng.collect() > 0  # ... and sweeps ids the copy's handles name
+        assert {name: getattr(twin.bdd, name) for name in self.STORE} == frozen
+        before = (dict(eng.bdd._unique), list(eng.bdd._free), len(eng.bdd._var))
+        build_wave(twin, rng, 60)  # the copy allocates, into its own free slots
+        twin.collect()
+        assert (eng.bdd._unique, eng.bdd._free, len(eng.bdd._var)) == before
+        fresh = PredicateEngine(NUM_VARS)
+        for handle in handles:  # every forked handle is still its function
+            assert fresh.import_predicate(handle).sat_count() == handle.sat_count()
+
+    def test_forked_handles_carry_signatures_that_a_fresh_walk_agrees_with(self):
+        eng = PredicateEngine(NUM_VARS)
+        rng = case_rng(0xC0B3)
+        preds = build_wave(eng, rng, 40)
+        signed = preds[::2]
+        for p in signed:
+            eng.signature(p)
+        twin, handles = eng.fork(preds)
+        assert [h.node for h in handles] == [p.node for p in preds]
+        assert all(h.engine is twin for h in handles)
+        carried = [h._sig for h in handles]
+        assert carried == [p._sig for p in preds]
+        assert None not in carried[::2]
+        counts = [h.sat_count() for h in handles]
+        twin.bdd._sat_cache.clear()
+        assert [h.sat_count() for h in handles] == counts
+        for h in handles:
+            h._sig = None
+        assert [twin.signature(h) for h in handles][::2] == carried[::2]

@@ -23,6 +23,7 @@ from repro.difftest import (
 )
 from repro.flash import Flash
 from repro.results import Verdict, VerificationReport
+from repro.serve import build_workload, run_load
 
 from . import test_dispatcher_properties as dispatcher_props
 from .conftest import base_seed
@@ -52,6 +53,19 @@ def test_fuzz_gates_hold_with_a_sweep_after_every_block(always_sweep, make_runne
         result = runner.run(scenario)
         assert result.ok, (scenario.name, result.divergences)
     assert always_sweep() >= SCENARIOS
+
+
+def test_serve_race_with_a_sweep_after_every_block(always_sweep):
+    """Readers on snapshot copies of the writer's store while the writer
+    sweeps and reuses ids after every batch: every served answer must
+    equal the batch oracle's at its pinned epoch."""
+    workload = build_workload(seed=base_seed() + 35, quick=False)
+    # Sized so most answers are pinned while the storm is still running.
+    workload.clients, workload.queries_per_client = 3, 15
+    result = run_load(workload, seed=base_seed(), workers=2)
+    assert result.ok, result.divergences
+    assert result.queries == workload.clients * workload.queries_per_client
+    assert always_sweep() >= len(workload.blocks) + 1
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])

@@ -34,6 +34,7 @@ from repro.serve import (
     WaypointQuery,
     build_workload,
     isolate_view,
+    random_query,
     reaches_external_avoiding,
     run_load,
 )
@@ -196,7 +197,9 @@ def random_serve_view(rng, topo, updates, universe):
 
 class TestPerEcCounting:
     """Served answers sum each witness EC's share of the scope; the union
-    evaluation of ``tests/serve_reference.py`` is the independent check."""
+    evaluation of ``tests/serve_reference.py``, which classifies with the
+    brute-force oracle's graph searches, is the independent check on both
+    the sum and the product's classifiers."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sum_equals_the_union_evaluation(self, seed):
@@ -257,6 +260,47 @@ class TestIsolateView:
         isolated = isolate_view(view)
         assert isolated.universe.sat_count() == view.universe.sat_count()
         assert isolated.num_ecs() == view.num_ecs()
+
+    def test_snapshot_outlives_later_blocks_and_a_forced_sweep(self):
+        """The copy keeps the writer's node ids, and the writer then reuses
+        the ids it sweeps: the snapshot must not notice."""
+        workload = build_workload(seed=5, quick=True)
+        topo, layout = workload.topology, workload.layout
+        batches = [workload.base] + workload.blocks
+        rng = case_rng(0x150)
+        queries = [random_query(rng, topo, layout) for _ in range(24)]
+        writer = ModelWriter(topo.switches(), layout, validation="repair")
+        for batch in batches[:3]:
+            writer.submit(batch)
+            writer.flush()
+        snapshot = isolate_view(writer.read_view())
+        entries = [(pred.node, vector) for pred, vector in snapshot.entries()]
+        counts = [pred.sat_count() for pred, _ in snapshot.entries()]
+        answers = [q.evaluate(snapshot, topo) for q in queries]
+        for batch in batches[3:]:
+            writer.submit(batch)
+            writer.flush()
+        assert writer.engine.collect() > 0
+        assert [(p.node, v) for p, v in snapshot.entries()] == entries
+        assert [p.sat_count() for p, _ in snapshot.entries()] == counts
+        assert [q.evaluate(snapshot, topo) for q in queries] == answers
+        oracle = BatchOracle(topo, layout, batches).view_at(3)
+        assert [q.evaluate(oracle, topo) for q in queries] == answers
+
+    def test_scoped_query_on_a_snapshot_leaves_the_writer_store_alone(self):
+        topo, s, w, b, x = diamond()
+        view = view_of(topo, [exit_rules(topo, s, w, b, x)])
+        isolated = isolate_view(view)
+        store = view.engine.bdd
+        before = (dict(store._unique), list(store._free), len(store._var))
+        nodes = isolated.engine.bdd.num_nodes
+        for query in (
+            ReachabilityQuery(s, Match.dst_prefix(3, 3, LAYOUT)),
+            WaypointQuery(s, w, Match.dst_prefix(200, 5, LAYOUT)),
+        ):
+            query.evaluate(isolated, topo)
+        assert isolated.engine.bdd.num_nodes > nodes  # the scope was built ...
+        assert (store._unique, store._free, len(store._var)) == before  # ... there
 
 
 # ----------------------------------------------------------------------
