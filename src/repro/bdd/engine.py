@@ -248,7 +248,7 @@ class BDD:
         """``(var, low, high)`` of a non-constant edge, encoding-agnostic.
 
         The reference oracle implements it too, so structural walkers
-        (predicate import, the wire format, the equivalence tests) need
+        (predicate import, the equivalence tests) need
         not know about complement bits.
         """
         node = u >> 1

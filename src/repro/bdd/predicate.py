@@ -129,7 +129,7 @@ class _BddGauges:
     leave the last engine's numbers standing as the system's.  Counts
     and sizes are summed.  The op-cache bound is the constant
     ``CACHE_LIMIT`` (``BDD.cache_limit``), not a measurement, so no gauge
-    carries it: a merge that adds gauges would report a multiple of it.
+    carries it: a sum over engines would report a multiple of it.
     """
 
     def __init__(self) -> None:
@@ -337,103 +337,59 @@ class PredicateEngine:
         allocating, the result is the same boolean function, and BDD
         equality across engines reduces to
         ``self.import_predicate(a) == self.import_predicate(b)``.
-
-        Self-imports (same engine, or another engine sharing this node
-        store) return a handle to the existing node without walking it;
-        the traversal is iterative.
         """
-        if pred.engine is self:
-            return self.pred(pred.node)
-        if pred.engine.bdd is self.bdd:
-            return self.pred(pred.node)
-        if pred.engine.num_vars > self.num_vars:
-            raise ValueError(
-                f"cannot import predicate over {pred.engine.num_vars} vars "
-                f"into an engine with {self.num_vars}"
-            )
-        # decompose() abstracts the node encoding (plain ids vs complement
-        # edges), so any source/destination engine pairing works; the memo
-        # keys are source references, the values destination references.
-        decompose = pred.engine.bdd.decompose
-        mk = self.bdd._mk  # noqa: SLF001
-        memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-        stack = [pred.node]
-        while stack:
-            node = stack[-1]
-            if node in memo:
-                stack.pop()
-                continue
-            var, lo, hi = decompose(node)
-            lo_mapped = memo.get(lo)
-            hi_mapped = memo.get(hi)
-            if lo_mapped is not None and hi_mapped is not None:
-                memo[node] = mk(var, lo_mapped, hi_mapped)
-                stack.pop()
-            else:
-                if hi_mapped is None:
-                    stack.append(hi)
-                if lo_mapped is None:
-                    stack.append(lo)
-        return self.pred(memo[pred.node])
-
-    def export_bytes(self, preds: Iterable[Predicate]) -> bytes:
-        """Serialise predicates into one FBW1 blob (shared nodes once).
-
-        The blob is self-contained and engine-independent: any engine
-        with at least as many variables (and the same variable order)
-        can :meth:`import_bytes` it, in-process or across a process
-        boundary.  See :mod:`repro.bdd.wire` for the format.
-        """
-        from . import wire
-
-        refs: List[int] = []
-        for p in preds:
-            self._check(p, p)
-            refs.append(p.node)
-        return wire.export_blob(self.bdd, refs)
-
-    def import_bytes(self, data: bytes) -> List[Predicate]:
-        """Rebuild an FBW1 blob's predicates inside this engine.
-
-        One linear hash-consing pass; subgraphs this engine already
-        knows dedupe against the unique table instead of allocating.
-        """
-        from . import wire
-
-        return [self.pred(r) for r in wire.import_blob(self.bdd, data)]
+        return self.import_predicates([pred])[0]
 
     def import_predicates(
         self, preds: Iterable[Predicate]
     ) -> List[Predicate]:
-        """Bulk :meth:`import_predicate`: one shared walk for the set.
+        """Bulk :meth:`import_predicate`: one iterative walk for the set.
 
-        When every input comes from one foreign node store the whole
-        set goes through the wire format — the union DAG is walked once
-        instead of once per predicate, which is the common shape for EC
-        tables (hundreds of handles over heavily shared structure).
-        Mixed-source or same-engine inputs fall back to the per-
-        predicate paths.
+        The walk keeps one memo per source node store, so structure that
+        several handles share (an EC table: hundreds of handles over a
+        few hundred distinct subgraphs) is rebuilt once.  Handles from
+        this engine's own store come back without a walk; a source with
+        more variables than this engine is a :class:`ValueError`.
         """
-        preds = list(preds)
-        if not preds:
-            return []
-        src = preds[0].engine
-        src_bdd = src.bdd
-        if all(p.engine.bdd is src_bdd for p in preds):
-            if src_bdd is self.bdd:
-                return [self.pred(p.node) for p in preds]
-            if src.num_vars > self.num_vars:
-                raise ValueError(
-                    f"cannot import predicates over {src.num_vars} vars "
-                    f"into an engine with {self.num_vars}"
-                )
-            from . import wire
-
-            refs = wire.import_blob(
-                self.bdd, wire.export_blob(src_bdd, [p.node for p in preds])
-            )
-            return [self.pred(r) for r in refs]
-        return [self.import_predicate(p) for p in preds]
+        mk = self.bdd._mk  # noqa: SLF001
+        # Source store -> {source reference: destination reference}.
+        # decompose() abstracts the node encoding (plain ids vs complement
+        # edges), so any source/destination pairing works.
+        memos: Dict[object, Dict[int, int]] = {}
+        out: List[Predicate] = []
+        for pred in preds:
+            src = pred.engine
+            if src.bdd is self.bdd:
+                out.append(self.pred(pred.node))
+                continue
+            memo = memos.get(src.bdd)
+            if memo is None:
+                if src.num_vars > self.num_vars:
+                    raise ValueError(
+                        f"cannot import predicate over {src.num_vars} vars "
+                        f"into an engine with {self.num_vars}"
+                    )
+                memo = memos[src.bdd] = {FALSE: FALSE, TRUE: TRUE}
+            decompose = src.bdd.decompose
+            stack = [pred.node]
+            while stack:
+                node = stack[-1]
+                if node in memo:
+                    stack.pop()
+                    continue
+                var, lo, hi = decompose(node)
+                lo_mapped = memo.get(lo)
+                hi_mapped = memo.get(hi)
+                if lo_mapped is not None and hi_mapped is not None:
+                    memo[node] = mk(var, lo_mapped, hi_mapped)
+                    stack.pop()
+                else:
+                    if hi_mapped is None:
+                        stack.append(hi)
+                    if lo_mapped is None:
+                        stack.append(lo)
+            out.append(self.pred(memo[pred.node]))
+        return out
 
     def fork(
         self, preds: Iterable[Predicate]

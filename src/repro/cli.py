@@ -247,7 +247,7 @@ def cmd_fuzz(args) -> int:
     for index, scenario in enumerate(generator.stream(args.iterations)):
         for label, runner in runners:
             if (
-                args.time_budget
+                args.time_budget is not None
                 and time.perf_counter() - start > args.time_budget
             ):
                 print(f"time budget ({args.time_budget:.0f}s) reached "
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="query a verified trace")
     common(ana)
     ana.add_argument("--trace", required=True)
-    ana.add_argument("--limit", type=int, default=10)
+    ana.add_argument("--limit", type=_positive(int), default=10)
     ana.add_argument("--trace-from", default=None, dest="trace_from",
                      help="device name to trace a header from")
     ana.add_argument("--trace-dst", type=int, default=0, dest="trace_dst")
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", help="differential fuzzing across all verification engines"
     )
     fuzz.add_argument("--seed", type=int, default=1234)
-    fuzz.add_argument("--iterations", type=int, default=50)
+    fuzz.add_argument("--iterations", type=_positive(int), default=50)
     fuzz.add_argument("--profile", default="smoke", choices=["smoke", "deep"])
     fuzz.add_argument(
         "--chaos", action="store_true",
@@ -497,12 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to save shrunken divergent scenarios into",
     )
     fuzz.add_argument(
-        "--max-divergences", type=int, default=5, dest="max_divergences",
+        "--max-divergences", type=_positive(int), default=5,
+        dest="max_divergences",
         help="stop after this many divergent scenarios",
     )
     fuzz.add_argument(
-        "--time-budget", type=float, default=0.0, dest="time_budget",
-        help="stop starting new scenarios after this many seconds",
+        "--time-budget", type=_positive(float), default=None,
+        dest="time_budget", metavar="SECONDS",
+        help="stop starting new scenarios after this many seconds "
+        "(default: no budget)",
     )
     fuzz.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--dst-bits", type=int, default=8, dest="dst_bits")
     simp.add_argument("--buggy", default=None, help="buggy switch name")
     simp.add_argument("--dampen", default=None, help="dampened switch name")
-    simp.add_argument("--dampen-seconds", type=float, default=60.0)
+    simp.add_argument("--dampen-seconds", type=_positive(float), default=60.0)
     simp.add_argument("--fail-link", default=None, help="e.g. chic-kans")
     simp.add_argument("--seed", type=int, default=0)
     simp.add_argument(

@@ -3,7 +3,6 @@
 from ..telemetry import PhaseBreakdown
 from .actiontree import EMPTY, ActionTreeStore
 from .arraystore import ArrayActionStore
-from .parallel import SubspaceRunStats, WorkerTask, run_partitioned
 from .imt import (
     calculate_atomic_overwrites,
     decompose_block,
@@ -34,9 +33,6 @@ __all__ = [
     "EMPTY",
     "ActionTreeStore",
     "ArrayActionStore",
-    "SubspaceRunStats",
-    "WorkerTask",
-    "run_partitioned",
     "calculate_atomic_overwrites",
     "decompose_block",
     "device_action_predicates",

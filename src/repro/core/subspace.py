@@ -2,11 +2,11 @@
 
 Partitioning the header space (e.g. one subspace per pod's destination
 prefixes in LNet) shrinks both the inverse model each verifier maintains and
-the set of rules it must consider, and is what lets Flash run many verifiers
-in parallel.  A :class:`SubspacePartition` owns the defining matches; its
-:meth:`~SubspacePartition.route_updates` fans an update stream out to the
-subspaces a rule can affect, using the cheap ternary intersection test (no
-BDD ops) once per distinct match.
+the set of rules it must consider.  ``Flash(partition=)`` runs one model
+writer per subspace, all in one process.  A :class:`SubspacePartition`
+owns the defining matches; its :meth:`~SubspacePartition.route_updates`
+fans an update stream out to the subspaces a rule can affect, using the
+cheap ternary intersection test (no BDD ops) once per distinct match.
 """
 
 from __future__ import annotations

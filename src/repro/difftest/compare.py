@@ -201,9 +201,8 @@ def view_from_inverse_model(
 ) -> ModelView:
     """From a Flash :class:`~repro.core.inverse_model.InverseModel`.
 
-    The EC predicates travel as one bulk import (the FBW1 wire path) —
-    the shared DAG is walked once for the whole table, and every fuzz
-    replay exercises the same serialisation the parallel workers use.
+    The EC predicates travel as one bulk import: the table's shared DAG
+    is walked once, not once per EC.
     """
     pairs = model.entries()
     imported = engine.import_predicates([pred for pred, _ in pairs])

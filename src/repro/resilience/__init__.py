@@ -15,11 +15,7 @@ self-checking in ``repro.difftest``:
 * ``ModelWriter.rollback`` / ``ModelWriter(recovery=True)`` — a model
   version is one read view (installed rules plus EC table): rollback
   restores one in place, and the recovery guard takes one before every
-  flush for the incremental→batch fallback (``resilience.fallback.*``);
-* :class:`FailedSubspace` / :class:`RetryPolicy` /
-  :class:`WorkerFaultSpec` — per-task supervision records for
-  ``run_partitioned``'s process-per-subspace map (retry a worker that
-  raised, re-execute in the parent one that died or hung).
+  flush for the incremental→batch fallback (``resilience.fallback.*``).
 
 The chaos difftest (``repro fuzz --chaos``) closes the loop: faulty
 streams through ``repair``/``quarantine`` ingestion must still converge
@@ -35,12 +31,6 @@ from .faults import (
     fault_profile,
     stale_epoch_tag,
 )
-from .supervisor import (
-    FailedSubspace,
-    InjectedWorkerFault,
-    RetryPolicy,
-    WorkerFaultSpec,
-)
 from .validator import (
     DeadLetterLog,
     EpochGate,
@@ -54,16 +44,12 @@ __all__ = [
     "FAULT_PROFILES",
     "DeadLetterLog",
     "EpochGate",
-    "FailedSubspace",
     "FaultInjector",
     "FaultProfile",
     "InjectedFault",
-    "InjectedWorkerFault",
     "QuarantinePolicy",
     "QuarantinedUpdate",
-    "RetryPolicy",
     "UpdateValidator",
-    "WorkerFaultSpec",
     "fault_profile",
     "stale_epoch_tag",
 ]

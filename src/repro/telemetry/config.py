@@ -1,9 +1,8 @@
 """The per-system telemetry facade.
 
 :class:`Telemetry` bundles the one registry + one tracer a system (a
-``Flash`` instance, a benchmark run, a parallel worker) threads through
-its components.  A parallel worker builds its own and ships back its
-:meth:`~Telemetry.snapshot`.
+``Flash`` instance, a serve daemon, a benchmark run) threads through its
+components.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ class Telemetry:
             "metrics": self.registry.snapshot(),
             "spans": [s.as_dict() for s in self.tracer.finished],
         }
-
-    def merge_snapshot(self, snap: Dict[str, object]) -> None:
-        """Fold a worker's :meth:`snapshot` into this telemetry."""
-        metrics = snap.get("metrics")
-        if metrics:
-            self.registry.merge_snapshot(metrics)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return f"Telemetry({self.registry!r})"

@@ -12,11 +12,7 @@ pull-model conventions:
   sites never need existence checks;
 * *collectors* are callbacks registered by components whose state is too
   hot to mirror on every mutation (e.g. the BDD cache statistics); they
-  are invoked by :meth:`MetricsRegistry.collect` right before a snapshot;
-* registries merge: worker processes snapshot their registry, ship the
-  plain dict across the process boundary, and the parent folds it in with
-  :meth:`MetricsRegistry.merge_snapshot` (counters and gauges add,
-  histograms add bucket-wise).
+  are invoked by :meth:`MetricsRegistry.collect` right before a snapshot.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (table sizes, cache hit counts, workers)."""
+    """A point-in-time value (table sizes, cache hit counts)."""
 
     __slots__ = ("name", "value")
 
@@ -57,9 +53,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
 
     def __repr__(self) -> str:
         return f"Gauge({self.name}={self.value})"
@@ -113,7 +106,7 @@ Collector = Callable[["MetricsRegistry"], None]
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms with merge and snapshot semantics."""
+    """Named counters/gauges/histograms with snapshot semantics."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -173,9 +166,9 @@ class MetricsRegistry:
         for fn in self._collectors:
             fn(self)
 
-    # -- snapshot / merge ----------------------------------------------
+    # -- snapshot ----------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """A plain-dict, JSON- and pickle-safe view of every metric."""
+        """A plain-dict, JSON-safe view of every metric."""
         self.collect()
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
@@ -184,32 +177,6 @@ class MetricsRegistry:
                 n: h.as_dict() for n, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snap: Dict[str, Dict[str, object]]) -> None:
-        """Fold a :meth:`snapshot` dict (e.g. from a worker) into this registry.
-
-        Counters and gauges add; histograms add bucket-wise and require
-        identical bounds.
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).inc(value)
-        for name, payload in snap.get("histograms", {}).items():
-            hist = self.histogram(name, payload["bounds"])
-            if list(hist.bounds) != list(payload["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} bounds mismatch on merge: "
-                    f"{hist.bounds} vs {payload['bounds']}"
-                )
-            for i, count in enumerate(payload["counts"]):
-                hist.counts[i] += count
-            hist.sum += payload["sum"]
-            hist.count += payload["count"]
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (same semantics as snapshots)."""
-        self.merge_snapshot(other.snapshot())
 
     def reset(self) -> None:
         """Zero every metric (the metric objects stay registered)."""

@@ -10,7 +10,6 @@ ids) — and every ordered pairing of the two:
   ``intersects`` / ``covers`` against brute-force header enumeration),
 * ``split`` ≡ ``(a & b, a - b)``,
 * cofactor signatures agreeing bit-for-bit across node encodings,
-* FBW1 wire round-trips, within a store and across every pairing,
 * :class:`~repro.core.inverse_model.InverseModel` apply-overwrites
   equivalence: the same update stream produces semantically identical EC
   tables over either store.
@@ -250,21 +249,8 @@ def test_signatures_agree_across_backends(pair):
 
 
 # ---------------------------------------------------------------------------
-# wire round-trips (FBW1 as the universal interchange)
+# cross-engine import
 # ---------------------------------------------------------------------------
-def test_wire_round_trip_within_backend(engine):
-    rng = random.Random(29)
-    preds = [_random_pred(engine, rng) for _ in range(8)]
-    preds += [engine.false, engine.true]
-    blob = engine.export_bytes(preds)
-    assert isinstance(blob, bytes) and blob[:4] == b"FBW1"
-    back = engine.import_bytes(blob)
-    assert len(back) == len(preds)
-    for orig, got in zip(preds, back):
-        assert got == orig
-        assert got.node == orig.node  # canonical ids survive the trip
-
-
 def test_import_across_backends(pairing):
     src, dst = pairing
     rng = random.Random(31)
@@ -283,9 +269,38 @@ def test_import_across_backends(pairing):
         assert got == orig and got.node == orig.node
 
 
+def test_import_predicates_bulk_matches_per_pred_import(pairing):
+    """One bulk import over handles sharing structure — duplicates and a
+    complement included — lands on the same handles as importing each
+    predicate on its own."""
+    src, dst = pairing
+    rng = random.Random(41)
+    preds = [_random_pred(src, rng, max_cubes=8) for _ in range(24)]
+    preds += [src.false, src.true, preds[0], ~preds[0]]
+    bulk = dst.import_predicates(preds)
+    assert bulk == [dst.import_predicate(p) for p in preds]
+    assert bulk[-2] is bulk[0] and bulk[-1] == ~bulk[0]
+
+
+def test_import_predicates_mixed_sources(engine):
+    """One bulk import over handles from both node stores and the
+    destination's own equals importing each handle on its own."""
+    rng = random.Random(37)
+    sources = [make_engine(kind) for kind in ENGINE_KINDS]
+    mixed = [
+        _random_pred(source, rng) for _ in range(4) for source in sources
+    ]
+    mixed += [sources[0].true, sources[1].false, _random_pred(engine, rng)]
+    out = engine.import_predicates(mixed)
+    assert out == [engine.import_predicate(p) for p in mixed]
+    assert out[-3].is_true and out[-2].is_false
+    assert out[-1] is mixed[-1]
+
+
 def test_import_widens_narrower_sources(pairing):
     """A predicate from a narrower header space imports as a prefix:
-    the missing low-order variables become don't-cares."""
+    the missing low-order variables become don't-cares.  The other way
+    round is refused."""
     src, dst = pairing
     narrow = PredicateEngine(3, bdd=type(src.bdd)(3))
     pred = narrow.cube([(0, True), (2, False)])  # 1?0 over 3 vars
@@ -296,6 +311,8 @@ def test_import_widens_narrower_sources(pairing):
         if _assignment(h)[0] and not _assignment(h)[2]
     }
     assert _headers_of(wide) == expect
+    with pytest.raises(ValueError, match="cannot import"):
+        narrow.import_predicates([narrow.true, wide])
 
 
 # ---------------------------------------------------------------------------

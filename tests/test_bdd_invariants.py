@@ -22,7 +22,6 @@ import random
 import pytest
 
 from repro.bdd import engine as engine_module
-from repro.bdd import wire
 from repro.bdd.engine import BDD, FALSE, TRUE, _FREE, max_num_vars
 from repro.bdd.predicate import PredicateEngine
 
@@ -346,7 +345,7 @@ class TestBounds:
     def test_num_vars_is_bounded_by_the_recursion_limit(self):
         """A variable count the recursive apply could not descend is
         refused at construction; at the bound itself full-depth
-        operands combine, count and cross the wire format."""
+        operands combine, count and cross engines."""
         depth = max_num_vars()
         with pytest.raises(ValueError, match="recursion"):
             BDD(depth + 1)
@@ -360,8 +359,10 @@ class TestBounds:
         assert eng.exists(either, range(depth - 1)) == eng.ith_var(depth - 1)
         assert eng.restrict(either, {0: True}) == eng.exists(ones, [0])
         assert sum(1 for _ in eng.iter_cubes(either)) == 2
-        oracle = ReferenceBDD(depth)
-        (mirrored,) = wire.import_blob(oracle, wire.export_blob(eng, [either]))
-        assert wire.import_blob(eng, wire.export_blob(oracle, [mirrored])) == [
+        fast = PredicateEngine(depth, bdd=eng)
+        oracle = PredicateEngine(depth, bdd=ReferenceBDD(depth))
+        (mirrored,) = oracle.import_predicates([fast.pred(either)])
+        assert mirrored.sat_count() == 2
+        assert [p.node for p in fast.import_predicates([mirrored])] == [
             either
         ]

@@ -278,3 +278,36 @@ class TestServeExitStatus:
         assert f"error: argument {flag}: must be positive" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+#: (subcommand argv, flag, bad value): counts and durations that must be
+#: positive.  Each once ran to a clean exit without doing its job:
+#: ``fuzz`` reported "0 replays … 0 divergent" or stopped on "0
+#: divergences reached", ``analyze`` sliced ``holes[:-5]``.
+BAD_NUMBERS = [
+    (["fuzz"], "--iterations", "0"),
+    (["fuzz"], "--iterations", "-3"),
+    (["fuzz"], "--time-budget", "-1"),
+    (["fuzz"], "--max-divergences", "0"),
+    (["analyze", "--trace", "missing.jsonl"], "--limit", "-5"),
+    (["simulate"], "--dampen-seconds", "nan"),
+    (["simulate"], "--dampen-seconds", "-5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    BAD_NUMBERS,
+    ids=[f"{flag}={value}" for _, flag, value in BAD_NUMBERS],
+)
+def test_non_positive_numbers_are_argparse_errors(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert f"error: argument {flag}: must be positive, got {value}" in (
+        captured.err
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -8,14 +8,24 @@ cross-pod loop) and the full Flash stack — generators → traces → dispatche
 
 import pytest
 
+from repro.bdd.predicate import PredicateEngine
 from repro.results import LoopReport, Verdict
+from repro.core.model_manager import ModelWriter
 from repro.core.subspace import SubspacePartition
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import insert
+from repro.difftest import ReferenceOracle, ScenarioGenerator
+from repro.difftest.compare import (
+    ModelView,
+    derive_verdicts,
+    view_from_inverse_model,
+    view_from_oracle,
+)
+from repro.difftest.runner import diff_views
 from repro.fibgen.shortest_path import std_fib
 from repro.flash import Flash
 from repro.headerspace.fields import dst_only_layout
-from repro.headerspace.match import Match
+from repro.headerspace.match import Match, MatchCompiler
 from repro.network.generators import fabric
 from repro.spec.requirement import requirement
 
@@ -82,6 +92,50 @@ class TestCleanFabric:
         reports = feed_all(flash, topo, fibs)
         assert flash.first_violation() is None
         assert all(r.verdict is not Verdict.VIOLATED for r in reports)
+
+    def test_subspace_models_merge_to_the_oracle(self):
+        """Random scenarios verified as two dst-prefix subspaces, one
+        model writer each: the shards' EC tables, imported into one
+        engine, are the brute-force oracle's model and give its
+        verdicts."""
+        generator = ScenarioGenerator(seed=1717, profile="smoke")
+        for scenario in generator.stream(40):
+            layout = scenario.build_layout()
+            topology = scenario.build_topology()
+            switches = sorted(topology.switches())
+            top_bit = 1 << (layout.field("dst").width - 1)
+            partition = SubspacePartition.dst_prefix_partition(
+                layout, [(0, 1), (top_bit, 1)]
+            )
+            routed = partition.route_updates(scenario.updates)
+            comparison = PredicateEngine(layout.total_bits)
+            entries = []
+            for subspace in partition:
+                writer = ModelWriter(
+                    switches, layout, subspace_match=subspace.match
+                )
+                writer.submit(routed[subspace.index])
+                writer.flush()
+                shard = view_from_inverse_model(
+                    subspace.name, comparison, writer.model, switches
+                )
+                entries += shard.entries
+            merged = ModelView("partitioned", comparison, switches, entries)
+            oracle = ReferenceOracle(topology, layout)
+            oracle.process_updates(scenario.updates)
+            reference = view_from_oracle("oracle", comparison, oracle)
+            divergences = diff_views(
+                topology, layout, switches, merged, reference
+            )
+            assert not divergences, (scenario.name, divergences)
+            compiler = MatchCompiler(comparison, layout)
+            requirements = scenario.build_requirements(topology, layout)
+            spaces = [compiler.compile(r.packet_space) for r in requirements]
+            assert derive_verdicts(
+                merged.action_entries(), topology, requirements, spaces
+            ) == derive_verdicts(
+                reference.action_entries(), topology, requirements, spaces
+            ), scenario.name
 
 
 class TestFaultInjection:

@@ -35,7 +35,6 @@ from repro.resilience import (
     QuarantinedUpdate,
     QuarantinePolicy,
     UpdateValidator,
-    WorkerFaultSpec,
     fault_profile,
     stale_epoch_tag,
 )
@@ -505,26 +504,6 @@ def test_rollback_restores_every_version_in_place(seed, block_threshold, use_tri
         manager.model.check_invariants()
         replay(manager, batches[k + 1 :])
         assert fib_and_table(manager) == straight
-
-
-# ---------------------------------------------------------------------------
-# worker fault specs
-# ---------------------------------------------------------------------------
-class TestWorkerFaultSpec:
-    def test_parse(self):
-        spec = WorkerFaultSpec.parse("raise@3")
-        assert spec.kind == "raise" and spec.attempts == 3
-        assert WorkerFaultSpec.parse("hang").attempts == 1
-        with pytest.raises(ValueError):
-            WorkerFaultSpec.parse("explode")
-
-    def test_trigger_window(self):
-        spec = WorkerFaultSpec.parse("raise@2")
-        with pytest.raises(RuntimeError):
-            spec.trigger(0)
-        with pytest.raises(RuntimeError):
-            spec.trigger(1)
-        spec.trigger(2)  # outside the window: no-op
 
 
 # ---------------------------------------------------------------------------

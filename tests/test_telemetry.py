@@ -50,25 +50,6 @@ class TestRegistry:
         assert snap["counters"]["c"] == 2
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_merge_snapshot_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("ops").inc(5)
-        b.counter("ops").inc(7)
-        b.counter("only_b").inc(1)
-        a.histogram("h").observe(0.002)
-        b.histogram("h").observe(0.002)
-        a.merge_snapshot(b.snapshot())
-        assert a.value("ops") == 12
-        assert a.value("only_b") == 1
-        assert a.histogram("h").count == 2
-
-    def test_merge_rejects_mismatched_histogram_bounds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0, 2.0))
-        b.histogram("h", bounds=(1.0, 5.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge_snapshot(b.snapshot())
-
     def test_collectors_run_before_snapshot(self):
         reg = MetricsRegistry()
         reg.add_collector(lambda r: r.gauge("pulled").set(42))
@@ -277,8 +258,8 @@ class TestEndToEnd:
         assert gauges["bdd.nodes"] == sum(b.live_node_count for b in bdds)
         assert gauges["bdd.nodes.allocated"] == sum(b.num_nodes for b in bdds)
         assert gauges["bdd.cache.size"] == sum(b.cache_size for b in bdds)
-        # The op-cache bound is a constant, not a gauge: merge_snapshot
-        # would add it across processes.
+        # The op-cache bound is a constant, not a gauge: the sum over
+        # engines would report a multiple of it.
         assert "bdd.cache.limit" not in gauges
 
     def test_cli_verify_telemetry_writes_valid_jsonl(self, tmp_path, capsys):
