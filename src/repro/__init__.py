@@ -31,7 +31,6 @@ _EXPORTS = {
     "LoopReport": ".results",
     "Report": ".results",
     "FrozenReadView": ".core",
-    "ModelReadView": ".core",
     "ModelWriter": ".core",
     "SubspacePartition": ".core",
     "MetricsRegistry": ".telemetry",

@@ -22,11 +22,12 @@ uses:
   for both halves, an op code of the same function.
 * **one op cache**, keyed by the packed operand pair, wiped wholesale
   when a top-level operation leaves it above :data:`CACHE_LIMIT`.
-* **mark-and-sweep GC** — :meth:`BDD.collect` marks from caller roots,
-  pinned edges, registered root providers and the single-variable
-  functions, sweeps dead nodes onto a free list, truncates the dead tail
-  of the lists and rebuilds the dict.  Live node ids are never
-  renumbered, so outstanding edges stay valid.
+* **mark-and-sweep GC** — :meth:`BDD.collect` marks from the roots its
+  caller passes and the single-variable functions, sweeps dead nodes
+  onto a free list, truncates the dead tail of the lists and rebuilds
+  the dict.  There is one root kind: the predicate layer passes its live
+  handles.  Live node ids are never renumbered, so outstanding edges
+  stay valid.
 
 Why this simple: the engine this replaced kept an open-addressed table,
 packed explicit-stack frames and a cube-graft fast path (1,600 lines),
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 FALSE = 0
 TRUE = 1
@@ -82,14 +83,12 @@ CACHE_LIMIT = 1 << 16
 #: (one per ``copy`` snapshot, per fuzz scenario, per test) never pay one.
 SWEEP_FLOOR = 1 << 12
 
-RootProvider = Callable[[], Iterable[int]]
-
 
 def max_num_vars() -> int:
     """Largest ``num_vars`` a :class:`BDD` accepts under the current
     interpreter recursion limit.
 
-    Apply, restrict, exists and cube iteration descend one Python frame
+    Apply, the satcount walk and cube iteration descend one Python frame
     per variable level; half the limit is theirs, half stays with the
     caller's own stack.  Real header layouts are far below it (an IPv6
     5-tuple is 296 bits against 500 under the default limit).
@@ -116,8 +115,6 @@ class BddStats:
         "apply_cache_hits",
         "negate_calls",
         "negate_cache_hits",
-        "quantify_calls",
-        "restrict_calls",
         "ite_calls",
         "split_calls",
         "cache_evictions",
@@ -132,8 +129,6 @@ class BddStats:
         self.apply_cache_hits = 0
         self.negate_calls = 0
         self.negate_cache_hits = 0
-        self.quantify_calls = 0
-        self.restrict_calls = 0
         self.ite_calls = 0
         self.split_calls = 0
         self.cache_evictions = 0
@@ -160,8 +155,6 @@ class BddStats:
         registry.gauge(f"{prefix}.negate.cache_hits").set(
             self.negate_cache_hits
         )
-        registry.gauge(f"{prefix}.quantify.calls").set(self.quantify_calls)
-        registry.gauge(f"{prefix}.restrict.calls").set(self.restrict_calls)
         registry.gauge(f"{prefix}.ite.calls").set(self.ite_calls)
         registry.gauge(f"{prefix}.split.calls").set(self.split_calls)
         registry.gauge(f"{prefix}.cache.hits").set(self.apply_cache_hits)
@@ -215,9 +208,6 @@ class BDD:
         # Pre-built single-variable functions, created lazily; permanent
         # GC roots (a handful of nodes at most).
         self._var_nodes: Dict[int, int] = {}
-        # edge -> external pin count; pinned edges survive collection.
-        self._pins: Dict[int, int] = {}
-        self._root_providers: List[RootProvider] = []
         self.stats = BddStats()
 
     def copy(self) -> "BDD":
@@ -225,7 +215,8 @@ class BDD:
 
         The node lists, free list, unique table, single-variable
         functions and satcount memo are copied; the op cache starts
-        empty, and pins and root providers stay with this store.  Every
+        empty.  The copy holds no roots of its own: what survives its
+        sweeps is what its caller passes to its :meth:`collect`.  Every
         edge of this store names the same function in the copy, and
         neither store sees what the other allocates or sweeps afterwards
         (no list or dict is shared).  The cost is a C-level copy per
@@ -268,10 +259,6 @@ class BDD:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    @property
-    def cache_limit(self) -> int:
-        return CACHE_LIMIT
 
     @property
     def unique_used(self) -> int:
@@ -366,10 +353,6 @@ class BDD:
         stats.negate_calls += 1
         stats.negate_cache_hits += 1
         return a ^ 1
-
-    def implies(self, a: int, b: int) -> bool:
-        """Whether ``a`` ⊆ ``b`` as sets of assignments."""
-        return self.apply_and(a, b ^ 1) == FALSE
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: (f AND g) OR (NOT f AND h)."""
@@ -503,73 +486,6 @@ class BDD:
         models, level = count(u)
         return models << level
 
-    def support(self, u: int) -> Tuple[int, ...]:
-        """Sorted tuple of variable indexes that ``u`` depends on."""
-        seen: set = set()
-        varset: set = set()
-        stack = [u >> 1]
-        while stack:
-            node = stack.pop()
-            if node == 0 or node in seen:
-                continue
-            seen.add(node)
-            varset.add(self._var[node])
-            stack.append(self._low[node] >> 1)
-            stack.append(self._high[node] >> 1)
-        return tuple(sorted(varset))
-
-    def restrict(self, u: int, assignments: Dict[int, bool]) -> int:
-        """Cofactor ``u`` by fixing the given variables."""
-        self.stats.restrict_calls += 1
-        memo: Dict[int, int] = {}
-
-        def go(edge: int) -> int:
-            if edge <= TRUE:
-                return edge
-            got = memo.get(edge)
-            if got is not None:
-                return got
-            node = edge >> 1
-            c = edge & 1
-            var = self._var[node]
-            if var in assignments:
-                child = self._high[node] if assignments[var] else self._low[node]
-                result = go(child ^ c)
-            else:
-                result = self._mk(
-                    var, go(self._low[node] ^ c), go(self._high[node] ^ c)
-                )
-            memo[edge] = result
-            return result
-
-        return go(u)
-
-    def exists(self, u: int, variables: Iterable[int]) -> int:
-        """Existential quantification over ``variables``."""
-        self.stats.quantify_calls += 1
-        varset = frozenset(variables)
-        memo: Dict[int, int] = {}
-
-        def go(edge: int) -> int:
-            if edge <= TRUE:
-                return edge
-            got = memo.get(edge)
-            if got is not None:
-                return got
-            node = edge >> 1
-            c = edge & 1
-            var = self._var[node]
-            lo = go(self._low[node] ^ c)
-            hi = go(self._high[node] ^ c)
-            if var in varset:
-                result = self.apply_or(lo, hi)
-            else:
-                result = self._mk(var, lo, hi)
-            memo[edge] = result
-            return result
-
-        return go(u)
-
     def any_assignment(self, u: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (only cared variables), or None."""
         if u == FALSE:
@@ -641,47 +557,18 @@ class BDD:
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
-    def pin(self, u: int) -> int:
-        """Protect edge ``u`` (and everything it reaches) from collection.
-
-        Pins nest: each :meth:`pin` needs a matching :meth:`unpin`.
-        Returns ``u`` so call sites can pin inline.
-        """
-        if u > TRUE:
-            self._pins[u] = self._pins.get(u, 0) + 1
-        return u
-
-    def unpin(self, u: int) -> None:
-        count = self._pins.get(u)
-        if count is None:
-            return
-        if count <= 1:
-            del self._pins[u]
-        else:
-            self._pins[u] = count - 1
-
-    def add_root_provider(self, provider: RootProvider) -> None:
-        """Register a callable yielding extra root edges at collect time.
-
-        The predicate layer registers its live :class:`Predicate` handles
-        here, so ``collect()`` is safe to call whenever no operation is
-        mid-flight — anything a caller can still name survives.
-        """
-        self._root_providers.append(provider)
-
     def collect(self, roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep; returns the number of nodes freed.
 
-        Roots are the union of ``roots``, pinned edges, registered root
-        providers and the single-variable functions.  Live node ids are
-        stable across collection; the op and satcount caches are wiped
-        (their entries may name dead ids), the dead tail of the node
-        lists is truncated so the table physically shrinks, and the
-        unique table is rebuilt over the survivors.
+        The roots are ``roots`` plus the single-variable functions.
+        Live node ids are stable across collection; the op and satcount
+        caches are wiped (their entries may name dead ids), the dead tail
+        of the node lists is truncated so the table physically shrinks,
+        and the unique table is rebuilt over the survivors.
 
-        Callers holding *raw edges* (rather than pins, predicate handles
-        or explicit roots) across a collection will see those nodes
-        recycled — see ``docs/bdd_engine.md`` for the pinning protocol.
+        An edge not reachable from ``roots`` is recycled: a caller that
+        holds raw edges across a collection passes them here (the
+        predicate layer passes its live handles; ``docs/bdd_engine.md``).
         """
         start = perf_counter()
         varr = self._var
@@ -690,10 +577,7 @@ class BDD:
         live = bytearray(len(varr))
         live[0] = 1  # the terminal
         stack: List[int] = [e >> 1 for e in roots]
-        stack.extend(e >> 1 for e in self._pins)
         stack.extend(e >> 1 for e in self._var_nodes.values())
-        for provider in self._root_providers:
-            stack.extend(e >> 1 for e in provider())
         while stack:
             node = stack.pop()
             if live[node]:

@@ -36,7 +36,7 @@ class Predicate:
     Every live handle is a garbage-collection root: the owning engine
     tracks handles through weak references, so
     :meth:`PredicateEngine.collect` preserves exactly the predicates the
-    caller can still name (plus explicit pins).
+    caller can still name.
     """
 
     __slots__ = ("engine", "node", "_sig", "__weakref__")
@@ -81,10 +81,6 @@ class Predicate:
     def intersects(self, other: "Predicate") -> bool:
         return (self & other).node != FALSE
 
-    def covers(self, other: "Predicate") -> bool:
-        """Whether ``other`` ⊆ ``self``."""
-        return self.engine.bdd.implies(other.node, self.node)
-
     def sat_count(self) -> int:
         return self.engine.bdd.sat_count(self.node)
 
@@ -128,8 +124,8 @@ class _BddGauges:
     subspace) share the gauge names, so a collector per engine would
     leave the last engine's numbers standing as the system's.  Counts
     and sizes are summed.  The op-cache bound is the constant
-    ``CACHE_LIMIT`` (``BDD.cache_limit``), not a measurement, so no gauge
-    carries it: a sum over engines would report a multiple of it.
+    ``CACHE_LIMIT``, not a measurement, so no gauge carries it: a sum
+    over engines would report a multiple of it.
     """
 
     def __init__(self) -> None:
@@ -178,7 +174,7 @@ class PredicateEngine:
     ``ModelWriter`` at the end of every block), and the engine decides
     from its own growth whether to sweep.  Freed ids are reused, so the
     hard rule for everything above is: what outlives a block holds
-    :class:`Predicate` handles (or pins), never a bare ``pred.node`` —
+    :class:`Predicate` handles, never a bare ``pred.node`` —
     a dict keyed by node id keeps the handle in the value.
 
     Parameters
@@ -223,13 +219,8 @@ class PredicateEngine:
         self._handles: "weakref.WeakValueDictionary[int, Predicate]" = (
             weakref.WeakValueDictionary()
         )
-        if hasattr(self.bdd, "add_root_provider"):
-            self.bdd.add_root_provider(self._live_roots)
         self._false = Predicate(self, FALSE)
         self._true = Predicate(self, TRUE)
-
-    def _live_roots(self) -> List[int]:
-        return list(self._handles.keys())
 
     # -- constants -----------------------------------------------------
     @property
@@ -319,12 +310,6 @@ class PredicateEngine:
         result = self._false
         for p in preds:
             result = self.disj(result, p)
-        return result
-
-    def conj_many(self, preds: Iterable[Predicate]) -> Predicate:
-        result = self._true
-        for p in preds:
-            result = self.conj(result, p)
         return result
 
     # -- cross-engine ---------------------------------------------------
@@ -418,18 +403,19 @@ class PredicateEngine:
         return twin, out
 
     # -- garbage collection ---------------------------------------------
-    def collect(self, extra_roots: Iterable[int] = ()) -> int:
+    def collect(self) -> int:
         """Mark-and-sweep the node store; returns the node count freed.
 
-        Roots are every live :class:`Predicate` handle (tracked weakly),
-        every pinned node and ``extra_roots``.  Safe whenever no
-        operation is mid-flight.  No-op (returns 0) when the underlying
-        store has no collector (e.g. the tests' reference oracle).
+        The roots are the live :class:`Predicate` handles (tracked
+        weakly), passed to :meth:`~repro.bdd.engine.BDD.collect`.  Safe
+        whenever no operation is mid-flight.  No-op (returns 0) when the
+        underlying store has no collector (e.g. the tests' reference
+        oracle).
         """
         bdd_collect = getattr(self.bdd, "collect", None)
         if bdd_collect is None:
             return 0
-        return bdd_collect(extra_roots)
+        return bdd_collect(list(self._handles.keys()))
 
     def collect_if_grown(self) -> int:
         """The sweep rule: :meth:`collect` once the store has doubled.
@@ -456,16 +442,6 @@ class PredicateEngine:
         if getattr(bdd, "live_node_count", 0) < max(SWEEP_FLOOR, 2 * survived):
             return 0
         return self.collect()
-
-    def pin(self, pred: Predicate) -> Predicate:
-        """Pin a predicate's nodes across collections (nests; see unpin)."""
-        self._check(pred, pred)
-        self.bdd.pin(pred.node)
-        return pred
-
-    def unpin(self, pred: Predicate) -> None:
-        self._check(pred, pred)
-        self.bdd.unpin(pred.node)
 
     # -- bookkeeping -----------------------------------------------------
     def _check(self, a: Predicate, b: Predicate) -> None:

@@ -82,9 +82,6 @@ class CausalConvergenceDetector:
     def pending_events(self) -> List[int]:
         return [r for r, s in self.events.items() if not s.converged]
 
-    def converged_events(self) -> List[int]:
-        return [r for r, s in self.events.items() if s.converged]
-
     def updates_of(self, root: int) -> List[RuleUpdate]:
         state = self.events.get(root)
         if state is None:

@@ -49,9 +49,6 @@ class DgqReachability:
                     stack.append(succ)
 
     # -- queries -------------------------------------------------------------
-    def is_reachable(self, node: Node) -> bool:
-        return node in self.parent
-
     def accept_reachable(self) -> bool:
         return any(node in self.parent for node in self.graph.accepting)
 

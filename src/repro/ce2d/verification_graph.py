@@ -17,7 +17,6 @@ outgoing edges are pruned to the single behaviour of the EC being verified
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from ..dataplane.rule import Action, next_hops_of
@@ -157,10 +156,6 @@ class VerificationGraph:
         baseline of §5.4; use DgqReachability for the fast path)."""
         reached = self.reachable_from_sources()
         return any(node in reached for node in self.accepting)
-
-    def reachable_accepting_devices(self) -> Set[int]:
-        reached = self.reachable_from_sources()
-        return {d for d, s in self.accepting if (d, s) in reached}
 
     def synced_accept_search(
         self, synced: Set[int], virtual_ok: bool = True

@@ -16,7 +16,6 @@ every device's latest FIB — and is only ever told what changed
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from ..core.inverse_model import Lineage, compose_lineage
@@ -24,7 +23,7 @@ from ..core.model_manager import ModelWriter
 from ..dataplane.update import EpochTag, RuleUpdate
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
-from ..results import LoopReport, Report, Verdict, VerificationReport
+from ..results import Report, Verdict
 from ..spec.requirement import Requirement
 from ..telemetry import Telemetry
 from .loop_detector import LoopDetector
@@ -40,7 +39,7 @@ class Checker:
     model update with the :class:`~repro.core.inverse_model.Lineage` of
     the update, the devices that just synchronised, and the inverse model;
     it must return a report object carrying a ``verdict`` attribute (e.g.
-    :class:`VerificationReport`).
+    :class:`~repro.results.VerificationReport`).
 
     The lineage names only what the update changed: ``lineage.changed``,
     the ECs it split, merged or re-vectored, each with its ``origin`` in
@@ -182,7 +181,7 @@ class SubspaceVerifier:
         return self.receive(device, updates, now=now)
 
     def read_view(self):
-        """Snapshot-pinned :class:`~repro.core.model_manager.ModelReadView`."""
+        """Snapshot-pinned :class:`~repro.core.model_manager.FrozenReadView`."""
         return self.manager.read_view()
 
     def observe(

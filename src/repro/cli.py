@@ -150,6 +150,9 @@ def cmd_analyze(args) -> int:
 
     topo = _build_topology(args)
     _attach_loopbacks(topo)
+    # An unknown --trace-from name fails before any model is built or
+    # printed.
+    source = None if args.trace_from is None else topo.id_of(args.trace_from)
     layout = _build_layout(args)
     updates = list(read_trace(args.trace))
     manager = ModelWriter(topo.switches(), layout)
@@ -171,9 +174,9 @@ def cmd_analyze(args) -> int:
                   f"dropped ({space})")
     else:
         print("\nno blackholes")
-    if args.trace_from is not None:
+    if source is not None:
         values = {"dst": args.trace_dst}
-        result = trace_header(manager, topo, topo.id_of(args.trace_from), values)
+        result = trace_header(manager, topo, source, values)
         names = [topo.name_of(d) for d in result.path]
         print(f"\ntrace dst={args.trace_dst} from {args.trace_from}: "
               f"{' -> '.join(names)} [{result.outcome}]")
@@ -223,9 +226,6 @@ def cmd_fuzz(args) -> int:
     """
     from .difftest import InterleaveShrinker, ScenarioGenerator, Shrinker, save_case
 
-    if args.chaos and args.interleave:
-        print("--chaos and --interleave are mutually exclusive")
-        return 2
     telemetry = Telemetry()
     generator = ScenarioGenerator(seed=args.seed, profile=args.profile)
     runners = _fuzz_runners(args, telemetry)
@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=1234)
     fuzz.add_argument("--iterations", type=_positive(int), default=50)
     fuzz.add_argument("--profile", default="smoke", choices=["smoke", "deep"])
-    fuzz.add_argument(
+    mode = fuzz.add_mutually_exclusive_group()
+    mode.add_argument(
         "--chaos", action="store_true",
         help="inject faults and assert supervised ingestion still "
         "converges to the oracle (the self-healing property)",
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos fault profile name, or 'all' to cycle every profile "
         "(see repro.resilience.FAULT_PROFILES)",
     )
-    fuzz.add_argument(
+    mode.add_argument(
         "--interleave", action="store_true",
         help="model-check update orders: explore inequivalent "
         "interleavings of each scenario's trailing block (partial-order "

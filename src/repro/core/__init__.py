@@ -13,11 +13,7 @@ from .imt import (
 )
 from .commute import CommutativityAnalyzer, CommuteStats
 from .inverse_model import EcDelta, InverseModel, Lineage, VecId
-from .model_manager import (
-    FrozenReadView,
-    ModelReadView,
-    ModelWriter,
-)
+from .model_manager import FrozenReadView, ModelWriter
 from .mr2 import (
     Mr2Pipeline,
     aggregate,
@@ -46,7 +42,6 @@ __all__ = [
     "Lineage",
     "VecId",
     "FrozenReadView",
-    "ModelReadView",
     "ModelWriter",
     "Mr2Pipeline",
     "aggregate",

@@ -10,13 +10,13 @@ The API is split along CE2D's read/write seam:
 * :class:`ModelWriter` — the single-writer surface (``submit`` /
   ``flush`` / ``rollback``).  Every flush that changes the model
   advances a monotonically increasing **model epoch**.
-* :class:`ModelReadView` — the protocol readers consume: a
+* :class:`FrozenReadView` — the one type readers consume: a
   snapshot-pinned EC table (``entries`` / ``num_ecs`` / ``action_of`` /
   ``vector_for``) plus the engine/layout needed to evaluate queries.
-  :meth:`ModelWriter.read_view` captures one as a
-  :class:`FrozenReadView`; because predicates are immutable BDD handles
-  and the PAT store is append-only hash-consed, the captured view stays
-  valid (and answers identically) no matter how far the writer advances.
+  :meth:`ModelWriter.read_view` captures one; because predicates are
+  immutable BDD handles and the PAT store is append-only hash-consed,
+  the captured view stays valid (and answers identically) no matter how
+  far the writer advances.
 
 A model version is one object: a :class:`FrozenReadView` holds both
 halves of it, the installed rules and the EC table they determine, and
@@ -31,17 +31,7 @@ see ``docs/serve.md`` for the consistency contract.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.fib import FibSnapshot
@@ -63,34 +53,14 @@ from .mr2 import Mr2Pipeline
 from .rule_index import RuleIndex
 
 
-@runtime_checkable
-class ModelReadView(Protocol):
-    """What a reader may do with a model version — and nothing else.
-
-    Implementations are *snapshot-pinned*: every method answers against
-    one consistent model version (one writer epoch), regardless of
-    concurrent writer progress.  :class:`FrozenReadView` is the
-    canonical implementation; ``repro.serve`` snapshots satisfy the same
-    protocol after being re-hosted in an isolated engine.
-    """
-
-    engine: PredicateEngine
-    layout: HeaderLayout
-    epoch: int
-
-    def num_ecs(self) -> int: ...
-
-    def entries(self) -> Sequence[Tuple[Predicate, VecId]]: ...
-
-    def action_of(self, vector: VecId, device: int) -> Action: ...
-
-    def vector_for(self, assignment: Dict[int, bool]) -> VecId: ...
-
-    def behavior(self, assignment: Dict[int, bool]) -> Dict[int, Action]: ...
-
-
 class FrozenReadView:
     """One model epoch, immutable: its installed rules and its EC table.
+
+    What a reader may do with a model version, and nothing else.  Every
+    method answers against the one consistent model version (one writer
+    epoch) the view was captured at, regardless of concurrent writer
+    progress; ``repro.serve`` snapshots are views of this type re-hosted
+    in an isolated engine.
 
     Cheap to capture: predicates are shared immutable handles (holding
     them also roots them against engine GC), action vectors are ids
@@ -286,10 +256,9 @@ class ModelWriter:
     def read_view(self) -> FrozenReadView:
         """Pin the current model version as an immutable read view.
 
-        The returned view satisfies :class:`ModelReadView` and keeps
-        answering for this epoch even as the writer advances — the
-        CE2D snapshot-isolation guarantee applied to query serving —
-        and :meth:`rollback` can put it back.
+        The returned view keeps answering for this epoch even as the
+        writer advances — the CE2D snapshot-isolation guarantee applied
+        to query serving — and :meth:`rollback` can put it back.
         """
         return FrozenReadView(
             engine=self.engine,

@@ -31,11 +31,6 @@ class Overwrite:
     delta: ActionDelta
 
     @property
-    def is_atomic(self) -> bool:
-        """Atomic overwrites change the action of exactly one device."""
-        return len(self.delta) == 1
-
-    @property
     def is_noop(self) -> bool:
         return not self.delta
 

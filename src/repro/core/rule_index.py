@@ -121,18 +121,3 @@ class RuleIndex:
                 candidates.extend(sub.bucket)
                 stack.extend(sub.children.values())
         return [r for r in candidates if matches_intersect(match, r.match)]
-
-    def overlapping_higher_precedence(
-        self, rule: Rule, position_of: Dict[Rule, int]
-    ) -> List[Rule]:
-        """Overlapping rules that take precedence over ``rule``.
-
-        ``position_of`` maps rules to their table position (lower = higher
-        precedence) to resolve equal-priority ties.
-        """
-        mine = position_of[rule]
-        return [
-            r
-            for r in self.overlapping(rule.match)
-            if r is not rule and position_of.get(r, mine) < mine
-        ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..bdd.predicate import Predicate
 from ..dataplane.update import RuleUpdate
 from ..errors import HeaderSpaceError
 from ..headerspace.fields import HeaderLayout
@@ -100,19 +99,3 @@ class SubspacePartition:
             for i in hit:
                 batches[i].append(u)
         return routed
-
-    def universe_of(
-        self, subspace: Subspace, compiler: MatchCompiler
-    ) -> Predicate:
-        """The subspace's universe predicate (for its verifier's model)."""
-        return compiler.compile(subspace.match)
-
-    def check_exhaustive(self, compiler: MatchCompiler) -> bool:
-        """Whether the subspaces cover the full header space (disjointness
-        is not required by the design; overlapping rules are simply fed to
-        several verifiers)."""
-        engine = compiler.engine
-        union = engine.false
-        for s in self.subspaces:
-            union = union | compiler.compile(s.match)
-        return union.is_true

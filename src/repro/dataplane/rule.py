@@ -64,9 +64,6 @@ class Rule:
     def is_default(self) -> bool:
         return self.priority == DEFAULT_PRIORITY
 
-    def sort_key(self) -> Tuple[int, ...]:
-        return (-self.priority,)
-
     def __repr__(self) -> str:
         return f"Rule(pri={self.priority}, {self.match!r} -> {self.action!r})"
 

@@ -52,25 +52,6 @@ def inserts_only(rules_per_device: Dict[int, Sequence[Rule]]) -> List[RuleUpdate
     ]
 
 
-def interleave_round_robin(
-    per_device: Dict[int, Sequence[RuleUpdate]],
-) -> List[RuleUpdate]:
-    """Interleave per-device streams round-robin (a bursty multiplexed feed)."""
-    iters = {d: iter(seq) for d, seq in per_device.items()}
-    out: List[RuleUpdate] = []
-    while iters:
-        finished = []
-        for d, it in iters.items():
-            u = next(it, None)
-            if u is None:
-                finished.append(d)
-            else:
-                out.append(u)
-        for d in finished:
-            del iters[d]
-    return out
-
-
 def shuffled(
     updates: Sequence[RuleUpdate], seed: int = 0
 ) -> List[RuleUpdate]:
@@ -78,17 +59,6 @@ def shuffled(
     out = list(updates)
     random.Random(seed).shuffle(out)
     return out
-
-
-def long_tail_split(
-    updates: Sequence[RuleUpdate],
-    dampened_devices: Iterable[int],
-) -> Tuple[List[RuleUpdate], List[RuleUpdate]]:
-    """Split a trace into (prompt, delayed) parts by dampened device."""
-    dampened = set(dampened_devices)
-    prompt = [u for u in updates if u.device not in dampened]
-    delayed = [u for u in updates if u.device in dampened]
-    return prompt, delayed
 
 
 # ----------------------------------------------------------------------

@@ -188,15 +188,6 @@ class ReferenceOracle:
                 out.extend(headers)
         return sorted(out)
 
-    def loop_headers(self) -> List[int]:
-        """Headers whose forwarding graph contains a cycle."""
-        out: List[int] = []
-        for vector, headers in self.classes().items():
-            actions = dict(zip(self.devices, vector))
-            if forwarding_cycle(self.topology, actions.__getitem__):
-                out.extend(headers)
-        return sorted(out)
-
     def __repr__(self) -> str:
         return (
             f"ReferenceOracle({len(self.devices)} devices, "

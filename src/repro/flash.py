@@ -23,7 +23,7 @@ from .ce2d.regex_verifier import requirement_graph
 from .ce2d.verification_graph import VerificationGraph
 from .ce2d.verifier import SubspaceVerifier
 from .core.inverse_model import Lineage
-from .core.model_manager import ModelReadView
+from .core.model_manager import FrozenReadView
 from .core.rule_index import matches_intersect
 from .core.subspace import SubspacePartition
 from .dataplane.update import EpochTag, RuleUpdate
@@ -95,7 +95,7 @@ class EpochGroupVerifier:
     ) -> List[Report]:
         return self.observe(self.apply(updates), [device], now)
 
-    def read_view(self) -> ModelReadView:
+    def read_view(self) -> FrozenReadView:
         """The one member's current model, snapshot-pinned.
 
         A partitioned group has one model per subspace and no single view
@@ -230,7 +230,7 @@ class Flash:
         tag: EpochTag = epoch if epoch is not None else "offline"
         return self.dispatcher.receive(device, tag, updates, now=now)
 
-    def read_view(self) -> ModelReadView:
+    def read_view(self) -> FrozenReadView:
         """A snapshot-pinned view of the trunk: every device's latest FIB.
 
         There is no per-epoch model to select.  For an epoch every device

@@ -249,15 +249,6 @@ class UpdateValidator:
         )
         return None
 
-    def admit_all(self, updates: Iterable[RuleUpdate]) -> List[RuleUpdate]:
-        """The surviving (validated) sub-stream, in order."""
-        survivors = []
-        for u in updates:
-            admitted = self.admit(u)
-            if admitted is not None:
-                survivors.append(admitted)
-        return survivors
-
     # ------------------------------------------------------------------
     def _apply(self, update: RuleUpdate) -> None:
         have = self._installed.setdefault(update.device, set())

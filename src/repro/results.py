@@ -21,10 +21,6 @@ class Verdict(enum.Enum):
     VIOLATED = "violated"
     UNKNOWN = "unknown"
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self is not Verdict.UNKNOWN
-
 
 @dataclass
 class VerificationReport:

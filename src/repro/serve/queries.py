@@ -1,7 +1,7 @@
 """The query language the daemon serves, evaluated over a read view.
 
 Three query kinds, each a closed-form function of one
-:class:`~repro.core.model_manager.ModelReadView` plus the topology:
+:class:`~repro.core.model_manager.FrozenReadView` plus the topology:
 
 * :class:`ReachabilityQuery` — does every scoped header injected at
   ``source`` get delivered to an external node?
@@ -64,7 +64,7 @@ from ..ce2d.forwarding import (
 )
 from ..core.actiontree import ActionTreeStore
 from ..core.inverse_model import VecId
-from ..core.model_manager import ModelReadView
+from ..core.model_manager import FrozenReadView
 from ..dataplane.rule import Action
 from ..errors import QueryTimeoutError
 from ..headerspace.match import Match
@@ -144,7 +144,7 @@ class Query:
         self.scope = scope
 
     # -- shared plumbing ------------------------------------------------
-    def scope_predicate(self, view: ModelReadView) -> Predicate:
+    def scope_predicate(self, view: FrozenReadView) -> Predicate:
         """The scoped header space inside the view's universe."""
         if self.scope is None:
             return view.universe
@@ -160,7 +160,7 @@ class Query:
 
     def _witness_headers(
         self,
-        view: ModelReadView,
+        view: FrozenReadView,
         scope: Predicate,
         classify: Callable[[Callable[[int], Action]], bool],
         deadline: Optional[float] = None,
@@ -206,7 +206,7 @@ class Query:
 
     def evaluate(
         self,
-        view: ModelReadView,
+        view: FrozenReadView,
         topology: Topology,
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
@@ -236,7 +236,7 @@ class ReachabilityQuery(Query):
 
     def evaluate(
         self,
-        view: ModelReadView,
+        view: FrozenReadView,
         topology: Topology,
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
@@ -262,7 +262,7 @@ class LoopQuery(Query):
 
     def evaluate(
         self,
-        view: ModelReadView,
+        view: FrozenReadView,
         topology: Topology,
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
@@ -298,7 +298,7 @@ class WaypointQuery(Query):
 
     def evaluate(
         self,
-        view: ModelReadView,
+        view: FrozenReadView,
         topology: Topology,
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,

@@ -2,7 +2,7 @@
 
 CE2D's consistency argument applied to serving: the writer advances the
 model one ingested batch at a time, and every advance *publishes* an
-immutable :class:`~repro.core.model_manager.ModelReadView` under a
+immutable :class:`~repro.core.model_manager.FrozenReadView` under a
 monotonically increasing serve epoch.  Readers **pin** a snapshot (the
 latest, or an explicit epoch), evaluate against it, and unpin; a pinned
 snapshot is never retired, so a reader observes one consistent model
@@ -22,12 +22,12 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from ..core.model_manager import FrozenReadView, ModelReadView
+from ..core.model_manager import FrozenReadView
 from ..errors import SnapshotUnavailableError
 from ..telemetry import Telemetry
 
 
-def isolate_view(view: ModelReadView) -> FrozenReadView:
+def isolate_view(view: FrozenReadView) -> FrozenReadView:
     """Re-host a read view in a copy of its engine.
 
     The copy (:meth:`~repro.bdd.predicate.PredicateEngine.fork`) keeps
@@ -64,7 +64,7 @@ class Snapshot:
     __slots__ = ("epoch", "view", "lock", "pins", "_store")
 
     def __init__(
-        self, epoch: int, view: ModelReadView, store: "SnapshotStore"
+        self, epoch: int, view: FrozenReadView, store: "SnapshotStore"
     ) -> None:
         self.epoch = epoch
         self.view = view
@@ -108,7 +108,7 @@ class SnapshotStore:
         self._latest: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def publish(self, epoch: int, view: ModelReadView) -> Snapshot:
+    def publish(self, epoch: int, view: FrozenReadView) -> Snapshot:
         """Install ``view`` as the snapshot for ``epoch`` (must be new)."""
         snapshot = Snapshot(epoch, view, self)
         with self._lock:
@@ -182,7 +182,7 @@ class SnapshotStore:
         with self._lock:
             return list(self._order)
 
-    def live_views(self) -> List[ModelReadView]:
+    def live_views(self) -> List[FrozenReadView]:
         """The views of every snapshot not yet retired, oldest first."""
         with self._lock:
             return [self._by_epoch[epoch].view for epoch in self._order]

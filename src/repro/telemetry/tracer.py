@@ -119,11 +119,6 @@ class Tracer:
             self.registry.counter("tracer.spans_dropped").inc()
         self.finished.append(span)
 
-    def drain_spans(self) -> List[Span]:
-        """Return and clear the retained finished spans."""
-        spans, self.finished = self.finished, []
-        return spans
-
     def __repr__(self) -> str:
         return (
             f"Tracer({len(self.finished)} finished, depth={len(self._stack)})"

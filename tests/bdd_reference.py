@@ -7,8 +7,8 @@ recursive memoized ``apply``, derived ``ite``.  It exists as the
 (``tests/test_bdd_invariants.py``, ``tests/test_bdd_equivalence.py``)
 cross-check every product-engine operation against this implementation.
 
-It intentionally has **no** garbage collector, pinning, or bounded
-caches; callers that need those use the real engine.  Do not optimise
+It intentionally has **no** garbage collector or bounded caches;
+callers that need those use the real engine.  Do not optimise
 this module — its value is that it stays the known-good 1.0 semantics.
 """
 
@@ -61,16 +61,6 @@ class ReferenceBDD:
     # ------------------------------------------------------------------
     # Node structure
     # ------------------------------------------------------------------
-    def var(self, u: int) -> int:
-        """Variable index (level) of node ``u``; terminals have a huge level."""
-        return self._var[u]
-
-    def low(self, u: int) -> int:
-        return self._low[u]
-
-    def high(self, u: int) -> int:
-        return self._high[u]
-
     def decompose(self, u: int) -> Tuple[int, int, int]:
         """``(var, low, high)`` of a non-constant node, encoding-agnostic.
 
@@ -110,12 +100,8 @@ class ReferenceBDD:
             self._var_nodes[i] = node
         return node
 
-    def nith_var(self, i: int) -> int:
-        """The function that is true iff variable ``i`` is 0."""
-        return self.negate(self.ith_var(i))
-
     def literal(self, i: int, value: bool) -> int:
-        return self.ith_var(i) if value else self.nith_var(i)
+        return self.ith_var(i) if value else self.negate(self.ith_var(i))
 
     # ------------------------------------------------------------------
     # Boolean operations
@@ -159,10 +145,6 @@ class ReferenceBDD:
         self._not_cache[a] = result
         self._not_cache[result] = a
         return result
-
-    def implies(self, a: int, b: int) -> bool:
-        """Whether ``a`` ⊆ ``b`` as sets of assignments."""
-        return self.apply_diff(a, b) == FALSE
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: (f AND g) OR (NOT f AND h)."""
@@ -288,66 +270,6 @@ class ReferenceBDD:
         if u == TRUE:
             return 1 << total_level
         return go(u) << self._var[u]
-
-    def support(self, u: int) -> Tuple[int, ...]:
-        """Sorted tuple of variable indexes that ``u`` depends on."""
-        seen: set = set()
-        varset: set = set()
-        stack = [u]
-        while stack:
-            node = stack.pop()
-            if node <= TRUE or node in seen:
-                continue
-            seen.add(node)
-            varset.add(self._var[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return tuple(sorted(varset))
-
-    def restrict(self, u: int, assignments: Dict[int, bool]) -> int:
-        """Cofactor ``u`` by fixing the given variables."""
-        self.stats.restrict_calls += 1
-        memo: Dict[int, int] = {}
-
-        def go(node: int) -> int:
-            if node <= TRUE:
-                return node
-            got = memo.get(node)
-            if got is not None:
-                return got
-            var = self._var[node]
-            if var in assignments:
-                result = go(self._high[node] if assignments[var] else self._low[node])
-            else:
-                result = self._mk(var, go(self._low[node]), go(self._high[node]))
-            memo[node] = result
-            return result
-
-        return go(u)
-
-    def exists(self, u: int, variables: Iterable[int]) -> int:
-        """Existential quantification over ``variables``."""
-        self.stats.quantify_calls += 1
-        varset = frozenset(variables)
-        memo: Dict[int, int] = {}
-
-        def go(node: int) -> int:
-            if node <= TRUE:
-                return node
-            got = memo.get(node)
-            if got is not None:
-                return got
-            var = self._var[node]
-            lo = go(self._low[node])
-            hi = go(self._high[node])
-            if var in varset:
-                result = self.apply_or(lo, hi)
-            else:
-                result = self._mk(var, lo, hi)
-            memo[node] = result
-            return result
-
-        return go(u)
 
     def any_assignment(self, u: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (only cared variables), or None."""

@@ -7,7 +7,7 @@ ids) — and every ordered pairing of the two:
 
 * algebraic laws (boolean-algebra identities on randomized predicates),
 * query coherence (``sat_count`` / ``evaluate`` / ``any_assignment`` /
-  ``intersects`` / ``covers`` against brute-force header enumeration),
+  ``intersects`` against brute-force header enumeration),
 * ``split`` ≡ ``(a & b, a - b)``,
 * cofactor signatures agreeing bit-for-bit across node encodings,
 * :class:`~repro.core.inverse_model.InverseModel` apply-overwrites
@@ -161,7 +161,7 @@ def test_queries_match_brute_force(engine):
         ha, hb = _headers_of(a), _headers_of(b)
         assert a.sat_count() == len(ha)
         assert a.intersects(b) == bool(ha & hb)
-        assert b.covers(a) == (ha <= hb)
+        assert (a - b).is_false == (ha <= hb)
         assert _headers_of(a & b) == (ha & hb)
         assert _headers_of(a | b) == (ha | hb)
         assert _headers_of(a - b) == (ha - hb)
@@ -201,14 +201,10 @@ def test_varargs_folds(engine):
     rng = random.Random(17)
     preds = [_random_pred(engine, rng) for _ in range(6)]
     union = engine.false
-    inter = engine.true
     for p in preds:
         union = union | p
-        inter = inter & p
     assert engine.disj_many(preds) == union
-    assert engine.conj_many(preds) == inter
     assert engine.disj_many([]).is_false
-    assert engine.conj_many([]).is_true
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +324,12 @@ def test_collect_preserves_live_handles(engine):
     for pred, headers in zip(keep, semantics):
         assert _headers_of(pred) == headers
     if hasattr(engine.bdd, "collect"):
-        pinned = engine.pin(keep[0])
-        assert pinned == keep[0]
-        engine.unpin(pinned)
+        # A handle is the one root: drop all but the first and a sweep
+        # frees what only the others held, and the first still answers.
+        assert freed > 0
+        del keep[1:], pred
+        assert engine.collect() > 0
+        assert _headers_of(keep[0]) == semantics[0]
     else:  # the reference store has no collector: nothing is ever freed
         assert freed == 0
     assert engine.shared_node_count(keep) >= 0

@@ -168,21 +168,6 @@ class TestSemantics:
 
 
 class TestAnalysis:
-    def test_support(self, bdd):
-        f = bdd.apply_or(bdd.ith_var(1), bdd.apply_and(bdd.ith_var(3), bdd.ith_var(5)))
-        assert bdd.support(f) == (1, 3, 5)
-        assert bdd.support(TRUE) == ()
-
-    def test_restrict(self, bdd):
-        f = bdd.apply_and(bdd.ith_var(0), bdd.ith_var(1))
-        assert bdd.restrict(f, {0: True}) == bdd.ith_var(1)
-        assert bdd.restrict(f, {0: False}) == FALSE
-
-    def test_exists(self, bdd):
-        f = bdd.apply_and(bdd.ith_var(0), bdd.ith_var(1))
-        assert bdd.exists(f, [0]) == bdd.ith_var(1)
-        assert bdd.exists(f, [0, 1]) == TRUE
-
     def test_any_assignment(self, bdd):
         f = bdd.cube([(2, True), (4, False)])
         assignment = bdd.any_assignment(f)
@@ -202,9 +187,3 @@ class TestAnalysis:
         assert bdd.node_count(bdd.ith_var(0)) == 1
         chain = bdd.cube([(i, True) for i in range(4)])
         assert bdd.node_count(chain) == 4
-
-    def test_implies(self, bdd):
-        narrow = bdd.cube([(0, True), (1, True)])
-        wide = bdd.ith_var(0)
-        assert bdd.implies(narrow, wide)
-        assert not bdd.implies(wide, narrow)

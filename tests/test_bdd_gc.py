@@ -6,9 +6,10 @@ reachability predicates stays live across epochs.  These tests drive
 that pattern through :class:`repro.bdd.predicate.PredicateEngine` and
 check the three guarantees the GC design note promises:
 
-* predicates still referenced — via handles, pins, or explicit roots —
-  survive collection *bit-for-bit* (checked by structural import into an
-  untouched engine, i.e. BDD equality, not just sat counts);
+* predicates still referenced — via handles, or raw edges passed to
+  ``BDD.collect`` as roots — survive collection *bit-for-bit* (checked
+  by structural import into an untouched engine, i.e. BDD equality, not
+  just sat counts);
 * the node arrays physically shrink after a sweep (dead tail truncated,
   unique table rebuilt over the survivors);
 * dropped handles actually release their nodes (weak tracking works).
@@ -129,8 +130,12 @@ class TestTableShrinks:
         assert eng.live_nodes < live_held
 
 
-class TestPinning:
-    def test_pinned_raw_edge_survives_unpinned_is_reclaimed(self):
+class TestRoots:
+    """One root kind: ``BDD.collect(roots)`` keeps what ``roots`` reach
+    (and the single-variable functions); the predicate layer passes its
+    live handles."""
+
+    def test_raw_edge_survives_only_when_passed_as_root(self):
         bdd = BDD(NUM_VARS)
         rng = case_rng(4)
 
@@ -143,31 +148,27 @@ class TestPinning:
                 p = bdd.apply_or(p, cube)
             return p
 
-        pinned = bdd.pin(raw_stream(40))
-        count_before = bdd.sat_count(pinned)
-        raw_stream(40)  # garbage: raw edges, no pins, no handles
+        kept = raw_stream(40)
+        count_before = bdd.sat_count(kept)
+        size = bdd.node_count(kept)
+        raw_stream(40)  # garbage: raw edges nobody passes as roots
         live_before = bdd.live_node_count
-        assert bdd.collect() > 0
+        assert bdd.collect([kept]) > 0
         assert bdd.live_node_count < live_before
-        assert bdd.sat_count(pinned) == count_before
+        assert bdd.sat_count(kept) == count_before
 
-        bdd.unpin(pinned)
-        assert bdd.collect() > 0  # now the pinned tree goes too
+        assert bdd.collect() >= size  # not passed: the kept tree goes too
+        assert bdd.live_node_count == 1  # the terminal alone
 
-    def test_pins_nest(self):
-        bdd = BDD(NUM_VARS)
-        u = bdd.pin(bdd.pin(bdd.cube([(0, True), (3, False)])))
-        bdd.unpin(u)
-        bdd.collect()
-        assert bdd.sat_count(u) == 1 << (NUM_VARS - 2)  # still protected
-        bdd.unpin(u)
-
-    def test_predicate_pin_api(self):
+    def test_predicate_survives_only_while_a_handle_is_held(self):
         eng = PredicateEngine(NUM_VARS)
-        p = eng.pin(eng.cube([(1, True), (2, True)]))
+        p = eng.cube([(1, True), (2, True), (5, False)])
+        size = p.node_count()
         eng.collect()
-        assert p.sat_count() == 1 << (NUM_VARS - 2)
-        eng.unpin(p)
+        assert p.sat_count() == 1 << (NUM_VARS - 3)
+        assert p.node_count() == size
+        del p
+        assert eng.collect() == size  # the last handle was the root
 
 
 class TestAutoCollect:
@@ -229,16 +230,20 @@ class TestStoreCopy:
         held = build_wave(eng, rng, 60)[::3]
         eng.collect()  # a free list to copy
         counts = [p.sat_count() for p in held]  # a warm satcount memo
-        eng.pin(held[0])
         src = eng.bdd
         copy = src.copy()
         for name in self.STORE:
             assert getattr(copy, name) == getattr(src, name), name
             assert getattr(copy, name) is not getattr(src, name), name
         assert src._free and src._sat_cache
-        assert copy._cache == {} and copy._pins == {}
-        assert copy._root_providers == []  # the source's handles root nothing here
+        assert copy._cache == {}
         assert [copy.sat_count(p.node) for p in held] == counts
+        # The source's handles root nothing here: a sweep of the copy
+        # with no roots keeps the single-variable functions alone, and
+        # the source still answers.
+        assert copy.collect() > 0
+        assert copy.live_node_count == 1 + len(copy._var_nodes)
+        assert [p.sat_count() for p in held] == counts
 
     def test_neither_store_sees_the_other_allocate_or_sweep(self):
         eng = PredicateEngine(NUM_VARS)

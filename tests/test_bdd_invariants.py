@@ -108,11 +108,12 @@ class TestCanonicity:
     def test_canonical_after_collection(self):
         rng = case_rng(200)
         eng = BDD(12)
-        keep = eng.pin(random_predicate(eng, rng, 12, 80))
+        keep = random_predicate(eng, rng, 12, 80)
+        count = eng.sat_count(keep)
         random_predicate(eng, rng, 12, 80)
-        eng.collect()
+        eng.collect([keep])
         assert_canonical(eng)
-        eng.unpin(keep)
+        assert eng.sat_count(keep) == count
 
     def test_rebuilding_existing_function_allocates_nothing(self):
         eng = BDD(8)
@@ -330,7 +331,7 @@ class TestBounds:
         made = []
         with pytest.raises(MemoryError):
             while True:
-                u = eng.pin(random_predicate(eng, rng, num_vars, 12))
+                u = random_predicate(eng, rng, num_vars, 12)
                 made.append((u, truth(u), eng.sat_count(u)))
         assert len(made) > 5
         assert eng.num_nodes <= 300
@@ -339,7 +340,9 @@ class TestBounds:
             assert truth(u) == table
             assert eng.sat_count(u) == count
         # The table is full, not broken: a sweep makes room again.
-        assert eng.collect() > 0
+        assert eng.collect([u for u, _, _ in made]) > 0
+        for u, table, count in made:
+            assert truth(u) == table
         assert eng.apply_or(made[0][0], made[-1][0]) != FALSE
 
     def test_num_vars_is_bounded_by_the_recursion_limit(self):
@@ -356,8 +359,7 @@ class TestBounds:
         assert eng.sat_count(either) == 2
         assert eng.apply_split(either, ones) == (ones, stripes)
         assert eng.apply_xor(either, stripes) == ones
-        assert eng.exists(either, range(depth - 1)) == eng.ith_var(depth - 1)
-        assert eng.restrict(either, {0: True}) == eng.exists(ones, [0])
+        assert eng.ite(ones, FALSE, either) == stripes
         assert sum(1 for _ in eng.iter_cubes(either)) == 2
         fast = PredicateEngine(depth, bdd=eng)
         oracle = PredicateEngine(depth, bdd=ReferenceBDD(depth))

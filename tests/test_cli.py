@@ -118,6 +118,22 @@ class TestAnalyze:
         assert "inverse model" in out
         assert "[delivered]" in out
 
+    def test_unknown_trace_from_fails_before_any_output(self, tmp_path, capsys):
+        """An unknown ``--trace-from`` name is one ``error:`` line and
+        exit 2 before the model is built: nothing on stdout (it once
+        printed the whole EC listing first)."""
+        trace = str(tmp_path / "t.jsonl")
+        main(["generate", "--topology", "internet2", "--out", trace])
+        capsys.readouterr()
+        code = main(
+            ["analyze", "--topology", "internet2", "--trace", trace,
+             "--trace-from", "nowhere"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown device name 'nowhere'\n"
+
     def test_analyze_reports_blackholes_for_empty_trace(self, tmp_path, capsys):
         trace = str(tmp_path / "empty.jsonl")
         open(trace, "w").close()
@@ -308,6 +324,22 @@ def test_non_positive_numbers_are_argparse_errors(argv, flag, value, capsys):
     assert captured.err.count("error:") == 1
     assert f"error: argument {flag}: must be positive, got {value}" in (
         captured.err
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_chaos_and_interleave_are_an_argparse_error(capsys):
+    """The two fuzz modes exclude each other; argparse says so before a
+    scenario is generated (it once printed a bare line to stdout)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fuzz", "--chaos", "--interleave"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert (
+        "error: argument --interleave: not allowed with argument --chaos"
+        in captured.err
     )
     assert "Traceback" not in captured.err
     assert captured.out == ""

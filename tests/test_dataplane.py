@@ -14,8 +14,6 @@ from repro.dataplane.rule import (
 from repro.dataplane.trace import (
     insert_then_delete,
     inserts_only,
-    interleave_round_robin,
-    long_tail_split,
     read_trace,
     shuffled,
     update_to_json,
@@ -228,25 +226,10 @@ class TestTraces:
         assert len(trace) == 3
         assert all(u.is_insert for u in trace)
 
-    def test_interleave_round_robin(self):
-        per_device = {
-            0: [insert(0, rule(1, 0, 0, 1)), insert(0, rule(2, 0, 0, 2))],
-            1: [insert(1, rule(1, 0, 0, 3))],
-        }
-        order = interleave_round_robin(per_device)
-        assert [u.device for u in order] == [0, 1, 0]
-
     def test_shuffled_deterministic(self):
         trace = insert_then_delete(self._rules())
         assert shuffled(trace, seed=1) == shuffled(trace, seed=1)
         assert shuffled(trace, seed=1) != shuffled(trace, seed=2)
-
-    def test_long_tail_split(self):
-        trace = insert_then_delete(self._rules())
-        prompt, delayed = long_tail_split(trace, [1])
-        assert all(u.device != 1 for u in prompt)
-        assert all(u.device == 1 for u in delayed)
-        assert len(prompt) + len(delayed) == len(trace)
 
     def test_json_roundtrip(self):
         u = insert(3, rule(2, 0b0100, 2, (1, 2)), epoch="e7")

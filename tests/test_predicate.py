@@ -32,8 +32,8 @@ class TestPredicateAlgebra:
         a = engine.variable(0)
         ab = a & engine.variable(1)
         assert a.intersects(ab)
-        assert a.covers(ab)
-        assert not ab.covers(a)
+        assert (ab - a).is_false  # a covers ab
+        assert not (a - ab).is_false
         assert not a.intersects(~a)
 
     def test_equality_is_semantic(self, engine):
@@ -50,10 +50,9 @@ class TestPredicateAlgebra:
         with pytest.raises(ValueError):
             engine.variable(0) & other.variable(0)
 
-    def test_disj_many_conj_many(self, engine):
+    def test_disj_many(self, engine):
         vs = [engine.variable(i) for i in range(3)]
         assert engine.disj_many(vs) == (vs[0] | vs[1] | vs[2])
-        assert engine.conj_many(vs) == (vs[0] & vs[1] & vs[2])
 
     def test_sat_count(self, engine):
         a = engine.variable(0)
@@ -105,5 +104,5 @@ class TestOpCounting:
 
     def test_memory_estimate_grows(self, engine):
         before = engine.memory_estimate_bytes()
-        engine.conj_many(engine.variable(i) for i in range(8))
+        engine.cube([(i, True) for i in range(8)])
         assert engine.memory_estimate_bytes() > before

@@ -208,10 +208,9 @@ class TestUpdateValidator:
         telemetry = Telemetry()
         v = UpdateValidator("repair", devices=DEVICES, telemetry=telemetry)
         r = rule(1, 0, 1, 1)
-        survivors = v.admit_all(
-            [insert(0, r), insert(0, r), delete(0, r), delete(0, r)]
-        )
-        assert survivors == [insert(0, r), delete(0, r)]
+        stream = [insert(0, r), insert(0, r), delete(0, r), delete(0, r)]
+        admitted = [v.admit(u) for u in stream]
+        assert admitted == [insert(0, r), None, delete(0, r), None]
         assert v.repaired == 2
         assert telemetry.registry.value("resilience.repaired.total") == 2
         assert len(v.dead_letters) == 0
@@ -226,7 +225,8 @@ class TestUpdateValidator:
         telemetry = Telemetry()
         v = UpdateValidator("quarantine", devices=DEVICES, telemetry=telemetry)
         r = rule(1, 0, 1, 1)
-        v.admit_all([insert(0, r), insert(0, r), delete(1, r)])
+        for u in [insert(0, r), insert(0, r), delete(1, r)]:
+            v.admit(u)
         assert v.admitted == 1
         assert len(v.dead_letters) == 2
         assert v.dead_letters.counts == {
