@@ -6,9 +6,10 @@ Key ideas reproduced:
   newly synchronised device, so an update starts DFS only there.  The
   search is demand-driven: an update that synchronises nobody reads
   neither its lineage nor the model, and otherwise the search runs over
-  every EC of ``model.entries()``, a device's next hops resolved per
-  ``(device, EC)`` the first time a search stands on it with that EC
-  still live (``docs/perf.md``, "CE2D checker cost").
+  every EC of ``model.entries()``, a device's next hops looked up per
+  ``(device, action vector)`` the first time any search of the epoch
+  stands on it with that vector live, and kept while the vector is
+  (``docs/perf.md``, "CE2D checker cost").
 * **Determinism** — a cycle whose segment contains only synchronised nodes
   exists in the converged state no matter what the rest of the network does
   (the consistency proof of Appendix D.4).
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.inverse_model import InverseModel, Lineage
+from ..core.inverse_model import InverseModel, Lineage, VecId
 from ..dataplane.rule import next_hops_of
 from ..network.topology import Topology
 from ..results import LoopReport, Verdict
@@ -79,6 +80,12 @@ class LoopDetector:
         # have changed since it synchronised, so the fresh-device search
         # is no longer exact.
         self._rereported = False
+        # device → action vector → its linked next hops, kept across
+        # updates: a vector id names one vector for good, so an entry never
+        # goes stale, only dead.  Pruned to the live vectors before a search
+        # whenever the EC table changed since the last one.
+        self._hops: Dict[int, Dict[VecId, Tuple[int, ...]]] = {}
+        self._table_changed = False
 
     # ------------------------------------------------------------------
     def on_model_update(
@@ -95,11 +102,22 @@ class LoopDetector:
             self._rereported = True
         self.synced.update(fresh)
         self._unsynced.difference_update(fresh)
+        if lineage:
+            self._table_changed = True
         # A new deterministic loop passes through a newly synchronised
         # device: with none, there is nothing to search and nothing to
         # look up.
         if fresh:
             vectors = [vec for _, vec in model.entries()]
+            if self._table_changed:
+                self._table_changed = False
+                live = set(vectors)
+                pruned = {}
+                for device, known in self._hops.items():
+                    known = {v: hops for v, hops in known.items() if v in live}
+                    if known:
+                        pruned[device] = known
+                self._hops = pruned
             if self._rereported:
                 search: _Search = _HyperSearch(self, vectors, model)
             else:
@@ -112,6 +130,7 @@ class LoopDetector:
             except _DeterministicLoop as loop:
                 self.verdict = Verdict.VIOLATED
                 self.loop_path = loop.args[0]
+                self._hops.clear()  # no search runs again
                 return self.report()
             finally:
                 if self.telemetry is not None:
@@ -119,6 +138,7 @@ class LoopDetector:
                     self.telemetry.count("ce2d.loop.lookups", search.lookups)
         if not self._unsynced:
             self.verdict = Verdict.SATISFIED
+            self._hops.clear()  # nobody is left to synchronise
         return self.report()
 
     def report(self) -> LoopReport:
@@ -130,53 +150,50 @@ class _Search:
 
     Live ECs travel as ascending index lists; a device's successors are
     taken in order of first appearance over its live ECs.  A
-    ``(device, EC)`` pair is resolved once per update, whichever start
-    first needs it.
+    ``(device, vector)`` pair is looked up in the model once per epoch,
+    whichever search first needs it, and kept in the detector's table;
+    what a search sees of each hop is decided at walk time.
     """
 
     def __init__(
-        self, detector: LoopDetector, vectors: List[int], model: InverseModel
+        self, detector: LoopDetector, vectors: List[VecId], model: InverseModel
     ) -> None:
         self.detector = detector
         self.vectors = vectors
         self.model = model
-        # device → EC index → successors, filled the first time a search
-        # needs that pair.
-        self.resolved: Dict[int, Dict[int, Tuple[object, ...]]] = {}
-        self.lookups = 0
+        self.lookups = 0  # misses of the detector's next-hop table
+        # What the search sees of each device as a next hop; a device
+        # missing here drops the hop.
+        self.seen_as: Dict[int, object] = {}
 
     def run(self, start: int) -> None:
         """Raises :class:`_DeterministicLoop`."""
         raise NotImplementedError
 
-    def _node(self, hop: int) -> Optional[object]:
-        """What the search sees of a linked next hop; None drops it."""
-        raise NotImplementedError
-
     def _successors(self, device: int, ecs: Iterable[int]) -> Dict[object, List[int]]:
-        known = self.resolved.get(device)
+        known = self.detector._hops.get(device)
         if known is None:
-            known = self.resolved[device] = {}
+            known = self.detector._hops[device] = {}
+        vectors, seen_as = self.vectors, self.seen_as.get
         successors: Dict[object, List[int]] = {}
         for ec_index in ecs:
-            hops = known.get(ec_index)
+            vector = vectors[ec_index]
+            hops = known.get(vector)
             if hops is None:
-                hops = known[ec_index] = self._resolve(device, ec_index)
-            for succ in hops:
-                successors.setdefault(succ, []).append(ec_index)
+                hops = known[vector] = self._resolve(device, vector)
+            for hop in hops:
+                succ = seen_as(hop)
+                if succ is not None:
+                    successors.setdefault(succ, []).append(ec_index)
         return successors
 
-    def _resolve(self, device: int, ec_index: int) -> Tuple[object, ...]:
+    def _resolve(self, device: int, vector: VecId) -> Tuple[int, ...]:
         self.lookups += 1
         has_link = self.detector.topology.has_link
         out = []
-        action = self.model.action_of(self.vectors[ec_index], device)
-        for hop in next_hops_of(action):
-            if not has_link(device, hop):
-                continue  # stale/foreign next hop: not a real edge
-            node = self._node(hop)
-            if node is not None:
-                out.append(node)
+        for hop in next_hops_of(self.model.action_of(vector, device)):
+            if has_link(device, hop):  # else stale/foreign: not a real edge
+                out.append(hop)
         return tuple(out)
 
 
@@ -188,16 +205,14 @@ class _SyncedSearch(_Search):
     """
 
     def __init__(
-        self, detector: LoopDetector, vectors: List[int], model: InverseModel
+        self, detector: LoopDetector, vectors: List[VecId], model: InverseModel
     ) -> None:
         super().__init__(detector, vectors, model)
-        self.walkable = detector._switches.difference(detector._unsynced)
-
-    def _node(self, hop: int) -> Optional[object]:
-        return hop if hop in self.walkable else None
+        walkable = detector._switches.difference(detector._unsynced)
+        self.seen_as = {device: device for device in walkable}
 
     def run(self, start: int) -> None:
-        if start not in self.walkable:
+        if start not in self.seen_as:
             return  # an external: it forwards nowhere
         seen: Dict[int, Set[int]] = {}  # device → EC indices walked there
         path = [start]
@@ -223,10 +238,14 @@ class _HyperSearch(_Search):
     """DetectLoop of Algorithm 3 over hyper nodes, every simple path."""
 
     def __init__(
-        self, detector: LoopDetector, vectors: List[int], model: InverseModel
+        self, detector: LoopDetector, vectors: List[VecId], model: InverseModel
     ) -> None:
         super().__init__(detector, vectors, model)
-        self.hyper_of = self._compress()
+        hyper_of = self._compress()
+        self.seen_as = {
+            device: hyper_of.get(device, device)
+            for device in detector.topology.device_ids()
+        }
         self.path: List[object] = []
         self.on_path: Dict[object, int] = {}  # node → its index in path
 
@@ -245,9 +264,6 @@ class _HyperSearch(_Search):
             for member in members:
                 hyper_of[member] = node
         return hyper_of
-
-    def _node(self, hop: int) -> Optional[object]:
-        return self.hyper_of.get(hop, hop)
 
     def run(self, start: int) -> None:
         self._detect(start, range(len(self.vectors)))

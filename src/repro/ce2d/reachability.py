@@ -30,23 +30,33 @@ class DgqReachability:
         self.graph = graph
         self.parent: Dict[Node, Optional[Node]] = {}
         self.children: Dict[Node, Set[Node]] = {}
-        self._rebuild()
+        self._build()
 
-    def _rebuild(self) -> None:
-        self.parent.clear()
-        self.children.clear()
-        stack: List[Node] = []
+    def _build(self) -> None:
+        """Breadth-first from the sources: a shallow forest, so a deletion
+        detaches small subtrees."""
+        parent, children = self.parent, self.children
+        out_edges = self.graph.out_edges
+        frontier: List[Node] = []
         for src in self.graph.sources:
-            if src not in self.parent:
-                self.parent[src] = None
-                stack.append(src)
-        while stack:
-            node = stack.pop()
-            for succ in self.graph.out_edges.get(node, ()):
-                if succ not in self.parent:
-                    self.parent[succ] = node
-                    self.children.setdefault(node, set()).add(succ)
-                    stack.append(succ)
+            if src not in parent:
+                parent[src] = None
+                frontier.append(src)
+        for node in frontier:  # grows while it is walked: a FIFO queue
+            for succ in out_edges.get(node, ()):
+                if succ not in parent:
+                    parent[succ] = node
+                    children.setdefault(node, set()).add(succ)
+                    frontier.append(succ)
+
+    def copy(self, graph: VerificationGraph) -> "DgqReachability":
+        """This forest over ``graph``, a clone of this one's graph in the
+        same pruning state: no traversal."""
+        twin = DgqReachability.__new__(DgqReachability)
+        twin.graph = graph
+        twin.parent = dict(self.parent)
+        twin.children = {n: set(c) for n, c in self.children.items()}
+        return twin
 
     # -- queries -------------------------------------------------------------
     def accept_reachable(self) -> bool:
@@ -62,52 +72,46 @@ class DgqReachability:
     # -- updates ------------------------------------------------------------
     def delete_edges(self, removed: Iterable[Tuple[Node, Node]]) -> None:
         """Process edges already removed from the underlying graph."""
+        parent, children = self.parent, self.children
         dirty: List[Node] = []
         for u, v in removed:
-            if self.parent.get(v, _MISSING) == u:
-                self.children.get(u, set()).discard(v)
+            if parent.get(v, _MISSING) == u:
+                children[u].discard(v)
                 dirty.append(v)
         if dirty:
             self._repair(dirty)
 
     def _repair(self, roots: List[Node]) -> None:
-        # Collect the detached region (subtrees of all orphaned roots).
-        detached: Set[Node] = set()
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if node in detached:
-                continue
-            detached.add(node)
-            stack.extend(self.children.get(node, ()))
-        # Sources are roots by definition; never detached.
-        detached -= {s for s in self.graph.sources}
-        # Greedy re-attachment: a detached node with a surviving reachable
-        # in-neighbor outside the region re-attaches, then pulls in every
-        # detached node it can reach.
+        # Detach the orphaned subtrees in one pass.  A source is nobody's
+        # child, so none is ever detached, and each node is reached once:
+        # a root's parent edge is already gone from ``children``.
+        parent, children = self.parent, self.children
+        detached = roots
+        for node in detached:  # grows while it is walked
+            del parent[node]
+            kids = children.pop(node, None)
+            if kids:
+                detached.extend(kids)
+        # Re-attach: a detached node with a surviving reachable in-neighbor
+        # hangs under it, then pulls in every unattached node it reaches.
+        # Deletions only shrink reachability, so a node outside ``parent``
+        # that a re-attached node reaches was detached here.
+        in_edges, out_edges = self.graph.in_edges, self.graph.out_edges
+        attach: List[Tuple[Node, Node]] = []
         for node in detached:
-            p = self.parent.pop(node, _MISSING)
-            if p is not _MISSING and p is not None:
-                self.children.get(p, set()).discard(node)
-            self.children.pop(node, None)
-        # Children sets may still reference detached nodes from pruned
-        # subtrees whose parents were also detached; those entries were
-        # dropped with their owners above.
-        attach_stack: List[Tuple[Node, Node]] = []
-        for node in detached:
-            for pred in self.graph.in_edges.get(node, ()):
-                if pred in self.parent:
-                    attach_stack.append((pred, node))
+            for pred in in_edges[node]:
+                if pred in parent:
+                    attach.append((pred, node))
                     break
-        while attach_stack:
-            pred, node = attach_stack.pop()
-            if node in self.parent:
+        while attach:
+            pred, node = attach.pop()
+            if node in parent:
                 continue
-            self.parent[node] = pred
-            self.children.setdefault(pred, set()).add(node)
-            for succ in self.graph.out_edges.get(node, ()):
-                if succ in detached and succ not in self.parent:
-                    attach_stack.append((node, succ))
+            parent[node] = pred
+            children.setdefault(pred, set()).add(node)
+            for succ in out_edges[node]:
+                if succ not in parent:
+                    attach.append((node, succ))
 
 
 _MISSING = object()

@@ -3,13 +3,19 @@
 The verifier keeps one verification graph per equivalence class (the
 ``ecTable`` of Appendix D.2) across model updates.  On every update it:
 
-1. drops the entries of the ECs that left the table and duplicates the
-   parent graph for the ECs the update changed (provenance comes from
+1. drops the entries of the ECs that left the table and copies the
+   parent's graph and DGQ forest for the ECs the update changed
+   (provenance and action vectors come from
    :class:`~repro.core.inverse_model.Lineage`); every other entry carries
    over untouched;
-2. prunes the edges of newly synchronised devices to the EC's actions;
+2. prunes the edges of newly synchronised devices to the EC's actions,
+   visiting only its own undecided entries, not the model's table;
 3. queries reachability decrementally (DGQ) — for every undecided entry
    when a device synchronised, otherwise only for the entries just born.
+
+Once the requirement is decided it stays decided within the epoch
+(App. D.4), so later updates keep only the table's keys, which the
+report's EC count reads.
 
 Verdict semantics (§4.2): once no accepting node is reachable the
 requirement is consistently **violated** for that EC; once an accepting node
@@ -22,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set
+from weakref import WeakKeyDictionary
 
 from ..bdd.predicate import Predicate
-from ..core.inverse_model import InverseModel, Lineage
+from ..core.inverse_model import InverseModel, Lineage, VecId
 from ..dataplane.rule import next_hops_of
 from ..errors import SpecError
 from ..headerspace.fields import HeaderLayout
@@ -50,12 +57,34 @@ def requirement_graph(
 
 @dataclass
 class _EcEntry:
-    graph: VerificationGraph
-    reach: DgqReachability
-    verdict: Verdict
     # The handle behind this entry's key: while it is held, the engine
     # cannot recycle the node id for another predicate.
     predicate: Predicate
+    # The EC's action vector, from the lineage.  None only in the universe
+    # entry before any delta names it: the model's initial vector.
+    vector: Optional[VecId]
+    # None once the requirement is decided: nothing prunes or judges an
+    # entry any more, only its key is kept.
+    graph: Optional[VerificationGraph]
+    reach: Optional[DgqReachability]
+    verdict: Verdict = Verdict.UNKNOWN
+
+
+# Template graph → the DGQ forest of its unpruned state, built once and
+# copied by every entry that starts from the template (every epoch's
+# verifiers share one template).  A memo of a read-only input: nothing
+# prunes a template.  The forest spans a clone, so the value does not keep
+# its key alive.
+_FORESTS: "WeakKeyDictionary[VerificationGraph, DgqReachability]" = (
+    WeakKeyDictionary()
+)
+
+
+def _template_forest(template: VerificationGraph) -> DgqReachability:
+    forest = _FORESTS.get(template)
+    if forest is None:
+        forest = _FORESTS[template] = DgqReachability(template.clone())
+    return forest
 
 
 class RegexVerifier:
@@ -83,6 +112,7 @@ class RegexVerifier:
         if graph is None:
             graph = requirement_graph(requirement, topology, layout)
         self._template = graph
+        self._forest = _template_forest(graph)
         self._graph_switches = frozenset(
             d for d in graph.nodes_of if not topology.device(d).is_external
         )
@@ -95,17 +125,31 @@ class RegexVerifier:
         # pinning handle).  Together with _table's keys: what past updates
         # learnt about the space, so an EC is tested against it once.
         self._outside: Dict[int, Predicate] = {}
-        # How many entries of _table hold each verdict: report() in O(1).
+        # How many entries of _table hold each verdict: report() in O(1)
+        # while the requirement is undecided.
         self._tally: Dict[Verdict, int] = dict.fromkeys(Verdict, 0)
+        # The requirement's verdict once it is SATISFIED or VIOLATED: it
+        # cannot change within the epoch (App. D.4, DESIGN.md), so later
+        # updates only keep _table's keys.
+        self._decided: Optional[Verdict] = None
         if initial.intersects(self.space):
-            self._add(self._entry(graph.clone(), initial))
+            self._add(self._entry(initial, None, None))
         else:
             self._outside[initial.node] = initial
 
-    def _entry(self, graph: VerificationGraph, predicate: Predicate) -> _EcEntry:
-        return _EcEntry(
-            graph, DgqReachability(graph), Verdict.UNKNOWN, predicate
-        )
+    def _entry(
+        self,
+        predicate: Predicate,
+        vector: Optional[VecId],
+        parent: Optional[_EcEntry],
+    ) -> _EcEntry:
+        """An entry on a copy of ``parent``'s graph and forest, or of the
+        unpruned template's."""
+        if parent is None:
+            graph, forest = self._template.clone(), self._forest
+        else:
+            graph, forest = parent.graph.clone(), parent.reach
+        return _EcEntry(predicate, vector, graph, forest.copy(graph))
 
     def _add(self, entry: _EcEntry) -> None:
         self._table[entry.predicate.node] = entry
@@ -122,6 +166,7 @@ class RegexVerifier:
         fresh = [d for d in new_synced if d not in self.synced]
         self.synced.update(fresh)
         table, outside, tally = self._table, self._outside, self._tally
+        decided = self._decided is not None
         gone: Dict[int, _EcEntry] = {}
         gone_outside: Set[int] = set()
         for pred in lineage.removed:
@@ -137,44 +182,59 @@ class RegexVerifier:
             node = pred.node
             # A re-vectored EC keeps its predicate, and so its entry.
             entry = gone.get(node)
-            if entry is None:
+            if entry is not None:
+                entry.vector = delta.vector
+            else:
                 if node in gone_outside or not pred.intersects(self.space):
                     outside[node] = pred
                     continue
-                parent = gone.get(delta.origin.node)
-                if parent is None:
-                    parent = table.get(delta.origin.node)
-                if parent is None:
-                    # EC born outside our table (e.g. after merges): start
-                    # from the template pruned by all synced devices so far.
-                    entry = self._entry(self._template.clone(), pred)
-                    for device in self.synced:
-                        removed = entry.graph.prune_device(
-                            device, model.action_of(delta.vector, device)
-                        )
-                        entry.reach.delete_edges(removed)
+                if decided:
+                    entry = _EcEntry(pred, delta.vector, None, None)
                 else:
-                    entry = self._entry(parent.graph.clone(), pred)
-                born.append(entry)
+                    parent = gone.get(delta.origin.node)
+                    if parent is None:
+                        parent = table.get(delta.origin.node)
+                    entry = self._entry(pred, delta.vector, parent)
+                    if parent is None:
+                        # EC born outside our table (e.g. after merges):
+                        # the template pruned by every synced device.
+                        self._prune(entry, self.synced, model)
+                    born.append(entry)
             self._add(entry)
+        if decided:
+            return self.report()
         if fresh:
             # A device synchronised: every undecided entry prunes it.
-            for pred, vector in model.entries():
-                entry = table.get(pred.node)
-                if entry is None or entry.verdict is not Verdict.UNKNOWN:
-                    continue
-                for device in fresh:
-                    removed = entry.graph.prune_device(
-                        device, model.action_of(vector, device)
-                    )
-                    entry.reach.delete_edges(removed)
-                self._rejudge(entry)
+            for entry in table.values():
+                if entry.verdict is Verdict.UNKNOWN:
+                    self._prune(entry, fresh, model)
+                    self._rejudge(entry)
         else:
             # Lineage only: an entry that was there keeps its graph and
             # the synced set is unchanged, so only the newborn are judged.
             for entry in born:
                 self._rejudge(entry)
-        return self.report()
+        report = self.report()
+        if report.verdict is not Verdict.UNKNOWN:
+            self._decided = report.verdict
+            for entry in table.values():
+                entry.graph = entry.reach = None
+        return report
+
+    def _prune(
+        self, entry: _EcEntry, devices: Iterable[int], model: InverseModel
+    ) -> None:
+        vector = entry.vector
+        if vector is None:
+            # The universe entry, never named by a delta: the model still
+            # holds its initial one-EC table.
+            [(_, vector)] = model.entries()
+            entry.vector = vector
+        graph, reach = entry.graph, entry.reach
+        for device in devices:
+            reach.delete_edges(
+                graph.prune_device(device, model.action_of(vector, device))
+            )
 
     def _rejudge(self, entry: _EcEntry) -> None:
         verdict = self._judge(entry)
@@ -226,7 +286,9 @@ class RegexVerifier:
     def report(self) -> VerificationReport:
         """Aggregate the per-EC verdicts into one requirement verdict."""
         tally = self._tally
-        if tally[Verdict.VIOLATED]:
+        if self._decided is not None:
+            verdict = self._decided
+        elif tally[Verdict.VIOLATED]:
             verdict = Verdict.VIOLATED
         elif self._table and tally[Verdict.SATISFIED] == len(self._table):
             verdict = Verdict.SATISFIED

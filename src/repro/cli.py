@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .baselines.apkeep import APKeepVerifier
 from .baselines.deltanet import DeltaNetVerifier
@@ -319,7 +319,7 @@ def cmd_simulate(args) -> int:
     sim.bootstrap()
     sim.run()
     if args.fail_link:
-        u, v = args.fail_link.split("-")
+        u, v = args.fail_link
         sim.fail_link_by_name(u, v, at=sim.loop.now + 0.1)
         sim.run()
     print(f"{len(sim.batches)} FIB batches delivered")
@@ -414,6 +414,16 @@ def _positive(number):
 
     parse.__name__ = f"positive {number.__name__}"
     return parse
+
+
+def _link(text: str) -> Tuple[str, str]:
+    """An argparse ``type``: a link named ``NAME-NAME``."""
+    names = text.split("-")
+    if len(names) != 2 or not all(names):
+        raise argparse.ArgumentTypeError(
+            f"expected two device names as NAME-NAME, got {text!r}"
+        )
+    return names[0], names[1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--buggy", default=None, help="buggy switch name")
     simp.add_argument("--dampen", default=None, help="dampened switch name")
     simp.add_argument("--dampen-seconds", type=_positive(float), default=60.0)
-    simp.add_argument("--fail-link", default=None, help="e.g. chic-kans")
+    simp.add_argument(
+        "--fail-link", type=_link, default=None, help="e.g. chic-kans"
+    )
     simp.add_argument("--seed", type=int, default=0)
     simp.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",

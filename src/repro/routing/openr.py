@@ -247,7 +247,10 @@ class OpenRSimulation:
     def _set_link(self, u: int, v: int, up: bool, at: float) -> None:
         key = link_key(u, v)
         if key not in self._true_version:
-            raise SimulationError(f"unknown switch link {key}")
+            raise SimulationError(
+                f"unknown switch link {self.topology.name_of(u)}-"
+                f"{self.topology.name_of(v)}"
+            )
 
         def fire() -> None:
             self._true_version[key] += 1

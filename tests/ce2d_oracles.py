@@ -159,14 +159,14 @@ class MemoFreeRegexVerifier(RegexVerifier):
                 origin = origin_of.get(pred.node)
                 parent = None if origin is None else self._table.get(origin.node)
                 if parent is None:
-                    entry = self._entry(self._template.clone(), pred)
+                    entry = self._entry(pred, vector, None)
                     for device in self.synced:
                         removed = entry.graph.prune_device(
                             device, model.action_of(vector, device)
                         )
                         entry.reach.delete_edges(removed)
                 else:
-                    entry = self._entry(parent.graph.clone(), pred)
+                    entry = self._entry(pred, vector, parent)
             if entry.verdict is Verdict.UNKNOWN:
                 for device in fresh:
                     removed = entry.graph.prune_device(

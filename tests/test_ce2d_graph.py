@@ -142,3 +142,57 @@ class TestDgqAgainstTraversal:
         before = dgq.num_reachable
         dgq.delete_edges(graph.prune_device(topo.id_of("A"), DROP))
         assert dgq.num_reachable <= before
+
+    def test_copied_forest_tracks_traversal(self, topo):
+        """A forest copied from a pruned parent, then pruned further, spans
+        exactly what a traversal reaches after every deletion; neither the
+        parent nor the template it came from moves."""
+        rng = random.Random(5)
+        names = ["S", "A", "B", "E", "W", "Y", "C", "D"]
+        for trial in range(25):
+            template = build_graph(topo, "S .* [W|Y] .* D")
+            forest = DgqReachability(template)
+            frozen = snapshot(template, forest)
+            parent = template.clone()
+            parent_forest = forest.copy(parent)
+            order = [topo.id_of(n) for n in names]
+            rng.shuffle(order)
+            cut = rng.randint(0, len(order))
+            for device in order[:cut]:
+                action = rng.choice(sorted(topo.neighbors(device)) + [DROP])
+                parent_forest.delete_edges(parent.prune_device(device, action))
+            parent_state = snapshot(parent, parent_forest)
+            child = parent.clone()
+            child_forest = parent_forest.copy(child)
+            assert_spans_reachable(child_forest, child)
+            for device in order[cut:]:
+                action = rng.choice(sorted(topo.neighbors(device)) + [DROP, DROP])
+                child_forest.delete_edges(child.prune_device(device, action))
+                assert_spans_reachable(child_forest, child)
+            assert snapshot(parent, parent_forest) == parent_state
+            assert snapshot(template, forest) == frozen
+
+
+def snapshot(graph, forest):
+    return (
+        {n: set(e) for n, e in graph.out_edges.items()},
+        dict(forest.parent),
+        {n: set(c) for n, c in forest.children.items() if c},
+    )
+
+
+def assert_spans_reachable(forest, graph):
+    """The forest's nodes are what a traversal reaches, and every tree
+    edge is a graph edge its child's children set agrees with."""
+    assert set(forest.parent) == graph.reachable_from_sources()
+    for node, up in forest.parent.items():
+        if up is None:
+            assert node in graph.sources
+        else:
+            assert node in graph.out_edges[up]
+            assert node in forest.children[up]
+    assert all(
+        forest.parent[kid] == node
+        for node, kids in forest.children.items()
+        for kid in kids
+    )

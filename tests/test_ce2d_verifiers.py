@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.ce2d.verifier import SubspaceVerifier
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import delete, insert
 from repro.difftest.corpus import iter_cases
+from repro.flash import Flash
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
 from repro.network.generators import figure3_example, line, ring
@@ -400,6 +402,118 @@ class TestRegexSpaceCarryOver:
         merged, ours_tested = step(a, [delete(a, split)])
         assert merged == whole  # the same predicate node is back ...
         assert ours_tested == 1  # ... and is tested again
+
+
+def _epoch_stream(rng, epochs=4):
+    """A random switch graph plus two fixed devices, and epoch-tagged
+    batches in arrival order, each re-rolling one priority slot:
+
+    * ``x`` hangs off ``s0`` and never installs a rule, so it drops
+      everything from the moment it synchronises;
+    * ``s1`` sends everything to the external ``h`` above any other rule.
+
+    Epoch ``e``'s batches arrive from time ``e`` on: ``x`` and ``s1``
+    first, so two requirements are decided early, the others within 1.5,
+    so a batch may land in the next epoch, which sees it as lineage only.
+    """
+    topo = Topology()
+    n = rng.randint(4, 6)
+    for i in range(n):
+        topo.add_device(f"s{i}")
+    for i in range(1, n):
+        topo.add_link(i, rng.randrange(i))
+    for _ in range(rng.randint(1, n)):
+        u, v = rng.sample(range(n), 2)
+        if not topo.has_link(u, v):
+            topo.add_link(u, v)
+    x = topo.add_device("x")
+    topo.add_link(x, 0)
+    h = topo.add_external("h")
+    topo.add_link(1, h)
+    state = {d: {} for d in range(n)}
+    arrivals, last = [], {}
+    for e in range(epochs):
+        tag = f"e{e}"
+        arrivals.append((e, x, tag, []))
+        for device in range(n):
+            updates = []
+            if device == 1 and e == 0:
+                updates.append(insert(1, Rule(9, Match.wildcard(), h), epoch=tag))
+            pri = rng.randint(1, 2)
+            old = state[device].get(pri)
+            action = rng.choice(sorted(topo.neighbors(device)) + [DROP])
+            match = Match.dst_prefix(rng.randrange(16), rng.randint(0, 3), LAYOUT)
+            new = Rule(pri, match, action)
+            if old is not None:
+                updates.append(delete(device, old, epoch=tag))
+            updates.append(insert(device, new, epoch=tag))
+            state[device][pri] = new
+            lag = 0.0 if device == 1 else 0.01 + 1.49 * rng.random()
+            # A device's own batches keep their order.
+            last[device] = max(e + lag, last.get(device, -1.0) + 0.001)
+            arrivals.append((last[device], device, tag, updates))
+    arrivals.sort(key=lambda arrival: arrival[0])
+    return topo, [arrival[1:] for arrival in arrivals]
+
+
+class TestRegexTwinOnEpochStreams:
+    """Flash's requirement-local, latched checkers against memo-free twins
+    on multi-epoch tagged streams, lineage-only calls included."""
+
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_batch_equals_memo_free_twin(self, seed, threshold):
+        rng = random.Random(seed)
+        topo, arrivals = _epoch_stream(rng)
+        low = Match.dst_prefix(0, 1, LAYOUT)
+        reqs = [
+            # Violated once x synchronises, while the table keeps splitting.
+            requirement("blackhole", topo, LAYOUT, Match.wildcard(), ["x"], "x .* s0"),
+            # Satisfied once s1 synchronises.
+            requirement("to-h", topo, LAYOUT, low, ["s1"], "s1 .* h"),
+        ]
+        for i in range(2):
+            u, v = rng.sample([f"s{d}" for d in range(len(topo.switches()) - 1)], 2)
+            space = Match.dst_prefix(rng.randrange(16), rng.randint(0, 2), LAYOUT)
+            reqs.append(requirement(f"r{i}", topo, LAYOUT, space, [u], f"{u} .* {v}"))
+        flash = Flash(topo, LAYOUT, requirements=reqs, block_threshold=threshold)
+        make = flash.dispatcher.factory
+
+        def with_twins(tag):
+            group = make(tag)
+            for member in group.members:
+                for ours in member.regex_verifiers:
+                    member.add_checker(
+                        MemoFreeRegexVerifier(
+                            ours.requirement,
+                            topo,
+                            LAYOUT,
+                            member.manager.compiler,
+                            universe=member.manager.model.universe,
+                        )
+                    )
+            return group
+
+        flash.dispatcher.factory = with_twins
+        details_after_deciding = set()
+        for device, tag, updates in arrivals:
+            flash.receive(device, tag, updates)
+            for group in flash.dispatcher.verifiers.values():
+                for member in group.members:
+                    for ours, twin in zip(
+                        member.regex_verifiers, member.custom_checkers
+                    ):
+                        got, want = ours.report(), twin.report()
+                        assert (got.requirement, got.verdict, got.detail) == (
+                            want.requirement,
+                            want.verdict,
+                            want.detail,
+                        ), (seed, threshold, device, tag)
+                        if ours._decided is not None:
+                            details_after_deciding.add((tag, got.requirement, got.detail))
+        # Some requirement was decided and its table still moved on.
+        decided = [(t, r) for t, r, _ in details_after_deciding]
+        assert len(set(decided)) < len(decided), seed
 
 
 class TestLineageOnlyJudging:

@@ -329,6 +329,34 @@ def test_non_positive_numbers_are_argparse_errors(argv, flag, value, capsys):
     assert captured.out == ""
 
 
+#: ``simulate --fail-link`` values that name no link: each once ended in a
+#: ``ValueError`` traceback from unpacking ``split("-")``.
+BAD_LINKS = ["garbage", "a-b-c", "-kans", "chic-", ""]
+
+
+@pytest.mark.parametrize("value", BAD_LINKS)
+def test_malformed_fail_link_is_an_argparse_error(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", f"--fail-link={value}"])  # "-kans" is no flag
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert (
+        "error: argument --fail-link: expected two device names as "
+        f"NAME-NAME, got {value!r}" in captured.err
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_fail_link_that_is_no_link_names_its_devices(capsys):
+    """A self-link parses but is no switch link: the error names the
+    devices, not their ids."""
+    assert main(["simulate", "--fail-link", "chic-chic"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown switch link chic-chic\n"
+
+
 def test_chaos_and_interleave_are_an_argparse_error(capsys):
     """The two fuzz modes exclude each other; argparse says so before a
     scenario is generated (it once printed a bare line to stdout)."""

@@ -278,6 +278,52 @@ class TestDemandDrivenSearch:
                     topo, detector.loop_path, detector.synced, model
                 )
         assert detector.verdict is not Verdict.UNKNOWN
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_next_hop_table_holds_live_vectors_only(self, seed):
+        """Lineage-only splits between syncs, and sometimes a re-report:
+        verdicts equal the eager oracle's; a model look-up is a miss of the
+        epoch's next-hop table; after a search the table holds live vectors
+        of synchronised switches only, and a lineage-only call leaves it as
+        it was."""
+        rng = case_rng(seed)
+        topo = mixed_topology(rng)
+        verifier = SubspaceVerifier(topo, LAYOUT)
+        detector = LoopDetector(topo)
+        oracle = EagerLoopDetector(topo)
+        model = verifier.manager.model
+        installed = {d: [] for d in topo.switches()}
+        pending = rng.sample(topo.switches(), len(installed))
+        while pending and detector.verdict is Verdict.UNKNOWN:
+            if rng.random() < 0.5:
+                outsider = rng.choice(pending)
+                lineage = verifier.apply(
+                    mixed_batch(topo, outsider, rng, installed[outsider])
+                )
+                before = {d: dict(hops) for d, hops in detector._hops.items()}
+                detector.on_model_update(lineage, (), CountingModel(model))
+                oracle.on_model_update(lineage, (), model)
+                assert detector._hops == before
+            now = [pending.pop(0)]
+            if detector.synced and rng.random() < 0.2:
+                now.append(rng.choice(sorted(detector.synced)))  # re-report
+            batch = [u for d in now for u in mixed_batch(topo, d, rng, installed[d])]
+            lineage = verifier.apply(batch)
+            held = {(d, v) for d, hops in detector._hops.items() for v in hops}
+            stub = CountingModel(model)
+            detector.on_model_update(lineage, now, stub)
+            oracle.on_model_update(lineage, now, model)
+            assert detector.verdict is oracle.verdict, (seed, now)
+            assert not held & set(stub.asked), seed  # misses only
+            if detector.verdict is not Verdict.UNKNOWN:
+                assert detector._hops == {}  # no search runs again
+                continue
+            live = {vec for _, vec in model.entries()}
+            assert set(detector._hops) <= detector.synced
+            assert all(set(hops) <= live for hops in detector._hops.values())
+            total = sum(map(len, detector._hops.values()))
+            assert total <= len(detector.synced) * len(model)
+
     @pytest.mark.parametrize("rereport", [False, True])
     def test_only_a_same_tag_rereport_leaves_the_fast_path(self, rereport):
         """Syncing 0 (→ 1, still dark) walks one device on the fast path;
