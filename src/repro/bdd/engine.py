@@ -80,7 +80,7 @@ CACHE_LIMIT = 1 << 16
 #: fires.  A sweep at this size costs about 2 ms plus a cold op cache to
 #: give back at most ~160 KB of node lists, so below it a store that
 #: doubles is not worth a sweep — and the small, short-lived engines
-#: (one per ``copy`` snapshot, per fuzz scenario, per test) never pay one.
+#: (one per fuzz scenario, per test) never pay one.
 SWEEP_FLOOR = 1 << 12
 
 
@@ -209,28 +209,6 @@ class BDD:
         # GC roots (a handful of nodes at most).
         self._var_nodes: Dict[int, int] = {}
         self.stats = BddStats()
-
-    def copy(self) -> "BDD":
-        """An independent store holding the same nodes under the same ids.
-
-        The node lists, free list, unique table, single-variable
-        functions and satcount memo are copied; the op cache starts
-        empty.  The copy holds no roots of its own: what survives its
-        sweeps is what its caller passes to its :meth:`collect`.  Every
-        edge of this store names the same function in the copy, and
-        neither store sees what the other allocates or sweeps afterwards
-        (no list or dict is shared).  The cost is a C-level copy per
-        container — no walk of any DAG.
-        """
-        twin = BDD(self.num_vars)
-        twin._var = self._var.copy()
-        twin._low = self._low.copy()
-        twin._high = self._high.copy()
-        twin._free = self._free.copy()
-        twin._unique = self._unique.copy()
-        twin._var_nodes = self._var_nodes.copy()
-        twin._sat_cache = self._sat_cache.copy()
-        return twin
 
     # ------------------------------------------------------------------
     # Node structure
@@ -460,10 +438,22 @@ class BDD:
         Per-node counts memoize in a cache that survives across queries
         (:meth:`collect` invalidates it, since freed ids are reused); a
         complemented edge costs one subtraction.
+
+        A thread holding a handle that roots ``u`` may count while the
+        owner allocates and sweeps (serve readers count the writer's
+        ECs): every node the walk reaches is rooted, so live, and its
+        count final while it lives; :meth:`collect` clears the memo after
+        it frees, so no entry outlives its node into a reused id.
         """
         total = self.num_vars
         varr = self._var
         memo = self._sat_cache
+        plain = memo.get(u >> 1)
+        if plain is not None:  # the common case: no walk, no closure
+            level = varr[u >> 1]
+            if u & 1:
+                plain = (1 << (total - level)) - plain
+            return plain << level
 
         def count(edge: int) -> Tuple[int, int]:
             """``(models over variables level..total-1, level)`` of an edge."""
@@ -485,6 +475,51 @@ class BDD:
 
         models, level = count(u)
         return models << level
+
+    def and_count(
+        self, a: int, other: "BDD", b: int, memo: Dict[int, int]
+    ) -> int:
+        """``sat_count(a ∧ b)`` without building ``a ∧ b``.
+
+        ``a`` is an edge of this store, ``b`` one of ``other`` — this
+        store, or another over the same variable order.  One walk over
+        operand pairs that allocates nothing in either store: a pair's
+        count is half the sum of its cofactor pairs' (each cofactor is
+        free of the split variable, so its count over all variables is
+        even), and a constant operand hands over to the other store's
+        :meth:`sat_count`.  ``memo`` maps packed edge pairs to counts,
+        so it holds only while handles root both operands: a serve query
+        keeps one for its scope against every EC it counts.
+        """
+        varr, low_, high_ = self._var, self._low, self._high
+        ovar, olow, ohigh = other._var, other._low, other._high
+
+        def walk(a: int, b: int) -> int:
+            if a == FALSE or b == FALSE:
+                return 0
+            if a == TRUE:
+                return other.sat_count(b)
+            if b == TRUE:
+                return self.sat_count(a)
+            key = a << _EDGE_BITS | b
+            models = memo.get(key)
+            if models is None:
+                an, bn = a >> 1, b >> 1
+                va, vb = varr[an], ovar[bn]
+                if va <= vb:
+                    c = a & 1
+                    a0, a1 = low_[an] ^ c, high_[an] ^ c
+                else:
+                    a0 = a1 = a
+                if vb <= va:
+                    c = b & 1
+                    b0, b1 = olow[bn] ^ c, ohigh[bn] ^ c
+                else:
+                    b0 = b1 = b
+                models = memo[key] = (walk(a0, b0) + walk(a1, b1)) >> 1
+            return models
+
+        return walk(a, b)
 
     def any_assignment(self, u: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (only cared variables), or None."""

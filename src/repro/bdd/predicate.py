@@ -376,32 +376,6 @@ class PredicateEngine:
             out.append(self.pred(memo[pred.node]))
         return out
 
-    def fork(
-        self, preds: Iterable[Predicate]
-    ) -> Tuple["PredicateEngine", List[Predicate]]:
-        """A new engine over a copy of this one's node store, and
-        ``preds`` re-handled in it, in order.
-
-        The copy (:meth:`~repro.bdd.engine.BDD.copy`) keeps every node
-        id, so a predicate moves over by its id alone — no walk, no
-        allocation — and its handle carries the source handle's
-        memoised signature; model counts memoised here before the fork
-        come along in the copied satcount memo.  The new engine has a
-        private registry, an empty op cache and only its own handles as
-        sweep roots, and shares no list or dict with this one: what
-        either engine allocates or sweeps afterwards the other never
-        sees.
-        """
-        twin = PredicateEngine(self.num_vars, bdd=self.bdd.copy())
-        out: List[Predicate] = []
-        for pred in preds:
-            self._check(pred, pred)
-            handle = twin.pred(pred.node)
-            if pred._sig is not None:
-                handle._sig = pred._sig
-            out.append(handle)
-        return twin, out
-
     # -- garbage collection ---------------------------------------------
     def collect(self) -> int:
         """Mark-and-sweep the node store; returns the node count freed.
@@ -411,11 +385,17 @@ class PredicateEngine:
         whenever no operation is mid-flight.  No-op (returns 0) when the
         underlying store has no collector (e.g. the tests' reference
         oracle).
+
+        A handle may die on any thread (a serve reader unpinning a retired
+        snapshot), whose weak-reference callback then deletes its entry.
+        So the roots come from a ``dict.copy`` of the table, one C call
+        no thread can interleave with, not from iterating the weak
+        dictionary, whose iteration guard a removal can slip past.
         """
         bdd_collect = getattr(self.bdd, "collect", None)
         if bdd_collect is None:
             return 0
-        return bdd_collect(list(self._handles.keys()))
+        return bdd_collect(self._handles.data.copy())
 
     def collect_if_grown(self) -> int:
         """The sweep rule: :meth:`collect` once the store has doubled.
@@ -433,8 +413,8 @@ class PredicateEngine:
         operation is mid-flight.  In the product that is a model writer's
         engine, swept between blocks by
         :meth:`~repro.core.model_manager.ModelWriter.flush` on the
-        writer's own thread; a serve snapshot's engine is never swept and
-        goes with its snapshot.  There is no threshold to set and no
+        writer's own thread; a read view's scope engine is never swept
+        and goes with its view.  There is no threshold to set and no
         switch: an engine nobody sweeps dies of its garbage.
         """
         bdd = self.bdd

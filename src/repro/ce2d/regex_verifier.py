@@ -27,6 +27,7 @@ Appendix D.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Set
 from weakref import WeakKeyDictionary
 
@@ -68,6 +69,35 @@ class _EcEntry:
     graph: Optional[VerificationGraph]
     reach: Optional[DgqReachability]
     verdict: Verdict = Verdict.UNKNOWN
+
+    #: Whether ``graph`` and ``reach`` exist yet (see _UniverseEntry).
+    built = True
+
+
+class _UniverseEntry(_EcEntry):
+    """A verifier's first entry: its universe, before any delta names it.
+
+    The first batch usually removes it unread (the dispatcher opens an
+    epoch with the whole table as deltas from the universe), so its copy
+    of the template's graph and forest is made at the first read, and an
+    entry born from it while unbuilt copies the template instead.
+    """
+
+    def __init__(self, predicate: Predicate, verifier: "RegexVerifier") -> None:
+        self.predicate, self.vector, self.verdict = predicate, None, Verdict.UNKNOWN
+        self._verifier = verifier
+
+    @property
+    def built(self) -> bool:
+        return "graph" in self.__dict__
+
+    @cached_property
+    def graph(self) -> VerificationGraph:
+        return self._verifier._template.clone()
+
+    @cached_property
+    def reach(self) -> DgqReachability:
+        return self._verifier._forest.copy(self.graph)
 
 
 # Template graph → the DGQ forest of its unpruned state, built once and
@@ -133,7 +163,7 @@ class RegexVerifier:
         # updates only keep _table's keys.
         self._decided: Optional[Verdict] = None
         if initial.intersects(self.space):
-            self._add(self._entry(initial, None, None))
+            self._add(_UniverseEntry(initial, self))
         else:
             self._outside[initial.node] = initial
 
@@ -144,8 +174,8 @@ class RegexVerifier:
         parent: Optional[_EcEntry],
     ) -> _EcEntry:
         """An entry on a copy of ``parent``'s graph and forest, or of the
-        unpruned template's."""
-        if parent is None:
+        unpruned template's (no parent, or an unbuilt universe entry)."""
+        if parent is None or not parent.built:
             graph, forest = self._template.clone(), self._forest
         else:
             graph, forest = parent.graph.clone(), parent.reach

@@ -19,7 +19,7 @@ Vectors are represented by integer node ids into an :class:`ActionTreeStore`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 EMPTY = 0
 
@@ -184,19 +184,19 @@ class ActionTreeStore:
         return node
 
     # -- iteration -----------------------------------------------------------
-    def items(self, node: int) -> Iterator[Tuple[int, Any]]:
-        """In-order (device, action) pairs."""
+    def to_dict(self, node: int) -> Dict[int, Any]:
+        """``{device: action}`` in device order (an in-order walk)."""
+        out: Dict[int, Any] = {}
+        keys, values, left, right = self._key, self._value, self._left, self._right
         stack: List[int] = []
         while node != EMPTY or stack:
             while node != EMPTY:
                 stack.append(node)
-                node = self._left[node]
+                node = left[node]
             node = stack.pop()
-            yield self._key[node], self._value[node]
-            node = self._right[node]
-
-    def to_dict(self, node: int) -> Dict[int, Any]:
-        return dict(self.items(node))
+            out[keys[node]] = values[node]
+            node = right[node]
+        return out
 
     def depth(self, node: int) -> int:
         if node == EMPTY:

@@ -59,8 +59,8 @@ class FrozenReadView:
     What a reader may do with a model version, and nothing else.  Every
     method answers against the one consistent model version (one writer
     epoch) the view was captured at, regardless of concurrent writer
-    progress; ``repro.serve`` snapshots are views of this type re-hosted
-    in an isolated engine.
+    progress; ``repro.serve`` publishes views of this type as its
+    snapshots.
 
     Cheap to capture: predicates are shared immutable handles (holding
     them also roots them against engine GC), action vectors are ids
@@ -70,10 +70,12 @@ class FrozenReadView:
     pairs, each device's installed rules in table order without the
     default rule.  The view keeps answering for the epoch it was pinned
     at even while the owning :class:`ModelWriter` keeps flushing, and
-    :meth:`ModelWriter.rollback` restores it; use
-    :func:`repro.serve.isolate_view` (a copy of the engine's node store,
-    same ids) when readers must additionally never touch the writer's
-    engine.
+    :meth:`ModelWriter.rollback` restores it.
+
+    A reader on another thread than the writer's may count, sign and
+    import the view's predicates but never combine them: an apply
+    allocates in the writer's store.  What a reader builds (a query's
+    scope) it builds with :attr:`compiler`, in a private engine.
     """
 
     __slots__ = (
@@ -135,9 +137,13 @@ class FrozenReadView:
 
     @property
     def compiler(self) -> MatchCompiler:
-        """A match compiler over this view's engine (built lazily)."""
+        """A match compiler over this view's private scope engine (built
+        lazily), never over the store its predicates live in.  Not
+        thread-safe: the serve daemon holds a snapshot's lock around it."""
         if self._compiler is None:
-            self._compiler = MatchCompiler(self.engine, self.layout)
+            self._compiler = MatchCompiler(
+                PredicateEngine(self.engine.num_vars), self.layout
+            )
         return self._compiler
 
     def __len__(self) -> int:
@@ -326,11 +332,13 @@ class ModelWriter:
         # changed ECs, their origins and its removed predicates, the match
         # cache, checker tables, read views) and handles are the sweep's
         # roots; a bare ``pred.node`` kept past here may name another
-        # predicate afterwards.  Threads: the sweep runs on the writer's
-        # thread, and no other thread touches this engine: serve readers
-        # evaluate on copies of its node store that ``isolate_view``
-        # takes after the flush, on this same thread; a copy keeps the
-        # ids live at that moment, and later sweeps here never reach it.
+        # predicate afterwards.  Threads: only this thread allocates in,
+        # applies on or sweeps this engine.  Serve readers hold published
+        # views, whose handles root their nodes; they only read them and
+        # fill the satcount memo (``BDD.sat_count`` says why that is
+        # sound).  A reader may drop a retired snapshot's last reference,
+        # so a handle may die on any thread: ``PredicateEngine.collect``
+        # copies the handle table in one step, which that cannot race.
         self.engine.collect_if_grown()
         return lineage
 
@@ -343,9 +351,8 @@ class ModelWriter:
         table into the model — the same handles and vector ids a
         recompute would build, the model being a function of the FIB.
         ``None`` resets to the empty model.  A view of another engine or
-        store (e.g. a serve snapshot, which ``isolate_view`` re-hosts
-        in a copy of the engine), or
-        of another subspace or device set, is a :class:`ValueError`.
+        store (another writer's), or of another subspace or device set,
+        is a :class:`ValueError`.
         """
         if view is not None and (
             view.engine is not self.engine

@@ -189,6 +189,8 @@ class Match:
         this is the multi-field expansion cost the paper's Delta-net*
         extension pays on LNet-ecmp.
         """
+        for name in self.patterns:
+            layout.field(name)  # an unknown field is an error, not match-all
         per_field: List[IntervalSet] = []
         for f in layout.fields:
             pattern = self.patterns.get(f.name)

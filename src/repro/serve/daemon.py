@@ -12,7 +12,8 @@
   pinned snapshots, consulting the epoch-keyed
   :class:`~repro.serve.cache.ResultCache` first and, on a miss, the
   per-vector :class:`~repro.serve.queries.VerdictMemo`, which the
-  writer prunes to the live snapshots' vectors at every publish.
+  writer prunes in place to the live snapshots' vectors at every
+  publish.
 * **backpressure** — a full ingest queue rejects producers with
   :class:`~repro.errors.ServeSaturatedError` instead of buffering
   unboundedly; queries keep being answered from published snapshots.
@@ -88,11 +89,13 @@ class ServeDaemon:
     Parameters
     ----------
     isolation:
-        Only ``"copy"`` is accepted (anything else is a ``ValueError``):
-        every published snapshot is re-hosted in its own BDD engine, a
-        copy of the writer's node store taken by
-        :func:`~repro.serve.snapshots.isolate_view`, so readers never
-        touch the writer's engine.
+        Only ``"copy"`` is accepted (anything else is a ``ValueError``);
+        the one mode kept its name when snapshots stopped copying.  Every
+        published snapshot is the writer's own read view
+        (:func:`~repro.serve.snapshots.isolate_view`): its handles pin
+        its nodes in the writer's store, which readers read but never
+        write — a query's scope compiles in the snapshot's private scope
+        engine.
     queue_size:
         Ingest backpressure bound: producers hitting a full queue get
         :class:`~repro.errors.ServeSaturatedError`.
@@ -136,8 +139,8 @@ class ServeDaemon:
             keep=self.KEEP_SNAPSHOTS, telemetry=self.telemetry
         )
         self._cache = ResultCache(self.CACHE_SIZE, telemetry=self.telemetry)
-        # Replaced, never mutated, by the writer at each publish; readers
-        # read the reference once per query.
+        # Readers get and set single keys; the writer prunes it in place
+        # at each publish.
         self._memo = VerdictMemo(self.verifier.manager.store)
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._workers = workers
@@ -270,12 +273,11 @@ class ServeDaemon:
         self._applied += 1
         self._cache.evict_below(self._snapshots.oldest_epoch())
         # Keep the verdicts of vectors some live snapshot holds.
-        live = {
+        self._memo.retain({
             vector
             for live_view in self._snapshots.live_views()
             for _, vector in live_view.entries()
-        }
-        self._memo = self._memo.pruned(live)
+        })
 
     @staticmethod
     def _group_by_device(

@@ -24,6 +24,11 @@ union is built, and an EC whose cofactor signature misses the scope's is
 skipped before it is classified.  ``tests/serve_reference.py`` keeps the
 union evaluation as the oracle of that sum.
 
+Evaluation never allocates in the view's store, the writer's in the
+daemon: the scope compiles in the view's scope engine, and an EC's share
+of it is counted by :meth:`~repro.bdd.engine.BDD.and_count`, a walk
+across the two stores that builds nothing.
+
 Answers are :class:`QueryAnswer` values — a verdict plus the exact
 header count of the interesting set — and compare by equality, which is
 what grounds the mid-storm oracle check in ``repro.serve.load``.
@@ -40,20 +45,21 @@ Below the answer cache sits the daemon's :class:`VerdictMemo`, keyed
 ``(kind, params, vector)``: an EC's classification depends only on the
 query's kind and parameters, its action vector and the topology, and
 PAT vectors are hash-consed and immutable, so a verdict found at one
-epoch answers every later epoch that still holds the vector.  A query
-then costs a dict lookup per in-scope EC, a search per vector it has not
-seen, and one ``sat_count`` per witness EC (after a ``&`` with the scope
-when the query has one).  ``evaluate`` uses
-the memo only when it is passed one: the batch oracle, ``repro serve``'s
-divergence check and difftest evaluate without it, so they stay an
-independent check on it.
+epoch answers every later epoch that still holds the vector.  The memo
+also keeps each live vector's ``{device: action}`` dict, which every
+classifier of that vector reads instead of walking the PAT store.  A
+query then costs a dict lookup per in-scope EC, a search per vector it
+has not seen, and one count per witness EC.  ``evaluate`` without a
+memo runs the same walk over a memo of its own, dropped with the
+query: the batch oracle, ``repro serve``'s divergence check and
+difftest evaluate that way, so they stay an independent check on the
+daemon's memo.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..bdd.predicate import Predicate
@@ -92,47 +98,55 @@ class QueryAnswer:
 
 
 class VerdictMemo:
-    """One daemon's per-vector verdicts: ``(kind, params, vector) → bool``.
+    """One daemon's per-vector state: ``(kind, params, vector) → bool``
+    verdicts, and each vector's ``{device: action}`` dict.
 
     Held as one ``{vector: verdict}`` dict per ``(kind, params)``.
     Tied to one PAT ``store`` (vector ids name vectors only inside it)
     and, through its daemon, to one topology, an entry can become
     useless but never wrong.  Reader threads only get and set single
-    keys; the writer never mutates a memo in place but builds a pruned
-    copy (:meth:`pruned`) and swaps the daemon's reference.
+    keys; the writer prunes in place (:meth:`retain`), so an entry a
+    reader adds while the writer prunes is kept unless its vector died.
     """
 
-    __slots__ = ("store", "_verdicts")
+    __slots__ = ("store", "_verdicts", "_actions", "_live")
 
     def __init__(self, store: ActionTreeStore) -> None:
         self.store = store
         self._verdicts: Dict[Tuple, Dict[VecId, bool]] = {}
+        self._actions: Dict[VecId, Dict[int, Action]] = {}
+        self._live: Set[VecId] = set()
 
     def verdicts_for(self, kind: str, params: Tuple) -> Dict[VecId, bool]:
         """The ``{vector: verdict}`` dict of one query shape."""
         return self._verdicts.setdefault((kind, params), {})
 
-    def pruned(self, live: Set[VecId]) -> "VerdictMemo":
-        """A new memo of the same store keeping only ``live`` vectors.
+    def actions_of(self, vector: VecId) -> Callable[[int], Optional[Action]]:
+        """``vector``'s action lookup by device, a ``dict.get``."""
+        actions = self._actions.get(vector)
+        if actions is None:
+            actions = self._actions[vector] = self.store.to_dict(vector)
+        return actions.get
 
-        Readers may add entries meanwhile; ``dict.copy`` runs in one
-        step under the GIL, so the walk never sees a dict change size.
-        An entry a reader adds to this memo after its copy is dropped,
-        which costs a search later, never a wrong verdict.
-        """
-        kept = VerdictMemo(self.store)
-        for shape, verdicts in self._verdicts.copy().items():
-            alive = {v: hit for v, hit in verdicts.copy().items() if v in live}
-            if alive:
-                kept._verdicts[shape] = alive
-        return kept
+    def retain(self, live: Set[VecId]) -> None:
+        """Drop every entry of a vector not in ``live``, the vectors of
+        the live snapshots.  Readers add entries only for vectors of
+        pinned, so live, snapshots: every vector held was in the previous
+        ``live`` or is in this one, and the dead are the difference."""
+        dead = self._live - live
+        self._live = live
+        for vector in dead:
+            self._actions.pop(vector, None)
+        for verdicts in list(self._verdicts.values()):
+            for vector in dead:
+                verdicts.pop(vector, None)
 
     def vectors(self) -> Set[VecId]:
-        """Every vector holding at least one verdict."""
-        return {
-            v for verdicts in self._verdicts.copy().values()
-            for v in verdicts.copy()
-        }
+        """Every vector the memo holds a verdict or an action dict for."""
+        held = set(self._actions.copy())
+        for verdicts in list(self._verdicts.values()):
+            held.update(verdicts.copy())
+        return held
 
 
 class Query:
@@ -144,11 +158,15 @@ class Query:
         self.scope = scope
 
     # -- shared plumbing ------------------------------------------------
-    def scope_predicate(self, view: FrozenReadView) -> Predicate:
-        """The scoped header space inside the view's universe."""
+    def scope_predicate(self, view: FrozenReadView) -> Optional[Predicate]:
+        """The scoped header space inside the view's universe, built in
+        the view's scope engine; ``None`` when the query is unscoped."""
         if self.scope is None:
-            return view.universe
-        return view.compiler.compile(self.scope) & view.universe
+            return None
+        scope = view.compiler.compile(self.scope)
+        if not view.universe.is_true:
+            scope = scope & scope.engine.import_predicate(view.universe)
+        return scope
 
     def params(self) -> Tuple:
         """Hashable, engine-independent parameters of this query."""
@@ -161,8 +179,8 @@ class Query:
     def _witness_headers(
         self,
         view: FrozenReadView,
-        scope: Predicate,
-        classify: Callable[[Callable[[int], Action]], bool],
+        scope: Optional[Predicate],
+        classify: Callable[[Callable[[int], Optional[Action]]], bool],
         deadline: Optional[float] = None,
         memo: Optional[VerdictMemo] = None,
     ) -> int:
@@ -172,36 +190,44 @@ class Query:
         The ECs are disjoint (Definition 6), so the shares add up to the
         measure of the witness set within the scope.  An EC whose
         cofactor signature misses the scope's cannot meet it and is
-        skipped unclassified; an unscoped query (``scope`` is the view's
-        universe) counts whole ECs.  ``deadline`` is an absolute
+        skipped unclassified; an unscoped query (``scope`` is ``None``)
+        counts whole ECs.  ``deadline`` is an absolute
         :func:`time.monotonic` timestamp; the EC walk — where all the
-        graph classification and BDD work happens — checks it between
+        graph classification and counting happens — checks it between
         entries and raises :class:`~repro.errors.QueryTimeoutError` once
         passed.  With a ``memo`` of the view's PAT store, a vector
         classified before (by any query of this kind and parameters, at
         any epoch) is looked up instead of searched again.
         """
-        verdicts: Dict[VecId, bool] = (
-            memo.verdicts_for(self.kind, self.params())
-            if memo is not None and memo.store is view.store
-            else {}
-        )
-        scoped = scope != view.universe
+        if memo is None or memo.store is not view.store:
+            memo = VerdictMemo(view.store)
+        verdicts = memo.verdicts_for(self.kind, self.params())
+        actions_of = memo.actions_of
         sig_of = view.engine.signature
-        scope_sig = sig_of(scope) if scoped else 0
+        if scope is None:
+            weigh = Predicate.sat_count
+        else:
+            scope_sig = scope.engine.signature(scope)
+            and_count = view.engine.bdd.and_count
+            scope_bdd, scope_node = scope.engine.bdd, scope.node
+            pairs: Dict[int, int] = {}
+
+            def weigh(pred: Predicate) -> int:
+                return and_count(pred.node, scope_bdd, scope_node, pairs)
+
         count = 0
         for pred, vector in view.entries():
             if deadline is not None and time.monotonic() > deadline:
                 raise QueryTimeoutError(
                     f"{self.kind} query exceeded its deadline mid-walk"
                 )
-            if scoped and not sig_of(pred) & scope_sig:
+            if scope is not None and not sig_of(pred) & scope_sig:
                 continue
             hit = verdicts.get(vector)
             if hit is None:
-                hit = verdicts[vector] = classify(partial(view.action_of, vector))
+                hit = verdicts[vector] = classify(actions_of(vector))
             if hit:
-                count += (pred & scope if scoped else pred).sat_count()
+                count += weigh(pred)
         return count
 
     def evaluate(
@@ -249,7 +275,8 @@ class ReachabilityQuery(Query):
             deadline,
             memo,
         )
-        return QueryAnswer(holds=delivered == scope.sat_count(), headers=delivered)
+        total = (view.universe if scope is None else scope).sat_count()
+        return QueryAnswer(holds=delivered == total, headers=delivered)
 
 
 class LoopQuery(Query):

@@ -8,13 +8,15 @@ latest, or an explicit epoch), evaluate against it, and unpin; a pinned
 snapshot is never retired, so a reader observes one consistent model
 version end to end no matter how far the writer gets in the meantime.
 
-Isolation is by copy (:func:`isolate_view`): each published view lives
-in its own :class:`~repro.bdd.predicate.PredicateEngine`, a copy of the
-writer's node store taken on the writer's thread right after the flush,
-so query evaluation never touches the writer's engine — the writer is
-never blocked by readers and vice versa.  Each snapshot carries its own
-lock (BDD apply mutates engine-internal tables, so two queries on the
-*same* snapshot still serialise).
+A published snapshot is the writer's own read view
+(:func:`isolate_view`): its predicates are live handles of the writer's
+engine, so they root their nodes there and no writer sweep frees or
+reuses them while the snapshot lives.  Readers read that store (counts,
+signatures) but never write to it: a query's scope compiles in the
+view's private scope engine (``FrozenReadView.compiler``).  Publishing
+copies nothing, whatever the size of the model.  Each snapshot carries
+its own lock, because its scope engine is the one thing in it that
+queries mutate: two queries on the *same* snapshot serialise.
 """
 
 from __future__ import annotations
@@ -28,38 +30,29 @@ from ..telemetry import Telemetry
 
 
 def isolate_view(view: FrozenReadView) -> FrozenReadView:
-    """Re-host a read view in a copy of its engine.
+    """The snapshot of one published model version: ``view``'s EC table,
+    handles, PAT store and rules, shared as they are.
 
-    The copy (:meth:`~repro.bdd.predicate.PredicateEngine.fork`) keeps
-    the writer's node ids, so the EC predicates and the universe move
-    over by id, with their signatures — a copy of a few flat containers,
-    not a walk of the table's DAG.  Each predicate's model count is
-    taken on the writer's engine first, so the copy's satcount memo
-    answers every whole-EC count without a walk.  Action vectors are ids
-    into the append-only PAT store, which is safely shared: the writer
-    only ever appends new nodes; the installed rules are immutable
-    values and pass through as they are.
+    Nothing is copied and nothing is counted.  The returned view is a
+    new wrapper only so that its scope engine (built at its first
+    scoped query) is the snapshot's own, whatever was compiled with
+    ``view``.
     """
-    entries = view.entries()
-    preds = [pred for pred, _ in entries]
-    preds.append(view.universe)
-    for pred in preds:
-        pred.sat_count()
-    engine, handles = view.engine.fork(preds)
     return FrozenReadView(
-        engine=engine,
+        engine=view.engine,
         layout=view.layout,
         store=view.store,
         devices=view.devices,
-        entries=list(zip(handles, (vec for _, vec in entries))),
+        entries=view.entries(),
         epoch=view.epoch,
-        universe=handles[-1],
+        universe=view.universe,
         rules=view.rules,
     )
 
 
 class Snapshot:
-    """One published model version: (serve epoch, read view, eval lock)."""
+    """One published model version: (serve epoch, read view, the lock
+    around its scope engine)."""
 
     __slots__ = ("epoch", "view", "lock", "pins", "_store")
 
@@ -93,8 +86,9 @@ class SnapshotStore:
 
     The store keeps at most ``keep`` *unpinned* snapshots (newest
     first); pinned snapshots survive retirement until their last reader
-    unpins, at which point retirement is re-attempted.  All operations
-    are thread-safe.
+    unpins, at which point retirement is re-attempted (so a view's
+    handles may be released on a reader's thread; see
+    ``PredicateEngine.collect``).  All operations are thread-safe.
     """
 
     def __init__(self, keep: int = 4, telemetry: Optional[Telemetry] = None) -> None:

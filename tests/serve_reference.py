@@ -9,7 +9,9 @@ replaced: OR every witness EC of the view into one predicate, then
 ``&`` / ``-`` it with the scope and take one ``sat_count``, with no
 signature test, and it classifies each EC with the brute-force oracle's
 graph searches (:mod:`repro.difftest.oracle`), not the product's
-(:mod:`repro.ce2d.forwarding`).  ``tests/test_serve.py`` holds the two
+(:mod:`repro.ce2d.forwarding`).  It compiles the scope in the view's own
+engine, where the product compiles it in a private scope engine and
+counts across the two stores, so a wrong cross-store count shows too.  ``tests/test_serve.py`` holds the two
 evaluations equal, so a wrong sum and a wrong classifier both show.
 
 Do not optimise this module — its value is that it stays the known-good
@@ -38,8 +40,15 @@ def witness_union(view, classify):
     return out
 
 
+def scope_in_view_engine(query, view):
+    """The query's scope within the view's universe, in the view's engine."""
+    if query.scope is None:
+        return view.universe
+    return query.scope.to_predicate(view.engine, view.layout) & view.universe
+
+
 def evaluate_by_union(query, view, topology) -> QueryAnswer:
-    scope = query.scope_predicate(view)
+    scope = scope_in_view_engine(query, view)
     if isinstance(query, ReachabilityQuery):
         delivered = witness_union(
             view, lambda action_of: reaches_external(topology, action_of, query.source)

@@ -82,7 +82,9 @@ class TestBasics:
 
     def test_items_in_order(self):
         root = self.store.build({5: "e", 1: "a", 3: "c"})
-        assert [k for k, _ in self.store.items(root)] == [1, 3, 5]
+        assert list(self.store.to_dict(root).items()) == [
+            (1, "a"), (3, "c"), (5, "e")
+        ]
 
     def test_contains(self):
         root = self.store.set(EMPTY, 1, None)  # None value still "present"

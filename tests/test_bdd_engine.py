@@ -139,6 +139,23 @@ class TestSatCount:
         node = build(bdd, expr)
         assert bdd.sat_count(node) == len(brute_force(bdd, node))
 
+    @given(bdd_exprs(), bdd_exprs())
+    @settings(max_examples=60, deadline=None)
+    def test_and_count_within_and_across_stores(self, e1, e2):
+        """``and_count`` is the count of the conjunction, whether ``b``
+        lives in the same store or in another one, and allocates in
+        neither."""
+        bdd, other = BDD(N_VARS), BDD(N_VARS)
+        a, b = build(bdd, e1), build(bdd, e2)
+        b_there = build(other, ("not", ("not", e2)))  # other ids, same function
+        want = bdd.sat_count(bdd.apply_and(a, b))
+        sizes = (bdd.num_nodes, len(bdd._unique), other.num_nodes)
+        memo = {}
+        assert bdd.and_count(a, bdd, b, {}) == want
+        assert bdd.and_count(a, other, b_there, memo) == want
+        assert bdd.and_count(a, other, b_there, memo) == want  # from the memo
+        assert (bdd.num_nodes, len(bdd._unique), other.num_nodes) == sizes
+
 
 class TestSemantics:
     @given(bdd_exprs())

@@ -218,67 +218,59 @@ class TestAutoCollect:
         assert snap["bdd.gc.seconds"] > 0
 
 
-class TestStoreCopy:
-    """``BDD.copy`` / ``PredicateEngine.fork``: the same nodes under the
-    same ids, in containers neither store shares with the other."""
+class TestSweepBesideReaders:
+    """The owner sweeps while other threads hold handles into its store:
+    a handle may die on any thread, and counting from a held handle
+    walks only nodes the handle roots."""
 
-    STORE = ("_var", "_low", "_high", "_free", "_unique", "_var_nodes", "_sat_cache")
+    def test_a_handle_dying_on_another_thread_during_sweeps(self):
+        import threading
 
-    def test_copy_keeps_every_id_and_shares_no_container(self):
         eng = PredicateEngine(NUM_VARS)
-        rng = case_rng(0xC0B1)
+        rng = case_rng(0xC0B4)
         held = build_wave(eng, rng, 60)[::3]
-        eng.collect()  # a free list to copy
-        counts = [p.sat_count() for p in held]  # a warm satcount memo
-        src = eng.bdd
-        copy = src.copy()
-        for name in self.STORE:
-            assert getattr(copy, name) == getattr(src, name), name
-            assert getattr(copy, name) is not getattr(src, name), name
-        assert src._free and src._sat_cache
-        assert copy._cache == {}
-        assert [copy.sat_count(p.node) for p in held] == counts
-        # The source's handles root nothing here: a sweep of the copy
-        # with no roots keeps the single-variable functions alone, and
-        # the source still answers.
-        assert copy.collect() > 0
-        assert copy.live_node_count == 1 + len(copy._var_nodes)
+        counts = [p.sat_count() for p in held]
+        doomed = [build_wave(eng, rng, 20) for _ in range(40)]
+        released = []
+
+        def reader():
+            while doomed:
+                wave = doomed.pop()
+                released.append(len(wave))
+                del wave  # the last references die on this thread
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        while thread.is_alive():
+            eng.collect()
+        thread.join()
+        eng.collect()
+        assert sum(released) == 40 * 20
         assert [p.sat_count() for p in held] == counts
+        # Every released wave was swept: what is left is what ``held``
+        # reaches, the single-variable functions and the terminal.
+        assert eng.live_nodes <= (
+            1 + eng.shared_node_count(held) + len(eng.bdd._var_nodes)
+        )
 
-    def test_neither_store_sees_the_other_allocate_or_sweep(self):
+    def test_counts_from_a_held_handle_survive_the_sweep_that_clears_them(self):
         eng = PredicateEngine(NUM_VARS)
-        rng = case_rng(0xC0B2)
-        held = build_wave(eng, rng, 60)[::3]
-        twin, handles = eng.fork(held)
-        frozen = {name: getattr(twin.bdd, name).copy() for name in self.STORE}
-        build_wave(eng, rng, 60)  # source allocates ...
-        del held[1:]
-        assert eng.collect() > 0  # ... and sweeps ids the copy's handles name
-        assert {name: getattr(twin.bdd, name) for name in self.STORE} == frozen
-        before = (dict(eng.bdd._unique), list(eng.bdd._free), len(eng.bdd._var))
-        build_wave(twin, rng, 60)  # the copy allocates, into its own free slots
-        twin.collect()
-        assert (eng.bdd._unique, eng.bdd._free, len(eng.bdd._var)) == before
-        fresh = PredicateEngine(NUM_VARS)
-        for handle in handles:  # every forked handle is still its function
-            assert fresh.import_predicate(handle).sat_count() == handle.sat_count()
+        rng = case_rng(0xC0B5)
+        held = build_wave(eng, rng, 40)[::4]
+        literals = [(0, True), (3, False)]
+        scope = PredicateEngine(NUM_VARS).cube(literals)  # another store
 
-    def test_forked_handles_carry_signatures_that_a_fresh_walk_agrees_with(self):
-        eng = PredicateEngine(NUM_VARS)
-        rng = case_rng(0xC0B3)
-        preds = build_wave(eng, rng, 40)
-        signed = preds[::2]
-        for p in signed:
-            eng.signature(p)
-        twin, handles = eng.fork(preds)
-        assert [h.node for h in handles] == [p.node for p in preds]
-        assert all(h.engine is twin for h in handles)
-        carried = [h._sig for h in handles]
-        assert carried == [p._sig for p in preds]
-        assert None not in carried[::2]
-        counts = [h.sat_count() for h in handles]
-        twin.bdd._sat_cache.clear()
-        assert [h.sat_count() for h in handles] == counts
-        for h in handles:
-            h._sig = None
-        assert [twin.signature(h) for h in handles][::2] == carried[::2]
+        def shares():
+            return [
+                eng.bdd.and_count(p.node, scope.engine.bdd, scope.node, {})
+                for p in held
+            ]
+
+        counts, before = [p.sat_count() for p in held], shares()
+        build_wave(eng, rng, 80)  # garbage to sweep
+        assert eng.collect() > 0
+        assert eng.bdd._sat_cache == {}  # the sweep cleared the memo
+        assert [p.sat_count() for p in held] == counts
+        assert shares() == before == [
+            (p & eng.cube(literals)).sat_count() for p in held
+        ]

@@ -201,6 +201,24 @@ class TestBadTraceInput:
         assert str(trace) in self.run(command, trace, capsys)
 
 
+@pytest.mark.parametrize("engine", ["flash", "apkeep", "deltanet"])
+def test_a_match_on_a_field_outside_the_layout_fails_every_engine(
+    engine, tmp_path, capsys
+):
+    """The line decodes (a match names any field); compiling it against
+    the topology's layout is what fails, the same way on every engine."""
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(GOOD_LINE.replace('"dst":[[8,12]]', '"nope":[[1,255]]') + "\n")
+    code = main(
+        ["verify", "--topology", "internet2", "--trace", str(trace),
+         "--engine", engine]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown field 'nope'\n"
+    assert "model built" not in captured.out
+
+
 class TestBackendFlagIsGone:
     """``--backend`` selected a predicate representation; there is one.
     Argparse rejects it before a trace is read or a scenario generated

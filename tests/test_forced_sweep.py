@@ -56,9 +56,9 @@ def test_fuzz_gates_hold_with_a_sweep_after_every_block(always_sweep, make_runne
 
 
 def test_serve_race_with_a_sweep_after_every_block(always_sweep):
-    """Readers on snapshot copies of the writer's store while the writer
-    sweeps and reuses ids after every batch: every served answer must
-    equal the batch oracle's at its pinned epoch."""
+    """Readers on snapshots that share the writer's store while the
+    writer sweeps and reuses ids after every batch: every served answer
+    must equal the batch oracle's at its pinned epoch."""
     workload = build_workload(seed=base_seed() + 35, quick=False)
     # Sized so most answers are pinned while the storm is still running.
     workload.clients, workload.queries_per_client = 3, 15

@@ -229,6 +229,17 @@ class TestMatch:
             assert f"[{ternary[0]}, {ternary[1]}]" in message
             assert "width 4" in message
 
+    def test_a_field_outside_the_layout_is_an_error(self):
+        """Both compilers reject it; the interval one used to skip it and
+        return the whole space."""
+        m = Match({"nope": Pattern(((1, 255),))})
+        for compile_ in (
+            lambda: m.to_predicate(self.engine, self.layout),
+            lambda: m.to_interval_set(self.layout),
+        ):
+            with pytest.raises(HeaderSpaceError, match="unknown field 'nope'"):
+                compile_()
+
     def test_matches_header(self):
         m = Match.exact(self.layout, dst=2)
         header = self.layout.flatten({"dst": 2, "src": 9})

@@ -436,15 +436,16 @@ class TestSupervisedModelWriter:
         assert manager.read_view().rules[0] == (0, (low,))
 
     def test_rollback_rejects_a_foreign_view(self):
-        from repro.serve import isolate_view
-
         manager = ModelWriter(DEVICES, LAYOUT)
         r = rule(1, 0, 1, 1)
         manager.submit([insert(0, r)])
         manager.flush()
-        rehosted = isolate_view(manager.read_view())
-        assert rehosted.rules == manager.read_view().rules
-        for view in (rehosted, ModelWriter(DEVICES, LAYOUT).read_view()):
+        other = ModelWriter(DEVICES, LAYOUT)
+        other.submit([insert(0, r)])
+        other.flush()
+        twin = other.read_view()  # the same version, of another writer
+        assert twin.rules == manager.read_view().rules
+        for view in (twin, ModelWriter(DEVICES, LAYOUT).read_view()):
             with pytest.raises(ValueError):
                 manager.rollback(view)
         assert installed_rules(manager)[0] == {r}

@@ -3,8 +3,9 @@
 Covers the concurrency contract end to end — pinned readers stay on
 their model version while the writer advances, the epoch-keyed cache
 can only ever go stale-but-correct, drain under backpressure leaves the
-daemon quiescent but still answering — plus the query semantics, the
-copy-isolation engine re-host and the snapshot store's retire rules.
+daemon quiescent but still answering — plus the query semantics,
+snapshots that share the writer's store without writing to it, and the
+snapshot store's retire rules.
 """
 
 import threading
@@ -171,7 +172,7 @@ class TestQueries:
 
 
 # ----------------------------------------------------------------------
-# Copy isolation: the re-hosted view answers identically
+# Snapshots: the writer's own view, answered without writing its store
 # ----------------------------------------------------------------------
 
 def random_serve_view(rng, topo, updates, universe):
@@ -245,7 +246,7 @@ class TestIsolateView:
         topo, s, w, b, x = diamond()
         view = view_of(topo, [exit_rules(topo, s, w, b, x)])
         isolated = isolate_view(view)
-        assert isolated.engine is not view.engine
+        assert isolated.entries() is view.entries()  # the writer's handles
         for query in (
             ReachabilityQuery(s),
             ReachabilityQuery(s, Match.dst_prefix(3, 3, LAYOUT)),
@@ -262,8 +263,9 @@ class TestIsolateView:
         assert isolated.num_ecs() == view.num_ecs()
 
     def test_snapshot_outlives_later_blocks_and_a_forced_sweep(self):
-        """The copy keeps the writer's node ids, and the writer then reuses
-        the ids it sweeps: the snapshot must not notice."""
+        """The snapshot's handles root its nodes in the writer's store, and
+        the writer then sweeps and reuses every id nothing roots: the
+        snapshot must not notice."""
         workload = build_workload(seed=5, quick=True)
         topo, layout = workload.topology, workload.layout
         batches = [workload.base] + workload.blocks
@@ -293,13 +295,14 @@ class TestIsolateView:
         isolated = isolate_view(view)
         store = view.engine.bdd
         before = (dict(store._unique), list(store._free), len(store._var))
-        nodes = isolated.engine.bdd.num_nodes
+        scope_store = isolated.compiler.engine.bdd
+        nodes = scope_store.num_nodes
         for query in (
             ReachabilityQuery(s, Match.dst_prefix(3, 3, LAYOUT)),
             WaypointQuery(s, w, Match.dst_prefix(200, 5, LAYOUT)),
         ):
             query.evaluate(isolated, topo)
-        assert isolated.engine.bdd.num_nodes > nodes  # the scope was built ...
+        assert scope_store.num_nodes > nodes  # the scope was built ...
         assert (store._unique, store._free, len(store._var)) == before  # ... there
 
 
@@ -728,7 +731,7 @@ class TestVerdictMemo:
 
     def test_memo_under_contention(self):
         """More query workers than cores and a 10 µs switch interval, so
-        the writer's prune-and-swap interleaves with readers filling the
+        the writer's in-place prune interleaves with readers filling the
         memo: every answer must still equal the oracle's."""
         import sys
 
@@ -766,6 +769,110 @@ class TestVerdictMemo:
             f"epoch 1: {query!r} served {served.answer} but the batch "
             f"oracle says {QueryAnswer(holds=True, headers=0)}"
         ]
+
+
+# ----------------------------------------------------------------------
+# Readers share the writer's store and never write to it
+# ----------------------------------------------------------------------
+
+class TestReadersLeaveTheWriterStoreAlone:
+    """A snapshot is the writer's own read view, so the isolation is a
+    rule, not a copy: only the ingest thread allocates in, applies on or
+    sweeps the writer's store (``ModelWriter.flush``), and a handle may
+    die on any thread because the sweep's root scan copies the handle
+    table in one step (``PredicateEngine.collect``)."""
+
+    def test_readers_never_allocate_apply_or_sweep_there(
+        self, always_sweep, monkeypatch
+    ):
+        from repro.headerspace.match import MatchCompiler
+
+        trespasses, compiled_by = [], set()
+        compile_ = MatchCompiler.compile
+
+        def compile_recorded(compiler, match):
+            compiled_by.add(threading.current_thread().name.split("_")[0])
+            return compile_(compiler, match)
+
+        monkeypatch.setattr(MatchCompiler, "compile", compile_recorded)
+
+        def guard(daemon):
+            ingest = daemon._ingest_thread
+            bdd = daemon.verifier.manager.engine.bdd
+            for name in ("_mk", "_apply", "collect"):
+
+                def wrapped(*args, _inner=getattr(bdd, name), _name=name):
+                    if threading.current_thread() is not ingest:
+                        trespasses.append(
+                            (_name, threading.current_thread().name)
+                        )
+                    return _inner(*args)
+
+                setattr(bdd, name, wrapped)
+
+        workload = build_workload(seed=13, quick=True)
+        result = run_load(workload, seed=13, workers=2, on_start=guard)
+        assert result.ok, result.divergences
+        assert result.mid_storm_queries > 0
+        assert always_sweep() >= len(workload.blocks) + 1
+        assert "serve-query" in compiled_by  # readers built scopes ...
+        assert trespasses == []  # ... and never in the writer's store
+
+    def test_a_snapshot_retired_while_pinned_releases_on_its_last_unpin(
+        self, always_sweep
+    ):
+        import weakref
+
+        topo, s, w, b, x = diamond()
+        r1 = Rule(10, Match.dst_prefix(0, 1, LAYOUT), b)
+        r2 = Rule(20, Match.dst_prefix(0, 2, LAYOUT), w)
+        same = Rule(5, Match.dst_prefix(128, 1, LAYOUT), x)  # b's action already
+        batches = [
+            # Epoch 1 holds the EC [64, 128), which bypasses the waypoint.
+            exit_rules(topo, s, w, b, x) + [insert(s, r1), insert(s, r2)],
+            [delete(s, r1)],  # ... and from epoch 2 on it is merged away
+            [insert(b, same)],
+            [delete(b, same)],
+            [insert(b, same)],
+        ]
+        released, pinned = [], {}
+        with ServeDaemon(topo, LAYOUT) as daemon:
+            bdd = daemon.verifier.manager.engine.bdd
+            for epoch, batch in enumerate(batches, start=1):
+                daemon._draining = False
+                daemon.submit_updates(batch, timeout=10.0)
+                daemon.drain()
+                if epoch < len(batches):
+                    pinned[epoch] = daemon.snapshots.pin(epoch)
+            (ec,) = [
+                pred for pred, _ in pinned[1].view.entries()
+                if pred.sat_count() == SPACE // 4
+            ]
+            node = ec.node >> 1
+            ref = weakref.ref(
+                ec, lambda _: released.append(threading.current_thread().name)
+            )
+            del ec
+            # Every snapshot but the latest is pinned, so the store holds
+            # one more than it keeps: epoch 1 is due for retirement.
+            assert daemon.snapshots.live_epochs() == [*pinned, len(batches)]
+            assert len(daemon.snapshots) > ServeDaemon.KEEP_SNAPSHOTS
+            assert always_sweep() >= len(batches)
+            assert ref() is not None  # retired only once unpinned
+
+            reader = threading.Thread(
+                target=lambda: pinned.pop(1).unpin(), name="reader"
+            )
+            reader.start()
+            reader.join()
+            assert daemon.snapshots.live_epochs() == [*pinned, len(batches)]
+            assert released == ["reader"]  # the last unpin let go of it
+            daemon._draining = False
+            daemon.submit_updates([delete(b, same)], timeout=10.0)
+            daemon.drain()  # and the writer's next sweep frees its node
+            assert node >= bdd.num_nodes or bdd._var[node] == -1
+            for snapshot in pinned.values():
+                snapshot.unpin()
 
 
 # ----------------------------------------------------------------------
