@@ -117,6 +117,56 @@ class Predicate:
         return f"Predicate(node={self.node})"
 
 
+class Remainder:
+    """What is left of a region after the parts taken out of it so far.
+
+    Algorithm 1 carves a region with rule matches, one BDD walk per
+    match.  The remainder is held as a bare node id, not a
+    :class:`Predicate`, so a step makes a handle only for what it hands
+    back: a handle made and dropped per step costs more than a typical
+    walk.  A bare id is no GC root, so a remainder is used only where no
+    sweep can run, within one block (:meth:`PredicateEngine.collect_if_grown`).
+    Each step counts the operations its :class:`PredicateEngine`
+    counterpart counts.
+    """
+
+    __slots__ = ("engine", "node")
+
+    def __init__(self, region: Predicate) -> None:
+        self.engine = region.engine
+        self.node = region.node
+
+    @property
+    def is_false(self) -> bool:
+        return self.node == FALSE
+
+    def take(self, part: Predicate) -> None:
+        """Take ``part`` out: ``rest ← rest ∧ ¬part`` (as :meth:`~PredicateEngine.diff`)."""
+        engine = self.engine
+        engine._check(part, part)
+        engine._c_conj.value += 1
+        engine._c_neg.value += 1
+        self.node = engine.bdd.apply_diff(self.node, part.node)
+
+    def claim(self, part: Predicate) -> Predicate:
+        """Take ``part`` out and return what of it was left, in one walk
+        (as :meth:`~PredicateEngine.split`)."""
+        engine = self.engine
+        engine._check(part, part)
+        engine._c_conj.value += 1
+        engine._c_neg.value += 1
+        claimed, self.node = engine.bdd.apply_split(self.node, part.node)
+        return engine.pred(claimed)
+
+    def share(self, part: Predicate) -> Predicate:
+        """What of ``part`` is left, leaving the remainder as it is (as
+        :meth:`~PredicateEngine.conj`)."""
+        engine = self.engine
+        engine._check(part, part)
+        engine._c_conj.value += 1
+        return engine.pred(engine.bdd.apply_and(self.node, part.node))
+
+
 class _BddGauges:
     """A registry's one ``bdd.*`` collector: totals over its engines.
 
@@ -307,10 +357,22 @@ class PredicateEngine:
         return self.pred(inter), self.pred(rest)
 
     def disj_many(self, preds: Iterable[Predicate]) -> Predicate:
-        result = self._false
-        for p in preds:
-            result = self.disj(result, p)
-        return result
+        """``∨ preds``, disjoined pairwise in a balanced tree.
+
+        Still ``n - 1`` disjunctions, but each operand is the union of
+        at most half of the inputs, where a left fold's left operand is
+        the union of every input before it.
+        """
+        level = list(preds)
+        if not level:
+            return self._false
+        while len(level) > 1:
+            paired = [self.disj(a, b) for a, b in zip(level[::2], level[1::2])]
+            if len(level) % 2:
+                paired.append(level[-1])
+            level = paired
+        self._check(level[0], level[0])
+        return level[0]
 
     # -- cross-engine ---------------------------------------------------
     def import_predicate(self, pred: Predicate) -> Predicate:

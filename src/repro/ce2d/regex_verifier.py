@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 from weakref import WeakKeyDictionary
 
 from ..bdd.predicate import Predicate
@@ -117,6 +117,24 @@ def _template_forest(template: VerificationGraph) -> DgqReachability:
     return forest
 
 
+# Template graph → the switches among its nodes, which must all be synced
+# before the requirement can be decided; a memo of the same read-only
+# input as _FORESTS.
+_SWITCHES: "WeakKeyDictionary[VerificationGraph, FrozenSet[int]]" = (
+    WeakKeyDictionary()
+)
+
+
+def _template_switches(template: VerificationGraph) -> FrozenSet[int]:
+    switches = _SWITCHES.get(template)
+    if switches is None:
+        device = template.topology.device
+        switches = _SWITCHES[template] = frozenset(
+            d for d in template.nodes_of if not device(d).is_external
+        )
+    return switches
+
+
 class RegexVerifier:
     """One requirement's CE2D state across all equivalence classes."""
 
@@ -143,9 +161,7 @@ class RegexVerifier:
             graph = requirement_graph(requirement, topology, layout)
         self._template = graph
         self._forest = _template_forest(graph)
-        self._graph_switches = frozenset(
-            d for d in graph.nodes_of if not topology.device(d).is_external
-        )
+        self._graph_switches = _template_switches(graph)
         # ecTable: predicate node id → entry, for the model's ECs inside
         # the packet space.  Starts with the verifier's universe (the whole
         # space, or the subspace being verified): the model's initial EC.

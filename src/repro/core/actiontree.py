@@ -178,9 +178,33 @@ class ActionTreeStore:
         )
 
     def overwrite(self, node: int, delta: Dict[int, Hashable]) -> int:
-        """Apply ``y ← Δy`` (Definition 2): set each delta entry."""
+        """Apply ``y ← Δy`` (Definition 2): set each delta entry.
+
+        A key the vector already holds keeps its place in the treap, so
+        its new value is a copy of the path down to it, with no priority
+        comparison; only an absent key goes through :meth:`set`.  Either
+        way the result is the hash-consed node :meth:`set` would return.
+        """
+        keys, values, left, right = self._key, self._value, self._left, self._right
         for key in sorted(delta):
-            node = self.set(node, key, delta[key])
+            value = delta[key]
+            path: List[int] = []
+            at = node
+            while at != EMPTY and keys[at] != key:
+                path.append(at)
+                at = left[at] if key < keys[at] else right[at]
+            if at == EMPTY:
+                node = self.set(node, key, value)
+                continue
+            if values[at] == value:
+                continue
+            copy = self._mk(key, value, left[at], right[at])
+            for up in reversed(path):
+                if key < keys[up]:
+                    copy = self._mk(keys[up], values[up], copy, right[up])
+                else:
+                    copy = self._mk(keys[up], values[up], left[up], copy)
+            node = copy
         return node
 
     # -- iteration -----------------------------------------------------------

@@ -17,9 +17,11 @@ predicate.  Outside the freed region and the inserted matches no header
 changes owner, so the model is the same; the block's support shrinks
 from most of the header space to what the withdrawals actually freed.
 Inserted rules overwrite their whole effective predicate, as in the
-paper, and an inserts-only block runs the paper's loop unchanged.  The
-unrestricted version is kept as a test oracle
-(``tests/apply_reference.py``).
+paper, and an inserts-only block yields the paper's overwrites.  The
+paper's loop accumulates the disjunction of the higher-priority matches
+and takes a difference per expanding rule; :func:`_carve` instead
+shrinks one unclaimed region, one BDD walk per rule.  The paper's
+unrestricted loop is kept as a test oracle (``tests/apply_reference.py``).
 
 Priority ties follow the library-wide convention (FibTable): the
 earlier-installed rule wins; inserted rules go after existing equal-priority
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bdd.predicate import Predicate
+from ..bdd.predicate import Predicate, Remainder
 from ..dataplane.fib import FibSnapshot, FibTable
 from ..dataplane.rule import Action, Rule
 from ..dataplane.update import RuleUpdate
@@ -131,34 +133,79 @@ def calculate_atomic_overwrites(
 ) -> List[Overwrite]:
     """Compute the atomic overwrites for the expanding rules (Alg. 1, L29-44).
 
-    An inserted rule overwrites its whole effective predicate: one scan
-    of the sorted rule list accumulates the disjunction of all
-    higher-precedence matches, so the inserts cost O(T + K) predicate
-    operations.  A rule in ``uncovered`` (below one of the ``deleted``
-    rules) overwrites only its effective predicate inside the freed
-    region — see :func:`_freed_overwrites` — which is the same model
-    for fewer predicate operations.
+    An inserted rule overwrites its whole effective predicate: one
+    :func:`_carve` of the header space over the sorted rule list, in
+    which every rule down to the last insert takes its match out of the
+    unclaimed region and an inserted rule keeps what it took.  That is
+    one predicate operation per rule, O(T + K) for the block.  A rule
+    in ``uncovered`` (below one of the ``deleted`` rules) overwrites
+    only its effective predicate inside the freed region — see
+    :func:`_freed_overwrites` — which is the same model for fewer
+    predicate operations.
 
     The complementary "no-update" overwrite ``(p_c, ∅)`` of Alg. 1 L41-43
     is not emitted: application treats the complement implicitly.
     """
-    engine = compiler.engine
-    accumulated = engine.false  # ∨ of matches with higher precedence
-    overwrites: List[Overwrite] = []
-    j = 0
-    for idx in inserted:
-        while j < idx:
-            accumulated = accumulated | compiler.compile(new_rules[j].match)
-            j += 1
-        rule = new_rules[idx]
-        effective = compiler.compile(rule.match) - accumulated
-        if not effective.is_false:
-            overwrites.append(atomic(effective, device, rule.action))
+    overwrites = _carve(
+        device, new_rules, range(len(new_rules)), inserted,
+        compiler.engine.true, compiler,
+    )
     if uncovered:
         overwrites += _freed_overwrites(
             device, new_rules, range(len(new_rules)), uncovered, deleted,
             compiler,
         )
+    return overwrites
+
+
+def _carve(
+    device: int,
+    new_rules: Sequence[Rule],
+    positions: Iterable[int],
+    emitting: Sequence[int],
+    region: Predicate,
+    compiler: MatchCompiler,
+) -> List[Overwrite]:
+    """``(e_r ∧ region, a_r)`` for every emitting position ``r``.
+
+    ``positions`` visits, in ascending order, at least every rule whose
+    match meets ``region`` and lies above an emitting position.  The scan
+    keeps ``rest``, the :class:`~repro.bdd.predicate.Remainder` of
+    ``region`` no visited rule has claimed: an emitting rule splits its
+    share off ``rest`` and overwrites it, any other rule only takes its
+    match out of ``rest``.  That is one BDD walk per visited rule.  The
+    scan stops at the last emitting position, which takes its share
+    with a plain ∧, or once ``rest`` is ⊥ (at the default rule at the
+    latest).
+
+    ``rest`` only shrinks, so the region's signature stays a sound
+    filter for it: a match disjoint from it is skipped without a BDD
+    operation.  Re-taking ``signature(rest)`` per step would cost more
+    occupancy walks than the filter saves; a region of ⊤ filters
+    nothing, so it is not tested at all.
+    """
+    sig_of = compiler.engine.signature
+    region_sig = None if region.is_true else sig_of(region)
+    emits = set(emitting)
+    last = max(emits, default=-1)
+    rest = Remainder(region)
+    overwrites: List[Overwrite] = []
+    for pos in positions:
+        if pos > last:
+            break
+        rule = new_rules[pos]
+        match = compiler.compile(rule.match)
+        if region_sig is not None and not sig_of(match) & region_sig:
+            continue
+        if pos in emits:
+            # No rule below the last one needs what is left.
+            claimed = rest.share(match) if pos == last else rest.claim(match)
+            if not claimed.is_false:
+                overwrites.append(atomic(claimed, device, rule.action))
+        else:
+            rest.take(match)
+        if rest.is_false:
+            break
     return overwrites
 
 
@@ -182,32 +229,14 @@ def _freed_overwrites(
     only the deletions above ``r``, adds no error: inside ``r``'s old
     effective predicate the model already holds ``a_r``.
 
+    One :func:`_carve` of ``F``, emitting at the uncovered positions;
     ``positions`` visits, in ascending order, at least every rule whose
-    match meets ``F``.  The scan keeps ``F`` minus the matches passed so
-    far, so each visited rule claims what is left of the freed region;
-    signatures skip the disjoint ones without a BDD operation, and the
-    scan stops once ``F`` is used up (at the default rule at the latest).
+    match meets ``F``.
     """
-    engine = compiler.engine
-    sig_of = engine.signature
-    rest = engine.disj_many(compiler.compile(rule.match) for rule in deleted)
-    rest_sig = sig_of(rest)
-    emits = set(uncovered)
-    overwrites: List[Overwrite] = []
-    for pos in positions:
-        rule = new_rules[pos]
-        match = compiler.compile(rule.match)
-        if not sig_of(match) & rest_sig:
-            continue
-        claimed, rest = rest.split(match)
-        if claimed.is_false:
-            continue
-        if pos in emits:
-            overwrites.append(atomic(claimed, device, rule.action))
-        if rest.is_false:
-            break
-        rest_sig = sig_of(rest)
-    return overwrites
+    freed = compiler.engine.disj_many(
+        [compiler.compile(rule.match) for rule in deleted]
+    )
+    return _carve(device, new_rules, positions, uncovered, freed, compiler)
 
 
 def calculate_atomic_overwrites_indexed(
@@ -221,7 +250,7 @@ def calculate_atomic_overwrites_indexed(
 ) -> List[Overwrite]:
     """Trie-accelerated variant of Algorithm 1's second phase (§3.4).
 
-    Instead of accumulating the disjunction of *all* higher-precedence
+    Instead of carving the header space with *all* higher-precedence
     matches, each inserted rule's effective predicate subtracts only the
     matches of higher-precedence rules that actually *overlap* it, found
     through the multi-dimension prefix trie.  For LPM-heavy tables the

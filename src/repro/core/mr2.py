@@ -52,14 +52,19 @@ def map_phase(
 
 
 def reduce_by_action(overwrites: Iterable[Overwrite]) -> List[Overwrite]:
-    """Reduce I: merge overwrites sharing the same Δy by predicate disjunction."""
-    grouped: Dict[ActionDelta, Predicate] = {}
+    """Reduce I: merge overwrites sharing the same Δy by predicate disjunction.
+
+    Each delta's predicates are disjoined in a balanced tree
+    (:meth:`~repro.bdd.predicate.PredicateEngine.disj_many`), not folded
+    into one growing union.
+    """
+    grouped: Dict[ActionDelta, List[Predicate]] = {}
     for ow in overwrites:
-        current = grouped.get(ow.delta)
-        grouped[ow.delta] = (
-            ow.predicate if current is None else current | ow.predicate
-        )
-    return [Overwrite(pred, delta) for delta, pred in grouped.items()]
+        grouped.setdefault(ow.delta, []).append(ow.predicate)
+    return [
+        Overwrite(preds[0].engine.disj_many(preds), delta)
+        for delta, preds in grouped.items()
+    ]
 
 
 def reduce_by_predicate(overwrites: Iterable[Overwrite]) -> List[Overwrite]:

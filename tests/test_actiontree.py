@@ -65,6 +65,36 @@ class TestBasics:
         root = self.store.uniform([0, 1], 5)
         assert self.store.overwrite(root, {0: 5}) == root
 
+    def test_overwrite_equals_set_fold(self):
+        root = self.store.build({k: k % 3 for k in range(0, 30, 2)})
+        for delta in (
+            {4: 9, 10: 8, 28: 7},  # every key present
+            {5: 1, 31: 2},  # every key absent
+            {0: 5, 7: 5, 12: 0, 29: 6},  # some of each, one unchanged
+        ):
+            folded = root
+            for key in sorted(delta):
+                folded = self.store.set(folded, key, delta[key])
+            assert self.store.overwrite(root, delta) == folded
+
+    def test_overwrite_of_present_keys_compares_no_priorities(self):
+        root = self.store.build({k: "a" for k in range(40)})
+        calls = []
+        prio_less = self.store._prio_less
+
+        def counted(a, b):
+            calls.append((a, b))
+            return prio_less(a, b)
+
+        self.store._prio_less = counted
+        new = self.store.overwrite(root, {k: "b" for k in range(0, 40, 3)})
+        assert calls == []
+        assert self.store.to_dict(new) == {
+            k: "b" if k % 3 == 0 else "a" for k in range(40)
+        }
+        self.store.overwrite(root, {40: "b"})
+        assert calls  # an absent key still goes through set
+
     def test_delete(self):
         root = self.store.build({1: "a", 2: "b", 3: "c"})
         smaller = self.store.delete(root, 2)
@@ -120,6 +150,19 @@ class TestProperties:
         a = store.build(items_a)
         b = store.build(items_b)
         assert (a == b) == (items_a == items_b)
+
+    @given(
+        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
+        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_overwrite_is_a_set_fold(self, items, delta):
+        store = ActionTreeStore()
+        root = store.build(items)
+        folded = root
+        for key in sorted(delta):
+            folded = store.set(folded, key, delta[key])
+        assert store.overwrite(root, delta) == folded
 
     @given(st.dictionaries(st.integers(0, 200), st.integers(0, 3), min_size=30))
     @settings(max_examples=20, deadline=None)

@@ -18,6 +18,7 @@ from repro.core.imt import (
     effective_predicates,
     merge_block_and_diff,
     natural_transformation,
+    replace_table_rules,
 )
 from repro.core.inverse_model import InverseModel
 from repro.core.model_manager import ModelWriter
@@ -577,3 +578,152 @@ class TestFreedRegionOverwrites:
             emitted["unrestricted"] += unrestricted
         # Not vacuous: the restriction drops some overwrites outright.
         assert emitted["restricted"] < emitted["unrestricted"]
+
+
+class TestCarve:
+    """Algorithm 1's second phase as one carve of an unclaimed region.
+
+    On random tables the overwrites are, in order, the inserted rules'
+    effective predicates (``effective_predicates``, and the paper's
+    unrestricted loop in ``tests/apply_reference.py``) and then the
+    uncovered rules' effective predicates inside the freed region.
+    Applied to the old model they give the natural transformation of the
+    new table.  A carve stops once its region is used up, so rules below
+    that point cost no predicate operation.
+    """
+
+    CASES = 40
+    _random_rule = staticmethod(TestFreedRegionOverwrites._random_rule)
+
+    @classmethod
+    def _tied_rule(cls, rng):
+        """A random rule at priority 2 or 3, so equal priorities abound."""
+        r = cls._random_rule(rng)
+        return Rule(rng.choice((2, 3)), r.match, r.action)
+
+    @staticmethod
+    def _overwrites_and_ops(installed, block):
+        """The block's overwrites and the predicate operations they took."""
+        compiler = fresh_compiler()
+        snapshot = FibSnapshot([0])
+        for r in installed:
+            snapshot.table(0).insert(r)
+        merged, inserted, uncovered = merge_block_and_diff(
+            snapshot.table(0).rules(), block
+        )
+        deleted = [u.rule for u in block if u.is_delete]
+        for r in merged + deleted:  # compiling counts operations too
+            compiler.compile(r.match)
+        metrics = compiler.engine.metrics
+        metrics.reset()
+        got = calculate_atomic_overwrites(
+            0, merged, inserted, compiler, uncovered, deleted
+        )
+        return got, metrics.total
+
+    def _check(self, installed, block):
+        compiler = fresh_compiler()
+        engine = compiler.engine
+        store = ActionTreeStore()
+        snapshot = FibSnapshot([0])
+        for r in installed:
+            snapshot.table(0).insert(r)
+        before = natural_transformation(snapshot, compiler, store)
+        merged, inserted, uncovered = merge_block_and_diff(
+            snapshot.table(0).rules(), block
+        )
+        deleted = [u.rule for u in block if u.is_delete]
+        got = calculate_atomic_overwrites(
+            0, merged, inserted, compiler, uncovered, deleted
+        )
+
+        effective = effective_predicates(merged, compiler)
+        freed = engine.false
+        for r in deleted:
+            freed = freed | compiler.compile(r.match)
+
+        def nonempty(pairs):
+            return [
+                atomic(pred, 0, merged[i].action)
+                for i, pred in pairs
+                if not pred.is_false
+            ]
+
+        inserts = nonempty((i, effective[i]) for i in inserted)
+        assert inserts == unrestricted_overwrites(0, merged, inserted, compiler)
+        assert got == inserts + nonempty((i, effective[i] & freed) for i in uncovered)
+
+        model = InverseModel(engine, store, [0])
+        model.restore(before.entries())
+        model.apply_overwrites(got)
+        model.check_invariants()
+        replace_table_rules(snapshot.table(0), merged)
+        after = natural_transformation(snapshot, compiler, store)
+        assert set(model.entries()) == set(after.entries())
+        return got
+
+    def test_inserts_with_equal_priority_ties(self):
+        emitted = 0
+        for case in range(self.CASES):
+            rng = case_rng(case)
+            installed = list(dict.fromkeys(
+                self._tied_rule(rng) for _ in range(rng.randint(0, 6))
+            ))
+            fresh = dict.fromkeys(
+                self._tied_rule(rng) for _ in range(rng.randint(1, 5))
+            )
+            block = [insert(0, r) for r in fresh if r not in installed]
+            emitted += len(self._check(installed, block))
+        assert emitted
+
+    def test_inserts_mixed_with_withdrawals(self):
+        emitted = 0
+        for case in range(self.CASES):
+            rng = case_rng(case)
+            installed = list(dict.fromkeys(
+                self._random_rule(rng) for _ in range(rng.randint(1, 10))
+            ))
+            doomed = rng.sample(installed, rng.randint(1, min(3, len(installed))))
+            fresh = dict.fromkeys(
+                self._random_rule(rng) for _ in range(rng.randint(1, 3))
+            )
+            block = [delete(0, r) for r in doomed] + [
+                insert(0, r) for r in fresh if r not in installed
+            ]
+            emitted += len(self._check(installed, block))
+        assert emitted
+
+    @pytest.mark.parametrize("below", [2, 12])
+    def test_region_used_up_before_the_default_rule(self, below):
+        wildcard = rule(9, 0, 0, 1)  # claims the whole header space
+        lower = [rule(5, v, 4, 2) for v in range(below)]
+        got = self._check([], [insert(0, r) for r in [wildcard] + lower])
+        assert [ow.predicate.is_true for ow in got] == [True]
+        # Withdrawing 00** frees a region that 0*** (kept) claims whole.
+        narrow, wide = rule(8, 0b0000, 2, 1), rule(6, 0b0000, 1, 2)
+        installed = [narrow, wide] + [rule(4, v, 4, 3) for v in range(below)]
+        got = self._check(installed, [delete(0, narrow)])
+        assert [(ow.predicate.sat_count(), ow.delta) for ow in got] == [
+            (4, ((0, 2),))
+        ]
+
+    def test_rules_below_a_used_up_region_cost_nothing(self):
+        costs = set()
+        for below in (2, 12):
+            lower = [rule(5, v, 4, 2) for v in range(below)]
+            _, ops = self._overwrites_and_ops([], [insert(0, rule(9, 0, 0, 1))] + [
+                insert(0, r) for r in lower
+            ])
+            narrow, wide = rule(8, 0b0000, 2, 1), rule(6, 0b0000, 1, 2)
+            installed = [narrow, wide] + [rule(4, v, 4, 3) for v in range(below)]
+            _, freed_ops = self._overwrites_and_ops(installed, [delete(0, narrow)])
+            costs.add((ops, freed_ops))
+        assert len(costs) == 1
+
+    def test_empty_inserted(self):
+        rng = case_rng(0)
+        installed = list(dict.fromkeys(self._random_rule(rng) for _ in range(8)))
+        for doomed in installed:
+            self._check(installed, [delete(0, doomed)])
+        got, ops = self._overwrites_and_ops(installed, [])
+        assert (got, ops) == ([], 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bdd.predicate import Predicate, PredicateEngine
+from repro.bdd.predicate import Predicate, PredicateEngine, Remainder
 
 
 @pytest.fixture()
@@ -54,11 +54,59 @@ class TestPredicateAlgebra:
         vs = [engine.variable(i) for i in range(3)]
         assert engine.disj_many(vs) == (vs[0] | vs[1] | vs[2])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_balanced_disj_many_equals_left_fold(self, engine, n):
+        preds = [
+            engine.cube([(i, True), ((i + 3) % 8, i % 2 == 0)]) for i in range(n)
+        ]
+        fold = engine.false
+        for p in preds:
+            fold = fold | p
+        for given_as in (list(preds), iter(preds)):
+            engine.metrics.reset()
+            assert engine.disj_many(given_as) == fold
+            assert engine.metrics.disjunctions == max(n - 1, 0)
+            assert engine.metrics.total == max(n - 1, 0)
+
+    def test_disj_many_of_one_is_that_predicate(self, engine):
+        a = engine.variable(4)
+        assert engine.disj_many([a]) is a
+        with pytest.raises(ValueError):
+            engine.disj_many([PredicateEngine(8).variable(4)])
+
     def test_sat_count(self, engine):
         a = engine.variable(0)
         assert a.sat_count() == 1 << 7
         assert engine.true.sat_count() == 1 << 8
         assert engine.false.sat_count() == 0
+
+
+class TestRemainder:
+    """A remainder's steps equal, and count as, the handle operations."""
+
+    def test_steps_equal_and_count_as_handle_operations(self, engine):
+        region = engine.variable(0) | engine.variable(1)
+        part, other = engine.variable(1), engine.cube([(0, True), (2, False)])
+        after_take = region - part
+        share, after_claim = after_take & other, after_take - other
+        rest = Remainder(region)
+        engine.metrics.reset()
+        rest.take(part)
+        assert (rest.node, engine.metrics.total) == (after_take.node, 2)
+        engine.metrics.reset()
+        assert rest.share(other) == share
+        assert (rest.node, engine.metrics.total) == (after_take.node, 1)
+        engine.metrics.reset()
+        assert rest.claim(other) == share
+        assert (rest.node, engine.metrics.total) == (after_claim.node, 2)
+        assert not rest.is_false
+        rest.take(engine.true)
+        assert rest.is_false
+
+    def test_foreign_part_rejected(self, engine):
+        rest = Remainder(engine.true)
+        with pytest.raises(ValueError):
+            rest.take(PredicateEngine(8).variable(0))
 
 
 class TestOpCounting:
