@@ -20,7 +20,6 @@ __version__ = "1.0.0"
 # every other one.
 _EXPORTS = {
     "find_blackholes": ".analysis",
-    "reachability_matrix": ".analysis",
     "trace_header": ".analysis",
     "Predicate": ".bdd",
     "PredicateEngine": ".bdd",

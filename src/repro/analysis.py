@@ -6,24 +6,22 @@ packages the queries operators actually ask on top of a
 :class:`~repro.core.model_manager.ModelWriter`:
 
 * :func:`trace_header` — the hop-by-hop path of one concrete packet;
-* :func:`reachability_matrix` — which (source, destination) pairs deliver,
-  per equivalence class;
 * :func:`find_blackholes` — header spaces a device drops while the
   requirement expects delivery;
-* :func:`ec_summary` — the human-readable inverse model listing;
-* :func:`differences` — header spaces on which two models disagree (the
-  DNA-style differential question).
+* :func:`ec_summary` — the human-readable inverse model listing.
+
+Which headers a source delivers to a destination is a serve query
+(:class:`~repro.serve.queries.ReachabilityQuery`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .bdd.predicate import Predicate
 from .core.model_manager import ModelWriter
-from .dataplane.rule import DROP, Action, next_hops_of
-from .errors import ReproError
+from .dataplane.rule import DROP, next_hops_of
 from .network.topology import Topology
 
 
@@ -72,48 +70,6 @@ def trace_header(
         current = hops[0]
         path.append(current)
     return HopTrace(path, "budget")
-
-
-def reachability_matrix(
-    manager: ModelWriter,
-    topology: Topology,
-    sources: Sequence[int],
-    destinations: Sequence[int],
-) -> Dict[Tuple[int, int], Predicate]:
-    """For each (source, destination): the header space delivered there.
-
-    Computed per equivalence class (one graph walk per EC), then OR-ed —
-    the inverse-model workflow of §3.1's "find the header spaces p_j".
-    """
-    engine = manager.engine
-    out: Dict[Tuple[int, int], Predicate] = {
-        (s, d): engine.false for s in sources for d in destinations
-    }
-    dest_set = set(destinations)
-    for pred, vec in manager.model.entries():
-        # Follow single next hops; ECMP actions fan out.
-        reached: Dict[int, Set[int]] = {}
-        for source in sources:
-            seen: Set[int] = set()
-            stack = [source]
-            hit: Set[int] = set()
-            while stack:
-                node = stack.pop()
-                if node in dest_set:
-                    hit.add(node)
-                if node in seen or not topology.has_device(node):
-                    continue
-                seen.add(node)
-                if topology.device(node).is_external:
-                    continue
-                for hop in next_hops_of(manager.model.action_of(vec, node)):
-                    if hop not in seen:
-                        stack.append(hop)
-            reached[source] = hit
-        for source in sources:
-            for dest in reached[source]:
-                out[(source, dest)] = out[(source, dest)] | pred
-    return out
 
 
 @dataclass
@@ -168,34 +124,3 @@ def ec_summary(
         rows.append(f"... and {len(entries) - limit} more ECs")
     return rows
 
-
-def differences(
-    manager_a: ModelWriter, manager_b: ModelWriter
-) -> Dict[int, Predicate]:
-    """Per device: the header space where two models forward differently.
-
-    Both managers must share the same engine-independent layout; the
-    comparison is computed in ``manager_a``'s engine.
-    """
-    if manager_a.layout.field_names() != manager_b.layout.field_names():
-        raise ReproError("models use different header layouts")
-    engine = manager_a.engine
-    devices = set(manager_a.snapshot.devices()) & set(manager_b.snapshot.devices())
-    diff: Dict[int, Predicate] = {d: engine.false for d in sorted(devices)}
-    for pred_a, vec_a in manager_a.model.entries():
-        for pred_b, vec_b in manager_b.model.entries():
-            # Rebuild B's predicate inside A's engine via its rules — we
-            # instead intersect structurally: evaluate B's predicate by
-            # re-compiling is expensive, so require same engine when shared.
-            if manager_b.engine is manager_a.engine:
-                overlap = pred_a & pred_b
-            else:
-                overlap = pred_a & engine.import_predicate(pred_b)
-            if overlap.is_false:
-                continue
-            for device in devices:
-                if manager_a.model.action_of(vec_a, device) != (
-                    manager_b.model.action_of(vec_b, device)
-                ):
-                    diff[device] = diff[device] | overlap
-    return {d: p for d, p in diff.items() if not p.is_false}

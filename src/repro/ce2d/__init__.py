@@ -1,6 +1,5 @@
 """CE2D: consistent, efficient early detection (§4)."""
 
-from .causal import CausalConvergenceDetector, EventState
 from .dispatcher import CE2DDispatcher, VerifierFactory
 from .epoch import EpochTracker
 from .loop_detector import LoopDetector
@@ -11,8 +10,6 @@ from .verification_graph import VerificationGraph
 from .verifier import SubspaceVerifier
 
 __all__ = [
-    "CausalConvergenceDetector",
-    "EventState",
     "CE2DDispatcher",
     "VerifierFactory",
     "EpochTracker",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from ..bdd.predicate import Predicate
@@ -390,40 +390,59 @@ class CoverVerifier:
         new_synced: Iterable[int],
         model: InverseModel,
     ) -> VerificationReport:
+        """Check every newly synchronised device on every in-space EC,
+        and a device re-reporting under the same tag on the ECs the step
+        changed: every other EC kept its vector, so its column there is
+        the one already checked."""
         fresh = [d for d in new_synced if d not in self.synced]
-        for pred, vector in model.entries() if fresh else ():
+        again = [d for d in new_synced if d in self.synced]
+        if fresh:
+            self._check(fresh, model.entries(), model)
+        if again:
+            self._check(
+                again, ((d.predicate, d.vector) for d in lineage.changed), model
+            )
+        self.synced.update(fresh)
+        return self.report()
+
+    def _check(
+        self,
+        devices: Iterable[int],
+        entries: Iterable[Tuple[Predicate, VecId]],
+        model: InverseModel,
+    ) -> None:
+        """Latch a violation for any device whose action on an in-space
+        EC of ``entries`` omits one of its graph successors."""
+        required = {}
+        for device in devices:
+            successors = {
+                succ[0]
+                for node in self.graph.nodes_of.get(device, ())
+                for succ in self.graph.out_edges[node]
+            }
+            if successors:
+                required[device] = successors
+        if not required:
+            return
+        for pred, vector in entries:
             if not pred.intersects(self.space):
                 continue
-            for device in fresh:
-                required = {
-                    succ[0]
-                    for node in self.graph.nodes_of.get(device, ())
-                    for succ in self.graph.out_edges[node]
-                }
-                if not required:
-                    continue
+            for device, successors in required.items():
                 actual = set(next_hops_of(model.action_of(vector, device)))
-                missing = required - actual
+                missing = successors - actual
                 if missing:
                     self._violated = (
                         f"device {self.topology.name_of(device)} misses "
                         f"next hops {sorted(missing)}"
                     )
-        self.synced.update(fresh)
-        return self.report()
 
     def report(self) -> VerificationReport:
         if self._violated:
             verdict = Verdict.VIOLATED
         else:
-            graph_devices = {
-                d
-                for d in self.graph.nodes_of
-                if not self.topology.device(d).is_external
-            }
             verdict = (
                 Verdict.SATISFIED
-                if graph_devices <= self.synced
+                if _template_switches(self.graph) <= self.synced
                 else Verdict.UNKNOWN
             )
         return VerificationReport(

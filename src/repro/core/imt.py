@@ -253,7 +253,9 @@ def calculate_atomic_overwrites_indexed(
     Instead of carving the header space with *all* higher-precedence
     matches, each inserted rule's effective predicate subtracts only the
     matches of higher-precedence rules that actually *overlap* it, found
-    through the multi-dimension prefix trie.  For LPM-heavy tables the
+    through the multi-dimension prefix trie: their balanced disjunction
+    and one difference, a BDD walk per overlapping match and none for
+    an insert nothing overlaps.  For LPM-heavy tables the
     overlap sets are tiny, making this the better choice in per-update
     mode (small K); the sorted scan amortises better for whole-table
     blocks.  Uncovered rules get the same freed-region overwrites as in
@@ -280,12 +282,14 @@ def calculate_atomic_overwrites_indexed(
     overwrites: List[Overwrite] = []
     for idx in inserted:
         rule = new_rules[idx]
-        shadow = engine.false
+        above = []
         for other in index.overlapping(rule.match):
             pos = position_of(other)
             if pos is not None and pos < idx:
-                shadow = shadow | compiler.compile(other.match)
-        effective = compiler.compile(rule.match) - shadow
+                above.append(compiler.compile(other.match))
+        effective = compiler.compile(rule.match)
+        if above:
+            effective = effective - engine.disj_many(above)
         if not effective.is_false:
             overwrites.append(atomic(effective, device, rule.action))
     if uncovered:

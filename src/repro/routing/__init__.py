@@ -1,15 +1,10 @@
 """Routing substrate: discrete-event OpenR-like link-state simulation."""
 
-from .bgp import Announcement, BgpNode, BgpSimulation, CausalRecord
 from .events import EventLoop
 from .linkstate import KvStore, LinkState, link_key
 from .openr import FibBatch, OpenRNode, OpenRSimulation, PrefixOwner
 
 __all__ = [
-    "Announcement",
-    "BgpNode",
-    "BgpSimulation",
-    "CausalRecord",
     "EventLoop",
     "KvStore",
     "LinkState",

@@ -1,22 +1,12 @@
 """Tests for the operator query layer (repro.analysis)."""
 
-import pytest
-
-from repro.analysis import (
-    differences,
-    ec_summary,
-    find_blackholes,
-    reachability_matrix,
-    trace_header,
-)
+from repro.analysis import ec_summary, find_blackholes, trace_header
 from repro.core.model_manager import ModelWriter
-from repro.dataplane.rule import DROP, Rule, ecmp
+from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import delete, insert
-from repro.errors import ReproError
 from repro.headerspace.fields import dst_only_layout
 from repro.headerspace.match import Match
 from repro.network.generators import line, ring
-from repro.network.topology import Topology
 
 LAYOUT = dst_only_layout(4)
 
@@ -67,49 +57,6 @@ class TestTraceHeader:
         assert trace.looped
 
 
-class TestReachabilityMatrix:
-    def test_line_delivery(self):
-        topo, manager, sink = build_line()
-        matrix = reachability_matrix(manager, topo, [0, 1], [sink])
-        assert matrix[(0, sink)].is_true
-        assert matrix[(1, sink)].is_true
-
-    def test_partial_space(self):
-        topo, manager, sink = build_line()
-        # Device 1 drops the high half.
-        manager.submit(
-            [insert(1, Rule(2, Match.dst_prefix(0b1000, 1, LAYOUT), DROP))]
-        )
-        manager.flush()
-        matrix = reachability_matrix(manager, topo, [0], [sink])
-        pred = matrix[(0, sink)]
-        assert pred.sat_count() == 8  # only the low half delivers
-
-    def test_ecmp_fans_out(self):
-        topo = Topology()
-        a = topo.add_device("a")
-        b = topo.add_device("b")
-        c = topo.add_device("c")
-        s1 = topo.add_external("s1")
-        s2 = topo.add_external("s2")
-        topo.add_link(a, b)
-        topo.add_link(a, c)
-        topo.add_link(b, s1)
-        topo.add_link(c, s2)
-        manager = ModelWriter(topo.switches(), LAYOUT)
-        manager.submit(
-            [
-                insert(a, Rule(1, Match.wildcard(), ecmp(b, c))),
-                insert(b, Rule(1, Match.wildcard(), s1)),
-                insert(c, Rule(1, Match.wildcard(), s2)),
-            ]
-        )
-        manager.flush()
-        matrix = reachability_matrix(manager, topo, [a], [s1, s2])
-        assert matrix[(a, s1)].is_true
-        assert matrix[(a, s2)].is_true
-
-
 class TestBlackholes:
     def test_detects_dropping_device(self):
         topo, manager, sink = build_line()
@@ -141,31 +88,3 @@ class TestEcSummaryAndDiff:
         lines = ec_summary(manager, topo)
         assert len(lines) == 1
         assert "|EC|=" in lines[0]
-
-    def test_differences_between_models(self):
-        topo, manager, sink = build_line()
-        other = ModelWriter(topo.switches(), LAYOUT)
-        other.submit(
-            [
-                insert(0, Rule(1, Match.wildcard(), 1)),
-                insert(1, Rule(1, Match.dst_prefix(0, 1, LAYOUT), 2)),
-                # High half at device 1: dropped instead of forwarded.
-                insert(2, Rule(1, Match.wildcard(), sink)),
-            ]
-        )
-        other.flush()
-        diff = differences(manager, other)
-        assert set(diff) == {1}
-        assert diff[1].sat_count() == 8
-
-    def test_identical_models_no_diff(self):
-        topo, manager, sink = build_line()
-        assert differences(manager, manager) == {}
-
-    def test_layout_mismatch_rejected(self):
-        topo, manager, sink = build_line()
-        from repro.headerspace.fields import dst_src_layout
-
-        other = ModelWriter(topo.switches(), dst_src_layout(4, 4))
-        with pytest.raises(ReproError):
-            differences(manager, other)

@@ -281,6 +281,29 @@ class TestRegexVerifierEndToEnd:
         r = verifier.receive(topo.id_of("C"), [fwd(topo, "C", "D")])
         assert r[0].verdict is Verdict.SATISFIED
 
+    def test_cover_rechecks_a_device_that_re_reports(self):
+        # S, synchronised, re-reports under the same tag and stops
+        # forwarding to W: the ECs that batch changed are checked again.
+        topo = figure3_example()
+        req = requirement(
+            "cover-shortest", topo, LAYOUT, Match.wildcard(), ["S"],
+            "cover (S W C)",
+        )
+        s_to_w = Rule(1, Match.wildcard(), topo.id_of("W"))
+        s_to_a = Rule(1, Match.wildcard(), topo.id_of("A"))
+        verifier = SubspaceVerifier(topo, LAYOUT, requirements=[req])
+        flash = Flash(topo, LAYOUT, requirements=[req], check_loops=False)
+        for device, next_name in (("S", "W"), ("W", "C"), ("C", "D")):
+            batch = [fwd(topo, device, next_name)]
+            r = verifier.receive(topo.id_of(device), batch)
+            f = flash.receive(topo.id_of(device), "e1", batch)
+        assert r[0].verdict is f[0].verdict is Verdict.SATISFIED
+        again = [delete(topo.id_of("S"), s_to_w), insert(topo.id_of("S"), s_to_a)]
+        r = verifier.receive(topo.id_of("S"), again)
+        assert r[0].verdict is Verdict.VIOLATED
+        r = flash.receive(topo.id_of("S"), "e1", again)
+        assert r[0].verdict is Verdict.VIOLATED
+
 
 def _with_memo_free_twins(topo, layout, requirements, subspace_match=None):
     """A verifier whose every regex checker has a memo-free twin attached

@@ -13,7 +13,6 @@ EXAMPLES = [
     "update_storm.py",
     "early_detection.py",
     "waypoint_policy.py",
-    "bgp_convergence.py",
 ]
 
 

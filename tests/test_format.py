@@ -1,24 +1,15 @@
-"""Tests for predicate rendering and analysis cross-validation."""
-
-import random
+"""Tests for predicate rendering."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis import reachability_matrix, trace_header
 from repro.bdd.predicate import PredicateEngine
-from repro.core.model_manager import ModelWriter
-from repro.dataplane.rule import DROP, Rule
-from repro.dataplane.update import insert
-from repro.headerspace.fields import dst_only_layout, dst_src_layout
+from repro.headerspace.fields import dst_src_layout
 from repro.headerspace.format import (
     cube_to_fields,
     format_predicate,
     iter_predicate_cubes,
 )
 from repro.headerspace.match import Match, Pattern
-from repro.network.generators import line
 
 LAYOUT = dst_src_layout(4, 4)
 
@@ -72,41 +63,3 @@ class TestFormatting:
         assert len(cubes) >= 4
         text = format_predicate(union, LAYOUT, limit=len(cubes) - 1)
         assert text.endswith("| ...")
-
-
-class TestAnalysisCrossValidation:
-    """reachability_matrix agrees with per-header trace_header walks."""
-
-    @given(st.integers(0, 5_000))
-    @settings(max_examples=25, deadline=None)
-    def test_matrix_matches_traces(self, seed):
-        layout = dst_only_layout(4)
-        rng = random.Random(seed)
-        topo = line(4)
-        sink = topo.add_external("sink")
-        topo.add_link(3, sink)
-        manager = ModelWriter(topo.switches(), layout)
-        updates = []
-        for device in topo.switches():
-            for pri, (value, length) in enumerate(
-                [(0, 1), (8, 1)], start=1
-            ):
-                action = rng.choice(
-                    sorted(topo.neighbors(device)) + [DROP]
-                )
-                if action != DROP:
-                    updates.append(
-                        insert(device, Rule(pri, Match.dst_prefix(value, length, layout), action))
-                    )
-        manager.submit(updates)
-        manager.flush()
-        matrix = reachability_matrix(manager, topo, [0], [sink])
-        pred = matrix[(0, sink)]
-        for header in range(layout.universe_size):
-            values = layout.unflatten(header)
-            assignment = dict(layout.bits_of("dst", values["dst"]))
-            trace = trace_header(manager, topo, 0, values)
-            delivered = trace.outcome == "delivered"
-            # The matrix uses full fan-out; single-next-hop FIBs make the
-            # trace walk equivalent.
-            assert pred.evaluate(assignment) == delivered, header

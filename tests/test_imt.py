@@ -13,6 +13,7 @@ from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.imt import (
     calculate_atomic_overwrites,
+    calculate_atomic_overwrites_indexed,
     decompose_block,
     device_action_predicates,
     effective_predicates,
@@ -505,6 +506,51 @@ class TestTrieAcceleratedMap:
             ]
         )
         assert_model_matches_snapshot(manager.model, manager.snapshot, LAYOUT)
+
+    def test_insert_costs_one_walk_per_overlapping_higher_match(self):
+        # n higher-precedence matches overlap the insert: n - 1 ∨ for the
+        # shadow and one ∧¬ to take it out; none overlap, no operation.
+        costs = set()
+        for case in range(40):
+            rng = case_rng(case)
+            installed = list(dict.fromkeys(
+                TestFreedRegionOverwrites._random_rule(rng)
+                for _ in range(rng.randint(0, 10))
+            ))
+            fresh = dict.fromkeys(
+                TestFreedRegionOverwrites._random_rule(rng)
+                for _ in range(rng.randint(1, 4))
+            )
+            block = [insert(0, r) for r in fresh if r not in installed]
+            snapshot = FibSnapshot([0])
+            index = RuleIndex(LAYOUT)
+            for r in installed:
+                snapshot.table(0).insert(r)
+            merged, inserted, _ = merge_block_and_diff(
+                snapshot.table(0).rules(), block
+            )
+            for r in merged[:-1]:
+                index.add(r)
+            compiler = fresh_compiler()
+            for r in merged:  # compiling counts operations too
+                compiler.compile(r.match)
+            metrics = compiler.engine.metrics
+            for idx in inserted:
+                above = [
+                    r for r in index.overlapping(merged[idx].match)
+                    if merged.index(r) < idx
+                ]
+                metrics.reset()
+                calculate_atomic_overwrites_indexed(
+                    0, merged, [idx], compiler, index
+                )
+                walks = metrics.conjunctions + metrics.disjunctions
+                assert walks == len(above), (case, idx)
+                costs.add(len(above))
+            assert calculate_atomic_overwrites_indexed(
+                0, merged, inserted, compiler, index
+            ) == calculate_atomic_overwrites(0, merged, inserted, compiler)
+        assert {0, 1} < costs  # not vacuous: no overlap, one, and more
 
 
 class TestFreedRegionOverwrites:
