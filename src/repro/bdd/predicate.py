@@ -361,18 +361,24 @@ class PredicateEngine:
 
         Still ``n - 1`` disjunctions, but each operand is the union of
         at most half of the inputs, where a left fold's left operand is
-        the union of every input before it.
+        the union of every input before it.  The intermediate unions are
+        bare node ids, like a :class:`Remainder`'s (no sweep can run
+        inside the call), so only the result gets a handle.
         """
-        level = list(preds)
+        level = []
+        for pred in preds:
+            self._check(pred, pred)
+            level.append(pred.node)
         if not level:
             return self._false
+        self._c_disj.value += len(level) - 1
+        apply_or = self.bdd.apply_or
         while len(level) > 1:
-            paired = [self.disj(a, b) for a, b in zip(level[::2], level[1::2])]
+            paired = [apply_or(a, b) for a, b in zip(level[::2], level[1::2])]
             if len(level) % 2:
                 paired.append(level[-1])
             level = paired
-        self._check(level[0], level[0])
-        return level[0]
+        return self.pred(level[0])
 
     # -- cross-engine ---------------------------------------------------
     def import_predicate(self, pred: Predicate) -> Predicate:

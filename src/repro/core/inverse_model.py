@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bdd.predicate import Predicate, PredicateEngine
+from ..bdd.predicate import Predicate, PredicateEngine, Remainder
 from ..dataplane.rule import DROP, Action
 from ..errors import ModelInvariantError
 from .actiontree import ActionTreeStore
@@ -169,11 +169,7 @@ class InverseModel:
         return self.store.to_dict(self.vector_for(assignment))
 
     # -- mutation --------------------------------------------------------------
-    def apply_overwrites(
-        self,
-        overwrites: Iterable[Overwrite],
-        support: Optional[Predicate] = None,
-    ) -> Lineage:
+    def apply_overwrites(self, overwrites: Iterable[Overwrite]) -> Lineage:
         """Apply a block of conflict-free overwrites (the cross product).
 
         The table is updated in place and the :class:`Lineage` returned
@@ -181,79 +177,74 @@ class InverseModel:
         whose predicate becomes empty disappear; ECs mapping to the same
         vector merge by predicate disjunction.
 
-        The block touches only what it touches, at two granularities (the
-        Delta-net discipline):
+        The block is applied EC-major, one *run* at a time: a run is a
+        stretch of consecutive overwrites that write the same devices,
+        so inside it a header takes the vector the run's last overwrite
+        holding it writes, as in sequential application.  Each piece of
+        an EC is carved once per run through a
+        :class:`~repro.bdd.predicate.Remainder`, the run's last overwrite
+        first: a claim takes what is left of the piece inside the
+        overwrite, one BDD walk, and the carve stops once the piece is
+        used up.  An EC the block re-vectors whole costs one claim, an
+        EC no overwrite meets costs the claims that prove it, and a
+        handle is made only for what a claim took and for what is left.
 
-        * per EC — the cofactor *signatures* kept beside the table (O(1)
-          masks, see :meth:`~repro.bdd.predicate.PredicateEngine.signature`)
-          and one conjunction against the block *support* (the disjunction
-          of overwrite predicates — pass it in when Reduce I already has
-          it) let ECs disjoint from the whole block bypass the
-          per-overwrite loop entirely (``mr2.apply.ecs_skipped``) and
-          stay in the table as they are;
-        * per (EC, overwrite) pair, one pass per overwrite —
-          non-intersecting signatures prove disjointness without any
-          BDD operation (``mr2.apply.pairs_pruned``); each surviving
-          pair computes its intersect/remainder halves in one
-          :meth:`Predicate.split` traversal instead of two applies and
-          is merged into the next bucket at once.
+        Cofactor *signatures* (kept beside the table) spare what walks
+        they can: an EC whose signature misses the block's is not visited
+        (``mr2.apply.ecs_skipped``), nor a (piece, overwrite) pair whose
+        signatures miss (``mr2.apply.pairs_pruned``).
         """
-        ows = [
-            ow
-            for ow in overwrites
-            if not (ow.predicate.is_false or ow.is_noop)
-        ]
-        if not ows:
-            return Lineage()
         engine = self.engine
         sig_of = engine.signature
-        ow_sigs = [sig_of(ow.predicate) for ow in ows]
-        support_sig = 0
-        for s in ow_sigs:
-            support_sig |= s
-        if support is None and len(ows) > 1:
-            support = engine.disj_many([ow.predicate for ow in ows])
-        exact = (
-            len(ows) > 1
-            and support is not None
-            and not (support.is_true or support == self.universe)
-        )
+        # Runs of consecutive overwrites that write the same devices, as
+        # (predicate, signature, delta).
+        runs: List[List[Tuple[Predicate, int, Dict[int, Action]]]] = []
+        block_sig = 0
+        devices = None
+        for ow in overwrites:
+            if ow.predicate.is_false or ow.is_noop:
+                continue
+            sig = sig_of(ow.predicate)
+            block_sig |= sig
+            if ow.devices() != devices:
+                devices = ow.devices()
+                runs.append([])
+            runs[-1].append((ow.predicate, sig, ow.delta_dict()))
+        if not runs:
+            return Lineage()
         entries, sigs = self._entries, self._sigs
         # Buckets carry (predicate, origin, signature).
-        work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
-        for vec in [v for v, psig in sigs.items() if psig & support_sig]:
-            pred = entries[vec]
-            # The exact check earns its conjunction on small blocks
-            # (without it churn ran 7 % slower).  Every EC lies in the
-            # universe, so a support that is the universe (⊤, or a
-            # subspace's universe — every storm block's) prunes nothing
-            # and ``exact`` is off (docs/perf.md, "Why the exact support
-            # check stays").
-            if not (exact and (pred & support).is_false):
-                work[vec] = (pred, pred, sigs[vec])
+        work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {
+            vec: (entries[vec], entries[vec], psig)
+            for vec, psig in sigs.items()
+            if psig & block_sig
+        }
         if len(work) < len(entries):
             engine.registry.counter("mr2.apply.ecs_skipped").inc(
                 len(entries) - len(work)
             )
         touched = {vec: pred for vec, (pred, _, _) in work.items()}
+        overwrite, merge = self.store.overwrite, self._merge
         pruned = 0
-        for ow, ow_sig in zip(ows, ow_sigs):
-            delta = ow.delta_dict()
-            ow_pred = ow.predicate
+        for run in runs:
+            run.reverse()  # the last overwrite claims first: it wins
             next_work: Dict[VecId, Tuple[Predicate, Predicate, int]] = {}
             for vec, (pred, origin, psig) in work.items():
-                if psig & ow_sig == 0:
-                    pruned += 1
-                    self._merge(next_work, vec, pred, origin, psig)
-                    continue
-                inter, rest = pred.split(ow_pred)
-                if inter.is_false:
-                    self._merge(next_work, vec, pred, origin, psig)
-                    continue
-                if not rest.is_false:
-                    self._merge(next_work, vec, rest, origin, psig)
-                new_vec = self.store.overwrite(vec, delta)
-                self._merge(next_work, new_vec, inter, origin, psig & ow_sig)
+                rest = Remainder(pred)
+                for ow_pred, ow_sig, delta in run:
+                    if not psig & ow_sig:
+                        pruned += 1
+                        continue
+                    claimed = rest.claim(ow_pred)
+                    if not claimed.is_false:
+                        new_vec = overwrite(vec, delta)
+                        merge(next_work, new_vec, claimed, origin, psig & ow_sig)
+                        if rest.is_false:
+                            break
+                if rest.node == pred.node:
+                    merge(next_work, vec, pred, origin, psig)
+                elif not rest.is_false:
+                    merge(next_work, vec, engine.pred(rest.node), origin, psig)
             work = next_work
         if pruned:
             engine.registry.counter("mr2.apply.pairs_pruned").inc(pruned)

@@ -158,14 +158,8 @@ class Mr2Pipeline:
                 compact = aggregate(atomics)
             else:
                 compact = list(atomics)
-            # The block support (union of overwrite predicates) falls out
-            # of the reduce for free; apply uses it to skip every EC the
-            # block cannot touch.
-            support = self.compiler.engine.disj_many(
-                [ow.predicate for ow in compact]
-            )
         with telemetry.span("mr2.apply"):
-            lineage = self.model.apply_overwrites(compact, support=support)
+            lineage = self.model.apply_overwrites(compact)
 
         telemetry.count("mr2.blocks")
         telemetry.count("mr2.updates", len(block))

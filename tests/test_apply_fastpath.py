@@ -1,7 +1,7 @@
 """Fast apply path ≡ reference cross product, its lineage contract, plus
 memory accounting.
 
-The support-pruned, signature-filtered, split-based
+The run-carving, signature-filtered
 :meth:`InverseModel.apply_overwrites` must produce exactly the same
 model as the historical cross product, kept as the oracle
 :func:`tests.apply_reference.apply_overwrites_reference`, on arbitrary
@@ -119,32 +119,44 @@ def test_fast_apply_equals_reference_on_random_blocks(kind):
             assert view_a == view_b
 
 
-def test_fast_apply_with_explicit_support_matches_computed():
+#: Device sets that share a first device, so a run boundary is a change
+#: of the whole set, not of its first member.
+DEVICE_SETS = [(0,), (0, 1), (1,), (0, 2)]
+
+
+def run_block(engine, rng, max_ows=8):
+    """Overwrites over few actions, in runs of one device set with
+    overlapping predicates, between multi-device deltas."""
+    ows, devices = [], rng.choice(DEVICE_SETS)
+    for _ in range(rng.randint(2, max_ows)):
+        if rng.random() < 0.4:
+            devices = rng.choice(DEVICE_SETS)
+        delta = make_delta({d: rng.randint(0, 2) for d in devices})
+        ows.append(Overwrite(random_pred(engine, rng), delta))
+    return ows
+
+
+def test_runs_of_overlapping_overwrites_apply_as_in_sequence():
+    """Inside a run the last overwrite holding a header wins; a run ends
+    where the device set changes, wherever that set recurs later."""
     rng = case_rng(0xAB02)
-    engine_a, with_support = fresh_model("fast")
-    engine_b, without = fresh_model("fast")
-    for _ in range(8):
-        seed = rng.getrandbits(32)
-        block_a = random_block(engine_a, case_rng(seed))
-        block_b = random_block(engine_b, case_rng(seed))
-        support = engine_a.disj_many([ow.predicate for ow in block_a])
-        with_support.apply_overwrites(block_a, support=support)
-        without.apply_overwrites(block_b)
-    assert len(with_support) == len(without)
-    probe = PredicateEngine(NUM_VARS)
-    assert {
-        a: probe.import_predicate(engine_a.pred(n))
-        for a, n in canonical(with_support).items()
-    } == {
-        a: probe.import_predicate(engine_b.pred(n))
-        for a, n in canonical(without).items()
-    }
+    for trial in range(8):
+        engine = PredicateEngine(NUM_VARS)
+        store = ActionTreeStore()
+        fast = InverseModel(engine, store, DEVICES)
+        ref = InverseModel(engine, store, DEVICES)
+        for _ in range(4):
+            block = run_block(engine, rng)
+            before = fast.entries()
+            assert_step(before, fast.apply_overwrites(block), fast, trial)
+            apply_overwrites_reference(ref, block)
+            assert canonical(fast) == canonical(ref), trial
 
 
 def test_disjoint_ecs_are_skipped_and_counted():
     engine, model = fresh_model("fast")
-    # Split the space on variable 0, then overwrite only inside one half
-    # with a block of >1 overwrites so the support pre-pass engages.
+    # Split the space on variable 0, then overwrite only inside one half:
+    # the other half's signature misses the block's.
     half = engine.cube([(0, True)])
     model.apply_overwrites([atomic(half, 0, 5)])
     assert len(model) == 2
@@ -158,11 +170,33 @@ def test_disjoint_ecs_are_skipped_and_counted():
     model.check_invariants()
 
 
-def test_a_support_that_is_the_subspace_universe_is_not_tested_per_ec(
-    monkeypatch,
-):
-    """In a partitioned model the subspace universe plays ⊤'s part: every
-    EC lies in it, so ``pred & support`` against it can prune nothing."""
+def test_a_whole_ec_re_vectored_costs_one_claim():
+    """The run's last overwrite is carved first, so an EC it covers is
+    claimed whole by one walk and the overwrites before it cost none."""
+    engine, model = fresh_model("fast")
+    for var in range(3):
+        model.apply_overwrites([atomic(engine.cube([(var, True)]), var, 1)])
+    ecs = len(model)
+    assert ecs == 8
+    block = [
+        atomic(engine.cube([(0, True), (4, True)]), 3, 5),
+        atomic(random_pred(engine, case_rng(0xAB07)), 3, 6),
+        atomic(engine.true, 3, 7),
+    ]
+    walks = engine.bdd.stats.split_calls
+    engine.metrics.reset()
+    lineage = model.apply_overwrites(block)
+    assert engine.bdd.stats.split_calls - walks == ecs
+    assert engine.metrics.total == 2 * ecs  # a claim counts ∧ and ¬
+    assert len(lineage.changed) == len(lineage.removed) == ecs
+    assert {model.action_of(vec, 3) for _, vec in model.entries()} == {7}
+    model.check_invariants()
+
+
+def test_a_partitioned_model_re_vectored_per_ec_costs_one_claim_each():
+    """In a partitioned model a block that covers the subspace universe
+    spends no conjunction against it: each EC is claimed once, by the
+    overwrite that holds it (signatures rule out the other)."""
     engine = PredicateEngine(NUM_VARS)
     universe = engine.cube([(0, True)])
     model = InverseModel(engine, ActionTreeStore(), DEVICES, universe=universe)
@@ -170,20 +204,11 @@ def test_a_support_that_is_the_subspace_universe_is_not_tested_per_ec(
     lower = engine.cube([(0, True), (1, False)])
     model.apply_overwrites([atomic(upper, 0, 5)])
     assert len(model) == 2
-    seconds = []
-    conj = PredicateEngine.conj
-
-    def spy(self, a, b):
-        seconds.append(b)
-        return conj(self, a, b)
-
-    monkeypatch.setattr(PredicateEngine, "conj", spy)
-    support = upper | lower
-    assert support == universe
-    model.apply_overwrites(
-        [atomic(upper, 1, 7), atomic(lower, 1, 8)], support=support
-    )
-    assert universe not in seconds
+    walks = engine.bdd.stats.split_calls
+    engine.metrics.reset()
+    model.apply_overwrites([atomic(upper, 1, 7), atomic(lower, 1, 8)])
+    assert engine.bdd.stats.split_calls - walks == 2
+    assert engine.metrics.total == 4
     assert len(model) == 2
     model.check_invariants()
 
@@ -193,7 +218,7 @@ def test_pair_pruning_counter_advances():
     left = engine.cube([(0, False)])
     right = engine.cube([(0, True)])
     model.apply_overwrites([atomic(left, 0, 1)])
-    # Both ECs overlap the block's support (one overwrite each side),
+    # Both ECs meet the block's signature (one overwrite each side),
     # but each (EC, overwrite) pair on opposite sides is sig-pruned.
     before = engine.registry.value("mr2.apply.pairs_pruned")
     model.apply_overwrites(
@@ -256,9 +281,7 @@ def test_writer_lineage_is_the_step_at_every_threshold(use_trie, withdrawals):
         batches = random_batches(rng, withdrawals)
         reference = ModelWriter(DEVICES, LAYOUT, use_trie=use_trie)
         reference.model.apply_overwrites = (
-            lambda ows, support=None: apply_overwrites_reference(
-                reference.model, ows
-            )
+            lambda ows: apply_overwrites_reference(reference.model, ows)
         )
         for threshold in (None, 1, 2, 3):
             writer = ModelWriter(

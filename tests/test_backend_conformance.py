@@ -401,9 +401,7 @@ def test_inverse_model_fast_apply_matches_reference(kind):
         [0, 1, 2], layout, engine=make_engine(kind, layout.total_bits)
     )
     slow.model.apply_overwrites = (
-        lambda overwrites, support=None: apply_overwrites_reference(
-            slow.model, overwrites
-        )
+        lambda overwrites: apply_overwrites_reference(slow.model, overwrites)
     )
     slow.submit(_boundary_updates())
     slow.flush()

@@ -305,6 +305,30 @@ class TestRegexVerifierEndToEnd:
         assert r[0].verdict is Verdict.VIOLATED
 
 
+    def test_cover_fresh_sync_over_an_unchanged_table_does_no_conjunction(self):
+        """The in-space ECs are kept from each lineage, so a device that
+        synchronises without changing the table is checked on them with
+        no predicate operation."""
+        topo = figure3_example()
+        high = Match.dst_prefix(0b1000, 1, LAYOUT)
+        req = requirement(
+            "cover-high", topo, LAYOUT, high, ["S"], "cover (S W C)"
+        )
+        verifier = SubspaceVerifier(
+            topo, LAYOUT, requirements=[req], check_loops=False
+        )
+        engine = verifier.manager.compiler.engine
+        s = topo.id_of("S")
+        low = Rule(2, Match.dst_prefix(0b0000, 1, LAYOUT), topo.id_of("A"))
+        batch = [fwd(topo, "S", "W"), insert(s, low)]
+        assert verifier.receive(s, batch)[0].verdict is Verdict.UNKNOWN
+        engine.metrics.reset()
+        # W drops everything: C, its successor on the graph, is missing.
+        r = verifier.receive(topo.id_of("W"), [])
+        assert r[0].verdict is Verdict.VIOLATED
+        assert engine.metrics.total == 0
+
+
 def _with_memo_free_twins(topo, layout, requirements, subspace_match=None):
     """A verifier whose every regex checker has a memo-free twin attached
     as a custom checker, so both see the same deltas and model."""
@@ -419,12 +443,41 @@ class TestRegexSpaceCarryOver:
         assert len(whole) == 1
         halves, ours_tested = step(a, [insert(a, split)])
         assert len(halves) == 2 and not (halves & whole)
-        assert ours_tested == 2  # both halves are new nodes
+        # Both halves are new nodes; the low one's signature misses the
+        # space's, so only the high one costs a conjunction.
+        assert ours_tested == 1
         _, ours_tested = step(a, [])
         assert ours_tested == 0  # unchanged ECs: probes only
         merged, ours_tested = step(a, [delete(a, split)])
         assert merged == whole  # the same predicate node is back ...
         assert ours_tested == 1  # ... and is tested again
+
+
+    def test_signatures_settle_ecs_outside_the_space(self):
+        """An EC whose signature misses the space's costs no conjunction:
+        of the ECs a step makes, only those that may meet it are tested."""
+        topo = figure3_example()
+        high = Match.dst_prefix(0b1000, 1, LAYOUT)
+        req = requirement("reach-high", topo, LAYOUT, high, ["S"], "S .* D")
+        verifier = SubspaceVerifier(
+            topo, LAYOUT, requirements=[req], check_loops=False
+        )
+        engine = verifier.manager.compiler.engine
+        a = topo.id_of("A")
+        rules = [
+            Rule(3, Match.dst_prefix(v, 3, LAYOUT), hop)
+            for v, hop in ((0b0000, "B"), (0b0010, "D"), (0b0100, "S"))
+        ]
+        rules.append(Rule(3, Match.dst_prefix(0b1100, 2, LAYOUT), "C"))
+        batch = [insert(a, Rule(r.priority, r.match, topo.id_of(r.action)))
+                 for r in rules]
+        lineage = verifier.apply(batch)
+        engine.metrics.reset()
+        verifier.observe(lineage, [a])
+        # Three ECs in the low half, one in the high half, and what is left
+        # of the universe, which meets both: two conjunctions, not five.
+        assert len(lineage.changed) == 5
+        assert engine.metrics.total == 2
 
 
 def _epoch_stream(rng, epochs=4):

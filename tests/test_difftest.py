@@ -140,8 +140,8 @@ class TestModelInvariantsInTheGates:
     def empty_ec_left_behind(self, monkeypatch):
         original = InverseModel.apply_overwrites
 
-        def leaky(model, overwrites, support=None):
-            deltas = original(model, overwrites, support)
+        def leaky(model, overwrites):
+            deltas = original(model, overwrites)
             phantom = model.store.uniform(model.devices, 4242)
             model._entries.setdefault(phantom, model.engine.false)
             return deltas
@@ -174,11 +174,11 @@ class TestModelInvariantsInTheGates:
         with, and the gate must still report it."""
         original = InverseModel.apply_overwrites
 
-        def raises_once(model, overwrites, support=None):
+        def raises_once(model, overwrites):
             if not getattr(model, "raised", False):
                 model.raised = True
                 raise ModelInvariantError("injected")
-            return original(model, overwrites, support)
+            return original(model, overwrites)
 
         monkeypatch.setattr(InverseModel, "apply_overwrites", raises_once)
         result = ChaosRunner().run(ScenarioGenerator(seed=1234).scenario(0))

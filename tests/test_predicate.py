@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bdd.engine import FALSE
 from repro.bdd.predicate import Predicate, PredicateEngine, Remainder
 
 
@@ -67,6 +68,26 @@ class TestPredicateAlgebra:
             assert engine.disj_many(given_as) == fold
             assert engine.metrics.disjunctions == max(n - 1, 0)
             assert engine.metrics.total == max(n - 1, 0)
+
+    def test_disj_many_makes_one_handle(self, engine, monkeypatch):
+        """The intermediate unions stay bare node ids: one new handle, for
+        the result, which is the left fold's node."""
+        preds = [engine.cube([(i, True), (7 - i, False)]) for i in range(6)]
+        fold = FALSE
+        for p in preds:  # on bare ids, so the fold's node has no handle yet
+            fold = engine.bdd.apply_or(fold, p.node)
+        made = []
+        init = Predicate.__init__
+
+        def counting(self, owner, node):
+            made.append(node)
+            init(self, owner, node)
+
+        monkeypatch.setattr(Predicate, "__init__", counting)
+        engine.metrics.reset()
+        assert engine.disj_many(preds).node == fold
+        assert made == [fold]
+        assert engine.metrics.disjunctions == engine.metrics.total == 5
 
     def test_disj_many_of_one_is_that_predicate(self, engine):
         a = engine.variable(4)
