@@ -389,11 +389,6 @@ class CoverVerifier:
             if graph is None
             else graph
         )
-        # The model's ECs inside the packet space (with their vector) and
-        # outside it, keyed by node with the handle in the value: read off
-        # the model's table by the first update, then kept from lineages.
-        self._inside: Optional[Dict[int, Tuple[Predicate, VecId]]] = None
-        self._outside: Dict[int, Predicate] = {}
         self._violated: Optional[str] = None
 
     def on_model_update(
@@ -403,33 +398,17 @@ class CoverVerifier:
         model: InverseModel,
     ) -> VerificationReport:
         """Check every newly synchronised device on every in-space EC,
-        and a device re-reporting under the same tag on the in-space ECs
-        the step changed: every other EC kept its vector, so its column
-        there is the one already checked."""
-        if self._inside is None:
-            self._inside, lineage = {}, model.as_deltas()
-        inside, outside = self._inside, self._outside
-        was_in, was_out = set(), set()
-        for pred in lineage.removed:
-            if inside.pop(pred.node, None) is not None:
-                was_in.add(pred.node)
-            elif outside.pop(pred.node, None) is not None:
-                was_out.add(pred.node)
-        changed = []
-        for delta in lineage.changed:
-            pred, node = delta.predicate, delta.predicate.node
-            # A re-vectored EC keeps its predicate, and so its side.
-            if node in was_in or (node not in was_out and _meets(pred, self.space)):
-                inside[node] = (pred, delta.vector)
-                changed.append(inside[node])
-            else:
-                outside[node] = pred
+        and a device re-reporting under the same tag on the ECs the step
+        changed: every other EC kept its vector, so its column there is
+        the one already checked."""
         fresh = [d for d in new_synced if d not in self.synced]
         again = [d for d in new_synced if d in self.synced]
         if fresh:
-            self._check(fresh, inside.values(), model)
+            self._check(fresh, model.entries(), model)
         if again:
-            self._check(again, changed, model)
+            self._check(
+                again, ((d.predicate, d.vector) for d in lineage.changed), model
+            )
         self.synced.update(fresh)
         return self.report()
 
@@ -452,7 +431,9 @@ class CoverVerifier:
                 required[device] = successors
         if not required:
             return
-        for _, vector in entries:
+        for pred, vector in entries:
+            if not _meets(pred, self.space):
+                continue
             for device, successors in required.items():
                 actual = set(next_hops_of(model.action_of(vector, device)))
                 missing = successors - actual

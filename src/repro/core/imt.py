@@ -173,56 +173,36 @@ def _carve(
     keeps ``rest``, the :class:`~repro.bdd.predicate.Remainder` of
     ``region`` no visited rule has claimed: an emitting rule splits its
     share off ``rest`` and overwrites it, any other rule only takes its
-    match out of ``rest``.  That is at most one BDD walk per visited
-    rule.  The scan stops at the last emitting position, which takes its
-    share with a plain ∧, or once ``rest`` is ⊥ (at the default rule at
-    the latest).
+    match out of ``rest``.  That is one BDD walk per visited rule.  The
+    scan stops at the last emitting position, which takes its share
+    with a plain ∧, or once ``rest`` is ⊥ (at the default rule at the
+    latest).
 
-    A rule that emits nothing takes its match out of ``rest`` only for
-    the emitting rules below it, so one whose match signature misses
-    the union of theirs (a suffix OR, each emitting match compiled once)
-    costs no walk.  ``rest`` only shrinks, so the region's signature is
-    a sound filter too.  Re-taking ``signature(rest)`` per step would
-    cost more occupancy walks than the filter saves; a region of ⊤
-    filters nothing, so it is not tested at all.
+    ``rest`` only shrinks, so the region's signature stays a sound
+    filter for it: a match disjoint from it is skipped without a BDD
+    operation.  Re-taking ``signature(rest)`` per step would cost more
+    occupancy walks than the filter saves; a region of ⊤ filters
+    nothing, so it is not tested at all.
     """
-    compile_, sig_of = compiler.compile, compiler.engine.signature
-    emits = sorted(set(emitting))
-    matches: List[Optional[Predicate]] = [None] * len(emits)
-    below: List[int] = []  # built by the first walk it could spare
-    region_sig = -1 if region.is_true else sig_of(region)  # -1: every cell
-    last = emits[-1] if emits else -1
+    sig_of = compiler.engine.signature
+    region_sig = None if region.is_true else sig_of(region)
+    emits = set(emitting)
+    last = max(emits, default=-1)
     rest = Remainder(region)
     overwrites: List[Overwrite] = []
-    j = 0  # emits[j]: the first emitting position at or below ``pos``
     for pos in positions:
         if pos > last:
             break
-        while emits[j] < pos:
-            j += 1
-        if pos == emits[j]:
-            match = matches[j]
-            if match is None:
-                match = matches[j] = compile_(new_rules[pos].match)
-            if region_sig == -1 or sig_of(match) & region_sig:
-                # No rule below the last one needs what is left.
-                claimed = rest.share(match) if pos == last else rest.claim(match)
-                if not claimed.is_false:
-                    action = new_rules[pos].action
-                    overwrites.append(atomic(claimed, device, action))
+        rule = new_rules[pos]
+        match = compiler.compile(rule.match)
+        if region_sig is not None and not sig_of(match) & region_sig:
+            continue
+        if pos in emits:
+            # No rule below the last one needs what is left.
+            claimed = rest.share(match) if pos == last else rest.claim(match)
+            if not claimed.is_false:
+                overwrites.append(atomic(claimed, device, rule.action))
         else:
-            match = compile_(new_rules[pos].match)
-            sig = sig_of(match) & region_sig
-            if not sig:
-                continue
-            if not below:  # below[k]: the union of emits[k:]'s signatures
-                below = [0] * (len(emits) + 1)
-                for k in range(len(emits) - 1, j - 1, -1):
-                    if matches[k] is None:
-                        matches[k] = compile_(new_rules[emits[k]].match)
-                    below[k] = sig_of(matches[k]) | below[k + 1]
-            if not sig & below[j]:
-                continue
             rest.take(match)
         if rest.is_false:
             break

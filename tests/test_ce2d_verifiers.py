@@ -305,10 +305,9 @@ class TestRegexVerifierEndToEnd:
         assert r[0].verdict is Verdict.VIOLATED
 
 
-    def test_cover_fresh_sync_over_an_unchanged_table_does_no_conjunction(self):
-        """The in-space ECs are kept from each lineage, so a device that
-        synchronises without changing the table is checked on them with
-        no predicate operation."""
+    def test_cover_fresh_sync_conjoins_only_ecs_its_signature_admits(self):
+        """A fresh sync checks the model's in-space ECs; an EC whose
+        signature misses the space's is settled without a conjunction."""
         topo = figure3_example()
         high = Match.dst_prefix(0b1000, 1, LAYOUT)
         req = requirement(
@@ -322,11 +321,19 @@ class TestRegexVerifierEndToEnd:
         low = Rule(2, Match.dst_prefix(0b0000, 1, LAYOUT), topo.id_of("A"))
         batch = [fwd(topo, "S", "W"), insert(s, low)]
         assert verifier.receive(s, batch)[0].verdict is Verdict.UNKNOWN
+        space = verifier.regex_verifiers[0].space
+        entries = list(verifier.manager.model.entries())
+        admitted = sum(
+            1
+            for pred, _ in entries
+            if engine.signature(pred) & engine.signature(space)
+        )
+        assert 0 < admitted < len(entries)
         engine.metrics.reset()
         # W drops everything: C, its successor on the graph, is missing.
         r = verifier.receive(topo.id_of("W"), [])
         assert r[0].verdict is Verdict.VIOLATED
-        assert engine.metrics.total == 0
+        assert engine.metrics.total == admitted
 
 
 def _with_memo_free_twins(topo, layout, requirements, subspace_match=None):
