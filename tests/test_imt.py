@@ -766,17 +766,6 @@ class TestCarve:
             costs.add((ops, freed_ops))
         assert len(costs) == 1
 
-    def test_a_rule_above_every_insert_still_takes_its_match(self):
-        """A rule that emits nothing and has no insert above it still
-        shadows what lies below it: 0*** takes 00** whole and half of
-        ****."""
-        wide = rule(9, 0b0000, 1, 1)
-        assert self._check([wide], [insert(0, rule(5, 0b0000, 2, 2))]) == []
-        got = self._check([wide], [insert(0, rule(5, 0b0000, 0, 3))])
-        assert [(ow.predicate.sat_count(), ow.delta) for ow in got] == [
-            (8, ((0, 3),))
-        ]
-
     def test_empty_inserted(self):
         rng = case_rng(0)
         installed = list(dict.fromkeys(self._random_rule(rng) for _ in range(8)))
