@@ -30,12 +30,13 @@ whole table and every device then at it.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..dataplane.update import EpochTag, RuleUpdate
 from ..errors import DispatchError
 from ..results import Verdict
-from ..telemetry import Span, Telemetry
+from ..telemetry import Telemetry
 from .epoch import EpochTracker
 from .verifier import Report, SubspaceVerifier
 
@@ -66,8 +67,9 @@ class CE2DDispatcher:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracker = EpochTracker()
         self.verifiers: Dict[EpochTag, SubspaceVerifier] = {}
-        # Open ``ce2d.epoch`` lifecycle spans, one per live verifier.
-        self._epoch_spans: Dict[EpochTag, Span] = {}
+        # When each live verifier opened; its lifetime becomes one
+        # ``ce2d.epoch`` span when it closes.
+        self._opened_at: Dict[EpochTag, float] = {}
         # Latched: the first VIOLATED report ``receive`` ever returned.  It
         # outlives its epoch's verifier; every other verdict leaves with it.
         self.first_violation: Optional[Report] = None
@@ -120,9 +122,9 @@ class CE2DDispatcher:
         for tag in list(self.verifiers):
             if self.tracker.is_inactive(tag):
                 del self.verifiers[tag]
-                span = self._epoch_spans.pop(tag, None)
-                if span is not None:
-                    self.telemetry.end(span)
+                self.telemetry.add_span(
+                    "ce2d.epoch", time.perf_counter() - self._opened_at.pop(tag)
+                )
                 self.telemetry.count("ce2d.epoch.closed")
         self.telemetry.registry.gauge("ce2d.verifiers.live").set(
             len(self.verifiers)
@@ -136,9 +138,7 @@ class CE2DDispatcher:
         self.telemetry.registry.gauge("ce2d.verifiers.live").set(
             len(self.verifiers)
         )
-        span = self.telemetry.begin("ce2d.epoch", epoch=str(tag))
-        if span is not None:
-            self._epoch_spans[tag] = span
+        self._opened_at[tag] = time.perf_counter()
         return verifier
 
     # ------------------------------------------------------------------

@@ -201,7 +201,7 @@ class SubspaceVerifier:
         model = self.manager.model
         checkers = [self.loop_detector] if self.loop_detector is not None else []
         checkers += self.regex_verifiers + self.custom_checkers
-        with self.telemetry.span("ce2d.check", epoch=str(self.epoch)):
+        with self.telemetry.span("ce2d.check"):
             results = [c.on_model_update(lineage, new_synced, model) for c in checkers]
         if not new_synced:
             return []

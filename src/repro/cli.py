@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
-        help="append metric/span/report records to a JSON-lines file",
+        help="append metric/report records to a JSON-lines file",
     )
     ver.set_defaults(func=cmd_verify)
 
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
-        help="append metric/span/report records to a JSON-lines file",
+        help="append metric/report records to a JSON-lines file",
     )
     fuzz.set_defaults(func=cmd_fuzz)
 
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--seed", type=int, default=0)
     simp.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
-        help="append metric/span/report records to a JSON-lines file",
+        help="append metric/report records to a JSON-lines file",
     )
     simp.set_defaults(func=cmd_simulate)
 
@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--telemetry", default=None, metavar="OUT.JSONL",
-        help="append metric/span/report records to a JSON-lines file",
+        help="append metric/report records to a JSON-lines file",
     )
     srv.set_defaults(func=cmd_serve)
     return parser

@@ -6,8 +6,9 @@ Two entry points:
   two phases of Algorithm 1, decomposing a block of native rule updates into
   atomic conflict-free overwrites in O(K lg K + T) simple operations and
   O(T + K) predicate operations;
-* :func:`natural_transformation` — the direct (Appendix C.2) transformation
-  used as ground truth in tests and as the bootstrap path.
+* :func:`natural_transformation` — the direct (Appendix C.2) transformation,
+  the test oracle Algorithm 1's overwrites are checked against; nothing
+  outside the tests calls it.
 
 One departure from the paper's second phase: a rule that expands only
 because a higher-priority rule was deleted overwrites its effective

@@ -114,7 +114,7 @@ class FuzzRunner:
 
     def run(self, scenario: Scenario, **options: Any) -> DiffResult:
         result = DiffResult(scenario)
-        with self.telemetry.span(f"{self.prefix}.run", scenario=scenario.name):
+        with self.telemetry.span(f"{self.prefix}.run"):
             self._run_inner(scenario, result, **options)
         self.telemetry.count(f"{self.prefix}.scenarios")
         if result.divergences:

@@ -64,7 +64,7 @@ class Shrinker:
         """Return the minimised scenario and its (still-divergent) result."""
         self.replays = 0
         telemetry = self.runner.telemetry
-        with telemetry.span("difftest.shrink", scenario=scenario.name):
+        with telemetry.span("difftest.shrink"):
             if result is None:
                 result = self.runner.run(scenario)
             if result.ok:

@@ -271,7 +271,7 @@ class Flash:
 
     # -- results ----------------------------------------------------------------
     def telemetry_snapshot(self) -> Dict[str, Any]:
-        """One dict capturing metrics and finished spans for this system."""
+        """One dict capturing every metric (``span.*`` too) of this system."""
         return self.telemetry.snapshot()
 
     def deterministic_reports(self) -> List[Report]:

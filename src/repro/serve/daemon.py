@@ -327,7 +327,7 @@ class ServeDaemon:
                 answer = self._cache.get(key)
                 cached = answer is not None
                 if answer is None:
-                    with self.telemetry.span("serve.query.eval", kind=query.kind):
+                    with self.telemetry.span("serve.query.eval"):
                         try:
                             answer = query.evaluate(
                                 snapshot.view, self.topology, deadline,

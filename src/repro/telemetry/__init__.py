@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, span tracer, exporters.
+"""Unified telemetry: metrics registry, span timers, exporters.
 
 The observability layer behind every number the repo reports — §5's
 measured behaviour (per-phase MR2 wall-clock, predicate-operation
@@ -13,7 +13,7 @@ Quick tour::
     with tel.span("mr2.map"):
         ...                       # span.mr2.map.{count,seconds} recorded
     tel.registry.counter("predicate.ops.conjunction").inc()
-    snap = tel.snapshot()         # one dict: counters+gauges+histograms+spans
+    snap = tel.snapshot()         # one dict: counters+gauges+histograms
 
 See ``docs/telemetry.md`` for the metric-name catalogue and the JSON-lines
 exporter.
@@ -28,7 +28,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracer import Span, Tracer
 from .views import OpMetrics, OpSnapshot, PhaseBreakdown
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
-    "Tracer",
     "OpMetrics",
     "OpSnapshot",
     "PhaseBreakdown",

@@ -1,35 +1,40 @@
 """The per-system telemetry facade.
 
-:class:`Telemetry` bundles the one registry + one tracer a system (a
-``Flash`` instance, a serve daemon, a benchmark run) threads through its
-components.
+:class:`Telemetry` wraps the one registry a system (a ``Flash`` instance,
+a serve daemon, a benchmark run) threads through its components.  A span
+is a timer: it adds 1 to ``span.<name>.count`` and its wall-clock seconds
+to ``span.<name>.seconds``, and keeps nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Dict, Optional
+from contextlib import contextmanager
+from time import perf_counter
+from typing import Dict, Iterator, Optional
 
 from .registry import MetricsRegistry
-from .tracer import Span, Tracer
 
 
 class Telemetry:
-    """One registry + one tracer, behind the API the hot paths use."""
+    """One registry, behind the API the hot paths use."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = Tracer(self.registry)
 
-    # -- span helpers --------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> ContextManager[Span]:
-        """A nested tracer span."""
-        return self.tracer.span(name, **attrs)
+    # -- spans ---------------------------------------------------------
+    @contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        """Time the ``with`` body into the ``span.<name>.*`` counters."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.add_span(name, perf_counter() - start)
 
-    def begin(self, name: str, **attrs: Any) -> Span:
-        return self.tracer.begin(name, **attrs)
-
-    def end(self, span: Span) -> None:
-        self.tracer.end(span)
+    def add_span(self, name: str, seconds: float) -> None:
+        """Fold one finished interval (say, an epoch's lifetime) in."""
+        self.registry.counter(f"span.{name}.count").inc()
+        self.registry.counter(f"span.{name}.seconds").inc(seconds)
 
     # -- counters ------------------------------------------------------
     def count(self, name: str, amount: float = 1) -> None:
@@ -37,16 +42,9 @@ class Telemetry:
 
     # -- snapshots -----------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Registry snapshot plus the retained finished spans.
-
-        The ``metrics`` sub-dict alone captures every counter, gauge and
-        histogram (including the ``span.*`` aggregates); ``spans`` adds
-        the individual span records for timeline-style exporters.
-        """
-        return {
-            "metrics": self.registry.snapshot(),
-            "spans": [s.as_dict() for s in self.tracer.finished],
-        }
+        """Every counter, gauge and histogram (``span.*`` included) under
+        ``metrics``."""
+        return {"metrics": self.registry.snapshot()}
 
     def __repr__(self) -> str:
         return f"Telemetry({self.registry!r})"

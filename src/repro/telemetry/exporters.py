@@ -2,26 +2,15 @@
 
 :class:`JsonLinesExporter` writes one self-describing JSON object per
 line (``record`` key discriminates), the format behind the CLI's
-``--telemetry out.jsonl`` flag.  It accepts either a
-:class:`~repro.telemetry.config.Telemetry` facade or a snapshot dict
-already produced by one, so workers can export what crossed a process
-boundary.
+``--telemetry out.jsonl`` flag.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, List
 
 from .config import Telemetry
-
-Snapshot = Dict[str, Any]
-
-
-def _coerce(source: Union[Telemetry, Snapshot]) -> Snapshot:
-    if isinstance(source, Telemetry):
-        return source.snapshot()
-    return source
 
 
 class JsonLinesExporter:
@@ -32,7 +21,6 @@ class JsonLinesExporter:
     * ``{"record": "meta", ...}`` — one header per export call;
     * ``{"record": "counter"|"gauge", "name": ..., "value": ...}``;
     * ``{"record": "histogram", "name": ..., "bounds": [...], ...}``;
-    * ``{"record": "span", "name": ..., "seconds": ...}``;
     * ``{"record": "report", ...}`` — verification reports, when given.
     """
 
@@ -41,27 +29,24 @@ class JsonLinesExporter:
 
     def export(
         self,
-        source: Union[Telemetry, Snapshot],
+        telemetry: Telemetry,
         label: str = "",
         reports: Iterable[Any] = (),
     ) -> int:
         """Write one batch of records; returns the number of lines."""
-        snap = _coerce(source)
+        metrics = telemetry.registry.snapshot()
         lines: List[str] = []
 
         def emit(payload: Dict[str, Any]) -> None:
             lines.append(json.dumps(payload, sort_keys=True, default=str))
 
         emit({"record": "meta", "label": label, "version": 1})
-        metrics = snap.get("metrics", {})
-        for name, value in metrics.get("counters", {}).items():
+        for name, value in metrics["counters"].items():
             emit({"record": "counter", "name": name, "value": value})
-        for name, value in metrics.get("gauges", {}).items():
+        for name, value in metrics["gauges"].items():
             emit({"record": "gauge", "name": name, "value": value})
-        for name, payload in metrics.get("histograms", {}).items():
+        for name, payload in metrics["histograms"].items():
             emit({"record": "histogram", "name": name, **payload})
-        for span in snap.get("spans", []):
-            emit({"record": "span", **span})
         for report in reports:
             body = report.as_dict() if hasattr(report, "as_dict") else report
             emit({"record": "report", **body})

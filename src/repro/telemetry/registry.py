@@ -1,10 +1,10 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` is the single sink for everything the system
-measures — BDD predicate operations, MR2 phase timings (recorded by the
-:mod:`~repro.telemetry.tracer` as ``span.*`` counters), epoch lifecycle
-events and benchmark drive loops.  The design follows the usual
-pull-model conventions:
+measures — BDD predicate operations, MR2 phase timings (recorded by
+:meth:`~repro.telemetry.config.Telemetry.span` as ``span.*`` counters),
+epoch lifecycle events and benchmark drive loops.  The design follows
+the usual pull-model conventions:
 
 * metrics are identified by dotted names (``predicate.ops.conjunction``);
   the full catalogue lives in ``docs/telemetry.md``;
@@ -115,16 +115,18 @@ class MetricsRegistry:
         self._collectors: List[Collector] = []
 
     # -- get-or-create -------------------------------------------------
+    # ``setdefault`` is one atomic step: two threads that both miss (the
+    # serve readers) end up holding the same metric, not one each.
     def counter(self, name: str) -> Counter:
         got = self._counters.get(name)
         if got is None:
-            got = self._counters[name] = Counter(name)
+            got = self._counters.setdefault(name, Counter(name))
         return got
 
     def gauge(self, name: str) -> Gauge:
         got = self._gauges.get(name)
         if got is None:
-            got = self._gauges[name] = Gauge(name)
+            got = self._gauges.setdefault(name, Gauge(name))
         return got
 
     def histogram(
@@ -132,7 +134,7 @@ class MetricsRegistry:
     ) -> Histogram:
         got = self._histograms.get(name)
         if got is None:
-            got = self._histograms[name] = Histogram(name, bounds)
+            got = self._histograms.setdefault(name, Histogram(name, bounds))
         return got
 
     # -- reads ---------------------------------------------------------

@@ -305,6 +305,9 @@ class TestEpochStormBackoff:
         closed = reg.value("ce2d.epoch.closed")
         assert opened == len(created)
         assert closed == len(created) - 1
+        # Each closed epoch's lifetime is one ``ce2d.epoch`` span.
+        assert reg.value("span.ce2d.epoch.count") == closed
+        assert reg.value("span.ce2d.epoch.seconds") > 0
         # The surviving verifier saw every device's (empty) batch.
         survivor = dispatcher.verifiers[final]
         assert {d for d, _ in survivor.batches} == set(devices)

@@ -1,15 +1,16 @@
 """Tests for the unified telemetry subsystem (repro.telemetry).
 
-Covers the registry (get-or-create, snapshot/merge), the tracer (span
-nesting, manual epoch-style spans), the JSON-lines exporter, the
-deprecation shims over the old stats/result API, and an end-to-end CLI
-smoke test of ``--telemetry``.
+Covers the registry (get-or-create, snapshot, collectors), spans (two
+counters each, from one thread or two), the JSON-lines exporter, the
+removal of the old stats/result API, and an end-to-end CLI smoke test of
+``--telemetry``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import sys
+import threading
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.telemetry import (
     OpMetrics,
     PhaseBreakdown,
     Telemetry,
-    Tracer,
     read_jsonl,
 )
 
@@ -63,41 +63,99 @@ class TestRegistry:
         assert "c" in reg.snapshot()["counters"]
 
 
-class TestTracer:
+class TestSpans:
     def test_span_records_count_and_seconds(self):
-        tracer = Tracer()
-        with tracer.span("work"):
+        tel = Telemetry()
+        with tel.span("work"):
             pass
-        assert tracer.registry.value("span.work.count") == 1
-        assert tracer.registry.value("span.work.seconds") >= 0
+        assert tel.registry.value("span.work.count") == 1
+        assert tel.registry.value("span.work.seconds") >= 0
 
-    def test_nesting_depth_and_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert tracer.current() is inner
-            assert tracer.current() is outer
-        assert outer.depth == 0 and outer.parent is None
-        assert inner.depth == 1 and inner.parent == "outer"
+    def test_span_counts_a_body_that_raises(self):
+        tel = Telemetry()
+        with pytest.raises(ValueError):
+            with tel.span("work"):
+                raise ValueError
+        assert tel.registry.value("span.work.count") == 1
 
-    def test_manual_spans_for_epoch_lifecycles(self):
-        tracer = Tracer()
-        span = tracer.begin("epoch", epoch="e1")
-        with tracer.span("check"):
-            pass  # manual spans stay off the nesting stack
-        tracer.end(span)
-        assert span.finished
-        assert span.attrs == {"epoch": "e1"}
-        assert tracer.registry.value("span.epoch.count") == 1
+    def test_add_span_folds_an_interval_opened_elsewhere(self):
+        tel = Telemetry()
+        tel.add_span("epoch", 0.25)
+        tel.add_span("epoch", 0.5)
+        assert tel.registry.value("span.epoch.count") == 2
+        assert tel.registry.value("span.epoch.seconds") == 0.75
 
-    def test_ring_is_bounded_and_counts_drops(self, monkeypatch):
-        monkeypatch.setattr(Tracer, "max_spans", 2)
-        tracer = Tracer()
-        for _ in range(4):
-            with tracer.span("s"):
+    def test_spans_on_two_threads(self, tmp_path):
+        """One Telemetry shared by a writer and a reader thread, as in
+        ``serve``: B runs a span to completion while A holds one open."""
+        tel = Telemetry()
+        a_open, b_done = threading.Event(), threading.Event()
+        a_count_seen_by_b = []
+
+        def thread_a():
+            with tel.span("a"):
+                a_open.set()
+                b_done.wait(10)
+
+        def thread_b():
+            a_open.wait(10)
+            with tel.span("b"):
                 pass
-        assert len(tracer.finished) <= 2
-        assert tracer.registry.value("tracer.spans_dropped") >= 1
+            a_count_seen_by_b.append(tel.registry.value("span.a.count"))
+            b_done.set()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert a_count_seen_by_b == [0]  # B finished inside A's span
+        assert tel.registry.value("span.a.count") == 1
+        assert tel.registry.value("span.b.count") == 1
+        path = str(tmp_path / "out.jsonl")
+        JsonLinesExporter(path).export(tel)
+        kinds = {r["record"] for r in read_jsonl(path)}
+        assert "counter" in kinds and "span" not in kinds
+
+    def test_spans_from_many_threads_lose_no_counts(self):
+        """Threads that first time one name together share one counter
+        (get-or-create is one step), so no thread's counts are dropped."""
+        threads, names = 8, 100
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                tel = Telemetry()
+                start = threading.Barrier(threads)
+
+                def work():
+                    start.wait(10)
+                    for k in range(names):
+                        with tel.span(f"q{k}"):
+                            pass
+
+                pool = [threading.Thread(target=work) for _ in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(10)
+                assert not any(t.is_alive() for t in pool)
+                counts = {tel.registry.value(f"span.q{k}.count") for k in range(names)}
+                assert counts == {threads}
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_no_tracer_api(self):
+        import repro.telemetry as telemetry
+
+        assert not hasattr(telemetry, "Tracer")
+        assert not hasattr(telemetry, "Span")
+        tel = Telemetry()
+        for name in ("tracer", "begin", "end"):
+            assert not hasattr(tel, name), name
+        assert set(tel.snapshot()) == {"metrics"}
 
 
 class TestViews:
@@ -141,7 +199,7 @@ class TestExporters:
         counters = {r["name"]: r["value"] for r in by_kind["counter"]}
         assert counters["ops"] == 4
         assert counters["span.phase.count"] == 1
-        assert any(s["name"] == "phase" for s in by_kind["span"])
+        assert "span" not in by_kind
 
     def test_jsonl_appends_reports(self, tmp_path):
         from repro.results import Verdict, VerificationReport
@@ -277,7 +335,8 @@ class TestEndToEnd:
         ]) == 0
         records = read_jsonl(out)  # every line parses as JSON
         kinds = {r["record"] for r in records}
-        assert {"meta", "counter", "gauge", "span"} <= kinds
+        assert {"meta", "counter", "gauge"} <= kinds
+        assert "span" not in kinds
         names = {r.get("name") for r in records}
         assert "predicate.ops.conjunction" in names
         assert "span.mr2.map.seconds" in names
