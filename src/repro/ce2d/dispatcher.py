@@ -156,11 +156,6 @@ class CE2DDispatcher:
             newest = verifier
         return newest
 
-    def active_verifiers(self) -> List[SubspaceVerifier]:
-        return [
-            v for t, v in self.verifiers.items() if self.tracker.is_active(t)
-        ]
-
     def deterministic_reports(self) -> List[Report]:
         """Every live verifier's current non-UNKNOWN verdicts, oldest epoch
         first.  A closed epoch's verdicts left with its verifier."""

@@ -90,7 +90,6 @@ class SubspaceVerifier:
         block_threshold: Optional[int] = None,
         manager: Optional[ModelWriter] = None,
         telemetry: Optional[Telemetry] = None,
-        validation: str = "strict",
     ) -> None:
         self.topology = topology
         self.layout = layout
@@ -103,7 +102,6 @@ class SubspaceVerifier:
                 block_threshold=block_threshold,
                 subspace_match=subspace_match,
                 telemetry=telemetry,
-                validation=validation,
             )
         self.manager = manager
         self.telemetry = (
@@ -228,10 +226,6 @@ class SubspaceVerifier:
         transcript keeps it.
         """
         return [r for r in self._verdicts if r.verdict is not Verdict.UNKNOWN]
-
-    def first_deterministic(self) -> Optional[Report]:
-        """The first checker's verdict, in slot order, that is not UNKNOWN."""
-        return next(iter(self.deterministic_reports()), None)
 
     @property
     def num_synced(self) -> int:

@@ -211,9 +211,9 @@ def cmd_fuzz(args) -> int:
     """Differential fuzzing: cross-check every engine on random scenarios.
 
     With ``--chaos``, scenarios are corrupted by a seeded
-    :class:`~repro.resilience.FaultInjector` and replayed through
-    supervised (``repair``/``quarantine``) ingestion instead; the
-    asserted property is convergence to the oracle's verdicts on the
+    :class:`~repro.resilience.FaultInjector` and replayed once through
+    supervised ingestion (an :class:`~repro.resilience.UpdateValidator`
+    in front of the writer) instead; the asserted property is convergence to the oracle's verdicts on the
     clean stream (the self-healing property).
 
     With ``--interleave``, each scenario's trailing update block is

@@ -131,9 +131,6 @@ class InverseModel:
         """The (p_j, y_j) pairs of the model."""
         return [(p, v) for v, p in self._entries.items()]
 
-    def predicates(self) -> List[Predicate]:
-        return list(self._entries.values())
-
     def as_deltas(self) -> Lineage:
         """The whole table as one step from the initial one-EC table.
 

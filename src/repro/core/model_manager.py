@@ -31,7 +31,7 @@ see ``docs/serve.md`` for the consistency contract.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.fib import FibSnapshot
@@ -40,11 +40,6 @@ from ..dataplane.update import RuleUpdate, UpdateBlock, insert
 from ..errors import ReproError
 from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import MatchCompiler
-from ..resilience.validator import (
-    EpochGate,
-    QuarantinePolicy,
-    UpdateValidator,
-)
 from ..telemetry import PhaseBreakdown, Telemetry
 from .actiontree import ActionTreeStore
 from .imt import replace_table_rules
@@ -118,9 +113,6 @@ class FrozenReadView:
     def entries(self) -> Sequence[Tuple[Predicate, VecId]]:
         return self._entries
 
-    def predicates(self) -> List[Predicate]:
-        return [p for p, _ in self._entries]
-
     def action_of(self, vector: VecId, device: int) -> Action:
         return self.store.get(vector, device)
 
@@ -172,20 +164,19 @@ class ModelWriter:
     aggregate:
         Disable to get the paper's "Flash (per-update mode)" used in the
         Figure 11 breakdown.
-    validation:
-        Supervised-ingestion policy (``repro.resilience``): ``strict``
-        (default) submits updates untouched and errors surface exactly as
-        before; ``quarantine`` sidelines invalid updates into the
-        manager's dead-letter log; ``repair`` canonicalises idempotent
-        duplicates away and quarantines only the unrepairable rest.
-    epoch_gate:
-        Optional :class:`~repro.resilience.EpochGate` for stale-epoch
-        detection under ``quarantine``/``repair``.
     recovery:
         Guard every flush with a pre-block read view: if the incremental
         pipeline raises (invariant violation, corrupt state), fall back
         to a batch recompute of the view's rules plus the block's valid
         net effect (``resilience.fallback.*`` telemetry).
+
+    The writer applies what it is given, as a
+    :class:`~repro.dataplane.fib.FibTable` does: each insert adds a copy
+    of its rule, each delete removes one, and a delete of a rule that is
+    not installed raises :class:`~repro.errors.RuleNotFoundError` from
+    the flush (without ``recovery``).  A caller that must survive a
+    faulty stream puts a :class:`~repro.resilience.UpdateValidator` in
+    front of it.
 
     Readers never touch this class: they pin a :class:`FrozenReadView`
     via :meth:`read_view` and evaluate against it.  Each flush that
@@ -205,8 +196,6 @@ class ModelWriter:
         aggregate: bool = True,
         use_trie: bool = False,
         telemetry: Optional[Telemetry] = None,
-        validation: Union[str, QuarantinePolicy] = QuarantinePolicy.STRICT,
-        epoch_gate: Optional[EpochGate] = None,
         recovery: bool = False,
     ) -> None:
         self.layout = layout
@@ -240,16 +229,7 @@ class ModelWriter:
             use_trie=use_trie,
             telemetry=self.telemetry,
         )
-        self.validation = QuarantinePolicy.of(validation)
         self.recovery = recovery
-        self.validator: Optional[UpdateValidator] = None
-        if self.validation is not QuarantinePolicy.STRICT:
-            self.validator = UpdateValidator(
-                self.validation,
-                devices=devices,
-                epoch_gate=epoch_gate,
-                telemetry=self.telemetry,
-            )
         self._epoch = 0
 
     # -- read/write split ---------------------------------------------------
@@ -284,20 +264,14 @@ class ModelWriter:
     def submit(self, updates: Iterable[RuleUpdate]) -> Lineage:
         """Buffer updates; flush every time the threshold is crossed.
 
-        Under ``quarantine``/``repair`` each update passes through the
-        supervising validator first; only the surviving stream is
-        buffered.  Returns what the flushes triggered changed, composed
-        into one step from the table before the call (empty if nothing
-        flushed or nothing changed) — so that a caller can hand its
-        checkers one batch as one lineage step whatever the threshold
+        Returns what the flushes triggered changed, composed into one
+        step from the table before the call (empty if nothing flushed or
+        nothing changed) — so that a caller can hand its checkers one
+        batch as one lineage step whatever the threshold
         (:meth:`~repro.ce2d.verifier.SubspaceVerifier.apply`).
         """
         lineage = Lineage()
         for u in updates:
-            if self.validator is not None:
-                u = self.validator.admit(u)
-                if u is None:
-                    continue
             self._pending.append(u)
             if (
                 self.block_threshold is not None
@@ -367,8 +341,8 @@ class ModelWriter:
         self.telemetry.count("resilience.rollback.count")
 
     def _restore(self, view: Optional[FrozenReadView]) -> None:
-        """FIB, EC table, validator journal and trie indexes set to
-        ``view`` (empty when None)."""
+        """FIB, EC table and trie indexes set to ``view`` (empty when
+        None)."""
         installed = dict(view.rules) if view is not None else {}
         indexes = self.pipeline.indexes
         for device, table in self.snapshot.tables.items():
@@ -376,8 +350,6 @@ class ModelWriter:
             replace_table_rules(
                 table, [*rules, default_rule(table.default_action)]
             )
-            if self.validator is not None:
-                self.validator.seed_installed(device, rules)
             if indexes is not None:
                 index = indexes[device] = RuleIndex(self.layout)
                 for rule in rules:
@@ -394,30 +366,23 @@ class ModelWriter:
 
         The model is reset in place to the empty version and the
         pre-block rules plus the block's *valid* net effect go in as one
-        insert block; invalid updates inside the failing block are
-        repaired away so one poisoned update cannot wedge the manager
-        forever.  The step returned replaces every pre-block EC with the
-        whole rebuilt table, each EC descending from the initial one.
+        insert block: an insert of a rule already installed and a delete
+        of one that is not are dropped, so one poisoned update cannot
+        wedge the manager forever.  The step returned replaces every
+        pre-block EC with the whole rebuilt table, each EC descending
+        from the initial one.
         """
         self.telemetry.count("resilience.fallback.count")
         self.telemetry.count(f"resilience.fallback.{type(exc).__name__}")
         self.telemetry.registry.gauge("resilience.fallback.active").set(1)
         journal = {device: list(rules) for device, rules in before.rules}
-        repairer = UpdateValidator(QuarantinePolicy.REPAIR, telemetry=self.telemetry)
-        for device, rules in journal.items():
-            repairer.seed_installed(device, rules)
         for update in block:
-            if repairer.admit(update) is None:
-                continue
             rules = journal.setdefault(update.device, [])
-            if update.is_insert:
+            if update.is_insert and update.rule not in rules:
                 rules.append(update.rule)
-            else:
+            elif update.is_delete and update.rule in rules:
                 rules.remove(update.rule)
         self._restore(None)
-        if self.validator is not None:
-            for device, rules in journal.items():
-                self.validator.seed_installed(device, rules)
         self.pipeline.process_block(
             UpdateBlock(
                 insert(device, rule)
@@ -449,11 +414,6 @@ class ModelWriter:
     def telemetry_snapshot(self) -> dict:
         """One dict capturing BDD ops, MR2 phases and span aggregates."""
         return self.telemetry.snapshot()
-
-    @property
-    def dead_letters(self):
-        """The supervising validator's dead-letter log (None under strict)."""
-        return self.validator.dead_letters if self.validator is not None else None
 
     def num_ecs(self) -> int:
         return len(self.model)

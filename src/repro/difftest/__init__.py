@@ -24,7 +24,6 @@ from importlib import import_module
 # Public name -> defining module, resolved on first access (PEP 562), so
 # ``repro.difftest.explore`` imports without the verifier stack.
 _EXPORTS = {
-    "CHAOS_POLICIES": ".corpus",
     "ChaosCase": ".corpus",
     "ChaosRunner": ".chaos",
     "DifferentialRunner": ".runner",

@@ -6,16 +6,16 @@ same data plane from a clean update stream.  Chaos mode asserts the
 (:mod:`repro.resilience`): feed a deliberately corrupted copy of the
 stream — duplicates, phantom deletes, reorderings, stale epoch tags,
 truncated-then-retried batches, per a named :class:`FaultProfile` —
-into a :class:`~repro.core.model_manager.ModelWriter` running under the
-``repair`` and ``quarantine`` policies, and the resulting model must
-still converge to the brute-force :class:`ReferenceOracle`'s verdict on
-the *clean* stream.
+through an :class:`~repro.resilience.UpdateValidator` into a
+:class:`~repro.core.model_manager.ModelWriter`, and the resulting model
+must still converge to the brute-force :class:`ReferenceOracle`'s
+verdict on the *clean* stream.
 
 Every fault the injector emits is recoverable by validation (see the
 construction argument in :mod:`repro.resilience.faults`), so any
 divergence here is a genuine bug in the validator or the incremental
 pipeline — exactly the code paths a clean fuzzer never exercises.  The
-writers run with ``recovery=True``, so a pipeline that raised is
+writer runs with ``recovery=True``, so a pipeline that raised is
 rescued by a batch recompute that agrees with the oracle; each such
 fallback is reported as a divergence of kind ``fallback`` naming the
 exception, and the recovered model is still diffed like any other.
@@ -29,7 +29,7 @@ Entry point: ``repro fuzz --chaos``.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from ..bdd.predicate import PredicateEngine
 from ..core.model_manager import ModelWriter
@@ -38,12 +38,13 @@ from ..resilience import (
     EpochGate,
     FaultInjector,
     FaultProfile,
+    UpdateValidator,
     fault_profile,
     stale_epoch_tag,
 )
 from ..telemetry import Telemetry
 from .compare import derive_verdicts, view_from_inverse_model, view_from_oracle
-from .corpus import CHAOS_POLICIES, ChaosCase
+from .corpus import ChaosCase
 from .oracle import ReferenceOracle
 from .runner import DiffResult, Divergence, FuzzRunner, diff_verdicts, diff_views
 from .scenario import Scenario
@@ -64,7 +65,6 @@ class ChaosRunner(FuzzRunner):
         self,
         profile: Union[str, FaultProfile] = "mixed",
         seed: int = 0,
-        policies: Sequence[str] = CHAOS_POLICIES,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         super().__init__(telemetry)
@@ -72,19 +72,13 @@ class ChaosRunner(FuzzRunner):
             profile if isinstance(profile, FaultProfile) else fault_profile(profile)
         )
         self.seed = seed
-        self.policies = tuple(policies)
 
     @classmethod
     def for_case(
         cls, case: ChaosCase, telemetry: Optional[Telemetry] = None
     ) -> "ChaosRunner":
         """The runner that reproduces a corpus case's exact faulty stream."""
-        return cls(
-            profile=case.profile,
-            seed=case.seed,
-            policies=case.policies,
-            telemetry=telemetry,
-        )
+        return cls(profile=case.profile, seed=case.seed, telemetry=telemetry)
 
     def run_case(self, case: ChaosCase) -> DiffResult:
         return ChaosRunner.for_case(case, telemetry=self.telemetry).run(
@@ -95,12 +89,7 @@ class ChaosRunner(FuzzRunner):
         self, scenario: Scenario, result: Optional[DiffResult] = None
     ) -> ChaosCase:
         """Package a (typically shrunk) scenario as a corpus chaos case."""
-        return ChaosCase(
-            scenario=scenario,
-            profile=self.profile.name,
-            seed=self.seed,
-            policies=self.policies,
-        )
+        return ChaosCase(scenario=scenario, profile=self.profile.name, seed=self.seed)
 
     # ------------------------------------------------------------------
     def injector_for(self, scenario: Scenario) -> FaultInjector:
@@ -125,7 +114,6 @@ class ChaosRunner(FuzzRunner):
             reference.action_entries(), topology, requirements, spaces
         )
 
-        # One deterministic faulty stream, shared by every policy run.
         injector = self.injector_for(scenario)
         faulty = injector.inject(scenario.updates)
         result.stats["profile"] = self.profile.name
@@ -135,29 +123,40 @@ class ChaosRunner(FuzzRunner):
             "faulty": len(faulty),
         }
 
-        for policy in self.policies:
-            name = f"flash-{policy}"
-            before = self._fallback_causes()
-            try:
-                manager = self._supervised_manager(scenario, switches, layout, policy)
-                manager.submit(faulty)
-                manager.flush()
-                manager.model.check_invariants()
-                view = view_from_inverse_model(
-                    name, comparison, manager.model, switches
-                )
-                got = derive_verdicts(
-                    view.action_entries(), topology, requirements, spaces
-                )
-                validator = manager.validator
-                result.stats[name] = {
-                    "admitted": validator.admitted,
-                    "repaired": validator.repaired,
-                    "quarantined": len(validator.dead_letters),
-                }
-            except Exception as exc:  # noqa: BLE001 - crash = divergence
-                result.divergences.append(self._crashed(name, exc))
-                continue
+        name = "flash-supervised"
+        telemetry = Telemetry(registry=self.telemetry.registry)
+        # The injector stamps stale copies with ``stale<epoch`` — declare
+        # it a known *predecessor* of the scenario epoch so the gate flags
+        # regressions without ever rejecting a genuinely-tagged update.
+        validator = UpdateValidator(
+            switches,
+            epoch_gate=EpochGate(
+                order=(stale_epoch_tag(scenario.epoch), scenario.epoch)
+            ),
+            telemetry=telemetry,
+        )
+        before = self._fallback_causes()
+        try:
+            writer = ModelWriter(
+                switches, layout, recovery=True, telemetry=telemetry
+            )
+            writer.submit(u for u in faulty if validator.admit(u) is not None)
+            writer.flush()
+            writer.model.check_invariants()
+            view = view_from_inverse_model(
+                name, comparison, writer.model, switches
+            )
+            got = derive_verdicts(
+                view.action_entries(), topology, requirements, spaces
+            )
+            result.stats[name] = {
+                "admitted": validator.admitted,
+                "repaired": validator.repaired,
+                "quarantined": len(validator.dead_letters),
+            }
+        except Exception as exc:  # noqa: BLE001 - crash = divergence
+            result.divergences.append(self._crashed(name, exc))
+        else:
             # Every injected fault is recoverable by validation, so the
             # pipeline itself must never have raised: a fallback hides a
             # crash behind a recompute that agrees with the oracle.
@@ -185,7 +184,7 @@ class ChaosRunner(FuzzRunner):
     # ------------------------------------------------------------------
     def _fallback_causes(self) -> Dict[str, float]:
         """Recovery fallbacks so far per exception class, read from the
-        shared registry every policy run's writer counts into."""
+        shared registry the writer counts into."""
         prefix = "resilience.fallback."
         return {
             name[len(prefix):]: count
@@ -193,26 +192,5 @@ class ChaosRunner(FuzzRunner):
             if name not in (prefix + "count", prefix + "recovered")
         }
 
-    def _supervised_manager(
-        self, scenario: Scenario, switches: List[int], layout, policy: str
-    ) -> ModelWriter:
-        # The injector stamps stale copies with ``stale<epoch`` — declare
-        # it a known *predecessor* of the scenario epoch so the gate flags
-        # regressions without ever rejecting a genuinely-tagged update.
-        gate = EpochGate(
-            order=(stale_epoch_tag(scenario.epoch), scenario.epoch)
-        )
-        return ModelWriter(
-            switches,
-            layout,
-            validation=policy,
-            epoch_gate=gate,
-            recovery=True,
-            telemetry=Telemetry(registry=self.telemetry.registry),
-        )
-
     def __repr__(self) -> str:
-        return (
-            f"ChaosRunner(profile={self.profile.name!r}, seed={self.seed}, "
-            f"policies={self.policies})"
-        )
+        return f"ChaosRunner(profile={self.profile.name!r}, seed={self.seed})"

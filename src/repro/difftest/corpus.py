@@ -35,11 +35,7 @@ from .scenario import Scenario
 
 PathLike = Union[str, Path]
 
-#: Policies a chaos run exercises by default.  ``strict`` is excluded by
-#: construction: the injected faults are *meant* to raise under strict.
-CHAOS_POLICIES: Tuple[str, ...] = ("repair", "quarantine")
-
-CHAOS_FORMAT_VERSION = 1
+CHAOS_FORMAT_VERSION = 2
 INTERLEAVE_FORMAT_VERSION = 1
 
 
@@ -48,20 +44,18 @@ class ChaosCase:
     """One chaos regression: a scenario plus its exact fault recipe.
 
     Serialisable like a :class:`Scenario`, with enough extra state
-    (profile name, injector seed, policies) to replay the identical
-    faulty stream deterministically.
+    (profile name, injector seed) to replay the identical faulty stream
+    deterministically.
     """
 
     scenario: Scenario
     profile: str
     seed: int = 0
-    policies: Tuple[str, ...] = CHAOS_POLICIES
     name: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
             self.name = f"chaos_{self.profile}_{self.scenario.name}"
-        self.policies = tuple(self.policies)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -70,7 +64,6 @@ class ChaosCase:
             "name": self.name,
             "profile": self.profile,
             "seed": self.seed,
-            "policies": list(self.policies),
             "scenario": self.scenario.as_dict(),
         }
 
@@ -86,14 +79,13 @@ class ChaosCase:
             scenario=Scenario.from_dict(data["scenario"]),
             profile=data["profile"],
             seed=int(data.get("seed", 0)),
-            policies=tuple(data.get("policies", CHAOS_POLICIES)),
             name=data.get("name", ""),
         )
 
     def __repr__(self) -> str:
         return (
             f"ChaosCase({self.name!r}, profile={self.profile!r}, "
-            f"seed={self.seed}, policies={self.policies})"
+            f"seed={self.seed})"
         )
 
 

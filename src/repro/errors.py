@@ -27,11 +27,13 @@ class InvalidUpdateError(DataPlaneError):
     """A rule update failed supervised-ingestion validation.
 
     Structured variant taxonomy for ``repro.resilience``: ``kind`` is a
-    stable machine-readable label (it names the dead-letter telemetry
-    counter ``resilience.quarantined.<kind>``), ``update`` carries the
-    offending :class:`~repro.dataplane.update.RuleUpdate` when known, and
-    ``repairable`` says whether ``repair`` mode may canonicalise the
-    update away as an idempotent no-op instead of quarantining it.
+    stable machine-readable label (it names the telemetry counter
+    ``resilience.repaired.<kind>`` or ``resilience.quarantined.<kind>``),
+    ``update`` carries the offending
+    :class:`~repro.dataplane.update.RuleUpdate` when known, and
+    ``repairable`` says whether the validator drops the update as an
+    idempotent no-op instead of dead-lettering it.  The validator
+    returns these from ``classify``; nothing raises them.
     """
 
     kind = "invalid"

@@ -8,18 +8,18 @@ self-checking in ``repro.difftest``:
 
 * :class:`FaultInjector` / :class:`FaultProfile` — seeded, composable
   injection of realistic agent faults into any update stream;
-* :class:`UpdateValidator` / :class:`QuarantinePolicy` /
-  :class:`DeadLetterLog` — supervised ingestion with strict, quarantine
-  and repair policies (``resilience.quarantined.*`` /
-  ``resilience.repaired.*`` telemetry);
+* :class:`UpdateValidator` / :class:`DeadLetterLog` / :class:`EpochGate`
+  — supervised ingestion, a filter a caller puts in front of a writer:
+  repairable faults are dropped (``resilience.repaired.*``), the rest
+  dead-lettered (``resilience.quarantined.*``);
 * ``ModelWriter.rollback`` / ``ModelWriter(recovery=True)`` — a model
   version is one read view (installed rules plus EC table): rollback
   restores one in place, and the recovery guard takes one before every
   flush for the incremental→batch fallback (``resilience.fallback.*``).
 
 The chaos difftest (``repro fuzz --chaos``) closes the loop: faulty
-streams through ``repair``/``quarantine`` ingestion must still converge
-to the brute-force oracle's verdicts.  See ``docs/resilience.md``.
+streams through supervised ingestion must still converge to the
+brute-force oracle's verdicts.  See ``docs/resilience.md``.
 """
 
 from .faults import (
@@ -34,7 +34,6 @@ from .faults import (
 from .validator import (
     DeadLetterLog,
     EpochGate,
-    QuarantinePolicy,
     QuarantinedUpdate,
     UpdateValidator,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "FaultInjector",
     "FaultProfile",
     "InjectedFault",
-    "QuarantinePolicy",
     "QuarantinedUpdate",
     "UpdateValidator",
     "fault_profile",

@@ -10,8 +10,8 @@ truncated batches that the agent retries in full.  Fault rates come from
 a named, composable :class:`FaultProfile`.
 
 **The self-healing construction.**  Every fault here is *recoverable by
-validation*: under supervised ingestion (``repair``/``quarantine`` in
-:mod:`repro.resilience.validator`) the final installed state of each
+validation*: under supervised ingestion
+(:mod:`repro.resilience.validator`) the final installed state of each
 ``(device, rule)`` key depends only on the last valid operation on that
 key, and each fault preserves per-key operation order —
 
@@ -82,13 +82,6 @@ class FaultProfile:
 
     def __or__(self, other: "FaultProfile") -> "FaultProfile":
         return self.combine(other)
-
-    def scaled(self, factor: float, name: Optional[str] = None) -> "FaultProfile":
-        """Every rate multiplied by ``factor`` (clamped to [0, 1])."""
-        scaled = {
-            kind: min(1.0, getattr(self, kind) * factor) for kind in FAULT_KINDS
-        }
-        return FaultProfile(name=name or f"{self.name}x{factor:g}", **scaled)
 
 
 #: Named profiles, one per fault family plus the all-of-the-above mix.

@@ -10,31 +10,23 @@ per device (rule identity, not BDDs) and classifies every incoming
 * an update tagged with a regressed epoch → :class:`~repro.errors.StaleEpochError`;
 * an update for a foreign device → :class:`~repro.errors.UnknownDeviceError`.
 
-What happens next is the :class:`QuarantinePolicy`:
+An invalid update never reaches the model.  A *repairable* one (an
+idempotent duplicate, a stale retransmission) is dropped and counted
+under ``resilience.repaired.<kind>``; the unrepairable rest is recorded
+in an inspectable :class:`DeadLetterLog` and counted under
+``resilience.quarantined.<kind>``.
 
-``strict``
-    raise the structured error (the historical behaviour, with a better
-    exception type);
-``quarantine``
-    sideline every invalid update into an inspectable
-    :class:`DeadLetterLog` and count it under
-    ``resilience.quarantined.<kind>``;
-``repair``
-    canonicalise *repairable* faults (idempotent duplicates, stale
-    retransmissions) away silently — counted under
-    ``resilience.repaired.<kind>`` — and quarantine only the
-    unrepairable rest.
-
-Under ``quarantine``/``repair`` the surviving stream has last-writer-wins
-semantics per ``(device, rule)`` key, which is the convergence guarantee
-the chaos difftest (``repro fuzz --chaos``) leans on.
+The validator is a filter a caller puts in front of a writer
+(``admit`` returns the update to apply, or ``None``); the surviving
+stream has last-writer-wins semantics per ``(device, rule)`` key, which
+is the convergence guarantee the chaos difftest (``repro fuzz
+--chaos``) leans on.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..dataplane.rule import Rule
 from ..dataplane.update import EpochTag, RuleUpdate
@@ -46,18 +38,6 @@ from ..errors import (
     UnknownRuleDeleteError,
 )
 from ..telemetry import Telemetry
-
-
-class QuarantinePolicy(enum.Enum):
-    """What supervised ingestion does with an invalid update."""
-
-    STRICT = "strict"
-    QUARANTINE = "quarantine"
-    REPAIR = "repair"
-
-    @classmethod
-    def of(cls, value: Union[str, "QuarantinePolicy"]) -> "QuarantinePolicy":
-        return value if isinstance(value, cls) else cls(value)
 
 
 @dataclass(frozen=True)
@@ -97,9 +77,6 @@ class DeadLetterLog:
             self.dropped += 1
         self.entries.append(entry)
 
-    def by_kind(self, kind: str) -> List[QuarantinedUpdate]:
-        return [e for e in self.entries if e.kind == kind]
-
     @property
     def total(self) -> int:
         """Entries ever recorded, evicted ones included."""
@@ -120,60 +97,42 @@ class DeadLetterLog:
 
 
 class EpochGate:
-    """Per-device epoch-regression detection.
+    """Per-device epoch-regression detection against a known tag order.
 
-    With an explicit ``order`` (epoch tags in generation order), an
-    update is stale when its tag is unknown or sits strictly before the
-    highest tag its device has reported.  Without an order, a tag that
-    was already *superseded* on the same device (observed, then replaced
-    by a different tag) counts as regressed — the dispatcher-side
-    happens-before argument of §4.1, applied per stream.
+    ``order`` lists the epoch tags in generation order.  An update is
+    stale when its tag is unknown or sits strictly before the highest
+    tag its device has reported; untagged updates always pass.
     """
 
-    def __init__(self, order: Optional[Sequence[EpochTag]] = None) -> None:
-        self._order = (
-            {tag: i for i, tag in enumerate(order)} if order is not None else None
-        )
+    def __init__(self, order: Sequence[EpochTag]) -> None:
+        self._order = {tag: i for i, tag in enumerate(order)}
         self._high: Dict[int, int] = {}
-        self._current: Dict[int, EpochTag] = {}
-        self._history: Dict[int, Set[EpochTag]] = {}
 
     def classify(self, update: RuleUpdate) -> Optional[str]:
         """Returns a reason string when the update's epoch regressed."""
         tag = update.epoch
         if tag is None:
             return None
-        device = update.device
-        if self._order is not None:
-            rank = self._order.get(tag)
-            if rank is None:
-                return f"unknown epoch tag {tag!r}"
-            high = self._high.get(device)
-            if high is not None and rank < high:
-                return f"epoch {tag!r} regressed (device already at rank {high})"
-            self._high[device] = rank if high is None else max(high, rank)
-            return None
-        current = self._current.get(device)
-        history = self._history.setdefault(device, set())
-        if tag != current and tag in history:
-            return f"epoch {tag!r} was already superseded on device {device}"
-        history.add(tag)
-        self._current[device] = tag
+        rank = self._order.get(tag)
+        if rank is None:
+            return f"unknown epoch tag {tag!r}"
+        high = self._high.get(update.device)
+        if high is not None and rank < high:
+            return f"epoch {tag!r} regressed (device already at rank {high})"
+        self._high[update.device] = rank
         return None
 
 
 class UpdateValidator:
-    """Classify updates against a journal view and apply one policy."""
+    """Classify updates against a journal view; let only valid ones by."""
 
     def __init__(
         self,
-        policy: Union[str, QuarantinePolicy] = QuarantinePolicy.STRICT,
         devices: Optional[Iterable[int]] = None,
         epoch_gate: Optional[EpochGate] = None,
         telemetry: Optional[Telemetry] = None,
         dead_letters: Optional[DeadLetterLog] = None,
     ) -> None:
-        self.policy = QuarantinePolicy.of(policy)
         self.devices: Optional[Set[int]] = (
             set(devices) if devices is not None else None
         )
@@ -188,16 +147,9 @@ class UpdateValidator:
         self.repaired = 0
 
     # ------------------------------------------------------------------
-    def seed_installed(self, device: int, rules: Iterable[Rule]) -> None:
-        """Prime the journal view (e.g. after a rollback)."""
-        self._installed[device] = set(rules)
-
-    def installed(self, device: int) -> Set[Rule]:
-        return set(self._installed.get(device, ()))
-
-    # ------------------------------------------------------------------
     def classify(self, update: RuleUpdate) -> Optional[InvalidUpdateError]:
-        """The structured error this update would raise, or None if valid."""
+        """What is wrong with this update, as a structured error (returned,
+        never raised), or None if it is valid."""
         if self.devices is not None and update.device not in self.devices:
             return UnknownDeviceError(
                 f"update for unknown device {update.device}: {update!r}",
@@ -221,20 +173,22 @@ class UpdateValidator:
     def admit(self, update: RuleUpdate) -> Optional[RuleUpdate]:
         """Validate one update.
 
-        Returns the update when it should be applied, ``None`` when it
-        was repaired away or quarantined; raises under ``strict``.
+        Returns the update when it should be applied; ``None`` when it
+        was repaired away or quarantined.
         """
         sequence = self._sequence
         self._sequence += 1
         problem = self.classify(update)
         if problem is None:
-            self._apply(update)
+            have = self._installed[update.device]
+            if update.is_insert:
+                have.add(update.rule)
+            else:
+                have.discard(update.rule)
             self.admitted += 1
             return update
-        if self.policy is QuarantinePolicy.STRICT:
-            raise problem
         kind = problem.kind
-        if self.policy is QuarantinePolicy.REPAIR and problem.repairable:
+        if problem.repairable:
             self.repaired += 1
             self.telemetry.count(f"resilience.repaired.{kind}")
             self.telemetry.count("resilience.repaired.total")
@@ -249,17 +203,9 @@ class UpdateValidator:
         )
         return None
 
-    # ------------------------------------------------------------------
-    def _apply(self, update: RuleUpdate) -> None:
-        have = self._installed.setdefault(update.device, set())
-        if update.is_insert:
-            have.add(update.rule)
-        else:
-            have.discard(update.rule)
-
     def __repr__(self) -> str:
         return (
-            f"UpdateValidator({self.policy.value}, admitted={self.admitted}, "
+            f"UpdateValidator(admitted={self.admitted}, "
             f"repaired={self.repaired}, quarantined={len(self.dead_letters)})"
         )
 
@@ -267,7 +213,6 @@ class UpdateValidator:
 __all__ = [
     "DeadLetterLog",
     "EpochGate",
-    "QuarantinePolicy",
     "QuarantinedUpdate",
     "UpdateValidator",
 ]

@@ -3,11 +3,11 @@
 :class:`ServeDaemon` turns the batch verifier into a service:
 
 * **ingest** — one writer thread consumes a *bounded* queue of update
-  batches and feeds them through the daemon's own
-  :class:`~repro.ce2d.verifier.SubspaceVerifier`, whose
-  :class:`~repro.core.model_manager.ModelWriter` runs the ``repair``
-  supervised-ingestion path of ``repro.resilience``.  Every applied
-  batch advances the **serve epoch** and publishes a snapshot.
+  batches, passes each update through the daemon's
+  :class:`~repro.resilience.UpdateValidator` and feeds what survives
+  through its own :class:`~repro.ce2d.verifier.SubspaceVerifier`.
+  Every applied batch advances the **serve epoch** and publishes a
+  snapshot.
 * **serve** — a thread pool answers :mod:`~repro.serve.queries` against
   pinned snapshots, consulting the epoch-keyed
   :class:`~repro.serve.cache.ResultCache` first and, on a miss, the
@@ -43,7 +43,7 @@ from ..dataplane.update import RuleUpdate
 from ..errors import QueryTimeoutError, ServeClosedError, ServeSaturatedError
 from ..headerspace.fields import HeaderLayout
 from ..network.topology import Topology
-from ..resilience.validator import DeadLetterLog
+from ..resilience.validator import DeadLetterLog, UpdateValidator
 from ..telemetry import Telemetry
 from .cache import ResultCache
 from .queries import Query, QueryAnswer, VerdictMemo
@@ -81,9 +81,10 @@ class ServeDaemon:
 
     The writer is :attr:`verifier`, an unpartitioned
     :class:`~repro.ce2d.verifier.SubspaceVerifier` with no checkers (the
-    daemon answers queries, not verdicts) under ``repair`` validation:
-    poisoned updates are canonicalised or quarantined instead of wedging
-    the writer.  It keeps the :attr:`KEEP_SNAPSHOTS` newest model
+    daemon answers queries, not verdicts), behind :attr:`validator`:
+    a repairable fault (a duplicate insert or delete) is dropped and an
+    update for a foreign device dead-lettered instead of wedging the
+    writer.  It keeps the :attr:`KEEP_SNAPSHOTS` newest model
     versions and up to :attr:`CACHE_SIZE` cached answers.
 
     Parameters
@@ -133,7 +134,9 @@ class ServeDaemon:
             layout,
             epoch="serve",
             telemetry=self.telemetry,
-            validation="repair",
+        )
+        self.validator = UpdateValidator(
+            topology.switches(), telemetry=self.telemetry
         )
         self._snapshots = SnapshotStore(
             keep=self.KEEP_SNAPSHOTS, telemetry=self.telemetry
@@ -259,8 +262,11 @@ class ServeDaemon:
 
     def _apply(self, batch: List[RuleUpdate]) -> None:
         with self.telemetry.span("serve.ingest.apply"):
+            admit = self.validator.admit
             for device, updates in self._group_by_device(batch):
-                self.verifier.ingest(device, updates)
+                self.verifier.ingest(
+                    device, [u for u in updates if admit(u) is not None]
+                )
             view = self.verifier.read_view()
         self.telemetry.count("serve.ingest.batches")
         self.telemetry.count("serve.ingest.updates", len(batch))

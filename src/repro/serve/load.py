@@ -29,6 +29,7 @@ from ..fibgen.shortest_path import std_fib
 from ..headerspace.fields import dst_only_layout
 from ..headerspace.match import Match
 from ..network.generators import fabric
+from ..resilience.validator import UpdateValidator
 from ..telemetry import Telemetry
 from .daemon import QueryResult, ServeDaemon
 from .queries import LoopQuery, Query, ReachabilityQuery, WaypointQuery
@@ -132,8 +133,9 @@ class BatchOracle:
     Serve epoch ``N`` is, by the daemon's contract, the model after
     exactly the first ``N`` ingested batches.  The oracle replays the
     same batches through a plain single-threaded
-    :class:`~repro.core.model_manager.ModelWriter` (the daemon's
-    ``repair`` validation) and pins a
+    :class:`~repro.core.model_manager.ModelWriter`, behind the same
+    :class:`~repro.resilience.UpdateValidator` as the daemon's, and
+    pins a
     :class:`~repro.core.model_manager.FrozenReadView` at each requested
     epoch.  Requests must be non-decreasing — sort the recorded results
     by epoch and replay once.
@@ -144,9 +146,8 @@ class BatchOracle:
     ) -> None:
         self.topology = topology
         self.batches = [list(b) for b in batches]
-        self.writer = ModelWriter(
-            topology.switches(), layout, validation="repair"
-        )
+        self.writer = ModelWriter(topology.switches(), layout)
+        self.validator = UpdateValidator(topology.switches())
         self._applied = 0
 
     def view_at(self, epoch: int) -> FrozenReadView:
@@ -160,7 +161,10 @@ class BatchOracle:
                 f"epoch {epoch} beyond the {len(self.batches)} known batches"
             )
         while self._applied < epoch:
-            self.writer.submit(self.batches[self._applied])
+            admit = self.validator.admit
+            self.writer.submit(
+                u for u in self.batches[self._applied] if admit(u) is not None
+            )
             self.writer.flush()
             self._applied += 1
         return self.writer.read_view()

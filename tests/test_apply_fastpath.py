@@ -348,10 +348,9 @@ class TestMemoryEstimate:
         rng = case_rng(0xAB03)
         for _ in range(5):
             model.apply_overwrites(random_block(engine, rng))
-        per_pred_sum = sum(
-            p.node_count() for p in model.predicates()
-        )
-        shared = engine.shared_node_count(model.predicates())
+        predicates = [p for p, _ in model.entries()]
+        per_pred_sum = sum(p.node_count() for p in predicates)
+        shared = engine.shared_node_count(predicates)
         assert shared <= per_pred_sum
         estimate = model.memory_estimate_bytes()
         assert estimate == shared * 40 + len(model) * 64
@@ -362,5 +361,5 @@ class TestMemoryEstimate:
         model.apply_overwrites([atomic(half, 0, 5)])
         # Two complementary ECs share their entire DAG under complement
         # edges; the estimate must not double count it.
-        shared = engine.shared_node_count(model.predicates())
+        shared = engine.shared_node_count([p for p, _ in model.entries()])
         assert model.memory_estimate_bytes() == shared * 40 + len(model) * 64

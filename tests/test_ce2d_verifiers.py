@@ -686,7 +686,7 @@ class TestDispatcher:
         dispatcher.receive(0, "eA", [insert(0, Rule(1, Match.wildcard(), 1))])
         dispatcher.receive(1, "eB", [insert(1, Rule(1, Match.wildcard(), 2))])
         assert dispatcher.tracker.active_tags() == {"eA", "eB"}
-        assert len(dispatcher.active_verifiers()) == 2
+        assert set(dispatcher.verifiers) == {"eA", "eB"}
 
     def test_max_live_verifiers_backoff(self):
         topo = ring(4)
@@ -719,7 +719,7 @@ class TestDispatcher:
 
 
 class TestRejectedBatch:
-    """Strict validation: a batch the model rejects is rejected once."""
+    """No validator in front: a batch the model rejects is rejected once."""
 
     @staticmethod
     def _host(topo, device, value):

@@ -152,7 +152,7 @@ class TestModelInvariantsInTheGates:
         "make_runner, rows",
         [
             (DifferentialRunner, {"flash-batch", "flash-incr"}),
-            (ChaosRunner, {"flash-repair", "flash-quarantine"}),
+            (ChaosRunner, {"flash-supervised"}),
             (lambda: InterleaveRunner(block_tail=2), {"flash-incr", "dispatcher"}),
         ],
         ids=["differential", "chaos", "interleave"],
@@ -169,7 +169,7 @@ class TestModelInvariantsInTheGates:
 
     @pytest.mark.chaos
     def test_recovered_pipeline_crash_is_a_fallback_divergence(self, monkeypatch):
-        """The chaos writers run with ``recovery=True``: a pipeline that
+        """The chaos writer runs with ``recovery=True``: a pipeline that
         raises once is rescued by a batch recompute the oracle agrees
         with, and the gate must still report it."""
         original = InverseModel.apply_overwrites
@@ -182,10 +182,7 @@ class TestModelInvariantsInTheGates:
 
         monkeypatch.setattr(InverseModel, "apply_overwrites", raises_once)
         result = ChaosRunner().run(ScenarioGenerator(seed=1234).scenario(0))
-        assert {d.engines[0] for d in result.divergences} == {
-            "flash-repair",
-            "flash-quarantine",
-        }
+        assert {d.engines[0] for d in result.divergences} == {"flash-supervised"}
         for divergence in result.divergences:
             assert divergence.kind == "fallback"
             assert "ModelInvariantError" in divergence.detail

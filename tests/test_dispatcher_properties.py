@@ -318,7 +318,8 @@ class TestEpochStormBackoff:
 # ----------------------------------------------------------------------
 
 def random_tagged_stream(topo, rng, steps=40, sizes=(0, 1, 1, 2)):
-    """``(device, tag, updates)`` batches valid under strict validation.
+    """``(device, tag, updates)`` batches a writer with no validator in
+    front accepts: no delete of a rule that is not installed.
 
     3-6 devices hop between 2-5 tags with no order imposed on them, so the
     stream holds same-tag re-reports, tags already stale when a device

@@ -383,18 +383,6 @@ class TestIntermediateStateInvariants:
             values = layout.unflatten(header)
             assert oracle.snapshot.behavior(values)[0] == DROP
 
-    def test_epoch_gate_flags_superseded_tag_race(self):
-        """Orderless gate: a tag observed, superseded, then re-delivered
-        on the same device is stale; other devices are unaffected."""
-        gate = EpochGate()
-        r = Rule(1, Match.wildcard(), 1)
-        assert gate.classify(insert(0, r, "e1")) is None
-        assert gate.classify(insert(0, r, "e2")) is None
-        stale = gate.classify(insert(0, r, "e1"))
-        assert stale is not None and "superseded" in stale
-        # Device 1 is still legitimately at e1: no false positive.
-        assert gate.classify(insert(1, r, "e1")) is None
-
     def test_epoch_gate_with_order_rejects_regression(self):
         gate = EpochGate(order=["e1", "e2"])
         r = Rule(1, Match.wildcard(), 1)

@@ -178,3 +178,24 @@ def test_package_imports_without_numpy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verifier_core_imports_no_outer_layer():
+    """The model and the Flash facade stand below the layers that drive
+    them: importing ``repro.core`` and ``repro.flash`` loads none of
+    ``repro.resilience``, ``repro.serve`` or ``repro.difftest``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import repro.core, repro.flash, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith(("
+        "'repro.resilience', 'repro.serve', 'repro.difftest'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

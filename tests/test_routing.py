@@ -176,7 +176,7 @@ class TestOpenRSimulation:
         verifier = SubspaceVerifier(topo, LAYOUT, check_loops=True)
         for batch in sim.batches:
             reports = verifier.receive(batch.device, batch.updates)
-        final = verifier.first_deterministic()
+        final = next(iter(verifier.deterministic_reports()), None)
         assert final is not None
         assert final.verdict is Verdict.VIOLATED
 
