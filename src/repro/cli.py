@@ -207,6 +207,14 @@ def _fuzz_runners(args, telemetry) -> List:
     ]
 
 
+def fuzz_iterations(args) -> Optional[int]:
+    """``--iterations``, else 50 — or no count under ``--time-budget``,
+    which then alone bounds the run."""
+    if args.iterations is None and args.time_budget is None:
+        return 50
+    return args.iterations
+
+
 def cmd_fuzz(args) -> int:
     """Differential fuzzing: cross-check every engine on random scenarios.
 
@@ -236,15 +244,16 @@ def cmd_fuzz(args) -> int:
     else:
         mode = "diff"
     shrinker_cls = InterleaveShrinker if args.interleave else Shrinker
+    iterations = fuzz_iterations(args)
     print(
         f"fuzzing [{mode}]: profile={args.profile} seed={args.seed} "
-        f"iterations={args.iterations}"
+        f"iterations={iterations or 'unbounded'}"
     )
     start = time.perf_counter()
     divergent = 0
     replayed = 0
     budget_hit = False
-    for index, scenario in enumerate(generator.stream(args.iterations)):
+    for index, scenario in enumerate(generator.stream(iterations)):
         for label, runner in runners:
             if (
                 args.time_budget is not None
@@ -280,9 +289,6 @@ def cmd_fuzz(args) -> int:
             break
     elapsed = time.perf_counter() - start
     print(f"{replayed} replays in {elapsed:.1f}s: {divergent} divergent")
-    if args.chaos:
-        fallbacks = telemetry.registry.value("resilience.fallback.count")
-        print(f"recovery fallbacks: {fallbacks}")
     if args.interleave:
         counters = telemetry.registry.snapshot()["counters"]
         explored = counters.get("difftest.interleave.orders_explored", 0)
@@ -473,7 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", help="differential fuzzing across all verification engines"
     )
     fuzz.add_argument("--seed", type=int, default=1234)
-    fuzz.add_argument("--iterations", type=_positive(int), default=50)
+    fuzz.add_argument(
+        "--iterations", type=_positive(int), default=None,
+        help="scenarios to run (default: 50, or as many as --time-budget "
+        "allows when a budget is given)",
+    )
     fuzz.add_argument("--profile", default="smoke", choices=["smoke", "deep"])
     mode = fuzz.add_mutually_exclusive_group()
     mode.add_argument(

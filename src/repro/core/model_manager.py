@@ -22,9 +22,6 @@ A model version is one object: a :class:`FrozenReadView` holds both
 halves of it, the installed rules and the EC table they determine, and
 :meth:`ModelWriter.rollback` puts a view back in place.
 
-The historical monolithic ``ModelManager`` facade (a deprecated alias
-of :class:`ModelWriter`) was removed after its two-cycle grace period.
-
 ``repro.serve`` builds its snapshot-isolated query daemon on this split;
 see ``docs/serve.md`` for the consistency contract.
 """
@@ -36,8 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..bdd.predicate import Predicate, PredicateEngine
 from ..dataplane.fib import FibSnapshot
 from ..dataplane.rule import Action, Rule, default_rule
-from ..dataplane.update import RuleUpdate, UpdateBlock, insert
-from ..errors import ReproError
+from ..dataplane.update import RuleUpdate, UpdateBlock
 from ..headerspace.fields import HeaderLayout
 from ..headerspace.match import MatchCompiler
 from ..telemetry import PhaseBreakdown, Telemetry
@@ -164,23 +160,21 @@ class ModelWriter:
     aggregate:
         Disable to get the paper's "Flash (per-update mode)" used in the
         Figure 11 breakdown.
-    recovery:
-        Guard every flush with a pre-block read view: if the incremental
-        pipeline raises (invariant violation, corrupt state), fall back
-        to a batch recompute of the view's rules plus the block's valid
-        net effect (``resilience.fallback.*`` telemetry).
 
     The writer applies what it is given, as a
     :class:`~repro.dataplane.fib.FibTable` does: each insert adds a copy
-    of its rule, each delete removes one, and a delete of a rule that is
-    not installed raises :class:`~repro.errors.RuleNotFoundError` from
-    the flush (without ``recovery``).  A caller that must survive a
-    faulty stream puts a :class:`~repro.resilience.UpdateValidator` in
-    front of it.
+    of its rule, each delete removes one.  Its one failure rule: **a
+    flush that raises leaves the writer at its pre-block version** and
+    drops the block — a delete of a rule that is not installed or a
+    match that does not compile raises before anything is written.  A
+    caller that must survive a faulty stream puts a
+    :class:`~repro.resilience.UpdateValidator` in front of the writer;
+    one that applies a batch as several flushes undoes them with
+    :meth:`rollback`.
 
     Readers never touch this class: they pin a :class:`FrozenReadView`
     via :meth:`read_view` and evaluate against it.  Each flush that
-    changes the model (and each rollback/fallback) advances
+    changes the model (and each rollback) advances
     :attr:`epoch`, so a view's ``epoch`` names exactly one model
     version.  Every device's table defaults to ``DROP``.
     """
@@ -196,7 +190,6 @@ class ModelWriter:
         aggregate: bool = True,
         use_trie: bool = False,
         telemetry: Optional[Telemetry] = None,
-        recovery: bool = False,
     ) -> None:
         self.layout = layout
         if engine is None:
@@ -229,14 +222,13 @@ class ModelWriter:
             use_trie=use_trie,
             telemetry=self.telemetry,
         )
-        self.recovery = recovery
         self._epoch = 0
 
     # -- read/write split ---------------------------------------------------
     @property
     def epoch(self) -> int:
-        """Monotonic model-version counter: +1 per state-changing flush,
-        rollback, or fallback recompute."""
+        """Monotonic model-version counter: +1 per state-changing flush
+        and per rollback."""
         return self._epoch
 
     def read_view(self) -> FrozenReadView:
@@ -281,24 +273,13 @@ class ModelWriter:
         return lineage
 
     def flush(self) -> Lineage:
-        """Process all buffered updates as one block.
-
-        With ``recovery`` enabled, a pipeline failure mid-block triggers
-        a batch recompute of the pre-block rules plus the block's valid
-        net effect instead of propagating.
-        """
+        """Process all buffered updates as one block; one that raises is
+        dropped and changes nothing."""
         if not self._pending:
             return Lineage()
         block = UpdateBlock(self._pending)
         self._pending = []
-        if not self.recovery:
-            lineage = self.pipeline.process_block(block)
-        else:
-            before = self.read_view()
-            try:
-                lineage = self.pipeline.process_block(block)
-            except ReproError as exc:
-                lineage = self._fallback_recompute(before, block, exc)
+        lineage = self.pipeline.process_block(block)
         self._epoch += 1
         # The block is applied and nothing is mid-flight: the one point
         # where the engine may recycle node ids.  Everything that outlives
@@ -341,8 +322,7 @@ class ModelWriter:
         self.telemetry.count("resilience.rollback.count")
 
     def _restore(self, view: Optional[FrozenReadView]) -> None:
-        """FIB, EC table and trie indexes set to ``view`` (empty when
-        None)."""
+        """FIB, EC table and trie indexes set to ``view`` (empty on None)."""
         installed = dict(view.rules) if view is not None else {}
         indexes = self.pipeline.indexes
         for device, table in self.snapshot.tables.items():
@@ -351,50 +331,8 @@ class ModelWriter:
                 table, [*rules, default_rule(table.default_action)]
             )
             if indexes is not None:
-                index = indexes[device] = RuleIndex(self.layout)
-                for rule in rules:
-                    index.add(rule)
+                indexes[device] = RuleIndex.of(self.layout, rules)
         self.model.restore(view.entries() if view is not None else None)
-
-    def _fallback_recompute(
-        self,
-        before: FrozenReadView,
-        block: UpdateBlock,
-        exc: ReproError,
-    ) -> Lineage:
-        """Graceful degradation: incremental failed, recompute in batch.
-
-        The model is reset in place to the empty version and the
-        pre-block rules plus the block's *valid* net effect go in as one
-        insert block: an insert of a rule already installed and a delete
-        of one that is not are dropped, so one poisoned update cannot
-        wedge the manager forever.  The step returned replaces every
-        pre-block EC with the whole rebuilt table, each EC descending
-        from the initial one.
-        """
-        self.telemetry.count("resilience.fallback.count")
-        self.telemetry.count(f"resilience.fallback.{type(exc).__name__}")
-        self.telemetry.registry.gauge("resilience.fallback.active").set(1)
-        journal = {device: list(rules) for device, rules in before.rules}
-        for update in block:
-            rules = journal.setdefault(update.device, [])
-            if update.is_insert and update.rule not in rules:
-                rules.append(update.rule)
-            elif update.is_delete and update.rule in rules:
-                rules.remove(update.rule)
-        self._restore(None)
-        self.pipeline.process_block(
-            UpdateBlock(
-                insert(device, rule)
-                for device, rules in journal.items()
-                for rule in rules
-            )
-        )
-        self.telemetry.registry.gauge("resilience.fallback.active").set(0)
-        self.telemetry.count("resilience.fallback.recovered")
-        return Lineage(
-            self.model.as_deltas().changed, [pred for pred, _ in before.entries()]
-        )
 
     @property
     def pending_count(self) -> int:
@@ -410,10 +348,6 @@ class ModelWriter:
     def metrics(self):
         """The engine's predicate-operation metrics (Table 3 accounting)."""
         return self.engine.metrics
-
-    def telemetry_snapshot(self) -> dict:
-        """One dict capturing BDD ops, MR2 phases and span aggregates."""
-        return self.telemetry.snapshot()
 
     def num_ecs(self) -> int:
         return len(self.model)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate
-from ..dataplane.fib import FibSnapshot
-from ..dataplane.rule import Action
-from ..dataplane.update import RuleUpdate, UpdateBlock
+from ..dataplane.fib import FibSnapshot, FibTable
+from ..dataplane.rule import Action, Rule
+from ..dataplane.update import UpdateBlock
 from ..errors import OverwriteConflictError
 from ..headerspace.match import MatchCompiler
 from ..telemetry import PhaseBreakdown, Telemetry
@@ -34,20 +34,35 @@ def map_phase(
     compiler: MatchCompiler,
     indexes: Optional[Dict[int, "RuleIndex"]] = None,
 ) -> List[Overwrite]:
-    """Decompose the block into atomic overwrites, updating the FIBs.
+    """Decompose the block into atomic overwrites, then update the FIBs:
+    none is written until every device has decomposed, so a block that
+    raises leaves them as they were, and the trie indexes it touched
+    are rebuilt from them.
 
     With ``indexes`` (device → RuleIndex), effective predicates use the
     §3.4 trie look-up for overlapped rules instead of the sorted scan.
     """
     atomics: List[Overwrite] = []
-    for device in block.devices():
-        table = snapshot.table(device)
-        index = indexes.get(device) if indexes is not None else None
-        new_rules, overwrites = decompose_block(
-            device, table, block.updates_for(device), compiler, index=index
-        )
+    merged: List[Tuple[FibTable, List[Rule]]] = []
+    try:
+        for device in block.devices():
+            table = snapshot.table(device)
+            index = indexes.get(device) if indexes is not None else None
+            new_rules, overwrites = decompose_block(
+                device, table, block.updates_for(device), compiler, index=index
+            )
+            merged.append((table, new_rules))
+            atomics.extend(overwrites)
+    except BaseException:
+        for device in block.devices():
+            if indexes is not None and device in indexes:
+                indexes[device] = RuleIndex.of(
+                    compiler.layout,
+                    snapshot.table(device).rules(include_default=False),
+                )
+        raise
+    for table, new_rules in merged:
         replace_table_rules(table, new_rules)
-        atomics.extend(overwrites)
     return atomics
 
 
@@ -166,6 +181,3 @@ class Mr2Pipeline:
         telemetry.count("mr2.overwrites.atomic", len(atomics))
         telemetry.count("mr2.overwrites.aggregated", len(compact))
         return lineage
-
-    def process_updates(self, updates: Iterable[RuleUpdate]) -> Lineage:
-        return self.process_block(UpdateBlock(updates))

@@ -11,7 +11,7 @@ supported — they just index shallowly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..dataplane.rule import Rule
 from ..headerspace.fields import HeaderLayout
@@ -52,6 +52,14 @@ class RuleIndex:
         self.max_depth = max_depth
         self._root = _TrieNode()
         self._size = 0
+
+    @classmethod
+    def of(cls, layout: HeaderLayout, rules: Iterable[Rule]) -> "RuleIndex":
+        """An index holding ``rules`` (a table's, default excluded)."""
+        index = cls(layout)
+        for rule in rules:
+            index.add(rule)
+        return index
 
     # -- key derivation ----------------------------------------------------
     def _index_bits(self, match: Match) -> List[int]:

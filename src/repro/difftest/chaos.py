@@ -14,12 +14,9 @@ verdict on the *clean* stream.
 Every fault the injector emits is recoverable by validation (see the
 construction argument in :mod:`repro.resilience.faults`), so any
 divergence here is a genuine bug in the validator or the incremental
-pipeline — exactly the code paths a clean fuzzer never exercises.  The
-writer runs with ``recovery=True``, so a pipeline that raised is
-rescued by a batch recompute that agrees with the oracle; each such
-fallback is reported as a divergence of kind ``fallback`` naming the
-exception, and the recovered model is still diffed like any other.
-Divergent cases shrink with the ordinary
+pipeline — exactly the code paths a clean fuzzer never exercises.  A
+pipeline that raised is a divergence of kind ``error`` naming the
+exception.  Divergent cases shrink with the ordinary
 :class:`~repro.difftest.shrink.Shrinker` (fault injection is a pure
 function of the scenario) and persist as ``chaos_*.json`` corpus files.
 
@@ -29,7 +26,7 @@ Entry point: ``repro fuzz --chaos``.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from ..bdd.predicate import PredicateEngine
 from ..core.model_manager import ModelWriter
@@ -46,7 +43,7 @@ from ..telemetry import Telemetry
 from .compare import derive_verdicts, view_from_inverse_model, view_from_oracle
 from .corpus import ChaosCase
 from .oracle import ReferenceOracle
-from .runner import DiffResult, Divergence, FuzzRunner, diff_verdicts, diff_views
+from .runner import DiffResult, FuzzRunner, diff_verdicts, diff_views
 from .scenario import Scenario
 
 
@@ -135,11 +132,8 @@ class ChaosRunner(FuzzRunner):
             ),
             telemetry=telemetry,
         )
-        before = self._fallback_causes()
         try:
-            writer = ModelWriter(
-                switches, layout, recovery=True, telemetry=telemetry
-            )
+            writer = ModelWriter(switches, layout, telemetry=telemetry)
             writer.submit(u for u in faulty if validator.admit(u) is not None)
             writer.flush()
             writer.model.check_invariants()
@@ -157,40 +151,12 @@ class ChaosRunner(FuzzRunner):
         except Exception as exc:  # noqa: BLE001 - crash = divergence
             result.divergences.append(self._crashed(name, exc))
         else:
-            # Every injected fault is recoverable by validation, so the
-            # pipeline itself must never have raised: a fallback hides a
-            # crash behind a recompute that agrees with the oracle.
-            causes = sorted(
-                cause
-                for cause, count in self._fallback_causes().items()
-                if count > before.get(cause, 0)
-            )
-            if causes:
-                result.divergences.append(
-                    Divergence(
-                        "fallback",
-                        (name, "oracle"),
-                        detail="incremental pipeline raised "
-                        f"{', '.join(causes)}; recovered by batch recompute",
-                    )
-                )
             result.divergences += diff_views(
                 topology, layout, switches, view, reference
             )
             result.divergences += diff_verdicts(name, got, expected, requirements)
 
         result.stats["comparison_nodes_freed"] = comparison.collect()
-
-    # ------------------------------------------------------------------
-    def _fallback_causes(self) -> Dict[str, float]:
-        """Recovery fallbacks so far per exception class, read from the
-        shared registry the writer counts into."""
-        prefix = "resilience.fallback."
-        return {
-            name[len(prefix):]: count
-            for name, count in self.telemetry.registry.counters_with_prefix(prefix)
-            if name not in (prefix + "count", prefix + "recovered")
-        }
 
     def __repr__(self) -> str:
         return f"ChaosRunner(profile={self.profile.name!r}, seed={self.seed})"

@@ -18,6 +18,7 @@ agrees by construction and any divergence is a genuine bug.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -274,8 +275,9 @@ class ScenarioGenerator:
         rng = random.Random((self.seed << 24) ^ (index * 0x9E3779B1) ^ index)
         return self._build(rng, index)
 
-    def stream(self, count: int) -> Iterator[Scenario]:
-        for i in range(count):
+    def stream(self, count: Optional[int]) -> Iterator[Scenario]:
+        """Scenarios 0, 1, ... — ``count`` of them, or endless on None."""
+        for i in range(count) if count is not None else itertools.count():
             yield self.scenario(i)
 
     # -- internals -------------------------------------------------------

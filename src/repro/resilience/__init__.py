@@ -12,10 +12,10 @@ self-checking in ``repro.difftest``:
   — supervised ingestion, a filter a caller puts in front of a writer:
   repairable faults are dropped (``resilience.repaired.*``), the rest
   dead-lettered (``resilience.quarantined.*``);
-* ``ModelWriter.rollback`` / ``ModelWriter(recovery=True)`` — a model
-  version is one read view (installed rules plus EC table): rollback
-  restores one in place, and the recovery guard takes one before every
-  flush for the incremental→batch fallback (``resilience.fallback.*``).
+* ``ModelWriter.rollback`` — a model version is one read view
+  (installed rules plus EC table), and rollback restores one in place.
+  A flush that raises needs none: it leaves the writer at its
+  pre-block version.
 
 The chaos difftest (``repro fuzz --chaos``) closes the loop: faulty
 streams through supervised ingestion must still converge to the

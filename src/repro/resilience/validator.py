@@ -26,7 +26,7 @@ is the convergence guarantee the chaos difftest (``repro fuzz
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..dataplane.rule import Rule
 from ..dataplane.update import EpochTag, RuleUpdate
@@ -202,6 +202,10 @@ class UpdateValidator:
             len(self.dead_letters)
         )
         return None
+
+    def reset(self, rules: Iterable[Tuple[int, Iterable[Rule]]]) -> None:
+        """Set the journal to a read view's ``rules`` (device, rules)."""
+        self._installed = {device: set(have) for device, have in rules}
 
     def __repr__(self) -> str:
         return (

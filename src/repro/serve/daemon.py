@@ -249,7 +249,11 @@ class ServeDaemon:
             except Exception as exc:  # noqa: BLE001 - one bad batch must
                 # not kill the writer thread; the daemon keeps serving
                 # the last good snapshot (match compile errors and
-                # invariant trips land here).
+                # invariant trips land here); writer and journal go back
+                # to it, undoing the devices applied before the failure.
+                with self._snapshots.pin() as last:
+                    self.verifier.manager.rollback(last.view)
+                    self.validator.reset(last.view.rules)
                 self.failures.record(
                     IngestFailure(f"{type(exc).__name__}: {exc}", len(batch))
                 )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, fuzz_iterations, main
 from repro.serve import load
 
 
@@ -389,3 +389,20 @@ def test_chaos_and_interleave_are_an_argparse_error(capsys):
     )
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], 50),
+        (["--time-budget", "60"], None),
+        (["--iterations", "7"], 7),
+        (["--iterations", "7", "--time-budget", "60"], 7),
+    ],
+    ids=["default", "budget-alone", "count", "count-and-budget"],
+)
+def test_fuzz_iterations_resolve_from_the_budget(argv, expected):
+    """Without ``--iterations`` a time budget alone bounds the run; it
+    once stopped at the default 50 scenarios, ≈ 2 s into a 60-s budget."""
+    args = build_parser().parse_args(["fuzz", *argv])
+    assert fuzz_iterations(args) == expected

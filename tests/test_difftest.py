@@ -168,24 +168,20 @@ class TestModelInvariantsInTheGates:
             assert "empty EC" in divergence.detail
 
     @pytest.mark.chaos
-    def test_recovered_pipeline_crash_is_a_fallback_divergence(self, monkeypatch):
-        """The chaos writer runs with ``recovery=True``: a pipeline that
-        raises once is rescued by a batch recompute the oracle agrees
-        with, and the gate must still report it."""
-        original = InverseModel.apply_overwrites
+    def test_pipeline_crash_is_an_error_divergence(self, monkeypatch):
+        """Every injected fault is repairable by validation, so the
+        writer must never raise: one raise of the pipeline is an
+        ``error`` divergence naming the exception."""
 
-        def raises_once(model, overwrites):
-            if not getattr(model, "raised", False):
-                model.raised = True
-                raise ModelInvariantError("injected")
-            return original(model, overwrites)
+        def raises(model, overwrites):
+            raise ModelInvariantError("injected")
 
-        monkeypatch.setattr(InverseModel, "apply_overwrites", raises_once)
+        monkeypatch.setattr(InverseModel, "apply_overwrites", raises)
         result = ChaosRunner().run(ScenarioGenerator(seed=1234).scenario(0))
         assert {d.engines[0] for d in result.divergences} == {"flash-supervised"}
         for divergence in result.divergences:
-            assert divergence.kind == "fallback"
-            assert "ModelInvariantError" in divergence.detail
+            assert divergence.kind == "error"
+            assert "ModelInvariantError: injected" in divergence.detail
 
 
 class TestShrinker:

@@ -3,8 +3,8 @@
 Covers the fault injector (determinism + the per-key order invariant the
 self-healing argument rests on), supervised ingestion (repairable faults
 dropped, the rest dead-lettered), the epoch gate, read-view rollback,
-the incremental-to-batch fallback, and the chaos difftest convergence
-property on a sample of seeded scenarios.
+the writer's failure rule (a flush that raises changes nothing), and the
+chaos difftest convergence property on a sample of seeded scenarios.
 """
 
 import random
@@ -28,7 +28,7 @@ from repro.difftest import ReferenceOracle
 from repro.difftest.compare import view_from_inverse_model, view_from_oracle
 from repro.difftest.runner import diff_views
 from repro.headerspace.fields import dst_only_layout
-from repro.headerspace.match import Match
+from repro.headerspace.match import Match, Pattern
 from repro.network.generators import line
 from repro.resilience import (
     FAULT_KINDS,
@@ -65,8 +65,11 @@ def sample_stream(epoch="e1"):
     ]
 
 
-def random_stream(rng, epoch="e1", ops=30):
-    installed = {d: [] for d in DEVICES}
+def random_stream(rng, epoch="e1", ops=30, installed=None):
+    """A valid stream against ``installed`` (device → rules, empty by
+    default), which it updates to the stream's end state."""
+    if installed is None:
+        installed = {d: [] for d in DEVICES}
     updates = []
     for _ in range(ops):
         device = rng.choice(DEVICES)
@@ -290,7 +293,7 @@ class TestEpochGate:
 
 
 # ---------------------------------------------------------------------------
-# supervised ModelWriter: convergence, rollback, fallback
+# supervised ModelWriter: convergence, rollback, the failure rule
 # ---------------------------------------------------------------------------
 class TestSupervisedModelWriter:
     def test_faulty_stream_converges(self):
@@ -305,7 +308,7 @@ class TestSupervisedModelWriter:
 
         gate = EpochGate(order=[stale_epoch_tag("e1"), "e1"])
         validator = UpdateValidator(DEVICES, epoch_gate=gate)
-        supervised = ModelWriter(DEVICES, LAYOUT, recovery=True)
+        supervised = ModelWriter(DEVICES, LAYOUT)
         supervised.submit(u for u in faulty if validator.admit(u) is not None)
         supervised.flush()
 
@@ -339,7 +342,7 @@ class TestSupervisedModelWriter:
         assert diff_views(topology, LAYOUT, switches, got, want) == []
 
     def test_checkpoint_rollback_restores_state(self):
-        manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
+        manager = ModelWriter(DEVICES, LAYOUT)
         r0, r1 = rule(1, 0, 1, 1), rule(1, 8, 1, 2)
         manager.submit([insert(0, r0)])
         manager.flush()
@@ -357,7 +360,7 @@ class TestSupervisedModelWriter:
         """Crash-during-recovery: a second rollback to the same view
         (recovery itself faulting before any new view is taken) is
         idempotent and leaves the manager fully usable."""
-        manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
+        manager = ModelWriter(DEVICES, LAYOUT)
         r0, r1, r2 = rule(1, 0, 1, 1), rule(1, 8, 1, 2), rule(2, 4, 2, 2)
         manager.submit([insert(0, r0)])
         manager.flush()
@@ -396,50 +399,33 @@ class TestSupervisedModelWriter:
         manager.rollback()  # no view: the empty model
         assert all(not rules for rules in installed_rules(manager).values())
 
-    def test_fallback_recompute_on_poisoned_block(self):
-        """A strict manager with recovery: the pipeline raises mid-block,
-        the manager rolls back and batch-recomputes the valid net effect
-        instead of propagating or wedging."""
-        manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
+    @pytest.mark.parametrize("reinsert", [False, True])
+    def test_poisoned_block_raises_and_changes_nothing(self, reinsert):
+        """The pipeline raises mid-block — deleting r1 on 2, where it was
+        never installed, after device 1's insert has merged: the writer
+        stays at its pre-block version and keeps no part of the block (a
+        re-insert of r0 would have added a second copy), nothing is
+        counted as repaired, and clean updates keep applying."""
+        manager = ModelWriter(DEVICES, LAYOUT)
         r0, r1 = rule(1, 0, 1, 1), rule(1, 8, 1, 2)
         manager.submit([insert(0, r0)])
         manager.flush()
-        # Poison: deleting r1 (never installed) makes the pipeline raise.
-        manager.submit([insert(1, r1), delete(2, r1)])
-        deltas = manager.flush()
-        assert deltas  # recovery produced a usable model, not an exception
+        before = manager.read_view()
+        manager.submit([insert(0, r0)] * reinsert + [insert(1, r1), delete(2, r1)])
+        with pytest.raises(RuleNotFoundError):
+            manager.flush()
+        assert manager.read_view().rules == before.rules
+        assert manager.model.entries() == list(before.entries())
+        assert manager.epoch == before.epoch
+        assert manager.pending_count == 0
         reg = manager.telemetry.registry
-        assert reg.value("resilience.fallback.count") == 1
-        assert reg.value("resilience.fallback.recovered") == 1
-        assert reg.value("resilience.fallback.active") == 0
+        assert list(reg.counters_with_prefix("resilience.repaired")) == []
+        manager.submit([insert(1, r1)])
+        manager.flush()
         expected = ModelWriter(DEVICES, LAYOUT)
         expected.submit([insert(0, r0), insert(1, r1)])
         expected.flush()
         assert installed_rules(manager) == installed_rules(expected)
-        assert manager.num_ecs() == expected.num_ecs()
-        # The manager is not wedged: clean updates keep applying.
-        manager.submit([delete(1, r1)])
-        manager.flush()
-        assert installed_rules(manager)[1] == set()
-
-    def test_fallback_keeps_the_valid_net_effect_and_counts_no_repair(self):
-        """The fallback computes a poisoned block's net effect on its own:
-        a re-insert of an installed rule adds no second copy, a delete of
-        a rule that is not installed is dropped, and with no validator in
-        front nothing is counted as repaired."""
-        manager = ModelWriter(DEVICES, LAYOUT, recovery=True)
-        r0, r1 = rule(1, 0, 1, 1), rule(1, 8, 1, 2)
-        manager.submit([insert(0, r0)])
-        manager.flush()
-        manager.submit([insert(0, r0), insert(1, r1), delete(2, r1)])
-        manager.flush()
-        reg = manager.telemetry.registry
-        assert reg.value("resilience.fallback.recovered") == 1
-        assert list(reg.counters_with_prefix("resilience.repaired")) == []
-        assert manager.read_view().rules == ((0, (r0,)), (1, (r1,)), (2, ()))
-        expected = ModelWriter(DEVICES, LAYOUT)
-        expected.submit([insert(0, r0), insert(1, r1)])
-        expected.flush()
         assert manager.num_ecs() == expected.num_ecs()
 
     def test_checkpoint_capture_and_journal(self):
@@ -526,6 +512,59 @@ def test_rollback_restores_every_version_in_place(seed, block_threshold, use_tri
         manager.model.check_invariants()
         replay(manager, batches[k + 1 :])
         assert fib_and_table(manager) == straight
+
+
+# ---------------------------------------------------------------------------
+# a flush that raises leaves the writer at its pre-block version
+# ---------------------------------------------------------------------------
+def poison(rng):
+    """An update the writer cannot apply: a delete of a rule no stream
+    installs (priority 9 is never generated), or an insert whose match
+    does not fit the 4-bit ``dst``; priority 9 puts it above every rule,
+    so its match is compiled."""
+    device = rng.choice(DEVICES)
+    if rng.random() < 0.5:
+        return delete(device, rule(9, rng.randrange(16), 4, 1))
+    return insert(device, Rule(9, Match({"dst": Pattern(((0, 1 << 4),))}), 1))
+
+
+@pytest.mark.parametrize("use_trie", [False, True])
+def test_failed_flush_leaves_the_pre_block_version(use_trie):
+    """Random multi-device blocks with one poisoned update each: the
+    flush raises, the writer's rules and EC table are the pre-block
+    ones, and after the clean block the model is a fresh build's."""
+    topology = line(3)
+    rng = random.Random(11)
+    for _ in range(10):
+        installed = {d: [] for d in DEVICES}
+        history = random_stream(rng, ops=12, installed=installed)
+        block = random_stream(rng, ops=8, installed=installed)
+        writer = ModelWriter(DEVICES, LAYOUT, use_trie=use_trie)
+        writer.submit(history)
+        writer.flush()
+        before = writer.read_view()
+        poisoned = list(block)
+        poisoned.insert(rng.randint(0, len(block)), poison(rng))
+        writer.submit(poisoned)
+        with pytest.raises(ReproError):
+            writer.flush()
+        assert writer.read_view().rules == before.rules
+        assert writer.model.entries() == list(before.entries())
+        writer.submit(block)
+        writer.flush()
+        fresh = ModelWriter(DEVICES, LAYOUT)
+        fresh.submit(
+            insert(device, r)
+            for device, rules in writer.read_view().rules
+            for r in rules
+        )
+        fresh.flush()
+        comparison = PredicateEngine(LAYOUT.total_bits)
+        got, want = (
+            view_from_inverse_model(name, comparison, w.model, DEVICES)
+            for name, w in (("writer", writer), ("fresh", fresh))
+        )
+        assert diff_views(topology, LAYOUT, DEVICES, got, want) == []
 
 
 # ---------------------------------------------------------------------------

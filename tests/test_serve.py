@@ -648,6 +648,28 @@ class TestServeDaemon:
             assert daemon.epoch == 0
             assert daemon.stats()["ingest_failures"] == 1
 
+    def test_failed_batch_is_all_or_nothing(self):
+        """A batch whose last device raises is undone on the devices it
+        applied first, and in the validator's journal: a clean resend of
+        those rules lands, once each."""
+        daemon, (topo, s, w, b, x) = self._daemon()
+        to_x = Rule(1, Match.wildcard(), x)
+        resend = [insert(w, to_x), insert(b, to_x)]
+        with daemon:
+            daemon.submit_updates(
+                [*resend, insert(s, out_of_width(5, w))], timeout=10.0
+            )
+            daemon.drain()
+            daemon._draining = False  # drain() only stops intake
+            assert len(daemon.failures) == 1 and daemon.epoch == 0
+            assert daemon.verifier.read_view().rules == ((s, ()), (w, ()), (b, ()))
+            daemon.submit_updates(resend, timeout=10.0)
+            daemon.drain()
+            assert daemon.epoch == 1
+            assert daemon.validator.repaired == 0
+            with daemon.snapshots.pin() as snapshot:
+                assert snapshot.view.rules == ((s, ()), (w, (to_x,)), (b, (to_x,)))
+
     def test_failures_are_counted_exactly_and_held_boundedly(self):
         daemon, (topo, s, w, b, x) = self._daemon()
         with daemon:
