@@ -6,7 +6,9 @@
 2. **MR2 aggregation on/off** — Reduce I/II vs applying atomic overwrites
    one by one (the "Flash (per-update mode)" of Figure 11, here on a storm).
 3. **Overlapped-rule trie on/off** — APKeep*'s per-update change
-   computation with the §3.4 prefix trie vs a full-table scan.
+   computation with the §3.4 prefix trie vs a full-table scan.  Flash
+   has no such switch: its one Map path skips non-overlapping rules by
+   cofactor signature (``repro.core.imt._carve``).
 """
 
 from __future__ import annotations
@@ -178,39 +180,3 @@ def bench_ablation_rule_trie(benchmark):
     # The trie prunes non-overlapping rules, so it can only reduce BDD work.
     assert results["trie"]["ops"] <= results["scan"]["ops"]
 
-
-def bench_ablation_flash_trie(benchmark):
-    """§3.4's trie look-up inside Flash itself, in per-update mode.
-
-    The sorted scan costs O(T) predicate disjunctions per update; the trie
-    subtracts only genuinely overlapping rules — the per-update win the
-    paper attributes to the multi-dimension prefix trie.
-    """
-    setting = lnet_apsp()
-    updates = setting.storm_updates()
-    results = {}
-
-    def run():
-        for label, use_trie in (("scan", False), ("trie", True)):
-            manager = ModelWriter(
-                setting.topology.switches(),
-                setting.layout,
-                block_threshold=1,  # per-update mode: where look-up matters
-                use_trie=use_trie,
-            )
-            start = time.perf_counter()
-            manager.submit(updates)
-            results[label] = {
-                "seconds": time.perf_counter() - start,
-                "ops": manager.engine.metrics.total,
-                "ecs": manager.num_ecs(),
-            }
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    print("\n=== Ablation — Flash per-update: sorted scan vs trie ===")
-    for label, r in results.items():
-        print(f"{label:<6} {r['seconds']:.3f}s  ops {r['ops']:>8}  ECs {r['ecs']}")
-    save_json("ablation_flash_trie", results)
-    assert results["trie"]["ecs"] == results["scan"]["ecs"]
-    assert results["trie"]["ops"] <= results["scan"]["ops"]

@@ -21,7 +21,8 @@ Inserted rules overwrite their whole effective predicate, as in the
 paper, and an inserts-only block yields the paper's overwrites.  The
 paper's loop accumulates the disjunction of the higher-priority matches
 and takes a difference per expanding rule; :func:`_carve` instead
-shrinks one unclaimed region, one BDD walk per rule.  The paper's
+shrinks one unclaimed region, one BDD walk per rule that can meet an
+expanding one (§3.4's overlap look-up, without an index).  The paper's
 unrestricted loop is kept as a test oracle (``tests/apply_reference.py``).
 
 Priority ties follow the library-wide convention (FibTable): the
@@ -33,7 +34,7 @@ semantically irrelevant.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd.predicate import Predicate, Remainder
 from ..dataplane.fib import FibSnapshot, FibTable
@@ -44,6 +45,7 @@ from ..headerspace.match import MatchCompiler
 from .actiontree import ActionTreeStore
 from .inverse_model import InverseModel
 from .overwrite import Overwrite, atomic
+from .rule_index import matches_intersect
 
 
 def merge_block_and_diff(
@@ -138,7 +140,9 @@ def calculate_atomic_overwrites(
     :func:`_carve` of the header space over the sorted rule list, in
     which every rule down to the last insert takes its match out of the
     unclaimed region and an inserted rule keeps what it took.  That is
-    one predicate operation per rule, O(T + K) for the block.  A rule
+    at most one predicate operation per rule, O(T + K) for the block,
+    and none for a rule :func:`_carve` finds disjoint from every
+    insert.  A rule
     in ``uncovered`` (below one of the ``deleted`` rules) overwrites
     only its effective predicate inside the freed region — see
     :func:`_freed_overwrites` — which is the same model for fewer
@@ -148,13 +152,11 @@ def calculate_atomic_overwrites(
     is not emitted: application treats the complement implicitly.
     """
     overwrites = _carve(
-        device, new_rules, range(len(new_rules)), inserted,
-        compiler.engine.true, compiler,
+        device, new_rules, inserted, compiler.engine.true, compiler
     )
     if uncovered:
         overwrites += _freed_overwrites(
-            device, new_rules, range(len(new_rules)), uncovered, deleted,
-            compiler,
+            device, new_rules, uncovered, deleted, compiler
         )
     return overwrites
 
@@ -162,58 +164,73 @@ def calculate_atomic_overwrites(
 def _carve(
     device: int,
     new_rules: Sequence[Rule],
-    positions: Iterable[int],
     emitting: Sequence[int],
     region: Predicate,
     compiler: MatchCompiler,
 ) -> List[Overwrite]:
     """``(e_r ∧ region, a_r)`` for every emitting position ``r``.
 
-    ``positions`` visits, in ascending order, at least every rule whose
-    match meets ``region`` and lies above an emitting position.  The scan
+    ``emitting`` is ascending.  The scan visits the rules in order and
     keeps ``rest``, the :class:`~repro.bdd.predicate.Remainder` of
     ``region`` no visited rule has claimed: an emitting rule splits its
     share off ``rest`` and overwrites it, any other rule only takes its
-    match out of ``rest``.  That is one BDD walk per visited rule.  The
-    scan stops at the last emitting position, which takes its share
-    with a plain ∧, or once ``rest`` is ⊥ (at the default rule at the
-    latest).
+    match out of ``rest``, one BDD walk each.  The scan stops at the
+    last emitting position, which takes its share with a plain ∧, or
+    once ``rest`` is ⊥ (at the default rule at the latest).
 
-    ``rest`` only shrinks, so the region's signature stays a sound
-    filter for it: a match disjoint from it is skipped without a BDD
-    operation.  Re-taking ``signature(rest)`` per step would cost more
-    occupancy walks than the filter saves; a region of ⊤ filters
-    nothing, so it is not tested at all.
+    §3.4's fast look-up for overlapped rules, without an index: a rule
+    disjoint from every emitting match inside ``region`` changes no
+    share (it only lets ``rest`` reach ⊥ later), so it is skipped
+    without a walk.  ``emit_sig``, the disjunction of the emitting
+    matches' cofactor signatures cut down to the region's, finds such
+    rules; a full one filters nothing and is not tested.  With one
+    emitting rule (a per-update block) each rule is first tested against
+    its match field by field (:func:`matches_intersect`), exact where the
+    signature sees only the leading header bits, and a disjoint one is
+    not even compiled.  Every emitting match is compiled before the
+    scan, so one that does not compile raises before anything is
+    written, even when a rule above it leaves it no share.
     """
     sig_of = compiler.engine.signature
-    region_sig = None if region.is_true else sig_of(region)
-    emits = set(emitting)
-    last = max(emits, default=-1)
+    compile_match = compiler.compile
+    emits = [(pos, compile_match(new_rules[pos].match)) for pos in emitting]
+    full = sig_of(compiler.engine.true)
+    cap = full if region.is_true else sig_of(region)
+    emit_sig = 0
+    for _, match in emits:
+        emit_sig |= sig_of(match) & cap
+        if emit_sig == cap:
+            break
+    if emit_sig == full:
+        emit_sig = None
+    solo = new_rules[emitting[0]].match if len(emitting) == 1 else None
     rest = Remainder(region)
     overwrites: List[Overwrite] = []
-    for pos in positions:
-        if pos > last:
-            break
-        rule = new_rules[pos]
-        match = compiler.compile(rule.match)
-        if region_sig is not None and not sig_of(match) & region_sig:
-            continue
-        if pos in emits:
+    last = emitting[-1] if emitting else -1
+    start = 0
+    for pos, match in emits:
+        for rule in new_rules[start:pos]:
+            if solo is not None and not matches_intersect(rule.match, solo):
+                continue
+            taken = compile_match(rule.match)
+            if emit_sig is None or sig_of(taken) & emit_sig:
+                rest.take(taken)
+                if rest.is_false:
+                    return overwrites
+        start = pos + 1
+        if emit_sig is None or sig_of(match) & emit_sig:
             # No rule below the last one needs what is left.
             claimed = rest.share(match) if pos == last else rest.claim(match)
             if not claimed.is_false:
-                overwrites.append(atomic(claimed, device, rule.action))
-        else:
-            rest.take(match)
-        if rest.is_false:
-            break
+                overwrites.append(atomic(claimed, device, new_rules[pos].action))
+            if rest.is_false:
+                break
     return overwrites
 
 
 def _freed_overwrites(
     device: int,
     new_rules: Sequence[Rule],
-    positions: Iterable[int],
     uncovered: Sequence[int],
     deleted: Sequence[Rule],
     compiler: MatchCompiler,
@@ -230,80 +247,12 @@ def _freed_overwrites(
     only the deletions above ``r``, adds no error: inside ``r``'s old
     effective predicate the model already holds ``a_r``.
 
-    One :func:`_carve` of ``F``, emitting at the uncovered positions;
-    ``positions`` visits, in ascending order, at least every rule whose
-    match meets ``F``.
+    One :func:`_carve` of ``F``, emitting at the uncovered positions.
     """
     freed = compiler.engine.disj_many(
         [compiler.compile(rule.match) for rule in deleted]
     )
-    return _carve(device, new_rules, positions, uncovered, freed, compiler)
-
-
-def calculate_atomic_overwrites_indexed(
-    device: int,
-    new_rules: Sequence[Rule],
-    inserted: Sequence[int],
-    compiler: MatchCompiler,
-    index,
-    uncovered: Sequence[int] = (),
-    deleted: Sequence[Rule] = (),
-) -> List[Overwrite]:
-    """Trie-accelerated variant of Algorithm 1's second phase (§3.4).
-
-    Instead of carving the header space with *all* higher-precedence
-    matches, each inserted rule's effective predicate subtracts only the
-    matches of higher-precedence rules that actually *overlap* it, found
-    through the multi-dimension prefix trie: their balanced disjunction
-    and one difference, a BDD walk per overlapping match and none for
-    an insert nothing overlaps.  For LPM-heavy tables the
-    overlap sets are tiny, making this the better choice in per-update
-    mode (small K); the sorted scan amortises better for whole-table
-    blocks.  Uncovered rules get the same freed-region overwrites as in
-    :func:`calculate_atomic_overwrites`, with the scan visiting only the
-    rules the trie finds overlapping a deleted match, plus the default.
-
-    ``index`` must contain exactly the rules of ``new_rules`` (minus the
-    default), as maintained by the model manager.
-    """
-    engine = compiler.engine
-    position_by_id = {id(rule): pos for pos, rule in enumerate(new_rules)}
-    position_by_eq: Dict[Rule, int] = {}
-    for pos, rule in enumerate(new_rules):
-        position_by_eq.setdefault(rule, pos)
-
-    def position_of(rule: Rule) -> Optional[int]:
-        pos = position_by_id.get(id(rule))
-        if pos is None:
-            # The index may hold an equal-but-distinct object when a
-            # deletion removed its twin; fall back to equality.
-            pos = position_by_eq.get(rule)
-        return pos
-
-    overwrites: List[Overwrite] = []
-    for idx in inserted:
-        rule = new_rules[idx]
-        above = []
-        for other in index.overlapping(rule.match):
-            pos = position_of(other)
-            if pos is not None and pos < idx:
-                above.append(compiler.compile(other.match))
-        effective = compiler.compile(rule.match)
-        if above:
-            effective = effective - engine.disj_many(above)
-        if not effective.is_false:
-            overwrites.append(atomic(effective, device, rule.action))
-    if uncovered:
-        near = {len(new_rules) - 1}  # the default rule meets everything
-        for gone in deleted:
-            for other in index.overlapping(gone.match):
-                pos = position_of(other)
-                if pos is not None:
-                    near.add(pos)
-        overwrites += _freed_overwrites(
-            device, new_rules, sorted(near), uncovered, deleted, compiler
-        )
-    return overwrites
+    return _carve(device, new_rules, uncovered, freed, compiler)
 
 
 def decompose_block(
@@ -311,36 +260,20 @@ def decompose_block(
     table: FibTable,
     updates: Sequence[RuleUpdate],
     compiler: MatchCompiler,
-    index=None,
 ) -> Tuple[List[Rule], List[Overwrite]]:
     """Algorithm 1 end to end for one device.
 
     Returns the new sorted rule list (default included) and the atomic
     overwrites ΔM_i.  The caller is responsible for replacing the device's
-    FIB with the returned rules.  With ``index`` (a RuleIndex kept in sync
-    by the caller), effective predicates use the §3.4 trie look-up; the
-    index is updated with the block's inserts/deletes here.
+    FIB with the returned rules.
     """
     new_rules, inserted, uncovered = merge_block_and_diff(
         table.rules(), updates
     )
     deleted = [u.rule for u in updates if u.is_delete]
-    if index is None:
-        overwrites = calculate_atomic_overwrites(
-            device, new_rules, inserted, compiler, uncovered, deleted
-        )
-    else:
-        for u in updates:
-            if u.is_insert:
-                index.add(u.rule)
-            else:
-                index.remove(u.rule)
-        # Re-point the index at the post-merge rule objects: deletions by
-        # equality may have removed a different-but-equal object, which is
-        # fine because overlap queries only use match/priority.
-        overwrites = calculate_atomic_overwrites_indexed(
-            device, new_rules, inserted, compiler, index, uncovered, deleted
-        )
+    overwrites = calculate_atomic_overwrites(
+        device, new_rules, inserted, compiler, uncovered, deleted
+    )
     return new_rules, overwrites
 
 

@@ -41,7 +41,6 @@ from .actiontree import ActionTreeStore
 from .imt import replace_table_rules
 from .inverse_model import InverseModel, Lineage, VecId, compose_lineage
 from .mr2 import Mr2Pipeline
-from .rule_index import RuleIndex
 
 
 class FrozenReadView:
@@ -165,8 +164,9 @@ class ModelWriter:
     :class:`~repro.dataplane.fib.FibTable` does: each insert adds a copy
     of its rule, each delete removes one.  Its one failure rule: **a
     flush that raises leaves the writer at its pre-block version** and
-    drops the block — a delete of a rule that is not installed or a
-    match that does not compile raises before anything is written.  A
+    drops the block — a delete of a rule that is not installed or an
+    inserted match that does not compile (even one a higher rule
+    shadows whole) raises before anything is written.  A
     caller that must survive a faulty stream puts a
     :class:`~repro.resilience.UpdateValidator` in front of the writer;
     one that applies a batch as several flushes undoes them with
@@ -188,7 +188,6 @@ class ModelWriter:
         block_threshold: Optional[int] = None,
         subspace_match=None,
         aggregate: bool = True,
-        use_trie: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.layout = layout
@@ -219,7 +218,6 @@ class ModelWriter:
             self.model,
             self.compiler,
             aggregate_overwrites=aggregate,
-            use_trie=use_trie,
             telemetry=self.telemetry,
         )
         self._epoch = 0
@@ -322,16 +320,13 @@ class ModelWriter:
         self.telemetry.count("resilience.rollback.count")
 
     def _restore(self, view: Optional[FrozenReadView]) -> None:
-        """FIB, EC table and trie indexes set to ``view`` (empty on None)."""
+        """FIB and EC table set to ``view`` (empty on None)."""
         installed = dict(view.rules) if view is not None else {}
-        indexes = self.pipeline.indexes
         for device, table in self.snapshot.tables.items():
             rules = installed.get(device, ())
             replace_table_rules(
                 table, [*rules, default_rule(table.default_action)]
             )
-            if indexes is not None:
-                indexes[device] = RuleIndex.of(self.layout, rules)
         self.model.restore(view.entries() if view is not None else None)
 
     @property

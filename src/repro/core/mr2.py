@@ -23,7 +23,6 @@ from ..errors import OverwriteConflictError
 from ..headerspace.match import MatchCompiler
 from ..telemetry import PhaseBreakdown, Telemetry
 from .imt import decompose_block, replace_table_rules
-from .rule_index import RuleIndex
 from .inverse_model import InverseModel, Lineage
 from .overwrite import ActionDelta, Overwrite
 
@@ -32,35 +31,23 @@ def map_phase(
     snapshot: FibSnapshot,
     block: UpdateBlock,
     compiler: MatchCompiler,
-    indexes: Optional[Dict[int, "RuleIndex"]] = None,
 ) -> List[Overwrite]:
     """Decompose the block into atomic overwrites, then update the FIBs:
     none is written until every device has decomposed, so a block that
-    raises leaves them as they were, and the trie indexes it touched
-    are rebuilt from them.
+    raises leaves them as they were.
 
-    With ``indexes`` (device → RuleIndex), effective predicates use the
-    §3.4 trie look-up for overlapped rules instead of the sorted scan.
-    """
+    Every block size runs the same sorted scan, which skips the rules no
+    expanding rule can meet (§3.4's overlap look-up;
+    :func:`~repro.core.imt.calculate_atomic_overwrites`)."""
     atomics: List[Overwrite] = []
     merged: List[Tuple[FibTable, List[Rule]]] = []
-    try:
-        for device in block.devices():
-            table = snapshot.table(device)
-            index = indexes.get(device) if indexes is not None else None
-            new_rules, overwrites = decompose_block(
-                device, table, block.updates_for(device), compiler, index=index
-            )
-            merged.append((table, new_rules))
-            atomics.extend(overwrites)
-    except BaseException:
-        for device in block.devices():
-            if indexes is not None and device in indexes:
-                indexes[device] = RuleIndex.of(
-                    compiler.layout,
-                    snapshot.table(device).rules(include_default=False),
-                )
-        raise
+    for device in block.devices():
+        table = snapshot.table(device)
+        new_rules, overwrites = decompose_block(
+            device, table, block.updates_for(device), compiler
+        )
+        merged.append((table, new_rules))
+        atomics.extend(overwrites)
     for table, new_rules in merged:
         replace_table_rules(table, new_rules)
     return atomics
@@ -133,20 +120,12 @@ class Mr2Pipeline:
         model: InverseModel,
         compiler: MatchCompiler,
         aggregate_overwrites: bool = True,
-        use_trie: bool = False,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.snapshot = snapshot
         self.model = model
         self.compiler = compiler
         self.aggregate_overwrites = aggregate_overwrites
-        # §3.4 "fast look-up for overlapped rules": per-device tries kept
-        # in sync with the FIBs, used by the map phase when enabled.
-        self.indexes = (
-            {d: RuleIndex(compiler.layout) for d in snapshot.devices()}
-            if use_trie
-            else None
-        )
         # Share the engine's registry by default so BDD op counts and MR2
         # phase timings land in one snapshot.
         if telemetry is None:
@@ -165,9 +144,7 @@ class Mr2Pipeline:
             return Lineage()
         telemetry = self.telemetry
         with telemetry.span("mr2.map"):
-            atomics = map_phase(
-                self.snapshot, block, self.compiler, self.indexes
-            )
+            atomics = map_phase(self.snapshot, block, self.compiler)
         with telemetry.span("mr2.reduce"):
             if self.aggregate_overwrites:
                 compact = aggregate(atomics)

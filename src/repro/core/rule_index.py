@@ -2,16 +2,19 @@
 
 Computing an atomic overwrite needs the rules whose match overlaps the
 updated rule's match.  For LPM-style data planes the overlap set is tiny
-compared to the table, so Flash indexes rules in a prefix trie keyed by the
-cared bits of each field (in layout order) and falls back to a bucket at the
-first wildcard bit.  Candidates from the trie are confirmed with an exact
-ternary intersection test, so non-prefix (suffix/ternary) rules are fully
-supported — they just index shallowly.
+compared to the table, so APKeep* indexes rules in a prefix trie keyed by
+the cared bits of each field (in layout order) and falls back to a bucket
+at the first wildcard bit.  Candidates from the trie are confirmed with an
+exact ternary intersection test, so non-prefix (suffix/ternary) rules are
+fully supported — they just index shallowly.  Flash keeps no index: its
+Map scans the sorted table and skips what cannot overlap
+(``repro.core.imt._carve``), with :func:`matches_intersect` for a
+single insert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from ..dataplane.rule import Rule
 from ..headerspace.fields import HeaderLayout
@@ -52,14 +55,6 @@ class RuleIndex:
         self.max_depth = max_depth
         self._root = _TrieNode()
         self._size = 0
-
-    @classmethod
-    def of(cls, layout: HeaderLayout, rules: Iterable[Rule]) -> "RuleIndex":
-        """An index holding ``rules`` (a table's, default excluded)."""
-        index = cls(layout)
-        for rule in rules:
-            index.add(rule)
-        return index
 
     # -- key derivation ----------------------------------------------------
     def _index_bits(self, match: Match) -> List[int]:

@@ -271,22 +271,19 @@ def random_batches(rng, withdrawals, steps=12):
 
 
 @pytest.mark.parametrize("withdrawals", [False, True], ids=["inserts", "withdrawals"])
-@pytest.mark.parametrize("use_trie", [False, True], ids=["scan", "trie"])
-def test_writer_lineage_is_the_step_at_every_threshold(use_trie, withdrawals):
+def test_writer_lineage_is_the_step_at_every_threshold(withdrawals):
     """Through ``ModelWriter``: each batch's lineage, composed across the
     blocks ``block_threshold`` cuts it into, is the step from the
     pre-batch table, and the table equals the reference cross product's."""
-    rng = case_rng(0xAB05 + 2 * use_trie + withdrawals)
+    rng = case_rng(0xAB05 + withdrawals)
     for trial in range(3):
         batches = random_batches(rng, withdrawals)
-        reference = ModelWriter(DEVICES, LAYOUT, use_trie=use_trie)
+        reference = ModelWriter(DEVICES, LAYOUT)
         reference.model.apply_overwrites = (
             lambda ows: apply_overwrites_reference(reference.model, ows)
         )
         for threshold in (None, 1, 2, 3):
-            writer = ModelWriter(
-                DEVICES, LAYOUT, block_threshold=threshold, use_trie=use_trie
-            )
+            writer = ModelWriter(DEVICES, LAYOUT, block_threshold=threshold)
             for step, batch in enumerate(batches):
                 before = writer.model.entries()
                 lineage = writer.submit(batch)

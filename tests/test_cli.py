@@ -162,10 +162,20 @@ BAD_LINES = {
     "ternary-negative": GOOD_LINE.replace("[[8,12]]", "[[8,-1]]"),
     "ternary-out-of-width": GOOD_LINE.replace("[[8,12]]", "[[8,4108]]"),
 }
+#: A wildcard above the out-of-width insert leaves it no share; its match
+#: is compiled all the same.
+BAD_LINES["ternary-out-of-width-shadowed"] = (
+    GOOD_LINE.replace('"priority":1', '"priority":5').replace("[[8,12]]", "[[0,0]]")
+    + "\n"
+    + BAD_LINES["ternary-out-of-width"]
+)
 
 #: Rows the decoder accepts and the match compiler rejects: the error
 #: names the ternary, not the line.
-COMPILE_ERRORS = {"ternary-out-of-width": "[8, 4108]"}
+COMPILE_ERRORS = {
+    "ternary-out-of-width": "[8, 4108]",
+    "ternary-out-of-width-shadowed": "[8, 4108]",
+}
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze"])
@@ -209,6 +219,30 @@ def test_a_match_on_a_field_outside_the_layout_fails_every_engine(
     the topology's layout is what fails, the same way on every engine."""
     trace = tmp_path / "t.jsonl"
     trace.write_text(GOOD_LINE.replace('"dst":[[8,12]]', '"nope":[[1,255]]') + "\n")
+    code = main(
+        ["verify", "--topology", "internet2", "--trace", str(trace),
+         "--engine", engine]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown field 'nope'\n"
+    assert "model built" not in captured.out
+
+
+@pytest.mark.parametrize("engine", ["flash", "apkeep", "deltanet"])
+def test_a_shadowed_match_on_a_field_outside_the_layout_fails_every_engine(
+    engine, tmp_path, capsys
+):
+    """A higher wildcard leaves the bad rule no share of the header
+    space; its match is compiled all the same, on every engine."""
+    wildcard = GOOD_LINE.replace('"priority":1', '"priority":5').replace(
+        "[[8,12]]", "[[0,0]]"
+    )
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(
+        wildcard + "\n"
+        + GOOD_LINE.replace('"dst":[[8,12]]', '"nope":[[1,255]]') + "\n"
+    )
     code = main(
         ["verify", "--topology", "internet2", "--trace", str(trace),
          "--engine", engine]

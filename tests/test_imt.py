@@ -13,7 +13,6 @@ from repro.bdd.predicate import PredicateEngine
 from repro.core.actiontree import ActionTreeStore
 from repro.core.imt import (
     calculate_atomic_overwrites,
-    calculate_atomic_overwrites_indexed,
     decompose_block,
     device_action_predicates,
     effective_predicates,
@@ -30,12 +29,16 @@ from repro.core.mr2 import (
     reduce_by_predicate,
 )
 from repro.core.overwrite import Overwrite, atomic, check_conflict_free
-from repro.core.rule_index import RuleIndex
 from repro.dataplane.fib import FibSnapshot, FibTable
 from repro.dataplane.rule import DROP, Rule
 from repro.dataplane.update import UpdateBlock, delete, insert
-from repro.errors import OverwriteConflictError, RuleNotFoundError
-from repro.headerspace.fields import dst_only_layout
+from repro.errors import (
+    HeaderSpaceError,
+    OverwriteConflictError,
+    RuleNotFoundError,
+)
+from repro.core.rule_index import matches_intersect
+from repro.headerspace.fields import dst_only_layout, dst_src_layout
 from repro.headerspace.match import Match, MatchCompiler, Pattern
 
 from .apply_reference import unrestricted_overwrites
@@ -404,6 +407,26 @@ class TestEquivalenceProperties:
         manager.model.check_invariants()
         assert_model_matches_snapshot(manager.model, manager.snapshot, LAYOUT)
 
+    @given(
+        st.lists(random_rule_strategy(LAYOUT, ACTIONS), min_size=1, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_per_update_withdrawals_keep_equivalence(self, rules, data):
+        # One update per block: every carve has one emitting rule, the
+        # case where rules are tested field by field before compiling.
+        manager = build_manager(devices=(0,), threshold=1)
+        manager.submit([insert(0, r) for r in rules])
+        unique = list(dict.fromkeys(rules))
+        doomed = data.draw(
+            st.lists(st.sampled_from(unique), unique=True, max_size=4),
+            label="deletions",
+        )
+        manager.submit([delete(0, r) for r in doomed])
+        assert manager.pending_count == 0
+        manager.model.check_invariants()
+        assert_model_matches_snapshot(manager.model, manager.snapshot, LAYOUT)
+
     @given(st.lists(random_rule_strategy(LAYOUT, ACTIONS), max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_block_equals_per_update(self, rules):
@@ -452,114 +475,13 @@ class TestEquivalenceProperties:
         assert total == LAYOUT.universe_size
 
 
-class TestTrieAcceleratedMap:
-    """§3.4 trie look-up: same models as the sorted-scan path."""
-
-    @given(
-        st.lists(random_rule_strategy(LAYOUT, ACTIONS), max_size=12),
-        st.data(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_trie_mode_equals_scan_mode(self, rules, data):
-        updates = [
-            insert(data.draw(st.integers(0, 1), label="device"), r)
-            for r in rules
-        ]
-        scan = ModelWriter((0, 1), LAYOUT)
-        trie = ModelWriter((0, 1), LAYOUT, use_trie=True)
-        half = len(updates) // 2
-        for manager in (scan, trie):
-            manager.submit(updates[:half])
-            manager.flush()
-            manager.submit(updates[half:])
-            manager.flush()
-        assert scan.num_ecs() == trie.num_ecs()
-        assert_model_matches_snapshot(trie.model, trie.snapshot, LAYOUT)
-
-    @given(
-        st.lists(random_rule_strategy(LAYOUT, ACTIONS), min_size=1, max_size=8),
-        st.data(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_trie_mode_with_deletions(self, rules, data):
-        trie = ModelWriter((0,), LAYOUT, use_trie=True)
-        trie.submit([insert(0, r) for r in rules])
-        trie.flush()
-        unique = list(dict.fromkeys(rules))
-        doomed = data.draw(
-            st.lists(st.sampled_from(unique), unique=True, max_size=3),
-            label="deletions",
-        )
-        trie.submit([delete(0, r) for r in doomed])
-        trie.flush()
-        trie.model.check_invariants()
-        assert_model_matches_snapshot(trie.model, trie.snapshot, LAYOUT)
-
-    def test_per_update_trie_mode(self):
-        manager = ModelWriter((0, 1), LAYOUT, block_threshold=1, use_trie=True)
-        manager.submit(
-            [
-                insert(0, rule(2, 0b1000, 1, 1)),
-                insert(0, rule(3, 0b1100, 2, 2)),
-                insert(1, rule(1, 0, 0, 3)),
-                delete(0, rule(2, 0b1000, 1, 1)),
-            ]
-        )
-        assert_model_matches_snapshot(manager.model, manager.snapshot, LAYOUT)
-
-    def test_insert_costs_one_walk_per_overlapping_higher_match(self):
-        # n higher-precedence matches overlap the insert: n - 1 ∨ for the
-        # shadow and one ∧¬ to take it out; none overlap, no operation.
-        costs = set()
-        for case in range(40):
-            rng = case_rng(case)
-            installed = list(dict.fromkeys(
-                TestFreedRegionOverwrites._random_rule(rng)
-                for _ in range(rng.randint(0, 10))
-            ))
-            fresh = dict.fromkeys(
-                TestFreedRegionOverwrites._random_rule(rng)
-                for _ in range(rng.randint(1, 4))
-            )
-            block = [insert(0, r) for r in fresh if r not in installed]
-            snapshot = FibSnapshot([0])
-            index = RuleIndex(LAYOUT)
-            for r in installed:
-                snapshot.table(0).insert(r)
-            merged, inserted, _ = merge_block_and_diff(
-                snapshot.table(0).rules(), block
-            )
-            for r in merged[:-1]:
-                index.add(r)
-            compiler = fresh_compiler()
-            for r in merged:  # compiling counts operations too
-                compiler.compile(r.match)
-            metrics = compiler.engine.metrics
-            for idx in inserted:
-                above = [
-                    r for r in index.overlapping(merged[idx].match)
-                    if merged.index(r) < idx
-                ]
-                metrics.reset()
-                calculate_atomic_overwrites_indexed(
-                    0, merged, [idx], compiler, index
-                )
-                walks = metrics.conjunctions + metrics.disjunctions
-                assert walks == len(above), (case, idx)
-                costs.add(len(above))
-            assert calculate_atomic_overwrites_indexed(
-                0, merged, inserted, compiler, index
-            ) == calculate_atomic_overwrites(0, merged, inserted, compiler)
-        assert {0, 1} < costs  # not vacuous: no overlap, one, and more
-
-
 class TestFreedRegionOverwrites:
     """A withdrawal overwrites only the header space it freed.
 
-    Random tables and mixed insert/withdraw blocks, on the scan and the
-    trie path: the restricted decomposition yields the same model as the
-    unrestricted Algorithm 1 (``tests/apply_reference.py``), and a block
-    of withdrawals only writes nothing outside the deleted matches.
+    Random tables and mixed insert/withdraw blocks: the restricted
+    decomposition yields the same model as the unrestricted Algorithm 1
+    (``tests/apply_reference.py``), and a block of withdrawals only
+    writes nothing outside the deleted matches.
     """
 
     CASES = 40
@@ -573,23 +495,20 @@ class TestFreedRegionOverwrites:
             match = Match({"dst": Pattern.suffix(value, length, 4)})
         return Rule(rng.randint(1, 6), match, rng.choice(ACTIONS))
 
-    def _check(self, installed, block, use_trie):
+    def _check(self, installed, block):
         compiler = fresh_compiler()
         engine = compiler.engine
         store = ActionTreeStore()
         snapshot = FibSnapshot([0])
-        index = RuleIndex(LAYOUT) if use_trie else None
         for r in installed:
             snapshot.table(0).insert(r)
-            if index is not None:
-                index.add(r)
         before = natural_transformation(snapshot, compiler, store)
         table = snapshot.table(0)
         merged, inserted, uncovered = merge_block_and_diff(table.rules(), block)
         unrestricted = unrestricted_overwrites(
             0, merged, sorted(inserted + uncovered), compiler
         )
-        _, restricted = decompose_block(0, table.copy(), block, compiler, index)
+        _, restricted = decompose_block(0, table.copy(), block, compiler)
         models = []
         for overwrites in (restricted, unrestricted):
             model = InverseModel(engine, store, [0])
@@ -604,8 +523,7 @@ class TestFreedRegionOverwrites:
             assert (written - freed).is_false
         return len(restricted), len(unrestricted)
 
-    @pytest.mark.parametrize("use_trie", [False, True], ids=["scan", "trie"])
-    def test_restricted_equals_unrestricted(self, use_trie):
+    def test_restricted_equals_unrestricted(self):
         emitted = {"restricted": 0, "unrestricted": 0}
         for case in range(self.CASES):
             rng = case_rng(case)
@@ -619,7 +537,7 @@ class TestFreedRegionOverwrites:
                 block += [
                     insert(0, r) for r in dict.fromkeys(fresh) if r not in installed
                 ]
-            restricted, unrestricted = self._check(installed, block, use_trie)
+            restricted, unrestricted = self._check(installed, block)
             emitted["restricted"] += restricted
             emitted["unrestricted"] += unrestricted
         # Not vacuous: the restriction drops some overwrites outright.
@@ -635,7 +553,8 @@ class TestCarve:
     uncovered rules' effective predicates inside the freed region.
     Applied to the old model they give the natural transformation of the
     new table.  A carve stops once its region is used up, so rules below
-    that point cost no predicate operation.
+    that point cost no predicate operation, and it skips a rule whose
+    signature misses every emitting match without one either.
     """
 
     CASES = 40
@@ -766,6 +685,126 @@ class TestCarve:
             costs.add((ops, freed_ops))
         assert len(costs) == 1
 
+    def test_insert_costs_one_walk_per_overlapping_higher_match(self):
+        # Per-update mode: one insert, one walk for each higher rule that
+        # meets it and one for its own share (fewer once those rules cover
+        # the header space, where the scan stops); a higher rule disjoint
+        # from it costs none.  On 4 bits the cofactor signature is exact,
+        # so "meets" is "their signatures meet".
+        costs, skipped = set(), 0
+        for case in range(40):
+            rng = case_rng(case)
+            installed = list(dict.fromkeys(
+                self._random_rule(rng) for _ in range(rng.randint(0, 10))
+            ))
+            fresh = self._random_rule(rng)
+            if fresh in installed:
+                continue
+            block = [insert(0, fresh)]
+            snapshot = FibSnapshot([0])
+            for r in installed:
+                snapshot.table(0).insert(r)
+            merged, inserted, _ = merge_block_and_diff(
+                snapshot.table(0).rules(), block
+            )
+            compiler = fresh_compiler()
+            for r in merged:  # compiling counts operations too
+                compiler.compile(r.match)
+            (idx,) = inserted
+            sig_of = compiler.engine.signature
+            sig = sig_of(compiler.compile(fresh.match))
+            meeting = [
+                r for r in merged[:idx] if sig_of(compiler.compile(r.match)) & sig
+            ]
+            covered = compiler.engine.disj_many(
+                [compiler.compile(r.match) for r in meeting]
+            ).is_true
+            metrics = compiler.engine.metrics
+            metrics.reset()
+            got = calculate_atomic_overwrites(0, merged, inserted, compiler)
+            assert metrics.disjunctions == 0
+            if covered:
+                assert metrics.conjunctions <= len(meeting), case
+            else:
+                assert metrics.conjunctions == len(meeting) + 1, case
+            assert got == unrestricted_overwrites(0, merged, inserted, compiler)
+            costs.add(len(meeting))
+            skipped += idx - len(meeting)
+        assert {0, 1} < costs  # no overlap, one, and more
+        assert skipped  # not vacuous: some higher rule missed the insert
+
+    def test_block_skips_higher_rules_that_miss_every_insert(self):
+        # Two inserts under 0***, higher rules under 1***: the block's
+        # cost does not grow with the rules it skips.
+        inserts = [rule(3, 0b0000, 2, 1), rule(3, 0b0100, 2, 3)]
+        costs = set()
+        for above in (2, 8):
+            installed = [rule(5, 0b1000 | v, 4, 2) for v in range(above)]
+            block = [insert(0, r) for r in inserts]
+            got = self._check(installed, block)
+            assert [ow.predicate.sat_count() for ow in got] == [4, 4]
+            costs.add(self._overwrites_and_ops(installed, block)[1])
+        assert len(costs) == 1
+
+    def test_withdrawal_skips_rules_outside_the_freed_region(self):
+        # Withdrawing 00** frees a region under 0***; the rules under
+        # 1*** between it and the uncovered 0*** cost no walk.
+        narrow, wide = rule(8, 0b0000, 2, 1), rule(6, 0b0000, 1, 2)
+        costs = set()
+        for between in (2, 8):
+            installed = [narrow, wide] + [
+                rule(7, 0b1000 | v, 4, 3) for v in range(between)
+            ]
+            got = self._check(installed, [delete(0, narrow)])
+            assert [(ow.predicate.sat_count(), ow.delta) for ow in got] == [
+                (4, ((0, 2),))
+            ]
+            costs.add(self._overwrites_and_ops(installed, [delete(0, narrow)])[1])
+        assert len(costs) == 1
+
+    def test_single_insert_compiles_no_disjoint_rule(self):
+        # One insert (a per-update block): a higher rule whose match
+        # misses it field by field is not even compiled.
+        installed = [rule(5, 0b1000 | v, 4, 2) for v in range(4)]
+        installed.append(rule(4, 0b0000, 1, 3))  # 0*** meets 00**
+        fresh = rule(2, 0b0000, 2, 1)
+        snapshot = FibSnapshot([0])
+        for r in installed:
+            snapshot.table(0).insert(r)
+        merged, inserted, _ = merge_block_and_diff(
+            snapshot.table(0).rules(), [insert(0, fresh)]
+        )
+        compiler = fresh_compiler()
+        assert calculate_atomic_overwrites(0, merged, inserted, compiler) == []
+        assert len(compiler) == 2  # the insert and 0***
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Match({"dst": Pattern(((0, 1 << 4),))}),
+            Match({"src": Pattern(((1, 1),))}),
+        ],
+        ids=["out-of-width", "unknown-field"],
+    )
+    def test_shadowed_insert_that_does_not_compile_raises(self, bad):
+        # A wildcard leaves a lower insert no share, yet the insert's
+        # match is compiled: the flush raises and writes nothing.
+        writer = ModelWriter((0,), LAYOUT)
+        wildcard = rule(5, 0, 0, 1)
+        writer.submit([insert(0, wildcard)])
+        writer.flush()
+        before = writer.read_view()
+        bad = Rule(1, bad, 2)
+        writer.submit([insert(0, bad)])
+        with pytest.raises(HeaderSpaceError):
+            writer.flush()
+        assert writer.read_view().rules == before.rules
+        assert writer.model.entries() == list(before.entries())
+        writer.submit([delete(0, wildcard)])
+        writer.flush()
+        assert writer.read_view().rules == ((0, ()),)
+        assert_model_matches_snapshot(writer.model, writer.snapshot, LAYOUT)
+
     def test_empty_inserted(self):
         rng = case_rng(0)
         installed = list(dict.fromkeys(self._random_rule(rng) for _ in range(8)))
@@ -773,3 +812,64 @@ class TestCarve:
             self._check(installed, [delete(0, doomed)])
         got, ops = self._overwrites_and_ops(installed, [])
         assert (got, ops) == ([], 0)
+
+
+class TestSkipWithCoarseSignatures:
+    """The carve's skip stays sound where the cofactor signature cannot
+    tell two matches apart.
+
+    On ``dst`` (4 bits) + ``src`` (6 bits) the signature sees only the
+    first 8 header bits, so rules that differ in ``src``'s last two bits
+    meet in the signature yet are disjoint.  Random two-field ternary
+    rules, inserted and withdrawn on two devices, per update and in
+    blocks: the model is the snapshot's.
+    """
+
+    LAYOUT = dst_src_layout(4, 6)
+    CASES = 12
+
+    @staticmethod
+    def _random_rule(rng):
+        patterns = {}
+        for field, width in (("dst", 4), ("src", 6)):
+            if rng.random() < 0.8:
+                mask = rng.randrange(1 << width)
+                patterns[field] = Pattern.ternary(
+                    rng.randrange(1 << width), mask, width
+                )
+        return Rule(rng.randint(0, 6), Match(patterns), rng.choice(ACTIONS))
+
+    @pytest.mark.parametrize("threshold", [1, None], ids=["per-update", "block"])
+    def test_model_is_the_snapshots(self, threshold):
+        coarse = 0  # disjoint pairs whose signatures meet
+        for case in range(self.CASES):
+            rng = case_rng(case)
+            writer = ModelWriter((0, 1), self.LAYOUT, block_threshold=threshold)
+            installed = {0: [], 1: []}
+            for _ in range(3):
+                batch = []
+                for _ in range(rng.randint(1, 6)):
+                    device = rng.choice((0, 1))
+                    have = installed[device]
+                    if have and rng.random() < 0.3:
+                        victim = have.pop(rng.randrange(len(have)))
+                        batch.append(delete(device, victim))
+                        continue
+                    r = self._random_rule(rng)
+                    if r not in have:
+                        have.append(r)
+                        batch.append(insert(device, r))
+                writer.submit(batch)
+                writer.flush()
+            writer.model.check_invariants()
+            assert_model_matches_snapshot(writer.model, writer.snapshot, self.LAYOUT)
+            sig_of = writer.engine.signature
+            for rules in installed.values():
+                sigs = [sig_of(writer.compiler.compile(r.match)) for r in rules]
+                coarse += sum(
+                    1
+                    for i, a in enumerate(rules)
+                    for j, b in enumerate(rules[:i])
+                    if sigs[i] & sigs[j] and not matches_intersect(a.match, b.match)
+                )
+        assert coarse  # not vacuous

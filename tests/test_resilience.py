@@ -469,12 +469,9 @@ def fib_and_table(manager):
     return view.rules, {(pred.node, vec) for pred, vec in view.entries()}
 
 
-@pytest.mark.parametrize(
-    "block_threshold, use_trie",
-    [(None, False), (1, False), (None, True), (1, True)],
-)
+@pytest.mark.parametrize("block_threshold", [None, 1])
 @pytest.mark.parametrize("seed", range(4))
-def test_rollback_restores_every_version_in_place(seed, block_threshold, use_trie):
+def test_rollback_restores_every_version_in_place(seed, block_threshold):
     """Rolling back to the view taken after batch k is the model a fresh
     writer builds from the first k batches, costs no predicate operation
     and no MR2 block, and replaying the rest lands on the straight run."""
@@ -485,8 +482,7 @@ def test_rollback_restores_every_version_in_place(seed, block_threshold, use_tri
 
     def writer(**shared):
         return ModelWriter(
-            DEVICES, LAYOUT, block_threshold=block_threshold,
-            use_trie=use_trie, **shared,
+            DEVICES, LAYOUT, block_threshold=block_threshold, **shared
         )
 
     def replay(manager, some):
@@ -517,35 +513,52 @@ def test_rollback_restores_every_version_in_place(seed, block_threshold, use_tri
 # ---------------------------------------------------------------------------
 # a flush that raises leaves the writer at its pre-block version
 # ---------------------------------------------------------------------------
-def poison(rng):
-    """An update the writer cannot apply: a delete of a rule no stream
-    installs (priority 9 is never generated), or an insert whose match
-    does not fit the 4-bit ``dst``; priority 9 puts it above every rule,
-    so its match is compiled."""
+def poison(rng, kind):
+    """Updates the writer cannot apply: a delete of a rule no stream
+    installs (priority 9 is never generated); an insert whose match does
+    not fit the 4-bit ``dst``, which priority 9 puts above every rule;
+    or, below a priority-9 wildcard that leaves it no share, an insert
+    whose match does not fit ``dst`` or names a field the layout lacks.
+    ``kind`` (one of :data:`POISONS`) picks one; every inserted match is
+    compiled, shadowed or not."""
     device = rng.choice(DEVICES)
-    if rng.random() < 0.5:
-        return delete(device, rule(9, rng.randrange(16), 4, 1))
-    return insert(device, Rule(9, Match({"dst": Pattern(((0, 1 << 4),))}), 1))
+    wide = Match({"dst": Pattern(((0, 1 << 4),))})
+    if kind == "missing-delete":
+        return [delete(device, rule(9, rng.randrange(16), 4, 1))]
+    if kind == "out-of-width":
+        return [insert(device, Rule(9, wide, 1))]
+    bad = {
+        "shadowed-out-of-width": wide,
+        "shadowed-unknown-field": Match({"src": Pattern(((1, 1),))}),
+    }[kind]
+    return [insert(device, rule(9, 0, 0, 2)), insert(device, Rule(0, bad, 1))]
 
 
-@pytest.mark.parametrize("use_trie", [False, True])
-def test_failed_flush_leaves_the_pre_block_version(use_trie):
+POISONS = [
+    "missing-delete",
+    "out-of-width",
+    "shadowed-out-of-width",
+    "shadowed-unknown-field",
+]
+
+
+@pytest.mark.parametrize("kind", POISONS)
+def test_failed_flush_leaves_the_pre_block_version(kind):
     """Random multi-device blocks with one poisoned update each: the
     flush raises, the writer's rules and EC table are the pre-block
     ones, and after the clean block the model is a fresh build's."""
     topology = line(3)
-    rng = random.Random(11)
-    for _ in range(10):
+    rng = random.Random(11 + POISONS.index(kind))
+    for _ in range(3):
         installed = {d: [] for d in DEVICES}
         history = random_stream(rng, ops=12, installed=installed)
         block = random_stream(rng, ops=8, installed=installed)
-        writer = ModelWriter(DEVICES, LAYOUT, use_trie=use_trie)
+        writer = ModelWriter(DEVICES, LAYOUT)
         writer.submit(history)
         writer.flush()
         before = writer.read_view()
-        poisoned = list(block)
-        poisoned.insert(rng.randint(0, len(block)), poison(rng))
-        writer.submit(poisoned)
+        at = rng.randint(0, len(block))
+        writer.submit(block[:at] + poison(rng, kind) + block[at:])
         with pytest.raises(ReproError):
             writer.flush()
         assert writer.read_view().rules == before.rules
