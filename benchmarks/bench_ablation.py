@@ -1,8 +1,8 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
-1. **PAT vs array vectors** — §3.4/§5.4: hash-consed persistent treap
-   vectors vs interned O(N)-copy tuples, isolated inside the same Fast IMT
-   pipeline.
+1. **PAT vs array vectors** — §3.4/§5.4: hash-consed persistent radix
+   tree vectors (16-way, one tuple copied per level) vs interned
+   O(N)-copy tuples, isolated inside the same Fast IMT pipeline.
 2. **MR2 aggregation on/off** — Reduce I/II vs applying atomic overwrites
    one by one (the "Flash (per-update mode)" of Figure 11, here on a storm).
 3. **Overlapped-rule trie on/off** — APKeep*'s per-update change
@@ -65,10 +65,8 @@ def bench_ablation_pat_vs_array(benchmark):
 def bench_ablation_pat_scaling(benchmark):
     """Store-level scaling: single-device overwrites on N-device vectors.
 
-    This isolates §3.4's complexity claim — O(‖y*‖·lg N) per overwrite for
-    PAT vs O(N) for arrays — without the pipeline around it.  The paper's
-    §5.4 observes the effect only on large networks; the measured crossover
-    confirms why.
+    This isolates §3.4's complexity claim — O(‖y*‖·FAN·log_FAN N) per
+    overwrite for PAT vs O(N) for arrays — without the pipeline around it.
     """
     import random
 
@@ -105,9 +103,9 @@ def bench_ablation_pat_scaling(benchmark):
             f"{row['array'] / row['pat']:>10.2f}"
         )
     save_json("ablation_pat_scaling", {str(k): v for k, v in table.items()})
-    # The array store degrades with N; PAT stays ~logarithmic.  At the
-    # largest size PAT must win.
-    assert table[sizes[-1]]["pat"] < table[sizes[-1]]["array"]
+    # The array store degrades with N; PAT stays ~logarithmic, and its
+    # path copy is cheaper than a whole-vector copy already at N = 32.
+    assert all(row["pat"] < row["array"] for row in table.values())
     growth_pat = table[sizes[-1]]["pat"] / table[sizes[0]]["pat"]
     growth_array = table[sizes[-1]]["array"] / table[sizes[0]]["array"]
     assert growth_array > growth_pat

@@ -2,17 +2,23 @@
 
 The inverse model keys equivalence classes by their N-dimensional action
 vector.  Storing vectors as arrays makes every overwrite O(N) time and
-memory; the paper introduces PAT — a *persistent* balanced BST — so an
-overwrite touching k devices costs O(k·lg N) and shares all untouched
-structure.
+memory; the paper introduces PAT — a *persistent* tree — so an overwrite
+touching k devices copies only k root-to-leaf paths and shares all
+untouched structure.
 
-This implementation is a persistent treap with two twists:
+This implementation is a persistent radix tree (a persistent array):
 
-* **deterministic heap priorities** derived by hashing the device id, so a
-  given {device → action} mapping has exactly one tree shape regardless of
-  the order operations were applied in;
-* **hash-consing** of nodes in a store, so structurally equal trees are the
-  *same* node id — action-vector equality used to key the EC table is O(1).
+* a node is a tuple of :data:`FAN` slots indexed by 4 bits of the device
+  id per level; a leaf's slots hold actions, an inner node's hold child
+  ids, so an overwrite is O(‖y*‖·FAN·log_FAN N) C-level tuple copies;
+* its shape depends only on the ``{device → action}`` mapping: the root
+  is as shallow as the largest device id allows and an all-empty subtree
+  is :data:`EMPTY`, whatever order the entries were set in;
+* nodes are **hash-consed** in a store, so structurally equal trees are
+  the *same* node id — action-vector equality used to key the EC table is
+  O(1).  Ids are append-only and never reused, and a node is complete
+  before its id is returned, so readers may share a store its writer is
+  still appending to.
 
 Vectors are represented by integer node ids into an :class:`ActionTreeStore`.
 """
@@ -23,62 +29,45 @@ from typing import Any, Dict, Hashable, List, Tuple
 
 EMPTY = 0
 
-_MIX = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
+FAN = 16
+_BITS = 4  # FAN == 1 << _BITS
+_MASK = FAN - 1
+
+_ABSENT = object()  # a leaf slot with no action (actions may be None)
+_NO_ACTIONS = (_ABSENT,) * FAN
+_NO_CHILDREN = (EMPTY,) * FAN
 
 
-def _priority(key: int) -> int:
-    """Deterministic treap priority for a device id (splitmix64 finaliser)."""
-    z = (key * _MIX + _MIX) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _height(key: int) -> int:
+    """The level of the shallowest root whose range holds ``key``."""
+    return max(0, key.bit_length() - 1) // _BITS
 
 
 class ActionTreeStore:
     """Shared, interned storage for persistent action trees."""
 
     def __init__(self) -> None:
-        # Node 0 is the empty tree.
-        self._key: List[int] = [-1]
-        self._value: List[Any] = [None]
-        self._left: List[int] = [EMPTY]
-        self._right: List[int] = [EMPTY]
-        self._size: List[int] = [0]
-        self._intern: Dict[Tuple[int, Any, int, int], int] = {}
-        # Device id -> its treap rank ``(_priority(key), key)``: one entry
-        # per device, reached only by the writer (set / _merge / delete).
-        self._rank: Dict[int, Tuple[int, int]] = {}
+        # Node id -> (level, slots); level 0 is a leaf.  EMPTY reads as a
+        # leaf with no actions, so a lookup that reaches it finds none.
+        self._nodes: List[Tuple[int, Tuple[Any, ...]]] = [(0, _NO_ACTIONS)]
+        self._intern: Dict[Tuple[int, Tuple[Any, ...]], int] = {}
 
-    # -- node accessors ----------------------------------------------------
-    def _mk(self, key: int, value: Hashable, left: int, right: int) -> int:
-        ident = (key, value, left, right)
-        node = self._intern.get(ident)
-        if node is None:
-            node = len(self._key)
-            self._key.append(key)
-            self._value.append(value)
-            self._left.append(left)
-            self._right.append(right)
-            self._size.append(self._size[left] + self._size[right] + 1)
-            self._intern[ident] = node
+    def _mk(self, level: int, slots: Tuple[Any, ...]) -> int:
+        ident = (level, slots)
+        fresh = len(self._nodes)
+        node = self._intern.setdefault(ident, fresh)
+        if node == fresh:
+            self._nodes.append(ident)
         return node
-
-    def size(self, node: int) -> int:
-        """Number of (device, action) entries — the paper's ‖y‖≠0."""
-        return self._size[node]
 
     @property
     def num_nodes(self) -> int:
-        return len(self._key)
+        return len(self._nodes)
 
     # -- construction ------------------------------------------------------
     def build(self, items: Dict[int, Hashable]) -> int:
         """Bulk-build a vector; equivalent to repeated :meth:`set`."""
-        node = EMPTY
-        for key in sorted(items):
-            node = self.set(node, key, items[key])
-        return node
+        return self.overwrite(EMPTY, items)
 
     def uniform(self, devices: List[int], action: Hashable) -> int:
         """A vector assigning the same action to every device."""
@@ -86,143 +75,78 @@ class ActionTreeStore:
 
     # -- persistent operations ----------------------------------------------
     def get(self, node: int, key: int, default: Any = None) -> Any:
-        while node != EMPTY:
-            k = self._key[node]
-            if key == k:
-                return self._value[node]
-            node = self._left[node] if key < k else self._right[node]
-        return default
-
-    def contains(self, node: int, key: int) -> bool:
-        sentinel = object()
-        return self.get(node, key, sentinel) is not sentinel
+        nodes = self._nodes
+        level, slots = nodes[node]
+        if key >> (level + 1) * _BITS:  # past the root's range, or < 0
+            return default
+        while level:
+            level, slots = nodes[slots[key >> level * _BITS & _MASK]]
+        value = slots[key & _MASK]
+        return default if value is _ABSENT else value
 
     def set(self, node: int, key: int, value: Hashable) -> int:
-        """Return a new root with ``key`` mapped to ``value``."""
+        """Return a new root with ``key`` mapped to ``value``.
+
+        The path down to ``key``'s leaf is copied one tuple per level, the
+        root first grown (each old root becomes slot 0 of the next level)
+        until its range holds ``key``.
+        """
+        if key < 0:
+            raise ValueError(f"device id {key} is negative")
+        nodes, mk = self._nodes, self._mk
+        level, slots = nodes[node]
         if node == EMPTY:
-            return self._mk(key, value, EMPTY, EMPTY)
-        k = self._key[node]
-        if key == k:
-            if self._value[node] == value:
-                return node
-            return self._mk(key, value, self._left[node], self._right[node])
-        if self._prio_less(k, key):
-            # New key floats above this subtree.  The heap property
-            # guarantees the key is absent below (its priority would be
-            # smaller than every ancestor's), so a plain split is safe.
-            left, right = self._split(node, key)
-            return self._mk(key, value, left, right)
-        if key < k:
-            return self._mk(
-                k, self._value[node], self.set(self._left[node], key, value),
-                self._right[node],
+            level = _height(key)
+            slots = _NO_CHILDREN if level else _NO_ACTIONS
+        while key >> (level + 1) * _BITS:
+            level += 1
+            slots = (node,) + _NO_CHILDREN[1:]
+            node = mk(level, slots)
+        path = []
+        while level:
+            at = key >> level * _BITS & _MASK
+            path.append((level, slots, at))
+            child = slots[at]
+            level -= 1
+            slots = nodes[child][1] if child else (
+                _NO_CHILDREN if level else _NO_ACTIONS
             )
-        return self._mk(
-            k, self._value[node], self._left[node],
-            self.set(self._right[node], key, value),
-        )
-
-    def _prio_less(self, a: int, b: int) -> bool:
-        """Whether key ``a``'s priority is lower than key ``b``'s."""
-        rank = self._rank
-        return (rank.get(a) or self._new_rank(a)) < (
-            rank.get(b) or self._new_rank(b)
-        )
-
-    def _new_rank(self, key: int) -> Tuple[int, int]:
-        rank = self._rank[key] = (_priority(key), key)
-        return rank
-
-    def _split(self, node: int, key: int) -> Tuple[int, int]:
-        """Split into (< key, > key); ``key`` itself must be absent."""
-        if node == EMPTY:
-            return EMPTY, EMPTY
-        k = self._key[node]
-        if key < k:
-            left, right = self._split(self._left[node], key)
-            return left, self._mk(k, self._value[node], right, self._right[node])
-        left, right = self._split(self._right[node], key)
-        return self._mk(k, self._value[node], self._left[node], left), right
-
-    def delete(self, node: int, key: int) -> int:
-        """Return a new root without ``key`` (no-op if absent)."""
-        if node == EMPTY:
-            return EMPTY
-        k = self._key[node]
-        if key == k:
-            return self._merge(self._left[node], self._right[node])
-        if key < k:
-            new_left = self.delete(self._left[node], key)
-            if new_left == self._left[node]:
-                return node
-            return self._mk(k, self._value[node], new_left, self._right[node])
-        new_right = self.delete(self._right[node], key)
-        if new_right == self._right[node]:
+        at = key & _MASK
+        if slots[at] == value:
             return node
-        return self._mk(k, self._value[node], self._left[node], new_right)
-
-    def _merge(self, a: int, b: int) -> int:
-        """Merge two treaps where all keys of ``a`` < all keys of ``b``."""
-        if a == EMPTY:
-            return b
-        if b == EMPTY:
-            return a
-        if self._prio_less(self._key[b], self._key[a]):
-            return self._mk(
-                self._key[a], self._value[a], self._left[a],
-                self._merge(self._right[a], b),
-            )
-        return self._mk(
-            self._key[b], self._value[b], self._merge(a, self._left[b]),
-            self._right[b],
-        )
+        node = mk(0, slots[:at] + (value,) + slots[at + 1:])
+        for level, slots, at in reversed(path):
+            node = mk(level, slots[:at] + (node,) + slots[at + 1:])
+        return node
 
     def overwrite(self, node: int, delta: Dict[int, Hashable]) -> int:
         """Apply ``y ← Δy`` (Definition 2): set each delta entry.
 
-        A key the vector already holds keeps its place in the treap, so
-        its new value is a copy of the path down to it, with no priority
-        comparison; only an absent key goes through :meth:`set`.  Either
-        way the result is the hash-consed node :meth:`set` would return.
+        A mapping has one tree, so the order the entries are set in does
+        not change the result.
         """
-        keys, values, left, right = self._key, self._value, self._left, self._right
-        for key in sorted(delta):
-            value = delta[key]
-            path: List[int] = []
-            at = node
-            while at != EMPTY and keys[at] != key:
-                path.append(at)
-                at = left[at] if key < keys[at] else right[at]
-            if at == EMPTY:
-                node = self.set(node, key, value)
-                continue
-            if values[at] == value:
-                continue
-            copy = self._mk(key, value, left[at], right[at])
-            for up in reversed(path):
-                if key < keys[up]:
-                    copy = self._mk(keys[up], values[up], copy, right[up])
-                else:
-                    copy = self._mk(keys[up], values[up], left[up], copy)
-            node = copy
+        for key, value in delta.items():
+            node = self.set(node, key, value)
         return node
 
     # -- iteration -----------------------------------------------------------
     def to_dict(self, node: int) -> Dict[int, Any]:
-        """``{device: action}`` in device order (an in-order walk)."""
+        """``{device: action}`` in device order (a slot-order walk)."""
         out: Dict[int, Any] = {}
-        keys, values, left, right = self._key, self._value, self._left, self._right
-        stack: List[int] = []
-        while node != EMPTY or stack:
-            while node != EMPTY:
-                stack.append(node)
-                node = left[node]
-            node = stack.pop()
-            out[keys[node]] = values[node]
-            node = right[node]
+        nodes = self._nodes
+        stack = [(node, 0)]
+        while stack:
+            node, base = stack.pop()
+            level, slots = nodes[node]
+            if level:
+                shift = level * _BITS
+                stack.extend(
+                    (slots[at], base | at << shift)
+                    for at in range(_MASK, -1, -1)
+                    if slots[at]
+                )
+            else:
+                for at, value in enumerate(slots):
+                    if value is not _ABSENT:
+                        out[base | at] = value
         return out
-
-    def depth(self, node: int) -> int:
-        if node == EMPTY:
-            return 0
-        return 1 + max(self.depth(self._left[node]), self.depth(self._right[node]))

@@ -1,16 +1,17 @@
 """Array-backed action-vector store: the PAT ablation baseline.
 
 :class:`ArrayActionStore` is the ablation counterpart of PAT (§3.4/§5.4).
-It implements the same interface as :class:`~repro.core.actiontree.
-ActionTreeStore` but stores every vector as an interned tuple: overwrites
-copy O(N) entries and interning hashes O(N) entries, i.e. exactly the naive
-cost model the paper's §5.4 attributes to APKeep's T_EC.  Used by
-``benchmarks/bench_ablation.py`` to isolate PAT's contribution.
+It implements the :class:`~repro.core.actiontree.ActionTreeStore` methods
+the inverse model calls but stores every vector as an interned tuple:
+overwrites copy O(N) entries and interning hashes O(N) entries, i.e.
+exactly the naive cost model the paper's §5.4 attributes to APKeep's
+T_EC.  Used by ``benchmarks/bench_ablation.py`` to isolate PAT's
+contribution.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 EMPTY = 0
 
@@ -44,33 +45,14 @@ class ArrayActionStore:
                 return v
         return default
 
-    def contains(self, node: int, key: int) -> bool:
-        return any(k == key for k, _ in self._vectors[node])
-
-    def set(self, node: int, key: int, value: Hashable) -> int:
-        return self.overwrite(node, {key: value})
-
     def overwrite(self, node: int, delta: Dict[int, Hashable]) -> int:
         merged = dict(self._vectors[node])
         merged.update(delta)  # O(N) copy: the cost PAT avoids
         return self._mk(tuple(sorted(merged.items())))
 
-    def delete(self, node: int, key: int) -> int:
-        remaining = tuple(
-            (k, v) for k, v in self._vectors[node] if k != key
-        )
-        return self._mk(remaining)
-
-    # -- queries ----------------------------------------------------------
-    def size(self, node: int) -> int:
-        return len(self._vectors[node])
-
     @property
     def num_nodes(self) -> int:
         return len(self._vectors)
-
-    def items(self, node: int) -> Iterator[Tuple[int, Any]]:
-        return iter(self._vectors[node])
 
     def to_dict(self, node: int) -> Dict[int, Any]:
         return dict(self._vectors[node])

@@ -316,7 +316,7 @@ class InverseModel:
 
     # -- reporting ---------------------------------------------------------------
     def memory_estimate_bytes(self) -> int:
-        """EC table footprint: predicate DAG nodes + PAT nodes (~40 B each).
+        """EC table footprint: predicate DAG nodes (~40 B each) + 64 B per EC.
 
         EC predicates share BDD structure heavily (every split leaves
         both halves pointing into the same subgraphs), so the node term

@@ -40,24 +40,29 @@ def source_match_ecmp_fib(
     if bucket_bits > src_width:
         raise HeaderSpaceError("too many source buckets for the src field")
 
+    src_patterns = [
+        Pattern.prefix(bucket << (src_width - bucket_bits), bucket_bits, src_width)
+        for bucket in range(src_buckets)
+    ]
     rules: Dict[int, List[Rule]] = {s: [] for s in topology.switches()}
     for assignment in assignments:
         next_hops = topology.shortest_path_tree(assignment.device)
         dst_pattern = Pattern.prefix(
             assignment.value, assignment.length, layout.field("dst").width
         )
+        # One Match per distinct match, shared by every switch's rule.
+        base_match = Match({"dst": dst_pattern})
+        bucket_matches = [
+            Match({"dst": dst_pattern, "src": src_pattern})
+            for src_pattern in src_patterns
+        ]
         for switch in topology.switches():
             hops = next_hops.get(switch)
             if not hops:
                 continue
-            base_match = Match({"dst": dst_pattern})
             rules[switch].append(Rule(base_priority, base_match, hops[0]))
             if len(hops) > 1:
-                for bucket in range(src_buckets):
-                    src_pattern = Pattern.prefix(
-                        bucket << (src_width - bucket_bits), bucket_bits, src_width
-                    )
-                    match = Match({"dst": dst_pattern, "src": src_pattern})
+                for bucket, match in enumerate(bucket_matches):
                     action = hops[bucket % len(hops)]
                     rules[switch].append(
                         Rule(base_priority + 1, match, action)

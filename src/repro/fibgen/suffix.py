@@ -44,20 +44,23 @@ def suffix_match_fib(
             if assignment.length
             else 0
         )
+        # One Match per distinct match, shared by every switch's rule.
+        base = Match(
+            {"dst": Pattern.prefix(assignment.value, assignment.length, width)}
+        )
+        usable = min(suffix_bits, max(0, width - assignment.length))
+        mask = prefix_mask | ((1 << usable) - 1)
+        suffix_matches = [
+            Match({"dst": Pattern.ternary(assignment.value | suffix, mask, width)})
+            for suffix in range(1 << usable)
+        ]
         for switch in topology.switches():
             hops = next_hops.get(switch)
             if not hops:
                 continue
-            base = Match(
-                {"dst": Pattern.prefix(assignment.value, assignment.length, width)}
-            )
             rules[switch].append(Rule(base_priority, base, hops[0]))
             if len(hops) > 1:
-                usable = min(suffix_bits, max(0, width - assignment.length))
-                for suffix in range(1 << usable):
-                    mask = prefix_mask | ((1 << usable) - 1)
-                    value = assignment.value | suffix
-                    match = Match({"dst": Pattern.ternary(value, mask, width)})
+                for suffix, match in enumerate(suffix_matches):
                     rules[switch].append(
                         Rule(base_priority + 1, match, hops[suffix % len(hops)])
                     )

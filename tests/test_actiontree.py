@@ -1,9 +1,13 @@
 """Tests for the Persistent Action Tree (PAT)."""
 
+import random
+import sys
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actiontree import EMPTY, ActionTreeStore, _priority
+from repro.core.actiontree import EMPTY, FAN, ActionTreeStore
 
 
 class TestBasics:
@@ -11,9 +15,9 @@ class TestBasics:
         self.store = ActionTreeStore()
 
     def test_empty(self):
-        assert self.store.size(EMPTY) == 0
         assert self.store.get(EMPTY, 1) is None
         assert self.store.get(EMPTY, 1, "d") == "d"
+        assert self.store.get(EMPTY, 10**6, "d") == "d"
         assert self.store.to_dict(EMPTY) == {}
 
     def test_set_get(self):
@@ -22,7 +26,13 @@ class TestBasics:
         assert self.store.get(root, 3) == "a"
         assert self.store.get(root, 1) == "b"
         assert self.store.get(root, 2) is None
-        assert self.store.size(root) == 2
+        assert self.store.get(root, -1, "d") == "d"
+
+    def test_none_is_an_action(self):
+        root = self.store.set(EMPTY, 1, None)
+        assert root != EMPTY
+        assert self.store.get(root, 1, "d") is None
+        assert self.store.to_dict(root) == {1: None}
 
     def test_persistence(self):
         root1 = self.store.set(EMPTY, 1, "x")
@@ -36,10 +46,10 @@ class TestBasics:
 
     def test_order_independence_gives_same_id(self):
         a = EMPTY
-        for k in [5, 1, 9, 3, 7]:
+        for k in [5, 1, 900, 3, 70]:
             a = self.store.set(a, k, k * 10)
         b = EMPTY
-        for k in [9, 7, 5, 3, 1]:
+        for k in [900, 70, 5, 3, 1]:
             b = self.store.set(b, k, k * 10)
         assert a == b  # hash-consing: structural equality is id equality
 
@@ -77,84 +87,82 @@ class TestBasics:
                 folded = self.store.set(folded, key, delta[key])
             assert self.store.overwrite(root, delta) == folded
 
-    def test_overwrite_of_present_keys_compares_no_priorities(self):
-        root = self.store.build({k: "a" for k in range(40)})
-        calls = []
-        prio_less = self.store._prio_less
-
-        def counted(a, b):
-            calls.append((a, b))
-            return prio_less(a, b)
-
-        self.store._prio_less = counted
-        new = self.store.overwrite(root, {k: "b" for k in range(0, 40, 3)})
-        assert calls == []
-        assert self.store.to_dict(new) == {
-            k: "b" if k % 3 == 0 else "a" for k in range(40)
-        }
-        self.store.overwrite(root, {40: "b"})
-        assert calls  # an absent key still goes through set
-
-    def test_delete(self):
-        root = self.store.build({1: "a", 2: "b", 3: "c"})
-        smaller = self.store.delete(root, 2)
-        assert self.store.to_dict(smaller) == {1: "a", 3: "c"}
-        assert self.store.delete(smaller, 99) == smaller  # absent: no-op
-        assert self.store.to_dict(root) == {1: "a", 2: "b", 3: "c"}
-
-    def test_treap_ranks_are_computed_once_per_key(self):
-        root = EMPTY
-        for step in range(200):
-            root = self.store.set(root, step % 7, step)
-        root = self.store.delete(root, 3)
-        assert sorted(self.store._rank) == list(range(7))
-        assert all(self.store._rank[k] == (_priority(k), k) for k in range(7))
-
     def test_items_in_order(self):
-        root = self.store.build({5: "e", 1: "a", 3: "c"})
+        root = self.store.build({5: "e", 300: "z", 1: "a", 17: "q", 3: "c"})
         assert list(self.store.to_dict(root).items()) == [
-            (1, "a"), (3, "c"), (5, "e")
+            (1, "a"), (3, "c"), (5, "e"), (17, "q"), (300, "z")
         ]
 
-    def test_contains(self):
-        root = self.store.set(EMPTY, 1, None)  # None value still "present"
-        assert self.store.contains(root, 1)
-        assert not self.store.contains(root, 2)
+    def test_root_is_as_shallow_as_the_largest_id(self):
+        small = self.store.build({0: "a"})
+        grown = self.store.set(small, FAN * FAN, "b")  # two levels up
+        assert self.store.set(grown, FAN * FAN, "a") == self.store.build(
+            {0: "a", FAN * FAN: "a"}
+        )
+        assert self.store.get(grown, 0) == "a"
+        assert self.store.get(small, FAN * FAN) is None
+
+
+# Dense low ids, ids that grow the root past one leaf (>= 16) and past one
+# inner level (>= 256), and sparse ones far apart.
+KEYS = st.one_of(
+    st.integers(0, FAN - 1),
+    st.integers(FAN, FAN * FAN + 40),
+    st.integers(0, 5000),
+)
+ACTIONS = st.one_of(st.integers(0, 4), st.none(), st.tuples(st.integers(0, 3)))
+MAPPINGS = st.dictionaries(KEYS, ACTIONS, max_size=24)
+
+
+def _levels(mapping):
+    """The depth of the one tree that holds ``mapping``."""
+    top = max(mapping, default=0)
+    levels = 1
+    while top >= FAN**levels:
+        levels += 1
+    return levels
 
 
 class TestProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 40), st.integers(0, 5)), max_size=40
-        )
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_dict_semantics(self, operations):
+    @given(MAPPINGS, st.lists(MAPPINGS, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_semantics(self, items, deltas):
+        """``get`` / ``to_dict`` agree with a dict at every step, and an
+        old id still reads its old mapping after later overwrites."""
         store = ActionTreeStore()
-        root = EMPTY
-        reference = {}
-        for key, value in operations:
-            root = store.set(root, key, value)
-            reference[key] = value
-        assert store.to_dict(root) == reference
-        assert store.size(root) == len(reference)
+        roots = [(store.build(items), dict(items))]
+        for delta in deltas:
+            root, model = roots[-1]
+            roots.append((store.overwrite(root, delta), {**model, **delta}))
+        probes = set(items).union(*deltas) | {0, FAN, FAN * FAN, 6000}
+        for root, model in roots:
+            assert list(store.to_dict(root).items()) == sorted(model.items())
+            for key in probes:
+                assert store.get(root, key, "absent") == model.get(key, "absent")
 
-    @given(
-        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
-        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
-    )
-    @settings(max_examples=60, deadline=None)
+    @given(MAPPINGS, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_mappings_get_equal_ids(self, items, rng):
+        """However a mapping is reached, its id is the same."""
+        store = ActionTreeStore()
+        order = list(items)
+        rng.shuffle(order)
+        one_by_one = EMPTY
+        for key in order:
+            one_by_one = store.set(one_by_one, key, items[key])
+        # A detour: set every key to a stale action first, then overwrite.
+        detour = store.overwrite(store.build(dict.fromkeys(order, "stale")), items)
+        assert one_by_one == store.build(items) == detour
+
+    @given(MAPPINGS, MAPPINGS)
+    @settings(max_examples=100, deadline=None)
     def test_canonical_ids(self, items_a, items_b):
-        """Equal mappings yield equal ids; different mappings different ids."""
         store = ActionTreeStore()
-        a = store.build(items_a)
-        b = store.build(items_b)
-        assert (a == b) == (items_a == items_b)
+        assert (store.build(items_a) == store.build(items_b)) == (
+            items_a == items_b
+        )
 
-    @given(
-        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=20),
-        st.dictionaries(st.integers(0, 30), st.integers(0, 3), max_size=8),
-    )
+    @given(MAPPINGS, st.dictionaries(KEYS, ACTIONS, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_overwrite_is_a_set_fold(self, items, delta):
         store = ActionTreeStore()
@@ -164,24 +172,63 @@ class TestProperties:
             folded = store.set(folded, key, delta[key])
         assert store.overwrite(root, delta) == folded
 
-    @given(st.dictionaries(st.integers(0, 200), st.integers(0, 3), min_size=30))
-    @settings(max_examples=20, deadline=None)
-    def test_treap_stays_balanced(self, items):
+    @given(MAPPINGS.filter(bool), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_present_key_overwrite_copies_one_path(self, items, data):
+        """A single-key overwrite of a present key makes at most one new
+        node per level of the tree."""
         store = ActionTreeStore()
         root = store.build(items)
-        # Expected depth ~ 2-3·log2(n); allow generous slack.
-        assert store.depth(root) <= 6 * max(1, len(items).bit_length())
+        key = data.draw(st.sampled_from(sorted(items)))
+        before = store.num_nodes
+        new = store.overwrite(root, {key: "new"})
+        assert store.num_nodes - before <= _levels(items)
+        assert store.to_dict(new) == {**items, key: "new"}
 
-    @given(
-        st.dictionaries(st.integers(0, 30), st.integers(0, 3), min_size=1),
-        st.lists(st.integers(0, 30), max_size=10),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_delete_matches_dict(self, items, removals):
-        store = ActionTreeStore()
-        root = store.build(items)
-        reference = dict(items)
-        for key in removals:
-            root = store.delete(root, key)
-            reference.pop(key, None)
-        assert store.to_dict(root) == reference
+
+def test_readers_see_whole_vectors_while_the_writer_appends():
+    """Serve readers read the writer's store while it appends: every id a
+    reader is handed must already read its whole mapping."""
+    store = ActionTreeStore()
+    published = [(EMPTY, {})]
+    done = threading.Event()
+    errors = []
+
+    def write():
+        rng = random.Random(7)
+        root, model = published[-1]
+        try:
+            for _ in range(3000):
+                delta = {rng.randrange(600): rng.randrange(4) for _ in range(3)}
+                root, model = store.overwrite(root, delta), {**model, **delta}
+                published.append((root, model))
+        finally:
+            done.set()
+
+    def read(seed):
+        rng = random.Random(seed)
+        while not done.is_set():
+            root, model = published[rng.randrange(len(published))]
+            if store.to_dict(root) != model:
+                errors.append(root)
+            key = rng.randrange(600)
+            if store.get(root, key, "absent") != model.get(key, "absent"):
+                errors.append((root, key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=read, args=(seed,), daemon=True)
+            for seed in range(3)
+        ]
+        threads.append(threading.Thread(target=write, daemon=True))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done.is_set() and len(published) == 3001
+    assert errors == []

@@ -161,6 +161,21 @@ class TestSuffixFib:
                 assert arrived == rack
 
 
+@pytest.mark.parametrize(
+    "generate, layout",
+    [
+        (std_fib, dst_only_layout(8)),
+        (std_fib_ecmp, dst_src_layout(8, 4)),
+        (std_fib_suffix, dst_only_layout(8)),
+    ],
+)
+def test_one_match_object_per_distinct_match(generate, layout):
+    """Switches share a match's object, so a compile cache hit is an ``is``."""
+    fibs = generate(small_fabric(), layout)
+    matches = [r.match for rules in fibs.values() for r in rules]
+    assert len({id(m) for m in matches}) == len(set(matches)) < len(matches)
+
+
 class TestPlanning:
     def test_small_pod_addition(self):
         scenario = pod_addition_scenario(k=4, prefixes_per_pod=2, dst_width=10)
