@@ -12,7 +12,14 @@ import os
 
 import pytest
 
-from .harness import print_table, run_apkeep, run_deltanet, run_flash, save_results
+from .harness import (
+    check_op_columns,
+    print_table,
+    run_apkeep,
+    run_deltanet,
+    run_flash,
+    save_results,
+)
 from .settings import lnet_ecmp, lnet_smr
 
 STORM_TIMEOUT = float(os.environ.get("REPRO_STORM_TIMEOUT", "20"))
@@ -33,6 +40,7 @@ def bench_fig6_update_storm(benchmark, maker):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(f"Figure 6 — {setting.name} storm", rows)
+    check_op_columns(f"fig6_{setting.name}", rows)
     save_results(f"fig6_{setting.name}", rows)
 
     deltanet, apkeep, flash = rows

@@ -13,6 +13,7 @@ import pytest
 
 from .harness import (
     DEFAULT_TIMEOUT,
+    check_op_columns,
     print_table,
     run_apkeep,
     run_apkeep_partitioned,
@@ -55,6 +56,7 @@ def bench_table3_lnet_subspace(benchmark, maker):
     rows[0].setting = f"{setting.name} Subspace"  # Delta-net* runs flat but
     # is reported in the same row group as the paper does.
     print_table(f"Table 3 — {setting.name} Subspace", rows)
+    check_op_columns(f"table3_{setting.name}", rows)
     save_results(f"table3_{setting.name}", rows)
     flash = rows[-1]
     assert flash.finished, "Flash must finish within the bench timeout"
@@ -76,6 +78,7 @@ def bench_table3_traces(benchmark, maker):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(f"Table 3 — {setting.name}", rows)
+    check_op_columns(f"table3_{setting.name}", rows)
     save_results(f"table3_{setting.name}", rows)
     flash = rows[-1]
     apkeep = rows[1]

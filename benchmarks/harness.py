@@ -307,6 +307,44 @@ def print_table(title: str, rows: Sequence[RunResult]) -> None:
         )
 
 
+#: The columns :func:`check_op_columns` holds a fresh run to.
+OP_COLUMNS = ("predicate_ops", "ecs")
+
+
+def check_op_columns(name: str, rows: Sequence[RunResult]) -> None:
+    """Fail when a fresh run's op counts differ from ``results/<name>.json``.
+
+    The committed Table 3 and Fig. 6 files hold the machine-independent
+    columns EXPERIMENTS.md quotes, and a run reproduces them exactly.  So
+    every system that finished in both runs must report the same
+    :data:`OP_COLUMNS`; timings and timed-out rows are not compared.
+    Called before :func:`save_results`, so a mismatch leaves the
+    committed file as it was.  A change that moves an op count refreshes
+    the file and EXPERIMENTS.md with it: delete the file, re-run the
+    bench (a missing file passes) and copy the new columns over.
+    """
+    path = os.path.join(RESULTS_DIR, f"{name}.json")
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as f:
+        committed = {row["system"]: row for row in json.load(f)}
+    moved = []
+    for row in rows:
+        old = committed.get(row.system)
+        if old is None or old["timed_out"] or row.timed_out:
+            continue
+        for column in OP_COLUMNS:
+            if old[column] != getattr(row, column):
+                moved.append(
+                    f"{row.system} {column}: committed {old[column]}, "
+                    f"fresh {getattr(row, column)}"
+                )
+    assert not moved, (
+        f"{name}: op columns differ from {path} ({'; '.join(moved)}); "
+        "delete the file, re-run and update EXPERIMENTS.md if intended"
+    )
+
+
 def save_results(name: str, rows: Sequence[RunResult]) -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")

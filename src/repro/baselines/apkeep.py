@@ -55,7 +55,9 @@ class APKeepVerifier:
         self._index_of = {d: i for i, d in enumerate(self.devices)}
         self.layout = layout
         if engine is None:
-            engine = PredicateEngine(layout.total_bits, registry=registry)
+            engine = PredicateEngine(
+                layout.total_bits, registry, sig_vars=layout.signature_vars
+            )
         self.engine = engine
         self.compiler = MatchCompiler(self.engine, layout)
         self.default_action = default_action

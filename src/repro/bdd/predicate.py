@@ -21,7 +21,8 @@ comparable.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..telemetry import MetricsRegistry, OpMetrics
 from .engine import BDD, FALSE, SWEEP_FLOOR, TRUE, BddStats
@@ -140,6 +141,10 @@ class Remainder:
     def is_false(self) -> bool:
         return self.node == FALSE
 
+    def left(self) -> Predicate:
+        """What is left, as a handle."""
+        return self.engine.pred(self.node)
+
     def take(self, part: Predicate) -> None:
         """Take ``part`` out: ``rest ← rest ∧ ¬part`` (as :meth:`~PredicateEngine.diff`)."""
         engine = self.engine
@@ -216,8 +221,9 @@ class PredicateEngine:
     ``pred.node`` is a canonical id with ``FALSE == 0`` / ``TRUE == 1``,
     so semantic equality is id equality and dicts key on it; every live
     handle is a GC root; variable 0 is the header MSB and
-    :meth:`signature` is the 8-variable cofactor-occupancy mask, which
-    composes over ``|``.
+    :meth:`signature` is the cofactor-occupancy mask over the cells of
+    :attr:`sig_vars` (the top bits of every header field, for a layout's
+    engine), which composes over ``|``.
 
     The engine collects itself: whoever owns a long-lived engine calls
     :meth:`collect_if_grown` where no operation is mid-flight (a
@@ -240,6 +246,10 @@ class PredicateEngine:
         The seam through which the equivalence tests drive the same
         predicate workload over the reference oracle
         (``tests/bdd_reference.py``).
+    sig_vars:
+        The ascending variables :meth:`signature` takes its cells over;
+        a layout's engine gets ``layout.signature_vars``.  Defaults to
+        the first :data:`SIG_BITS`.
     """
 
     def __init__(
@@ -248,11 +258,21 @@ class PredicateEngine:
         registry: Optional[MetricsRegistry] = None,
         *,
         bdd=None,
+        sig_vars: Optional[Sequence[int]] = None,
     ) -> None:
         if bdd is not None and bdd.num_vars != num_vars:
             raise ValueError(
                 f"injected BDD has {bdd.num_vars} vars, expected {num_vars}"
             )
+        if sig_vars is None:
+            sig_vars = range(min(self.SIG_BITS, num_vars))
+        self.sig_vars: Tuple[int, ...] = tuple(sig_vars)
+        if list(self.sig_vars) != sorted(set(self.sig_vars)) or not all(
+            0 <= v < num_vars for v in self.sig_vars
+        ):
+            raise ValueError(f"bad signature variables {self.sig_vars}")
+        # Variable -> index of the first signature variable at or after it.
+        self._sig_slot = [bisect_left(self.sig_vars, v) for v in range(num_vars)]
         self.bdd = bdd if bdd is not None else BDD(num_vars)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.metrics = OpMetrics(self.registry)
@@ -504,60 +524,68 @@ class PredicateEngine:
         """Rough memory footprint: ~40 bytes per BDD node (3 ints + tables)."""
         return self.bdd.num_nodes * 40
 
-    #: Signature horizon: masks cover the first 8 variables (256 cells).
+    #: Default signature variables: the first 8 (256 cells).
     SIG_BITS = 8
 
     def signature(self, pred: Predicate) -> int:
-        """Cofactor-occupancy bitmask over the first :data:`SIG_BITS` vars.
+        """Cofactor-occupancy bitmask over the :attr:`sig_vars` cells.
 
-        Bit ``i`` is set iff the cofactor of ``pred`` under the ``i``-th
-        assignment of variables ``0..SIG_BITS-1`` is satisfiable.  Two
-        predicates with non-intersecting signatures are provably
-        disjoint (``sig(a) & sig(b) == 0  ⇒  a ∧ b = ⊥``), so the mask
-        is an O(1) disjointness filter that avoids a full conjunction —
-        the workhorse of the EC-table fast apply path, where most
-        (EC, overwrite) pairs never overlap.  Signatures compose over
-        disjunction (``sig(a|b) == sig(a)|sig(b)``) and over-approximate
-        under conjunction (``sig(a&b) ⊆ sig(a)&sig(b)``), so callers can
-        maintain them incrementally without re-walking.
+        A cell is one assignment to the signature variables; bit ``i``
+        is set iff some header in ``pred`` takes the ``i``-th one (the
+        first signature variable is the most significant bit of ``i``).
+        Every other variable is projected away: at a node on it the
+        walk ORs the two children.  Two predicates with non-intersecting
+        signatures are provably disjoint (``sig(a) & sig(b) == 0  ⇒
+        a ∧ b = ⊥``), so the mask is an O(1) disjointness filter that
+        avoids a full conjunction — in front of every claim in apply and
+        in Map's carve, where most pairs never overlap.  Signatures
+        compose over disjunction (``sig(a|b) == sig(a)|sig(b)``) and
+        over-approximate under conjunction (``sig(a&b) ⊆
+        sig(a)&sig(b)``), so callers can maintain them incrementally
+        without re-walking.  Signatures of two engines compare only if
+        both have the same :attr:`sig_vars`.
 
         The result is memoized on the handle (a predicate is an
         immutable function, so its signature never changes); the first
-        call walks at most ``O(nodes × SIG_BITS)`` edges via the
-        encoding-agnostic :meth:`decompose`, far less than one apply,
-        and works on both engines.
+        call makes at most one step per (node, signature variable) pair
+        via the encoding-agnostic :meth:`decompose`, far less than one
+        apply, and works on both engines.
         """
         self._check(pred, pred)
         cached = pred._sig
         if cached is not None:
             return cached
-        bits = self.SIG_BITS
-        if self.num_vars < bits:
-            bits = self.num_vars
+        sig_vars = self.sig_vars
+        slot_of = self._sig_slot
+        bits = len(sig_vars)
         decompose = self.bdd.decompose
         memo: Dict[Tuple[int, int], int] = {}
 
         def occupancy(u: int, level: int) -> int:
+            # The cells over sig_vars[level:] that u's headers occupy.
             if u == FALSE:
                 return 0
             width = 1 << (bits - level)
-            if level == bits or u == TRUE:
+            if u == TRUE:
                 return (1 << width) - 1
             key = (u, level)
             r = memo.get(key)
             if r is None:
                 var, lo, hi = decompose(u)
-                if var >= bits:
-                    # Entirely below the horizon and not ⊥: every cell
-                    # in this subtree is occupied.
+                slot = slot_of[var]
+                if slot == bits:
+                    # Below every signature variable and not ⊥: every
+                    # cell in this subtree is occupied.
                     r = (1 << width) - 1
-                elif var > level:
+                elif slot > level:
                     m = occupancy(u, level + 1)
                     r = (m << (width >> 1)) | m
-                else:
+                elif var == sig_vars[slot]:
                     r = (occupancy(hi, level + 1) << (width >> 1)) | occupancy(
                         lo, level + 1
                     )
+                else:
+                    r = occupancy(lo, level) | occupancy(hi, level)
                 memo[key] = r
             return r
 

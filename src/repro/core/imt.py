@@ -21,9 +21,12 @@ Inserted rules overwrite their whole effective predicate, as in the
 paper, and an inserts-only block yields the paper's overwrites.  The
 paper's loop accumulates the disjunction of the higher-priority matches
 and takes a difference per expanding rule; :func:`_carve` instead
-shrinks one unclaimed region, one BDD walk per rule that can meet an
-expanding one (§3.4's overlap look-up, without an index).  The paper's
-unrestricted loop is kept as a test oracle (``tests/apply_reference.py``).
+shrinks one unclaimed region.  §3.4's overlap look-up is the cofactor
+signature test, without an index: the inserted rules' carve walks a
+rule only if its signature meets an inserted rule's and an earlier
+rule's, and defers the others, which an inserted rule then takes out of
+its share only where they meet.  The paper's unrestricted loop is kept as
+a test oracle (``tests/apply_reference.py``).
 
 Priority ties follow the library-wide convention (FibTable): the
 earlier-installed rule wins; inserted rules go after existing equal-priority
@@ -41,7 +44,7 @@ from ..dataplane.fib import FibSnapshot, FibTable
 from ..dataplane.rule import Action, Rule
 from ..dataplane.update import RuleUpdate
 from ..errors import DataPlaneError, RuleNotFoundError
-from ..headerspace.match import MatchCompiler
+from ..headerspace.match import Match, MatchCompiler
 from .actiontree import ActionTreeStore
 from .inverse_model import InverseModel
 from .overwrite import Overwrite, atomic
@@ -140,9 +143,9 @@ def calculate_atomic_overwrites(
     :func:`_carve` of the header space over the sorted rule list, in
     which every rule down to the last insert takes its match out of the
     unclaimed region and an inserted rule keeps what it took.  That is
-    at most one predicate operation per rule, O(T + K) for the block,
-    and none for a rule :func:`_carve` finds disjoint from every
-    insert.  A rule
+    one walk per rule whose signature meets an earlier rule's, plus one
+    per (insert, deferred rule) pair that meets, and none for a rule
+    :func:`_carve` finds disjoint from every insert.  A rule
     in ``uncovered`` (below one of the ``deleted`` rules) overwrites
     only its effective predicate inside the freed region — see
     :func:`_freed_overwrites` — which is the same model for fewer
@@ -172,30 +175,49 @@ def _carve(
 
     ``emitting`` is ascending.  The scan visits the rules in order and
     keeps ``rest``, the :class:`~repro.bdd.predicate.Remainder` of
-    ``region`` no visited rule has claimed: an emitting rule splits its
+    ``region`` no walked rule has claimed: an emitting rule splits its
     share off ``rest`` and overwrites it, any other rule only takes its
     match out of ``rest``, one BDD walk each.  The scan stops at the
     last emitting position, which takes its share with a plain ∧, or
     once ``rest`` is ⊥ (at the default rule at the latest).
 
-    §3.4's fast look-up for overlapped rules, without an index: a rule
-    disjoint from every emitting match inside ``region`` changes no
-    share (it only lets ``rest`` reach ⊥ later), so it is skipped
-    without a walk.  ``emit_sig``, the disjunction of the emitting
-    matches' cofactor signatures cut down to the region's, finds such
-    rules; a full one filters nothing and is not tested.  With one
-    emitting rule (a per-update block) each rule is first tested against
-    its match field by field (:func:`matches_intersect`), exact where the
-    signature sees only the leading header bits, and a disjoint one is
-    not even compiled.  Every emitting match is compiled before the
-    scan, so one that does not compile raises before anything is
-    written, even when a rule above it leaves it no share.
+    §3.4's fast look-up for overlapped rules is the cofactor signature
+    test, without an index, in two places:
+
+    * a rule disjoint from every emitting match inside ``region``
+      changes no share (it only lets ``rest`` reach ⊥ later), so it is
+      skipped without a walk.  ``emit_sig``, the disjunction of the
+      emitting matches' signatures cut down to the region's, finds such
+      rules; a full one filters nothing and is not tested.  With one
+      emitting rule (a per-update block) each rule is first tested
+      against its match field by field (:func:`matches_intersect`) and a
+      disjoint one is not even compiled;
+    * when ``region`` is ⊤ (the inserted rules), a scanned rule whose
+      signature meets no earlier scanned rule's (``taken_sig``) is
+      disjoint from all of them, so it is deferred to ``pending``
+      without a walk, and an emitting one overwrites its whole match.
+      The unclaimed region is then ``rest − ∨pending``: an emitting rule
+      walked on ``rest`` takes out of its claimed share each pending
+      rule whose signature meets its own, a walk on a small operand; a
+      pending rule with the same signature (which cannot tell the two
+      apart) is first tested field by field.
+      A rule with a full signature (a wildcard) is walked, so a region
+      one rule uses up still ends the scan, unless it is the last
+      emitting rule, after which nothing is scanned.  The freed region
+      of a withdrawal is carved eagerly.
+
+    So the cost is one walk per scanned rule whose signature meets an
+    earlier one's, plus one per (emitting, pending) pair that meets.
+    Every emitting match is compiled before the scan,
+    so one that does not compile raises before anything is written,
+    even when a rule above it leaves it no share.
     """
     sig_of = compiler.engine.signature
     compile_match = compiler.compile
     emits = [(pos, compile_match(new_rules[pos].match)) for pos in emitting]
     full = sig_of(compiler.engine.true)
-    cap = full if region.is_true else sig_of(region)
+    lazy = region.is_true
+    cap = full if lazy else sig_of(region)
     emit_sig = 0
     for _, match in emits:
         emit_sig |= sig_of(match) & cap
@@ -205,6 +227,8 @@ def _carve(
         emit_sig = None
     solo = new_rules[emitting[0]].match if len(emitting) == 1 else None
     rest = Remainder(region)
+    taken_sig = 0
+    pending: List[Tuple[Predicate, int, Match]] = []
     overwrites: List[Overwrite] = []
     last = emitting[-1] if emitting else -1
     start = 0
@@ -213,18 +237,45 @@ def _carve(
             if solo is not None and not matches_intersect(rule.match, solo):
                 continue
             taken = compile_match(rule.match)
-            if emit_sig is None or sig_of(taken) & emit_sig:
+            sig = sig_of(taken)
+            if emit_sig is not None and not sig & emit_sig:
+                continue
+            if lazy and not sig & taken_sig and sig != full:
+                pending.append((taken, sig, rule.match))
+            else:
                 rest.take(taken)
                 if rest.is_false:
                     return overwrites
+            taken_sig |= sig
         start = pos + 1
-        if emit_sig is None or sig_of(match) & emit_sig:
+        sig = sig_of(match)
+        if emit_sig is not None and not sig & emit_sig:
+            continue
+        emitted = new_rules[pos]
+        if lazy and not sig & taken_sig and (sig != full or pos == last):
+            claimed = match
+            pending.append((match, sig, emitted.match))
+        else:
             # No rule below the last one needs what is left.
             claimed = rest.share(match) if pos == last else rest.claim(match)
-            if not claimed.is_false:
-                overwrites.append(atomic(claimed, device, new_rules[pos].action))
-            if rest.is_false:
-                break
+            if pending and not claimed.is_false:
+                share = Remainder(claimed)
+                for part, part_sig, part_match in pending:
+                    # Equal signatures cannot tell the two apart (they
+                    # differ only below the cells): test the fields.
+                    if part_sig & sig and (
+                        part_sig != sig
+                        or matches_intersect(part_match, emitted.match)
+                    ):
+                        share.take(part)
+                        if share.is_false:
+                            break
+                claimed = share.left()
+        taken_sig |= sig
+        if not claimed.is_false:
+            overwrites.append(atomic(claimed, device, emitted.action))
+        if rest.is_false:
+            break
     return overwrites
 
 

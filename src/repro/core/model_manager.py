@@ -132,7 +132,10 @@ class FrozenReadView:
         thread-safe: the serve daemon holds a snapshot's lock around it."""
         if self._compiler is None:
             self._compiler = MatchCompiler(
-                PredicateEngine(self.engine.num_vars), self.layout
+                PredicateEngine(
+                    self.engine.num_vars, sig_vars=self.engine.sig_vars
+                ),
+                self.layout,
             )
         return self._compiler
 
@@ -198,7 +201,9 @@ class ModelWriter:
             # Share the system's registry (when given) so every manager's
             # predicate op counts land in one snapshot.
             registry = telemetry.registry if telemetry is not None else None
-            engine = PredicateEngine(layout.total_bits, registry=registry)
+            engine = PredicateEngine(
+                layout.total_bits, registry, sig_vars=layout.signature_vars
+            )
         self.engine = engine
         if telemetry is None:
             telemetry = Telemetry(registry=self.engine.registry)

@@ -155,7 +155,9 @@ class InterleaveRunner(FuzzRunner):
         block_start = max(0, min(block_start, len(updates)))
         prefix, block = updates[:block_start], updates[block_start:]
 
-        engine = PredicateEngine(layout.total_bits)
+        engine = PredicateEngine(
+            layout.total_bits, sig_vars=layout.signature_vars
+        )
         analyzer = CommutativityAnalyzer(
             engine,
             layout,

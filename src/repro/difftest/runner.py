@@ -147,7 +147,9 @@ class DifferentialRunner(FuzzRunner):
         layout = scenario.build_layout()
         topology = scenario.build_topology()
         switches = sorted(topology.switches())
-        comparison = PredicateEngine(layout.total_bits)
+        comparison = PredicateEngine(
+            layout.total_bits, sig_vars=layout.signature_vars
+        )
         compiler = MatchCompiler(comparison, layout)
         requirements = scenario.build_requirements(topology, layout)
 

@@ -78,6 +78,32 @@ class HeaderLayout:
     def field_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.fields)
 
+    #: Signature cells: at most this many variables (1,024 cells), of
+    #: which the first field gives at most :data:`SIG_LEAD_BITS`.
+    SIG_VARS = 10
+    SIG_LEAD_BITS = 8
+
+    @property
+    def signature_vars(self) -> Tuple[int, ...]:
+        """The variables a predicate's cofactor signature is taken over.
+
+        The first field's top :data:`SIG_LEAD_BITS` bits, then the top
+        bits of the following fields in order, up to :data:`SIG_VARS`
+        variables: ``dst`` 8 × ``src`` 2 on ``dst_src_layout(12, 6)``.
+        A one-field layout gets its top 8 bits, the engine's default
+        (:meth:`~repro.bdd.predicate.PredicateEngine.signature`).  Every
+        engine whose signatures are compared with one another must be
+        built with the same tuple.
+        """
+        out: List[int] = []
+        for f in self.fields:
+            room = self.SIG_VARS - len(out)
+            if not out:
+                room = min(room, self.SIG_LEAD_BITS)
+            base = self._offsets[f.name]
+            out.extend(range(base, base + min(f.width, room)))
+        return tuple(out)
+
     # ------------------------------------------------------------------
     # Flattened-integer view (Delta-net*)
     # ------------------------------------------------------------------

@@ -143,8 +143,9 @@ class OpenRNode:
                 next_hop = min(candidates, key=lambda n: (score(n), n))
                 if score(next_hop) > my_dist:
                     continue  # no shortest-path neighbor: converging, skip
-            match = Match.dst_prefix(dest.value, dest.length, self.sim.layout)
-            fib[dest] = Rule(priority=1, match=match, action=next_hop)
+            fib[dest] = Rule(
+                priority=1, match=self.sim.matches[dest], action=next_hop
+            )
         return fib
 
 
@@ -178,6 +179,11 @@ class OpenRSimulation:
             if destinations is not None
             else self._default_destinations()
         )
+        # One Match per destination, shared by every Decision run.
+        self.matches: Dict[PrefixOwner, Match] = {
+            dest: Match.dst_prefix(dest.value, dest.length, layout)
+            for dest in self.destinations
+        }
         switch_links = [
             link_key(u, v)
             for u, v in topology.links()

@@ -155,6 +155,21 @@ class TestOpenRSimulation:
         rule = sim.nodes[0].fib[dest]
         assert next_hops_of(rule.action)[0] == 3
 
+    def test_one_match_object_per_distinct_match(self):
+        # Every Decision run reuses the simulation's Match per
+        # destination, so a compile-cache hit or a Rule comparison in
+        # the verifier meets the same object, not an equal copy.
+        topo = ring(4)
+        sim = OpenRSimulation(topo, LAYOUT, seed=1)
+        sim.bootstrap()
+        sim.run()
+        sim.fail_link(0, 1, at=sim.loop.now + 1.0)
+        sim.recover_link(0, 1, at=sim.loop.now + 2.0)
+        sim.run()
+        matches = [u.rule.match for b in sim.batches for u in b.updates]
+        assert len(matches) > len(set(matches))
+        assert len({id(m) for m in matches}) == len(set(matches))
+
     def test_dampened_node_sends_late(self):
         topo = ring(4)
         sim = OpenRSimulation(topo, LAYOUT, dampening={2: 60.0}, seed=1)

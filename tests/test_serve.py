@@ -882,6 +882,26 @@ class TestReadersLeaveTheWriterStoreAlone:
 
                 setattr(bdd, name, wrapped)
 
+            # Hold the storm's batches until a reader has been answered,
+            # so some answer is read mid-storm however the threads run.
+            answered = threading.Event()
+            ask, apply_batch, applied = daemon.ask, daemon._apply, []
+
+            def ask_then_mark(query, **kwargs):
+                try:
+                    return ask(query, **kwargs)
+                finally:
+                    answered.set()
+
+            def apply_after_an_answer(batch):
+                if applied:  # the base FIB goes in first, unheld
+                    answered.wait(timeout=10.0)
+                applied.append(len(batch))
+                return apply_batch(batch)
+
+            daemon.ask = ask_then_mark
+            daemon._apply = apply_after_an_answer
+
         workload = build_workload(seed=13, quick=True)
         result = run_load(workload, seed=13, workers=2, on_start=guard)
         assert result.ok, result.divergences
